@@ -21,7 +21,6 @@ def _add_common(p):
     p.add_argument("--format", default="text", choices=("json", "dot", "text"))
     p.add_argument("--gkat", action="store_true", help="enable test[...] sugar")
     p.add_argument("--cap", type=int, default=10000, help="state cap for lts construction")
-    p.add_argument("--seed", type=int, default=None, help="accepted for reproducibility; unused")
 
 
 def build_parser():
@@ -169,7 +168,6 @@ def run(argv=None):
             system = solver.parse_system(text, theory, actions)
         phi = solver.solve(system)
         if args.state is not None:
-            names = dict(zip(system.variables, system.variables))
             if args.state not in phi:
                 # state ids may have been renamed; map positionally
                 if text.lstrip().startswith("{") and args.state in c.states:

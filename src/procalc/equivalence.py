@@ -3,8 +3,7 @@
 States are bisimilar exactly when they receive the same block in the coarsest
 stable partition.  A state's signature under a partition is its normal form
 with step targets replaced by their block ids; refinement splits blocks by
-signature until stable.  ``naive_bisim_relation`` recomputes the same fact by
-greatest-fixpoint refinement of a relation and is kept as a cross-check.
+signature until stable.
 """
 
 from __future__ import annotations
@@ -79,23 +78,3 @@ def equivalent(e, f, theory, cap=10000):
     c = disjoint_union(reachable(e, theory, cap), reachable(f, theory, cap))
     return check_states(c, "as0", "bs0")
 
-
-def naive_bisim_relation(c):
-    """Greatest fixpoint of relation refinement; test oracle for the
-    partition refiner."""
-    rel = {(x, y) for x in c.states for y in c.states}
-
-    def sig(s):
-        cls = {t: frozenset(u for u in c.states if (t, u) in rel) for t in c.states}
-
-        def f(g):
-            return Step(g.action, cls[g.target]) if isinstance(g, Step) else g
-
-        return c.theory.nf_map(c.structure[s], f)
-
-    while True:
-        sigs = {s: sig(s) for s in c.states}
-        new = {(x, y) for (x, y) in rel if sigs[x] == sigs[y]}
-        if new == rel:
-            return rel
-        rel = new

@@ -16,9 +16,9 @@ from fractions import Fraction
 from . import syntax
 from .semantics import Out, Step, TICK, Tick, reachable, disjoint_union
 from .equivalence import check_states
-from .syntax import (Mu, Op, ParseError, Prefix, TokenStream, Var, ZERO,
-                     all_names, fresh_name, is_guarded, parse_param,
-                     render_param, substitute)
+from .syntax import (Interned, Mu, Op, ParseError, Prefix, TokenStream, Var,
+                     ZERO, all_names, bracket, cached_text, fresh_name,
+                     is_guarded, parse_param, render_param, substitute)
 from .theory import TheoryError
 
 UNIT_VAR = "$unit"
@@ -27,7 +27,13 @@ UNIT_VAR = "$unit"
 # ---------------------------------------------------------------------------
 # abstract syntax
 
-class SExp:
+_CHOICE, _SEQ, _POST = 0, 1, 2
+
+
+class SExp(Interned):
+    __slots__ = ()
+    _prec = _POST
+
     def sort_key(self):
         return ("sexp", self.star_unparse())
 
@@ -35,38 +41,60 @@ class SExp:
         return unparse_sexp(self)
 
 
-@dataclass(frozen=True)
 class SZero(SExp):
-    pass
+    __slots__ = _fields = ()
+
+    def _render(self):
+        return "0"
 
 
-@dataclass(frozen=True)
 class SOne(SExp):
-    pass
+    __slots__ = _fields = ()
+
+    def _render(self):
+        return "1"
 
 
-@dataclass(frozen=True)
 class SAct(SExp):
-    action: str
+    __slots__ = _fields = ("action",)
+
+    def _render(self):
+        return self.action
 
 
-@dataclass(frozen=True)
 class SChoice(SExp):
-    param: object
-    left: SExp
-    right: SExp
+    __slots__ = _fields = ("param", "left", "right")
+    _typed_param = True
+    _prec = _CHOICE
+
+    def _kids(self):
+        return (self.left, self.right)
+
+    def _render(self):
+        return f"{self.left._text} +{render_param(self.param)} {bracket(self.right, _SEQ)}"
 
 
-@dataclass(frozen=True)
 class SSeq(SExp):
-    left: SExp
-    right: SExp
+    __slots__ = _fields = ("left", "right")
+    _prec = _SEQ
+
+    def _kids(self):
+        return (self.left, self.right)
+
+    def _render(self):
+        return f"{bracket(self.left, _SEQ)} ; {bracket(self.right, _POST)}"
 
 
-@dataclass(frozen=True)
 class SStar(SExp):
-    param: object
-    body: SExp
+    __slots__ = _fields = ("param", "body")
+    _typed_param = True
+
+    def _kids(self):
+        return (self.body,)
+
+    def _render(self):
+        suffix = "^*" if self.param is None else f"^{render_param(self.param)}"
+        return f"{bracket(self.body, _POST)}{suffix}"
 
 
 SZERO, SONE = SZero(), SOne()
@@ -141,30 +169,10 @@ def _parse_satom(ts, theory, use, gkat):
     raise ParseError(f"unexpected token {val!r}", pos)
 
 
-_CHOICE, _SEQ, _POST = 0, 1, 2
-
-
 def unparse_sexp(e):
-    return _sunparse(e, _CHOICE)
-
-
-def _sunparse(e, level):
-    if isinstance(e, SZero):
-        return "0"
-    if isinstance(e, SOne):
-        return "1"
-    if isinstance(e, SAct):
-        return e.action
-    if isinstance(e, SChoice):
-        s = f"{_sunparse(e.left, _CHOICE)} +{render_param(e.param)} {_sunparse(e.right, _SEQ)}"
-        return f"({s})" if level > _CHOICE else s
-    if isinstance(e, SSeq):
-        s = f"{_sunparse(e.left, _SEQ)} ; {_sunparse(e.right, _POST)}"
-        return f"({s})" if level > _SEQ else s
-    if isinstance(e, SStar):
-        suffix = "^*" if e.param is None else f"^{render_param(e.param)}"
-        return f"{_sunparse(e.body, _POST)}{suffix}"
-    raise TypeError(f"not a star expression: {e!r}")
+    if not isinstance(e, SExp):
+        raise TypeError(f"not a star expression: {e!r}")
+    return cached_text(e)
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,8 @@ the tokenizer cannot produce, so freshness never clashes with user input.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import weakref
 from fractions import Fraction
-from functools import lru_cache
 
 from .theory import TheoryError
 
@@ -31,51 +30,209 @@ class ParseError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# hash-consed nodes
+
+_TABLE = weakref.WeakValueDictionary()
+_EMPTY = frozenset()
+_set = object.__setattr__  # nodes refuse plain assignment
+
+
+class Interned:
+    """Base class of hash-consed, immutable term nodes (Filliâtre and
+    Conchon, *Type-Safe Modular Hash-Consing*, ML 2006).
+
+    The constructor looks a node up in one weak table keyed on
+    ``(cls, *fields)``; its children are interned already, so the key costs
+    O(1) to build and two structurally equal nodes are the same object.
+    Equality is therefore identity (``object``'s own ``==``), and the hash
+    is computed once.  A ``param`` field is keyed on its type as well,
+    because ``1 == True == Fraction(1)``.  The table holds nodes weakly, so
+    a term dies with its last user.
+
+    Subclasses list their fields in ``_fields`` (and ``__slots__``), with
+    ``param`` first when they have one (``_typed_param``); their child nodes
+    in ``_kids``; their printing precedence in ``_prec``; and their printed
+    text in ``_render``, which may read the cached ``_text`` of every child.
+    """
+
+    __slots__ = ("_hash", "_text", "__weakref__")
+    _fields = ()
+    _typed_param = False
+
+    def __new__(cls, *args, **kwargs):
+        if kwargs or len(args) != len(cls._fields):
+            args = _bind(cls, args, kwargs)
+        key = (cls, *args)
+        if cls._typed_param:
+            key += (type(args[0]),)
+        node = _TABLE.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(cls._fields, args):
+                _set(node, name, value)
+            _set(node, "_hash", hash(key))
+            _set(node, "_text", None)
+            node._derive()
+            _TABLE[key] = node
+        return node
+
+    def _derive(self):
+        """Fill the per-node caches that are built from the children's."""
+
+    def _kids(self):
+        return ()
+
+    def __hash__(self):
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({shown})"
+
+
+def _bind(cls, args, kwargs):
+    names = cls._fields
+    if len(args) > len(names):
+        raise TypeError(f"{cls.__name__}() takes {len(names)} arguments, got {len(args)}")
+    values = list(args)
+    for name in names[len(args):]:
+        if name not in kwargs:
+            raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+        values.append(kwargs.pop(name))
+    if kwargs:
+        raise TypeError(f"{cls.__name__}() got unexpected arguments {sorted(kwargs)}")
+    return tuple(values)
+
+
+def cached_text(node):
+    """The printed text of an interned node, built once per node.  Children
+    are printed first, with an explicit stack, and keep their text too."""
+    if node._text is None:
+        stack = [node]
+        while stack:
+            n = stack[-1]
+            todo = [k for k in n._kids() if k._text is None]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            if n._text is None:
+                _set(n, "_text", n._render())
+    return node._text
+
+
+def bracket(node, level):
+    """The cached text of a child printed at ``level``."""
+    return f"({node._text})" if node._prec < level else node._text
+
+
+# ---------------------------------------------------------------------------
 # abstract syntax
 
-class Exp:
+_SUM, _ITEM = 0, 1
+
+
+class Exp(Interned):
+    __slots__ = ("_free", "_bound")
+    _prec = _ITEM
+
     def sort_key(self):
         return ("exp", unparse(self))
 
 
-@dataclass(frozen=True)
 class Zero(Exp):
-    pass
+    __slots__ = _fields = ()
+
+    def _derive(self):
+        _set(self, "_free", _EMPTY)
+        _set(self, "_bound", _EMPTY)
+
+    def _render(self):
+        return "0"
 
 
-@dataclass(frozen=True)
 class Var(Exp):
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def _derive(self):
+        _set(self, "_free", frozenset({self.name}))
+        _set(self, "_bound", _EMPTY)
+
+    def _render(self):
+        return self.name
 
 
-@dataclass(frozen=True)
 class Op(Exp):
     """Binary choice; param is None, a frozenset guard, or a Fraction."""
-    param: object
-    args: tuple
+    __slots__ = _fields = ("param", "args")
+    _typed_param = True
+    _prec = _SUM
+
+    def _derive(self):
+        _set(self, "_free", _union(a._free for a in self.args))
+        _set(self, "_bound", _union(a._bound for a in self.args))
+
+    def _kids(self):
+        return self.args
+
+    def _render(self):
+        # a mu on the left of a sum must be bracketed: it binds rightward
+        left, right = self.args
+        l = bracket(left, _ITEM) if isinstance(left, Mu) else left._text
+        return f"{l} +{render_param(self.param)} {bracket(right, _ITEM)}"
 
 
-@dataclass(frozen=True)
 class Prefix(Exp):
-    action: str
-    body: Exp
+    __slots__ = _fields = ("action", "body")
+
+    def _derive(self):
+        _set(self, "_free", self.body._free)
+        _set(self, "_bound", self.body._bound)
+
+    def _kids(self):
+        return (self.body,)
+
+    def _render(self):
+        return f"{self.action}.{bracket(self.body, _ITEM)}"
 
 
-@dataclass(frozen=True)
 class Mu(Exp):
-    var: str
-    body: Exp
+    __slots__ = _fields = ("var", "body")
+    _prec = _SUM
+
+    def _derive(self):
+        free, bound = self.body._free, self.body._bound
+        _set(self, "_free", free - {self.var} if self.var in free else free)
+        _set(self, "_bound", bound if self.var in bound else bound | {self.var})
+
+    def _kids(self):
+        return (self.body,)
+
+    def _render(self):
+        return f"mu {self.var}. {self.body._text}"
+
+
+def _union(sets):
+    out = _EMPTY
+    for s in sets:
+        out = s if not out else out | s
+    return out
 
 
 ZERO = Zero()
 
 
 def children(e):
-    if isinstance(e, Op):
-        return e.args
-    if isinstance(e, (Prefix, Mu)):
-        return (e.body,)
-    return ()
+    return e._kids()
 
 
 def rebuild(e, kids):
@@ -91,42 +248,12 @@ def rebuild(e, kids):
 # ---------------------------------------------------------------------------
 # variables
 
-@lru_cache(maxsize=None)
 def free_vars(e):
-    if isinstance(e, Var):
-        return frozenset({e.name})
-    if isinstance(e, Zero):
-        return frozenset()
-    if isinstance(e, Prefix):
-        return free_vars(e.body)
-    if isinstance(e, Mu):
-        return free_vars(e.body) - {e.var}
-    if isinstance(e, Op):
-        out = frozenset()
-        for a in e.args:
-            out |= free_vars(a)
-        return out
-    raise TypeError(f"not an expression: {e!r}")
+    return e._free
 
 
-@lru_cache(maxsize=None)
 def bound_vars(e):
-    if isinstance(e, Mu):
-        return bound_vars(e.body) | {e.var}
-    out = frozenset()
-    for c in children(e):
-        out |= bound_vars(c)
-    return out
-
-
-@dataclass(frozen=True)
-class VarInfo:
-    free: frozenset
-    bound: frozenset
-
-
-def var_info(e):
-    return VarInfo(free_vars(e), bound_vars(e))
+    return e._bound
 
 
 def all_names(e):
@@ -163,7 +290,7 @@ def substitute(e, bindings):
     variables.  Bound variables are alpha-renamed into the reserved ``%``
     namespace when they would capture."""
     bindings = {v: f for v, f in bindings.items() if f != Var(v)}
-    if not bindings:
+    if free_vars(e).isdisjoint(bindings):
         return e
     avoid = set(all_names(e))
     for f in bindings.values():
@@ -172,15 +299,18 @@ def substitute(e, bindings):
 
 
 def _subst(e, bnd, avoid):
+    if free_vars(e).isdisjoint(bnd):
+        return e
     if isinstance(e, Var):
         return bnd.get(e.name, e)
     if isinstance(e, Zero):
         return e
     if isinstance(e, (Prefix, Op)):
-        kids = [_subst(c, bnd, avoid) for c in children(e)]
-        if all(k is c for k, c in zip(kids, children(e))):
+        kids = children(e)
+        new = [_subst(c, bnd, avoid) for c in kids]
+        if all(k is c for k, c in zip(new, kids)):
             return e
-        return rebuild(e, kids)
+        return rebuild(e, new)
     if isinstance(e, Mu):
         fv = free_vars(e.body)
         live = {v: f for v, f in bnd.items() if v != e.var and v in fv}
@@ -411,30 +541,10 @@ def render_param(param):
     raise TheoryError(f"bad choice parameter {param!r}")
 
 
-_SUM, _ITEM = 0, 1
-
-
 def unparse(e):
-    return _unparse(e, _SUM)
-
-
-def _unparse(e, level):
-    if isinstance(e, Zero):
-        return "0"
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Prefix):
-        return f"{e.action}.{_unparse(e.body, _ITEM)}"
-    if isinstance(e, Mu):
-        s = f"mu {e.var}. {_unparse(e.body, _SUM)}"
-        return f"({s})" if level > _SUM else s
-    if isinstance(e, Op):
-        # a mu on the left of a sum must be bracketed: it binds rightward
-        l = _unparse(e.args[0], _ITEM if isinstance(e.args[0], Mu) else _SUM)
-        r = _unparse(e.args[1], _ITEM)
-        s = f"{l} +{render_param(e.param)} {r}"
-        return f"({s})" if level > _SUM else s
-    raise TypeError(f"not an expression: {e!r}")
+    if not isinstance(e, Exp):
+        raise TypeError(f"not an expression: {e!r}")
+    return cached_text(e)
 
 
 def validate(e, theory):

@@ -2,13 +2,16 @@
 
 Each reimplements a fact by a different algorithm than the package:
 convex membership by basic-solution enumeration with Gaussian elimination,
-and the syntactic U(e) over-approximation of the reachable state set.
+the syntactic U(e) over-approximation of the reachable state set,
+bisimilarity by greatest-fixpoint refinement of a relation, and the
+printers by plain recursion with no per-node text cache.
 """
 
 import itertools
 from fractions import Fraction
 
 import procalc as pc
+from procalc.syntax import render_param
 from procalc.theory import ZERO_SUBDIST, sorted_gens
 
 
@@ -70,4 +73,72 @@ def u_set(e):
         return {e} | {
             pc.guarded_subst_exp(f, e, e.var) for f in u_set(e.body)
         }
+    raise TypeError(e)
+
+
+def naive_bisim_relation(c):
+    """Greatest fixpoint of relation refinement; oracle for the partition
+    refiner."""
+    rel = {(x, y) for x in c.states for y in c.states}
+
+    def sig(s):
+        cls = {t: frozenset(u for u in c.states if (t, u) in rel) for t in c.states}
+
+        def f(g):
+            return pc.Step(g.action, cls[g.target]) if isinstance(g, pc.Step) else g
+
+        return c.theory.nf_map(c.structure[s], f)
+
+    while True:
+        sigs = {s: sig(s) for s in c.states}
+        new = {(x, y) for (x, y) in rel if sigs[x] == sigs[y]}
+        if new == rel:
+            return rel
+        rel = new
+
+
+_SUM, _ITEM = 0, 1
+
+
+def unparse_uncached(e, level=_SUM):
+    """Surface text of a process term, recomputed from scratch."""
+    if isinstance(e, pc.Zero):
+        return "0"
+    if isinstance(e, pc.Var):
+        return e.name
+    if isinstance(e, pc.Prefix):
+        return f"{e.action}.{unparse_uncached(e.body, _ITEM)}"
+    if isinstance(e, pc.Mu):
+        s = f"mu {e.var}. {unparse_uncached(e.body, _SUM)}"
+        return f"({s})" if level > _SUM else s
+    if isinstance(e, pc.Op):
+        # a mu on the left of a sum must be bracketed: it binds rightward
+        l = unparse_uncached(e.args[0], _ITEM if isinstance(e.args[0], pc.Mu) else _SUM)
+        r = unparse_uncached(e.args[1], _ITEM)
+        s = f"{l} +{render_param(e.param)} {r}"
+        return f"({s})" if level > _SUM else s
+    raise TypeError(e)
+
+
+_CHOICE, _SEQ, _POST = 0, 1, 2
+
+
+def unparse_sexp_uncached(e, level=_CHOICE):
+    """Surface text of a star expression, recomputed from scratch."""
+    if isinstance(e, pc.SZero):
+        return "0"
+    if isinstance(e, pc.SOne):
+        return "1"
+    if isinstance(e, pc.SAct):
+        return e.action
+    if isinstance(e, pc.SChoice):
+        s = (f"{unparse_sexp_uncached(e.left, _CHOICE)} +{render_param(e.param)} "
+             f"{unparse_sexp_uncached(e.right, _SEQ)}")
+        return f"({s})" if level > _CHOICE else s
+    if isinstance(e, pc.SSeq):
+        s = f"{unparse_sexp_uncached(e.left, _SEQ)} ; {unparse_sexp_uncached(e.right, _POST)}"
+        return f"({s})" if level > _SEQ else s
+    if isinstance(e, pc.SStar):
+        suffix = "^*" if e.param is None else f"^{render_param(e.param)}"
+        return f"{unparse_sexp_uncached(e.body, _POST)}{suffix}"
     raise TypeError(e)

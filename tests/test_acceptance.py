@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 import procalc as pc
-from procalc.equivalence import check_states, naive_bisim_relation
+from procalc.equivalence import check_states
 from procalc.semantics import disjoint_union
 from procalc.star import (SChoice, SSeq, SStar, SZERO, SONE,
                           check_estar_instance, lstep, output_guard,
@@ -25,6 +25,7 @@ from procalc.theory import ZERO_SUBDIST
 
 from gen import (ALL_THEORIES, rand_coalgebra, rand_guard, rand_sexp,
                  seed_for, theory)
+from oracles import naive_bisim_relation
 from test_star import unit_identified
 
 F = Fraction

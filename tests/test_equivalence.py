@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 import procalc as pc
-from procalc.equivalence import naive_bisim_relation
 
 from gen import ALL_THEORIES, rand_coalgebra, rand_guarded_exp, seed_for, theory
+from oracles import naive_bisim_relation
 
 F = Fraction
 

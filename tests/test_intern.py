@@ -1,0 +1,104 @@
+"""Hash-consed term nodes: sharing, cached per-node data, the weak table."""
+
+import copy
+import gc
+import pickle
+import random
+from fractions import Fraction
+
+import pytest
+
+import procalc as pc
+from procalc.syntax import (_TABLE, Mu, Op, Prefix, Var, ZERO, bound_vars,
+                            free_vars, unparse)
+
+from gen import ALL_THEORIES, rand_exp, rand_sexp, seed_for, theory
+from oracles import unparse_sexp_uncached, unparse_uncached
+
+F = Fraction
+DEPTH = 10_000
+
+
+def _chain(n):
+    """mu v. a0.a1.a2.a0. ... .(v + w) with n prefixes, built bottom-up."""
+    e = Op(None, (Var("v"), Var("w")))
+    for i in range(n):
+        e = Prefix(f"a{i % 3}", e)
+    return Mu("v", e)
+
+
+def test_deep_term_is_shared_and_cheap():
+    e, f = _chain(DEPTH), _chain(DEPTH)
+    assert e is f
+    assert hash(e) == hash(f)
+    assert e == f
+    assert e != _chain(DEPTH - 1)
+    assert free_vars(e) == frozenset({"w"})
+    assert bound_vars(e) == frozenset({"v"})
+
+
+def test_equal_structure_is_one_object():
+    a, b = Var("a"), Var("b")
+    assert Op(None, (a, b)) is Op(param=None, args=(Var("a"), Var("b")))
+    assert Prefix("x", ZERO) is Prefix(action="x", body=pc.Zero())
+    assert Op(None, (a, b)) is not Op(None, (b, a))
+    assert pc.SSeq(pc.SAct("a"), pc.SONE) is pc.SSeq(pc.SAct("a"), pc.SOne())
+
+
+def test_param_type_is_part_of_the_key():
+    a, b = Var("a"), Var("b")
+    held = Op(1, (a, b))
+    assert type(held.param) is int
+    assert type(Op(F(1), (a, b)).param) is Fraction
+    assert Op(F(1), (a, b)) is not held
+    assert type(Op(True, (a, b)).param) is bool
+    star = pc.SStar(1, pc.SAct("a"))
+    assert type(pc.SStar(F(1), pc.SAct("a")).param) is Fraction
+    assert pc.SStar(F(1), pc.SAct("a")) is not star
+
+
+def test_nodes_are_immutable_and_copy_to_themselves():
+    e = Prefix("a", Mu("x", Var("x")))
+    with pytest.raises(AttributeError):
+        e.action = "b"
+    with pytest.raises(AttributeError):
+        del e.body
+    assert copy.deepcopy(e) is e
+    assert pickle.loads(pickle.dumps(e)) is e
+    assert repr(e) == "Prefix(action='a', body=Mu(var='x', body=Var(name='x')))"
+    with pytest.raises(TypeError):
+        Prefix("a")
+    with pytest.raises(TypeError):
+        Prefix("a", ZERO, label="x")
+
+
+def _cyc(n):
+    text = "".join(f"mu x{i}. a.(x{(7 * i) % max(i, 1)} + b." for i in range(n))
+    return text + "0" + ")" * n
+
+
+def test_weak_table_releases_dead_terms():
+    gc.collect()
+    before = len(_TABLE)
+    th = theory("sl")
+    c = pc.reachable(pc.parse_exp(_cyc(12), th), th)
+    assert len(c.states) > 12
+    assert len(_TABLE) > before
+    del c
+    gc.collect()
+    assert len(_TABLE) == before
+
+
+@pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
+def test_cached_text_matches_uncached_printer(th):
+    rng = random.Random(seed_for(th.id, 0x1DE))
+    for _ in range(300):
+        e = rand_exp(th, rng, depth=5)
+        assert unparse(e) == unparse_uncached(e)
+        assert pc.parse_exp(unparse(e), th) is e
+        assert e.sort_key() == ("exp", unparse_uncached(e))
+    for _ in range(300):
+        s = rand_sexp(th, rng, depth=4)
+        assert pc.unparse_sexp(s) == unparse_sexp_uncached(s)
+        assert pc.parse_sexp(pc.unparse_sexp(s), th) is s
+        assert s.sort_key() == ("sexp", unparse_sexp_uncached(s))

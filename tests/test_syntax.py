@@ -7,8 +7,8 @@ import pytest
 
 import procalc as pc
 from procalc.syntax import (Mu, Op, ParseError, Prefix, Var, ZERO, alpha_eq,
-                            bound_vars, fresh_name, guarded_subst_exp,
-                            unparse, substitute, var_info)
+                            bound_vars, free_vars, fresh_name,
+                            guarded_subst_exp, unparse, substitute)
 
 from gen import ALL_THEORIES, rand_exp, seed_for, theory
 
@@ -113,12 +113,12 @@ def test_print_parse_round_trip(th):
 
 def test_var_info_examples():
     th = theory("gs")
-    assert var_info(Mu("v", Var("v"))) == pc.syntax.VarInfo(frozenset(), frozenset({"v"}))
+    e = Mu("v", Var("v"))
+    assert (free_vars(e), bound_vars(e)) == (frozenset(), frozenset({"v"}))
     e = pc.parse_exp("mu w. (a1.(v +[x1] a2.w) +[x1] u)", th)
-    info = var_info(e)
-    assert info.free == frozenset({"v", "u"})
-    assert info.bound == frozenset({"w"})
-    assert var_info(Prefix("a", Var("v"))).free == frozenset({"v"})
+    assert free_vars(e) == frozenset({"v", "u"})
+    assert bound_vars(e) == frozenset({"w"})
+    assert free_vars(Prefix("a", Var("v"))) == frozenset({"v"})
 
 
 def test_is_guarded_clauses():

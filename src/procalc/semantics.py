@@ -207,6 +207,8 @@ def _sterm_to_json(t):
 
 
 def _sterm_from_json(d):
+    if not isinstance(d, dict):
+        raise TheoryError(f"bad structure term {d!r}")
     if "const" in d:
         return CONST0
     if "out" in d:
@@ -214,14 +216,23 @@ def _sterm_from_json(d):
     if "tick" in d:
         return TGen(TICK)
     if "act" in d:
+        if "to" not in d:
+            raise TheoryError(f"action {d['act']!r} has no target")
         return TGen(Step(d["act"], d["to"]))
     if "op" in d:
         if "guard" in d:
+            if not isinstance(d["guard"], list):
+                raise TheoryError(f"bad guard {d['guard']!r}")
             param = frozenset(d["guard"])
         elif "prob" in d:
-            param = Fraction(d["prob"])
+            try:
+                param = Fraction(d["prob"])
+            except (TypeError, ValueError, ZeroDivisionError):
+                raise TheoryError(f"bad probability {d['prob']!r}") from None
         else:
             param = None
+        if not isinstance(d.get("args"), list):
+            raise TheoryError(f"choice node {d!r} has no argument list")
         args = tuple(_sterm_from_json(a) for a in d["args"])
         return TOp(param, args)
     raise TheoryError(f"bad structure term {d!r}")
@@ -243,13 +254,25 @@ def coalgebra_to_json(c):
 
 
 def coalgebra_from_dict(d):
+    """Load a coalgebra; a malformed file raises `TheoryError` naming the
+    missing field or the state whose structure entry is bad."""
+    if not isinstance(d, dict):
+        raise TheoryError("a coalgebra must be a JSON object")
+    for key in ("theory", "states", "structure"):
+        if key not in d:
+            raise TheoryError(f"coalgebra has no {key!r} field")
     theory = make_theory(d["theory"], d.get("atoms"))
     states = tuple(d["states"])
     structure = {}
     for s in states:
-        t = _sterm_from_json(d["structure"][s])
-        _check_targets(t, set(states))
-        structure[s] = theory.eval_term(t)
+        if s not in d["structure"]:
+            raise TheoryError(f"state {s!r} has no structure entry")
+        try:
+            t = _sterm_from_json(d["structure"][s])
+            _check_targets(t, set(states))
+            structure[s] = theory.eval_term(t)
+        except TheoryError as err:
+            raise TheoryError(f"state {s!r}: {err}") from None
     return Coalgebra(theory, states, structure)
 
 

@@ -341,6 +341,34 @@ def in_lower_hull(point, gens):
     return feasible(rows, rhs)
 
 
+def _redundant(g, others, mass):
+    """``in_lower_hull(g, others)``, decided without an LP where possible.
+
+    ``mass`` maps every point to its dict of masses.  Only g's positive
+    coordinates constrain a weighting.  If some candidate reaches g on all
+    of them, g is dominated.  Otherwise let M be the largest mass the
+    candidates put on such a coordinate x: the weights sum to at most 1, so
+    M < g[x] leaves g outside the hull, and M = g[x] forces every feasible
+    weighting onto the candidates that reach M.  Narrowing repeats until it
+    removes nothing; the simplex decides only what is left.
+    """
+    need = [(x, m) for x, m in mass[g].items() if m > 0]
+    if any(all(mass[o].get(x, 0) >= m for x, m in need) for o in others):
+        return True
+    cands = others
+    while True:
+        narrowed = cands
+        for x, m in need:
+            top = max((mass[o].get(x, 0) for o in narrowed), default=0)
+            if top < m:
+                return False
+            if top == m:
+                narrowed = [o for o in narrowed if mass[o].get(x, 0) == m]
+        if len(narrowed) == len(cands):
+            return in_lower_hull(g, cands)
+        cands = narrowed
+
+
 def canonical_convex_set(points):
     """Minimal generator set of a down-closed convex set of subdistributions.
 
@@ -350,11 +378,12 @@ def canonical_convex_set(points):
     pts = set(points)
     pts.add(ZERO_SUBDIST)
     keep = sorted_gens(pts)
+    mass = {p: dict(p) for p in keep}
     for g in list(keep):
         if g == ZERO_SUBDIST:
             continue
         others = [o for o in keep if o != g and o != ZERO_SUBDIST]
-        if in_lower_hull(g, others):
+        if _redundant(g, others, mass):
             keep.remove(g)
     return frozenset(keep)
 
@@ -394,9 +423,6 @@ class Theory:
         raise NotImplementedError
 
     # -- shared helpers ---------------------------------------------------
-    def nf_equal(self, a, b):
-        return a == b
-
     def eval_term(self, t):
         if isinstance(t, TGen):
             return self.unit(t.gen)

@@ -2,6 +2,7 @@
 
 Each reimplements a fact by a different algorithm than the package:
 convex membership by basic-solution enumeration with Gaussian elimination,
+convex-set canonicalisation by one simplex per candidate point,
 the syntactic U(e) over-approximation of the reachable state set,
 bisimilarity by greatest-fixpoint refinement of a relation, and the
 printers by plain recursion with no per-node text cache.
@@ -12,7 +13,7 @@ from fractions import Fraction
 
 import procalc as pc
 from procalc.syntax import render_param
-from procalc.theory import ZERO_SUBDIST, sorted_gens
+from procalc.theory import ZERO_SUBDIST, in_lower_hull, sorted_gens
 
 
 def _gauss_solve(rows, rhs):
@@ -56,6 +57,22 @@ def convex_member_bruteforce(point, gens):
         if sol is not None and all(v >= 0 for v in sol):
             return True
     return False
+
+
+def canonical_convex_set_lp(points):
+    """Minimal generator set of a down-closed convex set of subdistributions,
+    asking the simplex about every candidate point; oracle for the filtered
+    ``canonical_convex_set``."""
+    pts = set(points)
+    pts.add(ZERO_SUBDIST)
+    keep = sorted_gens(pts)
+    for g in list(keep):
+        if g == ZERO_SUBDIST:
+            continue
+        others = [o for o in keep if o != g and o != ZERO_SUBDIST]
+        if in_lower_hull(g, others):
+            keep.remove(g)
+    return frozenset(keep)
 
 
 def u_set(e):

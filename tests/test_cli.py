@@ -147,6 +147,36 @@ def test_solve_coalgebra_json(tmp_path):
     assert r.returncode == 0 and r.stdout.strip()
 
 
+def _malformed_coalgebra(tmp_path, edit):
+    d = {
+        "theory": "ca",
+        "states": ["s0", "s1"],
+        "structure": {
+            "s0": {"op": "+", "prob": "1/2",
+                   "args": [{"act": "a", "to": "s1"}, {"out": "u"}]},
+            "s1": {"const": 0},
+        },
+    }
+    edit(d)
+    f = tmp_path / "c.json"
+    f.write_text(json.dumps(d))
+    return run("solve", str(f), "--theory", "ca")
+
+
+def test_coalgebra_missing_structure_entry_names_the_state(tmp_path):
+    r = _malformed_coalgebra(tmp_path, lambda d: d["structure"].pop("s1"))
+    assert r.returncode == 1
+    assert r.stderr == "error: state 's1' has no structure entry\n"
+
+
+def test_coalgebra_bad_probability_names_the_state(tmp_path):
+    for prob in ("abc", "1/0"):
+        r = _malformed_coalgebra(
+            tmp_path, lambda d: d["structure"]["s0"].update(prob=prob))
+        assert r.returncode == 1
+        assert r.stderr == f"error: state 's0': bad probability '{prob}'\n"
+
+
 def test_unguarded_system_exit_code(tmp_path):
     f = tmp_path / "sys.txt"
     f.write_text("x = x + a.0\n")

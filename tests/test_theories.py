@@ -13,7 +13,7 @@ from procalc.theory import (AOp, AVar, AZero, CONST0, TGen, TOp, TheoryError,
                             in_lower_hull, param_symbols, sorted_gens)
 
 from gen import ALL_THEORIES, ATOMS, rand_guard, rand_param, rand_prob, theory
-from oracles import convex_member_bruteforce
+from oracles import canonical_convex_set_lp, convex_member_bruteforce
 
 F = Fraction
 
@@ -82,12 +82,12 @@ def test_cs_equality_removes_interior_points():
     th = theory("cs")
     a = frozenset({ZERO_SUBDIST, sub(x=1)})
     b = pc.theory.canonical_convex_set({ZERO_SUBDIST, sub(x=F(1, 2)), sub(x=1)})
-    assert th.nf_equal(a, b)
+    assert a == b
 
 
 def test_nf_equal_trivia():
-    assert theory("sl").nf_equal(frozenset({"v", "w"}), frozenset({"w", "v"}))
-    assert not theory("ca").nf_equal(sub(x=F(1, 2)), sub(x=F(1, 3)))
+    assert frozenset({"v", "w"}) == frozenset({"w", "v"})
+    assert not sub(x=F(1, 2)) == sub(x=F(1, 3))
 
 
 def test_param_validation_errors():
@@ -152,13 +152,13 @@ def test_axiom_soundness(th):
                 menv = dict(zip("xyz", combo))
                 lhs = th.eval_term(_schema_to_sterm(ax.lhs, menv, penv, th))
                 rhs = th.eval_term(_schema_to_sterm(ax.rhs, menv, penv, th))
-                assert th.nf_equal(lhs, rhs), (ax.name, penv, combo)
+                assert lhs == rhs, (ax.name, penv, combo)
 
 
 @pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
 def test_nontriviality(th):
-    assert not th.nf_equal(th.unit("x"), th.unit("y"))
-    assert not th.nf_equal(th.unit("x"), th.bottom())
+    assert not th.unit("x") == th.unit("y")
+    assert not th.unit("x") == th.bottom()
 
 
 # ---------------------------------------------------------------------------
@@ -181,18 +181,16 @@ def test_functor_laws(th):
     f = {"g1": "h1", "g2": "h1", "g3": "h2"}.get
     g = {"h1": "k", "h2": "h2"}.get
     for nf in _random_nfs(th, rng, GENS):
-        assert th.nf_equal(th.nf_map(nf, lambda x: x), nf)
-        assert th.nf_equal(
-            th.nf_map(th.nf_map(nf, f), g), th.nf_map(nf, lambda x: g(f(x)))
-        )
+        assert th.nf_map(nf, lambda x: x) == nf
+        assert th.nf_map(th.nf_map(nf, f), g) == th.nf_map(nf, lambda x: g(f(x)))
 
 
 @pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
 def test_monad_laws(th):
     rng = random.Random(11)
     for nf in _random_nfs(th, rng, GENS):
-        assert th.nf_equal(th.nf_flatten(th.nf_map(nf, th.unit)), nf)
-        assert th.nf_equal(th.nf_flatten(th.unit(nf)), nf)
+        assert th.nf_flatten(th.nf_map(nf, th.unit)) == nf
+        assert th.nf_flatten(th.unit(nf)) == nf
 
 
 @pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
@@ -203,14 +201,14 @@ def test_flatten_associativity(th):
     for nnn in _random_nfs(th, rng, tuple(middle), count=6):
         a = th.nf_flatten(th.nf_flatten(nnn))
         b = th.nf_flatten(th.nf_map(nnn, th.nf_flatten))
-        assert th.nf_equal(a, b)
+        assert a == b
 
 
 @pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
 def test_term_reading_round_trip(th):
     rng = random.Random(17)
     for nf in _random_nfs(th, rng, GENS, count=20):
-        assert th.nf_equal(th.eval_term(th.term_of_nf(nf)), nf)
+        assert th.eval_term(th.term_of_nf(nf)) == nf
 
 
 def test_gs_flatten_is_diagonal():
@@ -265,6 +263,73 @@ def test_cs_canonicalisation_against_bruteforce():
             assert not convex_member_bruteforce(p, others)
         # idempotence
         assert pc.theory.canonical_convex_set(canon) == canon
+
+
+def _count_lp_calls(monkeypatch):
+    """Route the canonicaliser's simplex calls through a recorder; returns
+    the list of (point, candidates) it was asked about."""
+    calls = []
+
+    def recording(point, gens):
+        calls.append((point, list(gens)))
+        return in_lower_hull(point, gens)
+
+    monkeypatch.setattr(pc.theory, "in_lower_hull", recording)
+    return calls
+
+
+def test_cs_canonicalisation_filters_agree_with_lp_oracle(monkeypatch):
+    calls = _count_lp_calls(monkeypatch)
+    rng = random.Random(31)
+    for _ in range(2000):
+        coords = ("x", "y", "z", "w")[: rng.randint(1, 4)]
+        pts = set()
+        for _ in range(rng.randint(1, 6)):
+            d = {}
+            budget = F(1)
+            for c in coords:
+                if rng.random() < 0.7:
+                    m = rand_prob(rng) * budget
+                    if m > 0:
+                        d[c] = m
+                        budget -= m
+            pts.add(frozenset(d.items()))
+        assert pc.theory.canonical_convex_set(pts) == canonical_convex_set_lp(pts), pts
+    # the filters leave some questions to the narrowed simplex
+    assert calls
+
+
+def test_cs_redundancy_decided_by_dominance(monkeypatch):
+    calls = _count_lp_calls(monkeypatch)
+    big = sub(x=F(1, 2), y=F(1, 2))
+    assert pc.theory.canonical_convex_set({sub(x=F(1, 4)), big}) == {ZERO_SUBDIST, big}
+    assert calls == []
+
+
+def test_cs_point_kept_when_no_candidate_reaches_a_coordinate(monkeypatch):
+    calls = _count_lp_calls(monkeypatch)
+    pts = {sub(x=F(1, 2), y=F(1, 2)), sub(x=F(1, 4), y=F(3, 4))}
+    assert pc.theory.canonical_convex_set(pts) == pts | {ZERO_SUBDIST}
+    assert calls == []
+
+
+def test_cs_tight_coordinate_narrows_the_lp(monkeypatch):
+    calls = _count_lp_calls(monkeypatch)
+    a, b, c = sub(x=F(1, 2), y=F(1, 2)), sub(x=F(1, 2), z=F(1, 2)), sub(y=1)
+    mid = sub(x=F(1, 2), y=F(1, 4), z=F(1, 4))  # (a + b) / 2, dominated by neither
+    assert pc.theory.canonical_convex_set({a, b, c, mid}) == {ZERO_SUBDIST, a, b, c}
+    # x is tight at mid: only a and b reach 1/2 there, so c never enters the LP
+    assert [(p, sorted_gens(gens)) for p, gens in calls] == [(mid, sorted_gens([a, b]))]
+
+
+def test_cs_step_of_mix6_needs_no_lp(monkeypatch):
+    calls = _count_lp_calls(monkeypatch)
+    th = theory("cs")
+    left = " + ".join(f"(a{i}.0 +[1/{i + 2}] b{i}.0)" for i in range(6))
+    right = " + ".join(f"c{i}.0" for i in range(6))
+    nf = pc.step(pc.parse_exp(f"({left}) +[1/2] ({right})", th), th)
+    assert len(nf) == 37
+    assert calls == []
 
 
 def test_feasibility_against_bruteforce():

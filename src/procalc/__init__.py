@@ -6,7 +6,7 @@ from .theory import (Theory, TheoryError, make_theory, THEORY_NAMES,
                      is_skew_associative, generator_key)
 from .syntax import (Exp, Zero, Var, Op, Prefix, Mu, ZERO, parse_exp, unparse,
                      substitute, guarded_subst_exp, is_guarded,
-                     free_vars, ParseError, alpha_eq)
+                     free_vars, ParseError)
 from .semantics import (Out, Tick, Step, TICK, step, gsubst_bm, reachable,
                         Coalgebra, coalgebra_to_json, coalgebra_from_json,
                         coalgebra_to_dot, render_sterm, StateCapExceeded,

@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import syntax
 from .syntax import (Exp, Mu, Op, Prefix, Var, Zero, children, free_vars,
                      guarded_subst_exp, is_guarded, substitute)
 from .theory import (AOp, AVar, AZero, TheoryError, axiom_side_ok, eval_param,
-                     make_theory, param_symbols)
+                     make_theory, param_family, param_symbols)
 
 
 @dataclass
@@ -68,16 +67,6 @@ class BadStep(Exception):
 # ---------------------------------------------------------------------------
 # matching axiom schemas against expressions
 
-def _family_of(param):
-    if param is None:
-        return "plus"
-    if isinstance(param, frozenset):
-        return "gplus"
-    if isinstance(param, Fraction):
-        return "pplus"
-    raise TheoryError(f"bad parameter {param!r}")
-
-
 def _match(schema, e, menv, penv, theory):
     if isinstance(schema, AVar):
         if schema.name in menv:
@@ -87,7 +76,7 @@ def _match(schema, e, menv, penv, theory):
     if isinstance(schema, AZero):
         return isinstance(e, Zero)
     if isinstance(schema, AOp):
-        if not isinstance(e, Op) or _family_of(e.param) != schema.family:
+        if not isinstance(e, Op) or param_family(e.param) != schema.family:
             return False
         if schema.param is not None:
             if schema.param[0] in ("gsym", "psym"):
@@ -297,35 +286,66 @@ def check_proof(proof):
 # JSON interchange
 
 def parse_proof(data, actions=None):
+    """Load a proof; a malformed file raises `TheoryError` naming the field,
+    and the 1-based step when the field belongs to a step."""
+    if not isinstance(data, dict):
+        raise TheoryError("a proof must be a JSON object")
+    for key in ("theory", "goal", "steps"):
+        if key not in data:
+            raise TheoryError(f"proof has no {key!r} field")
     theory = make_theory(data["theory"], data.get("atoms"))
     use = syntax.NameUse(actions)
 
-    def term(text):
+    def term(text, field):
+        if not isinstance(text, str):
+            raise TheoryError(f"{field!r} must be a term string")
         return syntax.parse_exp(text, theory, names=use)
 
-    goal = (term(data["goal"][0]), term(data["goal"][1]))
+    goal = data["goal"]
+    if not (isinstance(goal, list) and len(goal) == 2):
+        raise TheoryError("'goal' must be a list of two terms")
+    goal = (term(goal[0], "goal"), term(goal[1], "goal"))
+    if not isinstance(data["steps"], list):
+        raise TheoryError("'steps' must be a list")
     steps = []
-    for raw in data["steps"]:
-        refs = raw.get("refs", [])
-        if "ref" in raw:
-            refs = [raw["ref"]]
-        bindings = None
-        if "bindings" in raw:
-            bindings = {v: term(t) for v, t in raw["bindings"].items()}
-        steps.append(
-            ProofStep(
-                rule=raw["rule"],
-                lhs=term(raw["lhs"]),
-                rhs=term(raw["rhs"]),
-                at=tuple(raw.get("at", [])),
-                name=raw.get("name"),
-                refs=tuple(refs),
-                var=raw.get("var"),
-                body=term(raw["body"]) if "body" in raw else None,
-                bindings=bindings,
-            )
-        )
+    for n, raw in enumerate(data["steps"], 1):
+        try:
+            steps.append(_parse_step(raw, term))
+        except TheoryError as err:
+            raise TheoryError(f"step {n}: {err}") from None
     return Proof(theory, goal, steps)
+
+
+def _parse_step(raw, term):
+    if not isinstance(raw, dict):
+        raise TheoryError("a step must be a JSON object")
+    for key in ("rule", "lhs", "rhs"):
+        if key not in raw:
+            raise TheoryError(f"no {key!r} field")
+    refs = [raw["ref"]] if "ref" in raw else raw.get("refs", [])
+    if not isinstance(refs, list):
+        raise TheoryError("'refs' must be a list of line numbers")
+    at = raw.get("at", [])
+    if not (isinstance(at, list) and all(type(i) is int for i in at)):
+        raise TheoryError("'at' must be a list of integers")
+    if not isinstance(raw.get("var", ""), str):
+        raise TheoryError("'var' must be a variable name")
+    bindings = raw.get("bindings")
+    if bindings is not None:
+        if not isinstance(bindings, dict):
+            raise TheoryError("'bindings' must map variables to terms")
+        bindings = {v: term(t, "bindings") for v, t in bindings.items()}
+    return ProofStep(
+        rule=raw["rule"],
+        lhs=term(raw["lhs"], "lhs"),
+        rhs=term(raw["rhs"], "rhs"),
+        at=tuple(at),
+        name=raw.get("name"),
+        refs=tuple(refs),
+        var=raw.get("var"),
+        body=term(raw["body"], "body") if "body" in raw else None,
+        bindings=bindings,
+    )
 
 
 def load_proof(text, actions=None):

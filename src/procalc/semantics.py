@@ -10,7 +10,7 @@ variable collapse to deadlock, guarded ones are rewired to the fixpoint term.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import syntax
@@ -91,7 +91,6 @@ class Coalgebra:
     theory: Theory
     states: tuple  # state ids, "s0", "s1", ...
     structure: dict  # state id -> normal form over transitions with id targets
-    labels: dict = field(default_factory=dict)  # state id -> source term
 
 
 def reachable(e, theory, cap=10000, stepper=None):
@@ -119,8 +118,7 @@ def reachable(e, theory, cap=10000, stepper=None):
 
     states = tuple(f"s{j}" for j in range(len(order)))
     structure = {f"s{j}": theory.nf_map(raw[j], rename) for j in range(len(order))}
-    labels = {f"s{j}": order[j] for j in range(len(order))}
-    return Coalgebra(theory, states, structure, labels)
+    return Coalgebra(theory, states, structure)
 
 
 def disjoint_union(c1, c2, tag1="a", tag2="b"):
@@ -134,12 +132,11 @@ def disjoint_union(c1, c2, tag1="a", tag2="b"):
             return Step(t.action, ren[t.target]) if isinstance(t, Step) else t
 
         structure = {ren[s]: c.theory.nf_map(c.structure[s], f) for s in c.states}
-        labels = {ren[s]: c.labels.get(s) for s in c.states}
-        return tuple(ren[s] for s in c.states), structure, labels
+        return tuple(ren[s] for s in c.states), structure
 
-    s1, st1, l1 = relabel(c1, tag1)
-    s2, st2, l2 = relabel(c2, tag2)
-    return Coalgebra(c1.theory, s1 + s2, {**st1, **st2}, {**l1, **l2})
+    s1, st1 = relabel(c1, tag1)
+    s2, st2 = relabel(c2, tag2)
+    return Coalgebra(c1.theory, s1 + s2, {**st1, **st2})
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +190,7 @@ def _sterm_to_json(t):
         if isinstance(g, Tick):
             return {"tick": True}
         if isinstance(g, Step):
-            return {"act": g.action, "to": g.target}
+            return {"act": g.action, "to": _render_target(g.target)}
         raise TheoryError(f"cannot serialise generator {g!r}")
     if isinstance(t, TOp):
         node = {"op": "+"}
@@ -292,67 +289,37 @@ def coalgebra_from_json(text):
 # ---------------------------------------------------------------------------
 # DOT export
 
-def _edges(c, s):
-    """Deterministic edge list for one state: (label, kind, endpoint)."""
-    th = c.theory
-    nf = c.structure[s]
-    out = []
-    if th.id in ("sl", "cm"):
-        for g in sorted_gens(th.generators(nf)):
-            if isinstance(g, Step):
-                out.append((g.action, "step", g.target))
-            elif isinstance(g, Out):
-                out.append((g.var, "out", g.var))
-            else:
-                out.append(("tick", "tick", None))
-    elif th.id == "gs":
-        seen = {}
-        for i, atom in enumerate(th.atoms):
-            if nf[i] is not None:
-                seen.setdefault(nf[i], []).append(atom)
-        for g in sorted_gens(seen):
-            guard = "{" + " ".join(seen[g]) + "}"
-            if isinstance(g, Step):
-                out.append((f"{guard}|{g.action}", "step", g.target))
-            elif isinstance(g, Out):
-                out.append((f"{guard}|{g.var}", "out", g.var))
-            else:
-                out.append((f"{guard}|tick", "tick", None))
-    else:
-        subs = [nf] if th.id == "ca" else sorted_gens(nf)
-        seen = set()
-        for sub in subs:
-            for g, mass in sorted_gens(sub):
-                if isinstance(g, Step):
-                    item = (f"{mass}|{g.action}", "step", g.target)
-                elif isinstance(g, Out):
-                    item = (f"{mass}|{g.var}", "out", g.var)
-                else:
-                    item = (f"{mass}|tick", "tick", None)
-                if item not in seen:
-                    seen.add(item)
-                    out.append(item)
-    return out
+def _weight_label(w, atoms):
+    """DOT label prefix of an edge weight: ``{guard}|`` for an atom set (in
+    declared atom order), ``mass|`` for a mass, ``n|`` for a count n > 1,
+    and nothing for an ``sl`` edge or a count of 1."""
+    if isinstance(w, frozenset):
+        return "{" + " ".join(a for a in atoms if a in w) + "}|"
+    if isinstance(w, Fraction) or w != 1:
+        return f"{w}|"
+    return ""
 
 
 def coalgebra_to_dot(c):
+    th = c.theory
     lines = ["digraph lts {"]
     outs = set()
     ticks = False
     edges = []
     for s in c.states:
-        for label, kind, end in _edges(c, s):
-            if kind == "step":
-                edges.append(f'  "{s}" -> "{end}" [label="{label}"];')
-            elif kind == "out":
-                outs.add(end)
+        for g, w in th.edges(c.structure[s]):
+            label = _weight_label(w, th.atoms)
+            if isinstance(g, Step):
+                edges.append(f'  "{s}" -> "{g.target}" [label="{label}{g.action}"];')
+            elif isinstance(g, Out):
+                outs.add(g.var)
                 edges.append(
-                    f'  "{s}" -> "var_{end}" [label="{label}", arrowhead="normalnormal"];'
+                    f'  "{s}" -> "var_{g.var}" [label="{label}{g.var}", arrowhead="normalnormal"];'
                 )
             else:
                 ticks = True
                 edges.append(
-                    f'  "{s}" -> "tick" [label="{label}", arrowhead="normalnormal"];'
+                    f'  "{s}" -> "tick" [label="{label}tick", arrowhead="normalnormal"];'
                 )
     for s in c.states:
         lines.append(f'  "{s}" [shape=circle];')

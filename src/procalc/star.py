@@ -254,10 +254,11 @@ def star_equivalent(s1, s2, theory, cap=10000):
 
 
 def tick_mass(s, theory):
-    """Total termination mass of the one-step behaviour (convex theories)."""
-    nf = lstep(s, theory)
-    if theory.id == "ca":
-        return sum((m for g, m in nf if isinstance(g, Tick)), Fraction(0))
+    """Termination mass of the one-step behaviour, in a theory whose
+    weights are masses (``ca``)."""
+    mass = theory.weight(lstep(s, theory), TICK)
+    if isinstance(mass, Fraction):
+        return mass
     raise TheoryError("tick mass only defined for ca")
 
 
@@ -333,21 +334,19 @@ def check_estar_instance(name, theory, exps, params=None, cap=10000,
 def output_guard(s, theory):
     """Immediate termination: a boolean for sl, the atom set on which the
     expression ticks for gs."""
-    nf = lstep(s, theory)
-    if theory.id == "sl":
-        return TICK in nf
-    if theory.id == "gs":
-        return frozenset(
-            atom for atom, entry in zip(theory.atoms, nf) if entry == TICK
-        )
+    guard = theory.weight(lstep(s, theory), TICK)
+    if isinstance(guard, (bool, frozenset)):
+        return guard
     raise TheoryError("output guards are defined for sl and gs only")
 
 
 def partial_derivative(s, theory):
-    """One-step syntactic derivative; sound for sl and gs star expressions."""
-    if theory.id == "sl":
+    """One-step syntactic derivative; sound for sl and gs star expressions,
+    the theories whose weights are booleans and atom sets."""
+    kind = type(theory.weight(theory.bottom(), TICK))
+    if kind is bool:
         return _deriv_sl(s, theory)
-    if theory.id == "gs":
+    if kind is frozenset:
         return _deriv_gs(s, theory)
     raise TheoryError("derivatives are defined for sl and gs only")
 

@@ -355,32 +355,6 @@ def guarded_subst_exp(e, g, v):
     return go(e)
 
 
-def alpha_eq(e, f):
-    return _alpha(e, f, {}, {}, [0])
-
-
-def _alpha(e, f, env_e, env_f, ctr):
-    if type(e) is not type(f):
-        return False
-    if isinstance(e, Var):
-        return env_e.get(e.name, e.name) == env_f.get(f.name, f.name)
-    if isinstance(e, Zero):
-        return True
-    if isinstance(e, Prefix):
-        return e.action == f.action and _alpha(e.body, f.body, env_e, env_f, ctr)
-    if isinstance(e, Op):
-        return e.param == f.param and all(
-            _alpha(a, b, env_e, env_f, ctr) for a, b in zip(e.args, f.args)
-        )
-    if isinstance(e, Mu):
-        mark = ctr[0]
-        ctr[0] += 1
-        return _alpha(
-            e.body, f.body, {**env_e, e.var: mark}, {**env_f, f.var: mark}, ctr
-        )
-    raise TypeError(f"not an expression: {e!r}")
-
-
 # ---------------------------------------------------------------------------
 # tokenizer (shared with the star fragment)
 
@@ -435,8 +409,7 @@ class TokenStream:
 def parse_param(ts, theory):
     """Parse the contents of ``[...]`` after a choice or star."""
     ts.expect("[")
-    kinds = theory.param_kinds
-    if "guard" in kinds:
+    if "gplus" in theory.binary_families:
         atoms = []
         while ts.at("ident") or ts.at("num"):
             atoms.append(ts.next()[1])
@@ -546,11 +519,3 @@ def unparse(e):
         raise TypeError(f"not an expression: {e!r}")
     return cached_text(e)
 
-
-def validate(e, theory):
-    """Check choice parameters against the theory's signature."""
-    if isinstance(e, Op):
-        theory.check_param(e.param)
-    for c in children(e):
-        validate(c, theory)
-    return e

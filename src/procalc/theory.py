@@ -391,13 +391,27 @@ def canonical_convex_set(points):
 # ---------------------------------------------------------------------------
 # theory backends
 
+def param_family(param):
+    """The choice family a parameter belongs to: ``plus`` (None), ``gplus``
+    (a guard) or ``pplus`` (a probability)."""
+    if param is None:
+        return "plus"
+    if isinstance(param, frozenset):
+        return "gplus"
+    if isinstance(param, Fraction):
+        return "pplus"
+    raise TheoryError(f"bad choice parameter {param!r}")
+
+
+_FAMILY_WORDS = {"plus": "unparametrised", "gplus": "guarded", "pplus": "probabilistic"}
+
+
 class Theory:
     """A branching theory together with its normal-form backend."""
 
     id: str
     axioms: tuple
-    binary_families: frozenset
-    param_kinds: frozenset  # subset of {"plain", "guard", "prob"}
+    binary_families: frozenset  # subset of {"plus", "gplus", "pplus"}
     atoms: tuple = ()
 
     # -- normal-form interface -------------------------------------------
@@ -422,6 +436,17 @@ class Theory:
     def term_of_nf(self, nf):
         raise NotImplementedError
 
+    def weight(self, nf, g):
+        """How much of ``nf`` is the generator ``g``: a bool (``sl``), a
+        count (``cm``), an atom set (``gs``), a mass (``ca``), or None when
+        no single weight says it (``cs``)."""
+        raise NotImplementedError
+
+    def edges(self, nf):
+        """The weighted generators of ``nf`` as ``(g, weight)`` pairs, in
+        generator order."""
+        return [(g, self.weight(nf, g)) for g in sorted_gens(self.generators(nf))]
+
     # -- shared helpers ---------------------------------------------------
     def eval_term(self, t):
         if isinstance(t, TGen):
@@ -433,21 +458,13 @@ class Theory:
         raise TheoryError(f"not a term: {t!r}")
 
     def check_param(self, param):
-        if param is None:
-            if "plain" not in self.param_kinds:
-                raise TheoryError(f"theory {self.id} has no unparametrised choice")
-        elif isinstance(param, frozenset):
-            if "guard" not in self.param_kinds:
-                raise TheoryError(f"theory {self.id} has no guarded choice")
-            if not param <= set(self.atoms):
-                raise TheoryError(f"guard {sorted(param)} not within declared atoms")
-        elif isinstance(param, Fraction):
-            if "prob" not in self.param_kinds:
-                raise TheoryError(f"theory {self.id} has no probabilistic choice")
-            if not 0 <= param <= 1:
-                raise TheoryError(f"probability {param} outside [0, 1]")
-        else:
-            raise TheoryError(f"bad choice parameter {param!r}")
+        family = param_family(param)
+        if family not in self.binary_families:
+            raise TheoryError(f"theory {self.id} has no {_FAMILY_WORDS[family]} choice")
+        if family == "gplus" and not param <= set(self.atoms):
+            raise TheoryError(f"guard {sorted(param)} not within declared atoms")
+        if family == "pplus" and not 0 <= param <= 1:
+            raise TheoryError(f"probability {param} outside [0, 1]")
 
     def __repr__(self):
         return f"<theory {self.id}>"
@@ -463,7 +480,6 @@ class Semilattice(Theory):
     id = "sl"
     axioms = SL_AXIOMS
     binary_families = frozenset({"plus"})
-    param_kinds = frozenset({"plain"})
 
     def bottom(self):
         return frozenset()
@@ -487,6 +503,9 @@ class Semilattice(Theory):
     def generators(self, nf):
         return set(nf)
 
+    def weight(self, nf, g):
+        return g in nf
+
     def term_of_nf(self, nf):
         gens = sorted_gens(nf)
         if not gens:
@@ -501,7 +520,6 @@ class CommutativeMonoid(Theory):
     id = "cm"
     axioms = CM_AXIOMS
     binary_families = frozenset({"plus"})
-    param_kinds = frozenset({"plain"})
 
     def bottom(self):
         return frozenset()
@@ -534,6 +552,9 @@ class CommutativeMonoid(Theory):
     def generators(self, nf):
         return {g for g, _ in nf}
 
+    def weight(self, nf, g):
+        return dict(nf).get(g, 0)
+
     def term_of_nf(self, nf):
         gens = []
         for g, n in sorted_gens(nf):
@@ -556,12 +577,11 @@ class GuardedSemilattice(Theory):
     id = "gs"
     axioms = GS_AXIOMS
     binary_families = frozenset({"gplus"})
-    param_kinds = frozenset({"guard"})
 
     def __init__(self, atoms):
-        atoms = tuple(atoms)
         if not atoms:
-            raise TheoryError("guarded semilattices need a nonempty atom set")
+            raise TheoryError("theory gs requires --atoms")
+        atoms = tuple(atoms)
         if len(set(atoms)) != len(atoms):
             raise TheoryError("duplicate atoms")
         self.atoms = atoms
@@ -590,6 +610,9 @@ class GuardedSemilattice(Theory):
     def generators(self, nf):
         return {e for e in nf if e is not None}
 
+    def weight(self, nf, g):
+        return frozenset(atom for atom, e in zip(self.atoms, nf) if e == g)
+
     def term_of_nf(self, nf):
         # group atoms by value, classes ordered by first occurrence
         classes = []
@@ -617,7 +640,6 @@ class ConvexAlgebra(Theory):
     id = "ca"
     axioms = CA_AXIOMS
     binary_families = frozenset({"pplus"})
-    param_kinds = frozenset({"prob"})
 
     def bottom(self):
         return ZERO_SUBDIST
@@ -641,6 +663,9 @@ class ConvexAlgebra(Theory):
 
     def generators(self, nf):
         return {g for g, _ in nf}
+
+    def weight(self, nf, g):
+        return dict(nf).get(g, Fraction(0))
 
     def term_of_nf(self, nf):
         items = sorted_gens(nf)
@@ -666,7 +691,6 @@ class ConvexSemilattice(Theory):
     id = "cs"
     axioms = CS_AXIOMS
     binary_families = frozenset({"plus", "pplus"})
-    param_kinds = frozenset({"plain", "prob"})
 
     def bottom(self):
         return frozenset({ZERO_SUBDIST})
@@ -712,6 +736,13 @@ class ConvexSemilattice(Theory):
             out |= {g for g, _ in sub}
         return out
 
+    def weight(self, nf, g):
+        return None
+
+    def edges(self, nf):
+        # each generating subdistribution's masses, every pair listed once
+        return list(dict.fromkeys(p for sub in sorted_gens(nf) for p in sorted_gens(sub)))
+
     def term_of_nf(self, nf):
         ca = ConvexAlgebra()
         readings = [ca.term_of_nf(sub) for sub in sorted_gens(nf)]
@@ -724,24 +755,20 @@ class ConvexSemilattice(Theory):
 # ---------------------------------------------------------------------------
 # registry and classifier
 
+THEORIES = {
+    cls.id: cls
+    for cls in (Semilattice, CommutativeMonoid, GuardedSemilattice,
+                ConvexAlgebra, ConvexSemilattice)
+}
+THEORY_NAMES = tuple(THEORIES)
+
+
 def make_theory(name, atoms=None):
-    name = name.lower()
-    if name == "sl":
-        return Semilattice()
-    if name == "cm":
-        return CommutativeMonoid()
-    if name == "gs":
-        if not atoms:
-            raise TheoryError("theory gs requires --atoms")
-        return GuardedSemilattice(atoms)
-    if name == "ca":
-        return ConvexAlgebra()
-    if name == "cs":
-        return ConvexSemilattice()
-    raise TheoryError(f"unknown theory {name!r}")
-
-
-THEORY_NAMES = ("sl", "cm", "gs", "ca", "cs")
+    name = str(name).lower()
+    cls = THEORIES.get(name)
+    if cls is None:
+        raise TheoryError(f"unknown theory {name!r}")
+    return cls(atoms) if cls is GuardedSemilattice else cls()
 
 
 def _skew_shape(lhs, rhs):

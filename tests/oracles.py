@@ -4,8 +4,9 @@ Each reimplements a fact by a different algorithm than the package:
 convex membership by basic-solution enumeration with Gaussian elimination,
 convex-set canonicalisation by one simplex per candidate point,
 the syntactic U(e) over-approximation of the reachable state set,
-bisimilarity by greatest-fixpoint refinement of a relation, and the
-printers by plain recursion with no per-node text cache.
+bisimilarity by greatest-fixpoint refinement of a relation, alpha-equivalence
+by a walk with binder environments, and the printers by plain recursion with
+no per-node text cache.
 """
 
 import itertools
@@ -112,6 +113,34 @@ def naive_bisim_relation(c):
         if new == rel:
             return rel
         rel = new
+
+
+def alpha_eq(e, f):
+    """Equality up to renaming of bound variables; the test suite's check
+    that substitution renamed a binder correctly."""
+    return _alpha(e, f, {}, {}, [0])
+
+
+def _alpha(e, f, env_e, env_f, ctr):
+    if type(e) is not type(f):
+        return False
+    if isinstance(e, pc.Var):
+        return env_e.get(e.name, e.name) == env_f.get(f.name, f.name)
+    if isinstance(e, pc.Zero):
+        return True
+    if isinstance(e, pc.Prefix):
+        return e.action == f.action and _alpha(e.body, f.body, env_e, env_f, ctr)
+    if isinstance(e, pc.Op):
+        return e.param == f.param and all(
+            _alpha(a, b, env_e, env_f, ctr) for a, b in zip(e.args, f.args)
+        )
+    if isinstance(e, pc.Mu):
+        mark = ctr[0]
+        ctr[0] += 1
+        return _alpha(
+            e.body, f.body, {**env_e, e.var: mark}, {**env_f, f.var: mark}, ctr
+        )
+    raise TypeError(f"not an expression: {e!r}")
 
 
 _SUM, _ITEM = 0, 1

@@ -115,6 +115,92 @@ def test_lts_dot():
     assert '"s0" -> "s1" [label="a"]' in r.stdout
 
 
+def _dot(*lines):
+    return "\n".join(["digraph lts {", *lines, "}"]) + "\n"
+
+
+def test_lts_dot_golden_sl():
+    r = run("lts", "--format", "dot", "mu v. (a.v + b.u)")
+    assert r.returncode == 0
+    assert r.stdout == _dot(
+        '  "s0" [shape=circle];',
+        '  "s1" [shape=circle];',
+        '  "var_u" [shape=none, label="u"];',
+        '  "s0" -> "s0" [label="a"];',
+        '  "s0" -> "s1" [label="b"];',
+        '  "s1" -> "var_u" [label="u", arrowhead="normalnormal"];',
+    )
+
+
+def test_lts_dot_golden_cm():
+    r = run("lts", "--theory", "cm", "--format", "dot", "mu x. a.x + b.c.x + u")
+    assert r.returncode == 0
+    assert r.stdout == _dot(
+        '  "s0" [shape=circle];',
+        '  "s1" [shape=circle];',
+        '  "var_u" [shape=none, label="u"];',
+        '  "s0" -> "s0" [label="a"];',
+        '  "s0" -> "s1" [label="b"];',
+        '  "s0" -> "var_u" [label="u", arrowhead="normalnormal"];',
+        '  "s1" -> "s0" [label="c"];',
+    )
+
+
+def test_lts_dot_golden_gs_lists_guard_atoms_in_declared_order():
+    r = run("lts", "--theory", "gs", "--atoms", "x2,x1,x3", "--format", "dot",
+            "mu v. (a.v +[x1 x2] (b.u +[x3] 0))")
+    assert r.returncode == 0
+    assert r.stdout == _dot(
+        '  "s0" [shape=circle];',
+        '  "s1" [shape=circle];',
+        '  "var_u" [shape=none, label="u"];',
+        '  "s0" -> "s0" [label="{x2 x1}|a"];',
+        '  "s0" -> "s1" [label="{x3}|b"];',
+        '  "s1" -> "var_u" [label="{x2 x1 x3}|u", arrowhead="normalnormal"];',
+    )
+
+
+def test_lts_dot_golden_cs_lists_each_weighted_edge_once():
+    r = run("lts", "--theory", "cs", "--format", "dot",
+            "(a.0 +[1/2] b.0) + (a.0 +[1/2] c.u)")
+    assert r.returncode == 0
+    assert r.stdout == _dot(
+        '  "s0" [shape=circle];',
+        '  "s1" [shape=circle];',
+        '  "s2" [shape=circle];',
+        '  "var_u" [shape=none, label="u"];',
+        '  "s0" -> "s1" [label="1/2|a"];',
+        '  "s0" -> "s1" [label="1/2|b"];',
+        '  "s0" -> "s2" [label="1/2|c"];',
+        '  "s2" -> "var_u" [label="1|u", arrowhead="normalnormal"];',
+    )
+
+
+def test_star_lts_dot_golden_tick_edges():
+    r = run("star", "lts", "--theory", "ca", "--format", "dot", "(1 +[1/3] a)^[1/2]")
+    assert r.returncode == 0
+    assert r.stdout == _dot(
+        '  "s0" [shape=circle];',
+        '  "s1" [shape=circle];',
+        '  "tick" [shape=none, label="ok"];',
+        '  "s0" -> "s1" [label="1/3|a"];',
+        '  "s0" -> "tick" [label="1/2|tick", arrowhead="normalnormal"];',
+        '  "s1" -> "s1" [label="1/3|a"];',
+        '  "s1" -> "tick" [label="1/2|tick", arrowhead="normalnormal"];',
+    )
+
+
+def test_lts_dot_cm_shows_multiplicities():
+    twice = run("lts", "--theory", "cm", "--format", "dot", "mu v. (a.v + a.v + w)")
+    once = run("lts", "--theory", "cm", "--format", "dot", "mu v. (a.v + w)")
+    assert twice.returncode == once.returncode == 0
+    assert twice.stdout != once.stdout
+    assert '  "s0" -> "s0" [label="2|a"];' in twice.stdout
+    assert '  "s0" -> "s0" [label="a"];' in once.stdout
+    assert run("equiv", "--theory", "cm", "mu v. (a.v + a.v + w)",
+               "mu v. (a.v + w)").returncode == 10
+
+
 def test_step_json():
     r = run("step", "--format", "json", "--theory", "ca", "a.0 +[1/2] u")
     d = json.loads(r.stdout)
@@ -175,6 +261,53 @@ def test_coalgebra_bad_probability_names_the_state(tmp_path):
             tmp_path, lambda d: d["structure"]["s0"].update(prob=prob))
         assert r.returncode == 1
         assert r.stderr == f"error: state 's0': bad probability '{prob}'\n"
+
+
+def _malformed_proof(tmp_path, edit):
+    with open(os.path.join(PROOF_DIR, "sl_trans.json")) as fh:
+        d = json.load(fh)
+    edit(d)
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps(d))
+    r = run("prove", str(f))
+    assert r.returncode == 1
+    return r.stderr
+
+
+def test_proof_without_theory_names_the_field(tmp_path):
+    f = tmp_path / "p.json"
+    f.write_text("{}")
+    r = run("prove", str(f))
+    assert r.returncode == 1
+    assert r.stderr == "error: proof has no 'theory' field\n"
+
+
+def test_proof_without_steps_names_the_field(tmp_path):
+    err = _malformed_proof(tmp_path, lambda d: d.pop("steps"))
+    assert err == "error: proof has no 'steps' field\n"
+
+
+def test_proof_step_without_lhs_names_the_step(tmp_path):
+    def edit(d):
+        assert d["steps"][2]["rule"] == "trans"
+        d["steps"][2].pop("lhs")
+    assert _malformed_proof(tmp_path, edit) == "error: step 3: no 'lhs' field\n"
+
+
+def test_proof_bad_position_names_the_step(tmp_path):
+    for at in (["x"], 5):
+        err = _malformed_proof(tmp_path, lambda d: d["steps"][0].update(at=at))
+        assert err == "error: step 1: 'at' must be a list of integers\n"
+
+
+def test_proof_bad_goal_names_the_field(tmp_path):
+    err = _malformed_proof(tmp_path, lambda d: d.update(goal="0"))
+    assert err == "error: 'goal' must be a list of two terms\n"
+
+
+def test_proof_bad_bindings_name_the_step(tmp_path):
+    err = _malformed_proof(tmp_path, lambda d: d["steps"][1].update(bindings=["x"]))
+    assert err == "error: step 2: 'bindings' must map variables to terms\n"
 
 
 def test_unguarded_system_exit_code(tmp_path):

@@ -81,10 +81,11 @@ def test_weak_table_releases_dead_terms():
     gc.collect()
     before = len(_TABLE)
     th = theory("sl")
-    c = pc.reachable(pc.parse_exp(_cyc(12), th), th)
+    e = pc.parse_exp(_cyc(12), th)
+    c = pc.reachable(e, th)
     assert len(c.states) > 12
     assert len(_TABLE) > before
-    del c
+    del c, e
     gc.collect()
     assert len(_TABLE) == before
 

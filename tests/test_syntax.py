@@ -6,11 +6,12 @@ from fractions import Fraction
 import pytest
 
 import procalc as pc
-from procalc.syntax import (Mu, Op, ParseError, Prefix, Var, ZERO, alpha_eq,
+from procalc.syntax import (Mu, Op, ParseError, Prefix, Var, ZERO,
                             bound_vars, free_vars, fresh_name,
                             guarded_subst_exp, unparse, substitute)
 
 from gen import ALL_THEORIES, rand_exp, seed_for, theory
+from oracles import alpha_eq
 
 F = Fraction
 

@@ -10,7 +10,8 @@ import pytest
 import procalc as pc
 from procalc.theory import (AOp, AVar, AZero, CONST0, TGen, TOp, TheoryError,
                             ZERO_SUBDIST, axiom_side_ok, eval_param,
-                            in_lower_hull, param_symbols, sorted_gens)
+                            in_lower_hull, param_family, param_symbols,
+                            sorted_gens)
 
 from gen import ALL_THEORIES, ATOMS, rand_guard, rand_param, rand_prob, theory
 from oracles import canonical_convex_set_lp, convex_member_bruteforce
@@ -99,6 +100,58 @@ def test_param_validation_errors():
         theory("sl").check_param(F(1, 2))
     with pytest.raises(TheoryError):
         theory("cm").eval_term(t(F(1, 2), "x", "y"))
+
+
+def test_check_param_accepts_exactly_the_theory_families():
+    params = (None, frozenset({ATOMS[0]}), F(1, 2))
+    assert [param_family(p) for p in params] == ["plus", "gplus", "pplus"]
+    with pytest.raises(TheoryError):
+        param_family(0.5)
+    for th in ALL_THEORIES:
+        for p in params:
+            if param_family(p) in th.binary_families:
+                th.check_param(p)
+            else:
+                with pytest.raises(TheoryError, match="has no"):
+                    th.check_param(p)
+
+
+def test_theory_registry():
+    assert pc.THEORY_NAMES == ("sl", "cm", "gs", "ca", "cs")
+    assert [theory(n).id for n in pc.THEORY_NAMES] == list(pc.THEORY_NAMES)
+    assert pc.make_theory("CA") == theory("ca")
+    with pytest.raises(TheoryError, match="unknown theory 'xx'"):
+        pc.make_theory("XX")
+    with pytest.raises(TheoryError, match="requires --atoms"):
+        pc.make_theory("gs")
+
+
+@pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
+def test_weight_of_a_generator(th):
+    present, absent = {
+        "sl": (True, False),
+        "cm": (2, 0),
+        "gs": (frozenset(ATOMS), frozenset()),
+        "ca": (F(1), F(0)),
+        "cs": (None, None),
+    }[th.id]
+    nf = th.unit("g")
+    if th.id == "cm":
+        nf = th.op_apply(None, [nf, nf])
+    for g, want in (("g", present), ("h", absent)):
+        got = th.weight(nf, g)
+        assert got == want and type(got) is type(want)
+
+
+def test_edges_list_weighted_generators_in_generator_order():
+    cm = theory("cm")
+    assert theory("sl").edges(frozenset({"b", "a"})) == [("a", True), ("b", True)]
+    assert cm.edges(cm.eval_term(t(None, t(None, "b", "a"), "b"))) == [("a", 1), ("b", 2)]
+    assert theory("gs").edges(("b", "a")) == [("a", frozenset({"x2"})), ("b", frozenset({"x1"}))]
+    assert theory("ca").edges(sub(b=F(1, 4), a=F(1, 2))) == [("a", F(1, 2)), ("b", F(1, 4))]
+    # cs lists the masses of every generating point, each pair once
+    cs = frozenset({ZERO_SUBDIST, sub(a=F(1, 2), c=F(1, 2)), sub(a=F(1, 2), b=F(1, 2))})
+    assert theory("cs").edges(cs) == [("a", F(1, 2)), ("b", F(1, 2)), ("c", F(1, 2))]
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from . import syntax
 from .syntax import (Exp, Mu, Op, Prefix, Var, Zero, children, free_vars,
                      guarded_subst_exp, is_guarded, substitute)
 from .theory import (AOp, AVar, AZero, TheoryError, axiom_side_ok, eval_param,
-                     make_theory, param_family, param_symbols)
+                     param_family, param_symbols, theory_from_json)
 
 
 @dataclass
@@ -293,7 +293,7 @@ def parse_proof(data, actions=None):
     for key in ("theory", "goal", "steps"):
         if key not in data:
             raise TheoryError(f"proof has no {key!r} field")
-    theory = make_theory(data["theory"], data.get("atoms"))
+    theory = theory_from_json(data)
     use = syntax.NameUse(actions)
 
     def term(text, field):

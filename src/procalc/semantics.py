@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import syntax
 from .syntax import Exp, Mu, Op, Prefix, Var, Zero, substitute
 from .theory import (CONST0, TConst0, TGen, TOp, Theory, TheoryError,
-                     generator_key, make_theory, sorted_gens)
+                     generator_key, sorted_gens, theory_from_json)
 
 
 class StateCapExceeded(RuntimeError):
@@ -258,7 +258,7 @@ def coalgebra_from_dict(d):
     for key in ("theory", "states", "structure"):
         if key not in d:
             raise TheoryError(f"coalgebra has no {key!r} field")
-    theory = make_theory(d["theory"], d.get("atoms"))
+    theory = theory_from_json(d)
     states = tuple(d["states"])
     structure = {}
     for s in states:

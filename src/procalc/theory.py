@@ -771,6 +771,17 @@ def make_theory(name, atoms=None):
     return cls(atoms) if cls is GuardedSemilattice else cls()
 
 
+def theory_from_json(d):
+    """The theory a coalgebra or proof JSON object names, with its optional
+    ``atoms`` field checked to be a list of strings."""
+    atoms = d.get("atoms")
+    if atoms is not None and not (
+        isinstance(atoms, list) and all(isinstance(a, str) for a in atoms)
+    ):
+        raise TheoryError("'atoms' must be a list of strings")
+    return make_theory(d["theory"], atoms)
+
+
 def _skew_shape(lhs, rhs):
     """Return the operation-family pair covered by an axiom of the shape
     sigma1(x, tau1(y, z)) = tau2(sigma2(x, y), z), if it has it."""

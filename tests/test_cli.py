@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 PROOF_DIR = os.path.join(os.path.dirname(__file__), "proofs")
 
 
@@ -65,6 +67,40 @@ def test_equiv_exit_codes():
     r = run("equiv", "a.0", "b.0")
     assert r.returncode == 10
     assert r.stdout.startswith("not equivalent")
+
+
+# ``mu x. a^4.(u OP a.x)`` against its period-doubled unfolding, and against
+# the same cycle with last output v: refinement needs all five rounds
+LONG_OPS = {"sl": "+", "cm": "+", "gs": "+[x1]", "ca": "+[1/2]", "cs": "+[1/3]"}
+LONG_PARTITION = (
+    "equivalent: stable partition: {as0 bs0 bs5}; {as1 bs1 bs6}; "
+    "{as2 bs2 bs7}; {as3 bs3 bs8}; {as4 bs4 bs9}\n"
+)
+
+
+def _long_equiv(theory, right):
+    atoms = ["--atoms", "x1,x2"] if theory == "gs" else []
+    op = LONG_OPS[theory]
+    return run("equiv", "--theory", theory, *atoms,
+               f"mu x. a.a.a.a.(u {op} a.x)", right.replace("OP", op))
+
+
+@pytest.mark.parametrize("theory", sorted(LONG_OPS))
+def test_equiv_golden_long_cycle_partition(theory):
+    r = _long_equiv(theory, "mu y. a.a.a.a.(u OP a.a.a.a.a.(u OP a.y))")
+    assert r.returncode == 0
+    assert r.stdout == LONG_PARTITION
+
+
+@pytest.mark.parametrize("theory", sorted(LONG_OPS))
+def test_equiv_golden_long_cycle_split_round(theory):
+    r = _long_equiv(theory, "mu y. a.a.a.a.(v OP a.y)")
+    assert r.returncode == 10
+    zero = "0 + " if theory == "cs" else ""
+    assert r.stdout == (
+        "not equivalent: split at refinement round 5: "
+        f"as0 has signature {zero}a.1, bs0 has signature {zero}a.5\n"
+    )
 
 
 def test_prove_exit_codes(tmp_path):
@@ -263,8 +299,19 @@ def test_coalgebra_bad_probability_names_the_state(tmp_path):
         assert r.stderr == f"error: state 's0': bad probability '{prob}'\n"
 
 
-def _malformed_proof(tmp_path, edit):
-    with open(os.path.join(PROOF_DIR, "sl_trans.json")) as fh:
+def test_coalgebra_atoms_must_be_a_list_of_strings(tmp_path):
+    for atoms in (5, "x1", ["x1", 2]):
+        def edit(d):
+            d.update(theory="gs", atoms=atoms)
+            d["structure"]["s0"] = {"op": "+", "guard": ["x1"],
+                                    "args": [{"act": "a", "to": "s1"}, {"out": "u"}]}
+        r = _malformed_coalgebra(tmp_path, edit)
+        assert r.returncode == 1
+        assert r.stderr == "error: 'atoms' must be a list of strings\n"
+
+
+def _malformed_proof(tmp_path, edit, name="sl_trans.json"):
+    with open(os.path.join(PROOF_DIR, name)) as fh:
         d = json.load(fh)
     edit(d)
     f = tmp_path / "p.json"
@@ -298,6 +345,12 @@ def test_proof_bad_position_names_the_step(tmp_path):
     for at in (["x"], 5):
         err = _malformed_proof(tmp_path, lambda d: d["steps"][0].update(at=at))
         assert err == "error: step 1: 'at' must be a list of integers\n"
+
+
+def test_proof_atoms_must_be_a_list_of_strings(tmp_path):
+    for atoms in (5, "x1", ["x1", 2]):
+        err = _malformed_proof(tmp_path, lambda d: d.update(atoms=atoms), "gs_gs1.json")
+        assert err == "error: 'atoms' must be a list of strings\n"
 
 
 def test_proof_bad_goal_names_the_field(tmp_path):

@@ -1,0 +1,18 @@
+"""The golden CLI corpus: every recorded invocation gives the same stdout,
+stderr and exit code, byte for byte.  ``tests/make_golden.py`` records it."""
+
+import json
+
+from make_golden import differences, load
+
+
+def test_golden_cli_corpus():
+    corpus = load()
+    assert len(corpus) >= 400
+    bad = differences(corpus)
+    shown = "\n".join(
+        f"{json.dumps(case['argv'])}\n  want {json.dumps({k: case[k] for k in got})}"
+        f"\n  got  {json.dumps(got)}"
+        for case, got in bad[:5]
+    )
+    assert not bad, f"{len(bad)} of {len(corpus)} invocations differ:\n{shown}"

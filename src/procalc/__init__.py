@@ -4,7 +4,7 @@ solving, equational proofs, and the star fragment."""
 
 from .theory import (Theory, TheoryError, make_theory, THEORY_NAMES,
                      is_skew_associative, generator_key)
-from .syntax import (Exp, Zero, Var, Op, Prefix, Mu, ZERO, parse_exp, unparse,
+from .syntax import (Exp, Zero, Var, Op, Prefix, Mu, Leaf, ZERO, parse_exp, unparse,
                      substitute, guarded_subst_exp, is_guarded,
                      free_vars, ParseError)
 from .semantics import (Out, Tick, Step, TICK, step, gsubst_bm, reachable,
@@ -12,7 +12,7 @@ from .semantics import (Out, Tick, Step, TICK, step, gsubst_bm, reachable,
                         coalgebra_to_dot, render_sterm, StateCapExceeded,
                         disjoint_union)
 from .equivalence import bisim_partition, equivalent, check_states, Certificate
-from .solver import (EqSystem, dagger, associated_system, solve,
+from .solver import (EqSystem, associated_system, solve,
                      check_solution, synthesize, parse_system, UnguardedSystem)
 from .axioms import check_proof, parse_proof, load_proof, Proof, ProofStep, Verdict
 from .star import (SExp, SZero, SOne, SAct, SChoice, SSeq, SStar, SZERO, SONE,

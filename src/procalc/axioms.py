@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from . import syntax
 from .syntax import (Exp, Mu, Op, Prefix, Var, Zero, children, free_vars,
                      guarded_subst_exp, is_guarded, substitute)
-from .theory import (AOp, AVar, AZero, TheoryError, axiom_side_ok, eval_param,
-                     param_family, param_symbols, theory_from_json)
+from .theory import (TheoryError, axiom_side_ok, eval_param, param_family,
+                     param_symbols, theory_from_json)
 
 
 @dataclass
@@ -68,57 +68,38 @@ class BadStep(Exception):
 # matching axiom schemas against expressions
 
 def _match(schema, e, menv, penv, theory):
-    if isinstance(schema, AVar):
-        if schema.name in menv:
-            return menv[schema.name] == e
-        menv[schema.name] = e
-        return True
-    if isinstance(schema, AZero):
+    if isinstance(schema, Var):
+        return menv.setdefault(schema.name, e) == e
+    if isinstance(schema, Zero):
         return isinstance(e, Zero)
-    if isinstance(schema, AOp):
-        if not isinstance(e, Op) or param_family(e.param) != schema.family:
-            return False
-        if schema.param is not None:
-            if schema.param[0] in ("gsym", "psym"):
-                name = schema.param[1]
-                if name in penv:
-                    if penv[name] != e.param:
-                        return False
-                else:
-                    penv[name] = e.param
-            else:
-                if param_symbols(schema.param) - set(penv):
-                    return False
-                try:
-                    value = eval_param(schema.param, penv, theory.atoms)
-                except TheoryError:
-                    return False
-                if value != e.param:
-                    return False
-        return _match(schema.left, e.args[0], menv, penv, theory) and _match(
-            schema.right, e.args[1], menv, penv, theory
-        )
-    raise TheoryError(f"bad schema {schema!r}")
+    if not isinstance(e, Op) or param_family(e.param) != param_family(schema.param):
+        return False
+    if schema.param is not None:
+        if schema.param[0] in ("gsym", "psym"):
+            if penv.setdefault(schema.param[1], e.param) != e.param:
+                return False
+        else:
+            if param_symbols(schema.param) - set(penv):
+                return False
+            try:
+                value = eval_param(schema.param, penv, theory.atoms)
+            except TheoryError:
+                return False
+            if value != e.param:
+                return False
+    return all(_match(s, a, menv, penv, theory) for s, a in zip(schema.args, e.args))
 
 
 def _instantiate(schema, menv, penv, theory):
-    if isinstance(schema, AVar):
+    if isinstance(schema, Var):
         return menv[schema.name]
-    if isinstance(schema, AZero):
-        return syntax.ZERO
-    if isinstance(schema, AOp):
-        param = None
-        if schema.param is not None:
-            param = eval_param(schema.param, penv, theory.atoms)
-            theory.check_param(param)
-        return Op(
-            param,
-            (
-                _instantiate(schema.left, menv, penv, theory),
-                _instantiate(schema.right, menv, penv, theory),
-            ),
-        )
-    raise TheoryError(f"bad schema {schema!r}")
+    if isinstance(schema, Zero):
+        return schema
+    param = None
+    if schema.param is not None:
+        param = eval_param(schema.param, penv, theory.atoms)
+        theory.check_param(param)
+    return Op(param, tuple(_instantiate(s, menv, penv, theory) for s in schema.args))
 
 
 def axiom_instance(ax, lhs, rhs, theory):

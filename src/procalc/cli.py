@@ -111,7 +111,7 @@ def _emit_nf(nf, theory, fmt):
     if fmt == "json":
         print(json.dumps(semantics._sterm_to_json(t)))
     else:
-        print(semantics.render_sterm(t))
+        print(syntax.unparse(t))
 
 
 def _emit_coalgebra(c, fmt):
@@ -122,7 +122,7 @@ def _emit_coalgebra(c, fmt):
     else:
         for s in c.states:
             t = c.theory.term_of_nf(c.structure[s])
-            print(f"{s} = {semantics.render_sterm(t)}")
+            print(f"{s} = {syntax.unparse(t)}")
 
 
 def run(argv=None):

@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .semantics import Step, disjoint_union, reachable, render_sterm
+from .semantics import Step, disjoint_union, reachable
+from .syntax import unparse
 
 
 def _signature(c, s, block):
@@ -109,8 +110,8 @@ def check_states(c, s1, s2):
             sig2 = c.theory.term_of_nf(_signature(c, s2, prev))
             detail = (
                 f"split at refinement round {rounds}: "
-                f"{s1} has signature {render_sterm(sig1)}, "
-                f"{s2} has signature {render_sterm(sig2)}"
+                f"{s1} has signature {unparse(sig1)}, "
+                f"{s2} has signature {unparse(sig2)}"
             )
             return Certificate(False, rounds, detail)
     classes = {}

@@ -13,10 +13,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import syntax
-from .syntax import Exp, Mu, Op, Prefix, Var, Zero, substitute
-from .theory import (CONST0, TConst0, TGen, TOp, Theory, TheoryError,
-                     generator_key, sorted_gens, theory_from_json)
+from .syntax import ZERO, Exp, Leaf, Mu, Op, Prefix, Var, Zero, substitute, unparse
+from .theory import Theory, TheoryError, generator_key, sorted_gens, theory_from_json
 
 
 class StateCapExceeded(RuntimeError):
@@ -33,11 +31,17 @@ class Out:
     def sort_key(self):
         return ("out", self.var)
 
+    def text(self):
+        return self.var
+
 
 @dataclass(frozen=True)
 class Tick:
     def sort_key(self):
         return ("tick",)
+
+    def text(self):
+        return "1"
 
 
 @dataclass(frozen=True)
@@ -48,16 +52,37 @@ class Step:
     def sort_key(self):
         return ("act", self.action, generator_key(self.target))
 
+    def text(self):
+        """``a.target``, the target bracketed when its text has a space or
+        one of ``+;^``."""
+        target = _render_target(self.target)
+        if any(ch in target for ch in " +;^"):
+            target = f"({target})"
+        return f"{self.action}.{target}"
+
 
 TICK = Tick()
+
+
+def _render_target(x):
+    """A step target as text: an expression, a star expression or a state id."""
+    if isinstance(x, Exp):
+        return unparse(x)
+    if hasattr(x, "star_unparse"):
+        return x.star_unparse()
+    return str(x)
 
 
 # ---------------------------------------------------------------------------
 # one-step semantics
 
 def step(e, theory):
+    """The one-step normal form of ``e``.  A ``Leaf`` is its generator, so
+    this also evaluates the term reading of a normal form."""
     if isinstance(e, Zero):
         return theory.bottom()
+    if isinstance(e, Leaf):
+        return theory.unit(e.gen)
     if isinstance(e, Var):
         return theory.unit(Out(e.name))
     if isinstance(e, Prefix):
@@ -140,82 +165,47 @@ def disjoint_union(c1, c2, tag1="a", tag2="b"):
 
 
 # ---------------------------------------------------------------------------
-# rendering structure terms as surface text
+# structure terms: the term readings of normal forms, as text and as JSON
 
-def render_sterm(t):
-    """Canonical term reading of a normal form, in surface syntax.  Step
-    targets may be state ids, expressions, or star expressions."""
-    return _render(t, 0)
+render_sterm = unparse  # public name; perfbench/tracing.py calls it
 
-
-def _render_target(x):
-    if isinstance(x, Exp):
-        return syntax.unparse(x)
-    if hasattr(x, "star_unparse"):
-        return x.star_unparse()
-    return str(x)
-
-
-def _render(t, level):
-    if isinstance(t, TConst0):
-        return "0"
-    if isinstance(t, TGen):
-        g = t.gen
-        if isinstance(g, Out):
-            return g.var
-        if isinstance(g, Tick):
-            return "1"
-        target = _render_target(g.target)
-        if any(ch in target for ch in " +;^"):
-            target = f"({target})"
-        return f"{g.action}.{target}"
-    if isinstance(t, TOp):
-        l = _render(t.args[0], 0)
-        r = _render(t.args[1], 1)
-        s = f"{l} +{syntax.render_param(t.param)} {r}"
-        return f"({s})" if level > 0 else s
-    raise TheoryError(f"not a term: {t!r}")
-
-
-# ---------------------------------------------------------------------------
-# JSON interchange
 
 def _sterm_to_json(t):
-    if isinstance(t, TConst0):
+    if isinstance(t, Zero):
         return {"const": "0"}
-    if isinstance(t, TGen):
+    if isinstance(t, Leaf):
         g = t.gen
         if isinstance(g, Out):
             return {"out": g.var}
         if isinstance(g, Tick):
             return {"tick": True}
-        if isinstance(g, Step):
-            return {"act": g.action, "to": _render_target(g.target)}
-        raise TheoryError(f"cannot serialise generator {g!r}")
-    if isinstance(t, TOp):
-        node = {"op": "+"}
-        if isinstance(t.param, frozenset):
-            node["guard"] = sorted(t.param)
-        elif isinstance(t.param, Fraction):
-            node["prob"] = str(t.param)
-        node["args"] = [_sterm_to_json(a) for a in t.args]
-        return node
-    raise TheoryError(f"not a term: {t!r}")
+        return {"act": g.action, "to": _render_target(g.target)}
+    node = {"op": "+"}
+    if isinstance(t.param, frozenset):
+        node["guard"] = sorted(t.param)
+    elif isinstance(t.param, Fraction):
+        node["prob"] = str(t.param)
+    node["args"] = [_sterm_to_json(a) for a in t.args]
+    return node
 
 
-def _sterm_from_json(d):
+def _sterm_from_json(d, states):
+    """The structure term a JSON node describes, with its step targets
+    checked against ``states``."""
     if not isinstance(d, dict):
         raise TheoryError(f"bad structure term {d!r}")
     if "const" in d:
-        return CONST0
+        return ZERO
     if "out" in d:
-        return TGen(Out(d["out"]))
+        return Leaf(Out(d["out"]))
     if "tick" in d:
-        return TGen(TICK)
+        return Leaf(TICK)
     if "act" in d:
         if "to" not in d:
             raise TheoryError(f"action {d['act']!r} has no target")
-        return TGen(Step(d["act"], d["to"]))
+        if d["to"] not in states:
+            raise TheoryError(f"unknown target state {d['to']!r}")
+        return Leaf(Step(d["act"], d["to"]))
     if "op" in d:
         if "guard" in d:
             if not isinstance(d["guard"], list):
@@ -230,8 +220,10 @@ def _sterm_from_json(d):
             param = None
         if not isinstance(d.get("args"), list):
             raise TheoryError(f"choice node {d!r} has no argument list")
-        args = tuple(_sterm_from_json(a) for a in d["args"])
-        return TOp(param, args)
+        args = tuple(_sterm_from_json(a, states) for a in d["args"])
+        if len(args) != 2:
+            raise TheoryError("choice operations are binary")
+        return Op(param, args)
     raise TheoryError(f"bad structure term {d!r}")
 
 
@@ -260,26 +252,16 @@ def coalgebra_from_dict(d):
             raise TheoryError(f"coalgebra has no {key!r} field")
     theory = theory_from_json(d)
     states = tuple(d["states"])
+    known = set(states)
     structure = {}
     for s in states:
         if s not in d["structure"]:
             raise TheoryError(f"state {s!r} has no structure entry")
         try:
-            t = _sterm_from_json(d["structure"][s])
-            _check_targets(t, set(states))
-            structure[s] = theory.eval_term(t)
+            structure[s] = step(_sterm_from_json(d["structure"][s], known), theory)
         except TheoryError as err:
             raise TheoryError(f"state {s!r}: {err}") from None
     return Coalgebra(theory, states, structure)
-
-
-def _check_targets(t, states):
-    if isinstance(t, TGen) and isinstance(t.gen, Step):
-        if t.gen.target not in states:
-            raise TheoryError(f"unknown target state {t.gen.target!r}")
-    if isinstance(t, TOp):
-        for a in t.args:
-            _check_targets(a, states)
 
 
 def coalgebra_from_json(text):

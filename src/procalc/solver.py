@@ -1,8 +1,9 @@
 """Guarded equation systems and their unique (up to bisimilarity) solutions.
 
 A finite coalgebra gives an equation system whose unknowns are its states;
-the dagger of a structure term turns transitions back into syntax (outputs
-become variables, steps become prefixes on unknowns).  Systems are solved by
+each right-hand side is the term reading of a state's normal form with
+transitions turned back into syntax (outputs become variables, steps become
+prefixes on unknowns).  Systems are solved by
 elimination: the last unknown is closed with a mu-binder, substituted away,
 and the smaller system solved recursively.
 """
@@ -13,10 +14,9 @@ from dataclasses import dataclass
 
 from . import syntax
 from .equivalence import equivalent
-from .semantics import Out, Step, Tick, render_sterm
-from .syntax import Exp, Mu, Op, Prefix, Var, ZERO, free_vars, bound_vars, \
-    is_guarded, substitute
-from .theory import CONST0, TConst0, TGen, TOp, TheoryError
+from .semantics import Out, Tick
+from .syntax import Mu, Prefix, Var, free_vars, bound_vars, is_guarded, substitute
+from .theory import TheoryError
 
 
 class UnguardedSystem(ValueError):
@@ -30,40 +30,21 @@ class EqSystem:
     exprs: tuple  # right-hand sides
 
     def __post_init__(self):
-        unknowns = set(self.variables)
-        if len(unknowns) != len(self.variables):
-            raise TheoryError("duplicate unknowns")
-        for e in self.exprs:
-            if unknowns & bound_vars(e):
-                raise TheoryError("an unknown is bound in a right-hand side")
-
-    def is_guarded(self):
-        return all(
-            is_guarded(x, e) for x in self.variables for e in self.exprs
-        )
+        unknowns = set()
+        for x in self.variables:
+            if x in unknowns:
+                raise TheoryError(f"duplicate unknown {x!r}")
+            unknowns.add(x)
+        for y, e in zip(self.variables, self.exprs):
+            bound = unknowns & bound_vars(e)
+            if bound:
+                raise TheoryError(f"unknown {min(bound)!r} is bound in the equation for {y!r}")
 
     def render(self):
         return "\n".join(
             f"{x} = {syntax.unparse(e)}"
             for x, e in zip(self.variables, self.exprs)
         )
-
-
-def dagger(t, state_var):
-    """Syntax from a structure term: outputs turn into variables, steps into
-    prefixes on the unknown named after their target state."""
-    if isinstance(t, TConst0):
-        return ZERO
-    if isinstance(t, TGen):
-        g = t.gen
-        if isinstance(g, Out):
-            return Var(g.var)
-        if isinstance(g, Step):
-            return Prefix(g.action, Var(state_var(g.target)))
-        raise TheoryError(f"cannot express generator {g!r} as syntax")
-    if isinstance(t, TOp):
-        return Op(t.param, tuple(dagger(a, state_var) for a in t.args))
-    raise TheoryError(f"not a term: {t!r}")
 
 
 def associated_system(c):
@@ -83,12 +64,12 @@ def associated_system(c):
     for i, s in enumerate(c.states):
         rename[s] = s if s not in outputs else f"%{i}"
 
-    def state_var(sid):
-        return rename[sid]
+    def leaf(g):
+        if isinstance(g, Out):
+            return Var(g.var)
+        return Prefix(g.action, Var(rename[g.target]))
 
-    exprs = tuple(
-        dagger(c.theory.term_of_nf(c.structure[s]), state_var) for s in c.states
-    )
+    exprs = tuple(c.theory.term_of_nf(c.structure[s], leaf) for s in c.states)
     return EqSystem(c.theory, tuple(rename[s] for s in c.states), exprs)
 
 
@@ -96,8 +77,10 @@ def solve(system, order=None):
     """Milner elimination.  ``order`` lists the unknown positions in the
     order they are eliminated (default: last to first).  Returns the solution
     as a dict unknown -> closed-over expression."""
-    if not system.is_guarded():
-        raise UnguardedSystem("system has an unguarded unknown")
+    for y, e in zip(system.variables, system.exprs):
+        for x in system.variables:
+            if not is_guarded(x, e):
+                raise UnguardedSystem(f"unknown {x!r} is unguarded in the equation for {y!r}")
     if order is None:
         order = tuple(reversed(range(len(system.variables))))
     if sorted(order) != list(range(len(system.variables))):
@@ -173,6 +156,9 @@ def parse_system(text, theory, actions=None):
         pending.append(rhs)
     for x in variables:
         use.see_variable(x, None)
-    for rhs in pending:
-        exprs.append(syntax.parse_exp(rhs, theory, names=use))
+    for x, rhs in zip(variables, pending):
+        try:
+            exprs.append(syntax.parse_exp(rhs, theory, names=use))
+        except (syntax.ParseError, TheoryError) as err:
+            raise type(err)(f"equation for {x!r}: {err}") from None
     return EqSystem(theory, tuple(variables), tuple(exprs))

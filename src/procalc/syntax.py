@@ -20,8 +20,6 @@ import re
 import weakref
 from fractions import Fraction
 
-from .theory import TheoryError
-
 
 class ParseError(ValueError):
     def __init__(self, message, pos=None):
@@ -45,14 +43,15 @@ class Interned:
     ``(cls, *fields)``; its children are interned already, so the key costs
     O(1) to build and two structurally equal nodes are the same object.
     Equality is therefore identity (``object``'s own ``==``), and the hash
-    is computed once.  A ``param`` field is keyed on its type as well,
-    because ``1 == True == Fraction(1)``.  The table holds nodes weakly, so
-    a term dies with its last user.
+    is computed once.  A ``param`` or ``gen`` field is keyed on its type as
+    well, because ``1 == True == Fraction(1)``.  The table holds nodes
+    weakly, so a term dies with its last user.
 
     Subclasses list their fields in ``_fields`` (and ``__slots__``), with
-    ``param`` first when they have one (``_typed_param``); their child nodes
-    in ``_kids``; their printing precedence in ``_prec``; and their printed
-    text in ``_render``, which may read the cached ``_text`` of every child.
+    ``param`` or ``gen`` first when they have one (``_typed_param``); their
+    child nodes in ``_kids``; their printing precedence in ``_prec``; and
+    their printed text in ``_render``, which may read the cached ``_text``
+    of every child.
     """
 
     __slots__ = ("_hash", "_text", "__weakref__")
@@ -221,6 +220,20 @@ class Mu(Exp):
         return f"mu {self.var}. {self.body._text}"
 
 
+class Leaf(Exp):
+    """A generator of a theory's normal forms standing as a term: an output,
+    an action step or termination, in the term reading of a normal form."""
+    __slots__ = _fields = ("gen",)
+    _typed_param = True
+
+    def _derive(self):
+        _set(self, "_free", _EMPTY)
+        _set(self, "_bound", _EMPTY)
+
+    def _render(self):
+        return self.gen.text()
+
+
 def _union(sets):
     out = _EMPTY
     for s in sets:
@@ -271,9 +284,7 @@ def is_guarded(v, e):
     """Every free occurrence of v in e sits under an action prefix."""
     if isinstance(e, Var):
         return e.name != v
-    if isinstance(e, Zero):
-        return True
-    if isinstance(e, Prefix):
+    if isinstance(e, (Zero, Leaf, Prefix)):
         return True
     if isinstance(e, Mu):
         return True if e.var == v else is_guarded(v, e.body)
@@ -358,7 +369,9 @@ def guarded_subst_exp(e, g, v):
 # ---------------------------------------------------------------------------
 # tokenizer (shared with the star fragment)
 
-_TOKEN = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_']*)|(\d+)|([+.()\[\]/;^*=])|(\S))")
+_IDENT, _NUM = r"[A-Za-z_][A-Za-z0-9_']*", r"\d+"
+_TOKEN = re.compile(rf"\s*(?:({_IDENT})|({_NUM})|([+.()\[\]/;^*=])|(\S))")
+GUARD_ATOM = re.compile(f"{_IDENT}|{_NUM}")  # what a guard ``[...]`` reads as one atom
 
 
 def tokenize(text):
@@ -509,9 +522,7 @@ def render_param(param):
         return ""
     if isinstance(param, frozenset):
         return "[" + " ".join(sorted(param)) + "]"
-    if isinstance(param, Fraction):
-        return f"[{param.numerator}]" if param.denominator == 1 else f"[{param}]"
-    raise TheoryError(f"bad choice parameter {param!r}")
+    return f"[{param.numerator}]" if param.denominator == 1 else f"[{param}]"
 
 
 def unparse(e):

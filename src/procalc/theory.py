@@ -16,9 +16,11 @@ values with structural equality deciding equality of free-algebra elements.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Optional
+
+from .syntax import GUARD_ATOM, ZERO, Leaf, Op, Var
 
 
 class TheoryError(ValueError):
@@ -54,54 +56,10 @@ def sorted_gens(gens):
 
 
 # ---------------------------------------------------------------------------
-# terms over a generator set
-
-@dataclass(frozen=True)
-class TGen:
-    gen: object
-
-
-@dataclass(frozen=True)
-class TConst0:
-    pass
-
-
-CONST0 = TConst0()
-
-
-@dataclass(frozen=True)
-class TOp:
-    """Binary choice node; param is None (plain), frozenset (guard),
-    or Fraction (probability)."""
-    param: object
-    args: tuple
-
-    def __post_init__(self):
-        if len(self.args) != 2:
-            raise TheoryError("choice operations are binary")
-
-
-# ---------------------------------------------------------------------------
 # axiom schemas (shared by the proof checker, the skew-associativity
-# classifier, and the soundness tests)
-
-@dataclass(frozen=True)
-class AVar:
-    name: str
-
-
-@dataclass(frozen=True)
-class AZero:
-    pass
-
-
-@dataclass(frozen=True)
-class AOp:
-    family: str  # "plus" | "gplus" | "pplus"
-    param: Optional[tuple]  # symbolic parameter expression, None for plain +
-    left: object
-    right: object
-
+# classifier, and the soundness tests): terms over the metavariables x, y, z
+# whose choice parameters are symbolic, such as ("gsym", "b") or
+# ("pneg", ("psym", "p"))
 
 @dataclass(frozen=True)
 class Axiom:
@@ -160,19 +118,15 @@ def axiom_side_ok(ax, env):
     raise TheoryError(f"unknown side condition {ax.side!r}")
 
 
-_X, _Y, _Z = AVar("x"), AVar("y"), AVar("z")
+_X, _Y, _Z = Var("x"), Var("y"), Var("z")
+
+
+def _op(param, l, r):
+    return Op(param, (l, r))
 
 
 def _plus(l, r):
-    return AOp("plus", None, l, r)
-
-
-def _gplus(p, l, r):
-    return AOp("gplus", p, l, r)
-
-
-def _pplus(p, l, r):
-    return AOp("pplus", p, l, r)
+    return Op(None, (l, r))
 
 
 _B = ("gsym", "b")
@@ -181,37 +135,37 @@ _P = ("psym", "p")
 _Q = ("psym", "q")
 
 SL_AXIOMS = (
-    Axiom("SL1", _plus(_X, AZero()), _X),
+    Axiom("SL1", _plus(_X, ZERO), _X),
     Axiom("SL2", _plus(_X, _X), _X),
     Axiom("SL3", _plus(_X, _Y), _plus(_Y, _X)),
     Axiom("SL4", _plus(_X, _plus(_Y, _Z)), _plus(_plus(_X, _Y), _Z)),
 )
 
 CM_AXIOMS = (
-    Axiom("CM1", _plus(_X, AZero()), _X),
+    Axiom("CM1", _plus(_X, ZERO), _X),
     Axiom("CM2", _plus(_X, _Y), _plus(_Y, _X)),
     Axiom("CM3", _plus(_X, _plus(_Y, _Z)), _plus(_plus(_X, _Y), _Z)),
 )
 
 GS_AXIOMS = (
-    Axiom("GS1", _gplus(_B, _X, _X), _X),
-    Axiom("GS2", _gplus(("gfull",), _X, _Y), _X),
-    Axiom("GS3", _gplus(_B, _X, _Y), _gplus(("gneg", _B), _Y, _X)),
+    Axiom("GS1", _op(_B, _X, _X), _X),
+    Axiom("GS2", _op(("gfull",), _X, _Y), _X),
+    Axiom("GS3", _op(_B, _X, _Y), _op(("gneg", _B), _Y, _X)),
     Axiom(
         "GS4",
-        _gplus(_C, _gplus(_B, _X, _Y), _Z),
-        _gplus(("gand", _B, _C), _X, _gplus(_C, _Y, _Z)),
+        _op(_C, _op(_B, _X, _Y), _Z),
+        _op(("gand", _B, _C), _X, _op(_C, _Y, _Z)),
     ),
 )
 
 CA_AXIOMS = (
-    Axiom("CA1", _pplus(_P, _X, _X), _X),
-    Axiom("CA2", _pplus(("pconst", Fraction(1)), _X, _Y), _X),
-    Axiom("CA3", _pplus(_P, _X, _Y), _pplus(("pneg", _P), _Y, _X)),
+    Axiom("CA1", _op(_P, _X, _X), _X),
+    Axiom("CA2", _op(("pconst", Fraction(1)), _X, _Y), _X),
+    Axiom("CA3", _op(_P, _X, _Y), _op(("pneg", _P), _Y, _X)),
     Axiom(
         "CA4",
-        _pplus(_Q, _pplus(_P, _X, _Y), _Z),
-        _pplus(("pmul", _P, _Q), _X, _pplus(("pca4", _P, _Q), _Y, _Z)),
+        _op(_Q, _op(_P, _X, _Y), _Z),
+        _op(("pmul", _P, _Q), _X, _op(("pca4", _P, _Q), _Y, _Z)),
         side="pq<1",
     ),
 )
@@ -219,8 +173,8 @@ CA_AXIOMS = (
 CS_AXIOMS = SL_AXIOMS + CA_AXIOMS + (
     Axiom(
         "D",
-        _pplus(_P, _plus(_X, _Y), _Z),
-        _plus(_pplus(_P, _X, _Z), _pplus(_P, _Y, _Z)),
+        _op(_P, _plus(_X, _Y), _Z),
+        _plus(_op(_P, _X, _Z), _op(_P, _Y, _Z)),
     ),
 )
 
@@ -393,13 +347,16 @@ def canonical_convex_set(points):
 
 def param_family(param):
     """The choice family a parameter belongs to: ``plus`` (None), ``gplus``
-    (a guard) or ``pplus`` (a probability)."""
+    (a guard, or a symbolic one: a tuple tagged ``g...``) or ``pplus`` (a
+    probability, or a symbolic one: a tuple tagged ``p...``)."""
     if param is None:
         return "plus"
     if isinstance(param, frozenset):
         return "gplus"
     if isinstance(param, Fraction):
         return "pplus"
+    if isinstance(param, tuple) and param[0][:1] in ("g", "p"):
+        return param[0][0] + "plus"
     raise TheoryError(f"bad choice parameter {param!r}")
 
 
@@ -433,7 +390,9 @@ class Theory:
     def generators(self, nf):
         raise NotImplementedError
 
-    def term_of_nf(self, nf):
+    def term_of_nf(self, nf, leaf=Leaf):
+        """The canonical term reading of ``nf``: an expression built from
+        ``ZERO``, ``Op`` and ``leaf(g)`` for each generator ``g``."""
         raise NotImplementedError
 
     def weight(self, nf, g):
@@ -448,15 +407,6 @@ class Theory:
         return [(g, self.weight(nf, g)) for g in sorted_gens(self.generators(nf))]
 
     # -- shared helpers ---------------------------------------------------
-    def eval_term(self, t):
-        if isinstance(t, TGen):
-            return self.unit(t.gen)
-        if isinstance(t, TConst0):
-            return self.bottom()
-        if isinstance(t, TOp):
-            return self.op_apply(t.param, [self.eval_term(a) for a in t.args])
-        raise TheoryError(f"not a term: {t!r}")
-
     def check_param(self, param):
         family = param_family(param)
         if family not in self.binary_families:
@@ -474,6 +424,16 @@ class Theory:
 
     def __hash__(self):
         return hash((self.id, self.atoms))
+
+
+def _sum(terms):
+    """``t1 + t2 + ... + tn``, associated to the left; ``0`` when empty."""
+    if not terms:
+        return ZERO
+    t = terms[0]
+    for u in terms[1:]:
+        t = Op(None, (t, u))
+    return t
 
 
 class Semilattice(Theory):
@@ -506,14 +466,8 @@ class Semilattice(Theory):
     def weight(self, nf, g):
         return g in nf
 
-    def term_of_nf(self, nf):
-        gens = sorted_gens(nf)
-        if not gens:
-            return CONST0
-        t = TGen(gens[0])
-        for g in gens[1:]:
-            t = TOp(None, (t, TGen(g)))
-        return t
+    def term_of_nf(self, nf, leaf=Leaf):
+        return _sum([leaf(g) for g in sorted_gens(nf)])
 
 
 class CommutativeMonoid(Theory):
@@ -555,16 +509,8 @@ class CommutativeMonoid(Theory):
     def weight(self, nf, g):
         return dict(nf).get(g, 0)
 
-    def term_of_nf(self, nf):
-        gens = []
-        for g, n in sorted_gens(nf):
-            gens.extend([g] * n)
-        if not gens:
-            return CONST0
-        t = TGen(gens[0])
-        for g in gens[1:]:
-            t = TOp(None, (t, TGen(g)))
-        return t
+    def term_of_nf(self, nf, leaf=Leaf):
+        return _sum([leaf(g) for g, n in sorted_gens(nf) for _ in range(n)])
 
 
 class GuardedSemilattice(Theory):
@@ -582,6 +528,9 @@ class GuardedSemilattice(Theory):
         if not atoms:
             raise TheoryError("theory gs requires --atoms")
         atoms = tuple(atoms)
+        for atom in atoms:
+            if not GUARD_ATOM.fullmatch(atom):
+                raise TheoryError(f"bad atom {atom!r}: an atom is an identifier or a number")
         if len(set(atoms)) != len(atoms):
             raise TheoryError("duplicate atoms")
         self.atoms = atoms
@@ -613,7 +562,7 @@ class GuardedSemilattice(Theory):
     def weight(self, nf, g):
         return frozenset(atom for atom, e in zip(self.atoms, nf) if e == g)
 
-    def term_of_nf(self, nf):
+    def term_of_nf(self, nf, leaf=Leaf):
         # group atoms by value, classes ordered by first occurrence
         classes = []
         for i, atom in enumerate(self.atoms):
@@ -624,12 +573,12 @@ class GuardedSemilattice(Theory):
             else:
                 classes.append((nf[i], [atom]))
 
-        def leaf(value):
-            return CONST0 if value is None else TGen(value)
+        def term(value):
+            return ZERO if value is None else leaf(value)
 
-        t = leaf(classes[-1][0])
+        t = term(classes[-1][0])
         for value, guard in reversed(classes[:-1]):
-            t = TOp(frozenset(guard), (leaf(value), t))
+            t = Op(frozenset(guard), (term(value), t))
         return t
 
 
@@ -667,19 +616,19 @@ class ConvexAlgebra(Theory):
     def weight(self, nf, g):
         return dict(nf).get(g, Fraction(0))
 
-    def term_of_nf(self, nf):
+    def term_of_nf(self, nf, leaf=Leaf):
         items = sorted_gens(nf)
         deficit = 1 - sum(m for _, m in items)
 
         def build(items, deficit):
             if not items:
-                return CONST0
+                return ZERO
             (g, mass), rest = items[0], items[1:]
             tail_mass = sum(m for _, m in rest) + deficit
             if tail_mass == 0:
-                return TGen(g)
+                return leaf(g)
             weight = mass / (mass + tail_mass)
-            return TOp(weight, (TGen(g), build(rest, deficit)))
+            return Op(weight, (leaf(g), build(rest, deficit)))
 
         return build(items, deficit)
 
@@ -743,13 +692,9 @@ class ConvexSemilattice(Theory):
         # each generating subdistribution's masses, every pair listed once
         return list(dict.fromkeys(p for sub in sorted_gens(nf) for p in sorted_gens(sub)))
 
-    def term_of_nf(self, nf):
+    def term_of_nf(self, nf, leaf=Leaf):
         ca = ConvexAlgebra()
-        readings = [ca.term_of_nf(sub) for sub in sorted_gens(nf)]
-        t = readings[0]
-        for r in readings[1:]:
-            t = TOp(None, (t, r))
-        return t
+        return _sum([ca.term_of_nf(sub, leaf) for sub in sorted_gens(nf)])
 
 
 # ---------------------------------------------------------------------------
@@ -772,37 +717,33 @@ def make_theory(name, atoms=None):
 
 
 def theory_from_json(d):
-    """The theory a coalgebra or proof JSON object names, with its optional
-    ``atoms`` field checked to be a list of strings."""
+    """The theory a coalgebra or proof JSON object names, with its
+    ``atoms`` field (optional except for ``gs``) checked to be a list of
+    strings."""
     atoms = d.get("atoms")
     if atoms is not None and not (
         isinstance(atoms, list) and all(isinstance(a, str) for a in atoms)
     ):
         raise TheoryError("'atoms' must be a list of strings")
+    if not atoms and str(d["theory"]).lower() == "gs":
+        raise TheoryError("theory gs needs a nonempty 'atoms' field")
     return make_theory(d["theory"], atoms)
 
 
 def _skew_shape(lhs, rhs):
     """Return the operation-family pair covered by an axiom of the shape
     sigma1(x, tau1(y, z)) = tau2(sigma2(x, y), z), if it has it."""
-    if not (isinstance(lhs, AOp) and isinstance(rhs, AOp)):
+    if not (isinstance(lhs, Op) and isinstance(rhs, Op)):
         return None
-    if not (isinstance(lhs.left, AVar) and isinstance(lhs.right, AOp)):
+    (x, inner_l), (inner_r, z) = lhs.args, rhs.args
+    if not (isinstance(inner_l, Op) and isinstance(inner_r, Op)):
         return None
-    inner_l = lhs.right
-    if not (isinstance(inner_l.left, AVar) and isinstance(inner_l.right, AVar)):
+    left, right = (x, *inner_l.args), (*inner_r.args, z)
+    if not all(isinstance(v, Var) for v in left):
         return None
-    if not (isinstance(rhs.left, AOp) and isinstance(rhs.right, AVar)):
+    if len(set(left)) != 3 or right != left:
         return None
-    inner_r = rhs.left
-    if not (isinstance(inner_r.left, AVar) and isinstance(inner_r.right, AVar)):
-        return None
-    names = (lhs.left.name, inner_l.left.name, inner_l.right.name)
-    if len(set(names)) != 3:
-        return None
-    if (inner_r.left.name, inner_r.right.name, rhs.right.name) != names:
-        return None
-    return (lhs.family, inner_l.family)
+    return (param_family(lhs.param), param_family(inner_l.param))
 
 
 def is_skew_associative(theory):

@@ -5,7 +5,6 @@ import zlib
 from fractions import Fraction
 
 import procalc as pc
-from procalc.theory import CONST0, TGen, TOp
 
 ATOMS = ("x1", "x2")
 ACTIONS = ("a1", "a2")
@@ -98,11 +97,11 @@ def rand_sterm(th, rng, states, depth=2):
     if kind == "leaf":
         which = rng.random()
         if which < 0.2:
-            return CONST0
+            return pc.ZERO
         if which < 0.5:
-            return TGen(pc.Out(rng.choice(OUTVARS)))
-        return TGen(pc.Step(rng.choice(ACTIONS), rng.choice(states)))
-    return TOp(
+            return pc.Leaf(pc.Out(rng.choice(OUTVARS)))
+        return pc.Leaf(pc.Step(rng.choice(ACTIONS), rng.choice(states)))
+    return pc.Op(
         rand_param(th, rng),
         (rand_sterm(th, rng, states, depth - 1), rand_sterm(th, rng, states, depth - 1)),
     )
@@ -112,7 +111,7 @@ def rand_coalgebra(th, rng, max_states=5, depth=2):
     n = rng.randint(1, max_states)
     states = tuple(f"s{i}" for i in range(n))
     structure = {
-        s: th.eval_term(rand_sterm(th, rng, states, depth)) for s in states
+        s: pc.step(rand_sterm(th, rng, states, depth), th) for s in states
     }
     return pc.Coalgebra(th, states, structure)
 

@@ -369,6 +369,38 @@ def test_unguarded_system_exit_code(tmp_path):
     assert run("solve", str(f)).returncode == 1
 
 
+@pytest.mark.parametrize("text, message", [
+    ("x = a.x\nx = b.x\n", "duplicate unknown 'x'"),
+    ("x = a.x\ny = mu x. a.x\n", "unknown 'x' is bound in the equation for 'y'"),
+    ("x = a.y\ny = b.(x +\n", "equation for 'y': unexpected token '' (at 7)"),
+    ("x = a.y\ny = b.x + y\n", "unknown 'y' is unguarded in the equation for 'y'"),
+], ids=["duplicate", "bound", "parse-error", "unguarded"])
+def test_malformed_system_names_the_unknown_or_equation(tmp_path, text, message):
+    f = tmp_path / "sys.txt"
+    f.write_text(text)
+    r = run("solve", str(f))
+    assert r.returncode == 1
+    assert r.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("atoms, bad", [("x 1,y", "x 1"), (",", ""), ("x1,+", "+")])
+def test_gs_atoms_must_be_readable_in_a_guard(atoms, bad):
+    r = run("step", "--theory", "gs", "--atoms", atoms, "a.0")
+    assert r.returncode == 1
+    assert r.stderr == f"error: bad atom {bad!r}: an atom is an identifier or a number\n"
+
+
+def test_gs_coalgebra_without_atoms_names_the_field(tmp_path):
+    r = _malformed_coalgebra(tmp_path, lambda d: d.update(theory="gs"))
+    assert r.returncode == 1
+    assert r.stderr == "error: theory gs needs a nonempty 'atoms' field\n"
+
+
+def test_gs_proof_without_atoms_names_the_field(tmp_path):
+    err = _malformed_proof(tmp_path, lambda d: d.pop("atoms"), "gs_gs1.json")
+    assert err == "error: theory gs needs a nonempty 'atoms' field\n"
+
+
 def test_skew():
     for name, expected in [("sl", "skew-associative"), ("cs", "not skew-associative")]:
         r = run("skew", "--theory", name)

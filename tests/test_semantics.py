@@ -9,7 +9,7 @@ import pytest
 
 import procalc as pc
 from procalc.semantics import StateCapExceeded, Tick, disjoint_union
-from procalc.theory import ZERO_SUBDIST, TGen, TOp
+from procalc.theory import ZERO_SUBDIST, TheoryError
 
 from gen import (ALL_THEORIES, rand_coalgebra, rand_exp, rand_guarded_exp,
                  seed_for, theory)
@@ -219,6 +219,31 @@ def test_json_rejects_dangling_target():
     )
     with pytest.raises(ValueError):
         pc.coalgebra_from_json(bad)
+
+
+ACT = {"act": "a", "to": "s1"}
+
+
+@pytest.mark.parametrize("s0, message", [
+    ({"op": "+", "prob": "1/2", "args": [ACT]}, "choice operations are binary"),
+    ({"op": "+", "prob": "1/2", "args": [ACT, ACT, ACT]}, "choice operations are binary"),
+    ({"op": "+", "prob": "1/2"},
+     "choice node {'op': '+', 'prob': '1/2'} has no argument list"),
+    ({"op": "+", "prob": "x/2", "args": [ACT, ACT]}, "bad probability 'x/2'"),
+    ({"op": "+", "guard": "x1", "args": [ACT, ACT]}, "bad guard 'x1'"),
+    ({"act": "a"}, "action 'a' has no target"),
+    ({"bogus": 1}, "bad structure term {'bogus': 1}"),
+    ({"op": "+", "prob": "1/2", "args": [ACT, {"act": "b", "to": "s7"}]},
+     "unknown target state 's7'"),
+], ids=["one-arg", "three-args", "no-args", "bad-prob", "bad-guard", "no-target",
+        "unknown-node", "dangling-target"])
+def test_malformed_structure_json_names_the_state_and_the_fault(s0, message):
+    d = {"theory": "ca", "states": ["s0", "s1"], "structure": {"s0": s0, "s1": {"const": "0"}}}
+    if "guard" in s0:
+        d.update(theory="gs", atoms=["x1", "x2"])
+    with pytest.raises(TheoryError) as err:
+        pc.coalgebra_from_json(json.dumps(d))
+    assert str(err.value) == f"state 's0': {message}"
 
 
 def test_dot_export():

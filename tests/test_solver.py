@@ -1,4 +1,4 @@
-"""Equation systems: dagger, associated systems, Milner elimination."""
+"""Equation systems: associated systems, Milner elimination."""
 
 import random
 from fractions import Fraction
@@ -7,7 +7,6 @@ import pytest
 
 import procalc as pc
 from procalc.solver import UnguardedSystem
-from procalc.theory import CONST0, TGen, TOp
 
 from gen import ALL_THEORIES, rand_coalgebra, rand_guarded_exp, seed_for, theory
 
@@ -18,21 +17,28 @@ CA_E = "mu v. (a1.u +[1/2] (a2.v +[1/3] w))"
 
 
 # ---------------------------------------------------------------------------
-# dagger
+# associated systems
 
-def test_dagger_examples():
-    ident = lambda s: s
-    assert pc.dagger(CONST0, ident) == pc.ZERO
-    assert pc.dagger(TGen(pc.Out("v")), ident) == pc.Var("v")
-    assert pc.dagger(TGen(pc.Step("a", "s1")), ident) == pc.Prefix("a", pc.Var("s1"))
-    t = TOp(F(1, 2), (TGen(pc.Out("v")), TGen(pc.Step("a", "s0"))))
-    assert pc.dagger(t, ident) == pc.Op(
-        F(1, 2), (pc.Var("v"), pc.Prefix("a", pc.Var("s0")))
+def test_associated_system_reads_leaves_back_as_syntax():
+    """Deadlock becomes 0, an output its variable, and a step a prefix on
+    the unknown of its target state.  The term reading lists steps before
+    outputs, so the choice of s3 comes back with its arguments swapped."""
+    th = theory("ca")
+    out_v, step_s0 = pc.Leaf(pc.Out("v")), pc.Leaf(pc.Step("a", "s0"))
+    structure = {
+        "s0": pc.ZERO,
+        "s1": out_v,
+        "s2": pc.Leaf(pc.Step("a", "s1")),
+        "s3": pc.Op(F(1, 2), (out_v, step_s0)),
+    }
+    c = pc.Coalgebra(th, tuple(structure), {s: pc.step(t, th) for s, t in structure.items()})
+    assert pc.associated_system(c).exprs == (
+        pc.ZERO,
+        pc.Var("v"),
+        pc.Prefix("a", pc.Var("s1")),
+        pc.Op(F(1, 2), (pc.Prefix("a", pc.Var("s0")), pc.Var("v"))),
     )
 
-
-# ---------------------------------------------------------------------------
-# associated systems
 
 def test_associated_system_gs_example():
     th = theory("gs")

@@ -3,15 +3,16 @@ canonicalisation oracle, skew-associativity classifier."""
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 import procalc as pc
-from procalc.theory import (AOp, AVar, AZero, CONST0, TGen, TOp, TheoryError,
-                            ZERO_SUBDIST, axiom_side_ok, eval_param,
+from procalc import ZERO, Leaf, Op, Var, step
+from procalc.theory import (TheoryError, ZERO_SUBDIST, axiom_side_ok, eval_param,
                             in_lower_hull, param_family, param_symbols,
-                            sorted_gens)
+                            sorted_gens, theory_from_json)
 
 from gen import ALL_THEORIES, ATOMS, rand_guard, rand_param, rand_prob, theory
 from oracles import canonical_convex_set_lp, convex_member_bruteforce
@@ -20,15 +21,13 @@ F = Fraction
 
 
 def t(*args):
-    """Shorthand: t(param, l, r) builds a TOp, strings become generators."""
+    """Shorthand: t(param, l, r) builds an Op, strings become generators."""
     param, l, r = args
-    return TOp(param, (_wrap(l), _wrap(r)))
+    return Op(param, (_wrap(l), _wrap(r)))
 
 
 def _wrap(x):
-    if isinstance(x, (TOp, TGen)) or x is CONST0:
-        return x
-    return TGen(x)
+    return x if isinstance(x, pc.Exp) else Leaf(x)
 
 
 def sub(**kw):
@@ -40,40 +39,40 @@ def sub(**kw):
 
 def test_sl_examples():
     th = theory("sl")
-    assert th.eval_term(t(None, t(None, "v", CONST0), "v")) == frozenset({"v"})
-    assert th.eval_term(t(None, "x", t(None, "y", "x"))) == frozenset({"x", "y"})
-    assert th.eval_term(CONST0) == frozenset()
+    assert step(t(None, t(None, "v", ZERO), "v"), th) == frozenset({"v"})
+    assert step(t(None, "x", t(None, "y", "x")), th) == frozenset({"x", "y"})
+    assert step(ZERO, th) == frozenset()
 
 
 def test_cm_examples():
     th = theory("cm")
-    nf = th.eval_term(t(None, "x", t(None, "y", "x")))
+    nf = step(t(None, "x", t(None, "y", "x")), th)
     assert nf == frozenset({("x", 2), ("y", 1)})
-    assert th.eval_term(t(None, "x", CONST0)) == frozenset({("x", 1)})
+    assert step(t(None, "x", ZERO), th) == frozenset({("x", 1)})
 
 
 def test_gs_examples():
     th = theory("gs")
     full = frozenset(ATOMS)
-    assert th.eval_term(t(full, "x", "y")) == ("x", "x")
+    assert step(t(full, "x", "y"), th) == ("x", "x")
     b = frozenset({"x1"})
-    assert th.eval_term(t(b, "x", CONST0)) == ("x", None)
+    assert step(t(b, "x", ZERO), th) == ("x", None)
     # GS3: x +_b y = y +_bbar x
-    assert th.eval_term(t(b, "x", "y")) == th.eval_term(t(full - b, "y", "x"))
+    assert step(t(b, "x", "y"), th) == step(t(full - b, "y", "x"), th)
 
 
 def test_ca_examples():
     th = theory("ca")
-    nf = th.eval_term(t(F(1, 2), t(F(1, 2), "x", "y"), "y"))
+    nf = step(t(F(1, 2), t(F(1, 2), "x", "y"), "y"), th)
     assert nf == sub(x=F(1, 4), y=F(3, 4))
-    assert th.eval_term(t(F(1, 2), "x", CONST0)) == sub(x=F(1, 2))
-    assert th.eval_term(CONST0) == ZERO_SUBDIST
+    assert step(t(F(1, 2), "x", ZERO), th) == sub(x=F(1, 2))
+    assert step(ZERO, th) == ZERO_SUBDIST
 
 
 def test_cs_nf_of_term_example():
     # (x + y) +_1/2 z -> {0, (x:1/2 z:1/2), (y:1/2 z:1/2)}
     th = theory("cs")
-    nf = th.eval_term(t(F(1, 2), t(None, "x", "y"), "z"))
+    nf = step(t(F(1, 2), t(None, "x", "y"), "z"), th)
     assert nf == frozenset(
         {ZERO_SUBDIST, sub(x=F(1, 2), z=F(1, 2)), sub(y=F(1, 2), z=F(1, 2))}
     )
@@ -99,7 +98,7 @@ def test_param_validation_errors():
     with pytest.raises(TheoryError):
         theory("sl").check_param(F(1, 2))
     with pytest.raises(TheoryError):
-        theory("cm").eval_term(t(F(1, 2), "x", "y"))
+        step(t(F(1, 2), "x", "y"), theory("cm"))
 
 
 def test_check_param_accepts_exactly_the_theory_families():
@@ -126,6 +125,19 @@ def test_theory_registry():
         pc.make_theory("gs")
 
 
+def test_gs_atoms_are_what_a_guard_reads_back():
+    assert pc.make_theory("gs", ["x1", "_b'", "07"]).atoms == ("x1", "_b'", "07")
+    for bad in ("x 1", "", "+", " x1", "x1 ", "a.b"):
+        with pytest.raises(TheoryError, match=re.escape(f"bad atom {bad!r}:")):
+            pc.make_theory("gs", ["x2", bad])
+    with pytest.raises(TheoryError, match="duplicate atoms"):
+        pc.make_theory("gs", ["x1", "x1"])
+    for d in ({"theory": "gs"}, {"theory": "GS", "atoms": []}):
+        with pytest.raises(TheoryError, match="theory gs needs a nonempty 'atoms' field"):
+            theory_from_json(d)
+    assert theory_from_json({"theory": "sl"}) == theory("sl")
+
+
 @pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
 def test_weight_of_a_generator(th):
     present, absent = {
@@ -146,7 +158,7 @@ def test_weight_of_a_generator(th):
 def test_edges_list_weighted_generators_in_generator_order():
     cm = theory("cm")
     assert theory("sl").edges(frozenset({"b", "a"})) == [("a", True), ("b", True)]
-    assert cm.edges(cm.eval_term(t(None, t(None, "b", "a"), "b"))) == [("a", 1), ("b", 2)]
+    assert cm.edges(step(t(None, t(None, "b", "a"), "b"), cm)) == [("a", 1), ("b", 2)]
     assert theory("gs").edges(("b", "a")) == [("a", frozenset({"x2"})), ("b", frozenset({"x1"}))]
     assert theory("ca").edges(sub(b=F(1, 4), a=F(1, 2))) == [("a", F(1, 2)), ("b", F(1, 4))]
     # cs lists the masses of every generating point, each pair once
@@ -158,22 +170,14 @@ def test_edges_list_weighted_generators_in_generator_order():
 # axiom soundness: every axiom holds in its backend
 
 def _schema_to_sterm(schema, menv, penv, th):
-    if isinstance(schema, AVar):
-        return TGen(menv[schema.name])
-    if isinstance(schema, AZero):
-        return CONST0
-    if isinstance(schema, AOp):
-        param = None
-        if schema.param is not None:
-            param = eval_param(schema.param, penv, th.atoms)
-        return TOp(
-            param,
-            (
-                _schema_to_sterm(schema.left, menv, penv, th),
-                _schema_to_sterm(schema.right, menv, penv, th),
-            ),
-        )
-    raise TypeError(schema)
+    if isinstance(schema, Var):
+        return Leaf(menv[schema.name])
+    if schema is ZERO:
+        return ZERO
+    param = None
+    if schema.param is not None:
+        param = eval_param(schema.param, penv, th.atoms)
+    return Op(param, tuple(_schema_to_sterm(a, menv, penv, th) for a in schema.args))
 
 
 GENS = ("g1", "g2", "g3")
@@ -188,9 +192,9 @@ def test_axiom_soundness(th):
             stack = [side]
             while stack:
                 node = stack.pop()
-                if isinstance(node, AOp):
+                if isinstance(node, Op):
                     syms |= param_symbols(node.param)
-                    stack.extend([node.left, node.right])
+                    stack.extend(node.args)
         for _ in range(20):
             penv = {}
             for s in syms:
@@ -203,8 +207,8 @@ def test_axiom_soundness(th):
                 continue
             for combo in itertools.product(GENS, repeat=3):
                 menv = dict(zip("xyz", combo))
-                lhs = th.eval_term(_schema_to_sterm(ax.lhs, menv, penv, th))
-                rhs = th.eval_term(_schema_to_sterm(ax.rhs, menv, penv, th))
+                lhs = step(_schema_to_sterm(ax.lhs, menv, penv, th), th)
+                rhs = step(_schema_to_sterm(ax.rhs, menv, penv, th), th)
                 assert lhs == rhs, (ax.name, penv, combo)
 
 
@@ -222,10 +226,10 @@ def _random_nfs(th, rng, tokens, count=12, depth=2):
 
     def rand_sterm(d):
         if d <= 0 or rng.random() < 0.3:
-            return CONST0 if rng.random() < 0.2 else TGen(rng.choice(tokens))
-        return TOp(rand_param(th, rng), (rand_sterm(d - 1), rand_sterm(d - 1)))
+            return ZERO if rng.random() < 0.2 else Leaf(rng.choice(tokens))
+        return Op(rand_param(th, rng), (rand_sterm(d - 1), rand_sterm(d - 1)))
 
-    return [th.eval_term(rand_sterm(depth)) for _ in range(count)]
+    return [step(rand_sterm(depth), th) for _ in range(count)]
 
 
 @pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
@@ -261,21 +265,21 @@ def test_flatten_associativity(th):
 def test_term_reading_round_trip(th):
     rng = random.Random(17)
     for nf in _random_nfs(th, rng, GENS, count=20):
-        assert th.eval_term(th.term_of_nf(nf)) == nf
+        assert step(th.term_of_nf(nf), th) == nf
 
 
 def test_gs_flatten_is_diagonal():
     th = theory("gs")
     b = frozenset({"x1"})
     inner_x = th.unit("x")
-    nested = th.eval_term(t(b, TGen(inner_x), CONST0))
+    nested = step(t(b, Leaf(inner_x), ZERO), th)
     assert th.nf_flatten(nested) == ("x", None)
 
 
 def test_cm_flatten_weighted_sum():
     th = theory("cm")
-    n1 = th.eval_term(t(None, "x", "x"))
-    nested = th.eval_term(t(None, TGen(n1), TGen(n1)))
+    n1 = step(t(None, "x", "x"), th)
+    nested = step(t(None, Leaf(n1), Leaf(n1)), th)
     assert th.nf_flatten(nested) == frozenset({("x", 4)})
 
 
@@ -283,7 +287,7 @@ def test_ca_flatten_expectation():
     th = theory("ca")
     n1 = th.unit("x")
     n2 = sub(y=F(1, 2))
-    nested = th.eval_term(t(F(1, 2), TGen(n1), TGen(n2)))
+    nested = step(t(F(1, 2), Leaf(n1), Leaf(n2)), th)
     assert th.nf_flatten(nested) == sub(x=F(1, 2), y=F(1, 4))
 
 

@@ -7,6 +7,7 @@ rejected, 1 parse or validation error, 2 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -23,7 +24,12 @@ def _add_common(p):
     p.add_argument("--cap", type=int, default=10000, help="state cap for lts construction")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on first use and kept for the process:
+    building it takes longer than many commands take to run.  Parsing keeps
+    no state in it, so one invocation cannot see another's arguments;
+    callers share it and must not add to it."""
     ap = argparse.ArgumentParser(prog="procalc", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -5,6 +5,11 @@ The one-step map sends a closed-enough process term to a normal form over
 the star fragment) successful termination ``Tick()``.  Recursion unfolds via
 the guarded substitution on behaviours: unguarded occurrences of the recursion
 variable collapse to deadlock, guarded ones are rewired to the fixpoint term.
+
+Terms are hash-consed, so the one-step map is a pure function of a node and
+a theory.  ``reachable`` keeps one memo for its whole exploration and steps
+each distinct subterm once: the states under one ``mu`` share its unfolding
+instead of substituting the fixpoint into its body again at every state.
 """
 
 from __future__ import annotations
@@ -76,9 +81,14 @@ def _render_target(x):
 # ---------------------------------------------------------------------------
 # one-step semantics
 
-def step(e, theory):
+def step(e, theory, memo=None):
     """The one-step normal form of ``e``.  A ``Leaf`` is its generator, so
-    this also evaluates the term reading of a normal form."""
+    this also evaluates the term reading of a normal form.
+
+    ``memo`` maps choice and recursion nodes already stepped to their normal
+    forms; it is read and filled here and passed down, so a caller that steps
+    many terms sharing subterms (``reachable``) steps each of them once.  The
+    other nodes step in constant time and are not memoised."""
     if isinstance(e, Zero):
         return theory.bottom()
     if isinstance(e, Leaf):
@@ -87,11 +97,19 @@ def step(e, theory):
         return theory.unit(Out(e.name))
     if isinstance(e, Prefix):
         return theory.unit(Step(e.action, e.body))
+    if memo is None:
+        memo = {}
+    nf = memo.get(e)
+    if nf is not None:
+        return nf
     if isinstance(e, Op):
-        return theory.op_apply(e.param, [step(a, theory) for a in e.args])
-    if isinstance(e, Mu):
-        return gsubst_bm(step(e.body, theory), e, e.var, theory)
-    raise TypeError(f"not an expression: {e!r}")
+        nf = theory.op_apply(e.param, [step(a, theory, memo) for a in e.args])
+    elif isinstance(e, Mu):
+        nf = gsubst_bm(step(e.body, theory, memo), e, e.var, theory)
+    else:
+        raise TypeError(f"not an expression: {e!r}")
+    memo[e] = nf
+    return nf
 
 
 def gsubst_bm(nf, g, v, theory):
@@ -118,15 +136,17 @@ class Coalgebra:
     structure: dict  # state id -> normal form over transitions with id targets
 
 
-def reachable(e, theory, cap=10000, stepper=None):
-    """Breadth-first construction of the reachable subcoalgebra from e."""
-    stepper = stepper or (lambda x: step(x, theory))
+def reachable(e, theory, cap=10000, stepper=step):
+    """Breadth-first construction of the reachable subcoalgebra from e.
+    ``stepper(x, theory, memo)`` is the one-step map; one memo serves the
+    whole exploration, so each distinct subterm is stepped once."""
+    memo = {}
     index = {e: 0}
     order = [e]
     raw = []
     i = 0
     while i < len(order):
-        nf = stepper(order[i])
+        nf = stepper(order[i], theory, memo)
         raw.append(nf)
         for g in sorted_gens(theory.generators(nf)):
             if isinstance(g, Step) and g.target not in index:
@@ -197,18 +217,26 @@ def _sterm_from_json(d, states):
     if "const" in d:
         return ZERO
     if "out" in d:
+        if not isinstance(d["out"], str):
+            raise TheoryError(f"an output must be a string, not {d['out']!r}")
         return Leaf(Out(d["out"]))
     if "tick" in d:
         return Leaf(TICK)
     if "act" in d:
+        if not isinstance(d["act"], str):
+            raise TheoryError(f"an action must be a string, not {d['act']!r}")
         if "to" not in d:
             raise TheoryError(f"action {d['act']!r} has no target")
+        if not isinstance(d["to"], str):
+            raise TheoryError(
+                f"the target of action {d['act']!r} must be a string, not {d['to']!r}")
         if d["to"] not in states:
             raise TheoryError(f"unknown target state {d['to']!r}")
         return Leaf(Step(d["act"], d["to"]))
     if "op" in d:
         if "guard" in d:
-            if not isinstance(d["guard"], list):
+            if not isinstance(d["guard"], list) or not all(
+                    isinstance(a, str) for a in d["guard"]):
                 raise TheoryError(f"bad guard {d['guard']!r}")
             param = frozenset(d["guard"])
         elif "prob" in d:
@@ -251,7 +279,12 @@ def coalgebra_from_dict(d):
         if key not in d:
             raise TheoryError(f"coalgebra has no {key!r} field")
     theory = theory_from_json(d)
-    states = tuple(d["states"])
+    states = d["states"]
+    if not isinstance(states, list) or not all(isinstance(s, str) for s in states):
+        raise TheoryError("'states' must be a list of strings")
+    if not isinstance(d["structure"], dict):
+        raise TheoryError("'structure' must be an object")
+    states = tuple(states)
     known = set(states)
     structure = {}
     for s in states:

@@ -205,31 +205,34 @@ def is_guarded_star(s):
 # ---------------------------------------------------------------------------
 # direct semantics
 
-def lstep(s, theory):
+def lstep(s, theory, memo=None):
+    """The direct one-step normal form of ``s``, with the choice, sequence
+    and iteration nodes memoised in ``memo`` as ``semantics.step`` does."""
     if isinstance(s, SZero):
         return theory.bottom()
     if isinstance(s, SOne):
         return theory.unit(TICK)
     if isinstance(s, SAct):
         return theory.unit(Step(s.action, SONE))
+    if memo is None:
+        memo = {}
+    nf = memo.get(s)
+    if nf is not None:
+        return nf
     if isinstance(s, SChoice):
-        return theory.op_apply(
-            s.param, [lstep(s.left, theory), lstep(s.right, theory)]
+        nf = theory.op_apply(
+            s.param, [lstep(s.left, theory, memo), lstep(s.right, theory, memo)]
         )
-    if isinstance(s, SSeq):
-        nf = lstep(s.left, theory)
-
+    elif isinstance(s, SSeq):
         def leaf(t):
             if isinstance(t, Tick):
-                return lstep(s.right, theory)
+                return lstep(s.right, theory, memo)
             if isinstance(t, Step):
                 return theory.unit(Step(t.action, SSeq(t.target, s.right)))
             raise TheoryError("star expressions have no free outputs")
 
-        return theory.nf_flatten(theory.nf_map(nf, leaf))
-    if isinstance(s, SStar):
-        nf = lstep(s.body, theory)
-
+        nf = theory.nf_flatten(theory.nf_map(lstep(s.left, theory, memo), leaf))
+    elif isinstance(s, SStar):
         def leaf(t):
             if isinstance(t, Tick):
                 return theory.bottom()
@@ -237,13 +240,16 @@ def lstep(s, theory):
                 return theory.unit(Step(t.action, SSeq(t.target, s)))
             raise TheoryError("star expressions have no free outputs")
 
-        looped = theory.nf_flatten(theory.nf_map(nf, leaf))
-        return theory.op_apply(s.param, [looped, theory.unit(TICK)])
-    raise TypeError(f"not a star expression: {s!r}")
+        looped = theory.nf_flatten(theory.nf_map(lstep(s.body, theory, memo), leaf))
+        nf = theory.op_apply(s.param, [looped, theory.unit(TICK)])
+    else:
+        raise TypeError(f"not a star expression: {s!r}")
+    memo[s] = nf
+    return nf
 
 
 def star_reachable(s, theory, cap=10000):
-    return reachable(s, theory, cap, stepper=lambda x: lstep(x, theory))
+    return reachable(s, theory, cap, stepper=lstep)
 
 
 def star_equivalent(s1, s2, theory, cap=10000):

@@ -4,6 +4,8 @@ Each reimplements a fact by a different algorithm than the package:
 convex membership by basic-solution enumeration with Gaussian elimination,
 convex-set canonicalisation by one simplex per candidate point,
 the syntactic U(e) over-approximation of the reachable state set,
+reachable coalgebras by stepping every state with no memo shared between
+states,
 bisimilarity by greatest-fixpoint refinement of a relation and by Moore
 refinement that recomputes every signature in every round, alpha-equivalence
 by a walk with binder environments, and the printers by plain recursion with
@@ -93,6 +95,29 @@ def u_set(e):
             pc.guarded_subst_exp(f, e, e.var) for f in u_set(e.body)
         }
     raise TypeError(e)
+
+
+def reachable_unmemoised(e, theory, stepper=pc.step):
+    """Breadth-first reachable coalgebra that steps every state afresh,
+    sharing no memo between states; oracle for the memoised ``reachable``
+    (and, with ``stepper=pc.lstep``, for ``star_reachable``)."""
+    index = {e: 0}
+    order = [e]
+    raw = []
+    for x in order:
+        nf = stepper(x, theory)
+        raw.append(nf)
+        for g in sorted_gens(theory.generators(nf)):
+            if isinstance(g, pc.Step) and g.target not in index:
+                index[g.target] = len(order)
+                order.append(g.target)
+
+    def rename(t):
+        return pc.Step(t.action, f"s{index[t.target]}") if isinstance(t, pc.Step) else t
+
+    states = tuple(f"s{j}" for j in range(len(order)))
+    return pc.Coalgebra(theory, states,
+                        {s: theory.nf_map(nf, rename) for s, nf in zip(states, raw)})
 
 
 def naive_bisim_relation(c):

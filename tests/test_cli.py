@@ -310,6 +310,19 @@ def test_coalgebra_atoms_must_be_a_list_of_strings(tmp_path):
         assert r.stderr == "error: 'atoms' must be a list of strings\n"
 
 
+def test_coalgebra_states_must_be_a_list_of_strings(tmp_path):
+    for states in ("s0", ["s0", 1], 5):
+        r = _malformed_coalgebra(tmp_path, lambda d: d.update(states=states))
+        assert r.returncode == 1
+        assert r.stderr == "error: 'states' must be a list of strings\n"
+
+
+def test_coalgebra_structure_must_be_an_object(tmp_path):
+    r = _malformed_coalgebra(tmp_path, lambda d: d.update(structure="s0"))
+    assert r.returncode == 1
+    assert r.stderr == "error: 'structure' must be an object\n"
+
+
 def _malformed_proof(tmp_path, edit, name="sl_trans.json"):
     with open(os.path.join(PROOF_DIR, name)) as fh:
         d = json.load(fh)
@@ -436,3 +449,34 @@ def test_star_step_golden():
     r = run("star", "step", "--theory", "ca", "(1 +[1/3] a)^[1/2]")
     assert r.returncode == 0
     assert "1/2" in r.stdout and "1/3" in r.stdout
+
+
+# ---------------------------------------------------------------------------
+# one parser per process: successive invocations share no state
+
+def _run_in_process(capsys, *argv):
+    """Run one invocation through ``cli.run`` in this process; return the
+    exit code (or the error text) and stdout."""
+    from procalc import cli, syntax, theory
+
+    try:
+        code = cli.run(list(argv))
+    except (syntax.ParseError, theory.TheoryError) as err:
+        code = f"error: {err}"
+    return code, capsys.readouterr().out
+
+
+def test_successive_runs_do_not_share_exp_lists(capsys):
+    assert _run_in_process(capsys, "star", "estar", "E5", "--exp", "e=a") == \
+        (0, "E5 instance holds\n")
+    assert _run_in_process(capsys, "star", "estar", "E5") == \
+        ("error: E5 needs expression 'e'", "")
+    assert _run_in_process(capsys, "star", "estar", "E5", "--exp", "e=b") == \
+        (0, "E5 instance holds\n")
+
+
+def test_successive_runs_do_not_share_atoms(capsys):
+    assert _run_in_process(capsys, "skew", "--theory", "gs", "--atoms", "x1") == \
+        (0, "skew-associative\n")
+    assert _run_in_process(capsys, "skew", "--theory", "gs") == \
+        ("error: theory gs requires --atoms", "")

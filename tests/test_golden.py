@@ -2,13 +2,12 @@
 stderr and exit code, byte for byte.  ``tests/make_golden.py`` records it."""
 
 import json
+import random
 
 from make_golden import differences, load
 
 
-def test_golden_cli_corpus():
-    corpus = load()
-    assert len(corpus) >= 400
+def _check(corpus):
     bad = differences(corpus)
     shown = "\n".join(
         f"{json.dumps(case['argv'])}\n  want {json.dumps({k: case[k] for k in got})}"
@@ -16,3 +15,17 @@ def test_golden_cli_corpus():
         for case, got in bad[:5]
     )
     assert not bad, f"{len(bad)} of {len(corpus)} invocations differ:\n{shown}"
+
+
+def test_golden_cli_corpus():
+    corpus = load()
+    assert len(corpus) >= 400
+    _check(corpus)
+
+
+def test_golden_cli_corpus_in_shuffled_order():
+    # one process replays every case after different predecessors, so state
+    # kept across invocations (such as the parser) would show as a difference
+    corpus = load()
+    random.Random(20261018).shuffle(corpus)
+    _check(corpus)

@@ -12,8 +12,8 @@ from procalc.semantics import StateCapExceeded, Tick, disjoint_union
 from procalc.theory import ZERO_SUBDIST, TheoryError
 
 from gen import (ALL_THEORIES, rand_coalgebra, rand_exp, rand_guarded_exp,
-                 seed_for, theory)
-from oracles import u_set
+                 rand_sexp, seed_for, theory)
+from oracles import reachable_unmemoised, u_set
 
 F = Fraction
 
@@ -183,6 +183,44 @@ def test_reachable_deterministic():
     assert c1.states == c2.states and c1.structure == c2.structure
 
 
+CYC_OPS = {"sl": "+", "cm": "+", "gs": "+[x1]", "ca": "+[1/2]", "cs": "+[1/3]"}
+
+
+def cyc(n, op):
+    """n nested binders, each level doing ``a`` and then choosing between
+    the outermost binder and the next level."""
+    return "".join(f"mu x{i}. a.(x0 {op} b." for i in range(n)) + "0" + ")" * n
+
+
+@pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
+def test_memoised_reachable_agrees_with_fresh_stepping(th):
+    rng = random.Random(seed_for(th.id, 7919))
+    terms = [rand_guarded_exp(th, rng, depth=4) for _ in range(40)]
+    terms += [pc.parse_exp(cyc(n, CYC_OPS[th.id]), th) for n in (6, 14, 40)]
+    for e in terms:
+        c, o = pc.reachable(e, th), reachable_unmemoised(e, th)
+        assert (c.states, c.structure) == (o.states, o.structure)
+    for _ in range(40):
+        s = rand_sexp(th, rng, depth=4)
+        c, o = pc.star_reachable(s, th), reachable_unmemoised(s, th, pc.lstep)
+        assert (c.states, c.structure) == (o.states, o.structure)
+
+
+@pytest.mark.parametrize("name", ["sl", "ca"])
+def test_reachable_unfolds_each_mu_once(name, monkeypatch):
+    # stepping every state afresh makes 18,178 _subst calls here
+    from procalc import syntax
+
+    th = theory(name)
+    e = pc.parse_exp(cyc(60, CYC_OPS[name]), th)
+    calls = []
+    subst = syntax._subst
+    monkeypatch.setattr(syntax, "_subst", lambda *a: calls.append(a[0]) or subst(*a))
+    c = pc.reachable(e, th)
+    assert len(c.states) == 121
+    assert len(calls) <= 3 * len(c.states)
+
+
 def test_disjoint_union():
     th = theory("sl")
     c1 = pc.reachable(pc.parse_exp("a.0", th), th)
@@ -235,8 +273,13 @@ ACT = {"act": "a", "to": "s1"}
     ({"bogus": 1}, "bad structure term {'bogus': 1}"),
     ({"op": "+", "prob": "1/2", "args": [ACT, {"act": "b", "to": "s7"}]},
      "unknown target state 's7'"),
+    ({"act": "a", "to": ["s0"]}, "the target of action 'a' must be a string, not ['s0']"),
+    ({"out": ["u"]}, "an output must be a string, not ['u']"),
+    ({"act": ["a"], "to": "s1"}, "an action must be a string, not ['a']"),
+    ({"op": "+", "guard": [["x1"]], "args": [ACT, ACT]}, "bad guard [['x1']]"),
 ], ids=["one-arg", "three-args", "no-args", "bad-prob", "bad-guard", "no-target",
-        "unknown-node", "dangling-target"])
+        "unknown-node", "dangling-target", "list-target", "list-output", "list-action",
+        "list-guard-atom"])
 def test_malformed_structure_json_names_the_state_and_the_fault(s0, message):
     d = {"theory": "ca", "states": ["s0", "s1"], "structure": {"s0": s0, "s1": {"const": "0"}}}
     if "guard" in s0:

@@ -133,6 +133,8 @@ def _emit_coalgebra(c, fmt):
 
 def run(argv=None):
     args = build_parser().parse_args(argv)
+    if args.cap < 1:
+        raise ValueError("--cap must be a positive integer")
     theory = _theory(args)
     actions = _actions(args)
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .semantics import Step, disjoint_union, reachable
+from .semantics import Step, reachable_union
 from .syntax import unparse
 
 
@@ -123,5 +123,5 @@ def check_states(c, s1, s2):
 
 def equivalent(e, f, theory, cap=10000):
     """Bisimilarity of two process terms."""
-    c = disjoint_union(reachable(e, theory, cap), reachable(f, theory, cap))
+    c = reachable_union(e, f, theory, cap)
     return check_states(c, "as0", "bs0")

@@ -15,7 +15,7 @@ instead of substituting the fixpoint into its body again at every state.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 
 from .syntax import ZERO, Exp, Leaf, Mu, Op, Prefix, Var, Zero, substitute, unparse
@@ -24,6 +24,9 @@ from .theory import Theory, TheoryError, generator_key, sorted_gens, theory_from
 
 class StateCapExceeded(RuntimeError):
     pass
+
+
+_set = object.__setattr__  # steps refuse plain assignment
 
 
 # ---------------------------------------------------------------------------
@@ -49,10 +52,38 @@ class Tick:
         return "1"
 
 
-@dataclass(frozen=True)
 class Step:
-    action: str
-    target: object  # Exp, star expression, or state id
+    """The action step ``action.target``.  A value like the frozen
+    dataclasses ``Out`` and ``Tick``: equal fields make equal steps, and
+    assignment raises.  Normal forms and signatures hash their steps many
+    times, so the hash is computed once, when the step is made."""
+
+    __slots__ = ("action", "target", "_hash")
+
+    def __init__(self, action, target):
+        _set(self, "action", action)
+        _set(self, "target", target)  # Exp, star expression, or state id
+        _set(self, "_hash", hash((action, target)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.action == other.action and self.target == other.target
+        return NotImplemented
+
+    def __hash__(self):
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Step, (self.action, self.target)
+
+    def __repr__(self):
+        return f"Step(action={self.action!r}, target={self.target!r})"
 
     def sort_key(self):
         return ("act", self.action, generator_key(self.target))
@@ -136,34 +167,54 @@ class Coalgebra:
     structure: dict  # state id -> normal form over transitions with id targets
 
 
-def reachable(e, theory, cap=10000, stepper=step):
-    """Breadth-first construction of the reachable subcoalgebra from e.
+def _explore(e, theory, cap, stepper, prefix):
+    """Breadth-first exploration from ``e``: the state ids ``{prefix}0``,
+    ``{prefix}1``, ... in BFS order and the structure over them.  Each
+    normal form is pushed forward once, from term targets onto ids.
+
     ``stepper(x, theory, memo)`` is the one-step map; one memo serves the
-    whole exploration, so each distinct subterm is stepped once."""
+    whole exploration, so each distinct subterm is stepped once.  A state's
+    new successors are numbered in generator order; only they are sorted,
+    and only when there are two or more, because the sort key of a term is
+    built from its printed text."""
     memo = {}
     index = {e: 0}
     order = [e]
     raw = []
-    i = 0
-    while i < len(order):
-        nf = stepper(order[i], theory, memo)
+    for x in order:
+        nf = stepper(x, theory, memo)
         raw.append(nf)
-        for g in sorted_gens(theory.generators(nf)):
-            if isinstance(g, Step) and g.target not in index:
+        new = [g for g in theory.generators(nf)
+               if isinstance(g, Step) and g.target not in index]
+        if len(new) > 1:
+            new = sorted_gens(new)
+        for g in new:
+            if g.target not in index:
                 if len(order) >= cap:
                     raise StateCapExceeded(f"more than {cap} reachable states")
                 index[g.target] = len(order)
                 order.append(g.target)
-        i += 1
+    names = [f"{prefix}{j}" for j in range(len(order))]
 
     def rename(t):
-        if isinstance(t, Step):
-            return Step(t.action, f"s{index[t.target]}")
-        return t
+        return Step(t.action, names[index[t.target]]) if isinstance(t, Step) else t
 
-    states = tuple(f"s{j}" for j in range(len(order)))
-    structure = {f"s{j}": theory.nf_map(raw[j], rename) for j in range(len(order))}
-    return Coalgebra(theory, states, structure)
+    return names, {name: theory.nf_map(nf, rename) for name, nf in zip(names, raw)}
+
+
+def reachable(e, theory, cap=10000, stepper=step):
+    """The reachable subcoalgebra from ``e``, with states ``s0``, ``s1``, ...
+    in breadth-first order; ``stepper`` is the one-step map."""
+    names, structure = _explore(e, theory, cap, stepper, "s")
+    return Coalgebra(theory, tuple(names), structure)
+
+
+def reachable_union(e1, e2, theory, cap=10000, stepper=step):
+    """``disjoint_union(reachable(e1), reachable(e2))``, with states
+    ``as0``, ``as1``, ..., ``bs0``, ``bs1``, ..., each named once."""
+    names1, structure1 = _explore(e1, theory, cap, stepper, "as")
+    names2, structure2 = _explore(e2, theory, cap, stepper, "bs")
+    return Coalgebra(theory, tuple(names1 + names2), {**structure1, **structure2})
 
 
 def disjoint_union(c1, c2, tag1="a", tag2="b"):
@@ -285,7 +336,11 @@ def coalgebra_from_dict(d):
     if not isinstance(d["structure"], dict):
         raise TheoryError("'structure' must be an object")
     states = tuple(states)
-    known = set(states)
+    known = set()
+    for s in states:
+        if s in known:
+            raise TheoryError(f"'states' lists {s!r} twice")
+        known.add(s)
     structure = {}
     for s in states:
         if s not in d["structure"]:

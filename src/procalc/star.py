@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import syntax
-from .semantics import Out, Step, TICK, Tick, reachable, disjoint_union
+from .semantics import Out, Step, TICK, Tick, reachable, reachable_union
 from .equivalence import check_states
 from .syntax import (Interned, Mu, Op, ParseError, Prefix, TokenStream, Var,
                      ZERO, all_names, bracket, cached_text, fresh_name,
@@ -253,9 +253,7 @@ def star_reachable(s, theory, cap=10000):
 
 
 def star_equivalent(s1, s2, theory, cap=10000):
-    c = disjoint_union(
-        star_reachable(s1, theory, cap), star_reachable(s2, theory, cap)
-    )
+    c = reachable_union(s1, s2, theory, cap, stepper=lstep)
     return check_states(c, "as0", "bs0")
 
 

@@ -601,11 +601,19 @@ class ConvexAlgebra(Theory):
         return _subdist(_merge_scaled([(param, args[0]), (1 - param, args[1])]))
 
     def nf_map(self, nf, f):
+        """The pushforward of ``nf`` along ``f``: the masses of generators
+        that ``f`` sends to one image are summed.  It needs no validation:
+        ``nf`` holds positive masses totalling at most 1, and summing along
+        the fibres of ``f`` keeps every mass positive and the total as it
+        was."""
         out = {}
         for g, m in nf:
             h = f(g)
-            out[h] = out.get(h, Fraction(0)) + m
-        return _subdist(out)
+            if h in out:
+                out[h] += m
+            else:
+                out[h] = m
+        return frozenset(out.items())
 
     def nf_flatten(self, nf):
         return _subdist(_merge_scaled([(m, inner) for inner, m in nf]))

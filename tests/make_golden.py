@@ -232,6 +232,9 @@ def cases():
     add("step", "(a.0")
     add("step", "a.0 $")
     add("lts", "--cap", "1", "a.b.0")
+    add("lts", "--cap", "-5", "mu x. x")
+    add("equiv", "--cap", "0", "a.0", "a.0")
+    add("star", "lts", "--cap", "0", "a")
     add("star", "step", "--theory", "ca", "a^*")
     add("star", "deriv", "--theory", "ca", "a")
     add("star", "estar", "E3", "--exp", "e1=a")
@@ -292,6 +295,8 @@ def cases():
         {"theory": "sl", "atoms": 5, "states": [], "structure": {}}))
     add("solve", "{file}", file=json.dumps(
         {"theory": "sl", "states": ["s0"], "structure": {"s0": {"tick": True}}}))
+    add("solve", "{file}", file=json.dumps(
+        {"theory": "sl", "states": ["s0", "s0"], "structure": {"s0": {"const": "0"}}}))
 
     # malformed proofs
     add("prove", "{file}", file=json.dumps({"goal": ["u", "u"], "steps": []}))

@@ -3,6 +3,7 @@
 Each reimplements a fact by a different algorithm than the package:
 convex membership by basic-solution enumeration with Gaussian elimination,
 convex-set canonicalisation by one simplex per candidate point,
+the ``ca`` / ``cs`` pushforward with every mass total checked,
 the syntactic U(e) over-approximation of the reachable state set,
 reachable coalgebras by stepping every state with no memo shared between
 states,
@@ -17,7 +18,8 @@ from fractions import Fraction
 
 import procalc as pc
 from procalc.syntax import render_param
-from procalc.theory import ZERO_SUBDIST, in_lower_hull, sorted_gens
+from procalc.theory import (ZERO_SUBDIST, _subdist, canonical_convex_set,
+                            in_lower_hull, sorted_gens)
 
 
 def _gauss_solve(rows, rhs):
@@ -77,6 +79,23 @@ def canonical_convex_set_lp(points):
         if in_lower_hull(g, others):
             keep.remove(g)
     return frozenset(keep)
+
+
+def ca_nf_map_validating(nf, f):
+    """The pushforward of a subdistribution along ``f``, with its masses
+    checked for sign and total; oracle for the trusted
+    ``ConvexAlgebra.nf_map``."""
+    out = {}
+    for g, m in nf:
+        h = f(g)
+        out[h] = out.get(h, Fraction(0)) + m
+    return _subdist(out)
+
+
+def cs_nf_map_validating(nf, f):
+    """``ConvexSemilattice.nf_map`` on top of the validating ``ca``
+    pushforward."""
+    return canonical_convex_set({ca_nf_map_validating(sub, f) for sub in nf})
 
 
 def u_set(e):

@@ -317,6 +317,23 @@ def test_coalgebra_states_must_be_a_list_of_strings(tmp_path):
         assert r.stderr == "error: 'states' must be a list of strings\n"
 
 
+def test_coalgebra_states_must_be_distinct(tmp_path):
+    r = _malformed_coalgebra(tmp_path, lambda d: d.update(states=["s0", "s1", "s0"]))
+    assert r.returncode == 1
+    assert r.stderr == "error: 'states' lists 's0' twice\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("lts", "mu x. x"), ("equiv", "0", "mu x. x"), ("star", "lts", "0"),
+])
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_cap_must_be_positive(argv, cap):
+    r = run(*argv, "--cap", cap)
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr == "error: --cap must be a positive integer\n"
+    assert run(*argv, "--cap", "1").returncode == 0
+
+
 def test_coalgebra_structure_must_be_an_object(tmp_path):
     r = _malformed_coalgebra(tmp_path, lambda d: d.update(structure="s0"))
     assert r.returncode == 1

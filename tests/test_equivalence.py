@@ -193,3 +193,30 @@ def test_refinement_recomputes_only_predecessors_of_moved_states(name, monkeypat
         cert = pc.check_states(c, "as0", "bs0")
         assert cert.equivalent == eq and cert.rounds == (60 if eq else 61)
         assert len(calls) <= 3 * len(c.states)
+
+
+@pytest.mark.parametrize("name", ["sl", "ca"])
+def test_equivalent_pushes_each_state_forward_once(name, monkeypatch):
+    # one nf_map per state names it, one per signature and one per mu
+    # unfolding; relabelling a disjoint union took one more per state
+    from procalc import equivalence, semantics
+
+    th = theory(name)
+    e, f = (pc.parse_exp(long_cycle(60, LONG_OPS[name], **kw), th)
+            for kw in ({}, {"laps": 2}))
+    states = len(pc.reachable(e, th).states) + len(pc.reachable(f, th).states)
+    calls = {"nf_map": 0, "_signature": 0, "gsubst_bm": 0}
+
+    def counted(fn, key):
+        def wrapper(*a):
+            calls[key] += 1
+            return fn(*a)
+        return wrapper
+
+    monkeypatch.setattr(th, "nf_map", counted(th.nf_map, "nf_map"))
+    monkeypatch.setattr(equivalence, "_signature",
+                        counted(equivalence._signature, "_signature"))
+    monkeypatch.setattr(semantics, "gsubst_bm", counted(semantics.gsubst_bm, "gsubst_bm"))
+    assert pc.equivalent(e, f, th).equivalent
+    assert states == 183 and calls["gsubst_bm"] == 2
+    assert calls["nf_map"] <= states + calls["_signature"] + calls["gsubst_bm"]

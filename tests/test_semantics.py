@@ -2,12 +2,14 @@
 reachable subcoalgebras, serialisation."""
 
 import json
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
 import procalc as pc
+from procalc import semantics
 from procalc.semantics import StateCapExceeded, Tick, disjoint_union
 from procalc.theory import ZERO_SUBDIST, TheoryError
 
@@ -219,6 +221,48 @@ def test_reachable_unfolds_each_mu_once(name, monkeypatch):
     c = pc.reachable(e, th)
     assert len(c.states) == 121
     assert len(calls) <= 3 * len(c.states)
+
+
+def test_reachable_sorts_only_where_two_successors_are_new():
+    # sorting a state's generators builds the printed text of every target;
+    # the names are fresh, so no other test has printed these terms
+    th = theory("sl")
+    e = pc.parse_exp("mu x. " + "notext." * 60 + "(notext_u + notext.x)", th)
+    states = []
+    pc.reachable(e, th, stepper=lambda x, *a: states.append(x) or pc.step(x, *a))
+    assert len(states) == 61
+    assert all(x._text is None for x in states)
+
+
+def test_reachable_union_is_the_disjoint_union_of_reachables():
+    # the equiv path names the union's states in one pass
+    for th in ALL_THEORIES:
+        rng = random.Random(seed_for(th.id, 3301))
+        for _ in range(20):
+            e, f = rand_guarded_exp(th, rng), rand_guarded_exp(th, rng)
+            u = semantics.reachable_union(e, f, th)
+            d = disjoint_union(pc.reachable(e, th), pc.reachable(f, th))
+            assert (u.states, u.structure) == (d.states, d.structure)
+            s, t = rand_sexp(th, rng), rand_sexp(th, rng)
+            u = semantics.reachable_union(s, t, th, stepper=pc.lstep)
+            d = disjoint_union(pc.star_reachable(s, th), pc.star_reachable(t, th))
+            assert (u.states, u.structure) == (d.states, d.structure)
+
+
+def test_step_is_a_value():
+    th = theory("sl")
+    a = pc.Step("a", "s1")
+    assert a == pc.Step("a", "s1") and hash(a) == hash(pc.Step("a", "s1"))
+    assert a != pc.Step("b", "s1") and a != pc.Step("a", "s2")
+    assert a != pc.Out("a") and pc.Out("a") != a and a != ("a", "s1")
+    assert pc.Step("a", pc.parse_exp("b.0", th)) == pc.Step("a", pc.parse_exp("b.0", th))
+    assert repr(a) == "Step(action='a', target='s1')"
+    with pytest.raises(AttributeError):
+        a.action = "b"
+    with pytest.raises(AttributeError):
+        del a.target
+    assert pickle.loads(pickle.dumps(a)) == a
+    assert len({a, pc.Step("a", "s1"), pc.Step("a", "s2")}) == 2
 
 
 def test_disjoint_union():

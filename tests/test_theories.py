@@ -15,7 +15,8 @@ from procalc.theory import (TheoryError, ZERO_SUBDIST, axiom_side_ok, eval_param
                             sorted_gens, theory_from_json)
 
 from gen import ALL_THEORIES, ATOMS, rand_guard, rand_param, rand_prob, theory
-from oracles import canonical_convex_set_lp, convex_member_bruteforce
+from oracles import (ca_nf_map_validating, canonical_convex_set_lp,
+                     convex_member_bruteforce, cs_nf_map_validating)
 
 F = Fraction
 
@@ -289,6 +290,35 @@ def test_ca_flatten_expectation():
     n2 = sub(y=F(1, 2))
     nested = step(t(F(1, 2), Leaf(n1), Leaf(n2)), th)
     assert th.nf_flatten(nested) == sub(x=F(1, 2), y=F(1, 4))
+
+
+def _rand_subdist(rng, gens):
+    """Some of ``gens`` with positive masses; the masses total exactly 1
+    about half the time."""
+    chosen = rng.sample(gens, rng.randint(0, len(gens)))
+    weights = [rng.randint(1, 4) for _ in chosen]
+    total = sum(weights) + rng.choice((0, 0, 1, 3))
+    return frozenset((g, F(w, total)) for g, w in zip(chosen, weights))
+
+
+def test_trusted_pushforward_agrees_with_validating_oracle():
+    rng = random.Random(31)
+    ca, cs = theory("ca"), theory("cs")
+    gens = ("g1", "g2", "g3", "g4", "g5")
+    collided = full = 0
+    for _ in range(300):
+        table = {g: rng.choice(("h1", "h2", "h3")) for g in gens}
+        f = table.__getitem__
+        d = _rand_subdist(rng, gens)
+        mapped = ca.nf_map(d, f)
+        assert mapped == ca_nf_map_validating(d, f)
+        assert sum(m for _, m in mapped) == sum(m for _, m in d)
+        collided += len(mapped) < len(d)
+        full += sum(m for _, m in d) == 1
+        points = {_rand_subdist(rng, gens) for _ in range(rng.randint(1, 3))}
+        nf = pc.theory.canonical_convex_set(points)
+        assert cs.nf_map(nf, f) == cs_nf_map_validating(nf, f)
+    assert collided > 100 and full > 100
 
 
 # ---------------------------------------------------------------------------

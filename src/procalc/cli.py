@@ -162,19 +162,21 @@ def run(argv=None):
         if text.lstrip().startswith("{"):
             c = semantics.coalgebra_from_json(text)
             system = solver.associated_system(c)
+            # state ids may have been renamed; map them positionally
+            unknown_of = dict(zip(c.states, system.variables))
         else:
             system = solver.parse_system(text, theory, actions)
-        phi = solver.solve(system)
+            unknown_of = {}
         if args.state is not None:
-            if args.state not in phi:
-                # state ids may have been renamed; map positionally
-                if text.lstrip().startswith("{") and args.state in c.states:
-                    pos = list(c.states).index(args.state)
-                    print(syntax.unparse(phi[system.variables[pos]]))
-                    return 0
+            unknown_of.update((x, x) for x in system.variables)
+            x = unknown_of.get(args.state)
+            # solving first keeps system errors ahead of an unknown state
+            phi = solver.solve(system, wanted=() if x is None else (x,))
+            if x is None:
                 raise syntax.ParseError(f"unknown state {args.state!r}")
-            print(syntax.unparse(phi[args.state]))
+            print(syntax.unparse(phi[x]))
             return 0
+        phi = solver.solve(system)
         for x in system.variables:
             print(f"{x} = {syntax.unparse(phi[x])}")
         return 0

@@ -3,9 +3,11 @@
 A finite coalgebra gives an equation system whose unknowns are its states;
 each right-hand side is the term reading of a state's normal form with
 transitions turned back into syntax (outputs become variables, steps become
-prefixes on unknowns).  Systems are solved by
-elimination: the last unknown is closed with a mu-binder, substituted away,
-and the smaller system solved recursively.
+prefixes on unknowns).  Systems are solved by elimination in two passes.
+The forward pass closes each unknown in turn with a mu-binder and
+substitutes it into the equations left; the back pass substitutes the
+solutions of later unknowns into the closed equations, only for the
+unknowns asked for and those they depend on.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from . import syntax
 from .equivalence import equivalent
 from .semantics import Out, Tick
-from .syntax import Mu, Prefix, Var, free_vars, bound_vars, is_guarded, substitute
+from .syntax import Mu, Prefix, Var, free_vars, bound_vars, substitute, unguarded_vars
 from .theory import TheoryError
 
 
@@ -30,6 +32,8 @@ class EqSystem:
     exprs: tuple  # right-hand sides
 
     def __post_init__(self):
+        if not self.variables:
+            raise TheoryError("an equation system needs at least one unknown")
         unknowns = set()
         for x in self.variables:
             if x in unknowns:
@@ -73,41 +77,53 @@ def associated_system(c):
     return EqSystem(c.theory, tuple(rename[s] for s in c.states), exprs)
 
 
-def solve(system, order=None):
+def solve(system, order=None, wanted=None):
     """Milner elimination.  ``order`` lists the unknown positions in the
-    order they are eliminated (default: last to first).  Returns the solution
-    as a dict unknown -> closed-over expression."""
+    order they are eliminated (default: last to first).  Returns the
+    solutions of the ``wanted`` unknowns (default: all) as a dict unknown ->
+    closed-over expression."""
+    known = set(system.variables)
     for y, e in zip(system.variables, system.exprs):
-        for x in system.variables:
-            if not is_guarded(x, e):
-                raise UnguardedSystem(f"unknown {x!r} is unguarded in the equation for {y!r}")
+        bad = unguarded_vars(e) & known
+        if bad:
+            x = min(bad, key=system.variables.index)
+            raise UnguardedSystem(f"unknown {x!r} is unguarded in the equation for {y!r}")
     if order is None:
         order = tuple(reversed(range(len(system.variables))))
     if sorted(order) != list(range(len(system.variables))):
         raise TheoryError("elimination order must permute the unknowns")
-    eqs = list(zip(system.variables, system.exprs))
-    phi = _solve(eqs, list(order))
-    for x, e in phi.items():
-        leftover = free_vars(e) & set(system.variables)
+    wanted = system.variables if wanted is None else tuple(wanted)
+
+    # forward: close each unknown in turn and substitute it away, so the
+    # closed equation of an unknown mentions only unknowns eliminated later
+    rest = dict(zip(system.variables, system.exprs))
+    closed = {}
+    for i in order:
+        x = system.variables[i]
+        closed[x] = f = Mu(x, rest.pop(x))
+        for y, e in rest.items():
+            rest[y] = substitute(e, {x: f})
+
+    # back: only the wanted unknowns and, transitively, the later ones their
+    # closed equations mention.  Back-substitution renames a binder only
+    # where an equation binds a name left free in another; its fresh name
+    # then depends on every later solution, so all are computed.
+    need = set(wanted)
+    bound = set().union(*map(bound_vars, system.exprs))
+    if bound & (set().union(*map(free_vars, system.exprs)) - known):
+        need = set(known)
+    for x, f in closed.items():
+        if x in need:
+            need |= free_vars(f) & known
+    phi = {}
+    for x, f in reversed(closed.items()):
+        if x in need:
+            phi[x] = f if free_vars(f).isdisjoint(phi) else substitute(f, phi)
+    for x in wanted:
+        leftover = free_vars(phi[x]) & known
         if leftover:
             raise TheoryError(f"solution for {x} mentions unknowns {leftover}")
-    return phi
-
-
-def _solve(eqs, order):
-    if len(eqs) == 1:
-        x, e = eqs[0]
-        return {x: Mu(x, e)}
-    j = order[0]
-    x_n, e_n = eqs[j]
-    f_n = Mu(x_n, e_n)
-    rest = [
-        (x, substitute(e, {x_n: f_n})) for i, (x, e) in enumerate(eqs) if i != j
-    ]
-    shifted = [i if i < j else i - 1 for i in order[1:]]
-    phi = _solve(rest, shifted)
-    g_n = substitute(f_n, phi)
-    return {**phi, x_n: g_n}
+    return {x: phi[x] for x in wanted}
 
 
 def check_solution(system, phi, cap=10000):
@@ -129,9 +145,8 @@ def check_solution(system, phi, cap=10000):
 def synthesize(c, state, order=None):
     """A closed expression whose behaviour matches the given state."""
     system = associated_system(c)
-    phi = solve(system, order)
-    pos = list(c.states).index(state)
-    return phi[system.variables[pos]]
+    x = system.variables[list(c.states).index(state)]
+    return solve(system, order, wanted=(x,))[x]
 
 
 # -- system text format ------------------------------------------------------

@@ -280,17 +280,27 @@ def fresh_name(avoid):
     return f"%{k}"
 
 
+def unguarded_vars(e):
+    """The free variables of e with an occurrence not under an action prefix."""
+    out = set()
+    stack = [(e, _EMPTY)]  # a node and the names bound above it
+    while stack:
+        e, bound = stack.pop()
+        if isinstance(e, Var):
+            if e.name not in bound:
+                out.add(e.name)
+        elif isinstance(e, Op):
+            stack.extend((a, bound) for a in e.args)
+        elif isinstance(e, Mu):
+            stack.append((e.body, bound | {e.var}))
+        elif not isinstance(e, (Zero, Leaf, Prefix)):
+            raise TypeError(f"not an expression: {e!r}")
+    return out
+
+
 def is_guarded(v, e):
     """Every free occurrence of v in e sits under an action prefix."""
-    if isinstance(e, Var):
-        return e.name != v
-    if isinstance(e, (Zero, Leaf, Prefix)):
-        return True
-    if isinstance(e, Mu):
-        return True if e.var == v else is_guarded(v, e.body)
-    if isinstance(e, Op):
-        return all(is_guarded(v, a) for a in e.args)
-    raise TypeError(f"not an expression: {e!r}")
+    return v not in unguarded_vars(e)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +328,9 @@ def _subst(e, bnd, avoid):
         return e
     if isinstance(e, (Prefix, Op)):
         kids = children(e)
-        new = [_subst(c, bnd, avoid) for c in kids]
+        new = []
+        for c in kids:  # a loop, not a comprehension: one frame per level
+            new.append(_subst(c, bnd, avoid))
         if all(k is c for k, c in zip(new, kids)):
             return e
         return rebuild(e, new)

@@ -263,6 +263,10 @@ def cases():
     add("solve", "{file}", file="x = y\ny = a.x\n")
     add("solve", "{file}", file="x = a.x\nnonsense\n")
     add("solve", "{file}", file="1x = a.0\n")
+    add("solve", "{file}", file="# comment\n")
+    empty = json.dumps({"theory": "sl", "states": [], "structure": {}})
+    add("solve", "{file}", file=empty)
+    add("solve", "{file}", "--state", "q", file=empty)
 
     # malformed structure JSON
     def coalgebra(s0, theory="ca", **extra):

@@ -8,9 +8,11 @@ the syntactic U(e) over-approximation of the reachable state set,
 reachable coalgebras by stepping every state with no memo shared between
 states,
 bisimilarity by greatest-fixpoint refinement of a relation and by Moore
-refinement that recomputes every signature in every round, alpha-equivalence
-by a walk with binder environments, and the printers by plain recursion with
-no per-node text cache.
+refinement that recomputes every signature in every round, guardedness by
+plain recursion, equation systems by recursive elimination that
+back-substitutes every unknown, alpha-equivalence by a walk with binder
+environments, and the printers by plain recursion with no per-node text
+cache.
 """
 
 import itertools
@@ -211,6 +213,47 @@ def moore_check_states(c, s1, s2):
         f"{s2} has signature {pc.render_sterm(sig2)}"
     )
     return pc.Certificate(False, split, detail)
+
+
+def is_guarded_recursive(v, e):
+    """Every free occurrence of v in e sits under an action prefix, by plain
+    recursion; oracle for ``syntax.unguarded_vars``."""
+    if isinstance(e, pc.Var):
+        return e.name != v
+    if isinstance(e, (pc.Zero, pc.Leaf, pc.Prefix)):
+        return True
+    if isinstance(e, pc.Mu):
+        return True if e.var == v else is_guarded_recursive(v, e.body)
+    if isinstance(e, pc.Op):
+        return all(is_guarded_recursive(v, a) for a in e.args)
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def solve_eager(system, order=None):
+    """Milner elimination by recursion, back-substituting every unknown:
+    the last unknown in ``order`` (default: last to first) is closed with a
+    mu-binder, substituted away, the smaller system solved, and its
+    solution substituted into the closed equation.  Oracle for
+    ``solver.solve``; it checks neither guardedness nor the order."""
+    if order is None:
+        order = tuple(reversed(range(len(system.variables))))
+    return _solve_eager(list(zip(system.variables, system.exprs)), list(order))
+
+
+def _solve_eager(eqs, order):
+    if len(eqs) == 1:
+        x, e = eqs[0]
+        return {x: pc.Mu(x, e)}
+    j = order[0]
+    x_n, e_n = eqs[j]
+    f_n = pc.Mu(x_n, e_n)
+    rest = [
+        (x, pc.substitute(e, {x_n: f_n})) for i, (x, e) in enumerate(eqs) if i != j
+    ]
+    shifted = [i if i < j else i - 1 for i in order[1:]]
+    phi = _solve_eager(rest, shifted)
+    g_n = pc.substitute(f_n, phi)
+    return {**phi, x_n: g_n}
 
 
 def alpha_eq(e, f):

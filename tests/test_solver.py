@@ -1,14 +1,19 @@
 """Equation systems: associated systems, Milner elimination."""
 
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 
 import procalc as pc
+from procalc import cli, solver
 from procalc.solver import UnguardedSystem
 
-from gen import ALL_THEORIES, rand_coalgebra, rand_guarded_exp, seed_for, theory
+from gen import (ACTIONS, ALL_THEORIES, rand_coalgebra, rand_exp, rand_guarded_exp,
+                 rand_param, seed_for, theory)
+from make_golden import run as run_cli
+from oracles import solve_eager
 
 F = Fraction
 
@@ -167,3 +172,141 @@ def test_parse_system_render_round_trip():
     text = "s0 = a1.s1 +[1/2] (a2.s0 +[1/3] w)\ns1 = u"
     sys = pc.parse_system(text, th)
     assert sys.render() == text
+
+
+# ---------------------------------------------------------------------------
+# demand-driven back-substitution against eager elimination
+
+def _rand_text_system(th, rng, n):
+    """A random equation system read from text.  Unknowns may stand
+    anywhere, also unguarded.  Binders are named like free variables, so
+    that elimination must rename some of them."""
+    unknowns = tuple(f"q{i}" for i in range(n))
+    lines = []
+    for q in unknowns:
+        steps = [pc.Prefix(rng.choice(ACTIONS), pc.Var(rng.choice(unknowns)))
+                 for _ in range(rng.randint(0, 2))]
+        parts = [rand_exp(th, rng, depth=3, bound=unknowns), *steps]
+        e = functools.reduce(lambda a, b: pc.Op(rand_param(th, rng), (a, b)), parts)
+        if rng.random() < 0.5:
+            e = pc.Mu("m1", pc.Prefix(rng.choice(ACTIONS), e))
+        text = pc.unparse(e).replace("m1", "u").replace("m2", "v").replace("m3", "w")
+        lines.append(f"{q} = {text}")
+    return pc.parse_system("\n".join(lines), th)
+
+
+def _systems(th, rng):
+    for _ in range(12):
+        yield pc.associated_system(rand_coalgebra(th, rng, max_states=5))
+    found = 0
+    while found < 20:
+        system = _rand_text_system(th, rng, rng.randint(2, 4))
+        try:
+            pc.solve(system)
+        except UnguardedSystem:
+            continue
+        found += 1
+        yield system
+
+
+@pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
+def test_solve_matches_eager_elimination(th):
+    rng = random.Random(seed_for(th.id, 28411))
+    renamed = 0
+    for system in _systems(th, rng):
+        n = len(system.variables)
+        orders = [None, tuple(range(n)), *(tuple(rng.sample(range(n), n)) for _ in range(2))]
+        for order in orders:
+            want = solve_eager(system, order)
+            renamed += any("%" in pc.unparse(e) for e in want.values())
+            got = pc.solve(system, order)
+            assert list(got) == list(system.variables)
+            assert all(got[x] is want[x] for x in got), system.render()
+            for x in system.variables:
+                (y, value), = pc.solve(system, order, wanted=(x,)).items()
+                assert y == x and value is want[x], (x, order, system.render())
+    assert renamed  # some orders rename a binder
+
+
+def test_solve_after_renaming_matches_eager_elimination():
+    # eliminating forwards, back-substitution renames the binder u in the
+    # solutions of y and x.  The fresh name in x's avoids the names in y's,
+    # though x's closed equation does not mention y
+    th = theory("sl")
+    system = pc.parse_system(
+        "x = a.(mu u. b.(u + z))\ny = mu u. a.(u + x + z)\nz = u + a.y", th)
+    order = (0, 1, 2)
+    want = solve_eager(system, order)
+    assert pc.unparse(want["x"]).startswith("mu x. a.(mu %2. b.(%2 + (mu z.")
+    for x in system.variables:
+        assert pc.solve(system, order, wanted=(x,))[x] is want[x]
+
+
+def _ring(n, m=3, c=1):
+    """The coalgebra s_i = a.s_{i+1 mod n} + b.s_{(m*i+c) mod n} in sl."""
+    th = theory("sl")
+    structure = {
+        f"s{i}": frozenset({pc.Step("a", f"s{(i + 1) % n}"), pc.Step("b", f"s{(m * i + c) % n}")})
+        for i in range(n)
+    }
+    return pc.Coalgebra(th, tuple(structure), structure)
+
+
+def test_solve_one_state_back_substitutes_nothing(monkeypatch):
+    # with the default order s0 is eliminated last, so its solution is its
+    # closed equation: only the forward pass substitutes
+    system = pc.associated_system(_ring(13))
+    calls = []
+    real = solver.substitute
+    monkeypatch.setattr(solver, "substitute", lambda e, b: calls.append(e) or real(e, b))
+    phi = pc.solve(system, wanted=("s0",))
+    assert len(calls) == 13 * 12 // 2
+    assert len(pc.unparse(phi["s0"])) == 225_534
+    calls.clear()
+    pc.solve(system)
+    assert len(calls) == 13 * 12 // 2 + 12
+
+
+def test_cli_solve_state_on_ring(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "ring.json"
+    path.write_text(pc.coalgebra_to_json(_ring(13)))
+    calls = []
+    real = solver.substitute
+    monkeypatch.setattr(solver, "substitute", lambda e, b: calls.append(e) or real(e, b))
+    assert cli.run(["solve", str(path), "--state", "s0"]) == 0
+    out = capsys.readouterr().out
+    assert len(out) == 225_534 + 1 and out.endswith("\n")
+    assert len(calls) == 13 * 12 // 2
+
+
+def test_system_errors_come_before_an_unknown_state():
+    got = run_cli(["solve", "{file}", "--state", "nope"], "x = a.y\ny = b.x + y\n")
+    assert got["stderr"] == "error: unknown 'y' is unguarded in the equation for 'y'\n"
+    system = pc.parse_system("x = a.x", theory("sl"))
+    with pytest.raises(pc.TheoryError, match="permute"):
+        pc.solve(system, order=(1,), wanted=("x",))
+
+
+def test_unguarded_error_names_the_first_pair():
+    # the first equation with an unguarded unknown, and the first such
+    # unknown in the order the system lists them
+    system = pc.parse_system("z = a.z\nx = a.x + y + (mu m. m + z)\ny = x", theory("sl"))
+    with pytest.raises(UnguardedSystem, match="unknown 'z' is unguarded in the equation for 'x'"):
+        pc.solve(system)
+
+
+def test_empty_system_rejected():
+    with pytest.raises(pc.TheoryError, match="at least one unknown"):
+        pc.parse_system("# comment\n", theory("sl"))
+
+
+def test_solve_deep_chain():
+    # s_i = a.s_{i+1} + b.s0: the solution of s1 nests 199 mu-binders
+    n = 200
+    lines = [f"s{i} = a.s{i + 1} + b.s0" for i in range(n - 1)] + [f"s{n - 1} = a.0"]
+    system = pc.parse_system("\n".join(lines), theory("sl"))
+    phi = pc.solve(system)
+    unknowns = set(system.variables)
+    assert not any(pc.free_vars(e) & unknowns for e in phi.values())
+    assert pc.solve(system, wanted=("s1",))["s1"] is phi["s1"]
+    assert pc.unparse(phi["s198"]) == "mu s198. a.(mu s199. a.0) + b.(%s)" % pc.unparse(phi["s0"])

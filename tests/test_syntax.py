@@ -8,10 +8,11 @@ import pytest
 import procalc as pc
 from procalc.syntax import (Mu, Op, ParseError, Prefix, Var, ZERO,
                             bound_vars, free_vars, fresh_name,
-                            guarded_subst_exp, unparse, substitute)
+                            guarded_subst_exp, unguarded_vars, unparse,
+                            substitute)
 
 from gen import ALL_THEORIES, rand_exp, seed_for, theory
-from oracles import alpha_eq
+from oracles import alpha_eq, is_guarded_recursive
 
 F = Fraction
 
@@ -130,6 +131,31 @@ def test_is_guarded_clauses():
     assert pc.is_guarded("v", Mu("v", Var("v")))
     assert not pc.is_guarded("v", Mu("u", Var("v")))
     assert not pc.is_guarded("v", Op(None, (Var("v"), Prefix("a", Var("v")))))
+
+
+def test_unguarded_vars_clauses():
+    e = Op(None, (Var("v"), Op(None, (Prefix("a", Var("u")), Mu("w", Op(None, (Var("w"), Var("x"))))))))
+    assert unguarded_vars(e) == {"v", "x"}
+    assert unguarded_vars(Op(None, (Mu("v", Var("v")), Var("v")))) == {"v"}
+    assert unguarded_vars(ZERO) == set()
+
+
+@pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
+def test_unguarded_vars_matches_recursive_guardedness(th):
+    rng = random.Random(seed_for(th.id, 7717))
+    for _ in range(150):
+        e = rand_exp(th, rng, depth=4)
+        for v in free_vars(e) | bound_vars(e) | {"nowhere"}:
+            assert (v in unguarded_vars(e)) == (not is_guarded_recursive(v, e)), unparse(e)
+
+
+def test_unguarded_vars_at_depth():
+    # a choice nested 5,000 deep, built without the parser
+    e = Var("v")
+    for i in range(5000):
+        e = Op(None, (Prefix("a", Var(f"g{i}")), e)) if i % 2 else Op(None, (e, Var("u")))
+    assert unguarded_vars(e) == {"u", "v"}
+    assert not pc.is_guarded("v", Mu("w", e))
 
 
 # ---------------------------------------------------------------------------

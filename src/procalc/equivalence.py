@@ -31,10 +31,21 @@ from .syntax import unparse
 
 
 def _signature(c, s, block):
+    """The normal form of ``s`` with each step ``a.t`` read as the pair
+    ``(a, block[t])``."""
+    def f(t):
+        return (t.action, block[t.target]) if isinstance(t, Step) else t
+
+    return c.theory.nf_map(c.structure[s], f)
+
+
+def _signature_text(c, s, block):
+    """The signature of ``s`` printed as a term, each pair as the step
+    ``a.block[t]``."""
     def f(t):
         return Step(t.action, block[t.target]) if isinstance(t, Step) else t
 
-    return c.theory.nf_map(c.structure[s], f)
+    return unparse(c.theory.term_of_nf(c.theory.nf_map(c.structure[s], f)))
 
 
 def _rounds(c, block):
@@ -106,12 +117,10 @@ def check_states(c, s1, s2):
         rounds += 1
         if moved.get(s1, block[s1]) != moved.get(s2, block[s2]):
             prev = _dense(c, block)
-            sig1 = c.theory.term_of_nf(_signature(c, s1, prev))
-            sig2 = c.theory.term_of_nf(_signature(c, s2, prev))
             detail = (
                 f"split at refinement round {rounds}: "
-                f"{s1} has signature {unparse(sig1)}, "
-                f"{s2} has signature {unparse(sig2)}"
+                f"{s1} has signature {_signature_text(c, s1, prev)}, "
+                f"{s2} has signature {_signature_text(c, s2, prev)}"
             )
             return Certificate(False, rounds, detail)
     classes = {}

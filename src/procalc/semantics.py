@@ -55,8 +55,8 @@ class Tick:
 class Step:
     """The action step ``action.target``.  A value like the frozen
     dataclasses ``Out`` and ``Tick``: equal fields make equal steps, and
-    assignment raises.  Normal forms and signatures hash their steps many
-    times, so the hash is computed once, when the step is made."""
+    assignment raises.  Normal forms hash their steps many times, so the
+    hash is computed once, when the step is made."""
 
     __slots__ = ("action", "target", "_hash")
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from . import syntax
 from .equivalence import equivalent
 from .semantics import Out, Tick
-from .syntax import Mu, Prefix, Var, free_vars, bound_vars, substitute, unguarded_vars
+from .syntax import (Mu, Prefix, Var, bound_vars, free_vars, fresh_name, substitute,
+                     unguarded_vars)
 from .theory import TheoryError
 
 
@@ -55,7 +56,8 @@ def associated_system(c):
     """The guarded equation system of a finite coalgebra.
 
     State ids double as unknowns when they do not clash with output
-    variables; clashing ids are renamed into the reserved % namespace.
+    variables; a clashing id is renamed to the least ``%k`` that is
+    neither a state nor an output, nor taken by an earlier renaming.
     """
     outputs = set()
     for s in c.states:
@@ -64,9 +66,11 @@ def associated_system(c):
                 outputs.add(g.var)
             elif isinstance(g, Tick):
                 raise TheoryError("termination transitions have no syntax")
+    taken = outputs | set(c.states)
     rename = {}
-    for i, s in enumerate(c.states):
-        rename[s] = s if s not in outputs else f"%{i}"
+    for s in c.states:
+        rename[s] = fresh_name(taken) if s in outputs else s
+        taken.add(rename[s])
 
     def leaf(g):
         if isinstance(g, Out):

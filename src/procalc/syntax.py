@@ -16,8 +16,9 @@ the tokenizer cannot produce, so freshness never clashes with user input.
 
 from __future__ import annotations
 
+import gc
 import re
-import weakref
+import sys
 from fractions import Fraction
 
 
@@ -30,7 +31,7 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 # hash-consed nodes
 
-_TABLE = weakref.WeakValueDictionary()
+_TABLE = {}  # (cls, *fields) -> node, swept by _sweep
 _EMPTY = frozenset()
 _set = object.__setattr__  # nodes refuse plain assignment
 
@@ -39,13 +40,14 @@ class Interned:
     """Base class of hash-consed, immutable term nodes (Filliâtre and
     Conchon, *Type-Safe Modular Hash-Consing*, ML 2006).
 
-    The constructor looks a node up in one weak table keyed on
+    The constructor looks a node up in one table keyed on
     ``(cls, *fields)``; its children are interned already, so the key costs
     O(1) to build and two structurally equal nodes are the same object.
-    Equality is therefore identity (``object``'s own ``==``), and the hash
-    is computed once.  A ``param`` or ``gen`` field is keyed on its type as
-    well, because ``1 == True == Fraction(1)``.  The table holds nodes
-    weakly, so a term dies with its last user.
+    Equality and hashing are therefore ``object``'s own, by identity.  A
+    ``param`` or ``gen`` field is keyed on its type as well, because
+    ``1 == True == Fraction(1)``.  The table is a plain dict, and
+    ``_sweep`` drops the nodes that only the table holds, so a term dies
+    soon after its last user.
 
     Subclasses list their fields in ``_fields`` (and ``__slots__``), with
     ``param`` or ``gen`` first when they have one (``_typed_param``); their
@@ -54,7 +56,7 @@ class Interned:
     of every child.
     """
 
-    __slots__ = ("_hash", "_text", "__weakref__")
+    __slots__ = ("_text",)
     _fields = ()
     _typed_param = False
 
@@ -69,10 +71,11 @@ class Interned:
             node = object.__new__(cls)
             for name, value in zip(cls._fields, args):
                 _set(node, name, value)
-            _set(node, "_hash", hash(key))
             _set(node, "_text", None)
             node._derive()
             _TABLE[key] = node
+            if len(_TABLE) > _limit:
+                _sweep()
         return node
 
     def _derive(self):
@@ -80,9 +83,6 @@ class Interned:
 
     def _kids(self):
         return ()
-
-    def __hash__(self):
-        return self._hash
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -96,6 +96,48 @@ class Interned:
     def __repr__(self):
         shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__name__}({shown})"
+
+
+_limit = 1024  # the table size that triggers the next sweep
+_sweeping = False
+_PROBE = object()  # the key of an entry that only the table holds
+
+
+def _sweep():
+    """Drop the table entries whose node nothing else holds.
+
+    Entries are visited newest first.  A node is interned after its
+    children, and its key holds them, so dropping a parent frees its
+    children before they are visited: one pass collects a whole dead term.
+    The reference count of a node held by the table alone is measured on
+    a probe entry, visited first by the same code.  A collection that the
+    sweep's own allocations start does not sweep again."""
+    global _limit, _sweeping
+    if _sweeping:
+        return
+    _sweeping = True
+    try:
+        _TABLE[_PROBE] = object()
+        entries = list(_TABLE.items())
+        alone = None
+        while entries:
+            key, node = entries.pop()
+            held = sys.getrefcount(node)
+            if alone is None:
+                alone = held
+            if held == alone:
+                del _TABLE[key]
+        _limit = max(1024, 2 * len(_TABLE))
+    finally:
+        _sweeping = False
+
+
+def _sweep_after_full_collection(phase, info):
+    if phase == "stop" and info["generation"] == 2:
+        _sweep()
+
+
+gc.callbacks.append(_sweep_after_full_collection)
 
 
 def _bind(cls, args, kwargs):
@@ -177,8 +219,11 @@ class Op(Exp):
     _prec = _SUM
 
     def _derive(self):
-        _set(self, "_free", _union(a._free for a in self.args))
-        _set(self, "_bound", _union(a._bound for a in self.args))
+        l, r = self.args  # a child's set is shared when the other's is empty
+        f, g = l._free, r._free
+        _set(self, "_free", f | g if f and g else f or g)
+        f, g = l._bound, r._bound
+        _set(self, "_bound", f | g if f and g else f or g)
 
     def _kids(self):
         return self.args
@@ -232,13 +277,6 @@ class Leaf(Exp):
 
     def _render(self):
         return self.gen.text()
-
-
-def _union(sets):
-    out = _EMPTY
-    for s in sets:
-        out = s if not out else out | s
-    return out
 
 
 ZERO = Zero()
@@ -383,26 +421,18 @@ def guarded_subst_exp(e, g, v):
 
 _IDENT, _NUM = r"[A-Za-z_][A-Za-z0-9_']*", r"\d+"
 _TOKEN = re.compile(rf"\s*(?:({_IDENT})|({_NUM})|([+.()\[\]/;^*=])|(\S))")
+_KINDS = (None, "ident", "num", None)  # by group of _TOKEN; punctuation is its own kind
 GUARD_ATOM = re.compile(f"{_IDENT}|{_NUM}")  # what a guard ``[...]`` reads as one atom
 
 
 def tokenize(text):
     toks = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            break
-        ident, num, punct, bad = m.groups()
-        if bad:
-            raise ParseError(f"unexpected character {bad!r}", m.start(4))
-        if ident:
-            toks.append(("ident", ident, m.start(1)))
-        elif num:
-            toks.append(("num", num, m.start(2)))
-        else:
-            toks.append((punct, punct, m.start(3)))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex  # the one alternative that matched
+        val = m.group(group)
+        if group == 4:
+            raise ParseError(f"unexpected character {val!r}", m.start(4))
+        toks.append((_KINDS[group] or val, val, m.start(group)))
     toks.append(("eof", "", len(text)))
     return toks
 

@@ -12,8 +12,15 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/make_golden.py           # rewrite the corpus
     PYTHONPATH=src python tests/make_golden.py --check   # replay, list differences
+    PYTHONPATH=src python tests/make_golden.py --check --perturb 7
+
+``--perturb SEED`` keeps a seeded random number of extra term nodes and
+other objects alive before each case.  Term nodes hash by identity, so
+their addresses decide the iteration order of sets of nodes, which
+``PYTHONHASHSEED`` does not vary; output must not depend on it.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -351,15 +358,30 @@ def replay(case):
     return run(case["argv"], case.get("file"))
 
 
+def ballast(rng):
+    """A seeded random number of extra term nodes, of each shape, and plain
+    objects of a few sizes; the caller keeps them alive while a case runs."""
+    from procalc.syntax import ZERO, Mu, Op, Prefix, Var
+
+    shapes = (Var, lambda v: Prefix(v, ZERO), lambda v: Mu(v, ZERO),
+              lambda v: Op(None, (Var(v), ZERO)), lambda v: [v] * rng.randrange(8),
+              lambda v: object())
+    return [rng.choice(shapes)(f"ballast{rng.randrange(10**4)}")
+            for _ in range(rng.randrange(200))]
+
+
 def load():
     with open(CORPUS) as fh:
         return json.load(fh)
 
 
-def differences(corpus):
-    """The cases whose replay differs from the recording, with what came out."""
+def differences(corpus, perturb=None):
+    """The cases whose replay differs from the recording, with what came out.
+    With a ``perturb`` seed, each case runs with fresh ``ballast`` alive."""
+    rng = None if perturb is None else random.Random(perturb)
     bad = []
     for case in corpus:
+        held = ballast(rng) if rng is not None else None  # alive while the case runs
         got = replay(case)
         if any(got[k] != case[k] for k in ("stdout", "stderr", "code")):
             bad.append((case, got))
@@ -367,8 +389,16 @@ def differences(corpus):
 
 
 def main():
-    if sys.argv[1:] == ["--check"]:
-        bad = differences(load())
+    parser = argparse.ArgumentParser(description="Record or replay the golden CLI corpus.")
+    parser.add_argument("--check", action="store_true",
+                        help="replay the corpus and list the differences")
+    parser.add_argument("--perturb", type=int, metavar="SEED",
+                        help="with --check, keep seeded ballast alive before each case")
+    args = parser.parse_args()
+    if args.perturb is not None and not args.check:
+        parser.error("--perturb needs --check")
+    if args.check:
+        bad = differences(load(), args.perturb)
         for case, got in bad:
             print(json.dumps(case["argv"]), "->", json.dumps(got))
         print(f"{len(bad)} differences")

@@ -11,15 +11,15 @@ bisimilarity by greatest-fixpoint refinement of a relation and by Moore
 refinement that recomputes every signature in every round, guardedness by
 plain recursion, equation systems by recursive elimination that
 back-substitutes every unknown, alpha-equivalence by a walk with binder
-environments, and the printers by plain recursion with no per-node text
-cache.
+environments, the printers by plain recursion with no per-node text
+cache, and the tokenizer by one regex match per token.
 """
 
 import itertools
 from fractions import Fraction
 
 import procalc as pc
-from procalc.syntax import render_param
+from procalc.syntax import _TOKEN, ParseError, render_param
 from procalc.theory import (ZERO_SUBDIST, _subdist, canonical_convex_set,
                             in_lower_hull, sorted_gens)
 
@@ -329,3 +329,25 @@ def unparse_sexp_uncached(e, level=_CHOICE):
         suffix = "^*" if e.param is None else f"^{render_param(e.param)}"
         return f"{unparse_sexp_uncached(e.body, _POST)}{suffix}"
     raise TypeError(e)
+
+
+def tokenize_by_match(text):
+    """The tokens of ``text``, one ``_TOKEN.match`` call per token."""
+    toks = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if not m or m.end() == pos:
+            break
+        ident, num, punct, bad = m.groups()
+        if bad:
+            raise ParseError(f"unexpected character {bad!r}", m.start(4))
+        if ident:
+            toks.append(("ident", ident, m.start(1)))
+        elif num:
+            toks.append(("num", num, m.start(2)))
+        else:
+            toks.append((punct, punct, m.start(3)))
+        pos = m.end()
+    toks.append(("eof", "", len(text)))
+    return toks

@@ -1,4 +1,4 @@
-"""Hash-consed term nodes: sharing, cached per-node data, the weak table."""
+"""Hash-consed term nodes: sharing, cached per-node data, the swept intern table."""
 
 import copy
 import gc
@@ -9,8 +9,9 @@ from fractions import Fraction
 import pytest
 
 import procalc as pc
-from procalc.syntax import (_TABLE, Mu, Op, Prefix, Var, ZERO, bound_vars,
-                            free_vars, unparse)
+from procalc.semantics import Step
+from procalc.syntax import (_TABLE, Mu, Op, Prefix, Var, ZERO, _sweep,
+                            bound_vars, free_vars, unparse)
 
 from gen import ALL_THEORIES, rand_exp, rand_sexp, seed_for, theory
 from oracles import unparse_sexp_uncached, unparse_uncached
@@ -88,6 +89,61 @@ def test_weak_table_releases_dead_terms():
     del c, e
     gc.collect()
     assert len(_TABLE) == before
+
+
+def _term(tag):
+    return Prefix(f"keep_{tag}", Op(None, (Var(f"v_{tag}"), ZERO)))
+
+
+# a way to hold a node, and the way to read it back
+HOLDERS = {
+    "list": (lambda n: [n], lambda h: h[0]),
+    "dict value": (lambda n: {"k": n}, lambda h: h["k"]),
+    "frozenset member": (lambda n: frozenset({n}), lambda h: next(iter(h))),
+    "Step target": (lambda n: Step("a", n), lambda h: h.target),
+    "closure cell": (lambda n: lambda: n, lambda h: h()),
+}
+
+
+@pytest.mark.parametrize("how", list(HOLDERS))
+def test_sweep_keeps_a_node_held_only_by(how):
+    wrap, unwrap = HOLDERS[how]
+    holder = wrap(_term(how))
+    _sweep()
+    held = unwrap(holder)
+    assert _term(how) is held
+    assert Op(None, (Var(f"v_{how}"), ZERO)) is held.body
+
+
+def test_sweep_drops_a_dead_term_in_one_pass():
+    _sweep()
+    before = len(_TABLE)
+    e = Var("dead")
+    for i in range(300):
+        e = Op(None, (Prefix(f"dead{i}", e), Var(f"dead{i}")))
+    assert len(_TABLE) > before + 300
+    del e
+    _sweep()
+    assert len(_TABLE) == before
+
+
+def test_sweep_under_constant_collection_keeps_the_table_sound():
+    # the sweep's own allocations start collections, whose callback must not
+    # sweep again while the table is being walked
+    saved = gc.get_threshold()
+    gc.set_threshold(1)
+    try:
+        e = _chain(DEPTH)
+        _sweep()
+    finally:
+        gc.set_threshold(*saved)
+    assert e is _chain(DEPTH)
+    for key, node in _TABLE.copy().items():
+        cls = key[0]
+        fields = tuple(getattr(node, f) for f in cls._fields)
+        assert type(node) is cls
+        assert all(a is b for a, b in zip(fields, key[1:]))
+        assert cls(*fields) is node
 
 
 @pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)

@@ -1,6 +1,7 @@
 """Equation systems: associated systems, Milner elimination."""
 
 import functools
+import json
 import random
 from fractions import Fraction
 
@@ -70,6 +71,23 @@ def test_associated_system_renames_clashing_states():
     sys = pc.associated_system(c)
     assert sys.variables == ("%0",)
     assert set(pc.free_vars(sys.exprs[0])) == {"u", "%0"}
+
+
+def test_renamed_state_avoids_outputs_and_states():
+    # u = u + %0 + a.u: renaming u to %0 would capture the output %0
+    text = json.dumps({"theory": "sl", "states": ["u"], "structure": {"u": {
+        "op": "+", "args": [{"out": "u"}, {"op": "+", "args": [
+            {"out": "%0"}, {"act": "a", "to": "u"}]}]}}})
+    assert run_cli(["solve", "{file}"], text) == {
+        "stdout": "%1 = mu %1. a.%1 + %0 + u\n", "stderr": "", "code": 0}
+    phi = pc.solve(pc.associated_system(pc.coalgebra_from_json(text)))
+    assert pc.free_vars(phi["%1"]) == {"u", "%0"}
+    c = pc.Coalgebra(theory("sl"), ("%1", "v", "w"), {
+        "%1": frozenset({pc.Out("v"), pc.Out("%0")}),
+        "v": frozenset({pc.Out("w")}),
+        "w": frozenset({pc.Step("a", "v")}),
+    })
+    assert pc.associated_system(c).variables == ("%1", "%2", "%3")
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,11 @@ import pytest
 import procalc as pc
 from procalc.syntax import (Mu, Op, ParseError, Prefix, Var, ZERO,
                             bound_vars, free_vars, fresh_name,
-                            guarded_subst_exp, unguarded_vars, unparse,
-                            substitute)
+                            guarded_subst_exp, tokenize, unguarded_vars,
+                            unparse, substitute)
 
-from gen import ALL_THEORIES, rand_exp, seed_for, theory
-from oracles import alpha_eq, is_guarded_recursive
+from gen import ALL_THEORIES, rand_exp, rand_sexp, seed_for, theory
+from oracles import alpha_eq, is_guarded_recursive, tokenize_by_match
 
 F = Fraction
 
@@ -108,6 +108,28 @@ def test_print_parse_round_trip(th):
     for _ in range(500):
         e = rand_exp(th, rng, depth=4)
         assert pc.parse_exp(unparse(e), th) == e
+
+
+def _tokens_or_error(tokenizer, text):
+    try:
+        return tokenizer(text)
+    except ParseError as err:
+        return ("error", str(err), err.pos)
+
+
+@pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
+def test_tokenize_agrees_with_match_loop(th):
+    rng = random.Random(seed_for(th.id, 0x70C))
+    texts = ["", " ", "\t\n ", "@", "a.0 @", "  a . 0  "]
+    for _ in range(200):
+        text = rng.choice([unparse(rand_exp(th, rng, depth=4)),
+                           pc.unparse_sexp(rand_sexp(th, rng, depth=3))])
+        at = rng.randrange(len(text) + 1)
+        texts += [text, text + rng.choice([" ", "  \n", "\t"]),
+                  text[:at] + rng.choice("@#$!&") + text[at:]]
+    for text in texts:
+        assert _tokens_or_error(tokenize, text) == _tokens_or_error(tokenize_by_match, text)
+    assert _tokens_or_error(tokenize, "a.0 @") == ("error", "unexpected character '@' (at 4)", 4)
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,18 @@ Guards are space-separated atom lists (``+[a1 a2]``, ``[]`` is the empty
 guard); probabilities are integers or fractions (``+[1/2]``).  Recursion
 variables introduced internally live in the reserved ``%`` namespace, which
 the tokenizer cannot produce, so freshness never clashes with user input.
+
+No walk over a term recurses on its depth.  The parser is one loop over the
+tokens with an explicit stack of open sums and pending prefixes.  Terms are
+hash-consed DAGs, and substitution rewrites each (node, bindings) pair once
+per ``substitute`` call, with an explicit stack (``_rewrite``); its memo
+lives for that call only.  The printer builds each node's text once.
 """
 
 from __future__ import annotations
 
 import gc
+import itertools
 import re
 import sys
 from fractions import Fraction
@@ -53,7 +60,10 @@ class Interned:
     ``param`` or ``gen`` first when they have one (``_typed_param``); their
     child nodes in ``_kids``; their printing precedence in ``_prec``; and
     their printed text in ``_render``, which may read the cached ``_text``
-    of every child.
+    of every child.  The generic constructor below fills the fields in a
+    loop and the caches in ``_derive``; the hot classes ``Var``, ``Prefix``,
+    ``Op`` and ``Mu`` have their own, which take the fields by name and
+    fill every slot directly.  All of them enter a new node by ``_intern``.
     """
 
     __slots__ = ("_text",)
@@ -73,9 +83,7 @@ class Interned:
                 _set(node, name, value)
             _set(node, "_text", None)
             node._derive()
-            _TABLE[key] = node
-            if len(_TABLE) > _limit:
-                _sweep()
+            _intern(key, node)
         return node
 
     def _derive(self):
@@ -101,6 +109,13 @@ class Interned:
 _limit = 1024  # the table size that triggers the next sweep
 _sweeping = False
 _PROBE = object()  # the key of an entry that only the table holds
+
+
+def _intern(key, node):
+    """Enter a new node in the table, sweeping it when it has grown."""
+    _TABLE[key] = node
+    if len(_TABLE) > _limit:
+        _sweep()
 
 
 def _sweep():
@@ -204,9 +219,17 @@ class Zero(Exp):
 class Var(Exp):
     __slots__ = _fields = ("name",)
 
-    def _derive(self):
-        _set(self, "_free", frozenset({self.name}))
-        _set(self, "_bound", _EMPTY)
+    def __new__(cls, name):
+        key = (cls, name)
+        node = _TABLE.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            _set(node, "name", name)
+            _set(node, "_text", None)
+            _set(node, "_free", frozenset((name,)))
+            _set(node, "_bound", _EMPTY)
+            _intern(key, node)
+        return node
 
     def _render(self):
         return self.name
@@ -218,12 +241,21 @@ class Op(Exp):
     _typed_param = True
     _prec = _SUM
 
-    def _derive(self):
-        l, r = self.args  # a child's set is shared when the other's is empty
-        f, g = l._free, r._free
-        _set(self, "_free", f | g if f and g else f or g)
-        f, g = l._bound, r._bound
-        _set(self, "_bound", f | g if f and g else f or g)
+    def __new__(cls, param, args):
+        key = (cls, param, args, type(param))
+        node = _TABLE.get(key)
+        if node is None:
+            l, r = args  # a child's set is shared when the other's is empty
+            node = object.__new__(cls)
+            _set(node, "param", param)
+            _set(node, "args", args)
+            _set(node, "_text", None)
+            f, g = l._free, r._free
+            _set(node, "_free", f | g if f and g else f or g)
+            f, g = l._bound, r._bound
+            _set(node, "_bound", f | g if f and g else f or g)
+            _intern(key, node)
+        return node
 
     def _kids(self):
         return self.args
@@ -238,9 +270,18 @@ class Op(Exp):
 class Prefix(Exp):
     __slots__ = _fields = ("action", "body")
 
-    def _derive(self):
-        _set(self, "_free", self.body._free)
-        _set(self, "_bound", self.body._bound)
+    def __new__(cls, action, body):
+        key = (cls, action, body)
+        node = _TABLE.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            _set(node, "action", action)
+            _set(node, "body", body)
+            _set(node, "_text", None)
+            _set(node, "_free", body._free)
+            _set(node, "_bound", body._bound)
+            _intern(key, node)
+        return node
 
     def _kids(self):
         return (self.body,)
@@ -253,10 +294,19 @@ class Mu(Exp):
     __slots__ = _fields = ("var", "body")
     _prec = _SUM
 
-    def _derive(self):
-        free, bound = self.body._free, self.body._bound
-        _set(self, "_free", free - {self.var} if self.var in free else free)
-        _set(self, "_bound", bound if self.var in bound else bound | {self.var})
+    def __new__(cls, var, body):
+        key = (cls, var, body)
+        node = _TABLE.get(key)
+        if node is None:
+            free, bound = body._free, body._bound
+            node = object.__new__(cls)
+            _set(node, "var", var)
+            _set(node, "body", body)
+            _set(node, "_text", None)
+            _set(node, "_free", free - {var} if var in free else free)
+            _set(node, "_bound", bound if var in bound else bound | {var})
+            _intern(key, node)
+        return node
 
     def _kids(self):
         return (self.body,)
@@ -286,16 +336,6 @@ def children(e):
     return e._kids()
 
 
-def rebuild(e, kids):
-    if isinstance(e, Op):
-        return Op(e.param, tuple(kids))
-    if isinstance(e, Prefix):
-        return Prefix(e.action, kids[0])
-    if isinstance(e, Mu):
-        return Mu(e.var, kids[0])
-    return e
-
-
 # ---------------------------------------------------------------------------
 # variables
 
@@ -312,10 +352,12 @@ def all_names(e):
 
 
 def fresh_name(avoid):
-    k = 0
-    while f"%{k}" in avoid:
-        k += 1
-    return f"%{k}"
+    return next(_fresh_names(avoid))
+
+
+def _fresh_names(avoid):
+    """The names ``%0``, ``%1``, ... that are not in ``avoid``, in order."""
+    return (w for w in map("%{}".format, itertools.count()) if w not in avoid)
 
 
 def unguarded_vars(e):
@@ -351,69 +393,129 @@ def substitute(e, bindings):
     bindings = {v: f for v, f in bindings.items() if f != Var(v)}
     if free_vars(e).isdisjoint(bindings):
         return e
-    avoid = set(all_names(e))
-    for f in bindings.values():
-        avoid |= all_names(f)
-    return _subst(e, bindings, avoid)
+    return _subst(e, bindings)
 
 
-def _subst(e, bnd, avoid):
-    if free_vars(e).isdisjoint(bnd):
-        return e
-    if isinstance(e, Var):
-        return bnd.get(e.name, e)
-    if isinstance(e, Zero):
-        return e
-    if isinstance(e, (Prefix, Op)):
-        kids = children(e)
-        new = []
-        for c in kids:  # a loop, not a comprehension: one frame per level
-            new.append(_subst(c, bnd, avoid))
-        if all(k is c for k, c in zip(new, kids)):
-            return e
-        return rebuild(e, new)
-    if isinstance(e, Mu):
-        fv = free_vars(e.body)
-        live = {v: f for v, f in bnd.items() if v != e.var and v in fv}
+def _subst(e, bindings):
+    """``substitute`` on the DAG under e, by ``_rewrite``.  A context is the
+    index of one set of bindings; equal sets share an index, so a node is
+    rewritten once per set that reaches it, however often the set is
+    rebuilt under a ``mu``.  A binder that would capture is renamed to a
+    fresh name, chosen in the order of a left-to-right walk of the tree;
+    the renaming joins the bindings of its body."""
+    table = [bindings]
+    index = {frozenset(bindings.items()): 0}
+    fresh = None  # the fresh binder names, set up at the first renaming
+
+    def enter(node, ctx):
+        nonlocal fresh
+        bnd = table[ctx]
+        if node._free.isdisjoint(bnd):
+            return node
+        cls = type(node)
+        if cls is Var:
+            return bnd[node.name]
+        if cls is Prefix or cls is Op:
+            return None
+        if cls is not Mu:
+            raise TypeError(f"not an expression: {node!r}")
+        u, body = node.var, node.body
+        fv = body._free
+        live = {v: f for v, f in bnd.items() if v != u and v in fv}
         if not live:
-            return e
-        u, body = e.var, e.body
-        if any(u in free_vars(f) for f in live.values()):
-            w = fresh_name(avoid)
-            avoid.add(w)
-            body = _subst(body, {u: Var(w)}, avoid)
-            u = w
-        return Mu(u, _subst(body, live, avoid))
-    raise TypeError(f"not an expression: {e!r}")
+            return node
+        if any(u in f._free for f in live.values()):
+            if fresh is None:
+                avoid = all_names(e).union(*(all_names(f) for f in bindings.values()))
+                fresh = _fresh_names(avoid)
+            u = next(fresh)
+            live[node.var] = Var(u)
+        key = frozenset(live.items())
+        sub = index.get(key)
+        if sub is None:
+            sub = index[key] = len(table)
+            table.append(live)
+        return u, body, sub
+
+    return _rewrite(e, enter)
 
 
 def guarded_subst_exp(e, g, v):
     """Guarded syntactic substitution e[g//v]: unguarded occurrences of v
     become 0, guarded ones (under a prefix) become g."""
-    avoid = set(all_names(e)) | set(all_names(g))
+    fresh = _fresh_names(all_names(e) | all_names(g))
+    under = {v: g}
 
-    def go(e):
-        if isinstance(e, Var):
-            return ZERO if e.name == v else e
-        if isinstance(e, Zero):
-            return e
-        if isinstance(e, Prefix):
-            return Prefix(e.action, substitute(e.body, {v: g}))
-        if isinstance(e, Op):
-            return Op(e.param, tuple(go(a) for a in e.args))
-        if isinstance(e, Mu):
-            if e.var == v or v not in free_vars(e.body):
-                return e
-            u, body = e.var, e.body
-            if u in free_vars(g):
-                w = fresh_name(avoid)
-                avoid.add(w)
-                body = _subst(body, {u: Var(w)}, set(avoid))
-                u = w
-            return Mu(u, go(body))
-        raise TypeError(f"not an expression: {e!r}")
+    def enter(node, ctx):
+        cls = type(node)
+        if cls is Var:
+            return ZERO if node.name == v else node
+        if cls is Zero:
+            return node
+        if cls is Prefix:
+            return Prefix(node.action, substitute(node.body, under))
+        if cls is Op:
+            return None
+        if cls is not Mu:
+            raise TypeError(f"not an expression: {node!r}")
+        u, body = node.var, node.body
+        if u == v or v not in body._free:
+            return node
+        if u in g._free:
+            w = next(fresh)
+            body = substitute(body, {u: Var(w)})
+            u = w
+        return u, body, ctx
 
-    return go(e)
+    return _rewrite(e, enter)
+
+
+_ENTER, _KIDS = object(), object()  # the first and the second visit of a node on _rewrite's stack
+
+
+def _rewrite(root, enter):
+    """Rewrite the DAG under ``root`` bottom-up with an explicit stack, once
+    per (node, context) pair; the walk starts in context 0.
+
+    ``enter(node, ctx)`` decides each pair on its first visit.  It returns
+    the result itself; or None, to rebuild a ``Prefix`` or ``Op`` from its
+    children rewritten in the same context; or ``(var, body, ctx')``, to
+    build ``Mu(var, ·)`` over ``body`` rewritten in ``ctx'``.  Children are
+    entered left to right, as a recursive walk would."""
+    done = {}
+    stack = [(root, 0, _ENTER)]
+    push, pop = stack.append, stack.pop
+    while stack:
+        node, ctx, plan = pop()
+        if plan is _ENTER:
+            if (node, ctx) in done:
+                continue
+            plan = enter(node, ctx)
+            if plan is None:
+                push((node, ctx, _KIDS))
+                if type(node) is Prefix:
+                    push((node.body, ctx, _ENTER))
+                else:
+                    l, r = node.args
+                    push((r, ctx, _ENTER))
+                    push((l, ctx, _ENTER))
+            elif type(plan) is tuple:
+                push((node, ctx, plan))
+                push((plan[1], plan[2], _ENTER))
+            else:
+                done[node, ctx] = plan
+        elif plan is _KIDS:
+            if type(node) is Prefix:
+                body = done[node.body, ctx]
+                done[node, ctx] = node if body is node.body else Prefix(node.action, body)
+            else:
+                l, r = node.args
+                nl, nr = done[l, ctx], done[r, ctx]
+                done[node, ctx] = node if nl is l and nr is r else Op(node.param, (nl, nr))
+        else:
+            var, body, sub = plan
+            done[node, ctx] = Mu(var, done[body, sub])
+    return done[root, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -508,52 +610,82 @@ class NameUse:
         self.variables.add(name)
 
 
+_ROOT, _PAREN = object(), object()  # how a sum frame of parse_exp closes, besides a mu's var
+
+
 def parse_exp(text, theory, actions=None, names=None):
+    """Parse a term in one loop over its tokens, with an explicit stack of
+    frames: a list ``[left, param, close]`` per open sum (the whole input,
+    a bracket, or a ``mu`` body, whose ``close`` is its variable) and an
+    action name per pending prefix.  A complete item closes the prefixes
+    above it and joins its sum; a sum ends at the first token that is not
+    ``+`` and completes the item that opened it."""
     ts = TokenStream(text)
+    toks = ts.toks
     use = names if names is not None else NameUse(actions)
-    e = _parse_sum(ts, theory, use)
-    t = ts.peek()
-    if t[0] != "eof":
-        raise ParseError(f"trailing input {t[1]!r}", t[2])
-    return e
-
-
-def _parse_sum(ts, theory, use):
-    e = _parse_item(ts, theory, use)
-    while ts.at("+"):
-        ts.next()
-        if ts.at("["):
-            param = parse_param(ts, theory)
+    stack = [[None, None, _ROOT]]
+    i = 0  # an error is raised as soon as the eof token is consumed
+    while True:
+        kind, val, pos = toks[i]
+        i += 1
+        if kind == "ident":
+            if val == "mu":
+                t = toks[i]
+                if t[0] != "ident":
+                    raise ParseError(f"expected 'ident', found {t[1]!r}", t[2])
+                use.see_variable(t[1], pos)
+                dot = toks[i + 1]
+                if dot[0] != ".":
+                    raise ParseError(f"expected '.', found {dot[1]!r}", dot[2])
+                i += 2
+                stack.append([None, None, t[1]])
+                continue
+            if toks[i][0] == ".":
+                i += 1
+                use.see_action(val, pos)
+                stack.append(val)
+                continue
+            use.see_variable(val, pos)
+            e = Var(val)
+        elif kind == "(":
+            stack.append([None, None, _PAREN])
+            continue
+        elif kind == "num" and val == "0":
+            e = ZERO
         else:
-            param = None
-            theory.check_param(None)
-        f = _parse_item(ts, theory, use)
-        e = Op(param, (e, f))
-    return e
-
-
-def _parse_item(ts, theory, use):
-    t = ts.next()
-    kind, val, pos = t
-    if kind == "num" and val == "0":
-        return ZERO
-    if kind == "(":
-        e = _parse_sum(ts, theory, use)
-        ts.expect(")")
-        return e
-    if kind == "ident":
-        if val == "mu":
-            v = ts.expect("ident")[1]
-            use.see_variable(v, pos)
-            ts.expect(".")
-            return Mu(v, _parse_sum(ts, theory, use))
-        if ts.at("."):
-            ts.next()
-            use.see_action(val, pos)
-            return Prefix(val, _parse_item(ts, theory, use))
-        use.see_variable(val, pos)
-        return Var(val)
-    raise ParseError(f"unexpected token {val!r}", pos)
+            raise ParseError(f"unexpected token {val!r}", pos)
+        while True:  # e is a complete item
+            top = stack[-1]
+            if type(top) is str:
+                stack.pop()
+                e = Prefix(top, e)
+                continue
+            if top[0] is not None:
+                e = Op(top[1], (top[0], e))
+            if toks[i][0] == "+":
+                i += 1
+                if toks[i][0] == "[":
+                    ts.i = i
+                    param = parse_param(ts, theory)
+                    i = ts.i
+                else:
+                    param = None
+                    theory.check_param(None)
+                top[0], top[1] = e, param
+                break
+            stack.pop()
+            close = top[2]
+            t = toks[i]
+            if close is _ROOT:
+                if t[0] != "eof":
+                    raise ParseError(f"trailing input {t[1]!r}", t[2])
+                return e
+            if close is _PAREN:
+                if t[0] != ")":
+                    raise ParseError(f"expected ')', found {t[1]!r}", t[2])
+                i += 1
+            else:
+                e = Mu(close, e)
 
 
 # ---------------------------------------------------------------------------

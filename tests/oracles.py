@@ -12,14 +12,16 @@ refinement that recomputes every signature in every round, guardedness by
 plain recursion, equation systems by recursive elimination that
 back-substitutes every unknown, alpha-equivalence by a walk with binder
 environments, the printers by plain recursion with no per-node text
-cache, and the tokenizer by one regex match per token.
+cache, the tokenizer by one regex match per token, the parser by
+recursive descent, and substitution by a recursive walk of the tree.
 """
 
 import itertools
 from fractions import Fraction
 
 import procalc as pc
-from procalc.syntax import _TOKEN, ParseError, render_param
+from procalc.syntax import (_TOKEN, NameUse, ParseError, TokenStream, all_names,
+                            fresh_name, parse_param, render_param)
 from procalc.theory import (ZERO_SUBDIST, _subdist, canonical_convex_set,
                             in_lower_hull, sorted_gens)
 
@@ -351,3 +353,90 @@ def tokenize_by_match(text):
         pos = m.end()
     toks.append(("eof", "", len(text)))
     return toks
+
+
+def parse_exp_recursive(text, theory, actions=None, names=None):
+    """Recursive descent over the grammar in ``syntax``'s docstring; oracle
+    for ``syntax.parse_exp``.  It recurses once per prefix and bracket."""
+    ts = TokenStream(text)
+    use = names if names is not None else NameUse(actions)
+    e = _parse_sum(ts, theory, use)
+    t = ts.peek()
+    if t[0] != "eof":
+        raise ParseError(f"trailing input {t[1]!r}", t[2])
+    return e
+
+
+def _parse_sum(ts, theory, use):
+    e = _parse_item(ts, theory, use)
+    while ts.at("+"):
+        ts.next()
+        if ts.at("["):
+            param = parse_param(ts, theory)
+        else:
+            param = None
+            theory.check_param(None)
+        f = _parse_item(ts, theory, use)
+        e = pc.Op(param, (e, f))
+    return e
+
+
+def _parse_item(ts, theory, use):
+    kind, val, pos = ts.next()
+    if kind == "num" and val == "0":
+        return pc.ZERO
+    if kind == "(":
+        e = _parse_sum(ts, theory, use)
+        ts.expect(")")
+        return e
+    if kind == "ident":
+        if val == "mu":
+            v = ts.expect("ident")[1]
+            use.see_variable(v, pos)
+            ts.expect(".")
+            return pc.Mu(v, _parse_sum(ts, theory, use))
+        if ts.at("."):
+            ts.next()
+            use.see_action(val, pos)
+            return pc.Prefix(val, _parse_item(ts, theory, use))
+        use.see_variable(val, pos)
+        return pc.Var(val)
+    raise ParseError(f"unexpected token {val!r}", pos)
+
+
+def substitute_recursive(e, bindings):
+    """Capture-avoiding substitution by a recursive walk of the tree, with
+    no memo: a subterm is visited once per occurrence, and each binder it
+    renames takes a fresh name of its own.  Oracle for
+    ``syntax.substitute``."""
+    bindings = {v: f for v, f in bindings.items() if f != pc.Var(v)}
+    if pc.free_vars(e).isdisjoint(bindings):
+        return e
+    avoid = set(all_names(e))
+    for f in bindings.values():
+        avoid |= all_names(f)
+    return _subst(e, bindings, avoid)
+
+
+def _subst(e, bnd, avoid):
+    if pc.free_vars(e).isdisjoint(bnd):
+        return e
+    if isinstance(e, pc.Var):
+        return bnd.get(e.name, e)
+    if isinstance(e, pc.Prefix):
+        return pc.Prefix(e.action, _subst(e.body, bnd, avoid))
+    if isinstance(e, pc.Op):
+        return pc.Op(e.param, tuple(_subst(a, bnd, avoid) for a in e.args))
+    if isinstance(e, pc.Mu):
+        fv = pc.free_vars(e.body)
+        live = {v: f for v, f in bnd.items() if v != e.var and v in fv}
+        if not live:
+            return e
+        u, body = e.var, e.body
+        if any(u in pc.free_vars(f) for f in live.values()):
+            w = fresh_name(avoid)
+            avoid.add(w)
+            body = _subst(body, {u: pc.Var(w)}, avoid)
+            u = w
+        return pc.Mu(u, _subst(body, live, avoid))
+    raise TypeError(f"not an expression: {e!r}")

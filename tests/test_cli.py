@@ -35,6 +35,19 @@ def test_step_golden_gs():
     )
 
 
+def test_deep_terms_through_the_cli():
+    # the parser and substitution walk with explicit stacks, so depth is no error
+    chain = "a." * 5000 + "0"
+    r = run("step", chain)
+    assert (r.returncode, r.stdout, r.stderr) == (0, chain + "\n", "")
+
+    def cyc(n, var):
+        return "".join(f"mu {var}{i}. a.({var}{(7 * i) % max(i, 1)} + b." for i in range(n)) + "0" + ")" * n
+
+    r = run("equiv", cyc(500, "x"), cyc(500, "y"))
+    assert r.returncode == 0 and r.stdout.startswith("equivalent: "), r.stderr
+
+
 def test_step_golden_ca():
     r = run("step", "--theory", "ca", "mu v. (a1.u +[1/2] (a2.v +[1/3] w))")
     assert r.returncode == 0

@@ -223,6 +223,24 @@ def test_reachable_unfolds_each_mu_once(name, monkeypatch):
     assert len(calls) <= 3 * len(c.states)
 
 
+def _cyc_nodes(n, var="x"):
+    """The ROADMAP's cyc(n): level i does ``a`` and then chooses between
+    binder (7 i) mod i and the next level; built without the parser."""
+    e = pc.ZERO
+    for i in reversed(range(n)):
+        back = pc.Var(f"{var}{(7 * i) % max(i, 1)}")
+        e = pc.Mu(f"{var}{i}", pc.Prefix("a", pc.Op(None, (back, pc.Prefix("b", e)))))
+    return e
+
+
+def test_cyc_500_is_explored_and_decided():
+    th = theory("sl")
+    e, f = _cyc_nodes(500), _cyc_nodes(500, var="y")
+    c = pc.reachable(e, th)
+    assert len(c.states) == 1001
+    assert pc.equivalent(e, f, th).equivalent
+
+
 def test_reachable_sorts_only_where_two_successors_are_new():
     # sorting a state's generators builds the printed text of every target;
     # the names are fresh, so no other test has printed these terms

@@ -285,6 +285,14 @@ def test_solve_one_state_back_substitutes_nothing(monkeypatch):
     assert len(calls) == 13 * 12 // 2 + 12
 
 
+def test_solve_one_state_of_ring_30():
+    # the answer is a DAG whose tree is far too large to substitute into node by node
+    system = pc.associated_system(_ring(30))
+    phi = pc.solve(system, wanted=("s0",))
+    assert pc.free_vars(phi["s0"]) == frozenset()
+    assert pc.solve(system, wanted=("s0",))["s0"] is phi["s0"]
+
+
 def test_cli_solve_state_on_ring(tmp_path, capsys, monkeypatch):
     path = tmp_path / "ring.json"
     path.write_text(pc.coalgebra_to_json(_ring(13)))

@@ -6,13 +6,15 @@ from fractions import Fraction
 import pytest
 
 import procalc as pc
+from procalc import syntax
 from procalc.syntax import (Mu, Op, ParseError, Prefix, Var, ZERO,
                             bound_vars, free_vars, fresh_name,
                             guarded_subst_exp, tokenize, unguarded_vars,
                             unparse, substitute)
 
-from gen import ALL_THEORIES, rand_exp, rand_sexp, seed_for, theory
-from oracles import alpha_eq, is_guarded_recursive, tokenize_by_match
+from gen import ACTIONS, ALL_THEORIES, OUTVARS, rand_exp, rand_sexp, seed_for, theory
+from oracles import (alpha_eq, is_guarded_recursive, parse_exp_recursive,
+                     substitute_recursive, tokenize_by_match)
 
 F = Fraction
 
@@ -132,6 +134,53 @@ def test_tokenize_agrees_with_match_loop(th):
     assert _tokens_or_error(tokenize, "a.0 @") == ("error", "unexpected character '@' (at 4)", 4)
 
 
+def _parsed_or_error(parser, text, th, actions):
+    try:
+        return parser(text, th, actions)
+    except (ParseError, pc.TheoryError) as err:
+        return ("error", type(err), str(err), getattr(err, "pos", None))
+
+
+@pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
+def test_parse_exp_agrees_with_recursive_descent(th):
+    rng = random.Random(seed_for(th.id, 0x9A5))
+    texts = ["", "  ", "@", "a.0 @", "a.(0 + @", "a.0 + mu a + 0", "mu x x", "mu 0"]
+    for _ in range(300):
+        text = unparse(rand_exp(th, rng, depth=4))
+        at = rng.randrange(len(text) + 1)
+        texts += [text, text[:at] + rng.choice([")", "(", "+", ".", "mu ", "[1/2]"]) + text[at:]]
+    for text in texts:
+        actions = rng.choice([None, ACTIONS, ACTIONS[:1]])
+        new = _parsed_or_error(pc.parse_exp, text, th, actions)
+        old = _parsed_or_error(parse_exp_recursive, text, th, actions)
+        if isinstance(old, tuple):
+            assert new == old, text
+        else:
+            assert new is old, text
+
+
+def test_parse_exp_at_depth():
+    # built bottom-up without the parser, and never printed: the printer
+    # keeps every suffix's text (CHANGES.md)
+    th = theory("sl")
+    n = 10 ** 5
+    chain = ZERO
+    for _ in range(n):
+        chain = Prefix("a", chain)
+    same = pc.parse_exp("a." * n + "0", th) is chain
+    assert same
+    n = 10 ** 4
+    assert pc.parse_exp("(" * n + "a.0" + ")" * n, th) is Prefix("a", ZERO)
+    with pytest.raises(ParseError, match=rf"expected '\)', found '' \(at {2 * n + 2}\)"):
+        pc.parse_exp("(" * n + "a.0" + ")" * (n - 1), th)
+    n = 10 ** 3
+    nested = Prefix("a", Var("x0"))
+    for i in reversed(range(n)):
+        nested = Mu(f"x{i}", nested)
+    text = "".join(f"mu x{i}. " for i in range(n)) + "a.x0"
+    assert pc.parse_exp(text, th) is nested
+
+
 # ---------------------------------------------------------------------------
 # variable analysis
 
@@ -229,6 +278,106 @@ def test_alpha_renaming_preserves_free_vars():
             pc.free_vars(g) if "u" in pc.free_vars(e) else frozenset()
         )
         assert pc.free_vars(r) == expected
+
+
+def _random_binding(th, rng):
+    # rand_exp binds m1..m3, so a value with one of them free forces a renaming
+    if rng.random() < 0.5:
+        return Prefix(rng.choice(ACTIONS), Var(rng.choice(("m1", "m2", "m3"))))
+    return rand_exp(th, rng, depth=2, bound=("m1", "m2", "m3"))
+
+
+@pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
+def test_substitute_agrees_with_recursive_walk(th):
+    rng = random.Random(seed_for(th.id, 0x5B5))
+    renamed = 0
+    for _ in range(600):
+        e = rand_exp(th, rng, depth=rng.randint(2, 5))
+        bindings = {v: _random_binding(th, rng) for v in OUTVARS + ("m1",) if rng.random() < 0.5}
+        old = substitute_recursive(e, bindings)
+        assert substitute(e, bindings) is old, (unparse(e), bindings)
+        renamed += "%" in unparse(old)
+    assert renamed >= 10
+
+
+def test_substitute_renames_a_shared_subterm_once():
+    # the one place where the DAG walk and the tree walk differ: a subterm
+    # that occurs twice and renames a binder is rewritten once
+    m = Mu("m", Prefix("a", Op(None, (Var("m"), Var("u")))))
+    e = Op(None, (m, m))
+    new, old = substitute(e, {"u": Var("m")}), substitute_recursive(e, {"u": Var("m")})
+    assert unparse(new) == "(mu %0. a.(%0 + m)) + (mu %0. a.(%0 + m))"
+    assert unparse(old) == "(mu %0. a.(%0 + m)) + (mu %1. a.(%1 + m))"
+    assert alpha_eq(new, old)
+
+
+def test_substitute_keeps_a_shared_subterm_apart_per_binding_set():
+    # n occurs outside and inside mu w, where w is no longer substituted, and
+    # inside mu m, whose binder is renamed; each needs its own rewrite
+    n = Op(None, (Var("v"), Op(None, (Var("w"), Var("m")))))
+    e = Op(None, (n, Op(None, (Mu("w", Prefix("a", n)), Mu("m", Prefix("b", n))))))
+    bindings = {"v": Prefix("c", Var("m")), "w": ZERO}
+    assert substitute(e, bindings) is substitute_recursive(e, bindings)
+    assert unparse(substitute(e, bindings)) == (
+        "c.m + (0 + m) + ((mu w. a.(c.m + (w + m))) + (mu %0. b.(c.m + (0 + %0))))")
+
+
+def test_substitute_walks_the_dag_not_the_tree(monkeypatch):
+    # 60 levels of t + t: 2**60 leaves as a tree, 61 nodes as a DAG
+    e = Var("x")
+    for _ in range(60):
+        e = Op(None, (e, e))
+    built = []
+    intern = syntax._intern
+    monkeypatch.setattr(syntax, "_intern", lambda key, node: built.append(node) or intern(key, node))
+    r = substitute(e, {"x": Prefix("fresh_dag_action", ZERO)})
+    assert len(built) <= 2 * 62
+    for _ in range(60):
+        assert r.args[0] is r.args[1]
+        r = r.args[0]
+    assert r is Prefix("fresh_dag_action", ZERO)
+
+
+def _deep(n, level):
+    """n levels over Var("v"), built bottom-up without the parser; a binder
+    ``mu u`` every 1,000 levels (distinct binder names at every level would
+    make the per-node bound-variable sets quadratic)."""
+    e = Var("v")
+    for i in range(n):
+        e = level(e)
+        if i % 1000 == 0:
+            e = Mu("u", Op(None, (e, Var("u"))))
+    return e
+
+
+def test_substitute_at_depth():
+    e = _deep(10 ** 4, lambda e: Prefix("a", Op(None, (e, Var("w")))))
+    r = substitute(e, {"v": Prefix("b", Var("u"))})
+    assert free_vars(r) == frozenset({"u", "w"})
+    renamed = []
+    while r is not Prefix("b", Var("u")):
+        if isinstance(r, Mu):
+            renamed.append(r.var)
+            r = r.body.args[0]
+        else:
+            r = r.body.args[0]
+    assert renamed == [f"%{k}" for k in range(10)]
+
+
+def test_guarded_subst_at_depth():
+    g = Prefix("b", Var("u"))
+    e = _deep(10 ** 4, lambda e: Op(None, (Prefix("a", Var("v")), e)))
+    r = guarded_subst_exp(e, g, "v")
+    assert free_vars(r) == frozenset({"u"})
+    renamed, depth = [], 0
+    while r is not ZERO:
+        if isinstance(r, Mu):
+            renamed.append(r.var)
+            r = r.body.args[0]
+        else:
+            assert r.args[0] is Prefix("a", g)
+            r, depth = r.args[1], depth + 1
+    assert (depth, renamed) == (10 ** 4, [f"%{k}" for k in range(10)])
 
 
 def test_guarded_subst_examples():

@@ -7,9 +7,11 @@ the guarded substitution on behaviours: unguarded occurrences of the recursion
 variable collapse to deadlock, guarded ones are rewired to the fixpoint term.
 
 Terms are hash-consed, so the one-step map is a pure function of a node and
-a theory.  ``reachable`` keeps one memo for its whole exploration and steps
-each distinct subterm once: the states under one ``mu`` share its unfolding
-instead of substituting the fixpoint into its body again at every state.
+a theory.  It is computed bottom-up, in one loop over ``syntax.post_order``,
+so a term's depth is no limit.  ``reachable`` keeps one memo for its whole
+exploration and steps each distinct subterm once: the states under one
+``mu`` share its unfolding instead of substituting the fixpoint into its
+body again at every state.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import json
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 
-from .syntax import ZERO, Exp, Leaf, Mu, Op, Prefix, Var, Zero, substitute, unparse
+from .syntax import (ZERO, Interned, Leaf, Mu, Op, Prefix, Var, Zero, cached_text, post_order,
+                     substitute, unparse)
 from .theory import Theory, TheoryError, generator_key, sorted_gens, theory_from_json
 
 
@@ -102,11 +105,7 @@ TICK = Tick()
 
 def _render_target(x):
     """A step target as text: an expression, a star expression or a state id."""
-    if isinstance(x, Exp):
-        return unparse(x)
-    if hasattr(x, "star_unparse"):
-        return x.star_unparse()
-    return str(x)
+    return cached_text(x) if isinstance(x, Interned) else str(x)
 
 
 # ---------------------------------------------------------------------------
@@ -116,10 +115,27 @@ def step(e, theory, memo=None):
     """The one-step normal form of ``e``.  A ``Leaf`` is its generator, so
     this also evaluates the term reading of a normal form.
 
-    ``memo`` maps choice and recursion nodes already stepped to their normal
-    forms; it is read and filled here and passed down, so a caller that steps
-    many terms sharing subterms (``reachable``) steps each of them once.  The
-    other nodes step in constant time and are not memoised."""
+    ``memo`` maps the choice and recursion nodes already stepped to their
+    normal forms.  The nodes under ``e`` that it lacks are stepped children
+    first and added to it, so a caller that steps many terms sharing
+    subterms (``reachable``) steps each of them once.  The other nodes step
+    in constant time and are not memoised."""
+    if memo is None:
+        memo = {}
+
+    def pending(n):
+        return (type(n) is Op or type(n) is Mu) and n not in memo
+
+    for n in post_order((e,), pending) if pending(e) else ():
+        if type(n) is Op:
+            memo[n] = theory.op_apply(n.param, [_stepped(a, theory, memo) for a in n.args])
+        else:
+            memo[n] = gsubst_bm(_stepped(n.body, theory, memo), n, n.var, theory)
+    return _stepped(e, theory, memo)
+
+
+def _stepped(e, theory, memo):
+    """The normal form of ``e``, made at once or read from ``memo``."""
     if isinstance(e, Zero):
         return theory.bottom()
     if isinstance(e, Leaf):
@@ -128,19 +144,9 @@ def step(e, theory, memo=None):
         return theory.unit(Out(e.name))
     if isinstance(e, Prefix):
         return theory.unit(Step(e.action, e.body))
-    if memo is None:
-        memo = {}
-    nf = memo.get(e)
-    if nf is not None:
-        return nf
-    if isinstance(e, Op):
-        nf = theory.op_apply(e.param, [step(a, theory, memo) for a in e.args])
-    elif isinstance(e, Mu):
-        nf = gsubst_bm(step(e.body, theory, memo), e, e.var, theory)
-    else:
-        raise TypeError(f"not an expression: {e!r}")
-    memo[e] = nf
-    return nf
+    if e in memo:
+        return memo[e]
+    raise TypeError(f"not an expression: {e!r}")
 
 
 def gsubst_bm(nf, g, v, theory):

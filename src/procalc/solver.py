@@ -40,10 +40,11 @@ class EqSystem:
             if x in unknowns:
                 raise TheoryError(f"duplicate unknown {x!r}")
             unknowns.add(x)
-        for y, e in zip(self.variables, self.exprs):
-            bound = unknowns & bound_vars(e)
-            if bound:
-                raise TheoryError(f"unknown {min(bound)!r} is bound in the equation for {y!r}")
+        if not unknowns.isdisjoint(bound_vars(*self.exprs)):  # name the first equation
+            for y, e in zip(self.variables, self.exprs):
+                bound = unknowns & bound_vars(e)
+                if bound:
+                    raise TheoryError(f"unknown {min(bound)!r} is bound in the equation for {y!r}")
 
     def render(self):
         return "\n".join(
@@ -113,8 +114,8 @@ def solve(system, order=None, wanted=None):
     # where an equation binds a name left free in another; its fresh name
     # then depends on every later solution, so all are computed.
     need = set(wanted)
-    bound = set().union(*map(bound_vars, system.exprs))
-    if bound & (set().union(*map(free_vars, system.exprs)) - known):
+    outside = set().union(*map(free_vars, system.exprs)) - known
+    if outside and not outside.isdisjoint(bound_vars(*system.exprs)):
         need = set(known)
     for x, f in closed.items():
         if x in need:

@@ -6,6 +6,10 @@ full calculus via a reserved continuation variable (spelled ``$unit``); their
 behaviour can also be computed directly, with a termination transition in
 place of the continuation.  The two routes agree up to renaming outputs of
 the continuation variable to termination.
+
+Translation, the direct one-step map and the derivative are computed
+bottom-up, each in one loop over ``syntax.post_order``, so an expression's
+depth is no limit.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from .semantics import Out, Step, TICK, Tick, reachable, reachable_union
 from .equivalence import check_states
 from .syntax import (Interned, Mu, Op, ParseError, Prefix, TokenStream, Var,
                      ZERO, all_names, bracket, cached_text, fresh_name,
-                     is_guarded, parse_param, render_param, substitute)
+                     is_guarded, parse_param, post_order, render_param, substitute)
 from .theory import TheoryError
 
 UNIT_VAR = "$unit"
@@ -35,10 +39,7 @@ class SExp(Interned):
     _prec = _POST
 
     def sort_key(self):
-        return ("sexp", self.star_unparse())
-
-    def star_unparse(self):
-        return unparse_sexp(self)
+        return ("sexp", cached_text(self))
 
 
 class SZero(SExp):
@@ -179,21 +180,25 @@ def unparse_sexp(e):
 # translation into the full calculus
 
 def translate(s):
-    if isinstance(s, SZero):
-        return ZERO
-    if isinstance(s, SOne):
-        return Var(UNIT_VAR)
-    if isinstance(s, SAct):
-        return Prefix(s.action, Var(UNIT_VAR))
-    if isinstance(s, SChoice):
-        return Op(s.param, (translate(s.left), translate(s.right)))
-    if isinstance(s, SSeq):
-        return substitute(translate(s.left), {UNIT_VAR: translate(s.right)})
-    if isinstance(s, SStar):
-        body = translate(s.body)
-        v = fresh_name(all_names(body))
-        return Mu(v, Op(s.param, (substitute(body, {UNIT_VAR: Var(v)}), Var(UNIT_VAR))))
-    raise TypeError(f"not a star expression: {s!r}")
+    done = {}
+    for n in post_order((s,)):
+        if isinstance(n, SZero):
+            done[n] = ZERO
+        elif isinstance(n, SOne):
+            done[n] = Var(UNIT_VAR)
+        elif isinstance(n, SAct):
+            done[n] = Prefix(n.action, Var(UNIT_VAR))
+        elif isinstance(n, SChoice):
+            done[n] = Op(n.param, (done[n.left], done[n.right]))
+        elif isinstance(n, SSeq):
+            done[n] = substitute(done[n.left], {UNIT_VAR: done[n.right]})
+        elif isinstance(n, SStar):
+            body = done[n.body]
+            v = fresh_name(all_names(body))
+            done[n] = Mu(v, Op(n.param, (substitute(body, {UNIT_VAR: Var(v)}), Var(UNIT_VAR))))
+        else:
+            raise TypeError(f"not a star expression: {n!r}")
+    return done[s]
 
 
 def is_guarded_star(s):
@@ -206,46 +211,43 @@ def is_guarded_star(s):
 # direct semantics
 
 def lstep(s, theory, memo=None):
-    """The direct one-step normal form of ``s``, with the choice, sequence
-    and iteration nodes memoised in ``memo`` as ``semantics.step`` does."""
-    if isinstance(s, SZero):
-        return theory.bottom()
-    if isinstance(s, SOne):
-        return theory.unit(TICK)
-    if isinstance(s, SAct):
-        return theory.unit(Step(s.action, SONE))
+    """The direct one-step normal form of ``s``.  ``memo`` maps nodes to
+    their normal forms; the nodes under ``s`` that it lacks are stepped
+    children first and added to it, both sides of a sequence included, so
+    a memo that serves a whole exploration steps each node once."""
     if memo is None:
         memo = {}
-    nf = memo.get(s)
-    if nf is not None:
-        return nf
-    if isinstance(s, SChoice):
-        nf = theory.op_apply(
-            s.param, [lstep(s.left, theory, memo), lstep(s.right, theory, memo)]
-        )
-    elif isinstance(s, SSeq):
-        def leaf(t):
-            if isinstance(t, Tick):
-                return lstep(s.right, theory, memo)
-            if isinstance(t, Step):
-                return theory.unit(Step(t.action, SSeq(t.target, s.right)))
-            raise TheoryError("star expressions have no free outputs")
+    for n in post_order((s,), lambda n: n not in memo):
+        if isinstance(n, SZero):
+            memo[n] = theory.bottom()
+        elif isinstance(n, SOne):
+            memo[n] = theory.unit(TICK)
+        elif isinstance(n, SAct):
+            memo[n] = theory.unit(Step(n.action, SONE))
+        elif isinstance(n, SChoice):
+            memo[n] = theory.op_apply(n.param, [memo[n.left], memo[n.right]])
+        elif isinstance(n, SSeq):
+            memo[n] = _then(memo[n.left], n.right, memo[n.right], theory)
+        elif isinstance(n, SStar):
+            looped = _then(memo[n.body], n, theory.bottom(), theory)
+            memo[n] = theory.op_apply(n.param, [looped, theory.unit(TICK)])
+        else:
+            raise TypeError(f"not a star expression: {n!r}")
+    return memo[s]
 
-        nf = theory.nf_flatten(theory.nf_map(lstep(s.left, theory, memo), leaf))
-    elif isinstance(s, SStar):
-        def leaf(t):
-            if isinstance(t, Tick):
-                return theory.bottom()
-            if isinstance(t, Step):
-                return theory.unit(Step(t.action, SSeq(t.target, s)))
-            raise TheoryError("star expressions have no free outputs")
 
-        looped = theory.nf_flatten(theory.nf_map(lstep(s.body, theory, memo), leaf))
-        nf = theory.op_apply(s.param, [looped, theory.unit(TICK)])
-    else:
-        raise TypeError(f"not a star expression: {s!r}")
-    memo[s] = nf
-    return nf
+def _then(nf, after, on_tick, theory):
+    """The normal form ``nf`` followed by the expression ``after``: each step
+    goes on into ``after``, and termination becomes ``on_tick``."""
+
+    def leaf(t):
+        if isinstance(t, Tick):
+            return on_tick
+        if isinstance(t, Step):
+            return theory.unit(Step(t.action, SSeq(t.target, after)))
+        raise TheoryError("star expressions have no free outputs")
+
+    return theory.nf_flatten(theory.nf_map(nf, leaf))
 
 
 def star_reachable(s, theory, cap=10000):
@@ -346,51 +348,37 @@ def output_guard(s, theory):
 
 def partial_derivative(s, theory):
     """One-step syntactic derivative; sound for sl and gs star expressions,
-    the theories whose weights are booleans and atom sets."""
+    the theories whose weights are booleans and atom sets.  Computed in one
+    bottom-up pass; the output guards it reads share one ``lstep`` memo."""
     kind = type(theory.weight(theory.bottom(), TICK))
-    if kind is bool:
-        return _deriv_sl(s, theory)
-    if kind is frozenset:
-        return _deriv_gs(s, theory)
-    raise TheoryError("derivatives are defined for sl and gs only")
+    if kind is not bool and kind is not frozenset:
+        raise TheoryError("derivatives are defined for sl and gs only")
+    guarded = kind is frozenset
+    memo, done = {}, {}
 
+    def ticks(x):
+        return theory.weight(lstep(x, theory, memo), TICK)
 
-def _deriv_sl(s, theory):
-    if isinstance(s, (SZero, SOne)):
-        return SZERO
-    if isinstance(s, SAct):
-        return s
-    if isinstance(s, SChoice):
-        if s.param is not None:
-            raise TheoryError("guarded choice in an sl expression")
-        return SChoice(None, _deriv_sl(s.left, theory), _deriv_sl(s.right, theory))
-    if isinstance(s, SSeq):
-        de_f = SSeq(_deriv_sl(s.left, theory), s.right)
-        if output_guard(s.left, theory):
-            return SChoice(None, de_f, _deriv_sl(s.right, theory))
-        return de_f
-    if isinstance(s, SStar):
-        return SSeq(_deriv_sl(s.body, theory), s)
-    raise TypeError(f"not a star expression: {s!r}")
-
-
-def _deriv_gs(s, theory):
-    if isinstance(s, (SZero, SOne)):
-        return SZERO
-    if isinstance(s, SAct):
-        return s
-    if isinstance(s, SChoice):
-        if not isinstance(s.param, frozenset):
-            raise TheoryError("unguarded choice in a gs expression")
-        return SChoice(
-            s.param, _deriv_gs(s.left, theory), _deriv_gs(s.right, theory)
-        )
-    if isinstance(s, SSeq):
-        b = output_guard(s.left, theory)
-        return SChoice(
-            b, _deriv_gs(s.right, theory), SSeq(_deriv_gs(s.left, theory), s.right)
-        )
-    if isinstance(s, SStar):
-        b = output_guard(s.body, theory)
-        return SChoice(b, SZERO, SSeq(_deriv_gs(s.body, theory), s))
-    raise TypeError(f"not a star expression: {s!r}")
+    for n in post_order((s,)):
+        if isinstance(n, (SZero, SOne)):
+            done[n] = SZERO
+        elif isinstance(n, SAct):
+            done[n] = n
+        elif isinstance(n, SChoice):
+            if guarded and not isinstance(n.param, frozenset):
+                raise TheoryError("unguarded choice in a gs expression")
+            if not guarded and n.param is not None:
+                raise TheoryError("guarded choice in an sl expression")
+            done[n] = SChoice(n.param, done[n.left], done[n.right])
+        elif isinstance(n, SSeq):
+            then = SSeq(done[n.left], n.right)
+            if guarded:
+                done[n] = SChoice(ticks(n.left), done[n.right], then)
+            else:
+                done[n] = SChoice(None, then, done[n.right]) if ticks(n.left) else then
+        elif isinstance(n, SStar):
+            loop = SSeq(done[n.body], n)
+            done[n] = SChoice(ticks(n.body), SZERO, loop) if guarded else loop
+        else:
+            raise TypeError(f"not a star expression: {n!r}")
+    return done[s]

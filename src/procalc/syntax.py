@@ -15,9 +15,12 @@ the tokenizer cannot produce, so freshness never clashes with user input.
 
 No walk over a term recurses on its depth.  The parser is one loop over the
 tokens with an explicit stack of open sums and pending prefixes.  Terms are
-hash-consed DAGs, and substitution rewrites each (node, bindings) pair once
-per ``substitute`` call, with an explicit stack (``_rewrite``); its memo
-lives for that call only.  The printer builds each node's text once.
+hash-consed DAGs.  ``post_order`` lists the nodes under a root that a caller
+still has to visit, children first, each once; the one-step semantics, the
+star fragment's walks, guardedness and the bound names are loops over it.
+Substitution rewrites each (node, bindings) pair once per ``substitute``
+call, with an explicit stack (``_rewrite``); its memo lives for that call
+only.  The printer builds each node's text once, with its own stack.
 """
 
 from __future__ import annotations
@@ -61,9 +64,9 @@ class Interned:
     child nodes in ``_kids``; their printing precedence in ``_prec``; and
     their printed text in ``_render``, which may read the cached ``_text``
     of every child.  The generic constructor below fills the fields in a
-    loop and the caches in ``_derive``; the hot classes ``Var``, ``Prefix``,
-    ``Op`` and ``Mu`` have their own, which take the fields by name and
-    fill every slot directly.  All of them enter a new node by ``_intern``.
+    loop; the hot classes ``Var``, ``Prefix``, ``Op`` and ``Mu`` have their
+    own, which take the fields by name and also fill ``_free``, the free
+    variables.  All of them enter a new node by ``_intern``.
     """
 
     __slots__ = ("_text",)
@@ -82,12 +85,8 @@ class Interned:
             for name, value in zip(cls._fields, args):
                 _set(node, name, value)
             _set(node, "_text", None)
-            node._derive()
             _intern(key, node)
         return node
-
-    def _derive(self):
-        """Fill the per-node caches that are built from the children's."""
 
     def _kids(self):
         return ()
@@ -191,6 +190,26 @@ def bracket(node, level):
     return f"({node._text})" if node._prec < level else node._text
 
 
+_EXIT = object()  # on post_order's stack: the node below has had its children listed
+
+
+def post_order(roots, pending=lambda node: True):
+    """The nodes under ``roots`` for which ``pending(node)`` holds, each once
+    and after its children, found with an explicit stack.  Only the children
+    of a pending node are entered, so a caller that keeps a memo skips what
+    it has done by leaving it out of ``pending``."""
+    order, seen = [], set()
+    stack = list(roots)[::-1]
+    while stack:
+        node = stack.pop()
+        if node is _EXIT:
+            order.append(stack.pop())
+        elif node not in seen and pending(node):
+            seen.add(node)
+            stack += (node, _EXIT, *node._kids()[::-1])
+    return order
+
+
 # ---------------------------------------------------------------------------
 # abstract syntax
 
@@ -198,7 +217,7 @@ _SUM, _ITEM = 0, 1
 
 
 class Exp(Interned):
-    __slots__ = ("_free", "_bound")
+    __slots__ = ("_free",)
     _prec = _ITEM
 
     def sort_key(self):
@@ -207,10 +226,7 @@ class Exp(Interned):
 
 class Zero(Exp):
     __slots__ = _fields = ()
-
-    def _derive(self):
-        _set(self, "_free", _EMPTY)
-        _set(self, "_bound", _EMPTY)
+    _free = _EMPTY
 
     def _render(self):
         return "0"
@@ -227,7 +243,6 @@ class Var(Exp):
             _set(node, "name", name)
             _set(node, "_text", None)
             _set(node, "_free", frozenset((name,)))
-            _set(node, "_bound", _EMPTY)
             _intern(key, node)
         return node
 
@@ -252,8 +267,6 @@ class Op(Exp):
             _set(node, "_text", None)
             f, g = l._free, r._free
             _set(node, "_free", f | g if f and g else f or g)
-            f, g = l._bound, r._bound
-            _set(node, "_bound", f | g if f and g else f or g)
             _intern(key, node)
         return node
 
@@ -279,7 +292,6 @@ class Prefix(Exp):
             _set(node, "body", body)
             _set(node, "_text", None)
             _set(node, "_free", body._free)
-            _set(node, "_bound", body._bound)
             _intern(key, node)
         return node
 
@@ -298,13 +310,12 @@ class Mu(Exp):
         key = (cls, var, body)
         node = _TABLE.get(key)
         if node is None:
-            free, bound = body._free, body._bound
+            free = body._free
             node = object.__new__(cls)
             _set(node, "var", var)
             _set(node, "body", body)
             _set(node, "_text", None)
             _set(node, "_free", free - {var} if var in free else free)
-            _set(node, "_bound", bound if var in bound else bound | {var})
             _intern(key, node)
         return node
 
@@ -320,10 +331,7 @@ class Leaf(Exp):
     an action step or termination, in the term reading of a normal form."""
     __slots__ = _fields = ("gen",)
     _typed_param = True
-
-    def _derive(self):
-        _set(self, "_free", _EMPTY)
-        _set(self, "_bound", _EMPTY)
+    _free = _EMPTY
 
     def _render(self):
         return self.gen.text()
@@ -343,12 +351,13 @@ def free_vars(e):
     return e._free
 
 
-def bound_vars(e):
-    return e._bound
+def bound_vars(*es):
+    """The names bound by a ``mu`` anywhere under the expressions ``es``."""
+    return {n.var for n in post_order(es) if type(n) is Mu}
 
 
-def all_names(e):
-    return free_vars(e) | bound_vars(e)
+def all_names(*es):
+    return bound_vars(*es).union(*(e._free for e in es))
 
 
 def fresh_name(avoid):
@@ -361,21 +370,20 @@ def _fresh_names(avoid):
 
 
 def unguarded_vars(e):
-    """The free variables of e with an occurrence not under an action prefix."""
-    out = set()
-    stack = [(e, _EMPTY)]  # a node and the names bound above it
-    while stack:
-        e, bound = stack.pop()
-        if isinstance(e, Var):
-            if e.name not in bound:
-                out.add(e.name)
-        elif isinstance(e, Op):
-            stack.extend((a, bound) for a in e.args)
-        elif isinstance(e, Mu):
-            stack.append((e.body, bound | {e.var}))
-        elif not isinstance(e, (Zero, Leaf, Prefix)):
-            raise TypeError(f"not an expression: {e!r}")
-    return out
+    """The free variables of e with an occurrence not under an action prefix,
+    from one set per node of the DAG above the prefixes."""
+    sets = {}
+    for n in post_order((e,), lambda n: type(n) is not Prefix):
+        cls = type(n)
+        if cls is Var:
+            sets[n] = frozenset((n.name,))
+        elif cls is Op:
+            sets[n] = sets.get(n.args[0], _EMPTY) | sets.get(n.args[1], _EMPTY)
+        elif cls is Mu:
+            sets[n] = sets.get(n.body, _EMPTY) - {n.var}
+        elif cls is not Zero and cls is not Leaf:
+            raise TypeError(f"not an expression: {n!r}")
+    return sets.get(e, _EMPTY)
 
 
 def is_guarded(v, e):
@@ -426,8 +434,7 @@ def _subst(e, bindings):
             return node
         if any(u in f._free for f in live.values()):
             if fresh is None:
-                avoid = all_names(e).union(*(all_names(f) for f in bindings.values()))
-                fresh = _fresh_names(avoid)
+                fresh = _fresh_names(all_names(e, *bindings.values()))
             u = next(fresh)
             live[node.var] = Var(u)
         key = frozenset(live.items())
@@ -443,10 +450,11 @@ def _subst(e, bindings):
 def guarded_subst_exp(e, g, v):
     """Guarded syntactic substitution e[g//v]: unguarded occurrences of v
     become 0, guarded ones (under a prefix) become g."""
-    fresh = _fresh_names(all_names(e) | all_names(g))
+    fresh = None  # the fresh binder names, set up at the first renaming
     under = {v: g}
 
     def enter(node, ctx):
+        nonlocal fresh
         cls = type(node)
         if cls is Var:
             return ZERO if node.name == v else node
@@ -462,6 +470,8 @@ def guarded_subst_exp(e, g, v):
         if u == v or v not in body._free:
             return node
         if u in g._free:
+            if fresh is None:
+                fresh = _fresh_names(all_names(e, g))
             w = next(fresh)
             body = substitute(body, {u: Var(w)})
             u = w

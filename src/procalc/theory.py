@@ -625,20 +625,14 @@ class ConvexAlgebra(Theory):
         return dict(nf).get(g, Fraction(0))
 
     def term_of_nf(self, nf, leaf=Leaf):
+        # built from the right; the tail's mass is what follows, deadlock included
         items = sorted_gens(nf)
-        deficit = 1 - sum(m for _, m in items)
-
-        def build(items, deficit):
-            if not items:
-                return ZERO
-            (g, mass), rest = items[0], items[1:]
-            tail_mass = sum(m for _, m in rest) + deficit
-            if tail_mass == 0:
-                return leaf(g)
-            weight = mass / (mass + tail_mass)
-            return Op(weight, (leaf(g), build(rest, deficit)))
-
-        return build(items, deficit)
+        tail = 1 - sum(m for _, m in items)
+        t = ZERO
+        for g, mass in reversed(items):
+            t = Op(mass / (mass + tail), (leaf(g), t)) if tail else leaf(g)
+            tail += mass
+        return t
 
 
 class ConvexSemilattice(Theory):

@@ -13,7 +13,9 @@ plain recursion, equation systems by recursive elimination that
 back-substitutes every unknown, alpha-equivalence by a walk with binder
 environments, the printers by plain recursion with no per-node text
 cache, the tokenizer by one regex match per token, the parser by
-recursive descent, and substitution by a recursive walk of the tree.
+recursive descent, substitution by a recursive walk of the tree, and the
+star fragment's translation, direct one-step map and derivatives by plain
+recursion.
 """
 
 import itertools
@@ -440,3 +442,94 @@ def _subst(e, bnd, avoid):
             u = w
         return pc.Mu(u, _subst(body, live, avoid))
     raise TypeError(f"not an expression: {e!r}")
+
+
+def translate_recursive(s):
+    """Translation of a star expression by plain recursion; oracle for
+    ``star.translate``."""
+    if isinstance(s, pc.SZero):
+        return pc.ZERO
+    if isinstance(s, pc.SOne):
+        return pc.Var(pc.UNIT_VAR)
+    if isinstance(s, pc.SAct):
+        return pc.Prefix(s.action, pc.Var(pc.UNIT_VAR))
+    if isinstance(s, pc.SChoice):
+        return pc.Op(s.param, (translate_recursive(s.left), translate_recursive(s.right)))
+    if isinstance(s, pc.SSeq):
+        return pc.substitute(translate_recursive(s.left),
+                             {pc.UNIT_VAR: translate_recursive(s.right)})
+    body = translate_recursive(s.body)
+    v = fresh_name(all_names(body))
+    return pc.Mu(v, pc.Op(s.param, (pc.substitute(body, {pc.UNIT_VAR: pc.Var(v)}),
+                                    pc.Var(pc.UNIT_VAR))))
+
+
+def lstep_recursive(s, theory):
+    """The direct one-step map by plain recursion, with no memo; a
+    sequence's right side is stepped only when its left side ticks.
+    Oracle for ``star.lstep``."""
+    if isinstance(s, pc.SZero):
+        return theory.bottom()
+    if isinstance(s, pc.SOne):
+        return theory.unit(pc.TICK)
+    if isinstance(s, pc.SAct):
+        return theory.unit(pc.Step(s.action, pc.SONE))
+    if isinstance(s, pc.SChoice):
+        return theory.op_apply(
+            s.param, [lstep_recursive(s.left, theory), lstep_recursive(s.right, theory)])
+    if isinstance(s, pc.SSeq):
+        def leaf(t):
+            if isinstance(t, pc.Tick):
+                return lstep_recursive(s.right, theory)
+            return theory.unit(pc.Step(t.action, pc.SSeq(t.target, s.right)))
+
+        return theory.nf_flatten(theory.nf_map(lstep_recursive(s.left, theory), leaf))
+
+    def loop(t):
+        if isinstance(t, pc.Tick):
+            return theory.bottom()
+        return theory.unit(pc.Step(t.action, pc.SSeq(t.target, s)))
+
+    looped = theory.nf_flatten(theory.nf_map(lstep_recursive(s.body, theory), loop))
+    return theory.op_apply(s.param, [looped, theory.unit(pc.TICK)])
+
+
+def deriv_sl(s, theory):
+    """The ``sl`` syntactic derivative by plain recursion, a sequence's
+    right side derived only when its left side ticks; with ``deriv_gs``,
+    the oracle for ``star.partial_derivative``."""
+    if isinstance(s, (pc.SZero, pc.SOne)):
+        return pc.SZERO
+    if isinstance(s, pc.SAct):
+        return s
+    if isinstance(s, pc.SChoice):
+        if s.param is not None:
+            raise pc.TheoryError("guarded choice in an sl expression")
+        return pc.SChoice(None, deriv_sl(s.left, theory), deriv_sl(s.right, theory))
+    if isinstance(s, pc.SSeq):
+        de_f = pc.SSeq(deriv_sl(s.left, theory), s.right)
+        if pc.output_guard(s.left, theory):
+            return pc.SChoice(None, de_f, deriv_sl(s.right, theory))
+        return de_f
+    if isinstance(s, pc.SStar):
+        return pc.SSeq(deriv_sl(s.body, theory), s)
+    raise TypeError(f"not a star expression: {s!r}")
+
+
+def deriv_gs(s, theory):
+    """The ``gs`` syntactic derivative by plain recursion."""
+    if isinstance(s, (pc.SZero, pc.SOne)):
+        return pc.SZERO
+    if isinstance(s, pc.SAct):
+        return s
+    if isinstance(s, pc.SChoice):
+        if not isinstance(s.param, frozenset):
+            raise pc.TheoryError("unguarded choice in a gs expression")
+        return pc.SChoice(s.param, deriv_gs(s.left, theory), deriv_gs(s.right, theory))
+    if isinstance(s, pc.SSeq):
+        b = pc.output_guard(s.left, theory)
+        return pc.SChoice(b, deriv_gs(s.right, theory), pc.SSeq(deriv_gs(s.left, theory), s.right))
+    if isinstance(s, pc.SStar):
+        b = pc.output_guard(s.body, theory)
+        return pc.SChoice(b, pc.SZERO, pc.SSeq(deriv_gs(s.body, theory), s))
+    raise TypeError(f"not a star expression: {s!r}")

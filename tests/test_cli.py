@@ -4,8 +4,11 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
+
+from procalc import cli
 
 PROOF_DIR = os.path.join(os.path.dirname(__file__), "proofs")
 
@@ -46,6 +49,47 @@ def test_deep_terms_through_the_cli():
 
     r = run("equiv", cyc(500, "x"), cyc(500, "y"))
     assert r.returncode == 0 and r.stdout.startswith("equivalent: "), r.stderr
+
+
+def _main(monkeypatch, capsys, *argv):
+    """Run ``cli.main()`` in this process with ``argv``: (exit code, stdout)."""
+    monkeypatch.setattr(sys, "argv", ["procalc", *argv])
+    with pytest.raises(SystemExit) as stop:
+        cli.main()
+    return stop.value.code, capsys.readouterr().out
+
+
+def test_wide_and_nested_terms_through_cli_main(monkeypatch, capsys):
+    # step, lts and equiv walk the term bottom-up with an explicit stack
+    summands = [f"a{i}.0" for i in range(5000)]
+    total, ordered = " + ".join(summands), sorted(summands)
+    assert _main(monkeypatch, capsys, "step", total) == (0, " + ".join(ordered) + "\n")
+    lts = "s0 = " + " + ".join(s[:-1] + "s1" for s in ordered) + "\ns1 = 0\n"
+    assert _main(monkeypatch, capsys, "lts", total) == (0, lts)
+    code, out = _main(monkeypatch, capsys, "equiv", total, " + ".join(reversed(summands)))
+    assert code == 0 and out.startswith("equivalent: ")
+    mus = "".join(f"mu x{i}. " for i in range(1000)) + "a.(x0 + b.x999)"
+    lts = "s0 = a.s1\ns1 = a.s1 + b.s2\ns2 = a.s1\n"
+    assert _main(monkeypatch, capsys, "lts", mus) == (0, lts)
+
+
+def test_long_star_expressions_through_cli_main(monkeypatch, capsys):
+    chain = " ; ".join(["a"] * 3000)
+    assert _main(monkeypatch, capsys, "star", "step", chain) == (0, "a.(1" + " ; a" * 2999 + ")\n")
+    lts = "".join(f"s{k} = a.s{k + 1}\n" for k in range(3000)) + "s3000 = 1\n"
+    assert _main(monkeypatch, capsys, "star", "lts", chain) == (0, lts)
+    # one lstep memo serves every output guard the derivative reads
+    chain = " ; ".join(["a"] * 2000)
+    start = time.perf_counter()
+    assert _main(monkeypatch, capsys, "star", "deriv", chain) == (
+        0, f"derivative: {chain}\noutputs: no\n")
+    assert time.perf_counter() - start < 2
+    # guardedness reads the translation as a DAG, which as a tree has 2**40 leaves
+    body = ";".join(["(1 + 1)"] * 40)
+    start = time.perf_counter()
+    assert _main(monkeypatch, capsys, "star", "estar", "E5", "--exp", f"e={body}") == (
+        10, "E5 side condition fails: loop body is not guarded\n")
+    assert time.perf_counter() - start < 1
 
 
 def test_step_golden_ca():

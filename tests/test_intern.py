@@ -4,6 +4,7 @@ import copy
 import gc
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,22 @@ def test_deep_term_is_shared_and_cheap():
     assert e != _chain(DEPTH - 1)
     assert free_vars(e) == frozenset({"w"})
     assert bound_vars(e) == frozenset({"v"})
+
+
+def test_nested_distinct_binders_are_cheap():
+    # a node keeps its free names only; the bound ones are found by a walk
+    n = 5000
+    tracemalloc.start()
+    try:
+        e = Prefix("a", Var("x0"))
+        for i in reversed(range(n)):
+            e = Mu(f"x{i}", e)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2 ** 20
+    assert free_vars(e) == frozenset()
+    assert bound_vars(e) == {f"x{i}" for i in range(n)}
 
 
 def test_equal_structure_is_one_object():

@@ -215,12 +215,14 @@ def test_reachable_unfolds_each_mu_once(name, monkeypatch):
 
     th = theory(name)
     e = pc.parse_exp(cyc(60, CYC_OPS[name]), th)
-    calls = []
-    subst = syntax._subst
+    calls, unfolded = [], []
+    subst, gsubst_bm = syntax._subst, semantics.gsubst_bm
     monkeypatch.setattr(syntax, "_subst", lambda *a: calls.append(a[0]) or subst(*a))
+    monkeypatch.setattr(semantics, "gsubst_bm", lambda *a: unfolded.append(a[1]) or gsubst_bm(*a))
     c = pc.reachable(e, th)
     assert len(c.states) == 121
     assert len(calls) <= 3 * len(c.states)
+    assert len(unfolded) == len(set(unfolded))
 
 
 def _cyc_nodes(n, var="x"):

@@ -2,6 +2,7 @@
 syntactic derivatives."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,8 @@ from procalc.star import (SAct, SChoice, SOne, SSeq, SStar, SZERO, SONE,
                           star_equivalent, star_reachable, translate,
                           unparse_sexp, is_guarded_star)
 
-from gen import ACTIONS, rand_guarded_sexp, rand_sexp, seed_for, theory
+from gen import ACTIONS, ALL_THEORIES, rand_guarded_sexp, rand_sexp, seed_for, theory
+from oracles import deriv_gs, deriv_sl, lstep_recursive, translate_recursive
 
 F = Fraction
 
@@ -215,6 +217,30 @@ def test_estar_side_condition_detection():
 
 
 # ---------------------------------------------------------------------------
+# the bottom-up walks against plain recursion, and at depth
+
+@pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
+def test_translate_and_lstep_agree_with_recursive_walks(th):
+    rng = random.Random(seed_for(th.id, 83))
+    for _ in range(300):
+        e = rand_sexp(th, rng, depth=4)
+        assert translate(e) is translate_recursive(e)
+        assert lstep(e, th) == lstep_recursive(e, th)
+
+
+def test_star_walks_at_depth():
+    # a sequence nested 10,000 deep to the right, built without the parser
+    sl = theory("sl")
+    e, unit = SAct("a"), pc.Prefix("a", pc.Var(UNIT_VAR))
+    for _ in range(10_000):
+        e, unit = SSeq(SAct("a"), e), pc.Prefix("a", unit)
+    assert lstep(e, sl) == sl.unit(pc.Step("a", SSeq(SONE, e.right)))
+    assert translate(e) is unit
+    assert is_guarded_star(e)
+    assert partial_derivative(e, sl) is e
+
+
+# ---------------------------------------------------------------------------
 # Appendix F derivatives
 
 def test_derivative_base_cases():
@@ -254,6 +280,43 @@ def test_gs_derivative_characterisation():
         b = output_guard(e, gs)
         assert star_equivalent(e, SChoice(b, SONE, d), gs).equivalent, unparse_sexp(e)
         assert output_guard(d, gs) == frozenset()
+
+
+@pytest.mark.parametrize("name", ["sl", "gs"])
+def test_partial_derivative_agrees_with_recursive_walks(name):
+    th, oracle = theory(name), {"sl": deriv_sl, "gs": deriv_gs}[name]
+    rng = random.Random(seed_for(name, 89))
+    for _ in range(300):
+        e = rand_sexp(th, rng, depth=4)
+        assert partial_derivative(e, th) is oracle(e, th), unparse_sexp(e)
+
+
+@pytest.mark.parametrize("name", ["sl", "gs"])
+def test_partial_derivative_rejects_mixed_choices_as_the_recursive_walks(name):
+    # a choice of the other theory's kind where the recursive walks meet it
+    # first: at the top, or under a choice of the right kind
+    th, oracle = theory(name), {"sl": deriv_sl, "gs": deriv_gs}[name]
+    right, wrong = (None, [frozenset({"x1"}), F(1, 2)]) if name == "sl" else (
+        frozenset({"x2"}), [None, F(1, 3)])
+    rng = random.Random(seed_for(name, 97))
+    for _ in range(100):
+        e, f = rand_sexp(th, rng, depth=3), rand_sexp(th, rng, depth=3)
+        bad = SChoice(rng.choice(wrong), e, f)
+        for mixed in (bad, SChoice(right, f, bad)):
+            with pytest.raises(pc.TheoryError) as old:
+                oracle(mixed, th)
+            with pytest.raises(pc.TheoryError, match=f"^{re.escape(str(old.value))}$"):
+                partial_derivative(mixed, th)
+
+
+def test_partial_derivative_rejects_a_wrong_choice_anywhere():
+    # the recursive sl walk derived a sequence's right side only after a
+    # left side that ticks, so it let this guarded choice through
+    sl = theory("sl")
+    e = SSeq(SAct("a1"), SChoice(frozenset({"x1"}), SAct("a1"), SAct("a2")))
+    assert deriv_sl(e, sl) is e
+    with pytest.raises(pc.TheoryError, match="guarded choice in an sl expression"):
+        partial_derivative(e, sl)
 
 
 def test_unguarded_unrolling_sl_and_gs():

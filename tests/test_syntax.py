@@ -229,6 +229,16 @@ def test_unguarded_vars_at_depth():
     assert not pc.is_guarded("v", Mu("w", e))
 
 
+def test_unguarded_vars_walks_the_dag_not_the_tree():
+    # 60 levels of t + t: 2**60 leaves as a tree, 61 nodes as a DAG
+    e = Op(None, (Var("v"), Prefix("a", Var("u"))))
+    for _ in range(60):
+        e = Op(None, (e, e))
+    assert unguarded_vars(e) == {"v"}
+    assert unguarded_vars(Mu("v", e)) == set()
+    assert bound_vars(Mu("w", e), Prefix("a", Mu("v", ZERO))) == {"v", "w"}
+
+
 # ---------------------------------------------------------------------------
 # substitution
 
@@ -386,6 +396,10 @@ def test_guarded_subst_examples():
     assert guarded_subst_exp(Prefix("a", Var("v")), g, "v") == Prefix("a", g)
     e = Op(None, (Var("v"), Prefix("a", Var("v"))))
     assert guarded_subst_exp(e, g, "v") == Op(None, (ZERO, Prefix("a", g)))
+    # a binder that would capture g's free u is renamed past every name of e and g
+    g = Prefix("b", Op(None, (Var("u"), Mu("%0", Var("%0")))))
+    e = Mu("u", Prefix("a", Op(None, (Var("v"), Var("u")))))
+    assert guarded_subst_exp(e, g, "v") is Mu("%1", Prefix("a", Op(None, (g, Var("%1")))))
 
 
 def test_guarded_subst_agrees_when_guarded():

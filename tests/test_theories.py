@@ -269,6 +269,26 @@ def test_term_reading_round_trip(th):
         assert step(th.term_of_nf(nf), th) == nf
 
 
+def test_ca_term_reading_of_2000_generators():
+    # built in one loop from the right.  The chain is read back along its
+    # right spine: stepping it in ca re-merges the distribution at every
+    # level, O(n**2) Fraction operations (about 30 s at this size)
+    th = theory("ca")
+    n = 2000
+    for total in (F(1), F(1, 2)):
+        nf = frozenset((pc.Step(f"a{i}", ZERO), total / n) for i in range(n))
+        t, masses, reach = th.term_of_nf(nf), {}, F(1)
+        while isinstance(t, Op):
+            (leaf, t), weight = t.args, t.param
+            masses[leaf.gen] = reach * weight
+            reach *= 1 - weight
+        if total == 1:
+            masses[t.gen] = reach
+        else:
+            assert t is ZERO
+        assert frozenset(masses.items()) == nf
+
+
 def test_gs_flatten_is_diagonal():
     th = theory("gs")
     b = frozenset({"x1"})

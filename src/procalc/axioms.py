@@ -330,4 +330,8 @@ def _parse_step(raw, term):
 
 
 def load_proof(text, actions=None):
-    return parse_proof(json.loads(text), actions)
+    try:
+        data = json.loads(text)
+    except RecursionError:  # the decoder recurses once per nesting level
+        raise TheoryError("proof JSON is nested too deeply") from None
+    return parse_proof(data, actions)

@@ -359,7 +359,11 @@ def coalgebra_from_dict(d):
 
 
 def coalgebra_from_json(text):
-    return coalgebra_from_dict(json.loads(text))
+    try:
+        d = json.loads(text)
+    except RecursionError:  # the decoder recurses once per nesting level
+        raise TheoryError("coalgebra JSON is nested too deeply") from None
+    return coalgebra_from_dict(d)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ values with structural equality deciding equality of free-algebra elements.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -31,23 +32,39 @@ class TheoryError(ValueError):
 # generic ordering of generators (used wherever sets must be walked
 # deterministically: term readings, BFS target extraction, printing)
 
+def _tuple_key(g):
+    return ("t", tuple(map(generator_key, g)))
+
+
+def _frozenset_key(g):
+    return ("f", tuple(sorted(map(generator_key, g))))
+
+
+# the value types, most specific first: bool is an int
+_VALUE_KEYS = {
+    bool: lambda g: ("b", g),
+    int: lambda g: ("i", g),
+    Fraction: lambda g: ("q", g),
+    str: lambda g: ("s", g),
+    tuple: _tuple_key,
+    frozenset: _frozenset_key,
+}
+
+
 def generator_key(g):
+    """A sort key for any generator: ``None``, a node or transition with a
+    ``sort_key``, or a value built from bools, ints, fractions, strings,
+    tuples and frozensets.  The exact value types are one dict lookup."""
+    key = _VALUE_KEYS.get(type(g))
+    if key is not None:
+        return key(g)
     if g is None:
         return ("0",)
     if hasattr(g, "sort_key"):
         return ("k",) + tuple(g.sort_key())
-    if isinstance(g, bool):
-        return ("b", g)
-    if isinstance(g, int):
-        return ("i", g)
-    if isinstance(g, Fraction):
-        return ("q", g)
-    if isinstance(g, str):
-        return ("s", g)
-    if isinstance(g, tuple):
-        return ("t", tuple(generator_key(x) for x in g))
-    if isinstance(g, frozenset):
-        return ("f", tuple(sorted(generator_key(x) for x in g)))
+    for cls, key in _VALUE_KEYS.items():  # subclasses of the value types
+        if isinstance(g, cls):
+            return key(g)
     return ("r", repr(g))
 
 
@@ -244,26 +261,27 @@ def feasible(rows, rhs):
 
 # subdistributions are stored as frozensets of (generator, positive mass)
 
-def _subdist(d):
-    total = Fraction(0)
-    for g, mass in d.items():
-        if mass < 0:
-            raise TheoryError("negative mass")
-        total += mass
-    if total > 1:
-        raise TheoryError("total mass exceeds 1")
-    return frozenset((g, m) for g, m in d.items() if m != 0)
+def _scaled(w, sub):
+    """The masses of the subdistribution ``sub`` times the weight ``w``."""
+    return {g: w * m for g, m in sub} if w else {}
 
 
-def _merge_scaled(parts):
-    """Combine [(weight, subdist)] into one subdistribution dict."""
+def _mixed(parts):
+    """The sum of the scaled subdistributions ``parts`` (from ``_scaled``),
+    as a subdistribution.
+
+    Trusted: the parts come from backend normal forms, whose masses are
+    positive and total at most 1, under weights that passed ``check_param``
+    (or are themselves such masses) and total at most 1.  So every sum is
+    positive, the total stays at most 1, and nothing is validated again."""
     out = {}
-    for w, sub in parts:
-        if w == 0:
-            continue
-        for g, m in sub:
-            out[g] = out.get(g, Fraction(0)) + w * m
-    return {g: m for g, m in out.items() if m != 0}
+    for part in parts:
+        for g, m in part.items():
+            if g in out:
+                out[g] += m
+            else:
+                out[g] = m
+    return frozenset(out.items())
 
 
 ZERO_SUBDIST = frozenset()
@@ -298,15 +316,16 @@ def in_lower_hull(point, gens):
 def _redundant(g, others, mass):
     """``in_lower_hull(g, others)``, decided without an LP where possible.
 
-    ``mass`` maps every point to its dict of masses.  Only g's positive
-    coordinates constrain a weighting.  If some candidate reaches g on all
-    of them, g is dominated.  Otherwise let M be the largest mass the
-    candidates put on such a coordinate x: the weights sum to at most 1, so
-    M < g[x] leaves g outside the hull, and M = g[x] forces every feasible
-    weighting onto the candidates that reach M.  Narrowing repeats until it
-    removes nothing; the simplex decides only what is left.
+    ``mass`` maps every point to its dict of positive masses, scaled to
+    integers by one common factor.  Only g's positive coordinates constrain a
+    weighting.  If some candidate reaches g on all of them, g is dominated.
+    Otherwise let M be the largest mass the candidates put on such a
+    coordinate x: the weights sum to at most 1, so M < g[x] leaves g
+    outside the hull, and M = g[x] forces every feasible weighting onto the
+    candidates that reach M.  Narrowing repeats until it removes nothing;
+    the simplex decides only what is left, on the original points.
     """
-    need = [(x, m) for x, m in mass[g].items() if m > 0]
+    need = mass[g].items()
     if any(all(mass[o].get(x, 0) >= m for x, m in need) for o in others):
         return True
     cands = others
@@ -328,17 +347,28 @@ def canonical_convex_set(points):
 
     Always contains the all-deadlock subdistribution; every other kept
     generator lies outside the down-closed hull of the rest.
+
+    The points are walked in set order, since no order changes the result.
+    Removing a point that lies in the down-closed hull of the others keeps
+    the hull, and a point found outside the hull of the others stays
+    outside as they shrink, so the walk ends at an irredundant generating
+    set.  Two irredundant generating sets of one down-closed convex set are
+    equal (unique bases: Bonchi, Sokolova and Vignudelli, CALCO 2021): a
+    point g of one lies below a convex combination of the other's points,
+    each of those below a convex combination of the first set's, and as g
+    is outside the hull of the rest of its set, only g itself can carry
+    the whole weight, so g is in the other set too.
     """
     pts = set(points)
-    pts.add(ZERO_SUBDIST)
-    keep = sorted_gens(pts)
-    mass = {p: dict(p) for p in keep}
-    for g in list(keep):
-        if g == ZERO_SUBDIST:
-            continue
-        others = [o for o in keep if o != g and o != ZERO_SUBDIST]
-        if _redundant(g, others, mass):
-            keep.remove(g)
+    pts.discard(ZERO_SUBDIST)
+    scale = math.lcm(*{m.denominator for p in pts for _, m in p})
+    mass = {p: {x: m.numerator * (scale // m.denominator) for x, m in p if m} for p in pts}
+    keep = set(pts)
+    for g in pts:
+        keep.discard(g)
+        if not _redundant(g, list(keep), mass):
+            keep.add(g)
+    keep.add(ZERO_SUBDIST)
     return frozenset(keep)
 
 
@@ -598,7 +628,7 @@ class ConvexAlgebra(Theory):
 
     def op_apply(self, param, args):
         self.check_param(param)
-        return _subdist(_merge_scaled([(param, args[0]), (1 - param, args[1])]))
+        return _mixed((_scaled(param, args[0]), _scaled(1 - param, args[1])))
 
     def nf_map(self, nf, f):
         """The pushforward of ``nf`` along ``f``: the masses of generators
@@ -616,7 +646,7 @@ class ConvexAlgebra(Theory):
         return frozenset(out.items())
 
     def nf_flatten(self, nf):
-        return _subdist(_merge_scaled([(m, inner) for inner, m in nf]))
+        return _mixed([_scaled(m, inner) for inner, m in nf])
 
     def generators(self, nf):
         return {g for g, _ in nf}
@@ -654,31 +684,20 @@ class ConvexSemilattice(Theory):
         l, r = args
         if param is None:
             return canonical_convex_set(l | r)
-        combos = {
-            _subdist(_merge_scaled([(param, a), (1 - param, b)]))
-            for a in l
-            for b in r
-        }
-        return canonical_convex_set(combos)
+        left = [_scaled(param, a) for a in l]
+        right = [_scaled(1 - param, b) for b in r]
+        return canonical_convex_set({_mixed((a, b)) for a in left for b in right})
 
     def nf_map(self, nf, f):
         ca = ConvexAlgebra()
         return canonical_convex_set({ca.nf_map(sub, f) for sub in nf})
 
     def nf_flatten(self, nf):
+        # each point of each inner set is scaled once, by its mass in theta
         points = set()
         for theta in nf:
-            inner_sets = sorted_gens([u for u, _ in theta])
-            masses = dict(theta)
-            gen_lists = [sorted_gens(u) for u in inner_sets]
-            for choice in itertools.product(*gen_lists):
-                points.add(
-                    _subdist(
-                        _merge_scaled(
-                            [(masses[u], sub) for u, sub in zip(inner_sets, choice)]
-                        )
-                    )
-                )
+            choices = [[_scaled(m, sub) for sub in u] for u, m in theta]
+            points.update(map(_mixed, itertools.product(*choices)))
         return canonical_convex_set(points)
 
     def generators(self, nf):

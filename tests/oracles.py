@@ -2,8 +2,11 @@
 
 Each reimplements a fact by a different algorithm than the package:
 convex membership by basic-solution enumeration with Gaussian elimination,
-convex-set canonicalisation by one simplex per candidate point,
-the ``ca`` / ``cs`` pushforward with every mass total checked,
+convex-set canonicalisation by one simplex per candidate point, walked
+in generator order,
+the ``ca`` / ``cs`` pushforward, choices and flattening with every mass
+total checked,
+generator sort keys by a chain of ``isinstance`` tests,
 the syntactic U(e) over-approximation of the reachable state set,
 reachable coalgebras by stepping every state with no memo shared between
 states,
@@ -24,7 +27,7 @@ from fractions import Fraction
 import procalc as pc
 from procalc.syntax import (_TOKEN, NameUse, ParseError, TokenStream, all_names,
                             fresh_name, parse_param, render_param)
-from procalc.theory import (ZERO_SUBDIST, _subdist, canonical_convex_set,
+from procalc.theory import (ZERO_SUBDIST, TheoryError, canonical_convex_set,
                             in_lower_hull, sorted_gens)
 
 
@@ -85,6 +88,87 @@ def canonical_convex_set_lp(points):
         if in_lower_hull(g, others):
             keep.remove(g)
     return frozenset(keep)
+
+
+def generator_key_by_isinstance(g):
+    """The sort key of a generator by a chain of ``isinstance`` tests; oracle
+    for the type-dispatching ``generator_key``."""
+    if g is None:
+        return ("0",)
+    if hasattr(g, "sort_key"):
+        return ("k",) + tuple(g.sort_key())
+    if isinstance(g, bool):
+        return ("b", g)
+    if isinstance(g, int):
+        return ("i", g)
+    if isinstance(g, Fraction):
+        return ("q", g)
+    if isinstance(g, str):
+        return ("s", g)
+    if isinstance(g, tuple):
+        return ("t", tuple(generator_key_by_isinstance(x) for x in g))
+    if isinstance(g, frozenset):
+        return ("f", tuple(sorted(generator_key_by_isinstance(x) for x in g)))
+    return ("r", repr(g))
+
+
+def _subdist(d):
+    """The subdistribution of the mass dict ``d``, with its masses checked
+    for sign and total and its zero masses dropped."""
+    total = Fraction(0)
+    for g, mass in d.items():
+        if mass < 0:
+            raise TheoryError("negative mass")
+        total += mass
+    if total > 1:
+        raise TheoryError("total mass exceeds 1")
+    return frozenset((g, m) for g, m in d.items() if m != 0)
+
+
+def _merge_scaled(parts):
+    """Combine [(weight, subdist)] into one mass dict."""
+    out = {}
+    for w, sub in parts:
+        if w == 0:
+            continue
+        for g, m in sub:
+            out[g] = out.get(g, Fraction(0)) + w * m
+    return {g: m for g, m in out.items() if m != 0}
+
+
+def ca_op_apply_validating(param, args):
+    """``ConvexAlgebra.op_apply`` with the merged masses checked; oracle
+    for the trusted combination."""
+    return _subdist(_merge_scaled([(param, args[0]), (1 - param, args[1])]))
+
+
+def ca_nf_flatten_validating(nf):
+    """``ConvexAlgebra.nf_flatten`` with the merged masses checked."""
+    return _subdist(_merge_scaled([(m, inner) for inner, m in nf]))
+
+
+def cs_op_apply_validating(param, args):
+    """``ConvexSemilattice.op_apply`` for a probabilistic ``param``, every
+    pairwise combination checked and walked in generator order (the
+    canonicalisation has its own oracle, ``canonical_convex_set_lp``)."""
+    l, r = args
+    return canonical_convex_set({
+        _subdist(_merge_scaled([(param, a), (1 - param, b)]))
+        for a in sorted_gens(l) for b in sorted_gens(r)
+    })
+
+
+def cs_nf_flatten_validating(nf):
+    """``ConvexSemilattice.nf_flatten`` with every combination checked and
+    walked in generator order."""
+    points = set()
+    for theta in nf:
+        inner_sets = sorted_gens([u for u, _ in theta])
+        masses = dict(theta)
+        for choice in itertools.product(*[sorted_gens(u) for u in inner_sets]):
+            points.add(_subdist(_merge_scaled(
+                [(masses[u], sub) for u, sub in zip(inner_sets, choice)])))
+    return canonical_convex_set(points)
 
 
 def ca_nf_map_validating(nf, f):

@@ -51,12 +51,19 @@ def test_deep_terms_through_the_cli():
     assert r.returncode == 0 and r.stdout.startswith("equivalent: "), r.stderr
 
 
-def _main(monkeypatch, capsys, *argv):
-    """Run ``cli.main()`` in this process with ``argv``: (exit code, stdout)."""
+def _main_err(monkeypatch, capsys, *argv):
+    """Run ``cli.main()`` in this process with ``argv``: (exit code, stdout,
+    stderr)."""
     monkeypatch.setattr(sys, "argv", ["procalc", *argv])
     with pytest.raises(SystemExit) as stop:
         cli.main()
-    return stop.value.code, capsys.readouterr().out
+    out, err = capsys.readouterr()
+    return stop.value.code, out, err
+
+
+def _main(monkeypatch, capsys, *argv):
+    """Run ``cli.main()`` in this process with ``argv``: (exit code, stdout)."""
+    return _main_err(monkeypatch, capsys, *argv)[:2]
 
 
 def test_wide_and_nested_terms_through_cli_main(monkeypatch, capsys):
@@ -90,6 +97,34 @@ def test_long_star_expressions_through_cli_main(monkeypatch, capsys):
     assert _main(monkeypatch, capsys, "star", "estar", "E5", "--exp", f"e={body}") == (
         10, "E5 side condition fails: loop body is not guarded\n")
     assert time.perf_counter() - start < 1
+
+
+def test_deeply_nested_json_exits_1_through_cli_main(tmp_path, monkeypatch, capsys):
+    # the JSON decoder recurses once per nesting level, so 3,000 levels exceed its stack
+    n = 3000
+    term = '{"op": "+", "args": [' * n + '{"act": "a", "to": "s0"}' \
+        + ', {"act": "b", "to": "s0"}]}' * n
+    coalgebra = tmp_path / "deep.json"
+    coalgebra.write_text('{"theory": "sl", "states": ["s0"], "structure": {"s0": ' + term + "}}")
+    proof = tmp_path / "deep-proof.json"
+    proof.write_text('{"theory": "sl", "goal": ["0", "0"], "steps": ' + "[" * n + "]" * n + "}")
+    assert _main_err(monkeypatch, capsys, "solve", str(coalgebra), "--state", "s0") == (
+        1, "", "error: coalgebra JSON is nested too deeply\n")
+    assert _main_err(monkeypatch, capsys, "prove", str(proof)) == (
+        1, "", "error: proof JSON is nested too deeply\n")
+
+
+def test_probability_above_one_exits_1_through_cli_main(tmp_path, monkeypatch, capsys):
+    # the trusted convex combinations rely on check_param having seen every weight
+    assert _main_err(monkeypatch, capsys, "step", "--theory", "ca", "u +[3/2] v") == (
+        1, "", "error: probability 3/2 outside [0, 1]\n")
+    assert _main_err(monkeypatch, capsys, "step", "--theory", "cs", "(u + v) +[3/2] w") == (
+        1, "", "error: probability 3/2 outside [0, 1]\n")
+    f = tmp_path / "c.json"
+    f.write_text(json.dumps({"theory": "ca", "states": ["s0"], "structure": {"s0": {
+        "op": "+", "prob": "3/2", "args": [{"act": "a", "to": "s0"}, {"out": "u"}]}}}))
+    assert _main_err(monkeypatch, capsys, "solve", str(f), "--state", "s0") == (
+        1, "", "error: state 's0': probability 3/2 outside [0, 1]\n")
 
 
 def test_step_golden_ca():

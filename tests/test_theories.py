@@ -11,12 +11,14 @@ import pytest
 import procalc as pc
 from procalc import ZERO, Leaf, Op, Var, step
 from procalc.theory import (TheoryError, ZERO_SUBDIST, axiom_side_ok, eval_param,
-                            in_lower_hull, param_family, param_symbols,
+                            generator_key, in_lower_hull, param_family, param_symbols,
                             sorted_gens, theory_from_json)
 
-from gen import ALL_THEORIES, ATOMS, rand_guard, rand_param, rand_prob, theory
-from oracles import (ca_nf_map_validating, canonical_convex_set_lp,
-                     convex_member_bruteforce, cs_nf_map_validating)
+from gen import ALL_THEORIES, ATOMS, rand_exp, rand_guard, rand_param, rand_prob, theory
+from oracles import (ca_nf_flatten_validating, ca_nf_map_validating, ca_op_apply_validating,
+                     canonical_convex_set_lp, convex_member_bruteforce,
+                     cs_nf_flatten_validating, cs_nf_map_validating, cs_op_apply_validating,
+                     generator_key_by_isinstance)
 
 F = Fraction
 
@@ -341,6 +343,35 @@ def test_trusted_pushforward_agrees_with_validating_oracle():
     assert collided > 100 and full > 100
 
 
+def _rand_cs_nf(rng, gens, most=3):
+    return pc.theory.canonical_convex_set(
+        {_rand_subdist(rng, gens) for _ in range(rng.randint(1, most))})
+
+
+def test_trusted_combinations_agree_with_validating_oracles():
+    rng = random.Random(37)
+    ca, cs = theory("ca"), theory("cs")
+    gens = ("g1", "g2", "g3", "g4")
+    weights = set()
+    shared = 0
+    for _ in range(120):
+        p = rand_prob(rng)
+        weights.add(p)
+        l, r = _rand_subdist(rng, gens), _rand_subdist(rng, gens)
+        assert ca.op_apply(p, (l, r)) == ca_op_apply_validating(p, (l, r))
+        shared += bool({g for g, _ in l} & {g for g, _ in r})
+        inner = list(dict.fromkeys(_rand_subdist(rng, gens) for _ in range(3)))
+        nested = _rand_subdist(rng, inner)
+        assert ca.nf_flatten(nested) == ca_nf_flatten_validating(nested)
+        left, right = _rand_cs_nf(rng, gens), _rand_cs_nf(rng, gens)
+        assert cs.op_apply(p, (left, right)) == cs_op_apply_validating(p, (left, right))
+        inner_sets = list(dict.fromkeys(_rand_cs_nf(rng, gens, 2) for _ in range(3)))
+        nf = _rand_cs_nf(rng, inner_sets, 2)
+        assert cs.nf_flatten(nf) == cs_nf_flatten_validating(nf)
+    # the weights 0 and 1 drop a side; shared generators add their masses
+    assert {F(0), F(1)} <= weights and shared > 30
+
+
 # ---------------------------------------------------------------------------
 # CS canonicalisation oracle (independent algorithm)
 
@@ -439,6 +470,34 @@ def test_cs_step_of_mix6_needs_no_lp(monkeypatch):
     assert calls == []
 
 
+def test_canonical_convex_set_is_the_lp_answer_in_any_insertion_order():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def point_lists(draw):
+        coords = ("x", "y", "z", "w")[: draw(st.integers(1, 4))]
+        points = []
+        for _ in range(draw(st.integers(1, 8))):
+            # masses w / total with w and the missing mass 0..3: denominators up to 15
+            ws = [draw(st.integers(0, 3)) for _ in coords]
+            total = sum(ws) + draw(st.integers(0, 3))
+            points.append(frozenset((c, F(w, total)) for c, w in zip(coords, ws) if w))
+        return points
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(point_lists(), st.randoms(use_true_random=False))
+    def check(points, rnd):
+        canon = pc.theory.canonical_convex_set(points)
+        assert canon == canonical_convex_set_lp(points)
+        shuffled = list(points)
+        rnd.shuffle(shuffled)
+        assert pc.theory.canonical_convex_set(shuffled) == canon
+        assert pc.theory.canonical_convex_set(reversed(points)) == canon
+
+    check()
+
+
 def test_feasibility_against_bruteforce():
     rng = random.Random(29)
     coords = ("x", "y", "z")
@@ -468,3 +527,29 @@ def test_feasibility_against_bruteforce():
 )
 def test_skew_classifier(name, expected):
     assert pc.is_skew_associative(theory(name)) is expected
+
+
+# ---------------------------------------------------------------------------
+# generator sort keys
+
+class _Count(int):
+    """An int subclass: keyed through the isinstance fallback."""
+
+
+def test_generator_key_agrees_with_isinstance_chain():
+    rng = random.Random(43)
+    samples = [None, True, False, 0, 7, _Count(3), F(2, 3), "s1", 1.5,
+               pc.TICK, pc.Out("u"), pc.Step("a", "s0"), pc.Step("a", 2),
+               frozenset({(pc.TICK, F(1, 2)), (pc.Out("v"), F(1, 3))})]
+    for th in ALL_THEORIES:
+        for _ in range(40):
+            e = rand_exp(th, rng)
+            nf = step(e, th)
+            samples += [nf, *th.generators(nf), *th.edges(nf)]
+            c = pc.reachable(e, th)
+            samples += list(c.structure.values())
+    kinds = {type(g) for g in samples}
+    assert {tuple, frozenset, pc.Step, pc.Out, bool, int, F, str, type(None)} <= kinds
+    assert any(isinstance(g, pc.Step) and isinstance(g.target, pc.Exp) for g in samples)
+    for g in samples:
+        assert generator_key(g) == generator_key_by_isinstance(g), g

@@ -20,14 +20,13 @@ line and a reason.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from . import syntax
 from .syntax import (Exp, Mu, Op, Prefix, Var, Zero, children, free_vars,
                      guarded_subst_exp, is_guarded, substitute)
 from .theory import (TheoryError, axiom_side_ok, eval_param, param_family,
-                     param_symbols, theory_from_json)
+                     param_symbols, read_json, theory_from_json)
 
 
 @dataclass
@@ -330,8 +329,4 @@ def _parse_step(raw, term):
 
 
 def load_proof(text, actions=None):
-    try:
-        data = json.loads(text)
-    except RecursionError:  # the decoder recurses once per nesting level
-        raise TheoryError("proof JSON is nested too deeply") from None
-    return parse_proof(data, actions)
+    return parse_proof(read_json(text, "proof"), actions)

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .syntax import (ZERO, Interned, Leaf, Mu, Op, Prefix, Var, Zero, cached_text, post_order,
                      substitute, unparse)
-from .theory import Theory, TheoryError, generator_key, sorted_gens, theory_from_json
+from .theory import Theory, TheoryError, generator_key, read_json, sorted_gens, theory_from_json
 
 
 class StateCapExceeded(RuntimeError):
@@ -266,50 +266,65 @@ def _sterm_to_json(t):
     return node
 
 
+class _Choice(tuple):
+    """(param, arity) of a structure JSON choice node whose arguments are
+    being built."""
+
+
 def _sterm_from_json(d, states):
     """The structure term a JSON node describes, with its step targets
-    checked against ``states``."""
-    if not isinstance(d, dict):
-        raise TheoryError(f"bad structure term {d!r}")
-    if "const" in d:
-        return ZERO
-    if "out" in d:
-        if not isinstance(d["out"], str):
-            raise TheoryError(f"an output must be a string, not {d['out']!r}")
-        return Leaf(Out(d["out"]))
-    if "tick" in d:
-        return Leaf(TICK)
-    if "act" in d:
-        if not isinstance(d["act"], str):
-            raise TheoryError(f"an action must be a string, not {d['act']!r}")
-        if "to" not in d:
-            raise TheoryError(f"action {d['act']!r} has no target")
-        if not isinstance(d["to"], str):
-            raise TheoryError(
-                f"the target of action {d['act']!r} must be a string, not {d['to']!r}")
-        if d["to"] not in states:
-            raise TheoryError(f"unknown target state {d['to']!r}")
-        return Leaf(Step(d["act"], d["to"]))
-    if "op" in d:
-        if "guard" in d:
-            if not isinstance(d["guard"], list) or not all(
-                    isinstance(a, str) for a in d["guard"]):
-                raise TheoryError(f"bad guard {d['guard']!r}")
-            param = frozenset(d["guard"])
-        elif "prob" in d:
-            try:
-                param = Fraction(d["prob"])
-            except (TypeError, ValueError, ZeroDivisionError):
-                raise TheoryError(f"bad probability {d['prob']!r}") from None
+    checked against ``states``.  Choice nodes are built bottom-up from an
+    explicit stack, so any depth the JSON reader accepts is loaded."""
+    todo, built = [d], []
+    while todo:
+        d = todo.pop()
+        if type(d) is _Choice:  # its arguments are on top of `built`
+            param, arity = d
+            if arity != 2:
+                raise TheoryError("choice operations are binary")
+            right = built.pop()
+            built[-1] = Op(param, (built[-1], right))
+        elif not isinstance(d, dict):
+            raise TheoryError(f"bad structure term {d!r}")
+        elif "const" in d:
+            built.append(ZERO)
+        elif "out" in d:
+            if not isinstance(d["out"], str):
+                raise TheoryError(f"an output must be a string, not {d['out']!r}")
+            built.append(Leaf(Out(d["out"])))
+        elif "tick" in d:
+            built.append(Leaf(TICK))
+        elif "act" in d:
+            if not isinstance(d["act"], str):
+                raise TheoryError(f"an action must be a string, not {d['act']!r}")
+            if "to" not in d:
+                raise TheoryError(f"action {d['act']!r} has no target")
+            if not isinstance(d["to"], str):
+                raise TheoryError(
+                    f"the target of action {d['act']!r} must be a string, not {d['to']!r}")
+            if d["to"] not in states:
+                raise TheoryError(f"unknown target state {d['to']!r}")
+            built.append(Leaf(Step(d["act"], d["to"])))
+        elif "op" in d:
+            if "guard" in d:
+                if not isinstance(d["guard"], list) or not all(
+                        isinstance(a, str) for a in d["guard"]):
+                    raise TheoryError(f"bad guard {d['guard']!r}")
+                param = frozenset(d["guard"])
+            elif "prob" in d:
+                try:
+                    param = Fraction(d["prob"])
+                except (TypeError, ValueError, ZeroDivisionError):
+                    raise TheoryError(f"bad probability {d['prob']!r}") from None
+            else:
+                param = None
+            if not isinstance(d.get("args"), list):
+                raise TheoryError(f"choice node {d!r} has no argument list")
+            todo.append(_Choice((param, len(d["args"]))))
+            todo += d["args"][::-1]
         else:
-            param = None
-        if not isinstance(d.get("args"), list):
-            raise TheoryError(f"choice node {d!r} has no argument list")
-        args = tuple(_sterm_from_json(a, states) for a in d["args"])
-        if len(args) != 2:
-            raise TheoryError("choice operations are binary")
-        return Op(param, args)
-    raise TheoryError(f"bad structure term {d!r}")
+            raise TheoryError(f"bad structure term {d!r}")
+    return built[0]
 
 
 def coalgebra_to_dict(c):
@@ -359,11 +374,7 @@ def coalgebra_from_dict(d):
 
 
 def coalgebra_from_json(text):
-    try:
-        d = json.loads(text)
-    except RecursionError:  # the decoder recurses once per nesting level
-        raise TheoryError("coalgebra JSON is nested too deeply") from None
-    return coalgebra_from_dict(d)
+    return coalgebra_from_dict(read_json(text, "coalgebra"))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ values with structural equality deciding equality of free-algebra elements.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,7 +41,7 @@ def _frozenset_key(g):
     return ("f", tuple(sorted(map(generator_key, g))))
 
 
-# the value types, most specific first: bool is an int
+# the value types, looked up by exact type (a bool is not keyed as an int)
 _VALUE_KEYS = {
     bool: lambda g: ("b", g),
     int: lambda g: ("i", g),
@@ -62,9 +63,6 @@ def generator_key(g):
         return ("0",)
     if hasattr(g, "sort_key"):
         return ("k",) + tuple(g.sort_key())
-    for cls, key in _VALUE_KEYS.items():  # subclasses of the value types
-        if isinstance(g, cls):
-            return key(g)
     return ("r", repr(g))
 
 
@@ -749,6 +747,34 @@ def theory_from_json(d):
     if not atoms and str(d["theory"]).lower() == "gs":
         raise TheoryError("theory gs needs a nonempty 'atoms' field")
     return make_theory(d["theory"], atoms)
+
+
+MAX_JSON_DEPTH = 1000
+
+
+def _containers(values):
+    return [v for v in values if isinstance(v, (dict, list))]
+
+
+def read_json(text, what):
+    """Decode a coalgebra or proof file.  Objects and arrays nested more
+    than `MAX_JSON_DEPTH` deep raise `TheoryError`, with the same message
+    on every Python version: where the decoder counts its levels against
+    the recursion limit (3.10, 3.11) it may give up first, elsewhere a
+    level-by-level walk finds the depth."""
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise TheoryError(f"{what} JSON is nested too deeply") from None
+    if text.count("[") + text.count("{") <= MAX_JSON_DEPTH:
+        return data  # too few brackets to nest any deeper
+    level, depth = _containers([data]), 0
+    while level:
+        depth += 1
+        if depth > MAX_JSON_DEPTH:
+            raise TheoryError(f"{what} JSON is nested too deeply")
+        level = _containers(v for c in level for v in (c.values() if isinstance(c, dict) else c))
+    return data
 
 
 def _skew_shape(lhs, rhs):

@@ -100,7 +100,7 @@ def test_long_star_expressions_through_cli_main(monkeypatch, capsys):
 
 
 def test_deeply_nested_json_exits_1_through_cli_main(tmp_path, monkeypatch, capsys):
-    # the JSON decoder recurses once per nesting level, so 3,000 levels exceed its stack
+    # 3,000 op levels are 6,000 JSON levels, beyond MAX_JSON_DEPTH on every Python version
     n = 3000
     term = '{"op": "+", "args": [' * n + '{"act": "a", "to": "s0"}' \
         + ', {"act": "b", "to": "s0"}]}' * n

@@ -323,6 +323,33 @@ def test_json_rejects_dangling_target():
         pc.coalgebra_from_json(bad)
 
 
+def _deep_sum(n):
+    """An ``sl`` structure whose s0 term nests ``n`` choice nodes: 2n + 3
+    JSON levels."""
+    node = {"act": "a", "to": "s0"}
+    for _ in range(n):
+        node = {"op": "+", "args": [node, {"act": "b", "to": "s0"}]}
+    return {"theory": "sl", "states": ["s0"], "structure": {"s0": node}}
+
+
+def test_json_depth_limit_is_exact(monkeypatch):
+    # a small limit keeps both sides of it within reach of every Python's decoder
+    monkeypatch.setattr(pc.theory, "MAX_JSON_DEPTH", 41)
+    assert pc.coalgebra_from_json(json.dumps(_deep_sum(19))).states == ("s0",)
+    with pytest.raises(TheoryError, match="^coalgebra JSON is nested too deeply$"):
+        pc.coalgebra_from_json(json.dumps(_deep_sum(20)))
+    assert pc.theory.read_json("[" * 41 + "]" * 41, "proof")
+    with pytest.raises(TheoryError, match="^proof JSON is nested too deeply$"):
+        pc.theory.read_json("[" * 42 + "]" * 42, "proof")
+
+
+def test_structure_terms_load_deeper_than_the_recursion_limit():
+    # the structure walk keeps no Python frame per level: only read_json bounds the depth
+    c = semantics.coalgebra_from_dict(_deep_sum(3000))
+    assert sorted(c.theory.generators(c.structure["s0"]), key=str) == [
+        pc.Step("a", "s0"), pc.Step("b", "s0")]
+
+
 ACT = {"act": "a", "to": "s1"}
 
 

@@ -115,7 +115,7 @@ def _param_text(text, theory):
 def _emit_nf(nf, theory, fmt):
     t = theory.term_of_nf(nf)
     if fmt == "json":
-        print(json.dumps(semantics._sterm_to_json(t)))
+        print(semantics.structure_json(t))
     else:
         print(syntax.unparse(t))
 

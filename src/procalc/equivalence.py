@@ -11,6 +11,15 @@ P(N) exactly when their behaviours agree to depth N, that is, when no modal
 formula of depth N tells them apart; so the round at which two states first
 split, which ``check_states`` reports, is the least depth of such a formula.
 
+States are positions 0, 1, ... and refinement never names them.  They come
+in sides: a side is a run of consecutive positions whose normal forms name
+their step targets by keys of one dict, from key to position within the
+side.  ``check_terms`` refines the two explorations of its terms as they
+are, with step targets that are terms; ``check_states`` and
+``bisim_partition`` refine a loaded coalgebra as one side keyed by state id.
+Names exist only for the certificate: ``as0``, ``as1``, ..., ``bs0``, ...
+for the positions of two explored terms, the state ids for a coalgebra.
+
 The rounds are computed incrementally.  Blocks carry internal ids, and a
 state that leaves its block always gets a fresh id.  A signature changes only
 when a successor moves, so after round 1 only the predecessors of the states
@@ -19,87 +28,105 @@ block's old one because it names a fresh id.  So the members of a block that
 were not recomputed stay, and the recomputed ones leave it, grouped by
 signature; when every member was recomputed, the largest group stays.  States
 alone in their block are never recomputed.  The dense numbering, by first
-occurrence in state order, is made only for output.
+occurrence in position order, is made only for output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .semantics import Step, reachable_union
+from .semantics import Step, _explore, step
 from .syntax import unparse
 
 
-def _signature(c, s, block):
-    """The normal form of ``s`` with each step ``a.t`` read as the pair
-    ``(a, block[t])``."""
+def _signature(theory, nf, read):
+    """The normal form ``nf`` with each step read by ``read``, a side's
+    reader from ``_rounds``: ``a.t`` becomes the pair ``(a, block id of t)``."""
+    return theory.nf_map(nf, read)
+
+
+def _signature_text(theory, sides, s, block):
+    """The signature of position ``s`` under ``block`` printed as a term,
+    each pair as the step ``a.block[t]``."""
+    off, index, nfs = next(side for side in sides if s < side[0] + len(side[2]))
+
     def f(t):
-        return (t.action, block[t.target]) if isinstance(t, Step) else t
+        return Step(t.action, block[off + index[t.target]]) if type(t) is Step else t
 
-    return c.theory.nf_map(c.structure[s], f)
-
-
-def _signature_text(c, s, block):
-    """The signature of ``s`` printed as a term, each pair as the step
-    ``a.block[t]``."""
-    def f(t):
-        return Step(t.action, block[t.target]) if isinstance(t, Step) else t
-
-    return unparse(c.theory.term_of_nf(c.theory.nf_map(c.structure[s], f)))
+    return unparse(theory.term_of_nf(theory.nf_map(nfs[s - off], f)))
 
 
-def _rounds(c, block):
-    """Moore refinement of ``block`` (state -> internal block id), one round
-    per iteration: yields the states that leave their block, mapped to their
-    new ids, then applies the move to ``block`` in place.  Stops when a round
-    moves nothing."""
-    index = {s: i for i, s in enumerate(c.states)}
-    pred = {s: set() for s in c.states}
-    for s in c.states:
-        for g in c.theory.generators(c.structure[s]):
-            if isinstance(g, Step):
-                pred[g.target].add(s)
-    size = {}
-    for b in block.values():
-        size[b] = size.get(b, 0) + 1
-    dirty = c.states
+def _rounds(theory, sides, block):
+    """Moore refinement of ``block``, a list of zeros with one entry per
+    position, which becomes the internal block ids.  ``sides`` lists
+    ``(offset, index, nfs)``: ``nfs[j]`` is the normal form at position
+    ``offset + j``, and it names the step target at position
+    ``offset + index[t]`` by ``t``.  One round per iteration: yields the
+    positions that leave their block, mapped to their new ids, then applies
+    the move to ``block`` in place.  Stops when a round moves nothing."""
+    nfs, reads, pred = [], [], [[] for _ in block]
+    for off, index, side in sides:
+        def read(g, index=index, off=off):
+            return (g.action, block[off + index[g.target]]) if type(g) is Step else g
+        nfs += side
+        reads += [read] * len(side)
+        for s, nf in enumerate(side, off):
+            for g in theory.generators(nf):
+                if type(g) is Step:
+                    pred[off + index[g.target]].append(s)
+    size = [len(block)]
+    dirty = range(len(block))
     while True:
         recomputed = {}  # block id -> signature -> members
         for s in dirty:
-            sig = _signature(c, s, block)
-            recomputed.setdefault(block[s], {}).setdefault(sig, []).append(s)
+            sig = _signature(theory, nfs[s], reads[s])
+            by_sig = recomputed.get(block[s])
+            if by_sig is None:
+                recomputed[block[s]] = {sig: [s]}
+            elif sig in by_sig:
+                by_sig[sig].append(s)
+            else:
+                by_sig[sig] = [s]
         moved = {}
         for b, by_sig in recomputed.items():
             parts = list(by_sig.values())
             if sum(map(len, parts)) == size[b]:
                 # no member kept the old signature: the largest part keeps the id
+                if len(parts) == 1:
+                    continue
                 parts.remove(max(parts, key=len))
             for part in parts:
-                fresh = len(size)
-                size[fresh] = len(part)
                 size[b] -= len(part)
-                moved.update(dict.fromkeys(part, fresh))
+                fresh = len(size)
+                size.append(len(part))
+                for s in part:
+                    moved[s] = fresh
         if not moved:
             return
         yield moved
-        block.update(moved)
-        touched = {p for s in moved for p in pred[s] if size[block[p]] > 1}
-        dirty = sorted(touched, key=index.__getitem__)
+        for s, b in moved.items():
+            block[s] = b
+        dirty = sorted({p for s in moved for p in pred[s] if size[block[p]] > 1})
 
 
-def _dense(c, block):
-    """Block ids renumbered 0, 1, ... by first occurrence in state order."""
+def _dense(block):
+    """Block ids renumbered 0, 1, ... by first occurrence in position order."""
     ids = {}
-    return {s: ids.setdefault(block[s], len(ids)) for s in c.states}
+    return [ids.setdefault(b, len(ids)) for b in block]
+
+
+def _coalgebra_side(c):
+    """A coalgebra as the one side of its positions, keyed by state id."""
+    return [(0, {s: i for i, s in enumerate(c.states)}, [c.structure[s] for s in c.states])]
 
 
 def bisim_partition(c):
     """Coarsest stable partition; returns dict state -> block id (dense ints,
     numbered by first occurrence in state order)."""
-    block = dict.fromkeys(c.states, 0)
-    for _ in _rounds(c, block):
+    block = [0] * len(c.states)
+    for _ in _rounds(c.theory, _coalgebra_side(c), block):
         pass
-    return _dense(c, block)
+    return dict(zip(c.states, _dense(block)))
 
 
 @dataclass
@@ -109,28 +136,50 @@ class Certificate:
     detail: str
 
 
-def check_states(c, s1, s2):
-    """Bisimilarity of two states of one coalgebra, with a certificate."""
-    block = dict.fromkeys(c.states, 0)
+def _certificate(theory, sides, s1, s2, name):
+    """Bisimilarity of positions ``s1`` and ``s2``, with a certificate in
+    which position ``i`` is called ``name(i)``."""
+    block = [0] * sum(len(nfs) for _, _, nfs in sides)
     rounds = 0
-    for moved in _rounds(c, block):
+    for moved in _rounds(theory, sides, block):
         rounds += 1
         if moved.get(s1, block[s1]) != moved.get(s2, block[s2]):
-            prev = _dense(c, block)
+            prev = _dense(block)
             detail = (
                 f"split at refinement round {rounds}: "
-                f"{s1} has signature {_signature_text(c, s1, prev)}, "
-                f"{s2} has signature {_signature_text(c, s2, prev)}"
+                f"{name(s1)} has signature {_signature_text(theory, sides, s1, prev)}, "
+                f"{name(s2)} has signature {_signature_text(theory, sides, s2, prev)}"
             )
             return Certificate(False, rounds, detail)
     classes = {}
-    for s, b in _dense(c, block).items():
-        classes.setdefault(b, []).append(s)
+    for s, b in enumerate(_dense(block)):
+        classes.setdefault(b, []).append(name(s))
     detail = "; ".join("{" + " ".join(members) + "}" for members in classes.values())
     return Certificate(True, rounds, f"stable partition: {detail}")
 
 
+def check_states(c, s1, s2):
+    """Bisimilarity of two states of one coalgebra, with a certificate."""
+    sides = _coalgebra_side(c)
+    index = sides[0][1]
+    return _certificate(c.theory, sides, index[s1], index[s2], c.states.__getitem__)
+
+
+def check_terms(e, f, theory, cap, stepper):
+    """Bisimilarity of two terms, each explored by the one-step map
+    ``stepper`` up to ``cap`` states, with a certificate that calls the
+    states of ``e`` ``as0``, ``as1``, ... and those of ``f`` ``bs0``, ...
+    in breadth-first order."""
+    _, index1, nfs1 = _explore(e, theory, cap, stepper)
+    _, index2, nfs2 = _explore(f, theory, cap, stepper)
+    n1 = len(nfs1)
+
+    def name(s):
+        return f"as{s}" if s < n1 else f"bs{s - n1}"
+
+    return _certificate(theory, [(0, index1, nfs1), (n1, index2, nfs2)], 0, n1, name)
+
+
 def equivalent(e, f, theory, cap=10000):
     """Bisimilarity of two process terms."""
-    c = reachable_union(e, f, theory, cap)
-    return check_states(c, "as0", "bs0")
+    return check_terms(e, f, theory, cap, step)

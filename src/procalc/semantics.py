@@ -22,7 +22,8 @@ from fractions import Fraction
 
 from .syntax import (ZERO, Interned, Leaf, Mu, Op, Prefix, Var, Zero, cached_text, post_order,
                      substitute, unparse)
-from .theory import Theory, TheoryError, generator_key, read_json, sorted_gens, theory_from_json
+from .theory import (MAX_JSON_DEPTH, Theory, TheoryError, generator_key, read_json, sorted_gens,
+                     theory_from_json)
 
 
 class StateCapExceeded(RuntimeError):
@@ -136,14 +137,14 @@ def step(e, theory, memo=None):
 
 def _stepped(e, theory, memo):
     """The normal form of ``e``, made at once or read from ``memo``."""
+    if type(e) is Prefix:  # the most common state
+        return theory.unit(Step(e.action, e.body))
     if isinstance(e, Zero):
         return theory.bottom()
     if isinstance(e, Leaf):
         return theory.unit(e.gen)
     if isinstance(e, Var):
         return theory.unit(Out(e.name))
-    if isinstance(e, Prefix):
-        return theory.unit(Step(e.action, e.body))
     if e in memo:
         return memo[e]
     raise TypeError(f"not an expression: {e!r}")
@@ -173,10 +174,10 @@ class Coalgebra:
     structure: dict  # state id -> normal form over transitions with id targets
 
 
-def _explore(e, theory, cap, stepper, prefix):
-    """Breadth-first exploration from ``e``: the state ids ``{prefix}0``,
-    ``{prefix}1``, ... in BFS order and the structure over them.  Each
-    normal form is pushed forward once, from term targets onto ids.
+def _explore(e, theory, cap, stepper):
+    """Breadth-first exploration from ``e``: the reachable terms in BFS
+    order, a dict from each of them to its position in that order, and
+    their normal forms, whose step targets are terms.  Nothing is named.
 
     ``stepper(x, theory, memo)`` is the one-step map; one memo serves the
     whole exploration, so each distinct subterm is stepped once.  A state's
@@ -191,7 +192,7 @@ def _explore(e, theory, cap, stepper, prefix):
         nf = stepper(x, theory, memo)
         raw.append(nf)
         new = [g for g in theory.generators(nf)
-               if isinstance(g, Step) and g.target not in index]
+               if type(g) is Step and g.target not in index]
         if len(new) > 1:
             new = sorted_gens(new)
         for g in new:
@@ -200,27 +201,21 @@ def _explore(e, theory, cap, stepper, prefix):
                     raise StateCapExceeded(f"more than {cap} reachable states")
                 index[g.target] = len(order)
                 order.append(g.target)
-    names = [f"{prefix}{j}" for j in range(len(order))]
-
-    def rename(t):
-        return Step(t.action, names[index[t.target]]) if isinstance(t, Step) else t
-
-    return names, {name: theory.nf_map(nf, rename) for name, nf in zip(names, raw)}
+    return order, index, raw
 
 
 def reachable(e, theory, cap=10000, stepper=step):
     """The reachable subcoalgebra from ``e``, with states ``s0``, ``s1``, ...
-    in breadth-first order; ``stepper`` is the one-step map."""
-    names, structure = _explore(e, theory, cap, stepper, "s")
-    return Coalgebra(theory, tuple(names), structure)
+    in breadth-first order; ``stepper`` is the one-step map.  Each normal
+    form is pushed forward once, from term targets onto ids."""
+    order, index, raw = _explore(e, theory, cap, stepper)
+    names = [f"s{j}" for j in range(len(order))]
 
+    def rename(t):
+        return Step(t.action, names[index[t.target]]) if isinstance(t, Step) else t
 
-def reachable_union(e1, e2, theory, cap=10000, stepper=step):
-    """``disjoint_union(reachable(e1), reachable(e2))``, with states
-    ``as0``, ``as1``, ..., ``bs0``, ``bs1``, ..., each named once."""
-    names1, structure1 = _explore(e1, theory, cap, stepper, "as")
-    names2, structure2 = _explore(e2, theory, cap, stepper, "bs")
-    return Coalgebra(theory, tuple(names1 + names2), {**structure1, **structure2})
+    return Coalgebra(theory, tuple(names),
+                     {name: theory.nf_map(nf, rename) for name, nf in zip(names, raw)})
 
 
 def disjoint_union(c1, c2, tag1="a", tag2="b"):
@@ -248,22 +243,50 @@ render_sterm = unparse  # public name; perfbench/tracing.py calls it
 
 
 def _sterm_to_json(t):
-    if isinstance(t, Zero):
-        return {"const": "0"}
-    if isinstance(t, Leaf):
-        g = t.gen
-        if isinstance(g, Out):
-            return {"out": g.var}
-        if isinstance(g, Tick):
-            return {"tick": True}
-        return {"act": g.action, "to": _render_target(g.target)}
-    node = {"op": "+"}
-    if isinstance(t.param, frozenset):
-        node["guard"] = sorted(t.param)
-    elif isinstance(t.param, Fraction):
-        node["prob"] = str(t.param)
-    node["args"] = [_sterm_to_json(a) for a in t.args]
-    return node
+    """The JSON form of the structure term ``t``, and how many levels of
+    objects and arrays it nests.  Built children first, in one loop over
+    ``post_order``, so a term's depth is no limit here."""
+    done = {}
+    for n in post_order((t,)):
+        if isinstance(n, Zero):
+            done[n] = {"const": "0"}, 1
+        elif isinstance(n, Leaf):
+            g = n.gen
+            if isinstance(g, Out):
+                done[n] = {"out": g.var}, 1
+            elif isinstance(g, Tick):
+                done[n] = {"tick": True}, 1
+            else:
+                done[n] = {"act": g.action, "to": _render_target(g.target)}, 1
+        else:
+            node = {"op": "+"}
+            if isinstance(n.param, frozenset):
+                node["guard"] = sorted(n.param)
+            elif isinstance(n.param, Fraction):
+                node["prob"] = str(n.param)
+            args = [done[a] for a in n.args]
+            node["args"] = [a for a, _ in args]
+            done[n] = node, 2 + max(depth for _, depth in args)
+    return done[t]
+
+
+def _json_text(value, depth, what, indent=None):
+    """``json.dumps(value, indent=indent)`` for a value nested ``depth``
+    levels.  Past ``MAX_JSON_DEPTH``, where the reader would refuse it, it
+    raises `TheoryError` saying that ``what`` is nested too deeply; so does
+    an encoder that runs out of stack first (3.11 counts its levels against
+    the recursion limit)."""
+    if depth <= MAX_JSON_DEPTH:
+        try:
+            return json.dumps(value, indent=indent)
+        except RecursionError:
+            pass
+    raise TheoryError(f"{what} JSON would be nested too deeply")
+
+
+def structure_json(t):
+    """The structure term ``t`` as one line of JSON."""
+    return _json_text(*_sterm_to_json(t), "normal form")
 
 
 class _Choice(tuple):
@@ -327,19 +350,20 @@ def _sterm_from_json(d, states):
     return built[0]
 
 
-def coalgebra_to_dict(c):
+def coalgebra_to_json(c):
+    """The coalgebra as indented JSON.  A structure term too deep for the
+    reader raises `TheoryError` naming the deepest state."""
     out = {"theory": c.theory.id}
     if c.theory.atoms:
         out["atoms"] = list(c.theory.atoms)
     out["states"] = list(c.states)
-    out["structure"] = {
-        s: _sterm_to_json(c.theory.term_of_nf(c.structure[s])) for s in c.states
-    }
-    return out
-
-
-def coalgebra_to_json(c):
-    return json.dumps(coalgebra_to_dict(c), indent=2)
+    out["structure"] = {}
+    deepest, depth = None, 0
+    for s in c.states:
+        out["structure"][s], d = _sterm_to_json(c.theory.term_of_nf(c.structure[s]))
+        if d > depth:
+            deepest, depth = s, d
+    return _json_text(out, 2 + depth, f"state {deepest!r}: coalgebra", indent=2)
 
 
 def coalgebra_from_dict(d):

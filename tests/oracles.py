@@ -9,7 +9,7 @@ total checked,
 generator sort keys by a chain of ``isinstance`` tests,
 the syntactic U(e) over-approximation of the reachable state set,
 reachable coalgebras by stepping every state with no memo shared between
-states,
+states, the union of two explorations with every state named,
 bisimilarity by greatest-fixpoint refinement of a relation and by Moore
 refinement that recomputes every signature in every round, guardedness by
 plain recursion, equation systems by recursive elimination that
@@ -25,6 +25,7 @@ import itertools
 from fractions import Fraction
 
 import procalc as pc
+from procalc import semantics
 from procalc.syntax import (_TOKEN, NameUse, ParseError, TokenStream, all_names,
                             fresh_name, parse_param, render_param)
 from procalc.theory import (ZERO_SUBDIST, TheoryError, canonical_convex_set,
@@ -227,6 +228,24 @@ def reachable_unmemoised(e, theory, stepper=pc.step):
     states = tuple(f"s{j}" for j in range(len(order)))
     return pc.Coalgebra(theory, states,
                         {s: theory.nf_map(nf, rename) for s, nf in zip(states, raw)})
+
+
+def reachable_union(e1, e2, theory, cap=10000, stepper=pc.step):
+    """``disjoint_union(reachable(e1), reachable(e2))``, with states
+    ``as0``, ``as1``, ..., ``bs0``, ``bs1``, ..., each named once; with
+    ``check_states(..., "as0", "bs0")``, the oracle for ``check_terms``,
+    which refines the explored terms without naming them."""
+    names, structure = [], {}
+    for prefix, e in (("as", e1), ("bs", e2)):
+        order, index, raw = semantics._explore(e, theory, cap, stepper)
+        side = [f"{prefix}{j}" for j in range(len(order))]
+
+        def rename(t, side=side, index=index):
+            return pc.Step(t.action, side[index[t.target]]) if isinstance(t, pc.Step) else t
+
+        names += side
+        structure.update((name, theory.nf_map(nf, rename)) for name, nf in zip(side, raw))
+    return pc.Coalgebra(theory, tuple(names), structure)
 
 
 def naive_bisim_relation(c):

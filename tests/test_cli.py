@@ -114,6 +114,28 @@ def test_deeply_nested_json_exits_1_through_cli_main(tmp_path, monkeypatch, caps
         1, "", "error: proof JSON is nested too deeply\n")
 
 
+def test_json_writer_refuses_too_deep_terms_through_cli_main(tmp_path, monkeypatch, capsys):
+    # the structure term of an n-way sum nests 2n - 1 JSON levels, past
+    # MAX_JSON_DEPTH at n = 600; the writer keeps no Python frame per level
+    wide = " + ".join(f"a{i}.0" for i in range(600))
+    assert _main_err(monkeypatch, capsys, "lts", "--format", "json", wide) == (
+        1, "", "error: state 's0': coalgebra JSON would be nested too deeply\n")
+    assert _main_err(monkeypatch, capsys, "step", "--format", "json", wide) == (
+        1, "", "error: normal form JSON would be nested too deeply\n")
+    # 499 summands nest 999 levels, within the limit but past the 3.11 encoder's stack
+    wide = " + ".join(f"a{i}.0" for i in range(499))
+    for command in ("lts", "step"):
+        code, _, err = _main_err(monkeypatch, capsys, command, "--format", "json", wide)
+        assert code in (0, 1) and "internal error" not in err
+    summands = [f"a{i}.0" for i in range(400)]
+    code, out = _main(monkeypatch, capsys, "lts", "--format", "json", " + ".join(summands))
+    assert code == 0
+    f = tmp_path / "wide.json"
+    f.write_text(out)
+    assert _main(monkeypatch, capsys, "solve", str(f), "--state", "s0") == (
+        0, "mu s0. " + " + ".join(s[:-1] + "(mu s1. 0)" for s in sorted(summands)) + "\n")
+
+
 def test_probability_above_one_exits_1_through_cli_main(tmp_path, monkeypatch, capsys):
     # the trusted convex combinations rely on check_param having seen every weight
     assert _main_err(monkeypatch, capsys, "step", "--theory", "ca", "u +[3/2] v") == (

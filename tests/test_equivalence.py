@@ -8,8 +8,9 @@ import pytest
 
 import procalc as pc
 
-from gen import ALL_THEORIES, rand_coalgebra, rand_guarded_exp, seed_for, theory
-from oracles import moore_check_states, moore_partition, naive_bisim_relation
+from gen import (ALL_THEORIES, rand_coalgebra, rand_guarded_exp, rand_param, rand_sexp, seed_for,
+                 theory)
+from oracles import moore_check_states, moore_partition, naive_bisim_relation, reachable_union
 
 F = Fraction
 
@@ -92,8 +93,6 @@ def test_equivalence_relation_laws(th):
 
 @pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
 def test_congruence_spot_checks(th):
-    from gen import rand_param
-
     rng = random.Random(seed_for(th.id, 28657))
     found = 0
     for _ in range(300):
@@ -178,6 +177,61 @@ def test_incremental_refinement_agrees_with_moore(th):
         assert pc.check_states(c, x, y) == moore_check_states(c, x, y)
 
 
+def _named_union_certificates(x, y, th, stepper=pc.step):
+    """The certificates of the named union of two explorations, from
+    ``check_states`` and from whole-trace Moore refinement."""
+    c = reachable_union(x, y, th, stepper=stepper)
+    return pc.check_states(c, "as0", "bs0"), moore_check_states(c, "as0", "bs0")
+
+
+@pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
+def test_refining_explored_terms_agrees_with_the_named_union(th):
+    # equivalent and star_equivalent refine the explored terms by position;
+    # the oracle names both sides' states first.  Sides that share subterms
+    # get separate positions: e against e, a.e and e + 0.
+    rng = random.Random(seed_for(th.id, 15151))
+    pairs = []
+    for _ in range(25):
+        e, f = rand_guarded_exp(th, rng), rand_guarded_exp(th, rng)
+        pairs += [(e, f), (e, e), (e, pc.Prefix("a1", e)), (pc.Prefix("a1", e), e),
+                  (e, pc.Op(rand_param(th, rng), (e, pc.ZERO)))]
+    for kw in ({"laps": 2}, {"last_out": "v"}):
+        pairs.append(tuple(pc.parse_exp(long_cycle(6, LONG_OPS[th.id], **k), th)
+                           for k in ({}, kw)))
+    verdicts = set()
+    for e, f in pairs:
+        cert = pc.equivalent(e, f, th)
+        assert [cert, cert] == list(_named_union_certificates(e, f, th))
+        verdicts.add(cert.equivalent)
+    for _ in range(25):
+        s, t = rand_sexp(th, rng), rand_sexp(th, rng)
+        for x, y in ((s, t), (s, s), (s, pc.SSeq(pc.SAct("a1"), s))):
+            cert = pc.star_equivalent(x, y, th)
+            assert [cert, cert] == list(_named_union_certificates(x, y, th, pc.lstep))
+            verdicts.add(cert.equivalent)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
+def test_state_cap_is_checked_on_each_side(th):
+    # a prefixed term has more states, so each order puts the larger side first once
+    e = pc.parse_exp(long_cycle(3, LONG_OPS[th.id]), th)
+    s = pc.SSeq(pc.SStar(rand_param(th, random.Random(1)), pc.SAct("a1")), pc.SAct("b1"))
+    for x, y, check, stepper, reach in (
+            (e, pc.Prefix("a2", e), pc.equivalent, pc.step, pc.reachable),
+            (s, pc.SSeq(pc.SAct("a2"), s), pc.star_equivalent, pc.lstep, pc.star_reachable)):
+        for x, y in ((x, y), (y, x)):
+            sizes = len(reach(x, th).states), len(reach(y, th).states)
+            assert sizes[0] != sizes[1]
+            n = max(sizes)
+            assert check(x, y, th, cap=n) == _named_union_certificates(x, y, th, stepper)[0]
+            with pytest.raises(pc.StateCapExceeded) as ours:
+                check(x, y, th, cap=n - 1)
+            with pytest.raises(pc.StateCapExceeded) as oracle:
+                reachable_union(x, y, th, cap=n - 1, stepper=stepper)
+            assert str(ours.value) == str(oracle.value) == f"more than {n - 1} reachable states"
+
+
 @pytest.mark.parametrize("name", ["sl", "ca", "gs"])
 def test_refinement_recomputes_only_predecessors_of_moved_states(name, monkeypatch):
     # Moore refinement rebuilds every signature in every round: 11,163 and
@@ -197,8 +251,9 @@ def test_refinement_recomputes_only_predecessors_of_moved_states(name, monkeypat
 
 @pytest.mark.parametrize("name", ["sl", "ca"])
 def test_equivalent_pushes_each_state_forward_once(name, monkeypatch):
-    # one nf_map per state names it, one per signature and one per mu
-    # unfolding; relabelling a disjoint union took one more per state
+    # one nf_map per signature and one per mu unfolding: refinement reads
+    # the explored terms, so no state is pushed forward to be named (naming
+    # both sides took one more per state, relabelling a disjoint union two)
     from procalc import equivalence, semantics
 
     th = theory(name)
@@ -219,4 +274,4 @@ def test_equivalent_pushes_each_state_forward_once(name, monkeypatch):
     monkeypatch.setattr(semantics, "gsubst_bm", counted(semantics.gsubst_bm, "gsubst_bm"))
     assert pc.equivalent(e, f, th).equivalent
     assert states == 183 and calls["gsubst_bm"] == 2
-    assert calls["nf_map"] <= states + calls["_signature"] + calls["gsubst_bm"]
+    assert calls["nf_map"] == calls["_signature"] + calls["gsubst_bm"]

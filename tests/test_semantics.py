@@ -15,7 +15,7 @@ from procalc.theory import ZERO_SUBDIST, TheoryError
 
 from gen import (ALL_THEORIES, rand_coalgebra, rand_exp, rand_guarded_exp,
                  rand_sexp, seed_for, theory)
-from oracles import reachable_unmemoised, u_set
+from oracles import reachable_union, reachable_unmemoised, u_set
 
 F = Fraction
 
@@ -255,16 +255,16 @@ def test_reachable_sorts_only_where_two_successors_are_new():
 
 
 def test_reachable_union_is_the_disjoint_union_of_reachables():
-    # the equiv path names the union's states in one pass
+    # the oracle for the equiv path names the union's states in one pass
     for th in ALL_THEORIES:
         rng = random.Random(seed_for(th.id, 3301))
         for _ in range(20):
             e, f = rand_guarded_exp(th, rng), rand_guarded_exp(th, rng)
-            u = semantics.reachable_union(e, f, th)
+            u = reachable_union(e, f, th)
             d = disjoint_union(pc.reachable(e, th), pc.reachable(f, th))
             assert (u.states, u.structure) == (d.states, d.structure)
             s, t = rand_sexp(th, rng), rand_sexp(th, rng)
-            u = semantics.reachable_union(s, t, th, stepper=pc.lstep)
+            u = reachable_union(s, t, th, stepper=pc.lstep)
             d = disjoint_union(pc.star_reachable(s, th), pc.star_reachable(t, th))
             assert (u.states, u.structure) == (d.states, d.structure)
 
@@ -348,6 +348,32 @@ def test_structure_terms_load_deeper_than_the_recursion_limit():
     c = semantics.coalgebra_from_dict(_deep_sum(3000))
     assert sorted(c.theory.generators(c.structure["s0"]), key=str) == [
         pc.Step("a", "s0"), pc.Step("b", "s0")]
+
+
+def test_json_writer_depth_limit_is_exact(monkeypatch):
+    # a k-way sum's structure term nests 2k - 1 levels, the coalgebra two more
+    monkeypatch.setattr(semantics, "MAX_JSON_DEPTH", 41)
+    monkeypatch.setattr(pc.theory, "MAX_JSON_DEPTH", 41)
+    th = theory("sl")
+
+    def wide(k):
+        return pc.parse_exp(" + ".join(f"a{i}.0" for i in range(k)), th)
+
+    c = pc.reachable(wide(20), th)
+    assert pc.coalgebra_from_json(pc.coalgebra_to_json(c)).structure == c.structure
+    with pytest.raises(TheoryError, match="^state 's0': coalgebra JSON would be nested too deeply$"):
+        pc.coalgebra_to_json(pc.reachable(wide(21), th))
+    assert json.loads(semantics.structure_json(th.term_of_nf(pc.step(wide(21), th))))
+    with pytest.raises(TheoryError, match="^normal form JSON would be nested too deeply$"):
+        semantics.structure_json(th.term_of_nf(pc.step(wide(22), th)))
+
+
+def test_structure_terms_are_written_deeper_than_the_recursion_limit():
+    # only the depth check, not the walk, stops a deep term
+    th = theory("sl")
+    t = th.term_of_nf(pc.step(pc.parse_exp(" + ".join(f"a{i}.0" for i in range(3000)), th), th))
+    d, depth = semantics._sterm_to_json(t)
+    assert depth == 5999 and d["args"][1] == {"act": "a999", "to": "0"}
 
 
 ACT = {"act": "a", "to": "s1"}

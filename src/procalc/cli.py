@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from fractions import Fraction
 
@@ -107,7 +106,10 @@ def _param_text(text, theory):
         guard = frozenset(x for x in text.replace(",", " ").split() if x)
         theory.check_param(guard)
         return guard
-    prob = Fraction(text)
+    try:
+        prob = Fraction(text)
+    except ZeroDivisionError:
+        raise syntax.ParseError("zero denominator") from None
     theory.check_param(prob)
     return prob
 
@@ -137,26 +139,41 @@ def run(argv=None):
         raise ValueError("--cap must be a positive integer")
     theory = _theory(args)
     actions = _actions(args)
+    # step, lts and equiv read either grammar: its parser and one-step map
+    command = args.command
+    if command == "star":
+        command = args.star_command
+        if command in ("estar", "deriv"):
+            return run_star(args, theory, actions)
+        stepper = star.lstep
+        parse = functools.partial(star.parse_sexp, theory=theory, gkat=args.gkat, actions=actions)
+    else:
+        stepper = semantics.step
+        use = syntax.NameUse(actions)  # equiv's two terms share it
+        parse = functools.partial(syntax.parse_exp, theory=theory, names=use)
 
-    if args.command == "step":
-        e = syntax.parse_exp(args.term, theory, actions)
-        _emit_nf(semantics.step(e, theory), theory, args.format)
+    if command == "step":
+        _emit_nf(stepper(parse(args.term), theory), theory, args.format)
         return 0
 
-    if args.command == "lts":
-        e = syntax.parse_exp(args.term, theory, actions)
-        _emit_coalgebra(semantics.reachable(e, theory, args.cap), args.format)
+    if command == "lts":
+        c = semantics.reachable(parse(args.term), theory, args.cap, stepper)
+        _emit_coalgebra(c, args.format)
         return 0
 
-    if args.command == "equiv":
-        use = syntax.NameUse(actions)
-        e1 = syntax.parse_exp(args.term1, theory, names=use)
-        e2 = syntax.parse_exp(args.term2, theory, names=use)
-        cert = equivalence.equivalent(e1, e2, theory, args.cap)
-        print(("equivalent: " if cert.equivalent else "not equivalent: ") + cert.detail)
+    if command == "equiv":
+        e1, e2 = parse(args.term1), parse(args.term2)
+        cert = equivalence.check_terms(e1, e2, theory, args.cap, stepper)
+        msg = ("equivalent: " if cert.equivalent else "not equivalent: ") + cert.detail
+        if stepper is star.lstep and not cert.equivalent:
+            # where weights are masses, the termination masses explain the split
+            if isinstance(theory.weight(theory.bottom(), semantics.TICK), Fraction):
+                m1, m2 = star.tick_mass(e1, theory), star.tick_mass(e2, theory)
+                msg += f" (termination mass {m1} vs {m2})"
+        print(msg)
         return 0 if cert.equivalent else 10
 
-    if args.command == "solve":
+    if command == "solve":
         with open(args.file) as fh:
             text = fh.read()
         if text.lstrip().startswith("{"):
@@ -181,7 +198,7 @@ def run(argv=None):
             print(f"{x} = {syntax.unparse(phi[x])}")
         return 0
 
-    if args.command == "prove":
+    if command == "prove":
         with open(args.file) as fh:
             proof = axioms.load_proof(fh.read(), actions)
         verdict = axioms.check_proof(proof)
@@ -192,45 +209,17 @@ def run(argv=None):
         print(f"rejected{where}: {verdict.reason}")
         return 11
 
-    if args.command == "skew":
+    if command == "skew":
         answer = th.is_skew_associative(theory)
         print("skew-associative" if answer else "not skew-associative")
         return 0
-
-    if args.command == "star":
-        return run_star(args, theory, actions)
 
     raise AssertionError("unreachable")
 
 
 def run_star(args, theory, actions):
-    cmd = args.star_command
-
-    if cmd == "step":
-        s = star.parse_sexp(args.term, theory, args.gkat, actions)
-        _emit_nf(star.lstep(s, theory), theory, args.format)
-        return 0
-
-    if cmd == "lts":
-        s = star.parse_sexp(args.term, theory, args.gkat, actions)
-        _emit_coalgebra(star.star_reachable(s, theory, args.cap), args.format)
-        return 0
-
-    if cmd == "equiv":
-        s1 = star.parse_sexp(args.term1, theory, args.gkat, actions)
-        s2 = star.parse_sexp(args.term2, theory, args.gkat, actions)
-        cert = star.star_equivalent(s1, s2, theory, args.cap)
-        msg = ("equivalent: " if cert.equivalent else "not equivalent: ") + cert.detail
-        # where weights are masses, the termination masses explain the split
-        masses = isinstance(theory.weight(theory.bottom(), semantics.TICK), Fraction)
-        if not cert.equivalent and masses:
-            m1 = star.tick_mass(s1, theory)
-            m2 = star.tick_mass(s2, theory)
-            msg += f" (termination mass {m1} vs {m2})"
-        print(msg)
-        return 0 if cert.equivalent else 10
-
-    if cmd == "estar":
+    """The star commands that have no counterpart for process terms."""
+    if args.star_command == "estar":
         exps = {}
         for item in args.exp:
             if "=" not in item:
@@ -249,7 +238,7 @@ def run_star(args, theory, actions):
         print(f"{args.axiom} {kind}: {result.detail}")
         return 10
 
-    if cmd == "deriv":
+    if args.star_command == "deriv":
         s = star.parse_sexp(args.term, theory, args.gkat, actions)
         d = star.partial_derivative(s, theory)
         guard = star.output_guard(s, theory)
@@ -267,17 +256,12 @@ def run_star(args, theory, actions):
 def main():
     try:
         sys.exit(run())
-    except (syntax.ParseError, th.TheoryError, solver.UnguardedSystem) as err:
-        print(f"error: {err}", file=sys.stderr)
-        sys.exit(1)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as err:
+    except (OSError, KeyError, ValueError) as err:  # parse, theory, system and JSON errors too
         print(f"error: {err}", file=sys.stderr)
         sys.exit(1)
     except semantics.StateCapExceeded as err:
         print(f"error: {err}", file=sys.stderr)
         sys.exit(2)
-    except SystemExit:
-        raise
     except Exception as err:  # pragma: no cover - defensive
         print(f"internal error: {err}", file=sys.stderr)
         sys.exit(2)

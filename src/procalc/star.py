@@ -7,9 +7,10 @@ behaviour can also be computed directly, with a termination transition in
 place of the continuation.  The two routes agree up to renaming outputs of
 the continuation variable to termination.
 
-Translation, the direct one-step map and the derivative are computed
-bottom-up, each in one loop over ``syntax.post_order``, so an expression's
-depth is no limit.
+The parser is one loop over ``syntax.tokenize``'s list with an explicit
+stack of open brackets, as ``syntax.parse_exp`` is.  Translation, the direct
+one-step map and the derivative are computed bottom-up, each in one loop
+over ``syntax.post_order``.  So an expression's depth is no limit.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from fractions import Fraction
 from . import syntax
 from .semantics import Out, Step, TICK, Tick, reachable
 from .equivalence import check_terms
-from .syntax import (Interned, Mu, Op, ParseError, Prefix, TokenStream, Var,
-                     ZERO, all_names, bracket, cached_text, fresh_name,
+from .syntax import (Interned, Mu, Op, ParseError, Prefix, Var, ZERO, all_names,
+                     bracket, cached_text, choice_param, expect_token, fresh_name,
                      is_guarded, parse_param, post_order, render_param, substitute)
 from .theory import TheoryError
 
@@ -105,69 +106,65 @@ SZERO, SONE = SZero(), SOne()
 # parser / printer
 
 def parse_sexp(text, theory, gkat=False, actions=None):
-    ts = TokenStream(text)
+    """Parse a star expression in one loop over its tokens, with an explicit
+    stack of frames: a list ``[choice, param, seq]`` for the whole input
+    and one per open bracket above it, holding the ``+`` run so far, the
+    parameter of its last ``+`` and the ``;`` run so far.  A complete atom
+    takes its postfix ``^`` operators, then joins the ``;`` run, then the
+    ``+`` run; a frame closes at the first token that continues neither,
+    which must be ``)``, or the end for the whole input."""
+    toks = syntax.tokenize(text)
     use = syntax.NameUse(actions)
-    e = _parse_schoice(ts, theory, use, gkat)
-    t = ts.peek()
-    if t[0] != "eof":
-        raise ParseError(f"trailing input {t[1]!r}", t[2])
-    return e
-
-
-def _parse_schoice(ts, theory, use, gkat):
-    e = _parse_sseq(ts, theory, use, gkat)
-    while ts.at("+"):
-        ts.next()
-        if ts.at("["):
-            param = parse_param(ts, theory)
-        else:
-            param = None
-            theory.check_param(None)
-        e = SChoice(param, e, _parse_sseq(ts, theory, use, gkat))
-    return e
-
-
-def _parse_sseq(ts, theory, use, gkat):
-    e = _parse_spost(ts, theory, use, gkat)
-    while ts.at(";"):
-        ts.next()
-        e = SSeq(e, _parse_spost(ts, theory, use, gkat))
-    return e
-
-
-def _parse_spost(ts, theory, use, gkat):
-    e = _parse_satom(ts, theory, use, gkat)
-    while ts.at("^"):
-        ts.next()
-        if ts.at("*"):
-            ts.next()
-            param = None
-            theory.check_param(None)
-        else:
-            param = parse_param(ts, theory)
-        e = SStar(param, e)
-    return e
-
-
-def _parse_satom(ts, theory, use, gkat):
-    kind, val, pos = ts.next()
-    if kind == "num" and val == "0":
-        return SZERO
-    if kind == "num" and val == "1":
-        return SONE
-    if kind == "(":
-        e = _parse_schoice(ts, theory, use, gkat)
-        ts.expect(")")
-        return e
-    if kind == "ident":
-        if gkat and val == "test":
-            guard = parse_param(ts, theory)
+    stack = [[None, None, None]]
+    i = 0  # an error is raised as soon as the eof token is consumed
+    while True:
+        kind, val, pos = toks[i]
+        i += 1
+        if kind == "(":
+            stack.append([None, None, None])
+            continue
+        if kind == "num" and val in ("0", "1"):
+            e = SZERO if val == "0" else SONE
+        elif kind == "ident" and gkat and val == "test":
+            guard, i = parse_param(toks, i, theory)
             if not isinstance(guard, frozenset):
                 raise ParseError("test expects a guard", pos)
-            return SChoice(guard, SONE, SZERO)
-        use.see_action(val, pos)
-        return SAct(val)
-    raise ParseError(f"unexpected token {val!r}", pos)
+            e = SChoice(guard, SONE, SZERO)
+        elif kind == "ident":
+            use.see_action(val, pos)
+            e = SAct(val)
+        else:
+            raise ParseError(f"unexpected token {val!r}", pos)
+        while True:  # e is a complete atom
+            while toks[i][0] == "^":
+                if toks[i + 1][0] == "*":
+                    i += 2
+                    param = None
+                    theory.check_param(None)
+                else:
+                    param, i = parse_param(toks, i + 1, theory)
+                e = SStar(param, e)
+            top = stack[-1]
+            if top[2] is not None:
+                e = SSeq(top[2], e)
+            if toks[i][0] == ";":
+                i += 1
+                top[2] = e
+                break
+            if top[0] is not None:
+                e = SChoice(top[1], top[0], e)
+            if toks[i][0] == "+":
+                param, i = choice_param(toks, i + 1, theory)
+                top[:] = e, param, None
+                break
+            stack.pop()
+            if not stack:
+                t = toks[i]
+                if t[0] != "eof":
+                    raise ParseError(f"trailing input {t[1]!r}", t[2])
+                return e
+            expect_token(toks, i, ")")
+            i += 1
 
 
 def unparse_sexp(e):

@@ -14,7 +14,9 @@ variables introduced internally live in the reserved ``%`` namespace, which
 the tokenizer cannot produce, so freshness never clashes with user input.
 
 No walk over a term recurses on its depth.  The parser is one loop over the
-tokens with an explicit stack of open sums and pending prefixes.  Terms are
+tokens with an explicit stack of open sums and pending prefixes; the star
+fragment's parser is a loop of the same kind over the same tokens, and both
+read choice parameters with ``parse_param``.  Terms are
 hash-consed DAGs.  ``post_order`` lists the nodes under a root that a caller
 still has to visit, children first, each once; the one-step semantics, the
 star fragment's walks, guardedness and the bound names are loops over it.
@@ -529,7 +531,8 @@ def _rewrite(root, enter):
 
 
 # ---------------------------------------------------------------------------
-# tokenizer (shared with the star fragment)
+# tokenizer and parameters, shared with the star fragment: both parsers are
+# loops over ``tokenize``'s list
 
 _IDENT, _NUM = r"[A-Za-z_][A-Za-z0-9_']*", r"\d+"
 _TOKEN = re.compile(rf"\s*(?:({_IDENT})|({_NUM})|([+.()\[\]/;^*=])|(\S))")
@@ -549,54 +552,50 @@ def tokenize(text):
     return toks
 
 
-class TokenStream:
-    def __init__(self, text):
-        self.toks = tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.toks[self.i]
-
-    def next(self):
-        t = self.toks[self.i]
-        if t[0] != "eof":
-            self.i += 1
-        return t
-
-    def expect(self, kind):
-        t = self.next()
-        if t[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {t[1]!r}", t[2])
-        return t
-
-    def at(self, kind):
-        return self.peek()[0] == kind
+def expect_token(toks, i, kind):
+    """Token ``i``, which must be of ``kind``."""
+    t = toks[i]
+    if t[0] != kind:
+        raise ParseError(f"expected {kind!r}, found {t[1]!r}", t[2])
+    return t
 
 
-def parse_param(ts, theory):
-    """Parse the contents of ``[...]`` after a choice or star."""
-    ts.expect("[")
+def parse_param(toks, i, theory):
+    """Parse the ``[...]`` that starts at token ``i``, after a choice or a
+    star; returns the parameter and the index of the token after ``]``."""
+    expect_token(toks, i, "[")
+    i += 1
     if "gplus" in theory.binary_families:
-        atoms = []
-        while ts.at("ident") or ts.at("num"):
-            atoms.append(ts.next()[1])
-        ts.expect("]")
-        guard = frozenset(atoms)
+        j = i
+        while toks[j][0] in ("ident", "num"):
+            j += 1
+        expect_token(toks, j, "]")
+        guard = frozenset(t[1] for t in toks[i:j])
         theory.check_param(guard)
-        return guard
+        return guard, j + 1
     # probability
-    t = ts.expect("num")
+    t = expect_token(toks, i, "num")
     num = int(t[1])
     den = 1
-    if ts.at("/"):
-        ts.next()
-        den = int(ts.expect("num")[1])
+    i += 1
+    if toks[i][0] == "/":
+        den = int(expect_token(toks, i + 1, "num")[1])
         if den == 0:
             raise ParseError("zero denominator", t[2])
+        i += 2
     prob = Fraction(num, den)
-    ts.expect("]")
+    expect_token(toks, i, "]")
     theory.check_param(prob)
-    return prob
+    return prob, i + 1
+
+
+def choice_param(toks, i, theory):
+    """``parse_param`` for the optional ``[...]`` after a ``+``: a plain
+    ``+`` has the parameter None."""
+    if toks[i][0] == "[":
+        return parse_param(toks, i, theory)
+    theory.check_param(None)
+    return None, i
 
 
 class NameUse:
@@ -620,35 +619,30 @@ class NameUse:
         self.variables.add(name)
 
 
-_ROOT, _PAREN = object(), object()  # how a sum frame of parse_exp closes, besides a mu's var
+_PAREN = object()  # the close of a bracket's sum frame in parse_exp; a mu body's is its var
 
 
 def parse_exp(text, theory, actions=None, names=None):
     """Parse a term in one loop over its tokens, with an explicit stack of
-    frames: a list ``[left, param, close]`` per open sum (the whole input,
-    a bracket, or a ``mu`` body, whose ``close`` is its variable) and an
-    action name per pending prefix.  A complete item closes the prefixes
+    frames: a list ``[left, param, close]`` per open sum (the whole input
+    at the bottom, a bracket, or a ``mu`` body, whose ``close`` is its
+    variable) and an action name per pending prefix.  A complete item closes the prefixes
     above it and joins its sum; a sum ends at the first token that is not
     ``+`` and completes the item that opened it."""
-    ts = TokenStream(text)
-    toks = ts.toks
+    toks = tokenize(text)
     use = names if names is not None else NameUse(actions)
-    stack = [[None, None, _ROOT]]
+    stack = [[None, None, None]]
     i = 0  # an error is raised as soon as the eof token is consumed
     while True:
         kind, val, pos = toks[i]
         i += 1
         if kind == "ident":
             if val == "mu":
-                t = toks[i]
-                if t[0] != "ident":
-                    raise ParseError(f"expected 'ident', found {t[1]!r}", t[2])
-                use.see_variable(t[1], pos)
-                dot = toks[i + 1]
-                if dot[0] != ".":
-                    raise ParseError(f"expected '.', found {dot[1]!r}", dot[2])
+                var = expect_token(toks, i, "ident")[1]
+                use.see_variable(var, pos)
+                expect_token(toks, i + 1, ".")
                 i += 2
-                stack.append([None, None, t[1]])
+                stack.append([None, None, var])
                 continue
             if toks[i][0] == ".":
                 i += 1
@@ -673,26 +667,18 @@ def parse_exp(text, theory, actions=None, names=None):
             if top[0] is not None:
                 e = Op(top[1], (top[0], e))
             if toks[i][0] == "+":
-                i += 1
-                if toks[i][0] == "[":
-                    ts.i = i
-                    param = parse_param(ts, theory)
-                    i = ts.i
-                else:
-                    param = None
-                    theory.check_param(None)
+                param, i = choice_param(toks, i + 1, theory)
                 top[0], top[1] = e, param
                 break
             stack.pop()
             close = top[2]
-            t = toks[i]
-            if close is _ROOT:
+            if not stack:
+                t = toks[i]
                 if t[0] != "eof":
                     raise ParseError(f"trailing input {t[1]!r}", t[2])
                 return e
             if close is _PAREN:
-                if t[0] != ")":
-                    raise ParseError(f"expected ')', found {t[1]!r}", t[2])
+                expect_token(toks, i, ")")
                 i += 1
             else:
                 e = Mu(close, e)

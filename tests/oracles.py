@@ -15,8 +15,8 @@ refinement that recomputes every signature in every round, guardedness by
 plain recursion, equation systems by recursive elimination that
 back-substitutes every unknown, alpha-equivalence by a walk with binder
 environments, the printers by plain recursion with no per-node text
-cache, the tokenizer by one regex match per token, the parser by
-recursive descent, substitution by a recursive walk of the tree, and the
+cache, the tokenizer by one regex match per token, both parsers by
+recursive descent over a token cursor, substitution by a recursive walk of the tree, and the
 star fragment's translation, direct one-step map and derivatives by plain
 recursion.
 """
@@ -26,8 +26,8 @@ from fractions import Fraction
 
 import procalc as pc
 from procalc import semantics
-from procalc.syntax import (_TOKEN, NameUse, ParseError, TokenStream, all_names,
-                            fresh_name, parse_param, render_param)
+from procalc.syntax import (_TOKEN, NameUse, ParseError, all_names, fresh_name,
+                            render_param, tokenize)
 from procalc.theory import (ZERO_SUBDIST, TheoryError, canonical_convex_set,
                             in_lower_hull, sorted_gens)
 
@@ -460,6 +460,58 @@ def tokenize_by_match(text):
     return toks
 
 
+class TokenStream:
+    """A cursor over ``tokenize``'s list, for the recursive-descent parsers."""
+
+    def __init__(self, text):
+        self.toks = tokenize(text)
+        self.i = 0
+
+    def peek(self):
+        return self.toks[self.i]
+
+    def next(self):
+        t = self.toks[self.i]
+        if t[0] != "eof":
+            self.i += 1
+        return t
+
+    def expect(self, kind):
+        t = self.next()
+        if t[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {t[1]!r}", t[2])
+        return t
+
+    def at(self, kind):
+        return self.peek()[0] == kind
+
+
+def parse_param(ts, theory):
+    """The contents of ``[...]`` after a choice or star, read from the
+    cursor ``ts``; oracle for ``syntax.parse_param``."""
+    ts.expect("[")
+    if "gplus" in theory.binary_families:
+        atoms = []
+        while ts.at("ident") or ts.at("num"):
+            atoms.append(ts.next()[1])
+        ts.expect("]")
+        guard = frozenset(atoms)
+        theory.check_param(guard)
+        return guard
+    t = ts.expect("num")
+    num = int(t[1])
+    den = 1
+    if ts.at("/"):
+        ts.next()
+        den = int(ts.expect("num")[1])
+        if den == 0:
+            raise ParseError("zero denominator", t[2])
+    prob = Fraction(num, den)
+    ts.expect("]")
+    theory.check_param(prob)
+    return prob
+
+
 def parse_exp_recursive(text, theory, actions=None, names=None):
     """Recursive descent over the grammar in ``syntax``'s docstring; oracle
     for ``syntax.parse_exp``.  It recurses once per prefix and bracket."""
@@ -506,6 +558,75 @@ def _parse_item(ts, theory, use):
             return pc.Prefix(val, _parse_item(ts, theory, use))
         use.see_variable(val, pos)
         return pc.Var(val)
+    raise ParseError(f"unexpected token {val!r}", pos)
+
+
+def parse_sexp_recursive(text, theory, gkat=False, actions=None):
+    """Recursive descent over the star grammar (choice, then sequence, then
+    postfix ``^``, then atoms); oracle for ``star.parse_sexp``.  It recurses
+    four times per bracket."""
+    ts = TokenStream(text)
+    use = NameUse(actions)
+    e = _parse_schoice(ts, theory, use, gkat)
+    t = ts.peek()
+    if t[0] != "eof":
+        raise ParseError(f"trailing input {t[1]!r}", t[2])
+    return e
+
+
+def _parse_schoice(ts, theory, use, gkat):
+    e = _parse_sseq(ts, theory, use, gkat)
+    while ts.at("+"):
+        ts.next()
+        if ts.at("["):
+            param = parse_param(ts, theory)
+        else:
+            param = None
+            theory.check_param(None)
+        e = pc.SChoice(param, e, _parse_sseq(ts, theory, use, gkat))
+    return e
+
+
+def _parse_sseq(ts, theory, use, gkat):
+    e = _parse_spost(ts, theory, use, gkat)
+    while ts.at(";"):
+        ts.next()
+        e = pc.SSeq(e, _parse_spost(ts, theory, use, gkat))
+    return e
+
+
+def _parse_spost(ts, theory, use, gkat):
+    e = _parse_satom(ts, theory, use, gkat)
+    while ts.at("^"):
+        ts.next()
+        if ts.at("*"):
+            ts.next()
+            param = None
+            theory.check_param(None)
+        else:
+            param = parse_param(ts, theory)
+        e = pc.SStar(param, e)
+    return e
+
+
+def _parse_satom(ts, theory, use, gkat):
+    kind, val, pos = ts.next()
+    if kind == "num" and val == "0":
+        return pc.SZERO
+    if kind == "num" and val == "1":
+        return pc.SONE
+    if kind == "(":
+        e = _parse_schoice(ts, theory, use, gkat)
+        ts.expect(")")
+        return e
+    if kind == "ident":
+        if gkat and val == "test":
+            guard = parse_param(ts, theory)
+            if not isinstance(guard, frozenset):
+                raise ParseError("test expects a guard", pos)
+            return pc.SChoice(guard, pc.SONE, pc.SZERO)
+        use.see_action(val, pos)
+        return pc.SAct(val)
     raise ParseError(f"unexpected token {val!r}", pos)
 
 

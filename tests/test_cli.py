@@ -99,6 +99,42 @@ def test_long_star_expressions_through_cli_main(monkeypatch, capsys):
     assert time.perf_counter() - start < 1
 
 
+def test_nested_star_brackets_through_cli_main(monkeypatch, capsys):
+    # the star parser keeps no Python frame per bracket
+    n = 3000
+    right = "a ; (" * n + "a ; b" + ")" * n
+    flat = "a ; " * (n + 1) + "b"
+    left = "a + b"
+    for _ in range(n - 1):
+        left = f"({left}) ; c"
+    left = f"({left})^*"
+    assert _main(monkeypatch, capsys, "star", "step", right) == (
+        0, f"a.(1 ; {right[4:]})\n")
+    assert _main(monkeypatch, capsys, "star", "lts", right) == \
+        _main(monkeypatch, capsys, "star", "lts", flat)
+    code, out = _main(monkeypatch, capsys, "star", "equiv", right, flat)
+    assert code == 0 and out.startswith("equivalent: ")
+    assert _main(monkeypatch, capsys, "star", "deriv", right) == (
+        0, f"derivative: {right}\noutputs: no\n")
+    for argv in (("step", left), ("lts", left), ("deriv", left),
+                 ("equiv", left, "((a + b)" + " ; c" * (n - 1) + ")^*")):
+        assert _main_err(monkeypatch, capsys, "star", *argv)[::2] == (0, ""), argv[0]
+
+
+def test_both_grammars_check_names_across_equiv_terms(monkeypatch, capsys):
+    # the shared path parses each term with its own grammar's name checks
+    argv = ("star", "equiv", "--actions", "a,b", "a ; b", "a ; c")
+    assert _main_err(monkeypatch, capsys, *argv) == (1, "", "error: undeclared action 'c' (at 4)\n")
+    assert _main_err(monkeypatch, capsys, "equiv", "a.0", "a") == (
+        1, "", "error: 'a' used both as action and variable (at 0)\n")
+
+
+def test_zero_denominator_in_estar_parameters_exits_1(monkeypatch, capsys):
+    for argv in (("E5", "--sigma", "1/0"), ("E4", "--sigma", "1/2", "--tau", "1/0")):
+        assert _main_err(monkeypatch, capsys, "star", "estar", "--theory", "ca", "--exp", "e=a",
+                         *argv) == (1, "", "error: zero denominator\n")
+
+
 def test_deeply_nested_json_exits_1_through_cli_main(tmp_path, monkeypatch, capsys):
     # 3,000 op levels are 6,000 JSON levels, beyond MAX_JSON_DEPTH on every Python version
     n = 3000

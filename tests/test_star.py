@@ -17,7 +17,8 @@ from procalc.star import (SAct, SChoice, SOne, SSeq, SStar, SZERO, SONE,
                           unparse_sexp, is_guarded_star)
 
 from gen import ACTIONS, ALL_THEORIES, rand_guarded_sexp, rand_sexp, seed_for, theory
-from oracles import deriv_gs, deriv_sl, lstep_recursive, translate_recursive
+from oracles import (deriv_gs, deriv_sl, lstep_recursive, parse_sexp_recursive,
+                     translate_recursive)
 
 F = Fraction
 
@@ -65,6 +66,58 @@ def test_sexp_print_parse_round_trip(name):
     for _ in range(300):
         e = rand_sexp(th, rng, depth=4)
         assert parse_sexp(unparse_sexp(e), th) == e
+
+
+# the tokens that the mutations below insert, or put in place of another
+MUTATION_TOKENS = ("(", ")", "+", ";", "^", "*", "[", "]", "/", "0", "1", "2",
+                   "a1", "a3", "x1", "test")
+
+
+def _parsed_or_error(text, th, gkat, actions, parser):
+    try:
+        return parser(text, th, gkat, actions)
+    except (pc.ParseError, pc.TheoryError) as err:
+        return (type(err), str(err))
+
+
+@pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
+def test_parse_sexp_agrees_with_recursive_descent(th):
+    # printed random expressions, each also with one token deleted, one
+    # inserted and one replaced; nodes are interned, so == is identity
+    rng = random.Random(seed_for(th.id, 0x5E9))
+    texts = ["", "(", ")", "a1 ;", "test", "test[x1] ; a1", "test[1/2]^*", "a1^", "(a1 + a2"]
+    for _ in range(300):
+        toks = [t[1] for t in pc.syntax.tokenize(unparse_sexp(rand_sexp(th, rng, depth=4)))[:-1]]
+        texts.append(" ".join(toks))
+        for edit in ("delete", "insert", "replace"):
+            mutated = list(toks)
+            at = rng.randrange(len(mutated) + (edit == "insert"))
+            if edit != "insert":
+                del mutated[at]
+            if edit != "delete":
+                mutated.insert(at, rng.choice(MUTATION_TOKENS))
+            texts.append(" ".join(mutated))
+    outcomes = set()
+    for text in texts:
+        for gkat in (False, True):
+            actions = rng.choice([None, ACTIONS, ACTIONS[:1]])
+            new = _parsed_or_error(text, th, gkat, actions, parse_sexp)
+            assert new == _parsed_or_error(text, th, gkat, actions, parse_sexp_recursive), \
+                (text, gkat, actions)
+            outcomes.add(new[0] if type(new) is tuple else "parsed")
+    assert {"parsed", pc.ParseError} <= outcomes
+
+
+def test_parse_sexp_at_depth():
+    sl = theory("sl")
+    n = 10 ** 4
+    assert parse_sexp("(" * n + "a" + ")" * n, sl) is SAct("a")
+    with pytest.raises(pc.ParseError, match=rf"expected '\)', found '' \(at {2 * n}\)"):
+        parse_sexp("(" * n + "a" + ")" * (n - 1), sl)
+    right = SAct("b")
+    for _ in range(n):
+        right = SSeq(SAct("a"), right)
+    assert parse_sexp("a ; (" * n + "b" + ")" * n, sl) is right
 
 
 # ---------------------------------------------------------------------------

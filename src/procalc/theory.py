@@ -610,6 +610,37 @@ class GuardedSemilattice(Theory):
         return t
 
 
+def _pair_key(keys):
+    """The sort key of a (generator, mass) pair: the generator's
+    ``generator_key``, computed once per generator into the memo ``keys``,
+    then the mass.  Masses are fractions, so pairs, and tuples of pairs,
+    compare as their ``generator_key`` does."""
+    def key(pair):
+        g = pair[0]
+        k = keys.get(g)
+        if k is None:
+            k = keys[g] = generator_key(g)
+        return k, pair[1]
+    return key
+
+
+def _ca_reading(pairs, leaf):
+    """The ``ca`` term of a subdistribution's (generator, mass) pairs in the
+    order given, built from the right: each generator ``+[p]`` what follows
+    it, where p is its mass over its mass plus the mass that follows,
+    deadlock included; the last generator stands alone when no mass follows.
+    The masses are counted as integers over one common denominator, so each
+    p is one ``Fraction(n, n + tail)``."""
+    scale = math.lcm(*[m.denominator for _, m in pairs])
+    counts = [m.numerator * (scale // m.denominator) for _, m in pairs]
+    tail = scale - sum(counts)
+    t = ZERO
+    for (g, _), n in zip(reversed(pairs), reversed(counts)):
+        t = Op(Fraction(n, n + tail), (leaf(g), t)) if tail else leaf(g)
+        tail += n
+    return t
+
+
 class ConvexAlgebra(Theory):
     """Subprobability distributions with exact rational masses; missing mass
     is deadlock."""
@@ -653,14 +684,7 @@ class ConvexAlgebra(Theory):
         return dict(nf).get(g, Fraction(0))
 
     def term_of_nf(self, nf, leaf=Leaf):
-        # built from the right; the tail's mass is what follows, deadlock included
-        items = sorted_gens(nf)
-        tail = 1 - sum(m for _, m in items)
-        t = ZERO
-        for g, mass in reversed(items):
-            t = Op(mass / (mass + tail), (leaf(g), t)) if tail else leaf(g)
-            tail += mass
-        return t
+        return _ca_reading(sorted(nf, key=_pair_key({})), leaf)
 
 
 class ConvexSemilattice(Theory):
@@ -678,17 +702,58 @@ class ConvexSemilattice(Theory):
         return frozenset({ZERO_SUBDIST, frozenset({(g, Fraction(1))})})
 
     def op_apply(self, param, args):
+        """``l + r`` is the union of the two sets' points, and ``l +[p] r``
+        the set of their mixtures ``p·a + (1−p)·b``, canonicalised.
+
+        A mixture takes the deadlock point 0 from a side only when it is
+        that side's one point: ``p·0 + (1−p)·b`` lies below
+        ``p·a + (1−p)·b``, so dropping it keeps the hull.
+
+        When no generator occurs on both sides, the result is canonical as
+        it is, and ``canonical_convex_set`` is skipped; 0 is added back.
+        Union: a point g ≠ 0 of ``l`` has all its mass on generators of
+        ``l``, where the points of ``r`` have none.  A weighting of the
+        other points that reaches g still reaches it with the weight on
+        ``r`` dropped, so g would lie in the hull of the rest of ``l``,
+        which ``l`` being canonical rules out; likewise for ``r``.
+        Mixture (for p ∈ {0, 1} the points are those of one side): let
+        ``p·a + (1−p)·b`` lie below a weighting λ of the other mixtures,
+        and let μ(a') be the weight λ gives the mixtures made from a'.  On
+        a's generators this says ``a ≤ Σ μ(a')·a'`` with ``Σ μ ≤ 1``.  If
+        a ≠ 0 and μ(a) < 1, the rest of the weight divided by ``1 − μ(a)``
+        would put a in the hull of the rest of ``l``.  So μ(a) = 1, and
+        likewise for b on b's generators: λ would be all on the mixture of
+        a and b, which is not among the others.
+        """
         self.check_param(param)
         l, r = args
+        apart = self.generators(l).isdisjoint(self.generators(r))
         if param is None:
-            return canonical_convex_set(l | r)
-        left = [_scaled(param, a) for a in l]
-        right = [_scaled(1 - param, b) for b in r]
-        return canonical_convex_set({_mixed((a, b)) for a in left for b in right})
+            return l | r if apart else canonical_convex_set(l | r)
+        left = [_scaled(param, a) for a in (l - {ZERO_SUBDIST} or l)]
+        right = [_scaled(1 - param, b) for b in (r - {ZERO_SUBDIST} or r)]
+        points = {_mixed((a, b)) for a in left for b in right}
+        if not apart:
+            return canonical_convex_set(points)
+        points.add(ZERO_SUBDIST)
+        return frozenset(points)
 
     def nf_map(self, nf, f):
+        """Each point pushed forward along ``f`` (``ConvexAlgebra.nf_map``),
+        canonicalised; ``f`` is called once per generator.
+
+        When ``f`` is one-to-one on the generators, the result is canonical
+        as it is, and ``canonical_convex_set`` is skipped: the pushforward
+        then only renames the generators, keeping every mass, so it maps
+        distinct points to distinct points, and a point lies below a
+        weighting of others exactly when its image lies below the same
+        weighting of their images."""
         ca = ConvexAlgebra()
-        return canonical_convex_set({ca.nf_map(sub, f) for sub in nf})
+        image = {g: f(g) for g in self.generators(nf)}
+        points = {ca.nf_map(sub, image.__getitem__) for sub in nf}
+        if len(set(image.values())) == len(image):
+            return frozenset(points)
+        return canonical_convex_set(points)
 
     def nf_flatten(self, nf):
         # each point of each inner set is scaled once, by its mass in theta
@@ -712,8 +777,16 @@ class ConvexSemilattice(Theory):
         return list(dict.fromkeys(p for sub in sorted_gens(nf) for p in sorted_gens(sub)))
 
     def term_of_nf(self, nf, leaf=Leaf):
-        ca = ConvexAlgebra()
-        return _sum([ca.term_of_nf(sub, leaf) for sub in sorted_gens(nf)])
+        # each point is sorted once: its pairs' keys in that order are its
+        # place among the points (as generator_key ranks frozensets), and
+        # the pairs in that order are its ca reading
+        key = _pair_key({})
+        ranked = []
+        for sub in nf:
+            pairs = sorted(sub, key=key)
+            ranked.append((tuple(map(key, pairs)), pairs))
+        ranked.sort(key=lambda r: r[0])
+        return _sum([_ca_reading(pairs, leaf) for _, pairs in ranked])
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ convex membership by basic-solution enumeration with Gaussian elimination,
 convex-set canonicalisation by one simplex per candidate point, walked
 in generator order,
 the ``ca`` / ``cs`` pushforward, choices and flattening with every mass
-total checked,
+total checked and every ``cs`` result canonicalised,
+the ``ca`` / ``cs`` term readings by sorting with ``sorted_gens`` and one
+fraction division per generator,
 generator sort keys by a chain of ``isinstance`` tests,
 the syntactic U(e) over-approximation of the reachable state set,
 reachable coalgebras by stepping every state with no memo shared between
@@ -26,8 +28,8 @@ from fractions import Fraction
 
 import procalc as pc
 from procalc import semantics
-from procalc.syntax import (_TOKEN, NameUse, ParseError, all_names, fresh_name,
-                            render_param, tokenize)
+from procalc.syntax import (_TOKEN, ZERO, Leaf, NameUse, Op, ParseError, all_names,
+                            fresh_name, render_param, tokenize)
 from procalc.theory import (ZERO_SUBDIST, TheoryError, canonical_convex_set,
                             in_lower_hull, sorted_gens)
 
@@ -149,10 +151,13 @@ def ca_nf_flatten_validating(nf):
 
 
 def cs_op_apply_validating(param, args):
-    """``ConvexSemilattice.op_apply`` for a probabilistic ``param``, every
-    pairwise combination checked and walked in generator order (the
+    """``ConvexSemilattice.op_apply`` that canonicalises every result: the
+    union of both sides for ``param`` None, else every pairwise combination,
+    deadlock included, checked and walked in generator order (the
     canonicalisation has its own oracle, ``canonical_convex_set_lp``)."""
     l, r = args
+    if param is None:
+        return canonical_convex_set(l | r)
     return canonical_convex_set({
         _subdist(_merge_scaled([(param, a), (1 - param, b)]))
         for a in sorted_gens(l) for b in sorted_gens(r)
@@ -185,8 +190,32 @@ def ca_nf_map_validating(nf, f):
 
 def cs_nf_map_validating(nf, f):
     """``ConvexSemilattice.nf_map`` on top of the validating ``ca``
-    pushforward."""
+    pushforward, canonicalising every image."""
     return canonical_convex_set({ca_nf_map_validating(sub, f) for sub in nf})
+
+
+def ca_term_of_nf_sorted(nf, leaf=Leaf):
+    """The ``ca`` reading of a subdistribution, sorted by ``sorted_gens``
+    with one ``Fraction`` division per generator; oracle for
+    ``ConvexAlgebra.term_of_nf``."""
+    items = sorted_gens(nf)
+    tail = 1 - sum(m for _, m in items)
+    t = ZERO
+    for g, mass in reversed(items):
+        t = Op(mass / (mass + tail), (leaf(g), t)) if tail else leaf(g)
+        tail += mass
+    return t
+
+
+def cs_term_of_nf_sorted(nf, leaf=Leaf):
+    """The ``cs`` reading: the ``ca`` readings of the points, ranked by
+    ``sorted_gens``, summed from the left; oracle for
+    ``ConvexSemilattice.term_of_nf``."""
+    readings = [ca_term_of_nf_sorted(sub, leaf) for sub in sorted_gens(nf)]
+    t = readings[0] if readings else ZERO
+    for u in readings[1:]:
+        t = Op(None, (t, u))
+    return t
 
 
 def u_set(e):

@@ -135,6 +135,19 @@ def test_zero_denominator_in_estar_parameters_exits_1(monkeypatch, capsys):
                          *argv) == (1, "", "error: zero denominator\n")
 
 
+def test_decimal_exponent_in_estar_parameters_exits_1(monkeypatch, capsys):
+    # Fraction("1e-4000000") would build 10 ** 4000000 exactly, which took seconds
+    estar = ("star", "estar", "E5", "--theory", "ca", "--exp", "e=a")
+    for text in ("1e-4000000", "1E3", "5e-1"):
+        start = time.perf_counter()
+        assert _main_err(monkeypatch, capsys, *estar, "--sigma", text) == (
+            1, "", f"error: probability {text!r} has a decimal exponent\n")
+        assert time.perf_counter() - start < 1
+    assert _main_err(monkeypatch, capsys, *estar, "--sigma", "1/2", "--tau", "2e1")[0] == 1
+    for text in ("1", "1/2", "0.5"):
+        assert _main(monkeypatch, capsys, *estar, "--sigma", text) == (0, "E5 instance holds\n")
+
+
 def test_deeply_nested_json_exits_1_through_cli_main(tmp_path, monkeypatch, capsys):
     # 3,000 op levels are 6,000 JSON levels, beyond MAX_JSON_DEPTH on every Python version
     n = 3000

@@ -9,16 +9,16 @@ from fractions import Fraction
 import pytest
 
 import procalc as pc
-from procalc import ZERO, Leaf, Op, Var, step
+from procalc import ZERO, Leaf, Op, Var, cli, step
 from procalc.theory import (TheoryError, ZERO_SUBDIST, axiom_side_ok, eval_param,
                             generator_key, in_lower_hull, param_family, param_symbols,
                             sorted_gens, theory_from_json)
 
 from gen import ALL_THEORIES, ATOMS, rand_exp, rand_guard, rand_param, rand_prob, theory
 from oracles import (ca_nf_flatten_validating, ca_nf_map_validating, ca_op_apply_validating,
-                     canonical_convex_set_lp, convex_member_bruteforce,
+                     ca_term_of_nf_sorted, canonical_convex_set_lp, convex_member_bruteforce,
                      cs_nf_flatten_validating, cs_nf_map_validating, cs_op_apply_validating,
-                     generator_key_by_isinstance)
+                     cs_term_of_nf_sorted, generator_key_by_isinstance)
 
 F = Fraction
 
@@ -328,9 +328,12 @@ def test_trusted_pushforward_agrees_with_validating_oracle():
     ca, cs = theory("ca"), theory("cs")
     gens = ("g1", "g2", "g3", "g4", "g5")
     collided = full = 0
-    for _ in range(300):
-        table = {g: rng.choice(("h1", "h2", "h3")) for g in gens}
-        f = table.__getitem__
+    maps = {"one-to-one": 0, "merging": 0}
+    for _ in range(450):
+        # onto fewer images, or a permutation half the time
+        images = [rng.choice(("h1", "h2", "h3")) for _ in gens] if rng.random() < 0.5 \
+            else rng.sample(gens, len(gens))
+        f = dict(zip(gens, images)).__getitem__
         d = _rand_subdist(rng, gens)
         mapped = ca.nf_map(d, f)
         assert mapped == ca_nf_map_validating(d, f)
@@ -339,8 +342,11 @@ def test_trusted_pushforward_agrees_with_validating_oracle():
         full += sum(m for _, m in d) == 1
         points = {_rand_subdist(rng, gens) for _ in range(rng.randint(1, 3))}
         nf = pc.theory.canonical_convex_set(points)
+        # cs.nf_map keeps a one-to-one image as it is and canonicalises a merged one
         assert cs.nf_map(nf, f) == cs_nf_map_validating(nf, f)
-    assert collided > 100 and full > 100
+        one_to_one = len(set(map(f, cs.generators(nf)))) == len(cs.generators(nf))
+        maps["one-to-one" if one_to_one else "merging"] += 1
+    assert collided > 100 and full > 100 and min(maps.values()) >= 100, maps
 
 
 def _rand_cs_nf(rng, gens, most=3):
@@ -354,7 +360,8 @@ def test_trusted_combinations_agree_with_validating_oracles():
     gens = ("g1", "g2", "g3", "g4")
     weights = set()
     shared = 0
-    for _ in range(120):
+    cs_cases = dict.fromkeys(itertools.product(("apart", "shared"), ("+", "0", "1", "p")), 0)
+    for _ in range(200):
         p = rand_prob(rng)
         weights.add(p)
         l, r = _rand_subdist(rng, gens), _rand_subdist(rng, gens)
@@ -363,13 +370,119 @@ def test_trusted_combinations_agree_with_validating_oracles():
         inner = list(dict.fromkeys(_rand_subdist(rng, gens) for _ in range(3)))
         nested = _rand_subdist(rng, inner)
         assert ca.nf_flatten(nested) == ca_nf_flatten_validating(nested)
-        left, right = _rand_cs_nf(rng, gens), _rand_cs_nf(rng, gens)
-        assert cs.op_apply(p, (left, right)) == cs_op_apply_validating(p, (left, right))
+        # op_apply keeps a result whose sides share no generator as it is;
+        # sides drawn from two halves of the generators share none
+        if rng.random() < 0.5:
+            left, right = _rand_cs_nf(rng, gens[:2]), _rand_cs_nf(rng, gens[2:])
+        else:
+            left, right = _rand_cs_nf(rng, gens), _rand_cs_nf(rng, gens)
+        apart = cs.generators(left).isdisjoint(cs.generators(right))
+        for q in (None, p):
+            assert cs.op_apply(q, (left, right)) == cs_op_apply_validating(q, (left, right))
+            kind = "+" if q is None else str(q) if q in (0, 1) else "p"
+            cs_cases["apart" if apart else "shared", kind] += 1
         inner_sets = list(dict.fromkeys(_rand_cs_nf(rng, gens, 2) for _ in range(3)))
         nf = _rand_cs_nf(rng, inner_sets, 2)
         assert cs.nf_flatten(nf) == cs_nf_flatten_validating(nf)
     # the weights 0 and 1 drop a side; shared generators add their masses
     assert {F(0), F(1)} <= weights and shared > 30
+    assert min(cs_cases.values()) >= 20, cs_cases
+
+
+def _count_redundant_calls(monkeypatch):
+    """Route the canonicaliser's redundancy questions through a recorder;
+    returns the list of points it was asked about."""
+    calls = []
+    redundant = pc.theory._redundant
+
+    def recording(g, others, mass):
+        calls.append(g)
+        return redundant(g, others, mass)
+
+    monkeypatch.setattr(pc.theory, "_redundant", recording)
+    return calls
+
+
+def _mix(k):
+    """``mix(k)`` of ``perfbench/gen.py``: a k-way sum of two-action
+    mixtures, mixed with a k-way sum of prefixes; its one-step normal form
+    has k * k + 1 points."""
+    left = " + ".join(f"(a{i}.0 +[1/{i + 2}] b{i}.0)" for i in range(k))
+    right = " + ".join(f"c{i}.0" for i in range(k))
+    return f"({left}) +[1/2] ({right})"
+
+
+class _CanonicalisingCS(type(theory("cs"))):
+    """The cs backend with every choice canonicalised."""
+
+    def op_apply(self, param, args):
+        self.check_param(param)
+        return cs_op_apply_validating(param, args)
+
+
+def test_cs_step_of_mix30_makes_no_redundancy_call(monkeypatch, capsys):
+    # no generator occurs on both sides of any choice in mix(k)
+    calls = _count_redundant_calls(monkeypatch)
+    assert cli.run(["step", "--theory", "cs", _mix(30)]) == 0
+    out = capsys.readouterr().out
+    assert out.count(" + ") == 900 and calls == []
+    th = theory("cs")
+    e = pc.parse_exp(_mix(6), th)
+    assert step(e, th) == step(e, _CanonicalisingCS())
+
+
+def test_cs_state_renaming_makes_no_redundancy_call(monkeypatch):
+    th = theory("cs")
+    e = pc.parse_exp("(a.b.0 +[1/3] a.c.b.0) + (a.b.0 +[1/2] b.a.0) + a.c.b.0", th)
+    calls = _count_redundant_calls(monkeypatch)
+    expected = pc.reachable(e, th)
+    assert calls  # stepping the shared a.b.0 and a.c.b.0 canonicalises
+    order, index, raw = pc.semantics._explore(e, th, 100, step)
+    stepped = dict(zip(order, raw))
+    calls.clear()
+    c = pc.reachable(e, th, stepper=lambda x, th, memo: stepped[x])
+    assert c == expected and calls == []
+
+    def rename(g):
+        return pc.Step(g.action, f"s{index[g.target]}")
+
+    assert [c.structure[s] for s in c.states] == [cs_nf_map_validating(nf, rename) for nf in raw]
+
+
+def test_cs_choices_over_shared_generators_still_canonicalise(monkeypatch):
+    calls = _count_redundant_calls(monkeypatch)
+    th = theory("cs")
+    e = pc.parse_exp("(a.0 +[1/3] b.0) + c.0", th)
+    ee = pc.parse_exp("((a.0 +[1/3] b.0) + c.0) + ((a.0 +[1/3] b.0) + c.0)", th)
+    assert step(ee, th) == step(ee, _CanonicalisingCS()) == step(e, th)
+    assert calls
+    calls.clear()
+    # (a + b) / 2 lies in the hull of a and b
+    mixed, ends = (pc.parse_exp(text, th) for text in ("(a.0 + b.0) +[1/2] (a.0 + b.0)", "a.0 + b.0"))
+    assert step(mixed, th) == step(mixed, _CanonicalisingCS()) == step(ends, th)
+    assert calls
+
+
+def test_convex_readings_agree_with_sorting_oracles():
+    rng = random.Random(43)
+    ca, cs = theory("ca"), theory("cs")
+    targets = [pc.parse_exp(text, ca) for text in ("0", "a.0", "b.a.0", "a.0 +[1/3] b.0")]
+    gens = [pc.Step(act, x) for act in ("a", "b") for x in targets] + \
+        [pc.Step("a", "s1"), pc.Out("x"), pc.TICK]
+    counts = dict.fromkeys(("total 1", "total < 1", "mass 1", "empty", "shared step"), 0)
+    for _ in range(300):
+        d = _rand_subdist(rng, gens) if rng.random() < 0.8 else ca.unit(rng.choice(gens))
+        assert ca.term_of_nf(d) is ca_term_of_nf_sorted(d)
+        total = sum(m for _, m in d)
+        counts["total 1" if total == 1 else "total < 1"] += 1
+        counts["mass 1"] += any(m == 1 for _, m in d)
+        counts["empty"] += not d
+        # the points draw on one pool, so one Step object occurs in several
+        nf = pc.theory.canonical_convex_set(
+            {_rand_subdist(rng, gens[:5]) for _ in range(rng.randint(1, 4))})
+        assert cs.term_of_nf(nf) is cs_term_of_nf_sorted(nf)
+        counts["shared step"] += sum(len(sub) for sub in nf) > len(cs.generators(nf))
+    assert min(counts.values()) >= 20, counts
 
 
 # ---------------------------------------------------------------------------
@@ -463,9 +576,7 @@ def test_cs_tight_coordinate_narrows_the_lp(monkeypatch):
 def test_cs_step_of_mix6_needs_no_lp(monkeypatch):
     calls = _count_lp_calls(monkeypatch)
     th = theory("cs")
-    left = " + ".join(f"(a{i}.0 +[1/{i + 2}] b{i}.0)" for i in range(6))
-    right = " + ".join(f"c{i}.0" for i in range(6))
-    nf = pc.step(pc.parse_exp(f"({left}) +[1/2] ({right})", th), th)
+    nf = pc.step(pc.parse_exp(_mix(6), th), th)
     assert len(nf) == 37
     assert calls == []
 

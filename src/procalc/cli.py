@@ -106,10 +106,8 @@ def _param_text(text, theory):
         guard = frozenset(x for x in text.replace(",", " ").split() if x)
         theory.check_param(guard)
         return guard
-    if "e" in text.lower():  # Fraction would build 10 ** exponent exactly
-        raise syntax.ParseError(f"probability {text!r} has a decimal exponent")
     try:
-        prob = Fraction(text)
+        prob = th.exact_fraction(text)
     except ZeroDivisionError:
         raise syntax.ParseError("zero denominator") from None
     theory.check_param(prob)

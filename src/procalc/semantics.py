@@ -20,10 +20,10 @@ import json
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 
-from .syntax import (ZERO, Interned, Leaf, Mu, Op, Prefix, Var, Zero, cached_text, post_order,
+from .syntax import (Interned, Leaf, Mu, Op, Prefix, Var, Zero, cached_text, post_order,
                      substitute, unparse)
-from .theory import (MAX_JSON_DEPTH, Theory, TheoryError, generator_key, read_json, sorted_gens,
-                     theory_from_json)
+from .theory import (MAX_JSON_DEPTH, Theory, TheoryError, exact_fraction, generator_key,
+                     read_json, sorted_gens, theory_from_json)
 
 
 class StateCapExceeded(RuntimeError):
@@ -161,7 +161,7 @@ def gsubst_bm(nf, g, v, theory):
             return theory.unit(Step(t.action, substitute(t.target, {v: g})))
         return theory.unit(t)
 
-    return theory.nf_flatten(theory.nf_map(nf, leaf))
+    return theory.bind(nf, leaf)
 
 
 # ---------------------------------------------------------------------------
@@ -291,32 +291,32 @@ def structure_json(t):
 
 class _Choice(tuple):
     """(param, arity) of a structure JSON choice node whose arguments are
-    being built."""
+    being evaluated."""
 
 
-def _sterm_from_json(d, states):
-    """The structure term a JSON node describes, with its step targets
-    checked against ``states``.  Choice nodes are built bottom-up from an
+def _nf_from_json(d, states, theory):
+    """The normal form a structure JSON node describes, with its step targets
+    checked against ``states``.  Each node is evaluated as it is read, from an
     explicit stack, so any depth the JSON reader accepts is loaded."""
     todo, built = [d], []
     while todo:
         d = todo.pop()
-        if type(d) is _Choice:  # its arguments are on top of `built`
+        if type(d) is _Choice:  # its arguments' normal forms are on top of `built`
             param, arity = d
             if arity != 2:
                 raise TheoryError("choice operations are binary")
             right = built.pop()
-            built[-1] = Op(param, (built[-1], right))
+            built[-1] = theory.op_apply(param, (built[-1], right))
         elif not isinstance(d, dict):
             raise TheoryError(f"bad structure term {d!r}")
         elif "const" in d:
-            built.append(ZERO)
+            built.append(theory.bottom())
         elif "out" in d:
             if not isinstance(d["out"], str):
                 raise TheoryError(f"an output must be a string, not {d['out']!r}")
-            built.append(Leaf(Out(d["out"])))
+            built.append(theory.unit(Out(d["out"])))
         elif "tick" in d:
-            built.append(Leaf(TICK))
+            built.append(theory.unit(TICK))
         elif "act" in d:
             if not isinstance(d["act"], str):
                 raise TheoryError(f"an action must be a string, not {d['act']!r}")
@@ -327,7 +327,7 @@ def _sterm_from_json(d, states):
                     f"the target of action {d['act']!r} must be a string, not {d['to']!r}")
             if d["to"] not in states:
                 raise TheoryError(f"unknown target state {d['to']!r}")
-            built.append(Leaf(Step(d["act"], d["to"])))
+            built.append(theory.unit(Step(d["act"], d["to"])))
         elif "op" in d:
             if "guard" in d:
                 if not isinstance(d["guard"], list) or not all(
@@ -336,8 +336,8 @@ def _sterm_from_json(d, states):
                 param = frozenset(d["guard"])
             elif "prob" in d:
                 try:
-                    param = Fraction(d["prob"])
-                except (TypeError, ValueError, ZeroDivisionError):
+                    param = exact_fraction(d["prob"])
+                except (TypeError, ValueError, ZeroDivisionError, OverflowError):
                     raise TheoryError(f"bad probability {d['prob']!r}") from None
             else:
                 param = None
@@ -367,8 +367,8 @@ def coalgebra_to_json(c):
 
 
 def coalgebra_from_dict(d):
-    """Load a coalgebra; a malformed file raises `TheoryError` naming the
-    missing field or the state whose structure entry is bad."""
+    """Load a coalgebra, evaluating each structure entry as it reads it; a
+    malformed file raises `TheoryError` naming the field or state at fault."""
     if not isinstance(d, dict):
         raise TheoryError("a coalgebra must be a JSON object")
     for key in ("theory", "states", "structure"):
@@ -391,7 +391,7 @@ def coalgebra_from_dict(d):
         if s not in d["structure"]:
             raise TheoryError(f"state {s!r} has no structure entry")
         try:
-            structure[s] = step(_sterm_from_json(d["structure"][s], known), theory)
+            structure[s] = _nf_from_json(d["structure"][s], known, theory)
         except TheoryError as err:
             raise TheoryError(f"state {s!r}: {err}") from None
     return Coalgebra(theory, states, structure)

@@ -244,7 +244,7 @@ def _then(nf, after, on_tick, theory):
             return theory.unit(Step(t.action, SSeq(t.target, after)))
         raise TheoryError("star expressions have no free outputs")
 
-    return theory.nf_flatten(theory.nf_map(nf, leaf))
+    return theory.bind(nf, leaf)
 
 
 def star_reachable(s, theory, cap=10000):

@@ -285,6 +285,16 @@ def _mixed(parts):
 ZERO_SUBDIST = frozenset()
 
 
+def _mixtures(parts):
+    """The mixtures ``w1·u1 + w2·u2 + ...`` of one point ``ui`` from each
+    (set, weight) pair in ``parts``.  A mixture takes the deadlock point 0
+    from a set only when it is the set's one point: taking 0 from a set that
+    has another point u gives a mixture below the one that takes u, so the
+    down-closed hull is kept, and k units mix to one point, not 2**k."""
+    choices = [[_scaled(w, u) for u in (us - {ZERO_SUBDIST} or us)] for us, w in parts]
+    return set(map(_mixed, itertools.product(*choices)))
+
+
 def in_lower_hull(point, gens):
     """Membership of ``point`` in the down-closed convex hull of ``gens``
     together with the all-deadlock subdistribution.
@@ -388,6 +398,13 @@ def param_family(param):
     raise TheoryError(f"bad choice parameter {param!r}")
 
 
+def exact_fraction(value):
+    """``Fraction(value)``, refusing text with a decimal exponent before ``10 ** e`` is built."""
+    if isinstance(value, str) and "e" in value.lower():
+        raise ValueError(f"probability {value!r} has a decimal exponent")
+    return Fraction(value)
+
+
 _FAMILY_WORDS = {"plus": "unparametrised", "gplus": "guarded", "pplus": "probabilistic"}
 
 
@@ -412,7 +429,9 @@ class Theory:
     def nf_map(self, nf, f):
         raise NotImplementedError
 
-    def nf_flatten(self, nf):
+    def bind(self, nf, f):
+        """Each generator ``g`` of ``nf`` replaced by the normal form ``f(g)``,
+        flattened into one normal form: the Kleisli extension of ``f``."""
         raise NotImplementedError
 
     def generators(self, nf):
@@ -482,11 +501,8 @@ class Semilattice(Theory):
     def nf_map(self, nf, f):
         return frozenset(f(g) for g in nf)
 
-    def nf_flatten(self, nf):
-        out = frozenset()
-        for inner in nf:
-            out |= inner
-        return out
+    def bind(self, nf, f):
+        return frozenset().union(*map(f, nf))
 
     def generators(self, nf):
         return set(nf)
@@ -524,11 +540,11 @@ class CommutativeMonoid(Theory):
             out[h] = out.get(h, 0) + n
         return frozenset(out.items())
 
-    def nf_flatten(self, nf):
+    def bind(self, nf, f):
         out = {}
-        for inner, n in nf:
-            for g, k in inner:
-                out[g] = out.get(g, 0) + n * k
+        for g, n in nf:
+            for h, k in f(g):
+                out[h] = out.get(h, 0) + n * k
         return frozenset(out.items())
 
     def generators(self, nf):
@@ -579,10 +595,8 @@ class GuardedSemilattice(Theory):
     def nf_map(self, nf, f):
         return tuple(None if e is None else f(e) for e in nf)
 
-    def nf_flatten(self, nf):
-        return tuple(
-            None if inner is None else inner[i] for i, inner in enumerate(nf)
-        )
+    def bind(self, nf, f):
+        return tuple(None if e is None else f(e)[i] for i, e in enumerate(nf))
 
     def generators(self, nf):
         return {e for e in nf if e is not None}
@@ -674,8 +688,8 @@ class ConvexAlgebra(Theory):
                 out[h] = m
         return frozenset(out.items())
 
-    def nf_flatten(self, nf):
-        return _mixed([_scaled(m, inner) for inner, m in nf])
+    def bind(self, nf, f):
+        return _mixed([_scaled(m, f(g)) for g, m in nf])
 
     def generators(self, nf):
         return {g for g, _ in nf}
@@ -703,11 +717,8 @@ class ConvexSemilattice(Theory):
 
     def op_apply(self, param, args):
         """``l + r`` is the union of the two sets' points, and ``l +[p] r``
-        the set of their mixtures ``p·a + (1−p)·b``, canonicalised.
-
-        A mixture takes the deadlock point 0 from a side only when it is
-        that side's one point: ``p·0 + (1−p)·b`` lies below
-        ``p·a + (1−p)·b``, so dropping it keeps the hull.
+        the set of their mixtures ``p·a + (1−p)·b`` (``_mixtures``, which
+        has the rule for the deadlock point 0), canonicalised.
 
         When no generator occurs on both sides, the result is canonical as
         it is, and ``canonical_convex_set`` is skipped; 0 is added back.
@@ -730,9 +741,7 @@ class ConvexSemilattice(Theory):
         apart = self.generators(l).isdisjoint(self.generators(r))
         if param is None:
             return l | r if apart else canonical_convex_set(l | r)
-        left = [_scaled(param, a) for a in (l - {ZERO_SUBDIST} or l)]
-        right = [_scaled(1 - param, b) for b in (r - {ZERO_SUBDIST} or r)]
-        points = {_mixed((a, b)) for a in left for b in right}
+        points = _mixtures(((l, param), (r, 1 - param)))
         if not apart:
             return canonical_convex_set(points)
         points.add(ZERO_SUBDIST)
@@ -755,12 +764,11 @@ class ConvexSemilattice(Theory):
             return frozenset(points)
         return canonical_convex_set(points)
 
-    def nf_flatten(self, nf):
-        # each point of each inner set is scaled once, by its mass in theta
+    def bind(self, nf, f):
+        image = {g: f(g) for g in self.generators(nf)}
         points = set()
         for theta in nf:
-            choices = [[_scaled(m, sub) for sub in u] for u, m in theta]
-            points.update(map(_mixed, itertools.product(*choices)))
+            points |= _mixtures([(image[g], m) for g, m in theta])
         return canonical_convex_set(points)
 
     def generators(self, nf):

@@ -5,7 +5,9 @@ convex membership by basic-solution enumeration with Gaussian elimination,
 convex-set canonicalisation by one simplex per candidate point, walked
 in generator order,
 the ``ca`` / ``cs`` pushforward, choices and flattening with every mass
-total checked and every ``cs`` result canonicalised,
+total checked and every ``cs`` result canonicalised, ``Theory.bind`` as
+a pushforward followed by a flattening of the normal form of normal forms,
+the coalgebra reader by building each structure term and stepping it,
 the ``ca`` / ``cs`` term readings by sorting with ``sorted_gens`` and one
 fraction division per generator,
 generator sort keys by a chain of ``isinstance`` tests,
@@ -30,8 +32,8 @@ import procalc as pc
 from procalc import semantics
 from procalc.syntax import (_TOKEN, ZERO, Leaf, NameUse, Op, ParseError, all_names,
                             fresh_name, render_param, tokenize)
-from procalc.theory import (ZERO_SUBDIST, TheoryError, canonical_convex_set,
-                            in_lower_hull, sorted_gens)
+from procalc.theory import (ZERO_SUBDIST, TheoryError, _mixed, _scaled, canonical_convex_set,
+                            in_lower_hull, sorted_gens, theory_from_json)
 
 
 def _gauss_solve(rows, rhs):
@@ -174,6 +176,34 @@ def cs_nf_flatten_validating(nf):
         for choice in itertools.product(*[sorted_gens(u) for u in inner_sets]):
             points.add(_subdist(_merge_scaled(
                 [(masses[u], sub) for u, sub in zip(inner_sets, choice)])))
+    return canonical_convex_set(points)
+
+
+def nf_flatten(theory, nf):
+    """Monad multiplication: the normal form of normal forms ``nf``
+    flattened into one.  ``nf_flatten(theory, theory.nf_map(nf, f))`` is
+    the reference for ``theory.bind(nf, f)``; ``cs`` takes every product
+    of points, deadlock included, and canonicalises it."""
+    if theory.id == "sl":
+        out = frozenset()
+        for inner in nf:
+            out |= inner
+        return out
+    if theory.id == "cm":
+        out = {}
+        for inner, n in nf:
+            for g, k in inner:
+                out[g] = out.get(g, 0) + n * k
+        return frozenset(out.items())
+    if theory.id == "gs":
+        return tuple(None if inner is None else inner[i] for i, inner in enumerate(nf))
+    if theory.id == "ca":
+        return _mixed([_scaled(m, inner) for inner, m in nf])
+    # each point of each inner set is scaled once, by its mass in theta
+    points = set()
+    for theta in nf:
+        choices = [[_scaled(m, sub) for sub in u] for u, m in theta]
+        points.update(map(_mixed, itertools.product(*choices)))
     return canonical_convex_set(points)
 
 
@@ -736,14 +766,14 @@ def lstep_recursive(s, theory):
                 return lstep_recursive(s.right, theory)
             return theory.unit(pc.Step(t.action, pc.SSeq(t.target, s.right)))
 
-        return theory.nf_flatten(theory.nf_map(lstep_recursive(s.left, theory), leaf))
+        return nf_flatten(theory, theory.nf_map(lstep_recursive(s.left, theory), leaf))
 
     def loop(t):
         if isinstance(t, pc.Tick):
             return theory.bottom()
         return theory.unit(pc.Step(t.action, pc.SSeq(t.target, s)))
 
-    looped = theory.nf_flatten(theory.nf_map(lstep_recursive(s.body, theory), loop))
+    looped = nf_flatten(theory, theory.nf_map(lstep_recursive(s.body, theory), loop))
     return theory.op_apply(s.param, [looped, theory.unit(pc.TICK)])
 
 
@@ -786,3 +816,76 @@ def deriv_gs(s, theory):
         b = pc.output_guard(s.body, theory)
         return pc.SChoice(b, pc.SZERO, pc.SSeq(deriv_gs(s.body, theory), s))
     raise TypeError(f"not a star expression: {s!r}")
+
+
+def sterm_from_json(d, states):
+    """The structure term a JSON node describes, with its step targets
+    checked against ``states``, built bottom-up from an explicit stack;
+    with ``coalgebra_from_dict_by_step``, the oracle for the reader that
+    evaluates each node as it reads it."""
+    todo, built = [d], []
+    while todo:
+        d = todo.pop()
+        if type(d) is tuple:  # (param, arity): its arguments are on top of `built`
+            param, arity = d
+            if arity != 2:
+                raise TheoryError("choice operations are binary")
+            right = built.pop()
+            built[-1] = Op(param, (built[-1], right))
+        elif not isinstance(d, dict):
+            raise TheoryError(f"bad structure term {d!r}")
+        elif "const" in d:
+            built.append(ZERO)
+        elif "out" in d:
+            if not isinstance(d["out"], str):
+                raise TheoryError(f"an output must be a string, not {d['out']!r}")
+            built.append(Leaf(pc.Out(d["out"])))
+        elif "tick" in d:
+            built.append(Leaf(pc.TICK))
+        elif "act" in d:
+            if not isinstance(d["act"], str):
+                raise TheoryError(f"an action must be a string, not {d['act']!r}")
+            if "to" not in d:
+                raise TheoryError(f"action {d['act']!r} has no target")
+            if not isinstance(d["to"], str):
+                raise TheoryError(
+                    f"the target of action {d['act']!r} must be a string, not {d['to']!r}")
+            if d["to"] not in states:
+                raise TheoryError(f"unknown target state {d['to']!r}")
+            built.append(Leaf(pc.Step(d["act"], d["to"])))
+        elif "op" in d:
+            if "guard" in d:
+                if not isinstance(d["guard"], list) or not all(
+                        isinstance(a, str) for a in d["guard"]):
+                    raise TheoryError(f"bad guard {d['guard']!r}")
+                param = frozenset(d["guard"])
+            elif "prob" in d:
+                try:
+                    param = Fraction(d["prob"])
+                except (TypeError, ValueError, ZeroDivisionError):
+                    raise TheoryError(f"bad probability {d['prob']!r}") from None
+            else:
+                param = None
+            if not isinstance(d.get("args"), list):
+                raise TheoryError(f"choice node {d!r} has no argument list")
+            todo.append((param, len(d["args"])))
+            todo += d["args"][::-1]
+        else:
+            raise TheoryError(f"bad structure term {d!r}")
+    return built[0]
+
+
+def coalgebra_from_dict_by_step(d):
+    """A well-formed coalgebra file's coalgebra, each structure entry built
+    as a term by ``sterm_from_json`` and then stepped; a bad entry raises
+    `TheoryError` naming its state.  Oracle for
+    ``semantics.coalgebra_from_dict``."""
+    theory = theory_from_json(d)
+    states = tuple(d["states"])
+    structure = {}
+    for s in states:
+        try:
+            structure[s] = pc.step(sterm_from_json(d["structure"][s], set(states)), theory)
+        except TheoryError as err:
+            raise TheoryError(f"state {s!r}: {err}") from None
+    return pc.Coalgebra(theory, states, structure)

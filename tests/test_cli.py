@@ -462,6 +462,21 @@ def test_coalgebra_bad_probability_names_the_state(tmp_path):
         assert r.stderr == f"error: state 's0': bad probability '{prob}'\n"
 
 
+def test_hostile_probability_in_coalgebra_exits_1_through_cli_main(tmp_path, monkeypatch,
+                                                                   capsys):
+    # non-finite JSON numbers and decimal exponents are refused as they are
+    # read, before any 10 ** exponent is built
+    f = tmp_path / "c.json"
+    for prob, shown in (("1e400", "inf"), ("Infinity", "inf"), ("-Infinity", "-inf"),
+                        ('"1e-30000000"', "'1e-30000000'"), ('"1e-100000"', "'1e-100000'")):
+        f.write_text('{"theory": "ca", "states": ["s0"], "structure": {"s0": {"op": "+", '
+                     f'"prob": {prob}, "args": [{{"act": "a", "to": "s0"}}, {{"const": 0}}]}}}}}}')
+        start = time.perf_counter()
+        assert _main_err(monkeypatch, capsys, "solve", str(f), "--theory", "ca") == (
+            1, "", f"error: state 's0': bad probability {shown}\n")
+        assert time.perf_counter() - start < 1
+
+
 def test_coalgebra_atoms_must_be_a_list_of_strings(tmp_path):
     for atoms in (5, "x1", ["x1", 2]):
         def edit(d):

@@ -14,8 +14,8 @@ from procalc.semantics import StateCapExceeded, Tick, disjoint_union
 from procalc.theory import ZERO_SUBDIST, TheoryError
 
 from gen import (ALL_THEORIES, rand_coalgebra, rand_exp, rand_guarded_exp,
-                 rand_sexp, seed_for, theory)
-from oracles import reachable_union, reachable_unmemoised, u_set
+                 rand_sexp, rand_sterm, seed_for, theory)
+from oracles import coalgebra_from_dict_by_step, reachable_union, reachable_unmemoised, u_set
 
 F = Fraction
 
@@ -311,6 +311,27 @@ def test_json_round_trip(th):
         assert c2.theory.id == th.id and c2.theory.atoms == th.atoms
 
 
+@pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
+def test_reader_agrees_with_term_then_step_oracle(th, monkeypatch):
+    # the reader evaluates each entry as it reads it, and never steps a term
+    rng = random.Random(seed_for(th.id, 53))
+    texts = []
+    for _ in range(25):
+        texts.append(pc.coalgebra_to_json(rand_coalgebra(th, rng)))
+        # structure terms as drawn, not as term readings of normal forms
+        states = tuple(f"s{i}" for i in range(rng.randint(1, 4)))
+        d = {"theory": th.id, "atoms": list(th.atoms), "states": list(states), "structure": {
+            s: semantics._sterm_to_json(rand_sterm(th, rng, states, depth=3))[0] for s in states}}
+        texts.append(json.dumps(d))
+    expected = [coalgebra_from_dict_by_step(json.loads(text)) for text in texts]
+
+    def no_step(*args):
+        raise AssertionError("the reader stepped a term")
+
+    monkeypatch.setattr(semantics, "step", no_step)
+    assert [pc.coalgebra_from_json(text) for text in texts] == expected
+
+
 def test_json_rejects_dangling_target():
     bad = json.dumps(
         {
@@ -394,9 +415,15 @@ ACT = {"act": "a", "to": "s1"}
     ({"out": ["u"]}, "an output must be a string, not ['u']"),
     ({"act": ["a"], "to": "s1"}, "an action must be a string, not ['a']"),
     ({"op": "+", "guard": [["x1"]], "args": [ACT, ACT]}, "bad guard [['x1']]"),
+    # JSON Infinity and 1e400 both read as inf; an exponent would build 10 ** e
+    ({"op": "+", "prob": float("inf"), "args": [ACT, ACT]}, "bad probability inf"),
+    ({"op": "+", "prob": float("-inf"), "args": [ACT, ACT]}, "bad probability -inf"),
+    ({"op": "+", "prob": "1e-30000000", "args": [ACT, ACT]}, "bad probability '1e-30000000'"),
+    ({"op": "+", "prob": "1e-100000", "args": [ACT, ACT]}, "bad probability '1e-100000'"),
 ], ids=["one-arg", "three-args", "no-args", "bad-prob", "bad-guard", "no-target",
         "unknown-node", "dangling-target", "list-target", "list-output", "list-action",
-        "list-guard-atom"])
+        "list-guard-atom", "infinite-prob", "minus-infinite-prob", "huge-exponent-prob",
+        "exponent-prob"])
 def test_malformed_structure_json_names_the_state_and_the_fault(s0, message):
     d = {"theory": "ca", "states": ["s0", "s1"], "structure": {"s0": s0, "s1": {"const": "0"}}}
     if "guard" in s0:

@@ -18,7 +18,7 @@ from gen import ALL_THEORIES, ATOMS, rand_exp, rand_guard, rand_param, rand_prob
 from oracles import (ca_nf_flatten_validating, ca_nf_map_validating, ca_op_apply_validating,
                      ca_term_of_nf_sorted, canonical_convex_set_lp, convex_member_bruteforce,
                      cs_nf_flatten_validating, cs_nf_map_validating, cs_op_apply_validating,
-                     cs_term_of_nf_sorted, generator_key_by_isinstance)
+                     cs_term_of_nf_sorted, generator_key_by_isinstance, nf_flatten)
 
 F = Fraction
 
@@ -245,23 +245,62 @@ def test_functor_laws(th):
         assert th.nf_map(th.nf_map(nf, f), g) == th.nf_map(nf, lambda x: g(f(x)))
 
 
+def _identity(u):
+    return u
+
+
+def _kleisli_map(th, rng, sources, targets):
+    """A random map from ``sources`` to normal forms over ``targets``.  Its
+    images come from a pool of two, so it often sends several sources to
+    one image, and half the time the pool holds the bottom image."""
+    pool = _random_nfs(th, rng, targets, count=2)
+    if rng.random() < 0.5:
+        pool[0] = th.bottom()
+    return dict(zip(sources, [rng.choice(pool) for _ in sources])).__getitem__
+
+
 @pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
 def test_monad_laws(th):
+    # the unit laws of the Kleisli extension: bind(nf, unit) = nf and
+    # bind(unit(g), f) = f(g)
     rng = random.Random(11)
     for nf in _random_nfs(th, rng, GENS):
-        assert th.nf_flatten(th.nf_map(nf, th.unit)) == nf
-        assert th.nf_flatten(th.unit(nf)) == nf
+        f = _kleisli_map(th, rng, GENS, ("h1", "h2"))
+        assert th.bind(nf, th.unit) == nf
+        for g in GENS:
+            assert th.bind(th.unit(g), f) == f(g)
 
 
 @pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
 def test_flatten_associativity(th):
+    # the third Kleisli law: binding f and then k is binding the composite
+    # g -> bind(f(g), k), so flattening in either order gives one result
     rng = random.Random(13)
-    inner = _random_nfs(th, rng, GENS, count=3)
-    middle = _random_nfs(th, rng, tuple(inner), count=3)
-    for nnn in _random_nfs(th, rng, tuple(middle), count=6):
-        a = th.nf_flatten(th.nf_flatten(nnn))
-        b = th.nf_flatten(th.nf_map(nnn, th.nf_flatten))
-        assert a == b
+    middle = ("h1", "h2", "h3")
+    for nf in _random_nfs(th, rng, GENS, count=20):
+        f = _kleisli_map(th, rng, GENS, middle)
+        k = _kleisli_map(th, rng, middle, ("k1", "k2"))
+        assert th.bind(th.bind(nf, f), k) == th.bind(nf, lambda g: th.bind(f(g), k))
+
+
+@pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
+def test_bind_agrees_with_flattened_pushforward(th):
+    rng = random.Random(47)
+    gens = GENS + ("g4",)
+    seen = dict.fromkeys(("merging", "bottom image", "several points"), 0)
+    for _ in range(180):
+        nf = _random_nfs(th, rng, gens, count=1, depth=3)[0]
+        f = _kleisli_map(th, rng, gens, ("h1", "h2", "h3"))
+        assert th.bind(nf, f) == nf_flatten(th, th.nf_map(nf, f))
+        images = [f(g) for g in th.generators(nf)]
+        seen["merging"] += len(set(images)) < len(images)
+        seen["bottom image"] += th.bottom() in images
+        # a cs image with two points besides deadlock
+        seen["several points"] += th.id == "cs" and any(len(u) > 2 for u in images)
+    # at seed 47: 23 (gs) to 91 (sl) merging maps, 52 to 72 with a bottom
+    # image, and 54 cs maps with an image of several points
+    assert seen["merging"] >= 20 and seen["bottom image"] >= 20, seen
+    assert th.id != "cs" or seen["several points"] >= 20, seen
 
 
 @pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
@@ -296,14 +335,14 @@ def test_gs_flatten_is_diagonal():
     b = frozenset({"x1"})
     inner_x = th.unit("x")
     nested = step(t(b, Leaf(inner_x), ZERO), th)
-    assert th.nf_flatten(nested) == ("x", None)
+    assert th.bind(nested, _identity) == ("x", None)
 
 
 def test_cm_flatten_weighted_sum():
     th = theory("cm")
     n1 = step(t(None, "x", "x"), th)
     nested = step(t(None, Leaf(n1), Leaf(n1)), th)
-    assert th.nf_flatten(nested) == frozenset({("x", 4)})
+    assert th.bind(nested, _identity) == frozenset({("x", 4)})
 
 
 def test_ca_flatten_expectation():
@@ -311,7 +350,7 @@ def test_ca_flatten_expectation():
     n1 = th.unit("x")
     n2 = sub(y=F(1, 2))
     nested = step(t(F(1, 2), Leaf(n1), Leaf(n2)), th)
-    assert th.nf_flatten(nested) == sub(x=F(1, 2), y=F(1, 4))
+    assert th.bind(nested, _identity) == sub(x=F(1, 2), y=F(1, 4))
 
 
 def _rand_subdist(rng, gens):
@@ -369,7 +408,8 @@ def test_trusted_combinations_agree_with_validating_oracles():
         shared += bool({g for g, _ in l} & {g for g, _ in r})
         inner = list(dict.fromkeys(_rand_subdist(rng, gens) for _ in range(3)))
         nested = _rand_subdist(rng, inner)
-        assert ca.nf_flatten(nested) == ca_nf_flatten_validating(nested)
+        assert ca.bind(nested, _identity) == nf_flatten(ca, nested) \
+            == ca_nf_flatten_validating(nested)
         # op_apply keeps a result whose sides share no generator as it is;
         # sides drawn from two halves of the generators share none
         if rng.random() < 0.5:
@@ -383,7 +423,7 @@ def test_trusted_combinations_agree_with_validating_oracles():
             cs_cases["apart" if apart else "shared", kind] += 1
         inner_sets = list(dict.fromkeys(_rand_cs_nf(rng, gens, 2) for _ in range(3)))
         nf = _rand_cs_nf(rng, inner_sets, 2)
-        assert cs.nf_flatten(nf) == cs_nf_flatten_validating(nf)
+        assert cs.bind(nf, _identity) == nf_flatten(cs, nf) == cs_nf_flatten_validating(nf)
     # the weights 0 and 1 drop a side; shared generators add their masses
     assert {F(0), F(1)} <= weights and shared > 30
     assert min(cs_cases.values()) >= 20, cs_cases
@@ -447,6 +487,46 @@ def test_cs_state_renaming_makes_no_redundancy_call(monkeypatch):
         return pc.Step(g.action, f"s{index[g.target]}")
 
     assert [c.structure[s] for s in c.states] == [cs_nf_map_validating(nf, rename) for nf in raw]
+
+
+def _count_canonicalised_points(monkeypatch):
+    """Route ``canonical_convex_set`` through a recorder; returns the list
+    of how many points each call was handed."""
+    counts = []
+    canonical = pc.theory.canonical_convex_set
+
+    def recording(points):
+        points = list(points)
+        counts.append(len(points))
+        return canonical(points)
+
+    monkeypatch.setattr(pc.theory, "canonical_convex_set", recording)
+    return counts
+
+
+def _uniform_mixture(k, leaf):
+    """``leaf(0) +[1/k] (leaf(1) +[1/(k-1)] (... leaf(k-1)))``: the k
+    leaves, each with mass 1/k."""
+    t = leaf(k - 1)
+    for i in range(k - 2, -1, -1):
+        t = f"{leaf(i)} +[1/{k - i}] ({t})"
+    return t
+
+
+def test_cs_unfolding_and_sequence_of_a_mixture_canonicalise_few_points(monkeypatch):
+    # a mu unfolding and a sequence map each step of the k-way mixture to a
+    # unit; taking deadlock from a unit only where it is the one point
+    # leaves one mixture to canonicalise, where every choice made 2**k
+    th = theory("cs")
+    counts = _count_canonicalised_points(monkeypatch)
+    for k in range(8, 17):
+        e = pc.parse_exp("mu x. " + _uniform_mixture(k, lambda i: f"a{i}.x"), th)
+        s = pc.parse_sexp(f"({_uniform_mixture(k, lambda i: f'a{i}')}) ; b", th)
+        for nf in (step(e, th), pc.lstep(s, th)):
+            (point,) = nf - {ZERO_SUBDIST}
+            assert sorted(m for _, m in point) == [F(1, k)] * k
+        assert sum(counts) <= k, (k, counts)
+        counts.clear()
 
 
 def test_cs_choices_over_shared_generators_still_canonicalise(monkeypatch):

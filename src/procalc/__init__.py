@@ -7,7 +7,7 @@ from .theory import (Theory, TheoryError, make_theory, THEORY_NAMES,
 from .syntax import (Exp, Zero, Var, Op, Prefix, Mu, Leaf, ZERO, parse_exp, unparse,
                      substitute, guarded_subst_exp, is_guarded,
                      free_vars, ParseError)
-from .semantics import (Out, Tick, Step, TICK, step, gsubst_bm, reachable,
+from .semantics import (Tick, Step, TICK, step, gsubst_bm, reachable,
                         Coalgebra, coalgebra_to_json, coalgebra_from_json,
                         coalgebra_to_dot, render_sterm, StateCapExceeded,
                         disjoint_union)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import syntax
-from .syntax import (Exp, Mu, Op, Prefix, Var, Zero, children, free_vars,
+from .syntax import (Exp, Mu, Op, Var, Zero, children, free_vars,
                      guarded_subst_exp, is_guarded, substitute)
 from .theory import (TheoryError, axiom_side_ok, eval_param, param_family,
                      param_symbols, read_json, theory_from_json)
@@ -124,31 +124,20 @@ def _split_at(lhs, rhs, at):
     """Navigate both sides along ``at``, requiring identical context."""
     for idx in at:
         cl, cr = children(lhs), children(rhs)
-        if type(lhs) is not type(rhs) or len(cl) != len(cr):
-            raise BadStep("sides differ outside the rewrite position")
-        if isinstance(lhs, Op) and lhs.param != rhs.param:
-            raise BadStep("sides differ outside the rewrite position")
-        if isinstance(lhs, Prefix) and lhs.action != rhs.action:
-            raise BadStep("sides differ outside the rewrite position")
-        if isinstance(lhs, Mu) and lhs.var != rhs.var:
+        # one kind of node, with the same choice parameter, action or binder
+        if type(lhs) is not type(rhs) or len(cl) != len(cr) or any(
+                getattr(lhs, f, None) != getattr(rhs, f, None) for f in ("param", "action", "var")):
             raise BadStep("sides differ outside the rewrite position")
         if not 0 <= idx < len(cl):
             raise BadStep(f"no subterm at position {list(at)}")
-        for i in range(len(cl)):
-            if i != idx and cl[i] != cr[i]:
-                raise BadStep("sides differ outside the rewrite position")
+        if any(i != idx and cl[i] != cr[i] for i in range(len(cl))):
+            raise BadStep("sides differ outside the rewrite position")
         lhs, rhs = cl[idx], cr[idx]
     return lhs, rhs
 
 
 # ---------------------------------------------------------------------------
 # rules
-
-def _cited(proof, step, k):
-    if not isinstance(k, int) or not 1 <= k < step:
-        raise BadStep(f"reference to line {k} is out of range")
-    return proof.steps[k - 1]
-
 
 def _r1_pair(lhs, rhs):
     for a, b in ((lhs, rhs), (rhs, lhs)):
@@ -233,19 +222,20 @@ def _check_step(proof, idx):
             raise BadStep("conclusion is not the fixpoint of the witness")
         unfolded = substitute(e, {v: g})
         cited = _cited_line(proof, n, step.refs)
-        if not (
-            (cited.lhs == g and cited.rhs == unfolded)
-            or (cited.lhs == unfolded and cited.rhs == g)
-        ):
+        if (cited.lhs, cited.rhs) not in ((g, unfolded), (unfolded, g)):
             raise BadStep("premise g = e[g/v] is not the cited line")
         return
     raise BadStep(f"unknown rule {rule!r}")
 
 
 def _cited_line(proof, n, refs):
+    """The one earlier line that step ``n`` cites; a bool is no line number."""
     if len(refs) != 1:
         raise BadStep("rule cites exactly one line")
-    return _cited(proof, n, refs[0])
+    k = refs[0]
+    if type(k) is not int or not 1 <= k < n:
+        raise BadStep(f"reference to line {k} is out of range")
+    return proof.steps[k - 1]
 
 
 def check_proof(proof):

@@ -1,9 +1,10 @@
 """Operational semantics: one-step behaviour and reachable coalgebras.
 
 The one-step map sends a closed-enough process term to a normal form over
-*transitions*: outputs ``Out(v)``, action steps ``Step(a, target)``, and (for
-the star fragment) successful termination ``Tick()``.  Recursion unfolds via
-the guarded substitution on behaviours: unguarded occurrences of the recursion
+*transitions*: outputs (a free variable's own ``Var`` node, whose normal
+form is its unit), action steps ``Step(a, target)``, and (for the star
+fragment) successful termination ``Tick()``.  Recursion unfolds via the
+guarded substitution on behaviours: unguarded occurrences of the recursion
 variable collapse to deadlock, guarded ones are rewired to the fixpoint term.
 
 Terms are hash-consed, so the one-step map is a pure function of a node and
@@ -20,8 +21,8 @@ import json
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 
-from .syntax import (Interned, Leaf, Mu, Op, Prefix, Var, Zero, cached_text, post_order,
-                     substitute, unparse)
+from .syntax import (Interned, Leaf, Mu, Op, Prefix, Var, Zero, cached_text, is_name,
+                     post_order, substitute, unparse)
 from .theory import (MAX_JSON_DEPTH, Theory, TheoryError, exact_fraction, generator_key,
                      read_json, sorted_gens, theory_from_json)
 
@@ -37,17 +38,6 @@ _set = object.__setattr__  # steps refuse plain assignment
 # transitions
 
 @dataclass(frozen=True)
-class Out:
-    var: str
-
-    def sort_key(self):
-        return ("out", self.var)
-
-    def text(self):
-        return self.var
-
-
-@dataclass(frozen=True)
 class Tick:
     def sort_key(self):
         return ("tick",)
@@ -58,7 +48,7 @@ class Tick:
 
 class Step:
     """The action step ``action.target``.  A value like the frozen
-    dataclasses ``Out`` and ``Tick``: equal fields make equal steps, and
+    dataclass ``Tick``: equal fields make equal steps, and
     assignment raises.  Normal forms hash their steps many times, so the
     hash is computed once, when the step is made."""
 
@@ -144,18 +134,19 @@ def _stepped(e, theory, memo):
     if isinstance(e, Leaf):
         return theory.unit(e.gen)
     if isinstance(e, Var):
-        return theory.unit(Out(e.name))
+        return theory.unit(e)
     if e in memo:
         return memo[e]
     raise TypeError(f"not an expression: {e!r}")
 
 
 def gsubst_bm(nf, g, v, theory):
-    """Guarded substitution on behaviours: Out(v) becomes deadlock, step
-    targets get g substituted for v."""
+    """Guarded substitution on behaviours: the output ``Var(v)`` becomes
+    deadlock, step targets get g substituted for v."""
+    out = Var(v)
 
     def leaf(t):
-        if isinstance(t, Out) and t.var == v:
+        if t is out:
             return theory.bottom()
         if isinstance(t, Step):
             return theory.unit(Step(t.action, substitute(t.target, {v: g})))
@@ -250,11 +241,11 @@ def _sterm_to_json(t):
     for n in post_order((t,)):
         if isinstance(n, Zero):
             done[n] = {"const": "0"}, 1
+        elif type(n) is Var:
+            done[n] = {"out": n.name}, 1
         elif isinstance(n, Leaf):
             g = n.gen
-            if isinstance(g, Out):
-                done[n] = {"out": g.var}, 1
-            elif isinstance(g, Tick):
+            if isinstance(g, Tick):
                 done[n] = {"tick": True}, 1
             else:
                 done[n] = {"act": g.action, "to": _render_target(g.target)}, 1
@@ -312,14 +303,12 @@ def _nf_from_json(d, states, theory):
         elif "const" in d:
             built.append(theory.bottom())
         elif "out" in d:
-            if not isinstance(d["out"], str):
-                raise TheoryError(f"an output must be a string, not {d['out']!r}")
-            built.append(theory.unit(Out(d["out"])))
+            _check_name("output", d["out"])
+            built.append(theory.unit(Var(d["out"])))
         elif "tick" in d:
             built.append(theory.unit(TICK))
         elif "act" in d:
-            if not isinstance(d["act"], str):
-                raise TheoryError(f"an action must be a string, not {d['act']!r}")
+            _check_name("action", d["act"])
             if "to" not in d:
                 raise TheoryError(f"action {d['act']!r} has no target")
             if not isinstance(d["to"], str):
@@ -348,6 +337,15 @@ def _nf_from_json(d, states, theory):
         else:
             raise TheoryError(f"bad structure term {d!r}")
     return built[0]
+
+
+def _check_name(kind, name):
+    """Refuse a name that is not a string, or would not print as one token."""
+    if not isinstance(name, str):
+        raise TheoryError(f"an {kind} must be a string, not {name!r}")
+    if not is_name(name):
+        raise TheoryError(
+            f"bad {kind} {name!r}: a name is an identifier other than mu, or %k")
 
 
 def coalgebra_to_json(c):
@@ -391,6 +389,7 @@ def coalgebra_from_dict(d):
         if s not in d["structure"]:
             raise TheoryError(f"state {s!r} has no structure entry")
         try:
+            _check_name("state id", s)
             structure[s] = _nf_from_json(d["structure"][s], known, theory)
         except TheoryError as err:
             raise TheoryError(f"state {s!r}: {err}") from None
@@ -426,10 +425,11 @@ def coalgebra_to_dot(c):
             label = _weight_label(w, th.atoms)
             if isinstance(g, Step):
                 edges.append(f'  "{s}" -> "{g.target}" [label="{label}{g.action}"];')
-            elif isinstance(g, Out):
-                outs.add(g.var)
+            elif type(g) is Var:
+                v = g.name
+                outs.add(v)
                 edges.append(
-                    f'  "{s}" -> "var_{g.var}" [label="{label}{g.var}", arrowhead="normalnormal"];'
+                    f'  "{s}" -> "var_{v}" [label="{label}{v}", arrowhead="normalnormal"];'
                 )
             else:
                 ticks = True

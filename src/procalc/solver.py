@@ -2,10 +2,10 @@
 
 A finite coalgebra gives an equation system whose unknowns are its states;
 each right-hand side is the term reading of a state's normal form with
-transitions turned back into syntax (outputs become variables, steps become
-prefixes on unknowns).  Systems are solved by elimination in two passes.
-The forward pass closes each unknown in turn with a mu-binder and
-substitutes it into the equations left; the back pass substitutes the
+transitions turned back into syntax (an output is its variable already, a
+step becomes a prefix on an unknown).  Systems are solved by elimination in
+two passes.  The forward pass closes each unknown in turn with a mu-binder
+and substitutes it into the equations left; the back pass substitutes the
 solutions of later unknowns into the closed equations, only for the
 unknowns asked for and those they depend on.
 """
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import syntax
 from .equivalence import equivalent
-from .semantics import Out, Tick
+from .semantics import Tick
 from .syntax import (Mu, Prefix, Var, bound_vars, free_vars, fresh_name, substitute,
                      unguarded_vars)
 from .theory import TheoryError
@@ -63,8 +63,8 @@ def associated_system(c):
     outputs = set()
     for s in c.states:
         for g in c.theory.generators(c.structure[s]):
-            if isinstance(g, Out):
-                outputs.add(g.var)
+            if type(g) is Var:
+                outputs.add(g.name)
             elif isinstance(g, Tick):
                 raise TheoryError("termination transitions have no syntax")
     taken = outputs | set(c.states)
@@ -74,9 +74,7 @@ def associated_system(c):
         taken.add(rename[s])
 
     def leaf(g):
-        if isinstance(g, Out):
-            return Var(g.var)
-        return Prefix(g.action, Var(rename[g.target]))
+        return g if type(g) is Var else Prefix(g.action, Var(rename[g.target]))
 
     exprs = tuple(c.theory.term_of_nf(c.structure[s], leaf) for s in c.states)
     return EqSystem(c.theory, tuple(rename[s] for s in c.states), exprs)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import syntax
-from .semantics import Out, Step, TICK, Tick, reachable
+from .semantics import Step, TICK, Tick, reachable
 from .equivalence import check_terms
 from .syntax import (Interned, Mu, Op, ParseError, Prefix, Var, ZERO, all_names,
                      bracket, cached_text, choice_param, expect_token, fresh_name,

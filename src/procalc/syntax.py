@@ -329,14 +329,20 @@ class Mu(Exp):
 
 
 class Leaf(Exp):
-    """A generator of a theory's normal forms standing as a term: an output,
-    an action step or termination, in the term reading of a normal form."""
+    """A generator of a theory's normal forms standing as a term, in the
+    term reading of a normal form: an action step or termination."""
     __slots__ = _fields = ("gen",)
     _typed_param = True
     _free = _EMPTY
 
     def _render(self):
         return self.gen.text()
+
+
+def leaf_term(g):
+    """The term of the generator ``g`` in a term reading: an output is its
+    variable, any other generator a ``Leaf``."""
+    return g if type(g) is Var else Leaf(g)
 
 
 ZERO = Zero()
@@ -538,6 +544,13 @@ _IDENT, _NUM = r"[A-Za-z_][A-Za-z0-9_']*", r"\d+"
 _TOKEN = re.compile(rf"\s*(?:({_IDENT})|({_NUM})|([+.()\[\]/;^*=])|(\S))")
 _KINDS = (None, "ident", "num", None)  # by group of _TOKEN; punctuation is its own kind
 GUARD_ATOM = re.compile(f"{_IDENT}|{_NUM}")  # what a guard ``[...]`` reads as one atom
+
+
+def is_name(text):
+    """Whether ``text`` prints as one name: an identifier but ``mu``, or ``%k``."""
+    if text.isidentifier() and text.isascii():  # the common case, without a regex
+        return text != "mu"
+    return re.fullmatch(rf"{_IDENT}|%\d+", text) is not None
 
 
 def tokenize(text):

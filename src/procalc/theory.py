@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .syntax import GUARD_ATOM, ZERO, Leaf, Op, Var
+from .syntax import GUARD_ATOM, ZERO, Op, Var, leaf_term
 
 
 class TheoryError(ValueError):
@@ -283,6 +283,7 @@ def _mixed(parts):
 
 
 ZERO_SUBDIST = frozenset()
+_ONE = Fraction(1)
 
 
 def _mixtures(parts):
@@ -399,7 +400,10 @@ def param_family(param):
 
 
 def exact_fraction(value):
-    """``Fraction(value)``, refusing text with a decimal exponent before ``10 ** e`` is built."""
+    """``Fraction(value)``, refusing a bool, and text with a decimal exponent
+    before ``10 ** e`` is built."""
+    if isinstance(value, bool):
+        raise TypeError(f"probability {value!r} is a bool")
     if isinstance(value, str) and "e" in value.lower():
         raise ValueError(f"probability {value!r} has a decimal exponent")
     return Fraction(value)
@@ -437,7 +441,7 @@ class Theory:
     def generators(self, nf):
         raise NotImplementedError
 
-    def term_of_nf(self, nf, leaf=Leaf):
+    def term_of_nf(self, nf, leaf=leaf_term):
         """The canonical term reading of ``nf``: an expression built from
         ``ZERO``, ``Op`` and ``leaf(g)`` for each generator ``g``."""
         raise NotImplementedError
@@ -510,17 +514,56 @@ class Semilattice(Theory):
     def weight(self, nf, g):
         return g in nf
 
-    def term_of_nf(self, nf, leaf=Leaf):
+    def term_of_nf(self, nf, leaf=leaf_term):
         return _sum([leaf(g) for g in sorted_gens(nf)])
 
 
-class CommutativeMonoid(Theory):
-    id = "cm"
-    axioms = CM_AXIOMS
-    binary_families = frozenset({"plus"})
+class _WeightedSums(Theory):
+    """Frozensets of (generator, positive weight) pairs: multisets (``cm``)
+    and subdistributions (``ca``), whose pushforward and Kleisli extension
+    are the same weighted sums.  None of them is validated, as ``_mixed``
+    is not: sums and products of positive weights stay positive, and summing
+    or scaling masses by masses keeps a total of at most 1."""
+
+    _zero = 0  # the weight of a generator that does not occur
 
     def bottom(self):
         return frozenset()
+
+    @staticmethod
+    def nf_map(nf, f):
+        """The pushforward along ``f`` (``cs`` maps its points with it too):
+        the weights of generators with one image are summed."""
+        out = {}
+        for g, w in nf:
+            h = f(g)
+            if h in out:
+                out[h] += w
+            else:
+                out[h] = w
+        return frozenset(out.items())
+
+    def bind(self, nf, f):
+        out = {}
+        for g, w in nf:
+            for h, k in f(g):
+                if h in out:
+                    out[h] += w * k
+                else:
+                    out[h] = w * k
+        return frozenset(out.items())
+
+    def generators(self, nf):
+        return {g for g, _ in nf}
+
+    def weight(self, nf, g):
+        return dict(nf).get(g, self._zero)
+
+
+class CommutativeMonoid(_WeightedSums):
+    id = "cm"
+    axioms = CM_AXIOMS
+    binary_families = frozenset({"plus"})
 
     def unit(self, g):
         return frozenset({(g, 1)})
@@ -533,27 +576,7 @@ class CommutativeMonoid(Theory):
                 out[g] = out.get(g, 0) + n
         return frozenset(out.items())
 
-    def nf_map(self, nf, f):
-        out = {}
-        for g, n in nf:
-            h = f(g)
-            out[h] = out.get(h, 0) + n
-        return frozenset(out.items())
-
-    def bind(self, nf, f):
-        out = {}
-        for g, n in nf:
-            for h, k in f(g):
-                out[h] = out.get(h, 0) + n * k
-        return frozenset(out.items())
-
-    def generators(self, nf):
-        return {g for g, _ in nf}
-
-    def weight(self, nf, g):
-        return dict(nf).get(g, 0)
-
-    def term_of_nf(self, nf, leaf=Leaf):
+    def term_of_nf(self, nf, leaf=leaf_term):
         return _sum([leaf(g) for g, n in sorted_gens(nf) for _ in range(n)])
 
 
@@ -604,23 +627,16 @@ class GuardedSemilattice(Theory):
     def weight(self, nf, g):
         return frozenset(atom for atom, e in zip(self.atoms, nf) if e == g)
 
-    def term_of_nf(self, nf, leaf=Leaf):
-        # group atoms by value, classes ordered by first occurrence
-        classes = []
-        for i, atom in enumerate(self.atoms):
-            for value, guard in classes:
-                if value == nf[i]:
-                    guard.append(atom)
-                    break
-            else:
-                classes.append((nf[i], [atom]))
-
-        def term(value):
-            return ZERO if value is None else leaf(value)
-
-        t = term(classes[-1][0])
-        for value, guard in reversed(classes[:-1]):
-            t = Op(frozenset(guard), (term(value), t))
+    def term_of_nf(self, nf, leaf=leaf_term):
+        # group atoms by value, classes ordered by first occurrence; the
+        # last class stands alone, each other one guards a choice
+        classes = {}
+        for atom, value in zip(self.atoms, nf):
+            classes.setdefault(value, []).append(atom)
+        t = None
+        for value, guard in reversed(classes.items()):
+            u = ZERO if value is None else leaf(value)
+            t = u if t is None else Op(frozenset(guard), (u, t))
         return t
 
 
@@ -655,49 +671,24 @@ def _ca_reading(pairs, leaf):
     return t
 
 
-class ConvexAlgebra(Theory):
+class ConvexAlgebra(_WeightedSums):
     """Subprobability distributions with exact rational masses; missing mass
     is deadlock."""
 
     id = "ca"
     axioms = CA_AXIOMS
     binary_families = frozenset({"pplus"})
+    _zero = Fraction(0)
 
-    def bottom(self):
-        return ZERO_SUBDIST
-
-    def unit(self, g):
-        return frozenset({(g, Fraction(1))})
+    @staticmethod
+    def unit(g):
+        return frozenset({(g, _ONE)})
 
     def op_apply(self, param, args):
         self.check_param(param)
         return _mixed((_scaled(param, args[0]), _scaled(1 - param, args[1])))
 
-    def nf_map(self, nf, f):
-        """The pushforward of ``nf`` along ``f``: the masses of generators
-        that ``f`` sends to one image are summed.  It needs no validation:
-        ``nf`` holds positive masses totalling at most 1, and summing along
-        the fibres of ``f`` keeps every mass positive and the total as it
-        was."""
-        out = {}
-        for g, m in nf:
-            h = f(g)
-            if h in out:
-                out[h] += m
-            else:
-                out[h] = m
-        return frozenset(out.items())
-
-    def bind(self, nf, f):
-        return _mixed([_scaled(m, f(g)) for g, m in nf])
-
-    def generators(self, nf):
-        return {g for g, _ in nf}
-
-    def weight(self, nf, g):
-        return dict(nf).get(g, Fraction(0))
-
-    def term_of_nf(self, nf, leaf=Leaf):
+    def term_of_nf(self, nf, leaf=leaf_term):
         return _ca_reading(sorted(nf, key=_pair_key({})), leaf)
 
 
@@ -713,7 +704,7 @@ class ConvexSemilattice(Theory):
         return frozenset({ZERO_SUBDIST})
 
     def unit(self, g):
-        return frozenset({ZERO_SUBDIST, frozenset({(g, Fraction(1))})})
+        return frozenset({ZERO_SUBDIST, ConvexAlgebra.unit(g)})
 
     def op_apply(self, param, args):
         """``l + r`` is the union of the two sets' points, and ``l +[p] r``
@@ -748,7 +739,7 @@ class ConvexSemilattice(Theory):
         return frozenset(points)
 
     def nf_map(self, nf, f):
-        """Each point pushed forward along ``f`` (``ConvexAlgebra.nf_map``),
+        """Each point pushed forward along ``f`` (``_WeightedSums.nf_map``),
         canonicalised; ``f`` is called once per generator.
 
         When ``f`` is one-to-one on the generators, the result is canonical
@@ -757,9 +748,8 @@ class ConvexSemilattice(Theory):
         distinct points to distinct points, and a point lies below a
         weighting of others exactly when its image lies below the same
         weighting of their images."""
-        ca = ConvexAlgebra()
         image = {g: f(g) for g in self.generators(nf)}
-        points = {ca.nf_map(sub, image.__getitem__) for sub in nf}
+        points = {_WeightedSums.nf_map(sub, image.__getitem__) for sub in nf}
         if len(set(image.values())) == len(image):
             return frozenset(points)
         return canonical_convex_set(points)
@@ -772,10 +762,7 @@ class ConvexSemilattice(Theory):
         return canonical_convex_set(points)
 
     def generators(self, nf):
-        out = set()
-        for sub in nf:
-            out |= {g for g, _ in sub}
-        return out
+        return {g for sub in nf for g, _ in sub}
 
     def weight(self, nf, g):
         return None
@@ -784,7 +771,7 @@ class ConvexSemilattice(Theory):
         # each generating subdistribution's masses, every pair listed once
         return list(dict.fromkeys(p for sub in sorted_gens(nf) for p in sorted_gens(sub)))
 
-    def term_of_nf(self, nf, leaf=Leaf):
+    def term_of_nf(self, nf, leaf=leaf_term):
         # each point is sorted once: its pairs' keys in that order are its
         # place among the points (as generator_key ranks frozensets), and
         # the pairs in that order are its ca reading
@@ -837,14 +824,23 @@ def _containers(values):
     return [v for v in values if isinstance(v, (dict, list))]
 
 
+def _json_int(text):
+    """A JSON integer; one too long for ``int`` is ``inf`` or ``-inf``."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def read_json(text, what):
     """Decode a coalgebra or proof file.  Objects and arrays nested more
     than `MAX_JSON_DEPTH` deep raise `TheoryError`, with the same message
     on every Python version: where the decoder counts its levels against
     the recursion limit (3.10, 3.11) it may give up first, elsewhere a
-    level-by-level walk finds the depth."""
+    level-by-level walk finds the depth.  An integer too long for ``int``
+    reads as an infinite float, which no field accepts."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_int=_json_int)
     except RecursionError:
         raise TheoryError(f"{what} JSON is nested too deeply") from None
     if text.count("[") + text.count("{") <= MAX_JSON_DEPTH:

@@ -99,7 +99,7 @@ def rand_sterm(th, rng, states, depth=2):
         if which < 0.2:
             return pc.ZERO
         if which < 0.5:
-            return pc.Leaf(pc.Out(rng.choice(OUTVARS)))
+            return pc.Var(rng.choice(OUTVARS))
         return pc.Leaf(pc.Step(rng.choice(ACTIONS), rng.choice(states)))
     return pc.Op(
         rand_param(th, rng),

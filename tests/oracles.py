@@ -5,7 +5,8 @@ convex membership by basic-solution enumeration with Gaussian elimination,
 convex-set canonicalisation by one simplex per candidate point, walked
 in generator order,
 the ``ca`` / ``cs`` pushforward, choices and flattening with every mass
-total checked and every ``cs`` result canonicalised, ``Theory.bind`` as
+total checked and every ``cs`` result canonicalised, the ``cm`` backend
+by ``collections.Counter`` over the expanded multiset, ``Theory.bind`` as
 a pushforward followed by a flattening of the normal form of normal forms,
 the coalgebra reader by building each structure term and stepping it,
 the ``ca`` / ``cs`` term readings by sorting with ``sorted_gens`` and one
@@ -26,11 +27,12 @@ recursion.
 """
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import procalc as pc
 from procalc import semantics
-from procalc.syntax import (_TOKEN, ZERO, Leaf, NameUse, Op, ParseError, all_names,
+from procalc.syntax import (_TOKEN, ZERO, Leaf, NameUse, Op, ParseError, all_names, leaf_term,
                             fresh_name, render_param, tokenize)
 from procalc.theory import (ZERO_SUBDIST, TheoryError, _mixed, _scaled, canonical_convex_set,
                             in_lower_hull, sorted_gens, theory_from_json)
@@ -224,7 +226,35 @@ def cs_nf_map_validating(nf, f):
     return canonical_convex_set({ca_nf_map_validating(sub, f) for sub in nf})
 
 
-def ca_term_of_nf_sorted(nf, leaf=Leaf):
+def _multiset(counter):
+    """The ``cm`` normal form of a ``Counter``: its positive counts."""
+    return frozenset((g, n) for g, n in counter.items() if n > 0)
+
+
+def cm_counter(nf):
+    """The multiset of the ``cm`` normal form ``nf`` as a ``Counter``."""
+    return Counter(dict(nf))
+
+
+def cm_op_apply_counter(args):
+    """The sum of the multisets ``args``, any number of them; oracle for
+    ``CommutativeMonoid.op_apply``."""
+    return _multiset(sum(map(cm_counter, args), Counter()))
+
+
+def cm_nf_map_counter(nf, f):
+    """``f`` applied to every element of the expanded multiset; oracle for
+    the shared pushforward on ``cm``."""
+    return _multiset(Counter(map(f, cm_counter(nf).elements())))
+
+
+def cm_bind_counter(nf, f):
+    """The sum of ``f(g)`` over every element ``g`` of the expanded
+    multiset; oracle for the shared ``bind`` on ``cm``."""
+    return _multiset(sum((cm_counter(f(g)) for g in cm_counter(nf).elements()), Counter()))
+
+
+def ca_term_of_nf_sorted(nf, leaf=leaf_term):
     """The ``ca`` reading of a subdistribution, sorted by ``sorted_gens``
     with one ``Fraction`` division per generator; oracle for
     ``ConvexAlgebra.term_of_nf``."""
@@ -237,7 +267,7 @@ def ca_term_of_nf_sorted(nf, leaf=Leaf):
     return t
 
 
-def cs_term_of_nf_sorted(nf, leaf=Leaf):
+def cs_term_of_nf_sorted(nf, leaf=leaf_term):
     """The ``cs`` reading: the ``ca`` readings of the points, ranked by
     ``sorted_gens``, summed from the left; oracle for
     ``ConvexSemilattice.term_of_nf``."""
@@ -839,7 +869,7 @@ def sterm_from_json(d, states):
         elif "out" in d:
             if not isinstance(d["out"], str):
                 raise TheoryError(f"an output must be a string, not {d['out']!r}")
-            built.append(Leaf(pc.Out(d["out"])))
+            built.append(pc.Var(d["out"]))
         elif "tick" in d:
             built.append(Leaf(pc.TICK))
         elif "act" in d:

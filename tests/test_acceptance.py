@@ -49,14 +49,14 @@ def test_acceptance_1_golden_derivations():
     f_gs = pc.parse_exp(
         "v +[x1] a2.(mu w. (a1.(v +[x1] a2.w) +[x1] u))", gs
     )
-    ok_gs = pc.step(e_gs, gs) == (pc.Step("a1", f_gs), pc.Out("u"))
+    ok_gs = pc.step(e_gs, gs) == (pc.Step("a1", f_gs), pc.Var("u"))
 
     ca = theory("ca")
     e_ca = pc.parse_exp("mu v. (a1.u +[1/2] (a2.v +[1/3] w))", ca)
     ok_ca = pc.step(e_ca, ca) == sub(
         (pc.Step("a1", pc.Var("u")), F(1, 2)),
         (pc.Step("a2", e_ca), F(1, 6)),
-        (pc.Out("w"), F(1, 3)),
+        (pc.Var("w"), F(1, 3)),
     )
 
     cs = theory("cs")
@@ -93,7 +93,7 @@ def test_acceptance_3_unguarded_r1_counterexample():
     unrolled = pc.substitute(e, {"v": m})
 
     def mass_to_u(x):
-        return sum((p for g, p in pc.step(x, ca) if g == pc.Out("u")), F(0))
+        return sum((p for g, p in pc.step(x, ca) if g == pc.Var("u")), F(0))
 
     m1, m2 = mass_to_u(m), mass_to_u(unrolled)
     inequiv = not pc.equivalent(m, unrolled, ca).equivalent

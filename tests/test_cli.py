@@ -400,6 +400,75 @@ def test_lts_dot_cm_shows_multiplicities():
                "mu v. (a.v + w)").returncode == 10
 
 
+# one term with outputs per theory: its lts text, the JSON of its step and
+# the DOT edges of its lts (every DOT graph has states s0, s1 and outputs u, v)
+OUTPUTS = {
+    "sl": ("mu x. (a.x + u) + b.v", "s0 = a.s0 + b.s1 + u\ns1 = v\n",
+           '{"op": "+", "args": [{"op": "+", "args": [{"act": "a", "to": "mu x. a.x + u + b.v"}, '
+           '{"act": "b", "to": "v"}]}, {"out": "u"}]}',
+           ('"s0" -> "s0" [label="a"]', '"s0" -> "s1" [label="b"]',
+            '"s0" -> "var_u" [label="u", arrowhead="normalnormal"]',
+            '"s1" -> "var_v" [label="v", arrowhead="normalnormal"]')),
+    "cm": ("mu x. (a.x + u) + (u + b.v)", "s0 = a.s0 + b.s1 + u + u\ns1 = v\n",
+           '{"op": "+", "args": [{"op": "+", "args": [{"op": "+", "args": [{"act": "a", '
+           '"to": "mu x. a.x + u + (u + b.v)"}, {"act": "b", "to": "v"}]}, {"out": "u"}]}, '
+           '{"out": "u"}]}',
+           ('"s0" -> "s0" [label="a"]', '"s0" -> "s1" [label="b"]',
+            '"s0" -> "var_u" [label="2|u", arrowhead="normalnormal"]',
+            '"s1" -> "var_v" [label="v", arrowhead="normalnormal"]')),
+    "gs": ("mu x. (a.x +[x1] u) +[x2] b.v", "s0 = b.s1 +[x1] u\ns1 = v\n",
+           '{"op": "+", "guard": ["x1"], "args": [{"act": "b", "to": "v"}, {"out": "u"}]}',
+           ('"s0" -> "s1" [label="{x1}|b"]',
+            '"s0" -> "var_u" [label="{x2}|u", arrowhead="normalnormal"]',
+            '"s1" -> "var_v" [label="{x1 x2}|v", arrowhead="normalnormal"]')),
+    "ca": ("mu x. (a.x +[1/3] u) +[1/2] b.v", "s0 = a.s0 +[1/6] (b.s1 +[3/5] u)\ns1 = v\n",
+           '{"op": "+", "prob": "1/6", "args": [{"act": "a", '
+           '"to": "mu x. a.x +[1/3] u +[1/2] b.v"}, '
+           '{"op": "+", "prob": "3/5", "args": [{"act": "b", "to": "v"}, {"out": "u"}]}]}',
+           ('"s0" -> "s0" [label="1/6|a"]', '"s0" -> "s1" [label="1/2|b"]',
+            '"s0" -> "var_u" [label="1/3|u", arrowhead="normalnormal"]',
+            '"s1" -> "var_v" [label="1|v", arrowhead="normalnormal"]')),
+    "cs": ("mu x. (a.x +[1/3] u) + b.(v +[1/2] u)", "s0 = 0 + (a.s0 +[1/3] u) + b.s1\n"
+           "s1 = 0 + (u +[1/2] v)\n",
+           '{"op": "+", "args": [{"op": "+", "args": [{"const": "0"}, {"op": "+", "prob": "1/3", '
+           '"args": [{"act": "a", "to": "mu x. a.x +[1/3] u + b.(v +[1/2] u)"}, {"out": "u"}]}]}, '
+           '{"act": "b", "to": "v +[1/2] u"}]}',
+           ('"s0" -> "s0" [label="1/3|a"]',
+            '"s0" -> "var_u" [label="2/3|u", arrowhead="normalnormal"]',
+            '"s0" -> "s1" [label="1|b"]',
+            '"s1" -> "var_u" [label="1/2|u", arrowhead="normalnormal"]',
+            '"s1" -> "var_v" [label="1/2|v", arrowhead="normalnormal"]')),
+}
+
+
+@pytest.mark.parametrize("theory", sorted(OUTPUTS))
+def test_outputs_print_as_their_variables(theory, monkeypatch, capsys):
+    term, text, step_json, edges = OUTPUTS[theory]
+    common = ("--theory", theory, "--atoms", "x1,x2")
+    assert _main(monkeypatch, capsys, "lts", *common, term) == (0, text)
+    assert _main(monkeypatch, capsys, "step", "--format", "json", *common, term) == (
+        0, step_json + "\n")
+    assert _main(monkeypatch, capsys, "lts", "--format", "dot", *common, term) == (0, _dot(
+        '  "s0" [shape=circle];', '  "s1" [shape=circle];',
+        '  "var_u" [shape=none, label="u"];', '  "var_v" [shape=none, label="v"];',
+        *(f"  {e};" for e in edges)))
+
+
+def test_lts_json_writes_outputs_and_reads_them_back(tmp_path, monkeypatch, capsys):
+    code, out = _main(monkeypatch, capsys, "lts", "--format", "json", "--theory", "ca",
+                      OUTPUTS["ca"][0])
+    act = {"act": "a", "to": "s0"}
+    rest = {"op": "+", "prob": "3/5", "args": [{"act": "b", "to": "s1"}, {"out": "u"}]}
+    assert (code, out) == (0, json.dumps({
+        "theory": "ca", "states": ["s0", "s1"],
+        "structure": {"s0": {"op": "+", "prob": "1/6", "args": [act, rest]},
+                      "s1": {"out": "v"}}}, indent=2) + "\n")
+    f = tmp_path / "c.json"
+    f.write_text(out)
+    assert _main(monkeypatch, capsys, "solve", str(f)) == (
+        0, "s0 = mu s0. a.s0 +[1/6] (b.(mu s1. v) +[3/5] u)\ns1 = mu s1. v\n")
+
+
 def test_step_json():
     r = run("step", "--format", "json", "--theory", "ca", "a.0 +[1/2] u")
     d = json.loads(r.stdout)
@@ -465,15 +534,36 @@ def test_coalgebra_bad_probability_names_the_state(tmp_path):
 def test_hostile_probability_in_coalgebra_exits_1_through_cli_main(tmp_path, monkeypatch,
                                                                    capsys):
     # non-finite JSON numbers and decimal exponents are refused as they are
-    # read, before any 10 ** exponent is built
     f = tmp_path / "c.json"
+    # read, before any 10 ** exponent is built; a bool is no probability, and
+    # an integer too long for int reads as an infinite float
+    huge = "1" + "0" * 5000
     for prob, shown in (("1e400", "inf"), ("Infinity", "inf"), ("-Infinity", "-inf"),
-                        ('"1e-30000000"', "'1e-30000000'"), ('"1e-100000"', "'1e-100000'")):
+                        ('"1e-30000000"', "'1e-30000000'"), ('"1e-100000"', "'1e-100000'"),
+                        ("true", "True"), (huge, "inf"), ("-" + huge, "-inf")):
         f.write_text('{"theory": "ca", "states": ["s0"], "structure": {"s0": {"op": "+", '
                      f'"prob": {prob}, "args": [{{"act": "a", "to": "s0"}}, {{"const": 0}}]}}}}}}')
         start = time.perf_counter()
         assert _main_err(monkeypatch, capsys, "solve", str(f), "--theory", "ca") == (
             1, "", f"error: state 's0': bad probability {shown}\n")
+        assert time.perf_counter() - start < 1
+
+
+def test_names_that_would_print_as_other_syntax_exit_1_through_cli_main(tmp_path, monkeypatch,
+                                                                        capsys):
+    # each would print as text that reads as other syntax: "s 0 = mu s 0. a.s 0",
+    # "mu s0. .s0", "a b" and "mu mu. a.mu"
+    names = "a name is an identifier other than mu, or %k"
+    f = tmp_path / "c.json"
+    for states, s0, message in (
+            (["s 0"], {"act": "a", "to": "s 0"}, f"state 's 0': bad state id 's 0': {names}"),
+            (["s0"], {"act": "", "to": "s0"}, f"state 's0': bad action '': {names}"),
+            (["s0"], {"out": "a b"}, f"state 's0': bad output 'a b': {names}"),
+            (["mu"], {"act": "a", "to": "mu"}, f"state 'mu': bad state id 'mu': {names}")):
+        f.write_text(json.dumps({"theory": "sl", "states": states,
+                                 "structure": {states[0]: s0}}))
+        start = time.perf_counter()
+        assert _main_err(monkeypatch, capsys, "solve", str(f)) == (1, "", f"error: {message}\n")
         assert time.perf_counter() - start < 1
 
 
@@ -553,6 +643,31 @@ def test_proof_bad_position_names_the_step(tmp_path):
     for at in (["x"], 5):
         err = _malformed_proof(tmp_path, lambda d: d["steps"][0].update(at=at))
         assert err == "error: step 1: 'at' must be a list of integers\n"
+
+
+def test_proof_line_numbers_through_cli_main(tmp_path, monkeypatch, capsys):
+    # a bool cites no line, as the text "1" does not; an integer too long
+    # for int reads as inf, out of range as a reference and no position
+    huge = "1" + "0" * 5000
+    f = tmp_path / "p.json"
+
+    def prove(field, value):
+        step = {"rule": "sym", "lhs": "u", "rhs": "u", field: "@"}
+        f.write_text(json.dumps({"theory": "sl", "goal": ["u", "u"], "steps": [
+            {"rule": "refl", "lhs": "u", "rhs": "u"}, step]}).replace('"@"', value))
+        start = time.perf_counter()
+        result = _main_err(monkeypatch, capsys, "prove", str(f))
+        assert time.perf_counter() - start < 1
+        return result
+
+    assert prove("ref", "1") == (0, "accepted\n", "")
+    for ref, shown in (("true", "True"), ('"1"', "1"), (huge, "inf"), ("-" + huge, "-inf")):
+        assert prove("ref", ref) == (
+            11, f"rejected at step 2: reference to line {shown} is out of range\n", "")
+    assert prove("refs", "[true]") == (
+        11, "rejected at step 2: reference to line True is out of range\n", "")
+    assert prove("at", f"[{huge}]") == (
+        1, "", "error: step 2: 'at' must be a list of integers\n")
 
 
 def test_proof_atoms_must_be_a_list_of_strings(tmp_path):

@@ -52,7 +52,7 @@ def test_unguarded_recursion_counterexample():
 
     def out_mass(x, var):
         return sum(
-            (p for g, p in pc.step(x, th) if g == pc.Out(var)), F(0)
+            (p for g, p in pc.step(x, th) if g == pc.Var(var)), F(0)
         )
 
     assert out_mass(m, "u") == F(1, 2)

@@ -36,7 +36,7 @@ def test_step_gs_example():
     th = theory("gs")
     e = pc.parse_exp(GS_E, th)
     f = pc.parse_exp("v +[x1] a2.(mu w. (a1.(v +[x1] a2.w) +[x1] u))", th)
-    assert pc.step(e, th) == (pc.Step("a1", f), pc.Out("u"))
+    assert pc.step(e, th) == (pc.Step("a1", f), pc.Var("u"))
 
 
 def test_step_ca_example():
@@ -45,7 +45,7 @@ def test_step_ca_example():
     assert pc.step(e, th) == sub(
         (pc.Step("a1", pc.Var("u")), F(1, 2)),
         (pc.Step("a2", e), F(1, 6)),
-        (pc.Out("w"), F(1, 3)),
+        (pc.Var("w"), F(1, 3)),
     )
 
 
@@ -63,7 +63,7 @@ def test_step_cs_example():
 
 def test_step_base_cases():
     th = theory("sl")
-    assert pc.step(pc.Var("v"), th) == frozenset({pc.Out("v")})
+    assert pc.step(pc.Var("v"), th) == frozenset({pc.Var("v")})
     assert pc.step(pc.Prefix("a", pc.ZERO), th) == frozenset(
         {pc.Step("a", pc.ZERO)}
     )
@@ -77,14 +77,36 @@ def test_step_base_cases():
 def test_gsubst_bm_examples():
     th = theory("sl")
     g = pc.Prefix("b", pc.ZERO)
-    assert pc.gsubst_bm(th.unit(pc.Out("v")), g, "v", th) == th.bottom()
+    assert pc.gsubst_bm(th.unit(pc.Var("v")), g, "v", th) == th.bottom()
     assert pc.gsubst_bm(
         th.unit(pc.Step("a", pc.Var("v"))), g, "v", th
     ) == th.unit(pc.Step("a", g))
 
     ca = theory("ca")
-    nf = sub((pc.Out("v"), F(1, 2)), (pc.Out("u"), F(1, 2)))
-    assert pc.gsubst_bm(nf, g, "v", ca) == sub((pc.Out("u"), F(1, 2)))
+    nf = sub((pc.Var("v"), F(1, 2)), (pc.Var("u"), F(1, 2)))
+    assert pc.gsubst_bm(nf, g, "v", ca) == sub((pc.Var("u"), F(1, 2)))
+
+
+_CHOICE = {"sl": None, "cm": None, "gs": frozenset({"x1"}), "ca": F(1, 3), "cs": F(1, 3)}
+
+
+@pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
+def test_an_output_is_its_own_var_node(th):
+    """A free variable steps to the unit of its own hash-consed ``Var``
+    node, which is also its term reading; a ``mu`` unfolding zeroes the
+    output of the bound variable only, and rewires the steps to it."""
+    v, u = pc.Var("v"), pc.Var("u")
+    nf = pc.step(v, th)
+    assert nf == th.unit(v)
+    (g,) = th.generators(nf)
+    assert g is v and g is pc.Var("v")
+    assert th.term_of_nf(nf) in (v, pc.Op(None, (pc.ZERO, v)))  # cs: the deadlock point too
+    p = _CHOICE[th.id]
+    fix = pc.parse_exp("mu v. a.v", th)
+    body = pc.step(pc.Op(p, (u, pc.Op(p, (v, pc.Prefix("a", v))))), th)
+    assert pc.gsubst_bm(body, fix, "v", th) == \
+        pc.step(pc.Op(p, (u, pc.Op(p, (pc.ZERO, pc.Prefix("a", fix))))), th)
+    assert pc.gsubst_bm(body, fix, "w", th) == body
 
 
 @pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
@@ -136,8 +158,8 @@ def test_reachable_gs_example():
     th = theory("gs")
     c = pc.reachable(pc.parse_exp(GS_E, th), th)
     assert c.states == ("s0", "s1")
-    assert c.structure["s0"] == (pc.Step("a1", "s1"), pc.Out("u"))
-    assert c.structure["s1"] == (pc.Out("v"), pc.Step("a2", "s0"))
+    assert c.structure["s0"] == (pc.Step("a1", "s1"), pc.Var("u"))
+    assert c.structure["s1"] == (pc.Var("v"), pc.Step("a2", "s0"))
 
 
 def test_reachable_ca_example():
@@ -145,7 +167,7 @@ def test_reachable_ca_example():
     c = pc.reachable(pc.parse_exp(CA_E, th), th)
     assert len(c.states) == 2
     # the second state is the a1-target u, which only outputs
-    assert c.structure[c.states[1]] == sub((pc.Out("u"), F(1)))
+    assert c.structure[c.states[1]] == sub((pc.Var("u"), F(1)))
     # self-loop 1/6 | a2 on the seed
     assert (pc.Step("a2", c.states[0]), F(1, 6)) in c.structure[c.states[0]]
 
@@ -274,7 +296,7 @@ def test_step_is_a_value():
     a = pc.Step("a", "s1")
     assert a == pc.Step("a", "s1") and hash(a) == hash(pc.Step("a", "s1"))
     assert a != pc.Step("b", "s1") and a != pc.Step("a", "s2")
-    assert a != pc.Out("a") and pc.Out("a") != a and a != ("a", "s1")
+    assert a != pc.Var("a") and pc.Var("a") != a and a != ("a", "s1")
     assert pc.Step("a", pc.parse_exp("b.0", th)) == pc.Step("a", pc.parse_exp("b.0", th))
     assert repr(a) == "Step(action='a', target='s1')"
     with pytest.raises(AttributeError):
@@ -398,6 +420,8 @@ def test_structure_terms_are_written_deeper_than_the_recursion_limit():
 
 
 ACT = {"act": "a", "to": "s1"}
+HUGE = "<5,000-digit integer>"  # stands in the JSON text for 10 ** 5000, which json.dumps refuses
+NAMES = "a name is an identifier other than mu, or %k"
 
 
 @pytest.mark.parametrize("s0, message", [
@@ -420,17 +444,43 @@ ACT = {"act": "a", "to": "s1"}
     ({"op": "+", "prob": float("-inf"), "args": [ACT, ACT]}, "bad probability -inf"),
     ({"op": "+", "prob": "1e-30000000", "args": [ACT, ACT]}, "bad probability '1e-30000000'"),
     ({"op": "+", "prob": "1e-100000", "args": [ACT, ACT]}, "bad probability '1e-100000'"),
+    # a bool is no probability; an integer too long for int reads as inf
+    ({"op": "+", "prob": True, "args": [ACT, ACT]}, "bad probability True"),
+    ({"op": "+", "prob": HUGE, "args": [ACT, ACT]}, "bad probability inf"),
+    # names must print as one token
+    ({"act": "", "to": "s1"}, f"bad action '': {NAMES}"),
+    ({"act": "mu", "to": "s1"}, f"bad action 'mu': {NAMES}"),
+    ({"out": "a b"}, f"bad output 'a b': {NAMES}"),
+    ({"out": "0"}, f"bad output '0': {NAMES}"),
 ], ids=["one-arg", "three-args", "no-args", "bad-prob", "bad-guard", "no-target",
         "unknown-node", "dangling-target", "list-target", "list-output", "list-action",
         "list-guard-atom", "infinite-prob", "minus-infinite-prob", "huge-exponent-prob",
-        "exponent-prob"])
+        "exponent-prob", "bool-prob", "huge-integer-prob", "empty-action", "mu-action",
+        "spaced-output", "numeral-output"])
 def test_malformed_structure_json_names_the_state_and_the_fault(s0, message):
     d = {"theory": "ca", "states": ["s0", "s1"], "structure": {"s0": s0, "s1": {"const": "0"}}}
     if "guard" in s0:
         d.update(theory="gs", atoms=["x1", "x2"])
     with pytest.raises(TheoryError) as err:
-        pc.coalgebra_from_json(json.dumps(d))
+        pc.coalgebra_from_json(json.dumps(d).replace(json.dumps(HUGE), "1" + "0" * 5000))
     assert str(err.value) == f"state 's0': {message}"
+
+
+@pytest.mark.parametrize("state", ["s 0", "mu", "0", "", "s0.a", "%x"])
+def test_state_ids_must_print_as_one_name(state):
+    d = {"theory": "sl", "states": ["s0", state],
+         "structure": {"s0": {"act": "a", "to": state}, state: {"out": "u"}}}
+    with pytest.raises(TheoryError) as err:
+        pc.coalgebra_from_json(json.dumps(d))
+    assert str(err.value) == f"state {state!r}: bad state id {state!r}: {NAMES}"
+
+
+def test_reserved_names_are_read():
+    d = {"theory": "sl", "states": ["%0", "s_1'"],
+         "structure": {"%0": {"act": "a_b", "to": "s_1'"}, "s_1'": {"out": "%3"}}}
+    c = pc.coalgebra_from_json(json.dumps(d))
+    assert c.structure == {"%0": frozenset({pc.Step("a_b", "s_1'")}),
+                           "s_1'": frozenset({pc.Var("%3")})}
 
 
 def test_dot_export():

@@ -30,7 +30,7 @@ def test_associated_system_reads_leaves_back_as_syntax():
     the unknown of its target state.  The term reading lists steps before
     outputs, so the choice of s3 comes back with its arguments swapped."""
     th = theory("ca")
-    out_v, step_s0 = pc.Leaf(pc.Out("v")), pc.Leaf(pc.Step("a", "s0"))
+    out_v, step_s0 = pc.Var("v"), pc.Leaf(pc.Step("a", "s0"))
     structure = {
         "s0": pc.ZERO,
         "s1": out_v,
@@ -66,7 +66,7 @@ def test_associated_system_renames_clashing_states():
     c = pc.Coalgebra(
         th,
         ("u",),
-        {"u": frozenset({pc.Out("u"), pc.Step("a", "u")})},
+        {"u": frozenset({pc.Var("u"), pc.Step("a", "u")})},
     )
     sys = pc.associated_system(c)
     assert sys.variables == ("%0",)
@@ -83,8 +83,8 @@ def test_renamed_state_avoids_outputs_and_states():
     phi = pc.solve(pc.associated_system(pc.coalgebra_from_json(text)))
     assert pc.free_vars(phi["%1"]) == {"u", "%0"}
     c = pc.Coalgebra(theory("sl"), ("%1", "v", "w"), {
-        "%1": frozenset({pc.Out("v"), pc.Out("%0")}),
-        "v": frozenset({pc.Out("w")}),
+        "%1": frozenset({pc.Var("v"), pc.Var("%0")}),
+        "v": frozenset({pc.Var("w")}),
         "w": frozenset({pc.Step("a", "v")}),
     })
     assert pc.associated_system(c).variables == ("%1", "%2", "%3")

@@ -203,10 +203,10 @@ def test_star_equivalent_examples():
 # coherence of Fig. 3 with Fig. 1
 
 def unit_identified(c):
-    """Rename Output($unit) leaves of a translated star process to Tick."""
+    """Rename the $unit output leaves of a translated star process to Tick."""
 
     def f(g):
-        if isinstance(g, pc.Out) and g.var == UNIT_VAR:
+        if type(g) is pc.Var and g.name == UNIT_VAR:
             return pc.TICK
         return g
 

@@ -16,7 +16,8 @@ from procalc.theory import (TheoryError, ZERO_SUBDIST, axiom_side_ok, eval_param
 
 from gen import ALL_THEORIES, ATOMS, rand_exp, rand_guard, rand_param, rand_prob, theory
 from oracles import (ca_nf_flatten_validating, ca_nf_map_validating, ca_op_apply_validating,
-                     ca_term_of_nf_sorted, canonical_convex_set_lp, convex_member_bruteforce,
+                     ca_term_of_nf_sorted, canonical_convex_set_lp, cm_bind_counter, cm_counter,
+                     cm_nf_map_counter, cm_op_apply_counter, convex_member_bruteforce,
                      cs_nf_flatten_validating, cs_nf_map_validating, cs_op_apply_validating,
                      cs_term_of_nf_sorted, generator_key_by_isinstance, nf_flatten)
 
@@ -429,6 +430,63 @@ def test_trusted_combinations_agree_with_validating_oracles():
     assert min(cs_cases.values()) >= 20, cs_cases
 
 
+def _rand_multiset(rng, gens):
+    return frozenset((g, rng.randint(1, 4)) for g in rng.sample(gens, rng.randint(0, len(gens))))
+
+
+def test_weighted_sums_agree_with_counter_and_validating_oracles():
+    """``cm`` and ``ca`` share bottom, the pushforward, bind, generators and
+    weight.  Checked on random normal forms under merging and one-to-one
+    maps: ``cm`` against ``collections.Counter``, and ``cm.op_apply`` on
+    argument lists of any length; ``ca`` against the validating oracles."""
+    rng = random.Random(53)
+    cm, ca = theory("cm"), theory("ca")
+    shared = pc.theory._WeightedSums
+    for name in ("bottom", "nf_map", "bind", "generators", "weight"):
+        assert getattr(type(cm), name) is getattr(type(ca), name) is getattr(shared, name)
+    gens, images = ("g1", "g2", "g3", "g4", "g5"), ("h1", "h2", "h3")
+    arities, merged = set(), 0
+    for _ in range(300):
+        merging = rng.random() < 0.5
+        f = dict(zip(gens, [rng.choice(images) for _ in gens] if merging
+                     else rng.sample(gens, len(gens)))).__getitem__
+        m = _rand_multiset(rng, gens)
+        assert cm.nf_map(m, f) == cm_nf_map_counter(m, f)
+        merged += len(cm.nf_map(m, f)) < len(m)
+        args = [_rand_multiset(rng, gens) for _ in range(rng.randint(0, 4))]
+        arities.add(len(args))
+        assert cm.op_apply(None, args) == cm_op_apply_counter(args)
+        kleisli = {g: _rand_multiset(rng, images) for g in gens}.__getitem__
+        assert cm.bind(m, kleisli) == cm_bind_counter(m, kleisli)
+        assert cm.generators(m) == set(cm_counter(m))
+        assert [cm.weight(m, g) for g in gens] == [cm_counter(m)[g] for g in gens]
+        d = _rand_subdist(rng, gens)
+        assert ca.nf_map(d, f) == ca_nf_map_validating(d, f)
+        inner = {g: _rand_subdist(rng, images) for g in gens}.__getitem__
+        assert ca.bind(d, inner) == ca_nf_flatten_validating(ca_nf_map_validating(d, inner))
+        assert ca.generators(d) == {g for g, _ in d}
+        assert [ca.weight(d, g) for g in gens] == [dict(d).get(g, F(0)) for g in gens]
+    assert cm.bottom() == ca.bottom() == cm_op_apply_counter([]) == frozenset()
+    assert type(cm.weight(cm.bottom(), "g1")) is int and type(ca.weight(ca.bottom(), "g1")) is F
+    assert arities == {0, 1, 2, 3, 4} and merged > 50
+
+
+def test_cs_points_move_by_the_shared_pushforward(monkeypatch):
+    shared = pc.theory._WeightedSums
+    push, calls = shared.nf_map, []
+    monkeypatch.setattr(shared, "nf_map",
+                        staticmethod(lambda nf, f: calls.append(nf) or push(nf, f)))
+    rng = random.Random(59)
+    cs = theory("cs")
+    for _ in range(20):
+        nf = _rand_cs_nf(rng, ("g1", "g2", "g3"))
+        calls.clear()
+        merged = cs.nf_map(nf, lambda g: "h")
+        assert len(calls) == len(nf) and set(calls) == nf
+        assert merged == cs_nf_map_validating(nf, lambda g: "h")
+    assert cs.unit("g") == frozenset({ZERO_SUBDIST, theory("ca").unit("g")})
+
+
 def _count_redundant_calls(monkeypatch):
     """Route the canonicaliser's redundancy questions through a recorder;
     returns the list of points it was asked about."""
@@ -548,7 +606,7 @@ def test_convex_readings_agree_with_sorting_oracles():
     ca, cs = theory("ca"), theory("cs")
     targets = [pc.parse_exp(text, ca) for text in ("0", "a.0", "b.a.0", "a.0 +[1/3] b.0")]
     gens = [pc.Step(act, x) for act in ("a", "b") for x in targets] + \
-        [pc.Step("a", "s1"), pc.Out("x"), pc.TICK]
+        [pc.Step("a", "s1"), pc.Var("x"), pc.TICK]
     counts = dict.fromkeys(("total 1", "total < 1", "mass 1", "empty", "shared step"), 0)
     for _ in range(300):
         d = _rand_subdist(rng, gens) if rng.random() < 0.8 else ca.unit(rng.choice(gens))
@@ -726,8 +784,8 @@ def test_skew_classifier(name, expected):
 def test_generator_key_agrees_with_isinstance_chain():
     rng = random.Random(43)
     samples = [None, True, False, 0, 7, F(2, 3), "s1", 1.5,
-               pc.TICK, pc.Out("u"), pc.Step("a", "s0"), pc.Step("a", 2),
-               frozenset({(pc.TICK, F(1, 2)), (pc.Out("v"), F(1, 3))})]
+               pc.TICK, pc.Var("u"), pc.Step("a", "s0"), pc.Step("a", 2),
+               frozenset({(pc.TICK, F(1, 2)), (pc.Var("v"), F(1, 3))})]
     for th in ALL_THEORIES:
         for _ in range(40):
             e = rand_exp(th, rng)
@@ -736,7 +794,7 @@ def test_generator_key_agrees_with_isinstance_chain():
             c = pc.reachable(e, th)
             samples += list(c.structure.values())
     kinds = {type(g) for g in samples}
-    assert {tuple, frozenset, pc.Step, pc.Out, bool, int, F, str, type(None)} <= kinds
+    assert {tuple, frozenset, pc.Step, pc.Var, bool, int, F, str, type(None)} <= kinds
     assert any(isinstance(g, pc.Step) and isinstance(g.target, pc.Exp) for g in samples)
     for g in samples:
         assert generator_key(g) == generator_key_by_isinstance(g), g

@@ -176,7 +176,7 @@ def run(argv=None):
     if command == "solve":
         with open(args.file) as fh:
             text = fh.read()
-        if text.lstrip().startswith("{"):
+        if text.removeprefix("\ufeff").lstrip().startswith("{"):
             c = semantics.coalgebra_from_json(text)
             system = solver.associated_system(c)
             # state ids may have been renamed; map them positionally

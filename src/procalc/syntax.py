@@ -57,7 +57,9 @@ class Interned:
     O(1) to build and two structurally equal nodes are the same object.
     Equality and hashing are therefore ``object``'s own, by identity.  A
     ``param`` or ``gen`` field is keyed on its type as well, because
-    ``1 == True == Fraction(1)``.  The table is a plain dict, and
+    ``1 == True == Fraction(1)``; a ``Fraction`` parameter is keyed on its
+    numerator and denominator (``_param_key``), whose ints hash far faster
+    than a ``Fraction`` does.  The table is a plain dict, and
     ``_sweep`` drops the nodes that only the table holds, so a term dies
     soon after its last user.
 
@@ -66,9 +68,9 @@ class Interned:
     child nodes in ``_kids``; their printing precedence in ``_prec``; and
     their printed text in ``_render``, which may read the cached ``_text``
     of every child.  The generic constructor below fills the fields in a
-    loop; the hot classes ``Var``, ``Prefix``, ``Op`` and ``Mu`` have their
-    own, which take the fields by name and also fill ``_free``, the free
-    variables.  All of them enter a new node by ``_intern``.
+    loop; the hot classes ``Var``, ``Prefix``, ``Op``, ``Mu`` and ``Leaf``
+    have their own, which take the fields by name and also fill ``_free``,
+    the free variables.  All of them enter a new node by ``_intern``.
     """
 
     __slots__ = ("_text",)
@@ -78,9 +80,10 @@ class Interned:
     def __new__(cls, *args, **kwargs):
         if kwargs or len(args) != len(cls._fields):
             args = _bind(cls, args, kwargs)
-        key = (cls, *args)
         if cls._typed_param:
-            key += (type(args[0]),)
+            key = (cls, _param_key(args[0]), *args[1:], type(args[0]))
+        else:
+            key = (cls, *args)
         node = _TABLE.get(key)
         if node is None:
             node = object.__new__(cls)
@@ -110,6 +113,12 @@ class Interned:
 _limit = 1024  # the table size that triggers the next sweep
 _sweeping = False
 _PROBE = object()  # the key of an entry that only the table holds
+
+
+def _param_key(param):
+    """A choice parameter as it enters a table key: a ``Fraction`` as its
+    (numerator, denominator) pair, which hashes as plain ints."""
+    return (param.numerator, param.denominator) if type(param) is Fraction else param
 
 
 def _intern(key, node):
@@ -259,7 +268,8 @@ class Op(Exp):
     _prec = _SUM
 
     def __new__(cls, param, args):
-        key = (cls, param, args, type(param))
+        tp = type(param)
+        key = (cls, (param.numerator, param.denominator) if tp is Fraction else param, args, tp)
         node = _TABLE.get(key)
         if node is None:
             l, r = args  # a child's set is shared when the other's is empty
@@ -332,8 +342,17 @@ class Leaf(Exp):
     """A generator of a theory's normal forms standing as a term, in the
     term reading of a normal form: an action step or termination."""
     __slots__ = _fields = ("gen",)
-    _typed_param = True
     _free = _EMPTY
+
+    def __new__(cls, gen):
+        key = (cls, gen, type(gen))
+        node = _TABLE.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            _set(node, "gen", gen)
+            _set(node, "_text", None)
+            _intern(key, node)
+        return node
 
     def _render(self):
         return self.gen.text()

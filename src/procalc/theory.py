@@ -9,8 +9,13 @@ Five built-in theories parametrise the branching type of a process:
 * ``cs`` -- pointed convex semilattices (finitely generated convex sets
   of subdistributions, kept as minimal generator sets).
 
-All numeric data is exact (`fractions.Fraction`); normal forms are hashable
-values with structural equality deciding equality of free-algebra elements.
+All numeric data is exact.  A ``cm`` multiset, a ``ca`` subdistribution
+and each point of a ``cs`` set are ``(D, frozenset((g, n)))``: positive
+integer counts over one denominator, in lowest terms, so the backends do
+integer arithmetic only.  ``fractions.Fraction`` appears where masses cross
+the interface: choice parameters, ``weight``, ``edges``, and the simplex of
+``in_lower_hull``.  Normal forms are hashable values with structural
+equality deciding equality of free-algebra elements.
 """
 
 from __future__ import annotations
@@ -257,43 +262,61 @@ def feasible(rows, rhs):
     return value == 0
 
 
-# subdistributions are stored as frozensets of (generator, positive mass)
+# a subdistribution (``ca`` normal form, ``cs`` point) or a multiset (``cm``
+# normal form) is stored as ``(D, frozenset((g, n)))``: positive integer counts
+# n over one denominator D, in lowest terms (no count is 0, and D and the
+# counts have gcd 1; a multiset's D is 1).  So equal masses make equal values,
+# and sums and products of masses are integer arithmetic.
 
-def _scaled(w, sub):
-    """The masses of the subdistribution ``sub`` times the weight ``w``."""
-    return {g: w * m for g, m in sub} if w else {}
+ZERO_SUBDIST = (1, frozenset())
 
 
-def _mixed(parts):
-    """The sum of the scaled subdistributions ``parts`` (from ``_scaled``),
-    as a subdistribution.
+def _lowest(d, out):
+    """The point of the counts ``out`` over ``d``, in lowest terms."""
+    k = math.gcd(d, *out.values()) if d != 1 else 1
+    if k != 1:
+        return d // k, frozenset((g, n // k) for g, n in out.items())
+    return d, frozenset(out.items())
 
-    Trusted: the parts come from backend normal forms, whose masses are
-    positive and total at most 1, under weights that passed ``check_param``
-    (or are themselves such masses) and total at most 1.  So every sum is
-    positive, the total stays at most 1, and nothing is validated again."""
+
+def _mixed(parts, d):
+    """The point ``w1/d·u1 + w2/d·u2 + ...`` of the (point ``ui``, count
+    ``wi``) pairs ``parts``.
+
+    Trusted: the points are backend normal forms, whose masses total at
+    most 1, under counts ``wi`` that total at most ``d`` (choice weights
+    that passed ``check_param``, or the counts of a point).  So every count
+    is positive, the total stays at most 1, and nothing is validated
+    again."""
+    scale = math.lcm(*[u[0] for u, _ in parts])
     out = {}
-    for part in parts:
-        for g, m in part.items():
+    for (e, pairs), w in parts:
+        if not w:
+            continue  # the side of a choice +[0] or +[1] that has no weight
+        k = w * (scale // e)
+        for g, n in pairs:
             if g in out:
-                out[g] += m
+                out[g] += k * n
             else:
-                out[g] = m
-    return frozenset(out.items())
+                out[g] = k * n
+    return _lowest(d * scale, out)
 
 
-ZERO_SUBDIST = frozenset()
-_ONE = Fraction(1)
+def _mixtures(parts, d):
+    """The mixtures ``w1/d·u1 + w2/d·u2 + ...`` (``_mixed``) of one point
+    ``ui`` from each (set, count ``wi``) pair in ``parts``.  A mixture takes
+    the deadlock point 0 from a set only when it is the set's one point:
+    taking 0 from a set that has another point u gives a mixture below the
+    one that takes u, so the down-closed hull is kept, and k units mix to
+    one point, not 2**k."""
+    choices = [[(u, w) for u in (us - {ZERO_SUBDIST} or us)] for us, w in parts]
+    return {_mixed(choice, d) for choice in itertools.product(*choices)}
 
 
-def _mixtures(parts):
-    """The mixtures ``w1·u1 + w2·u2 + ...`` of one point ``ui`` from each
-    (set, weight) pair in ``parts``.  A mixture takes the deadlock point 0
-    from a set only when it is the set's one point: taking 0 from a set that
-    has another point u gives a mixture below the one that takes u, so the
-    down-closed hull is kept, and k units mix to one point, not 2**k."""
-    choices = [[_scaled(w, u) for u in (us - {ZERO_SUBDIST} or us)] for us, w in parts]
-    return set(map(_mixed, itertools.product(*choices)))
+def _masses(u):
+    """The point ``u`` as a dict from generator to ``Fraction`` mass."""
+    d, pairs = u
+    return {g: Fraction(n, d) for g, n in pairs}
 
 
 def in_lower_hull(point, gens):
@@ -301,10 +324,11 @@ def in_lower_hull(point, gens):
     together with the all-deadlock subdistribution.
 
     Exact feasibility of: exists lambda >= 0 with sum(lambda) <= 1 and
-    sum(lambda_i * gen_i) >= point coordinate-wise.
+    sum(lambda_i * gen_i) >= point coordinate-wise, with the masses as
+    ``Fraction`` rows.
     """
-    point = dict(point)
-    gens = [dict(g) for g in gens]
+    point = _masses(point)
+    gens = [_masses(g) for g in gens]
     coords = sorted_gens(set(point) | set().union(*map(set, gens)) if gens else set(point))
     k = len(gens)
     m = len(coords)
@@ -325,8 +349,8 @@ def in_lower_hull(point, gens):
 def _redundant(g, others, mass):
     """``in_lower_hull(g, others)``, decided without an LP where possible.
 
-    ``mass`` maps every point to its dict of positive masses, scaled to
-    integers by one common factor.  Only g's positive coordinates constrain a
+    ``mass`` maps every point to its dict of counts, scaled to one common
+    denominator.  Only g's positive coordinates constrain a
     weighting.  If some candidate reaches g on all of them, g is dominated.
     Otherwise let M be the largest mass the candidates put on such a
     coordinate x: the weights sum to at most 1, so M < g[x] leaves g
@@ -366,12 +390,14 @@ def canonical_convex_set(points):
     point g of one lies below a convex combination of the other's points,
     each of those below a convex combination of the first set's, and as g
     is outside the hull of the rest of its set, only g itself can carry
-    the whole weight, so g is in the other set too.
+    the whole weight, so g is in the other set too.  Points in lowest terms
+    are equal exactly when their masses are, so the set of points is
+    canonical too.
     """
     pts = set(points)
     pts.discard(ZERO_SUBDIST)
-    scale = math.lcm(*{m.denominator for p in pts for _, m in p})
-    mass = {p: {x: m.numerator * (scale // m.denominator) for x, m in p if m} for p in pts}
+    scale = math.lcm(*{d for d, _ in pts})
+    mass = {p: {x: n * (scale // p[0]) for x, n in p[1]} for p in pts}
     keep = set(pts)
     for g in pts:
         keep.discard(g)
@@ -448,8 +474,8 @@ class Theory:
 
     def weight(self, nf, g):
         """How much of ``nf`` is the generator ``g``: a bool (``sl``), a
-        count (``cm``), an atom set (``gs``), a mass (``ca``), or None when
-        no single weight says it (``cs``)."""
+        count (``cm``), an atom set (``gs``), a ``Fraction`` mass (``ca``),
+        or None when no single weight says it (``cs``)."""
         raise NotImplementedError
 
     def edges(self, nf):
@@ -464,7 +490,7 @@ class Theory:
             raise TheoryError(f"theory {self.id} has no {_FAMILY_WORDS[family]} choice")
         if family == "gplus" and not param <= set(self.atoms):
             raise TheoryError(f"guard {sorted(param)} not within declared atoms")
-        if family == "pplus" and not 0 <= param <= 1:
+        if family == "pplus" and not 0 <= param.numerator <= param.denominator:
             raise TheoryError(f"probability {param} outside [0, 1]")
 
     def __repr__(self):
@@ -519,45 +545,48 @@ class Semilattice(Theory):
 
 
 class _WeightedSums(Theory):
-    """Frozensets of (generator, positive weight) pairs: multisets (``cm``)
-    and subdistributions (``ca``), whose pushforward and Kleisli extension
-    are the same weighted sums.  None of them is validated, as ``_mixed``
-    is not: sums and products of positive weights stay positive, and summing
-    or scaling masses by masses keeps a total of at most 1."""
-
-    _zero = 0  # the weight of a generator that does not occur
+    """Counts over one denominator, ``(D, frozenset((g, n)))`` in lowest
+    terms: multisets (``cm``, D = 1) and subdistributions (``ca``), whose
+    pushforward and Kleisli extension are the same weighted sums.  None of
+    them is validated, as ``_mixed`` is not: sums and products of positive
+    counts stay positive, and summing or scaling masses by masses keeps a
+    total of at most 1."""
 
     def bottom(self):
-        return frozenset()
+        return ZERO_SUBDIST
 
     @staticmethod
     def nf_map(nf, f):
         """The pushforward along ``f`` (``cs`` maps its points with it too):
-        the weights of generators with one image are summed."""
+        the counts of generators with one image are summed, which only
+        then can leave a common factor."""
+        d, pairs = nf
         out = {}
-        for g, w in nf:
+        for g, n in pairs:
             h = f(g)
             if h in out:
-                out[h] += w
+                out[h] += n
             else:
-                out[h] = w
-        return frozenset(out.items())
+                out[h] = n
+        if len(out) < len(pairs):
+            return _lowest(d, out)
+        return d, frozenset(out.items())
 
     def bind(self, nf, f):
-        out = {}
-        for g, w in nf:
-            for h, k in f(g):
-                if h in out:
-                    out[h] += w * k
-                else:
-                    out[h] = w * k
-        return frozenset(out.items())
+        d, pairs = nf
+        return _mixed([(f(g), n) for g, n in pairs], d)
 
     def generators(self, nf):
-        return {g for g, _ in nf}
+        return {g for g, _ in nf[1]}
 
     def weight(self, nf, g):
-        return dict(nf).get(g, self._zero)
+        d, pairs = nf
+        return self._weight(dict(pairs).get(g, 0), d)
+
+    def edges(self, nf):
+        d, pairs = nf
+        key = _pair_key({})
+        return [(g, self._weight(n, d)) for g, n in sorted(pairs, key=key)]
 
 
 class CommutativeMonoid(_WeightedSums):
@@ -565,19 +594,23 @@ class CommutativeMonoid(_WeightedSums):
     axioms = CM_AXIOMS
     binary_families = frozenset({"plus"})
 
+    @staticmethod
+    def _weight(n, d):
+        return n  # a count; d is 1
+
     def unit(self, g):
-        return frozenset({(g, 1)})
+        return 1, frozenset({(g, 1)})
 
     def op_apply(self, param, args):
         self.check_param(param)
         out = {}
-        for nf in args:
-            for g, n in nf:
+        for _, pairs in args:
+            for g, n in pairs:
                 out[g] = out.get(g, 0) + n
-        return frozenset(out.items())
+        return 1, frozenset(out.items())
 
     def term_of_nf(self, nf, leaf=leaf_term):
-        return _sum([leaf(g) for g, n in sorted_gens(nf) for _ in range(n)])
+        return _sum([leaf(g) for g, n in sorted(nf[1], key=_pair_key({})) for _ in range(n)])
 
 
 class GuardedSemilattice(Theory):
@@ -641,60 +674,62 @@ class GuardedSemilattice(Theory):
 
 
 def _pair_key(keys):
-    """The sort key of a (generator, mass) pair: the generator's
-    ``generator_key``, computed once per generator into the memo ``keys``,
-    then the mass.  Masses are fractions, so pairs, and tuples of pairs,
-    compare as their ``generator_key`` does."""
+    """The sort key of a (generator, count) pair: the generator's
+    ``generator_key``, computed once per generator into the memo ``keys``.
+    The generators of one normal form are distinct, so it orders its pairs
+    as ``generator_key`` orders the generators."""
     def key(pair):
         g = pair[0]
         k = keys.get(g)
         if k is None:
             k = keys[g] = generator_key(g)
-        return k, pair[1]
+        return k
     return key
 
 
-def _ca_reading(pairs, leaf):
-    """The ``ca`` term of a subdistribution's (generator, mass) pairs in the
-    order given, built from the right: each generator ``+[p]`` what follows
-    it, where p is its mass over its mass plus the mass that follows,
-    deadlock included; the last generator stands alone when no mass follows.
-    The masses are counted as integers over one common denominator, so each
-    p is one ``Fraction(n, n + tail)``."""
-    scale = math.lcm(*[m.denominator for _, m in pairs])
-    counts = [m.numerator * (scale // m.denominator) for _, m in pairs]
-    tail = scale - sum(counts)
+def _ca_reading(d, pairs, leaf):
+    """The ``ca`` term of a subdistribution's (generator, count) pairs over
+    the denominator ``d``, in the order given, built from the right: each
+    generator ``+[p]`` what follows it, where p is its count over its count
+    plus the counts that follow, deadlock included; the last generator
+    stands alone when no mass follows."""
+    tail = d - sum(n for _, n in pairs)
     t = ZERO
-    for (g, _), n in zip(reversed(pairs), reversed(counts)):
+    for g, n in reversed(pairs):
         t = Op(Fraction(n, n + tail), (leaf(g), t)) if tail else leaf(g)
         tail += n
     return t
 
 
 class ConvexAlgebra(_WeightedSums):
-    """Subprobability distributions with exact rational masses; missing mass
-    is deadlock."""
+    """Subprobability distributions with exact rational masses, counted
+    over one denominator; missing mass is deadlock."""
 
     id = "ca"
     axioms = CA_AXIOMS
     binary_families = frozenset({"pplus"})
-    _zero = Fraction(0)
+    _weight = Fraction  # the mass n / d
 
     @staticmethod
     def unit(g):
-        return frozenset({(g, _ONE)})
+        return 1, frozenset({(g, 1)})
 
     def op_apply(self, param, args):
+        """``l +[a/b] r`` is ``a/b·l + (b−a)/b·r``: counts times a and b − a,
+        denominators times b, then one reduction."""
         self.check_param(param)
-        return _mixed((_scaled(param, args[0]), _scaled(1 - param, args[1])))
+        a, b = param.numerator, param.denominator
+        return _mixed(((args[0], a), (args[1], b - a)), b)
 
     def term_of_nf(self, nf, leaf=leaf_term):
-        return _ca_reading(sorted(nf, key=_pair_key({})), leaf)
+        d, pairs = nf
+        return _ca_reading(d, sorted(pairs, key=_pair_key({})), leaf)
 
 
 class ConvexSemilattice(Theory):
     """Finitely generated down-closed convex sets of subdistributions, kept
-    as minimal generator sets that always include the all-deadlock point."""
+    as minimal generator sets that always include the all-deadlock point.
+    A set is a frozenset of points, each a ``ca`` normal form."""
 
     id = "cs"
     axioms = CS_AXIOMS
@@ -732,7 +767,8 @@ class ConvexSemilattice(Theory):
         apart = self.generators(l).isdisjoint(self.generators(r))
         if param is None:
             return l | r if apart else canonical_convex_set(l | r)
-        points = _mixtures(((l, param), (r, 1 - param)))
+        a, b = param.numerator, param.denominator
+        points = _mixtures(((l, a), (r, b - a)), b)
         if not apart:
             return canonical_convex_set(points)
         points.add(ZERO_SUBDIST)
@@ -757,31 +793,35 @@ class ConvexSemilattice(Theory):
     def bind(self, nf, f):
         image = {g: f(g) for g in self.generators(nf)}
         points = set()
-        for theta in nf:
-            points |= _mixtures([(image[g], m) for g, m in theta])
+        for d, pairs in nf:
+            points |= _mixtures([(image[g], n) for g, n in pairs], d)
         return canonical_convex_set(points)
 
     def generators(self, nf):
-        return {g for sub in nf for g, _ in sub}
+        return {g for _, pairs in nf for g, _ in pairs}
 
     def weight(self, nf, g):
         return None
 
     def edges(self, nf):
         # each generating subdistribution's masses, every pair listed once
-        return list(dict.fromkeys(p for sub in sorted_gens(nf) for p in sorted_gens(sub)))
+        points = sorted_gens(frozenset(_masses(u).items()) for u in nf)
+        return list(dict.fromkeys(p for sub in points for p in sorted_gens(sub)))
 
     def term_of_nf(self, nf, leaf=leaf_term):
-        # each point is sorted once: its pairs' keys in that order are its
-        # place among the points (as generator_key ranks frozensets), and
-        # the pairs in that order are its ca reading
+        # each point is sorted once: its pairs' keys with their masses, all
+        # counted over one denominator, are its place among the points (as
+        # generator_key ranks frozensets), and the pairs in that order are
+        # its ca reading
         key = _pair_key({})
+        scale = math.lcm(*[d for d, _ in nf])
         ranked = []
-        for sub in nf:
-            pairs = sorted(sub, key=key)
-            ranked.append((tuple(map(key, pairs)), pairs))
+        for d, pairs in nf:
+            pairs = sorted(pairs, key=key)
+            k = scale // d
+            ranked.append(([(key(p), k * p[1]) for p in pairs], d, pairs))
         ranked.sort(key=lambda r: r[0])
-        return _sum([_ca_reading(pairs, leaf) for _, pairs in ranked])
+        return _sum([_ca_reading(d, pairs, leaf) for _, d, pairs in ranked])
 
 
 # ---------------------------------------------------------------------------
@@ -832,15 +872,23 @@ def _json_int(text):
         return float(text)
 
 
+# one decoder for every file: ``json.loads`` with a keyword builds a new one per call
+_DECODER = json.JSONDecoder(parse_int=_json_int)
+
+
 def read_json(text, what):
     """Decode a coalgebra or proof file.  Objects and arrays nested more
     than `MAX_JSON_DEPTH` deep raise `TheoryError`, with the same message
     on every Python version: where the decoder counts its levels against
     the recursion limit (3.10, 3.11) it may give up first, elsewhere a
     level-by-level walk finds the depth.  An integer too long for ``int``
-    reads as an infinite float, which no field accepts."""
+    reads as an infinite float, which no field accepts.  A leading
+    byte-order mark is refused with ``json.loads``'s message, which the
+    decoder itself does not give."""
+    if text.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
     try:
-        data = json.loads(text, parse_int=_json_int)
+        data = _DECODER.decode(text)
     except RecursionError:
         raise TheoryError(f"{what} JSON is nested too deeply") from None
     if text.count("[") + text.count("{") <= MAX_JSON_DEPTH:

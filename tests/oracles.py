@@ -4,8 +4,10 @@ Each reimplements a fact by a different algorithm than the package:
 convex membership by basic-solution enumeration with Gaussian elimination,
 convex-set canonicalisation by one simplex per candidate point, walked
 in generator order,
-the ``ca`` / ``cs`` pushforward, choices and flattening with every mass
-total checked and every ``cs`` result canonicalised, the ``cm`` backend
+the ``ca`` / ``cs`` pushforward, choices and flattening in ``Fraction``
+masses with every mass total checked and every ``cs`` result
+canonicalised, the ``ca`` and ``cs`` backends with ``Fraction`` masses
+that the integer-count backends replaced, the ``cm`` backend
 by ``collections.Counter`` over the expanded multiset, ``Theory.bind`` as
 a pushforward followed by a flattening of the normal form of normal forms,
 the coalgebra reader by building each structure term and stepping it,
@@ -27,15 +29,18 @@ recursion.
 """
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
 import procalc as pc
+from masses import count_form, count_point, fraction_point
 from procalc import semantics
 from procalc.syntax import (_TOKEN, ZERO, Leaf, NameUse, Op, ParseError, all_names, leaf_term,
                             fresh_name, render_param, tokenize)
-from procalc.theory import (ZERO_SUBDIST, TheoryError, _mixed, _scaled, canonical_convex_set,
-                            in_lower_hull, sorted_gens, theory_from_json)
+from procalc.theory import (CA_AXIOMS, CS_AXIOMS, ZERO_SUBDIST, Theory, TheoryError,
+                            canonical_convex_set, feasible, generator_key, in_lower_hull,
+                            sorted_gens, theory_from_json)
 
 
 def _gauss_solve(rows, rhs):
@@ -60,8 +65,8 @@ def convex_member_bruteforce(point, gens):
     """Membership of a subdistribution in the down-closed convex hull of
     ``gens`` plus the all-deadlock point, by enumerating basic feasible
     solutions of the equality system with explicit slacks."""
-    point = dict(point)
-    gens = [dict(g) for g in gens]
+    point = dict(fraction_point(point))
+    gens = [dict(fraction_point(g)) for g in gens]
     coords = sorted_gens(set(point).union(*[set(g) for g in gens]) if gens else set(point))
     k, m = len(gens), len(coords)
     # columns: lambda_1..k, one slack per coordinate, one mass slack
@@ -143,15 +148,21 @@ def _merge_scaled(parts):
     return {g: m for g, m in out.items() if m != 0}
 
 
+def _mix_validating(parts):
+    """The point of the (weight, package point) pairs ``parts``, mixed in
+    ``Fraction`` form and checked."""
+    return count_point(_subdist(_merge_scaled([(w, fraction_point(u)) for w, u in parts])))
+
+
 def ca_op_apply_validating(param, args):
     """``ConvexAlgebra.op_apply`` with the merged masses checked; oracle
     for the trusted combination."""
-    return _subdist(_merge_scaled([(param, args[0]), (1 - param, args[1])]))
+    return _mix_validating([(param, args[0]), (1 - param, args[1])])
 
 
 def ca_nf_flatten_validating(nf):
     """``ConvexAlgebra.nf_flatten`` with the merged masses checked."""
-    return _subdist(_merge_scaled([(m, inner) for inner, m in nf]))
+    return _mix_validating([(m, inner) for inner, m in fraction_point(nf)])
 
 
 def cs_op_apply_validating(param, args):
@@ -163,7 +174,7 @@ def cs_op_apply_validating(param, args):
     if param is None:
         return canonical_convex_set(l | r)
     return canonical_convex_set({
-        _subdist(_merge_scaled([(param, a), (1 - param, b)]))
+        _mix_validating([(param, a), (1 - param, b)])
         for a in sorted_gens(l) for b in sorted_gens(r)
     })
 
@@ -172,20 +183,21 @@ def cs_nf_flatten_validating(nf):
     """``ConvexSemilattice.nf_flatten`` with every combination checked and
     walked in generator order."""
     points = set()
-    for theta in nf:
+    for theta in map(fraction_point, nf):
         inner_sets = sorted_gens([u for u, _ in theta])
         masses = dict(theta)
         for choice in itertools.product(*[sorted_gens(u) for u in inner_sets]):
-            points.add(_subdist(_merge_scaled(
-                [(masses[u], sub) for u, sub in zip(inner_sets, choice)])))
+            points.add(_mix_validating(
+                [(masses[u], sub) for u, sub in zip(inner_sets, choice)]))
     return canonical_convex_set(points)
 
 
 def nf_flatten(theory, nf):
     """Monad multiplication: the normal form of normal forms ``nf``
     flattened into one.  ``nf_flatten(theory, theory.nf_map(nf, f))`` is
-    the reference for ``theory.bind(nf, f)``; ``cs`` takes every product
-    of points, deadlock included, and canonicalises it."""
+    the reference for ``theory.bind(nf, f)``; ``ca`` and ``cs`` mix in
+    ``Fraction`` form, and ``cs`` takes every product of points, deadlock
+    included, and canonicalises it."""
     if theory.id == "sl":
         out = frozenset()
         for inner in nf:
@@ -193,20 +205,21 @@ def nf_flatten(theory, nf):
         return out
     if theory.id == "cm":
         out = {}
-        for inner, n in nf:
-            for g, k in inner:
+        for inner, n in nf[1]:
+            for g, k in inner[1]:
                 out[g] = out.get(g, 0) + n * k
-        return frozenset(out.items())
+        return 1, frozenset(out.items())
     if theory.id == "gs":
         return tuple(None if inner is None else inner[i] for i, inner in enumerate(nf))
     if theory.id == "ca":
-        return _mixed([_scaled(m, inner) for inner, m in nf])
+        return count_point(_f_mixed([_f_scaled(m, fraction_point(inner))
+                                     for inner, m in fraction_point(nf)]))
     # each point of each inner set is scaled once, by its mass in theta
     points = set()
-    for theta in nf:
-        choices = [[_scaled(m, sub) for sub in u] for u, m in theta]
-        points.update(map(_mixed, itertools.product(*choices)))
-    return canonical_convex_set(points)
+    for theta in map(fraction_point, nf):
+        choices = [[_f_scaled(m, fraction_point(sub)) for sub in u] for u, m in theta]
+        points.update(map(_f_mixed, itertools.product(*choices)))
+    return count_form(theory, fraction_canonical_convex_set(points))
 
 
 def ca_nf_map_validating(nf, f):
@@ -214,10 +227,10 @@ def ca_nf_map_validating(nf, f):
     checked for sign and total; oracle for the trusted
     ``ConvexAlgebra.nf_map``."""
     out = {}
-    for g, m in nf:
+    for g, m in fraction_point(nf):
         h = f(g)
         out[h] = out.get(h, Fraction(0)) + m
-    return _subdist(out)
+    return count_point(_subdist(out))
 
 
 def cs_nf_map_validating(nf, f):
@@ -228,12 +241,12 @@ def cs_nf_map_validating(nf, f):
 
 def _multiset(counter):
     """The ``cm`` normal form of a ``Counter``: its positive counts."""
-    return frozenset((g, n) for g, n in counter.items() if n > 0)
+    return 1, frozenset((g, n) for g, n in counter.items() if n > 0)
 
 
 def cm_counter(nf):
     """The multiset of the ``cm`` normal form ``nf`` as a ``Counter``."""
-    return Counter(dict(nf))
+    return Counter(dict(nf[1]))
 
 
 def cm_op_apply_counter(args):
@@ -254,11 +267,8 @@ def cm_bind_counter(nf, f):
     return _multiset(sum((cm_counter(f(g)) for g in cm_counter(nf).elements()), Counter()))
 
 
-def ca_term_of_nf_sorted(nf, leaf=leaf_term):
-    """The ``ca`` reading of a subdistribution, sorted by ``sorted_gens``
-    with one ``Fraction`` division per generator; oracle for
-    ``ConvexAlgebra.term_of_nf``."""
-    items = sorted_gens(nf)
+def _ca_reading_sorted(sub, leaf):
+    items = sorted_gens(sub)
     tail = 1 - sum(m for _, m in items)
     t = ZERO
     for g, mass in reversed(items):
@@ -267,15 +277,248 @@ def ca_term_of_nf_sorted(nf, leaf=leaf_term):
     return t
 
 
+def ca_term_of_nf_sorted(nf, leaf=leaf_term):
+    """The ``ca`` reading of a subdistribution, sorted by ``sorted_gens``
+    in ``Fraction`` form with one ``Fraction`` division per generator;
+    oracle for ``ConvexAlgebra.term_of_nf``."""
+    return _ca_reading_sorted(fraction_point(nf), leaf)
+
+
 def cs_term_of_nf_sorted(nf, leaf=leaf_term):
     """The ``cs`` reading: the ``ca`` readings of the points, ranked by
-    ``sorted_gens``, summed from the left; oracle for
+    ``sorted_gens`` in ``Fraction`` form, summed from the left; oracle for
     ``ConvexSemilattice.term_of_nf``."""
-    readings = [ca_term_of_nf_sorted(sub, leaf) for sub in sorted_gens(nf)]
+    readings = [_ca_reading_sorted(sub, leaf) for sub in sorted_gens(map(fraction_point, nf))]
     t = readings[0] if readings else ZERO
     for u in readings[1:]:
         t = Op(None, (t, u))
     return t
+
+
+# ---------------------------------------------------------------------------
+# the Fraction-mass ca and cs backends that the integer backends replaced,
+# kept as the reference of the differential test.  Their normal forms are
+# the Fraction forms of tests/masses.py: a subdistribution is a frozenset of
+# (generator, positive mass) pairs.
+
+FRACTION_ZERO = frozenset()
+_ONE = Fraction(1)
+
+
+def _f_scaled(w, sub):
+    """The masses of the subdistribution ``sub`` times the weight ``w``."""
+    return {g: w * m for g, m in sub} if w else {}
+
+
+def _f_mixed(parts):
+    """The sum of the scaled subdistributions ``parts``, as a subdistribution."""
+    out = {}
+    for part in parts:
+        for g, m in part.items():
+            if g in out:
+                out[g] += m
+            else:
+                out[g] = m
+    return frozenset(out.items())
+
+
+def _f_mixtures(parts):
+    """The mixtures of one point from each (set, weight) pair in ``parts``,
+    taking the deadlock point from a set only when it is the set's one
+    point."""
+    choices = [[_f_scaled(w, u) for u in (us - {FRACTION_ZERO} or us)] for us, w in parts]
+    return set(map(_f_mixed, itertools.product(*choices)))
+
+
+def fraction_in_lower_hull(point, gens):
+    """Membership of the subdistribution ``point`` in the down-closed convex
+    hull of ``gens`` and the deadlock point, by the package's simplex on
+    ``Fraction`` rows."""
+    point = dict(point)
+    gens = [dict(g) for g in gens]
+    coords = sorted_gens(set(point) | set().union(*map(set, gens)) if gens else set(point))
+    k = len(gens)
+    m = len(coords)
+    rows = []
+    rhs = []
+    for ci, x in enumerate(coords):
+        row = [g.get(x, Fraction(0)) for g in gens]
+        row += [Fraction(-int(j == ci)) for j in range(m)]
+        row.append(Fraction(0))
+        rows.append(row)
+        rhs.append(point.get(x, Fraction(0)))
+    rows.append([Fraction(1)] * k + [Fraction(0)] * m + [Fraction(1)])
+    rhs.append(Fraction(1))
+    return feasible(rows, rhs)
+
+
+def _f_redundant(g, others, mass):
+    """``fraction_in_lower_hull(g, others)``, decided by dominance and
+    narrowing where possible; ``mass`` holds every point's masses scaled
+    to integers by one common factor."""
+    need = mass[g].items()
+    if any(all(mass[o].get(x, 0) >= m for x, m in need) for o in others):
+        return True
+    cands = others
+    while True:
+        narrowed = cands
+        for x, m in need:
+            top = max((mass[o].get(x, 0) for o in narrowed), default=0)
+            if top < m:
+                return False
+            if top == m:
+                narrowed = [o for o in narrowed if mass[o].get(x, 0) == m]
+        if len(narrowed) == len(cands):
+            return fraction_in_lower_hull(g, cands)
+        cands = narrowed
+
+
+def fraction_canonical_convex_set(points):
+    """Minimal generator set, deadlock included, of the down-closed convex
+    set of the ``Fraction``-form subdistributions ``points``."""
+    pts = set(points)
+    pts.discard(FRACTION_ZERO)
+    scale = math.lcm(*{m.denominator for p in pts for _, m in p})
+    mass = {p: {x: m.numerator * (scale // m.denominator) for x, m in p if m} for p in pts}
+    keep = set(pts)
+    for g in pts:
+        keep.discard(g)
+        if not _f_redundant(g, list(keep), mass):
+            keep.add(g)
+    keep.add(FRACTION_ZERO)
+    return frozenset(keep)
+
+
+def _f_pair_key(keys):
+    def key(pair):
+        g = pair[0]
+        k = keys.get(g)
+        if k is None:
+            k = keys[g] = generator_key(g)
+        return k, pair[1]
+    return key
+
+
+def _f_ca_reading(pairs, leaf):
+    scale = math.lcm(*[m.denominator for _, m in pairs])
+    counts = [m.numerator * (scale // m.denominator) for _, m in pairs]
+    tail = scale - sum(counts)
+    t = ZERO
+    for (g, _), n in zip(reversed(pairs), reversed(counts)):
+        t = Op(Fraction(n, n + tail), (leaf(g), t)) if tail else leaf(g)
+        tail += n
+    return t
+
+
+class FractionConvexAlgebra(Theory):
+    """Subprobability distributions with ``Fraction`` masses."""
+
+    id = "ca"
+    axioms = CA_AXIOMS
+    binary_families = frozenset({"pplus"})
+
+    def bottom(self):
+        return FRACTION_ZERO
+
+    def unit(self, g):
+        return frozenset({(g, _ONE)})
+
+    def op_apply(self, param, args):
+        self.check_param(param)
+        return _f_mixed((_f_scaled(param, args[0]), _f_scaled(1 - param, args[1])))
+
+    @staticmethod
+    def nf_map(nf, f):
+        out = {}
+        for g, w in nf:
+            h = f(g)
+            if h in out:
+                out[h] += w
+            else:
+                out[h] = w
+        return frozenset(out.items())
+
+    def bind(self, nf, f):
+        out = {}
+        for g, w in nf:
+            for h, k in f(g):
+                if h in out:
+                    out[h] += w * k
+                else:
+                    out[h] = w * k
+        return frozenset(out.items())
+
+    def generators(self, nf):
+        return {g for g, _ in nf}
+
+    def weight(self, nf, g):
+        return dict(nf).get(g, Fraction(0))
+
+    def term_of_nf(self, nf, leaf=leaf_term):
+        return _f_ca_reading(sorted(nf, key=_f_pair_key({})), leaf)
+
+
+class FractionConvexSemilattice(Theory):
+    """Down-closed convex sets of ``Fraction``-form subdistributions, kept
+    as minimal generator sets with the deadlock point."""
+
+    id = "cs"
+    axioms = CS_AXIOMS
+    binary_families = frozenset({"plus", "pplus"})
+
+    def bottom(self):
+        return frozenset({FRACTION_ZERO})
+
+    def unit(self, g):
+        return frozenset({FRACTION_ZERO, frozenset({(g, _ONE)})})
+
+    def op_apply(self, param, args):
+        self.check_param(param)
+        l, r = args
+        apart = self.generators(l).isdisjoint(self.generators(r))
+        if param is None:
+            return l | r if apart else fraction_canonical_convex_set(l | r)
+        points = _f_mixtures(((l, param), (r, 1 - param)))
+        if not apart:
+            return fraction_canonical_convex_set(points)
+        points.add(FRACTION_ZERO)
+        return frozenset(points)
+
+    def nf_map(self, nf, f):
+        image = {g: f(g) for g in self.generators(nf)}
+        points = {FractionConvexAlgebra.nf_map(sub, image.__getitem__) for sub in nf}
+        if len(set(image.values())) == len(image):
+            return frozenset(points)
+        return fraction_canonical_convex_set(points)
+
+    def bind(self, nf, f):
+        image = {g: f(g) for g in self.generators(nf)}
+        points = set()
+        for theta in nf:
+            points |= _f_mixtures([(image[g], m) for g, m in theta])
+        return fraction_canonical_convex_set(points)
+
+    def generators(self, nf):
+        return {g for sub in nf for g, _ in sub}
+
+    def weight(self, nf, g):
+        return None
+
+    def edges(self, nf):
+        return list(dict.fromkeys(p for sub in sorted_gens(nf) for p in sorted_gens(sub)))
+
+    def term_of_nf(self, nf, leaf=leaf_term):
+        key = _f_pair_key({})
+        ranked = []
+        for sub in nf:
+            pairs = sorted(sub, key=key)
+            ranked.append((tuple(map(key, pairs)), pairs))
+        ranked.sort(key=lambda r: r[0])
+        readings = [_f_ca_reading(pairs, leaf) for _, pairs in ranked]
+        t = readings[0] if readings else ZERO
+        for u in readings[1:]:
+            t = Op(None, (t, u))
+        return t
 
 
 def u_set(e):

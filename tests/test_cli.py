@@ -549,6 +549,21 @@ def test_hostile_probability_in_coalgebra_exits_1_through_cli_main(tmp_path, mon
         assert time.perf_counter() - start < 1
 
 
+def test_files_that_start_with_a_byte_order_mark_exit_1_through_cli_main(tmp_path, monkeypatch,
+                                                                       capsys):
+    # read_json's one decoder does not check for a BOM itself; the message
+    # is json.loads's, and solve takes the file for JSON, not for a system
+    message = "error: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)\n"
+    f = tmp_path / "c.json"
+    f.write_text("\ufeff" + json.dumps({"theory": "sl", "states": ["s0"],
+                                        "structure": {"s0": {"act": "a", "to": "s0"}}}),
+                 encoding="utf-8")
+    assert _main_err(monkeypatch, capsys, "solve", str(f)) == (1, "", message)
+    with open(os.path.join(PROOF_DIR, "sl_trans.json")) as fh:
+        (tmp_path / "p.json").write_text("\ufeff" + fh.read(), encoding="utf-8")
+    assert _main_err(monkeypatch, capsys, "prove", str(tmp_path / "p.json")) == (1, "", message)
+
+
 def test_names_that_would_print_as_other_syntax_exit_1_through_cli_main(tmp_path, monkeypatch,
                                                                         capsys):
     # each would print as text that reads as other syntax: "s 0 = mu s 0. a.s 0",

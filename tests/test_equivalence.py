@@ -10,6 +10,7 @@ import procalc as pc
 
 from gen import (ALL_THEORIES, rand_coalgebra, rand_guarded_exp, rand_param, rand_sexp, seed_for,
                  theory)
+from masses import fraction_point
 from oracles import moore_check_states, moore_partition, naive_bisim_relation, reachable_union
 
 F = Fraction
@@ -52,7 +53,7 @@ def test_unguarded_recursion_counterexample():
 
     def out_mass(x, var):
         return sum(
-            (p for g, p in pc.step(x, th) if g == pc.Var(var)), F(0)
+            (p for g, p in fraction_point(pc.step(x, th)) if g == pc.Var(var)), F(0)
         )
 
     assert out_mass(m, "u") == F(1, 2)

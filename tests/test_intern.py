@@ -75,6 +75,24 @@ def test_param_type_is_part_of_the_key():
     assert pc.SStar(F(1), pc.SAct("a")) is not star
 
 
+def test_fraction_params_key_on_their_ratio_and_type():
+    # a Fraction parameter is keyed on (numerator, denominator): equal
+    # ratios are one node, and 1, True, Fraction(1) and the pair (1, 1)
+    # stay four nodes
+    a, b = Var("a"), Var("b")
+    nodes = [Op(p, (a, b)) for p in (1, True, F(1), (1, 1))]
+    assert len({id(n) for n in nodes}) == 4
+    assert [type(n.param) for n in nodes] == [int, bool, Fraction, tuple]
+    assert Op(F(2, 4), (a, b)) is Op(F(1, 2), (a, b)) is not Op((1, 2), (a, b))
+    assert unparse(nodes[2]) == "a +[1] b"
+    stars = [pc.SChoice(p, pc.SAct("a"), pc.SONE) for p in (1, True, F(1))]
+    assert len({id(n) for n in stars}) == 3
+    assert pc.SStar(F(3, 6), pc.SAct("a")) is pc.SStar(F(1, 2), pc.SAct("a"))
+    leaves = [pc.Leaf(g) for g in (1, True, F(1))]
+    assert len({id(n) for n in leaves}) == 3 and pc.Leaf(F(1)) is leaves[2]
+    assert [type(n.gen) for n in leaves] == [int, bool, Fraction]
+
+
 def test_nodes_are_immutable_and_copy_to_themselves():
     e = Prefix("a", Mu("x", Var("x")))
     with pytest.raises(AttributeError):

@@ -15,13 +15,14 @@ from procalc.theory import ZERO_SUBDIST, TheoryError
 
 from gen import (ALL_THEORIES, rand_coalgebra, rand_exp, rand_guarded_exp,
                  rand_sexp, rand_sterm, seed_for, theory)
+from masses import count_point, fraction_point
 from oracles import coalgebra_from_dict_by_step, reachable_union, reachable_unmemoised, u_set
 
 F = Fraction
 
 
 def sub(*pairs):
-    return frozenset((g, F(m)) for g, m in pairs)
+    return count_point(frozenset((g, F(m)) for g, m in pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +170,7 @@ def test_reachable_ca_example():
     # the second state is the a1-target u, which only outputs
     assert c.structure[c.states[1]] == sub((pc.Var("u"), F(1)))
     # self-loop 1/6 | a2 on the seed
-    assert (pc.Step("a2", c.states[0]), F(1, 6)) in c.structure[c.states[0]]
+    assert (pc.Step("a2", c.states[0]), F(1, 6)) in fraction_point(c.structure[c.states[0]])
 
 
 def test_reachable_trivial():

@@ -15,6 +15,7 @@ from procalc.theory import (TheoryError, ZERO_SUBDIST, axiom_side_ok, eval_param
                             sorted_gens, theory_from_json)
 
 from gen import ALL_THEORIES, ATOMS, rand_exp, rand_guard, rand_param, rand_prob, theory
+from masses import count_form, count_point, fraction_point
 from oracles import (ca_nf_flatten_validating, ca_nf_map_validating, ca_op_apply_validating,
                      ca_term_of_nf_sorted, canonical_convex_set_lp, cm_bind_counter, cm_counter,
                      cm_nf_map_counter, cm_op_apply_counter, convex_member_bruteforce,
@@ -35,7 +36,7 @@ def _wrap(x):
 
 
 def sub(**kw):
-    return frozenset((g, F(m)) for g, m in kw.items())
+    return count_point(frozenset((g, F(m)) for g, m in kw.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -51,8 +52,8 @@ def test_sl_examples():
 def test_cm_examples():
     th = theory("cm")
     nf = step(t(None, "x", t(None, "y", "x")), th)
-    assert nf == frozenset({("x", 2), ("y", 1)})
-    assert step(t(None, "x", ZERO), th) == frozenset({("x", 1)})
+    assert nf == count_form(th, frozenset({("x", 2), ("y", 1)}))
+    assert step(t(None, "x", ZERO), th) == count_form(th, frozenset({("x", 1)}))
 
 
 def test_gs_examples():
@@ -318,7 +319,8 @@ def test_ca_term_reading_of_2000_generators():
     th = theory("ca")
     n = 2000
     for total in (F(1), F(1, 2)):
-        nf = frozenset((pc.Step(f"a{i}", ZERO), total / n) for i in range(n))
+        want = frozenset((pc.Step(f"a{i}", ZERO), total / n) for i in range(n))
+        nf = count_point(want)
         t, masses, reach = th.term_of_nf(nf), {}, F(1)
         while isinstance(t, Op):
             (leaf, t), weight = t.args, t.param
@@ -328,7 +330,7 @@ def test_ca_term_reading_of_2000_generators():
             masses[t.gen] = reach
         else:
             assert t is ZERO
-        assert frozenset(masses.items()) == nf
+        assert frozenset(masses.items()) == want
 
 
 def test_gs_flatten_is_diagonal():
@@ -343,7 +345,7 @@ def test_cm_flatten_weighted_sum():
     th = theory("cm")
     n1 = step(t(None, "x", "x"), th)
     nested = step(t(None, Leaf(n1), Leaf(n1)), th)
-    assert th.bind(nested, _identity) == frozenset({("x", 4)})
+    assert th.bind(nested, _identity) == count_form(th, frozenset({("x", 4)}))
 
 
 def test_ca_flatten_expectation():
@@ -360,7 +362,7 @@ def _rand_subdist(rng, gens):
     chosen = rng.sample(gens, rng.randint(0, len(gens)))
     weights = [rng.randint(1, 4) for _ in chosen]
     total = sum(weights) + rng.choice((0, 0, 1, 3))
-    return frozenset((g, F(w, total)) for g, w in zip(chosen, weights))
+    return count_point(frozenset((g, F(w, total)) for g, w in zip(chosen, weights)))
 
 
 def test_trusted_pushforward_agrees_with_validating_oracle():
@@ -377,9 +379,10 @@ def test_trusted_pushforward_agrees_with_validating_oracle():
         d = _rand_subdist(rng, gens)
         mapped = ca.nf_map(d, f)
         assert mapped == ca_nf_map_validating(d, f)
-        assert sum(m for _, m in mapped) == sum(m for _, m in d)
-        collided += len(mapped) < len(d)
-        full += sum(m for _, m in d) == 1
+        total = sum(m for _, m in fraction_point(d))
+        assert sum(m for _, m in fraction_point(mapped)) == total
+        collided += len(mapped[1]) < len(d[1])
+        full += total == 1
         points = {_rand_subdist(rng, gens) for _ in range(rng.randint(1, 3))}
         nf = pc.theory.canonical_convex_set(points)
         # cs.nf_map keeps a one-to-one image as it is and canonicalises a merged one
@@ -406,7 +409,7 @@ def test_trusted_combinations_agree_with_validating_oracles():
         weights.add(p)
         l, r = _rand_subdist(rng, gens), _rand_subdist(rng, gens)
         assert ca.op_apply(p, (l, r)) == ca_op_apply_validating(p, (l, r))
-        shared += bool({g for g, _ in l} & {g for g, _ in r})
+        shared += bool(ca.generators(l) & ca.generators(r))
         inner = list(dict.fromkeys(_rand_subdist(rng, gens) for _ in range(3)))
         nested = _rand_subdist(rng, inner)
         assert ca.bind(nested, _identity) == nf_flatten(ca, nested) \
@@ -431,7 +434,8 @@ def test_trusted_combinations_agree_with_validating_oracles():
 
 
 def _rand_multiset(rng, gens):
-    return frozenset((g, rng.randint(1, 4)) for g in rng.sample(gens, rng.randint(0, len(gens))))
+    return count_form(theory("cm"), frozenset(
+        (g, rng.randint(1, 4)) for g in rng.sample(gens, rng.randint(0, len(gens)))))
 
 
 def test_weighted_sums_agree_with_counter_and_validating_oracles():
@@ -452,7 +456,7 @@ def test_weighted_sums_agree_with_counter_and_validating_oracles():
                      else rng.sample(gens, len(gens)))).__getitem__
         m = _rand_multiset(rng, gens)
         assert cm.nf_map(m, f) == cm_nf_map_counter(m, f)
-        merged += len(cm.nf_map(m, f)) < len(m)
+        merged += len(cm.nf_map(m, f)[1]) < len(m[1])
         args = [_rand_multiset(rng, gens) for _ in range(rng.randint(0, 4))]
         arities.add(len(args))
         assert cm.op_apply(None, args) == cm_op_apply_counter(args)
@@ -464,9 +468,10 @@ def test_weighted_sums_agree_with_counter_and_validating_oracles():
         assert ca.nf_map(d, f) == ca_nf_map_validating(d, f)
         inner = {g: _rand_subdist(rng, images) for g in gens}.__getitem__
         assert ca.bind(d, inner) == ca_nf_flatten_validating(ca_nf_map_validating(d, inner))
-        assert ca.generators(d) == {g for g, _ in d}
-        assert [ca.weight(d, g) for g in gens] == [dict(d).get(g, F(0)) for g in gens]
-    assert cm.bottom() == ca.bottom() == cm_op_apply_counter([]) == frozenset()
+        assert ca.generators(d) == {g for g, _ in fraction_point(d)}
+        masses = dict(fraction_point(d))
+        assert [ca.weight(d, g) for g in gens] == [masses.get(g, F(0)) for g in gens]
+    assert cm.bottom() == ca.bottom() == cm_op_apply_counter([]) == count_form(cm, frozenset())
     assert type(cm.weight(cm.bottom(), "g1")) is int and type(ca.weight(ca.bottom(), "g1")) is F
     assert arities == {0, 1, 2, 3, 4} and merged > 50
 
@@ -582,7 +587,7 @@ def test_cs_unfolding_and_sequence_of_a_mixture_canonicalise_few_points(monkeypa
         s = pc.parse_sexp(f"({_uniform_mixture(k, lambda i: f'a{i}')}) ; b", th)
         for nf in (step(e, th), pc.lstep(s, th)):
             (point,) = nf - {ZERO_SUBDIST}
-            assert sorted(m for _, m in point) == [F(1, k)] * k
+            assert sorted(m for _, m in fraction_point(point)) == [F(1, k)] * k
         assert sum(counts) <= k, (k, counts)
         counts.clear()
 
@@ -601,6 +606,23 @@ def test_cs_choices_over_shared_generators_still_canonicalise(monkeypatch):
     assert calls
 
 
+def test_convex_steps_and_readings_hash_no_fraction(monkeypatch, capsys):
+    # masses are integer counts and a +[p] node is interned on p's
+    # numerator and denominator, so stepping and printing hash no Fraction
+    calls = []
+    fraction_hash = F.__hash__
+    monkeypatch.setattr(F, "__hash__", lambda q: calls.append(q) or fraction_hash(q))
+    assert hash(F(1, 3)) == fraction_hash(F(1, 3)) and len(calls) == 1
+    calls.clear()
+    for theory_id, term in (
+            ("ca", "mu x. (a.x +[1/3] (b.0 +[2/5] a.x)) +[1/2] (c.0 +[0] (a.x +[1] d.0))"),
+            ("cs", _mix(4)),
+            ("cs", "(a.0 +[1/3] b.0) + (a.0 +[1/2] b.0) + ((a.0 + b.0) +[1/2] c.0)")):
+        assert cli.run(["step", "--theory", theory_id, term]) == 0
+        assert capsys.readouterr().out.count("+[") >= 3
+        assert calls == [], (theory_id, term)
+
+
 def test_convex_readings_agree_with_sorting_oracles():
     rng = random.Random(43)
     ca, cs = theory("ca"), theory("cs")
@@ -611,15 +633,15 @@ def test_convex_readings_agree_with_sorting_oracles():
     for _ in range(300):
         d = _rand_subdist(rng, gens) if rng.random() < 0.8 else ca.unit(rng.choice(gens))
         assert ca.term_of_nf(d) is ca_term_of_nf_sorted(d)
-        total = sum(m for _, m in d)
-        counts["total 1" if total == 1 else "total < 1"] += 1
-        counts["mass 1"] += any(m == 1 for _, m in d)
-        counts["empty"] += not d
+        masses = [m for _, m in fraction_point(d)]
+        counts["total 1" if sum(masses) == 1 else "total < 1"] += 1
+        counts["mass 1"] += any(m == 1 for m in masses)
+        counts["empty"] += not masses
         # the points draw on one pool, so one Step object occurs in several
         nf = pc.theory.canonical_convex_set(
             {_rand_subdist(rng, gens[:5]) for _ in range(rng.randint(1, 4))})
         assert cs.term_of_nf(nf) is cs_term_of_nf_sorted(nf)
-        counts["shared step"] += sum(len(sub) for sub in nf) > len(cs.generators(nf))
+        counts["shared step"] += sum(len(pairs) for _, pairs in nf) > len(cs.generators(nf))
     assert min(counts.values()) >= 20, counts
 
 
@@ -640,7 +662,7 @@ def test_cs_canonicalisation_against_bruteforce():
                     if m > 0:
                         d[c] = m
                         budget -= m
-            pts.add(frozenset(d.items()))
+            pts.add(count_point(frozenset(d.items())))
         canon = pc.theory.canonical_convex_set(pts)
         kept = [p for p in canon if p != ZERO_SUBDIST]
         for p in pts:
@@ -682,7 +704,7 @@ def test_cs_canonicalisation_filters_agree_with_lp_oracle(monkeypatch):
                     if m > 0:
                         d[c] = m
                         budget -= m
-            pts.add(frozenset(d.items()))
+            pts.add(count_point(frozenset(d.items())))
         assert pc.theory.canonical_convex_set(pts) == canonical_convex_set_lp(pts), pts
     # the filters leave some questions to the narrowed simplex
     assert calls
@@ -731,7 +753,7 @@ def test_canonical_convex_set_is_the_lp_answer_in_any_insertion_order():
             # masses w / total with w and the missing mass 0..3: denominators up to 15
             ws = [draw(st.integers(0, 3)) for _ in coords]
             total = sum(ws) + draw(st.integers(0, 3))
-            points.append(frozenset((c, F(w, total)) for c, w in zip(coords, ws) if w))
+            points.append(count_point(frozenset((c, F(w, total)) for c, w in zip(coords, ws) if w)))
         return points
 
     @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -760,7 +782,7 @@ def test_feasibility_against_bruteforce():
                     if m > 0:
                         d[c] = m
                         budget -= m
-            return frozenset(d.items())
+            return count_point(frozenset(d.items()))
 
         point = rand_point()
         gens = [rand_point() for _ in range(rng.randint(0, 3))]

@@ -20,40 +20,31 @@ line and a reason.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import syntax
-from .syntax import (Exp, Mu, Op, Var, Zero, children, free_vars,
+from .syntax import (Mu, Op, Record, Var, Zero, children, free_vars,
                      guarded_subst_exp, is_guarded, substitute)
 from .theory import (TheoryError, axiom_side_ok, eval_param, param_family,
                      param_symbols, read_json, theory_from_json)
 
 
-@dataclass
-class ProofStep:
-    rule: str
-    lhs: Exp
-    rhs: Exp
-    at: tuple = ()
-    name: str = None  # axiom name
-    refs: tuple = ()  # cited earlier lines (1-based)
-    var: str = None  # r3 recursion variable
-    body: Exp = None  # r3 witness body
-    bindings: dict = None  # subst instantiation
+class ProofStep(Record):
+    _fields = ("rule", "lhs", "rhs", "at", "name", "refs", "var", "body", "bindings")
+    at = ()
+    name = None  # axiom name
+    refs = ()  # cited earlier lines (1-based)
+    var = None  # r3 recursion variable
+    body = None  # r3 witness body
+    bindings = None  # subst instantiation
 
 
-@dataclass
-class Proof:
-    theory: object
-    goal: tuple  # (lhs, rhs)
-    steps: list
+class Proof(Record):
+    _fields = ("theory", "goal", "steps")  # goal is (lhs, rhs)
 
 
-@dataclass
-class Verdict:
-    accepted: bool
-    reason: str = "ok"
-    step: int = None  # 1-based index of the offending line
+class Verdict(Record):
+    _fields = ("accepted", "reason", "step")
+    reason = "ok"
+    step = None  # 1-based index of the offending line
 
     def __bool__(self):
         return self.accepted

@@ -33,10 +33,8 @@ occurrence in position order, is made only for output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .semantics import Step, _explore, step
-from .syntax import unparse
+from .syntax import Record, unparse
 
 
 def _signature(theory, nf, read):
@@ -129,11 +127,8 @@ def bisim_partition(c):
     return dict(zip(c.states, _dense(block)))
 
 
-@dataclass
-class Certificate:
-    equivalent: bool
-    rounds: int
-    detail: str
+class Certificate(Record):
+    _fields = ("equivalent", "rounds", "detail")
 
 
 def _certificate(theory, sides, s1, s2, name):

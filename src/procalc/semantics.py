@@ -18,12 +18,11 @@ body again at every state.
 from __future__ import annotations
 
 import json
-from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 
-from .syntax import (Interned, Leaf, Mu, Op, Prefix, Var, Zero, cached_text, is_name,
-                     post_order, substitute, unparse)
-from .theory import (MAX_JSON_DEPTH, Theory, TheoryError, exact_fraction, generator_key,
+from .syntax import (_TABLE, Frozen, Interned, Leaf, Mu, Op, Prefix, Record, Var, Zero,
+                     _intern, _set, cached_text, is_name, post_order, substitute, unparse)
+from .theory import (MAX_JSON_DEPTH, TheoryError, exact_fraction, generator_key,
                      read_json, sorted_gens, theory_from_json)
 
 
@@ -31,14 +30,10 @@ class StateCapExceeded(RuntimeError):
     pass
 
 
-_set = object.__setattr__  # steps refuse plain assignment
-
-
 # ---------------------------------------------------------------------------
 # transitions
 
-@dataclass(frozen=True)
-class Tick:
+class Tick(Frozen):
     def sort_key(self):
         return ("tick",)
 
@@ -46,38 +41,23 @@ class Tick:
         return "1"
 
 
-class Step:
-    """The action step ``action.target``.  A value like the frozen
-    dataclass ``Tick``: equal fields make equal steps, and
-    assignment raises.  Normal forms hash their steps many times, so the
-    hash is computed once, when the step is made."""
+class Step(Interned):
+    """The action step ``action.target``, hash-consed like a term node: equal
+    steps are one object, so they hash and compare by identity.  The target
+    (an expression, a star expression or a state id) is keyed with its
+    type, because ``1 == True``."""
 
-    __slots__ = ("action", "target", "_hash")
+    __slots__ = _fields = ("action", "target")
 
-    def __init__(self, action, target):
-        _set(self, "action", action)
-        _set(self, "target", target)  # Exp, star expression, or state id
-        _set(self, "_hash", hash((action, target)))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.action == other.action and self.target == other.target
-        return NotImplemented
-
-    def __hash__(self):
-        return self._hash
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return Step, (self.action, self.target)
-
-    def __repr__(self):
-        return f"Step(action={self.action!r}, target={self.target!r})"
+    def __new__(cls, action, target):
+        key = (cls, action, target, type(target))
+        node = _TABLE.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            _set(node, "action", action)
+            _set(node, "target", target)
+            _intern(key, node)
+        return node
 
     def sort_key(self):
         return ("act", self.action, generator_key(self.target))
@@ -158,11 +138,8 @@ def gsubst_bm(nf, g, v, theory):
 # ---------------------------------------------------------------------------
 # coalgebras
 
-@dataclass
-class Coalgebra:
-    theory: Theory
-    states: tuple  # state ids, "s0", "s1", ...
-    structure: dict  # state id -> normal form over transitions with id targets
+class Coalgebra(Record):  # state ids "s0", "s1", ...; id -> normal form with id targets
+    _fields = ("theory", "states", "structure")
 
 
 def _explore(e, theory, cap, stepper):

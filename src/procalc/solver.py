@@ -12,12 +12,9 @@ unknowns asked for and those they depend on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import syntax
-from .equivalence import equivalent
 from .semantics import Tick
-from .syntax import (Mu, Prefix, Var, bound_vars, free_vars, fresh_name, substitute,
+from .syntax import (Mu, Prefix, Record, Var, bound_vars, free_vars, fresh_name, substitute,
                      unguarded_vars)
 from .theory import TheoryError
 
@@ -26,13 +23,11 @@ class UnguardedSystem(ValueError):
     pass
 
 
-@dataclass
-class EqSystem:
-    theory: object
-    variables: tuple  # unknowns, in order
-    exprs: tuple  # right-hand sides
+class EqSystem(Record):
+    _fields = ("theory", "variables", "exprs")  # unknowns in order, right-hand sides
 
-    def __post_init__(self):
+    def __init__(self, theory, variables, exprs):
+        super().__init__(theory, variables, exprs)
         if not self.variables:
             raise TheoryError("an equation system needs at least one unknown")
         unknowns = set()
@@ -132,6 +127,8 @@ def solve(system, order=None, wanted=None):
 def check_solution(system, phi, cap=10000):
     """Semantic check: each unknown's value is bisimilar to its unfolded
     right-hand side, and values mention no unknowns."""
+    from .equivalence import equivalent  # only this check refines; solving does not
+
     unknowns = set(system.variables)
     for x in system.variables:
         if x not in phi:

@@ -15,13 +15,11 @@ over ``syntax.post_order``.  So an expression's depth is no limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import syntax
 from .semantics import Step, TICK, Tick, reachable
-from .equivalence import check_terms
-from .syntax import (Interned, Mu, Op, ParseError, Prefix, Var, ZERO, all_names,
+from .syntax import (Interned, Mu, Op, ParseError, Prefix, Record, Var, ZERO, all_names,
                      bracket, cached_text, choice_param, expect_token, fresh_name,
                      is_guarded, parse_param, post_order, render_param, substitute)
 from .theory import TheoryError
@@ -252,6 +250,8 @@ def star_reachable(s, theory, cap=10000):
 
 
 def star_equivalent(s1, s2, theory, cap=10000):
+    from .equivalence import check_terms  # star step, lts and deriv do not refine
+
     return check_terms(s1, s2, theory, cap, lstep)
 
 
@@ -306,11 +306,8 @@ def _star_axiom_sides(name, exps, params):
     raise TheoryError(f"unknown star axiom {name!r}")
 
 
-@dataclass
-class EStarResult:
-    ok: bool
-    side_condition_ok: bool
-    detail: str
+class EStarResult(Record):
+    _fields = ("ok", "side_condition_ok", "detail")
 
 
 def check_estar_instance(name, theory, exps, params=None, cap=10000,

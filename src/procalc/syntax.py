@@ -165,18 +165,50 @@ def _sweep_after_full_collection(phase, info):
 gc.callbacks.append(_sweep_after_full_collection)
 
 
-def _bind(cls, args, kwargs):
+def _bind(cls, args, kwargs, defaults=()):
     names = cls._fields
     if len(args) > len(names):
         raise TypeError(f"{cls.__name__}() takes {len(names)} arguments, got {len(args)}")
     values = list(args)
     for name in names[len(args):]:
-        if name not in kwargs:
+        if name in kwargs:
+            values.append(kwargs.pop(name))
+        elif name in defaults:
+            values.append(defaults[name])
+        else:
             raise TypeError(f"{cls.__name__}() missing argument {name!r}")
-        values.append(kwargs.pop(name))
     if kwargs:
         raise TypeError(f"{cls.__name__}() got unexpected arguments {sorted(kwargs)}")
     return tuple(values)
+
+
+class Record:
+    """A value that is not a term node: fields ``_fields`` in constructor order, and
+    a class attribute named like a field as its default.  Like a dataclass, it compares
+    and prints by field; only a ``Frozen`` one hashes, and it refuses assignment."""
+
+    _fields = ()
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            args = _bind(type(self), args, kwargs, vars(type(self)))
+        vars(self).update(zip(self._fields, args))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return vars(self) == vars(other)
+        return NotImplemented
+
+    __hash__ = None
+    __repr__ = Interned.__repr__
+
+
+class Frozen(Record):
+    __setattr__ = Interned.__setattr__
+    __delattr__ = Interned.__delattr__
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
 
 
 def cached_text(node):

@@ -23,11 +23,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
-from .syntax import GUARD_ATOM, ZERO, Op, Var, leaf_term
+from .syntax import GUARD_ATOM, ZERO, Frozen, Op, Var, leaf_term
 
 
 class TheoryError(ValueError):
@@ -81,12 +79,9 @@ def sorted_gens(gens):
 # whose choice parameters are symbolic, such as ("gsym", "b") or
 # ("pneg", ("psym", "p"))
 
-@dataclass(frozen=True)
-class Axiom:
-    name: str
-    lhs: object
-    rhs: object
-    side: Optional[str] = None  # "pq<1" for the nested convex re-association
+class Axiom(Frozen):
+    _fields = ("name", "lhs", "rhs", "side")
+    side = None  # "pq<1" for the nested convex re-association
 
 
 def param_symbols(expr):
@@ -652,7 +647,8 @@ class GuardedSemilattice(Theory):
         return tuple(None if e is None else f(e) for e in nf)
 
     def bind(self, nf, f):
-        return tuple(None if e is None else f(e)[i] for i, e in enumerate(nf))
+        image = {e: f(e) for e in dict.fromkeys(nf) if e is not None}  # f once per generator
+        return tuple(None if e is None else image[e][i] for i, e in enumerate(nf))
 
     def generators(self, nf):
         return {e for e in nf if e is not None}

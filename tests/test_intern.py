@@ -93,6 +93,13 @@ def test_fraction_params_key_on_their_ratio_and_type():
     assert [type(n.gen) for n in leaves] == [int, bool, Fraction]
 
 
+def test_steps_are_interned_on_their_target_and_its_type():
+    steps = [Step("a", t) for t in (1, True, F(1), "1", Var("x"))]
+    assert len({id(s) for s in steps}) == 5
+    assert [type(s.target) for s in steps] == [int, bool, Fraction, str, Var]
+    assert Step(action="a", target=Var("x")) is steps[4] and Step("a", 1) is steps[0]
+
+
 def test_nodes_are_immutable_and_copy_to_themselves():
     e = Prefix("a", Mu("x", Var("x")))
     with pytest.raises(AttributeError):

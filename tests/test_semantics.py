@@ -248,6 +248,19 @@ def test_reachable_unfolds_each_mu_once(name, monkeypatch):
     assert len(unfolded) == len(set(unfolded))
 
 
+@pytest.mark.parametrize("atoms", [["x1"], ["x1", "x2"], ["x1", "x2", "x3", "x4"]])
+def test_gs_unfolding_rewrites_its_target_once(atoms, monkeypatch):
+    # bind calling f once per atom rewrote the unfolded target once per atom
+    from procalc import syntax
+
+    th = pc.make_theory("gs", atoms)
+    e = pc.parse_exp("mu x. " + "a." * 100 + "(u +[x1] a.x)", th)
+    calls, subst = [], syntax._subst
+    monkeypatch.setattr(syntax, "_subst", lambda *a: calls.append(a[0]) or subst(*a))
+    assert len(pc.reachable(e, th).states) == 101
+    assert len(calls) == 1
+
+
 def _cyc_nodes(n, var="x"):
     """The ROADMAP's cyc(n): level i does ``a`` and then chooses between
     binder (7 i) mod i and the next level; built without the parser."""

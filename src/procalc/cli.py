@@ -6,84 +6,147 @@ rejected, 1 parse or validation error, 2 internal error.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import sys
+import types
 from fractions import Fraction
 
 from . import semantics, syntax, theory as th  # every command's; the others load in theirs
 
 
-def _add_common(p):
-    p.add_argument("--theory", default="sl", choices=th.THEORY_NAMES)
-    p.add_argument("--atoms", default=None, help="comma-separated atoms (gs)")
-    p.add_argument("--actions", default=None, help="comma-separated action names")
-    p.add_argument("--format", default="text", choices=("json", "dot", "text"))
-    p.add_argument("--gkat", action="store_true", help="enable test[...] sugar")
-    p.add_argument("--cap", type=int, default=10000, help="state cap for lts construction")
+# The command table.  Each command path maps to its help text and its
+# arguments, in the order ``build_parser`` adds them: ``(name, keywords)``
+# with argparse's own keywords, where a name that starts with ``--`` is an
+# option, stored under its name without the dashes, and every option spells
+# out its default.  A group (``star``) has no arguments of its own; its
+# commands follow it.
+_COMMON = (
+    ("--theory", {"default": "sl", "choices": th.THEORY_NAMES}),
+    ("--atoms", {"default": None, "help": "comma-separated atoms (gs)"}),
+    ("--actions", {"default": None, "help": "comma-separated action names"}),
+    ("--format", {"default": "text", "choices": ("json", "dot", "text")}),
+    ("--gkat", {"action": "store_true", "default": False, "help": "enable test[...] sugar"}),
+    ("--cap", {"type": int, "default": 10000, "help": "state cap for lts construction"}),
+)
+_TERM = _COMMON + (("term", {}),)
+_TERMS = _COMMON + (("term1", {}), ("term2", {}))
+_FILE = _COMMON + (("file", {}),)
+
+COMMANDS = {
+    ("step",): ("one-step behaviour of a term", _TERM),
+    ("lts",): ("reachable coalgebra of a term", _TERM),
+    ("equiv",): ("bisimilarity of two terms", _TERMS),
+    ("solve",): ("solve an equation system or coalgebra file",
+                 _FILE + (("--state", {"default": None, "help": "synthesize this state only"}),)),
+    ("prove",): ("check an equational proof", _FILE),
+    ("skew",): ("skew-associativity of the theory", _COMMON),
+    ("star",): ("star fragment commands", None),
+    ("star", "step"): (None, _TERM),
+    ("star", "lts"): (None, _TERM),
+    ("star", "equiv"): (None, _TERMS),
+    ("star", "estar"): (None, _COMMON + (
+        ("axiom", {"choices": ("E1", "E2", "E3", "E4", "E5", "E6")}),
+        ("--exp", {"action": "append", "default": [], "metavar": "NAME=TERM"}),
+        ("--sigma", {"default": None}),
+        ("--tau", {"default": None}),
+    )),
+    ("star", "deriv"): (None, _TERM),
+}
+
+
+def _command_dest(group):
+    """Where the command chosen under ``group`` (a path) is stored."""
+    return "_".join((*group, "command"))
+
+
+def _split(arguments):
+    """A command's options by flag, and its positionals in order."""
+    options = {name: kw for name, kw in arguments if name.startswith("-")}
+    return options, [(name, kw) for name, kw in arguments if not name.startswith("-")]
+
+
+_READ = {path: _split(arguments) for path, (_, arguments) in COMMANDS.items()
+         if arguments is not None}
+
+
+def _value(kw, text):
+    """``text`` as argparse stores it for the argument with keywords ``kw``,
+    or None where argparse would read it as an option or refuse it."""
+    if text.startswith("-"):
+        return None
+    try:
+        value = kw["type"](text) if "type" in kw else text
+    except ValueError:
+        return None
+    if "choices" in kw and value not in kw["choices"]:
+        return None
+    return value
+
+
+def read_argv(argv):
+    """The namespace that ``build_parser().parse_args(argv)`` returns, read
+    from the command table by exact lookup, or None where argparse has more
+    to do: help, abbreviations, ``--opt=value``, ``--``, a value or
+    positional that starts with ``-``, an unknown word, the wrong number of
+    positionals and a bad value, whose messages argparse prints."""
+    path = ()
+    for word in argv:
+        if path + (word,) not in COMMANDS:
+            break
+        path += (word,)
+    if path not in _READ:
+        return None
+    options, positionals = _READ[path]
+    ns = {_command_dest(path[:depth]): word for depth, word in enumerate(path)}
+    for name, kw in options.items():
+        default = kw["default"]
+        ns[name[2:]] = default.copy() if type(default) is list else default
+    words, pos = iter(argv[len(path):]), []
+    for word in words:
+        if not word.startswith("-"):
+            pos.append(word)
+            continue
+        kw = options.get(word)
+        if kw is None:
+            return None
+        action = kw.get("action")
+        if action == "store_true":
+            ns[word[2:]] = True
+            continue
+        value = _value(kw, next(words, "-"))  # a missing value reads as an option
+        if value is None:
+            return None
+        if action == "append":
+            ns[word[2:]].append(value)
+        else:
+            ns[word[2:]] = value
+    if len(pos) != len(positionals):
+        return None
+    for (name, kw), text in zip(positionals, pos):
+        ns[name] = _value(kw, text)
+        if ns[name] is None:
+            return None
+    return types.SimpleNamespace(**ns)
 
 
 @functools.cache
 def build_parser():
-    """The argument parser, built on first use and kept for the process:
-    building it takes longer than many commands take to run.  Parsing keeps
-    no state in it, so one invocation cannot see another's arguments;
-    callers share it and must not add to it."""
+    """The argparse parser of the command table, built on first use and
+    kept for the process.  It prints help, usage and errors, and parses the
+    command lines that `read_argv` leaves to it.  Parsing keeps no state in
+    it, so one invocation cannot see another's arguments; callers share it
+    and must not add to it."""
+    import argparse
+
     ap = argparse.ArgumentParser(prog="procalc", description=__doc__)
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("step", help="one-step behaviour of a term")
-    _add_common(p)
-    p.add_argument("term")
-
-    p = sub.add_parser("lts", help="reachable coalgebra of a term")
-    _add_common(p)
-    p.add_argument("term")
-
-    p = sub.add_parser("equiv", help="bisimilarity of two terms")
-    _add_common(p)
-    p.add_argument("term1")
-    p.add_argument("term2")
-
-    p = sub.add_parser("solve", help="solve an equation system or coalgebra file")
-    _add_common(p)
-    p.add_argument("file")
-    p.add_argument("--state", default=None, help="synthesize this state only")
-
-    p = sub.add_parser("prove", help="check an equational proof")
-    _add_common(p)
-    p.add_argument("file")
-
-    p = sub.add_parser("skew", help="skew-associativity of the theory")
-    _add_common(p)
-
-    p = sub.add_parser("star", help="star fragment commands")
-    star_sub = p.add_subparsers(dest="star_command", required=True)
-
-    q = star_sub.add_parser("step")
-    _add_common(q)
-    q.add_argument("term")
-
-    q = star_sub.add_parser("lts")
-    _add_common(q)
-    q.add_argument("term")
-
-    q = star_sub.add_parser("equiv")
-    _add_common(q)
-    q.add_argument("term1")
-    q.add_argument("term2")
-
-    q = star_sub.add_parser("estar")
-    _add_common(q)
-    q.add_argument("axiom", choices=("E1", "E2", "E3", "E4", "E5", "E6"))
-    q.add_argument("--exp", action="append", default=[], metavar="NAME=TERM")
-    q.add_argument("--sigma", default=None)
-    q.add_argument("--tau", default=None)
-
-    q = star_sub.add_parser("deriv")
-    _add_common(q)
-    q.add_argument("term")
-
+    groups = {(): ap.add_subparsers(dest=_command_dest(()), required=True)}
+    for path, (help_text, arguments) in COMMANDS.items():
+        shown = {} if help_text is None else {"help": help_text}
+        p = groups[path[:-1]].add_parser(path[-1], **shown)
+        if arguments is None:
+            groups[path] = p.add_subparsers(dest=_command_dest(path), required=True)
+        for name, kw in arguments or ():
+            p.add_argument(name, **kw)
     return ap
 
 
@@ -134,7 +197,11 @@ def _emit_coalgebra(c, fmt):
 
 
 def run(argv=None):
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = read_argv(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     if args.cap < 1:
         raise ValueError("--cap must be a positive integer")
     theory = _theory(args)

@@ -54,24 +54,29 @@ def _signature_text(theory, sides, s, block):
     return unparse(theory.term_of_nf(theory.nf_map(nfs[s - off], f)))
 
 
-def _rounds(theory, sides, block):
+def _rounds(theory, sides, block, succ=None):
     """Moore refinement of ``block``, a list of zeros with one entry per
     position, which becomes the internal block ids.  ``sides`` lists
     ``(offset, index, nfs)``: ``nfs[j]`` is the normal form at position
     ``offset + j``, and it names the step target at position
-    ``offset + index[t]`` by ``t``.  One round per iteration: yields the
-    positions that leave their block, mapped to their new ids, then applies
-    the move to ``block`` in place.  Stops when a round moves nothing."""
-    nfs, reads, pred = [], [], [[] for _ in block]
+    ``offset + index[t]`` by ``t``.  ``succ`` lists each position's step
+    targets as positions, if the caller has them; otherwise they are read
+    off the normal forms.  One round per iteration: yields the positions
+    that leave their block, mapped to their new ids, then applies the move
+    to ``block`` in place.  Stops when a round moves nothing."""
+    nfs, reads = [], []
     for off, index, side in sides:
         def read(g, index=index, off=off):
             return (g.action, block[off + index[g.target]]) if type(g) is Step else g
         nfs += side
         reads += [read] * len(side)
-        for s, nf in enumerate(side, off):
-            for g in theory.generators(nf):
-                if type(g) is Step:
-                    pred[off + index[g.target]].append(s)
+    if succ is None:
+        succ = [[off + index[g.target] for g in theory.generators(nf) if type(g) is Step]
+                for off, index, side in sides for nf in side]
+    pred = [[] for _ in block]
+    for s, targets in enumerate(succ):
+        for t in targets:
+            pred[t].append(s)
     size = [len(block)]
     dirty = range(len(block))
     while True:
@@ -131,12 +136,12 @@ class Certificate(Record):
     _fields = ("equivalent", "rounds", "detail")
 
 
-def _certificate(theory, sides, s1, s2, name):
+def _certificate(theory, sides, s1, s2, name, succ=None):
     """Bisimilarity of positions ``s1`` and ``s2``, with a certificate in
-    which position ``i`` is called ``name(i)``."""
+    which position ``i`` is called ``name(i)``; ``succ`` as for `_rounds`."""
     block = [0] * sum(len(nfs) for _, _, nfs in sides)
     rounds = 0
-    for moved in _rounds(theory, sides, block):
+    for moved in _rounds(theory, sides, block, succ):
         rounds += 1
         if moved.get(s1, block[s1]) != moved.get(s2, block[s2]):
             prev = _dense(block)
@@ -165,14 +170,15 @@ def check_terms(e, f, theory, cap, stepper):
     ``stepper`` up to ``cap`` states, with a certificate that calls the
     states of ``e`` ``as0``, ``as1``, ... and those of ``f`` ``bs0``, ...
     in breadth-first order."""
-    _, index1, nfs1 = _explore(e, theory, cap, stepper)
-    _, index2, nfs2 = _explore(f, theory, cap, stepper)
+    _, index1, nfs1, succ1 = _explore(e, theory, cap, stepper)
+    _, index2, nfs2, succ2 = _explore(f, theory, cap, stepper)
     n1 = len(nfs1)
 
     def name(s):
         return f"as{s}" if s < n1 else f"bs{s - n1}"
 
-    return _certificate(theory, [(0, index1, nfs1), (n1, index2, nfs2)], 0, n1, name)
+    succ = succ1 + [[n1 + t for t in targets] for targets in succ2]
+    return _certificate(theory, [(0, index1, nfs1), (n1, index2, nfs2)], 0, n1, name, succ)
 
 
 def equivalent(e, f, theory, cap=10000):

@@ -17,7 +17,6 @@ body again at every state.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 from .syntax import (_TABLE, Frozen, Interned, Leaf, Mu, Op, Prefix, Record, Var, Zero,
@@ -144,23 +143,31 @@ class Coalgebra(Record):  # state ids "s0", "s1", ...; id -> normal form with id
 
 def _explore(e, theory, cap, stepper):
     """Breadth-first exploration from ``e``: the reachable terms in BFS
-    order, a dict from each of them to its position in that order, and
-    their normal forms, whose step targets are terms.  Nothing is named.
+    order, a dict from each of them to its position in that order, their
+    normal forms, whose step targets are terms, and for each of them the
+    positions of its step targets.  Nothing is named.
 
     ``stepper(x, theory, memo)`` is the one-step map; one memo serves the
-    whole exploration, so each distinct subterm is stepped once.  A state's
-    new successors are numbered in generator order; only they are sorted,
-    and only when there are two or more, because the sort key of a term is
-    built from its printed text."""
+    whole exploration, so each distinct subterm is stepped once.  Where it
+    is `step`, a prefix ``a.t`` is stepped here, to the unit of ``a.t``.  A
+    state's new successors are numbered in generator order; only they are
+    sorted, and only when there are two or more, because the sort key of a
+    term is built from its printed text."""
     memo = {}
     index = {e: 0}
     order = [e]
     raw = []
+    succ = []
+    inline = stepper is step
     for x in order:
-        nf = stepper(x, theory, memo)
+        if inline and type(x) is Prefix:  # the most common state
+            steps = (Step(x.action, x.body),)
+            nf = theory.unit(steps[0])
+        else:
+            nf = stepper(x, theory, memo)
+            steps = [g for g in theory.generators(nf) if type(g) is Step]
         raw.append(nf)
-        new = [g for g in theory.generators(nf)
-               if type(g) is Step and g.target not in index]
+        new = [g for g in steps if g.target not in index]
         if len(new) > 1:
             new = sorted_gens(new)
         for g in new:
@@ -169,14 +176,15 @@ def _explore(e, theory, cap, stepper):
                     raise StateCapExceeded(f"more than {cap} reachable states")
                 index[g.target] = len(order)
                 order.append(g.target)
-    return order, index, raw
+        succ.append([index[g.target] for g in steps])
+    return order, index, raw, succ
 
 
 def reachable(e, theory, cap=10000, stepper=step):
     """The reachable subcoalgebra from ``e``, with states ``s0``, ``s1``, ...
     in breadth-first order; ``stepper`` is the one-step map.  Each normal
     form is pushed forward once, from term targets onto ids."""
-    order, index, raw = _explore(e, theory, cap, stepper)
+    order, index, raw, _ = _explore(e, theory, cap, stepper)
     names = [f"s{j}" for j in range(len(order))]
 
     def rename(t):
@@ -245,6 +253,7 @@ def _json_text(value, depth, what, indent=None):
     an encoder that runs out of stack first (3.11 counts its levels against
     the recursion limit)."""
     if depth <= MAX_JSON_DEPTH:
+        import json  # only --format json writes it
         try:
             return json.dumps(value, indent=indent)
         except RecursionError:

@@ -20,8 +20,8 @@ equality deciding equality of free-algebra elements.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import json
 import math
 from fractions import Fraction
 
@@ -868,8 +868,13 @@ def _json_int(text):
         return float(text)
 
 
-# one decoder for every file: ``json.loads`` with a keyword builds a new one per call
-_DECODER = json.JSONDecoder(parse_int=_json_int)
+@functools.cache
+def _decoder():
+    """One decoder for every file, made on first use, so that only the
+    commands that read JSON import ``json``: ``json.loads`` with a keyword
+    builds a new decoder per call."""
+    import json
+    return json.JSONDecoder(parse_int=_json_int)
 
 
 def read_json(text, what):
@@ -882,9 +887,10 @@ def read_json(text, what):
     byte-order mark is refused with ``json.loads``'s message, which the
     decoder itself does not give."""
     if text.startswith("\ufeff"):
-        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        from json import JSONDecodeError
+        raise JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
     try:
-        data = _DECODER.decode(text)
+        data = _decoder().decode(text)
     except RecursionError:
         raise TheoryError(f"{what} JSON is nested too deeply") from None
     if text.count("[") + text.count("{") <= MAX_JSON_DEPTH:

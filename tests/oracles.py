@@ -569,7 +569,7 @@ def reachable_union(e1, e2, theory, cap=10000, stepper=pc.step):
     which refines the explored terms without naming them."""
     names, structure = [], {}
     for prefix, e in (("as", e1), ("bs", e2)):
-        order, index, raw = semantics._explore(e, theory, cap, stepper)
+        order, index, raw, _ = semantics._explore(e, theory, cap, stepper)
         side = [f"{prefix}{j}" for j in range(len(order))]
 
         def rename(t, side=side, index=index):

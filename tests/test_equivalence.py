@@ -213,6 +213,23 @@ def test_refining_explored_terms_agrees_with_the_named_union(th):
     assert verdicts == {True, False}
 
 
+@pytest.mark.parametrize("th", [t for t in ALL_THEORIES if t.id != "cs"], ids=lambda t: t.id)
+def test_equiv_reads_each_explored_state_once(th, monkeypatch):
+    # exploration hands refinement the successors it found, and steps a prefix
+    # without its generators; cs is left out, because its own combinations
+    # and pushforwards read generators
+    calls = []
+    generators = type(th).generators
+    monkeypatch.setattr(type(th), "generators", lambda self, nf: calls.append(nf) or generators(self, nf))
+    e, f = (pc.parse_exp(long_cycle(6, LONG_OPS[th.id], **kw), th) for kw in ({}, {"laps": 2}))
+    orders = [pc.semantics._explore(x, th, 100, pc.step)[0] for x in (e, f)]
+    calls.clear()
+    assert pc.equivalent(e, f, th).equivalent
+    states = [x for order in orders for x in order]
+    assert len(calls) <= len(states)
+    assert len(calls) == sum(type(x) is not pc.Prefix for x in states) < len(states)
+
+
 @pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
 def test_state_cap_is_checked_on_each_side(th):
     # a prefixed term has more states, so each order puts the larger side first once

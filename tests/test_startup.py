@@ -17,13 +17,15 @@ from gen import theory
 
 ROOT = Path(__file__).resolve().parent.parent
 OPTIONAL = {"procalc.axioms", "procalc.equivalence", "procalc.solver", "procalc.star"}
+LAZY = {"argparse", "gettext", "json"}  # help and errors; JSON files and --format json
 
 
 def fresh(code):
     """Run ``code`` in a fresh interpreter with ``src`` on the path; return
     the modules it loaded beyond those a bare interpreter has, and its
-    output before them."""
-    probe = f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    output before them.  The modules are listed before the probe imports
+    ``json`` to print them."""
+    probe = f"{code}\nimport sys\nloaded = sorted(sys.modules)\nimport json\nprint(json.dumps(loaded))"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 
     def run(text):
@@ -53,25 +55,37 @@ def test_import_procalc_loads_no_submodule():
 
 
 def test_step_loads_no_other_command_and_no_dataclasses():
+    # nor argparse, which only help and errors need, nor json
     out, loaded = cli_main("step", "a.0")
     assert out == ["a.0", "exit 0"]
     assert {"procalc.cli", "procalc.syntax", "procalc.theory", "procalc.semantics"} <= loaded
-    assert not (OPTIONAL | {"dataclasses"}) & loaded
+    assert not (OPTIONAL | LAZY | {"dataclasses"}) & loaded
 
 
 @pytest.mark.parametrize("argv, uses, shown", [
     (("equiv", "a.0", "a.0"), {"procalc.equivalence"}, "equivalent: "),
-    (("prove", "tests/proofs/sl_sl1.json"), {"procalc.axioms"}, "accepted"),
+    (("prove", "tests/proofs/sl_sl1.json"), {"procalc.axioms", "json"}, "accepted"),
     (("solve", "{tmp}/ring.eqs", "--state", "x"), {"procalc.solver"}, "mu x. a.(mu y. a.x)"),
     (("star", "equiv", "a", "a ; 1"), {"procalc.star", "procalc.equivalence"}, "equivalent: "),
     (("star", "step", "a"), {"procalc.star"}, "a.1"),
+    (("lts", "a.0"), set(), "s0 = a.s1"),
+    (("lts", "--format", "json", "a.0"), {"json"}, "{"),
+    (("solve", "{tmp}/ring.json", "--state", "s0"), {"procalc.solver", "json"}, "mu s0. a.s0"),
 ])
 def test_each_command_loads_its_own_modules(argv, uses, shown, tmp_path):
     (tmp_path / "ring.eqs").write_text("x = a.y\ny = a.x\n")
+    (tmp_path / "ring.json").write_text(json.dumps(
+        {"theory": "sl", "states": ["s0"], "structure": {"s0": {"act": "a", "to": "s0"}}}))
     out, loaded = cli_main(*(arg.format(tmp=tmp_path) for arg in argv))
     assert out[-1] == "exit 0" and out[0].startswith(shown)
     assert uses <= loaded
-    assert not (OPTIONAL - uses | {"dataclasses"}) & loaded
+    assert not ((OPTIONAL | LAZY) - uses | {"dataclasses"}) & loaded
+
+
+def test_help_loads_argparse():
+    out, loaded = cli_main("step", "-h")
+    assert out[0].startswith("usage: procalc step") and out[-1] == "exit 0"
+    assert "argparse" in loaded and not OPTIONAL & loaded
 
 
 def test_exports_resolve_on_first_use():

@@ -540,7 +540,7 @@ def test_cs_state_renaming_makes_no_redundancy_call(monkeypatch):
     calls = _count_redundant_calls(monkeypatch)
     expected = pc.reachable(e, th)
     assert calls  # stepping the shared a.b.0 and a.c.b.0 canonicalises
-    order, index, raw = pc.semantics._explore(e, th, 100, step)
+    order, index, raw, _ = pc.semantics._explore(e, th, 100, step)
     stepped = dict(zip(order, raw))
     calls.clear()
     c = pc.reachable(e, th, stepper=lambda x, th, memo: stepped[x])

@@ -20,6 +20,12 @@ are, with step targets that are terms; ``check_states`` and
 Names exist only for the certificate: ``as0``, ``as1``, ..., ``bs0``, ...
 for the positions of two explored terms, the state ids for a coalgebra.
 
+An explored prefix state ``a.t`` comes with no normal form (``_explore``
+keeps None in its place).  Its normal form would be the unit of ``a.t``,
+and the pushforward of a unit is the unit of the image, so its signature
+is ``unit((a, block[t]))``, built from the action and the position of
+``t``; only a certificate that prints it builds the unit of ``a.t``.
+
 The rounds are computed incrementally.  Blocks carry internal ids, and a
 state that leaves its block always gets a fresh id.  A signature changes only
 when a successor moves, so after round 1 only the predecessors of the states
@@ -37,42 +43,44 @@ from .semantics import Step, _explore, step
 from .syntax import Record, unparse
 
 
-def _signature(theory, nf, read):
-    """The normal form ``nf`` with each step read by ``read``, a side's
-    reader from ``_rounds``: ``a.t`` becomes the pair ``(a, block id of t)``."""
-    return theory.nf_map(nf, read)
-
-
 def _signature_text(theory, sides, s, block):
     """The signature of position ``s`` under ``block`` printed as a term,
     each pair as the step ``a.block[t]``."""
-    off, index, nfs = next(side for side in sides if s < side[0] + len(side[2]))
+    off, index, order, nfs = next(side for side in sides if s < side[0] + len(side[3]))
+    nf = nfs[s - off]
+    if nf is None:  # a prefix a.t, whose normal form is the unit of a.t
+        x = order[s - off]
+        nf = theory.unit(Step(x.action, x.body))
 
     def f(t):
         return Step(t.action, block[off + index[t.target]]) if type(t) is Step else t
 
-    return unparse(theory.term_of_nf(theory.nf_map(nfs[s - off], f)))
+    return unparse(theory.term_of_nf(theory.nf_map(nf, f)))
 
 
 def _rounds(theory, sides, block, succ=None):
     """Moore refinement of ``block``, a list of zeros with one entry per
     position, which becomes the internal block ids.  ``sides`` lists
-    ``(offset, index, nfs)``: ``nfs[j]`` is the normal form at position
-    ``offset + j``, and it names the step target at position
-    ``offset + index[t]`` by ``t``.  ``succ`` lists each position's step
+    ``(offset, index, order, nfs)``: position ``offset + j`` is ``order[j]``,
+    ``nfs[j]`` is its normal form, and it names the step target at position
+    ``offset + index[t]`` by ``t``.  A normal form of None stands for the
+    unit of the prefix ``order[j]``.  ``succ`` lists each position's step
     targets as positions, if the caller has them; otherwise they are read
-    off the normal forms.  One round per iteration: yields the positions
-    that leave their block, mapped to their new ids, then applies the move
-    to ``block`` in place.  Stops when a round moves nothing."""
-    nfs, reads = [], []
-    for off, index, side in sides:
+    off the normal forms, and none may be None.  One round per iteration:
+    yields the positions that leave their block, mapped to their new ids,
+    then applies the move to ``block`` in place.  Stops when a round moves
+    nothing."""
+    nfs, reads, acts = [], [], []
+    for off, index, order, side in sides:
         def read(g, index=index, off=off):
             return (g.action, block[off + index[g.target]]) if type(g) is Step else g
         nfs += side
         reads += [read] * len(side)
+        acts += [x.action if nf is None else None for x, nf in zip(order, side)]
     if succ is None:
         succ = [[off + index[g.target] for g in theory.generators(nf) if type(g) is Step]
-                for off, index, side in sides for nf in side]
+                for off, index, _, side in sides for nf in side]
+    unit, nf_map = theory.unit, theory.nf_map
     pred = [[] for _ in block]
     for s, targets in enumerate(succ):
         for t in targets:
@@ -82,7 +90,11 @@ def _rounds(theory, sides, block, succ=None):
     while True:
         recomputed = {}  # block id -> signature -> members
         for s in dirty:
-            sig = _signature(theory, nfs[s], reads[s])
+            nf = nfs[s]
+            if nf is None:  # the prefix a.t: nf_map(unit(a.t), read) is unit(read(a.t))
+                sig = unit((acts[s], block[succ[s][0]]))
+            else:
+                sig = nf_map(nf, reads[s])
             by_sig = recomputed.get(block[s])
             if by_sig is None:
                 recomputed[block[s]] = {sig: [s]}
@@ -109,7 +121,8 @@ def _rounds(theory, sides, block, succ=None):
         yield moved
         for s, b in moved.items():
             block[s] = b
-        dirty = sorted({p for s in moved for p in pred[s] if size[block[p]] > 1})
+        # the order of dirty only picks internal ids; _dense renumbers for output
+        dirty = {p for s in moved for p in pred[s] if size[block[p]] > 1}
 
 
 def _dense(block):
@@ -120,7 +133,8 @@ def _dense(block):
 
 def _coalgebra_side(c):
     """A coalgebra as the one side of its positions, keyed by state id."""
-    return [(0, {s: i for i, s in enumerate(c.states)}, [c.structure[s] for s in c.states])]
+    return [(0, {s: i for i, s in enumerate(c.states)}, c.states,
+             [c.structure[s] for s in c.states])]
 
 
 def bisim_partition(c):
@@ -139,7 +153,7 @@ class Certificate(Record):
 def _certificate(theory, sides, s1, s2, name, succ=None):
     """Bisimilarity of positions ``s1`` and ``s2``, with a certificate in
     which position ``i`` is called ``name(i)``; ``succ`` as for `_rounds`."""
-    block = [0] * sum(len(nfs) for _, _, nfs in sides)
+    block = [0] * sum(len(nfs) for _, _, _, nfs in sides)
     rounds = 0
     for moved in _rounds(theory, sides, block, succ):
         rounds += 1
@@ -170,15 +184,16 @@ def check_terms(e, f, theory, cap, stepper):
     ``stepper`` up to ``cap`` states, with a certificate that calls the
     states of ``e`` ``as0``, ``as1``, ... and those of ``f`` ``bs0``, ...
     in breadth-first order."""
-    _, index1, nfs1, succ1 = _explore(e, theory, cap, stepper)
-    _, index2, nfs2, succ2 = _explore(f, theory, cap, stepper)
+    order1, index1, nfs1, succ1 = _explore(e, theory, cap, stepper)
+    order2, index2, nfs2, succ2 = _explore(f, theory, cap, stepper)
     n1 = len(nfs1)
 
     def name(s):
         return f"as{s}" if s < n1 else f"bs{s - n1}"
 
     succ = succ1 + [[n1 + t for t in targets] for targets in succ2]
-    return _certificate(theory, [(0, index1, nfs1), (n1, index2, nfs2)], 0, n1, name, succ)
+    sides = [(0, index1, order1, nfs1), (n1, index2, order2, nfs2)]
+    return _certificate(theory, sides, 0, n1, name, succ)
 
 
 def equivalent(e, f, theory, cap=10000):

@@ -13,6 +13,12 @@ so a term's depth is no limit.  ``reachable`` keeps one memo for its whole
 exploration and steps each distinct subterm once: the states under one
 ``mu`` share its unfolding instead of substituting the fixpoint into its
 body again at every state.
+
+A prefix state ``a.t`` steps to the unit of ``a.t``, and the unit is
+natural: its pushforward along any map ``f`` is the unit of ``f(a.t)``.  So
+exploration by `step` keeps no normal form for a prefix state, only its
+successor's position, and whoever needs one builds it from the action and
+that position: ``reachable`` names the state the unit of ``a.s<j>``.
 """
 
 from __future__ import annotations
@@ -149,7 +155,8 @@ def _explore(e, theory, cap, stepper):
 
     ``stepper(x, theory, memo)`` is the one-step map; one memo serves the
     whole exploration, so each distinct subterm is stepped once.  Where it
-    is `step`, a prefix ``a.t`` is stepped here, to the unit of ``a.t``.  A
+    is `step`, a prefix ``a.t`` is not stepped: its normal form, the unit
+    of ``a.t``, is left as None, and only the position of ``t`` is kept.  A
     state's new successors are numbered in generator order; only they are
     sorted, and only when there are two or more, because the sort key of a
     term is built from its printed text."""
@@ -161,11 +168,18 @@ def _explore(e, theory, cap, stepper):
     inline = stepper is step
     for x in order:
         if inline and type(x) is Prefix:  # the most common state
-            steps = (Step(x.action, x.body),)
-            nf = theory.unit(steps[0])
-        else:
-            nf = stepper(x, theory, memo)
-            steps = [g for g in theory.generators(nf) if type(g) is Step]
+            t = x.body
+            j = index.get(t)
+            if j is None:
+                if len(order) >= cap:
+                    raise StateCapExceeded(f"more than {cap} reachable states")
+                j = index[t] = len(order)
+                order.append(t)
+            raw.append(None)
+            succ.append((j,))
+            continue
+        nf = stepper(x, theory, memo)
+        steps = [g for g in theory.generators(nf) if type(g) is Step]
         raw.append(nf)
         new = [g for g in steps if g.target not in index]
         if len(new) > 1:
@@ -183,15 +197,18 @@ def _explore(e, theory, cap, stepper):
 def reachable(e, theory, cap=10000, stepper=step):
     """The reachable subcoalgebra from ``e``, with states ``s0``, ``s1``, ...
     in breadth-first order; ``stepper`` is the one-step map.  Each normal
-    form is pushed forward once, from term targets onto ids."""
-    order, index, raw, _ = _explore(e, theory, cap, stepper)
+    form is pushed forward once, from term targets onto ids; a prefix
+    ``a.t`` is named the unit of ``a.s<j>``, ``s<j>`` being ``t``'s id."""
+    order, index, raw, succ = _explore(e, theory, cap, stepper)
     names = [f"s{j}" for j in range(len(order))]
+    unit, nf_map = theory.unit, theory.nf_map
 
     def rename(t):
         return Step(t.action, names[index[t.target]]) if isinstance(t, Step) else t
 
-    return Coalgebra(theory, tuple(names),
-                     {name: theory.nf_map(nf, rename) for name, nf in zip(names, raw)})
+    return Coalgebra(theory, tuple(names), {
+        name: nf_map(nf, rename) if nf is not None else unit(Step(x.action, names[targets[0]]))
+        for name, x, nf, targets in zip(names, order, raw, succ)})
 
 
 def disjoint_union(c1, c2, tag1="a", tag2="b"):

@@ -16,7 +16,7 @@ fraction division per generator,
 generator sort keys by a chain of ``isinstance`` tests,
 the syntactic U(e) over-approximation of the reachable state set,
 reachable coalgebras by stepping every state with no memo shared between
-states, the union of two explorations with every state named,
+states, the union of two such coalgebras with every state named,
 bisimilarity by greatest-fixpoint refinement of a relation and by Moore
 refinement that recomputes every signature in every round, guardedness by
 plain recursion, equation systems by recursive elimination that
@@ -35,7 +35,6 @@ from fractions import Fraction
 
 import procalc as pc
 from masses import count_form, count_point, fraction_point
-from procalc import semantics
 from procalc.syntax import (_TOKEN, ZERO, Leaf, NameUse, Op, ParseError, all_names, leaf_term,
                             fresh_name, render_param, tokenize)
 from procalc.theory import (CA_AXIOMS, CS_AXIOMS, ZERO_SUBDIST, Theory, TheoryError,
@@ -539,10 +538,12 @@ def u_set(e):
     raise TypeError(e)
 
 
-def reachable_unmemoised(e, theory, stepper=pc.step):
+def reachable_unmemoised(e, theory, stepper=pc.step, cap=None, name="s"):
     """Breadth-first reachable coalgebra that steps every state afresh,
-    sharing no memo between states; oracle for the memoised ``reachable``
-    (and, with ``stepper=pc.lstep``, for ``star_reachable``)."""
+    sharing no memo between states, and pushes every normal form forward;
+    oracle for the memoised ``reachable`` (and, with ``stepper=pc.lstep``,
+    for ``star_reachable``).  The states are ``name`` followed by 0, 1, ...;
+    past ``cap`` states it raises ``StateCapExceeded`` as ``reachable`` does."""
     index = {e: 0}
     order = [e]
     raw = []
@@ -551,33 +552,29 @@ def reachable_unmemoised(e, theory, stepper=pc.step):
         raw.append(nf)
         for g in sorted_gens(theory.generators(nf)):
             if isinstance(g, pc.Step) and g.target not in index:
+                if cap is not None and len(order) >= cap:
+                    raise pc.StateCapExceeded(f"more than {cap} reachable states")
                 index[g.target] = len(order)
                 order.append(g.target)
 
     def rename(t):
-        return pc.Step(t.action, f"s{index[t.target]}") if isinstance(t, pc.Step) else t
+        return pc.Step(t.action, f"{name}{index[t.target]}") if isinstance(t, pc.Step) else t
 
-    states = tuple(f"s{j}" for j in range(len(order)))
+    states = tuple(f"{name}{j}" for j in range(len(order)))
     return pc.Coalgebra(theory, states,
                         {s: theory.nf_map(nf, rename) for s, nf in zip(states, raw)})
 
 
 def reachable_union(e1, e2, theory, cap=10000, stepper=pc.step):
     """``disjoint_union(reachable(e1), reachable(e2))``, with states
-    ``as0``, ``as1``, ..., ``bs0``, ``bs1``, ..., each named once; with
+    ``as0``, ``as1``, ..., ``bs0``, ``bs1``, ..., each named once, built
+    from two ``reachable_unmemoised`` coalgebras; with
     ``check_states(..., "as0", "bs0")``, the oracle for ``check_terms``,
-    which refines the explored terms without naming them."""
-    names, structure = [], {}
-    for prefix, e in (("as", e1), ("bs", e2)):
-        order, index, raw, _ = semantics._explore(e, theory, cap, stepper)
-        side = [f"{prefix}{j}" for j in range(len(order))]
-
-        def rename(t, side=side, index=index):
-            return pc.Step(t.action, side[index[t.target]]) if isinstance(t, pc.Step) else t
-
-        names += side
-        structure.update((name, theory.nf_map(nf, rename)) for name, nf in zip(side, raw))
-    return pc.Coalgebra(theory, tuple(names), structure)
+    which refines the explored terms without naming them and never pushes
+    a prefix state forward."""
+    c1, c2 = (reachable_unmemoised(e, theory, stepper, cap, name)
+              for e, name in ((e1, "as"), (e2, "bs")))
+    return pc.Coalgebra(theory, c1.states + c2.states, {**c1.structure, **c2.structure})
 
 
 def naive_bisim_relation(c):

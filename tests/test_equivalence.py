@@ -199,11 +199,18 @@ def test_refining_explored_terms_agrees_with_the_named_union(th):
     for kw in ({"laps": 2}, {"last_out": "v"}):
         pairs.append(tuple(pc.parse_exp(long_cycle(6, LONG_OPS[th.id], **k), th)
                            for k in ({}, kw)))
+    # not equivalent, with prefix roots: their certificates print the
+    # signature of a prefix state, which refinement never built
+    cycle = pc.parse_exp(long_cycle(6, LONG_OPS[th.id]), th)
+    apart = [(pc.parse_exp("a1.b1.0", th), pc.parse_exp("a1.c1.0", th)),
+             (cycle, pc.Prefix("a2", cycle))]
     verdicts = set()
-    for e, f in pairs:
+    for e, f in pairs + apart:
         cert = pc.equivalent(e, f, th)
         assert [cert, cert] == list(_named_union_certificates(e, f, th))
         verdicts.add(cert.equivalent)
+    for e, f in apart:
+        assert not pc.equivalent(e, f, th).equivalent
     for _ in range(25):
         s, t = rand_sexp(th, rng), rand_sexp(th, rng)
         for x, y in ((s, t), (s, s), (s, pc.SSeq(pc.SAct("a1"), s))):
@@ -253,44 +260,43 @@ def test_state_cap_is_checked_on_each_side(th):
 @pytest.mark.parametrize("name", ["sl", "ca", "gs"])
 def test_refinement_recomputes_only_predecessors_of_moved_states(name, monkeypatch):
     # Moore refinement rebuilds every signature in every round: 11,163 and
-    # 7,566 calls here, against 363 and 244
-    from procalc import equivalence
-
+    # 7,566 calls here, against 363 and 244 (one pushforward per signature,
+    # and two more for the certificate of the pair that is not equivalent)
+    th = theory(name)
     calls = []
-    signature = equivalence._signature
-    monkeypatch.setattr(equivalence, "_signature",
-                        lambda *a: calls.append(a[1]) or signature(*a))
-    for c, eq in zip(long_pairs(theory(name), 60), (True, False)):
+    nf_map = th.nf_map
+    monkeypatch.setattr(th, "nf_map", lambda nf, f: calls.append(nf) or nf_map(nf, f))
+    for c, eq in zip(long_pairs(th, 60), (True, False)):
         calls.clear()
         cert = pc.check_states(c, "as0", "bs0")
         assert cert.equivalent == eq and cert.rounds == (60 if eq else 61)
         assert len(calls) <= 3 * len(c.states)
 
 
-@pytest.mark.parametrize("name", ["sl", "ca"])
+@pytest.mark.parametrize("name", pc.THEORY_NAMES)
 def test_equivalent_pushes_each_state_forward_once(name, monkeypatch):
-    # one nf_map per signature and none else: refinement reads the explored
-    # terms, so no state is pushed forward to be named (naming both sides
-    # took one more per state, relabelling a disjoint union two), and a mu
-    # unfolding is one bind
-    from procalc import equivalence, semantics
+    # refinement reads the explored terms, so no state is pushed forward to
+    # be named (naming both sides took one more nf_map per state, relabelling
+    # a disjoint union two); a prefix state a.t is signed as the unit of its
+    # step, so it gets no Step and no nf_map, only the other states' signatures
+    # push forward; and a mu unfolding is one bind
+    from procalc import semantics
 
     th = theory(name)
     e, f = (pc.parse_exp(long_cycle(60, LONG_OPS[name], **kw), th)
             for kw in ({}, {"laps": 2}))
-    states = len(pc.reachable(e, th).states) + len(pc.reachable(f, th).states)
-    calls = {"nf_map": 0, "_signature": 0, "gsubst_bm": 0}
-
-    def counted(fn, key):
-        def wrapper(*a):
-            calls[key] += 1
-            return fn(*a)
-        return wrapper
-
-    monkeypatch.setattr(th, "nf_map", counted(th.nf_map, "nf_map"))
-    monkeypatch.setattr(equivalence, "_signature",
-                        counted(equivalence._signature, "_signature"))
-    monkeypatch.setattr(semantics, "gsubst_bm", counted(semantics.gsubst_bm, "gsubst_bm"))
+    states = [x for c in (e, f) for x in semantics._explore(c, th, 1000, pc.step)[0]]
+    prefix_steps = {(x.action, x.body) for x in states if type(x) is pc.Prefix}
+    others = [pc.step(x, th) for x in states if type(x) is not pc.Prefix]
+    made, pushed, binds = [], [], []
+    new_step, nf_map, gsubst_bm = pc.Step.__new__, th.nf_map, semantics.gsubst_bm
+    monkeypatch.setattr(pc.Step, "__new__",
+                        lambda cls, a, t: made.append((a, t)) or new_step(cls, a, t))
+    monkeypatch.setattr(th, "nf_map", lambda nf, g: pushed.append(nf) or nf_map(nf, g))
+    monkeypatch.setattr(semantics, "gsubst_bm", lambda *a: binds.append(a) or gsubst_bm(*a))
     assert pc.equivalent(e, f, th).equivalent
-    assert states == 183 and calls["gsubst_bm"] == 2
-    assert calls["nf_map"] == calls["_signature"]
+    assert len(states) == 183 and len(prefix_steps) == 178 and len(binds) == 2
+    assert made and sum(step in prefix_steps for step in made) == 0
+    # round 1 signs the five other states, later rounds fewer than that again
+    assert all(nf in others for nf in pushed)
+    assert len(others) <= len(pushed) < 2 * len(others)

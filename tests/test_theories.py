@@ -247,6 +247,25 @@ def test_functor_laws(th):
         assert th.nf_map(th.nf_map(nf, f), g) == th.nf_map(nf, lambda x: g(f(x)))
 
 
+@pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
+def test_unit_is_natural(th):
+    # nf_map(unit(g), f) == unit(f(g)): refinement signs a prefix state a.t
+    # as the unit of (a, block of t), and reachable names it the unit of a.s<j>,
+    # without pushing its normal form forward
+    gens = (pc.Step("a1", "s0"), pc.Var("u"), pc.TICK)
+    maps = (
+        lambda g: g,  # keep
+        {gens[0]: pc.Step("a1", "s1"), gens[1]: pc.Var("w"), gens[2]: pc.TICK}.get,  # rename
+        {gens[0]: pc.Step("b1", "s0"), gens[1]: pc.Step("b1", "s0"),
+         gens[2]: pc.Var("u")}.get,  # merge two, move the third
+        lambda g: ("a1", 0),  # merge all, as a signature's pairs do
+        lambda g: (g.action, 3) if type(g) is pc.Step else g,  # the signature reader
+    )
+    for g in gens:
+        for f in maps:
+            assert th.nf_map(th.unit(g), f) == th.unit(f(g))
+
+
 def _identity(u):
     return u
 
@@ -541,7 +560,9 @@ def test_cs_state_renaming_makes_no_redundancy_call(monkeypatch):
     expected = pc.reachable(e, th)
     assert calls  # stepping the shared a.b.0 and a.c.b.0 canonicalises
     order, index, raw, _ = pc.semantics._explore(e, th, 100, step)
-    stepped = dict(zip(order, raw))
+    assert [nf is None for nf in raw] == [type(x) is pc.Prefix for x in order]
+    # a prefix state's raw entry is None: step it here
+    stepped = {x: step(x, th) if nf is None else nf for x, nf in zip(order, raw)}
     calls.clear()
     c = pc.reachable(e, th, stepper=lambda x, th, memo: stepped[x])
     assert c == expected and calls == []
@@ -549,7 +570,8 @@ def test_cs_state_renaming_makes_no_redundancy_call(monkeypatch):
     def rename(g):
         return pc.Step(g.action, f"s{index[g.target]}")
 
-    assert [c.structure[s] for s in c.states] == [cs_nf_map_validating(nf, rename) for nf in raw]
+    assert [c.structure[s] for s in c.states] == [cs_nf_map_validating(stepped[x], rename)
+                                                   for x in order]
 
 
 def _count_canonicalised_points(monkeypatch):

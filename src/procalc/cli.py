@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success (equivalent / accepted), 10 not equivalent, 11 proof
-rejected, 1 parse or validation error, 2 internal error.
+rejected, 1 parse or validation error, 2 usage error, state cap exceeded or
+internal error.
 """
 
 from __future__ import annotations
@@ -328,12 +329,12 @@ def run_star(args, theory, actions):
 def main():
     try:
         sys.exit(run())
-    except (OSError, KeyError, ValueError) as err:  # parse, theory, system and JSON errors too
+    except (OSError, ValueError) as err:  # parse, theory, system and JSON errors too
         print(f"error: {err}", file=sys.stderr)
         sys.exit(1)
     except semantics.StateCapExceeded as err:
         print(f"error: {err}", file=sys.stderr)
         sys.exit(2)
-    except Exception as err:  # pragma: no cover - defensive
+    except Exception as err:  # a fault in procalc, not in its input
         print(f"internal error: {err}", file=sys.stderr)
         sys.exit(2)

@@ -16,7 +16,9 @@ in sides: a side is a run of consecutive positions whose normal forms name
 their step targets by keys of one dict, from key to position within the
 side.  ``check_terms`` refines the two explorations of its terms as they
 are, with step targets that are terms; ``check_states`` and
-``bisim_partition`` refine a loaded coalgebra as one side keyed by state id.
+``bisim_partition`` refine the exploration of a loaded coalgebra from all
+its states, with its structure as the one-step map: one side keyed by
+state id.
 Names exist only for the certificate: ``as0``, ``as1``, ..., ``bs0``, ...
 for the positions of two explored terms, the state ids for a coalgebra.
 
@@ -39,7 +41,7 @@ occurrence in position order, is made only for output.
 
 from __future__ import annotations
 
-from .semantics import Step, _explore, step
+from .semantics import Step, _explore, _retarget, step
 from .syntax import Record, unparse
 
 
@@ -51,25 +53,19 @@ def _signature_text(theory, sides, s, block):
     if nf is None:  # a prefix a.t, whose normal form is the unit of a.t
         x = order[s - off]
         nf = theory.unit(Step(x.action, x.body))
-
-    def f(t):
-        return Step(t.action, block[off + index[t.target]]) if type(t) is Step else t
-
-    return unparse(theory.term_of_nf(theory.nf_map(nf, f)))
+    return unparse(theory.term_of_nf(_retarget(theory, nf, lambda t: block[off + index[t]])))
 
 
-def _rounds(theory, sides, block, succ=None):
+def _rounds(theory, sides, succ, block):
     """Moore refinement of ``block``, a list of zeros with one entry per
     position, which becomes the internal block ids.  ``sides`` lists
     ``(offset, index, order, nfs)``: position ``offset + j`` is ``order[j]``,
     ``nfs[j]`` is its normal form, and it names the step target at position
     ``offset + index[t]`` by ``t``.  A normal form of None stands for the
     unit of the prefix ``order[j]``.  ``succ`` lists each position's step
-    targets as positions, if the caller has them; otherwise they are read
-    off the normal forms, and none may be None.  One round per iteration:
-    yields the positions that leave their block, mapped to their new ids,
-    then applies the move to ``block`` in place.  Stops when a round moves
-    nothing."""
+    targets as positions.  One round per iteration: yields the positions
+    that leave their block, mapped to their new ids, then applies the move
+    to ``block`` in place.  Stops when a round moves nothing."""
     nfs, reads, acts = [], [], []
     for off, index, order, side in sides:
         def read(g, index=index, off=off):
@@ -77,9 +73,6 @@ def _rounds(theory, sides, block, succ=None):
         nfs += side
         reads += [read] * len(side)
         acts += [x.action if nf is None else None for x, nf in zip(order, side)]
-    if succ is None:
-        succ = [[off + index[g.target] for g in theory.generators(nf) if type(g) is Step]
-                for off, index, _, side in sides for nf in side]
     unit, nf_map = theory.unit, theory.nf_map
     pred = [[] for _ in block]
     for s, targets in enumerate(succ):
@@ -132,16 +125,19 @@ def _dense(block):
 
 
 def _coalgebra_side(c):
-    """A coalgebra as the one side of its positions, keyed by state id."""
-    return [(0, {s: i for i, s in enumerate(c.states)}, c.states,
-             [c.structure[s] for s in c.states])]
+    """A coalgebra as the one side of its positions, keyed by state id, and
+    the positions' successors: its exploration from all its states, with
+    ``c.structure`` as the one-step map."""
+    order, index, nfs, succ = _explore(c.states, c.theory, float("inf"),
+                                       lambda s, theory, memo: c.structure[s])
+    return [(0, index, order, nfs)], succ
 
 
 def bisim_partition(c):
     """Coarsest stable partition; returns dict state -> block id (dense ints,
     numbered by first occurrence in state order)."""
     block = [0] * len(c.states)
-    for _ in _rounds(c.theory, _coalgebra_side(c), block):
+    for _ in _rounds(c.theory, *_coalgebra_side(c), block):
         pass
     return dict(zip(c.states, _dense(block)))
 
@@ -150,12 +146,13 @@ class Certificate(Record):
     _fields = ("equivalent", "rounds", "detail")
 
 
-def _certificate(theory, sides, s1, s2, name, succ=None):
+def _certificate(theory, sides, succ, s1, s2, name):
     """Bisimilarity of positions ``s1`` and ``s2``, with a certificate in
-    which position ``i`` is called ``name(i)``; ``succ`` as for `_rounds`."""
+    which position ``i`` is called ``name(i)``; ``sides`` and ``succ`` as
+    for `_rounds`."""
     block = [0] * sum(len(nfs) for _, _, _, nfs in sides)
     rounds = 0
-    for moved in _rounds(theory, sides, block, succ):
+    for moved in _rounds(theory, sides, succ, block):
         rounds += 1
         if moved.get(s1, block[s1]) != moved.get(s2, block[s2]):
             prev = _dense(block)
@@ -174,9 +171,9 @@ def _certificate(theory, sides, s1, s2, name, succ=None):
 
 def check_states(c, s1, s2):
     """Bisimilarity of two states of one coalgebra, with a certificate."""
-    sides = _coalgebra_side(c)
+    sides, succ = _coalgebra_side(c)
     index = sides[0][1]
-    return _certificate(c.theory, sides, index[s1], index[s2], c.states.__getitem__)
+    return _certificate(c.theory, sides, succ, index[s1], index[s2], c.states.__getitem__)
 
 
 def check_terms(e, f, theory, cap, stepper):
@@ -184,8 +181,8 @@ def check_terms(e, f, theory, cap, stepper):
     ``stepper`` up to ``cap`` states, with a certificate that calls the
     states of ``e`` ``as0``, ``as1``, ... and those of ``f`` ``bs0``, ...
     in breadth-first order."""
-    order1, index1, nfs1, succ1 = _explore(e, theory, cap, stepper)
-    order2, index2, nfs2, succ2 = _explore(f, theory, cap, stepper)
+    order1, index1, nfs1, succ1 = _explore((e,), theory, cap, stepper)
+    order2, index2, nfs2, succ2 = _explore((f,), theory, cap, stepper)
     n1 = len(nfs1)
 
     def name(s):
@@ -193,7 +190,7 @@ def check_terms(e, f, theory, cap, stepper):
 
     succ = succ1 + [[n1 + t for t in targets] for targets in succ2]
     sides = [(0, index1, order1, nfs1), (n1, index2, order2, nfs2)]
-    return _certificate(theory, sides, 0, n1, name, succ)
+    return _certificate(theory, sides, succ, 0, n1, name)
 
 
 def equivalent(e, f, theory, cap=10000):

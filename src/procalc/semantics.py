@@ -16,9 +16,9 @@ body again at every state.
 
 A prefix state ``a.t`` steps to the unit of ``a.t``, and the unit is
 natural: its pushforward along any map ``f`` is the unit of ``f(a.t)``.  So
-exploration by `step` keeps no normal form for a prefix state, only its
-successor's position, and whoever needs one builds it from the action and
-that position: ``reachable`` names the state the unit of ``a.s<j>``.
+exploration keeps no normal form for a prefix state, only its successor's
+position, and whoever needs one builds it from the action and that
+position: ``reachable`` names the state the unit of ``a.s<j>``.
 """
 
 from __future__ import annotations
@@ -147,27 +147,27 @@ class Coalgebra(Record):  # state ids "s0", "s1", ...; id -> normal form with id
     _fields = ("theory", "states", "structure")
 
 
-def _explore(e, theory, cap, stepper):
-    """Breadth-first exploration from ``e``: the reachable terms in BFS
-    order, a dict from each of them to its position in that order, their
-    normal forms, whose step targets are terms, and for each of them the
-    positions of its step targets.  Nothing is named.
+def _explore(roots, theory, cap, stepper):
+    """Breadth-first exploration from the sequence ``roots``: the reachable
+    states in BFS order (the distinct roots first), a dict from each of
+    them to its position in that order, their normal forms, whose step
+    targets are states, and for each of them the positions of its step
+    targets.  Nothing is named.
 
     ``stepper(x, theory, memo)`` is the one-step map; one memo serves the
-    whole exploration, so each distinct subterm is stepped once.  Where it
-    is `step`, a prefix ``a.t`` is not stepped: its normal form, the unit
-    of ``a.t``, is left as None, and only the position of ``t`` is kept.  A
-    state's new successors are numbered in generator order; only they are
-    sorted, and only when there are two or more, because the sort key of a
-    term is built from its printed text."""
+    whole exploration, so each distinct subterm is stepped once.  A prefix
+    ``a.t`` is not stepped: its normal form, the unit of ``a.t``, is left
+    as None, and only the position of ``t`` is kept.  A state's new
+    successors are numbered in generator order; only they are sorted, and
+    only when there are two or more, because the sort key of a term is
+    built from its printed text."""
     memo = {}
-    index = {e: 0}
-    order = [e]
+    index = {x: i for i, x in enumerate(dict.fromkeys(roots))}
+    order = list(index)
     raw = []
     succ = []
-    inline = stepper is step
     for x in order:
-        if inline and type(x) is Prefix:  # the most common state
+        if type(x) is Prefix:  # the most common state
             t = x.body
             j = index.get(t)
             if j is None:
@@ -194,39 +194,40 @@ def _explore(e, theory, cap, stepper):
     return order, index, raw, succ
 
 
+def _retarget(theory, nf, name):
+    """``nf`` with each step ``a.t`` replaced by ``a.name(t)``."""
+    return theory.nf_map(nf, lambda g: Step(g.action, name(g.target)) if type(g) is Step else g)
+
+
 def reachable(e, theory, cap=10000, stepper=step):
     """The reachable subcoalgebra from ``e``, with states ``s0``, ``s1``, ...
     in breadth-first order; ``stepper`` is the one-step map.  Each normal
     form is pushed forward once, from term targets onto ids; a prefix
     ``a.t`` is named the unit of ``a.s<j>``, ``s<j>`` being ``t``'s id."""
-    order, index, raw, succ = _explore(e, theory, cap, stepper)
+    order, index, raw, succ = _explore((e,), theory, cap, stepper)
     names = [f"s{j}" for j in range(len(order))]
-    unit, nf_map = theory.unit, theory.nf_map
 
-    def rename(t):
-        return Step(t.action, names[index[t.target]]) if isinstance(t, Step) else t
+    def name(t):
+        return names[index[t]]
 
     return Coalgebra(theory, tuple(names), {
-        name: nf_map(nf, rename) if nf is not None else unit(Step(x.action, names[targets[0]]))
-        for name, x, nf, targets in zip(names, order, raw, succ)})
+        s: _retarget(theory, nf, name) if nf is not None
+        else theory.unit(Step(x.action, names[targets[0]]))
+        for s, x, nf, targets in zip(names, order, raw, succ)})
 
 
-def disjoint_union(c1, c2, tag1="a", tag2="b"):
+def disjoint_union(c1, c2):
+    """The union of two coalgebras over one theory, their states tagged
+    ``a`` and ``b``."""
     if c1.theory != c2.theory:
         raise TheoryError("coalgebras over different theories")
-
-    def relabel(c, tag):
+    states, structure = (), {}
+    for c, tag in ((c1, "a"), (c2, "b")):
         ren = {s: f"{tag}{s}" for s in c.states}
-
-        def f(t):
-            return Step(t.action, ren[t.target]) if isinstance(t, Step) else t
-
-        structure = {ren[s]: c.theory.nf_map(c.structure[s], f) for s in c.states}
-        return tuple(ren[s] for s in c.states), structure
-
-    s1, st1 = relabel(c1, tag1)
-    s2, st2 = relabel(c2, tag2)
-    return Coalgebra(c1.theory, s1 + s2, {**st1, **st2})
+        states += tuple(ren.values())
+        structure.update((ren[s], _retarget(c.theory, c.structure[s], ren.__getitem__))
+                         for s in c.states)
+    return Coalgebra(c1.theory, states, structure)
 
 
 # ---------------------------------------------------------------------------

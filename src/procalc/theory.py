@@ -542,13 +542,17 @@ class Semilattice(Theory):
 class _WeightedSums(Theory):
     """Counts over one denominator, ``(D, frozenset((g, n)))`` in lowest
     terms: multisets (``cm``, D = 1) and subdistributions (``ca``), whose
-    pushforward and Kleisli extension are the same weighted sums.  None of
-    them is validated, as ``_mixed`` is not: sums and products of positive
-    counts stay positive, and summing or scaling masses by masses keeps a
-    total of at most 1."""
+    unit, pushforward and Kleisli extension are the same weighted sums, as
+    are their choices (``_mixed``).  None of them is validated, as
+    ``_mixed`` is not: sums and products of positive counts stay positive,
+    and summing or scaling masses by masses keeps a total of at most 1."""
 
     def bottom(self):
         return ZERO_SUBDIST
+
+    @staticmethod
+    def unit(g):
+        return 1, frozenset({(g, 1)})
 
     @staticmethod
     def nf_map(nf, f):
@@ -593,16 +597,9 @@ class CommutativeMonoid(_WeightedSums):
     def _weight(n, d):
         return n  # a count; d is 1
 
-    def unit(self, g):
-        return 1, frozenset({(g, 1)})
-
     def op_apply(self, param, args):
         self.check_param(param)
-        out = {}
-        for _, pairs in args:
-            for g, n in pairs:
-                out[g] = out.get(g, 0) + n
-        return 1, frozenset(out.items())
+        return _mixed([(u, 1) for u in args], 1)
 
     def term_of_nf(self, nf, leaf=leaf_term):
         return _sum([leaf(g) for g, n in sorted(nf[1], key=_pair_key({})) for _ in range(n)])
@@ -697,6 +694,23 @@ def _ca_reading(d, pairs, leaf):
     return t
 
 
+def _ranked(nf):
+    """The points of the ``cs`` normal form ``nf`` in reading order, as
+    ``(d, pairs)`` with the pairs sorted by generator.  Each point is sorted
+    once: its pairs' keys with their masses, all counted over one
+    denominator, are its place among the points (as ``generator_key`` ranks
+    frozensets of (generator, mass) pairs)."""
+    key = _pair_key({})
+    scale = math.lcm(*[d for d, _ in nf])
+    ranked = []
+    for d, pairs in nf:
+        pairs = sorted(pairs, key=key)
+        k = scale // d
+        ranked.append(([(key(p), k * p[1]) for p in pairs], d, pairs))
+    ranked.sort(key=lambda r: r[0])
+    return [(d, pairs) for _, d, pairs in ranked]
+
+
 class ConvexAlgebra(_WeightedSums):
     """Subprobability distributions with exact rational masses, counted
     over one denominator; missing mass is deadlock."""
@@ -705,10 +719,6 @@ class ConvexAlgebra(_WeightedSums):
     axioms = CA_AXIOMS
     binary_families = frozenset({"pplus"})
     _weight = Fraction  # the mass n / d
-
-    @staticmethod
-    def unit(g):
-        return 1, frozenset({(g, 1)})
 
     def op_apply(self, param, args):
         """``l +[a/b] r`` is ``a/b·l + (b−a)/b·r``: counts times a and b − a,
@@ -735,7 +745,7 @@ class ConvexSemilattice(Theory):
         return frozenset({ZERO_SUBDIST})
 
     def unit(self, g):
-        return frozenset({ZERO_SUBDIST, ConvexAlgebra.unit(g)})
+        return frozenset({ZERO_SUBDIST, _WeightedSums.unit(g)})
 
     def op_apply(self, param, args):
         """``l + r`` is the union of the two sets' points, and ``l +[p] r``
@@ -800,24 +810,11 @@ class ConvexSemilattice(Theory):
         return None
 
     def edges(self, nf):
-        # each generating subdistribution's masses, every pair listed once
-        points = sorted_gens(frozenset(_masses(u).items()) for u in nf)
-        return list(dict.fromkeys(p for sub in points for p in sorted_gens(sub)))
+        # the (generator, mass) pairs in reading order, each listed once
+        return list(dict.fromkeys((g, Fraction(n, d)) for d, ps in _ranked(nf) for g, n in ps))
 
     def term_of_nf(self, nf, leaf=leaf_term):
-        # each point is sorted once: its pairs' keys with their masses, all
-        # counted over one denominator, are its place among the points (as
-        # generator_key ranks frozensets), and the pairs in that order are
-        # its ca reading
-        key = _pair_key({})
-        scale = math.lcm(*[d for d, _ in nf])
-        ranked = []
-        for d, pairs in nf:
-            pairs = sorted(pairs, key=key)
-            k = scale // d
-            ranked.append(([(key(p), k * p[1]) for p in pairs], d, pairs))
-        ranked.sort(key=lambda r: r[0])
-        return _sum([_ca_reading(d, pairs, leaf) for _, d, pairs in ranked])
+        return _sum([_ca_reading(d, pairs, leaf) for d, pairs in _ranked(nf)])
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ that the integer-count backends replaced, the ``cm`` backend
 by ``collections.Counter`` over the expanded multiset, ``Theory.bind`` as
 a pushforward followed by a flattening of the normal form of normal forms,
 the coalgebra reader by building each structure term and stepping it,
-the ``ca`` / ``cs`` term readings by sorting with ``sorted_gens`` and one
-fraction division per generator,
+the ``ca`` / ``cs`` term readings and the ``cs`` edges by sorting with
+``sorted_gens`` and one fraction division per generator,
 generator sort keys by a chain of ``isinstance`` tests,
 the syntactic U(e) over-approximation of the reachable state set,
 reachable coalgebras by stepping every state with no memo shared between
@@ -292,6 +292,15 @@ def cs_term_of_nf_sorted(nf, leaf=leaf_term):
     for u in readings[1:]:
         t = Op(None, (t, u))
     return t
+
+
+def cs_edges_sorted(nf):
+    """The ``cs`` edges: the points as frozensets of (generator, ``Fraction``
+    mass) pairs ranked by ``sorted_gens``, each one's pairs sorted by
+    ``sorted_gens``, every pair listed once; oracle for
+    ``ConvexSemilattice.edges``, which reads the ranking of its term reading."""
+    points = sorted_gens(map(fraction_point, nf))
+    return list(dict.fromkeys(p for sub in points for p in sorted_gens(sub)))
 
 
 # ---------------------------------------------------------------------------

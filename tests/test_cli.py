@@ -294,6 +294,16 @@ def test_state_cap_exit_code():
     assert r.returncode == 2 and r.stderr.startswith("error:")
 
 
+def test_a_key_error_inside_a_command_is_an_internal_error(monkeypatch, capsys):
+    # no input reaches a KeyError, so one is a fault and must not print as
+    # bad input (exit 1)
+    def fault(*args):
+        raise KeyError("s9")
+
+    monkeypatch.setattr(cli.semantics, "reachable", fault)
+    assert _main_err(monkeypatch, capsys, "lts", "a.0") == (2, "", "internal error: 's9'\n")
+
+
 # ---------------------------------------------------------------------------
 # machine formats
 

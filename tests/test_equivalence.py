@@ -137,6 +137,15 @@ def test_certificate_contents():
     assert not cert.equivalent and "round" in cert.detail
 
 
+def test_a_step_to_a_state_outside_the_coalgebra_raises():
+    # loading a file refuses such a step; a coalgebra built in code is
+    # explored from its states, and stepping the unknown target raises
+    c = pc.semantics.Coalgebra(theory("sl"), ("s0",), {"s0": frozenset({pc.Step("a", "s1")})})
+    for refine in (pc.bisim_partition, lambda c: pc.check_states(c, "s0", "s0")):
+        with pytest.raises(KeyError, match="s1"):
+            refine(c)
+
+
 def long_cycle(k, op, laps=1, last_out=None):
     """``mu x. a^k.(u OP a.x)``; ``laps=2`` unrolls the loop once more
     (bisimilar); ``last_out`` replaces the output of the last lap."""
@@ -229,7 +238,7 @@ def test_equiv_reads_each_explored_state_once(th, monkeypatch):
     generators = type(th).generators
     monkeypatch.setattr(type(th), "generators", lambda self, nf: calls.append(nf) or generators(self, nf))
     e, f = (pc.parse_exp(long_cycle(6, LONG_OPS[th.id], **kw), th) for kw in ({}, {"laps": 2}))
-    orders = [pc.semantics._explore(x, th, 100, pc.step)[0] for x in (e, f)]
+    orders = [pc.semantics._explore((x,), th, 100, pc.step)[0] for x in (e, f)]
     calls.clear()
     assert pc.equivalent(e, f, th).equivalent
     states = [x for order in orders for x in order]
@@ -285,7 +294,7 @@ def test_equivalent_pushes_each_state_forward_once(name, monkeypatch):
     th = theory(name)
     e, f = (pc.parse_exp(long_cycle(60, LONG_OPS[name], **kw), th)
             for kw in ({}, {"laps": 2}))
-    states = [x for c in (e, f) for x in semantics._explore(c, th, 1000, pc.step)[0]]
+    states = [x for c in (e, f) for x in semantics._explore((c,), th, 1000, pc.step)[0]]
     prefix_steps = {(x.action, x.body) for x in states if type(x) is pc.Prefix}
     others = [pc.step(x, th) for x in states if type(x) is not pc.Prefix]
     made, pushed, binds = [], [], []

@@ -284,8 +284,8 @@ def test_reachable_sorts_only_where_two_successors_are_new():
     # the names are fresh, so no other test has printed these terms
     th = theory("sl")
     e = pc.parse_exp("mu x. " + "notext." * 60 + "(notext_u + notext.x)", th)
-    states = []
-    pc.reachable(e, th, stepper=lambda x, *a: states.append(x) or pc.step(x, *a))
+    pc.reachable(e, th)
+    states = pc.semantics._explore((e,), th, 100, pc.step)[0]
     assert len(states) == 61
     assert all(x._text is None for x in states)
 

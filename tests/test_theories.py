@@ -19,8 +19,9 @@ from masses import count_form, count_point, fraction_point
 from oracles import (ca_nf_flatten_validating, ca_nf_map_validating, ca_op_apply_validating,
                      ca_term_of_nf_sorted, canonical_convex_set_lp, cm_bind_counter, cm_counter,
                      cm_nf_map_counter, cm_op_apply_counter, convex_member_bruteforce,
-                     cs_nf_flatten_validating, cs_nf_map_validating, cs_op_apply_validating,
-                     cs_term_of_nf_sorted, generator_key_by_isinstance, nf_flatten)
+                     cs_edges_sorted, cs_nf_flatten_validating, cs_nf_map_validating,
+                     cs_op_apply_validating, cs_term_of_nf_sorted, generator_key_by_isinstance,
+                     nf_flatten)
 
 F = Fraction
 
@@ -169,6 +170,21 @@ def test_edges_list_weighted_generators_in_generator_order():
     # cs lists the masses of every generating point, each pair once
     cs = frozenset({ZERO_SUBDIST, sub(a=F(1, 2), c=F(1, 2)), sub(a=F(1, 2), b=F(1, 2))})
     assert theory("cs").edges(cs) == [("a", F(1, 2)), ("b", F(1, 2)), ("c", F(1, 2))]
+
+
+def test_cs_edges_agree_with_the_sorted_masses_oracle():
+    # edges reads the points in the order term_of_nf ranks them; the oracle
+    # sorts frozensets of Fraction masses by generator_key
+    rng = random.Random(67)
+    cs = theory("cs")
+    gens = ("g1", "g2", Var("v"), pc.TICK, pc.Step("a", "s0"), pc.Step("a", "s1"))
+    shared = 0
+    for _ in range(300):
+        nf = _rand_cs_nf(rng, gens, most=5)
+        assert cs.edges(nf) == cs_edges_sorted(nf)
+        points = [pairs for _, pairs in nf if pairs]
+        shared += len(points) > 1 and len(cs.generators(nf)) < sum(map(len, points))
+    assert shared >= 100, shared
 
 
 # ---------------------------------------------------------------------------
@@ -458,14 +474,15 @@ def _rand_multiset(rng, gens):
 
 
 def test_weighted_sums_agree_with_counter_and_validating_oracles():
-    """``cm`` and ``ca`` share bottom, the pushforward, bind, generators and
-    weight.  Checked on random normal forms under merging and one-to-one
-    maps: ``cm`` against ``collections.Counter``, and ``cm.op_apply`` on
-    argument lists of any length; ``ca`` against the validating oracles."""
+    """``cm`` and ``ca`` share bottom, unit, the pushforward, bind,
+    generators and weight.  Checked on random normal forms under merging
+    and one-to-one maps: ``cm`` against ``collections.Counter``, and
+    ``cm.op_apply`` on argument lists of any length; ``ca`` against the
+    validating oracles."""
     rng = random.Random(53)
     cm, ca = theory("cm"), theory("ca")
     shared = pc.theory._WeightedSums
-    for name in ("bottom", "nf_map", "bind", "generators", "weight"):
+    for name in ("bottom", "unit", "nf_map", "bind", "generators", "weight"):
         assert getattr(type(cm), name) is getattr(type(ca), name) is getattr(shared, name)
     gens, images = ("g1", "g2", "g3", "g4", "g5"), ("h1", "h2", "h3")
     arities, merged = set(), 0
@@ -559,7 +576,7 @@ def test_cs_state_renaming_makes_no_redundancy_call(monkeypatch):
     calls = _count_redundant_calls(monkeypatch)
     expected = pc.reachable(e, th)
     assert calls  # stepping the shared a.b.0 and a.c.b.0 canonicalises
-    order, index, raw, _ = pc.semantics._explore(e, th, 100, step)
+    order, index, raw, _ = pc.semantics._explore((e,), th, 100, step)
     assert [nf is None for nf in raw] == [type(x) is pc.Prefix for x in order]
     # a prefix state's raw entry is None: step it here
     stepped = {x: step(x, th) if nf is None else nf for x, nf in zip(order, raw)}

@@ -1,5 +1,8 @@
 """Command-line front end.
 
+A TERM argument of ``-`` is read from stdin, so a term may be longer than
+one argv string may be; at most one term of a command can be ``-``.
+
 Exit codes: 0 success (equivalent / accepted), 10 not equivalent, 11 proof
 rejected, 1 parse or validation error, 2 usage error, state cap exceeded or
 internal error.
@@ -73,7 +76,7 @@ _READ = {path: _split(arguments) for path, (_, arguments) in COMMANDS.items()
 def _value(kw, text):
     """``text`` as argparse stores it for the argument with keywords ``kw``,
     or None where argparse would read it as an option or refuse it."""
-    if text.startswith("-"):
+    if text.startswith("-") and text != "-":
         return None
     try:
         value = kw["type"](text) if "type" in kw else text
@@ -88,8 +91,9 @@ def read_argv(argv):
     """The namespace that ``build_parser().parse_args(argv)`` returns, read
     from the command table by exact lookup, or None where argparse has more
     to do: help, abbreviations, ``--opt=value``, ``--``, a value or
-    positional that starts with ``-``, an unknown word, the wrong number of
-    positionals and a bad value, whose messages argparse prints."""
+    positional other than ``-`` that starts with ``-``, an unknown word,
+    the wrong number of positionals and a bad value, whose messages
+    argparse prints."""
     path = ()
     for word in argv:
         if path + (word,) not in COMMANDS:
@@ -104,7 +108,7 @@ def read_argv(argv):
         ns[name[2:]] = default.copy() if type(default) is list else default
     words, pos = iter(argv[len(path):]), []
     for word in words:
-        if not word.startswith("-"):
+        if not word.startswith("-") or word == "-":
             pos.append(word)
             continue
         kw = options.get(word)
@@ -197,6 +201,15 @@ def _emit_coalgebra(c, fmt):
             print(f"{s} = {syntax.unparse(t)}")
 
 
+def _read_stdin(args):
+    """Replace the one TERM argument that is ``-`` by the text on stdin."""
+    names = [name for name in ("term", "term1", "term2") if getattr(args, name, None) == "-"]
+    if len(names) > 1:
+        raise ValueError("at most one TERM can be '-' (read from stdin)")
+    for name in names:
+        setattr(args, name, sys.stdin.read())
+
+
 def run(argv=None):
     if argv is None:
         argv = sys.argv[1:]
@@ -205,6 +218,7 @@ def run(argv=None):
         args = build_parser().parse_args(argv)
     if args.cap < 1:
         raise ValueError("--cap must be a positive integer")
+    _read_stdin(args)
     theory = _theory(args)
     actions = _actions(args)
     # step, lts and equiv read either grammar: its parser and one-step map

@@ -8,7 +8,8 @@ place of the continuation.  The two routes agree up to renaming outputs of
 the continuation variable to termination.
 
 The parser is one loop over ``syntax.tokenize``'s list with an explicit
-stack of open brackets, as ``syntax.parse_exp`` is.  Translation, the direct
+stack of open brackets, run by ``syntax.parse_tokens`` as
+``syntax.parse_exp`` is.  Translation, the direct
 one-step map and the derivative are computed bottom-up, each in one loop
 over ``syntax.post_order``.  So an expression's depth is no limit.
 """
@@ -21,7 +22,8 @@ from . import syntax
 from .semantics import Step, TICK, Tick, reachable
 from .syntax import (Interned, Mu, Op, ParseError, Prefix, Record, Var, ZERO, all_names,
                      bracket, cached_text, choice_param, expect_token, fresh_name,
-                     is_guarded, parse_param, post_order, render_param, substitute)
+                     is_guarded, parse_param, post_order, render_param, substitute,
+                     token_kind)
 from .theory import TheoryError
 
 UNIT_VAR = "$unit"
@@ -111,31 +113,34 @@ def parse_sexp(text, theory, gkat=False, actions=None):
     takes its postfix ``^`` operators, then joins the ``;`` run, then the
     ``+`` run; a frame closes at the first token that continues neither,
     which must be ``)``, or the end for the whole input."""
-    toks = syntax.tokenize(text)
-    use = syntax.NameUse(actions)
+    return syntax.parse_tokens(text, _parse_sexp_tokens, theory, gkat, syntax.NameUse(actions))
+
+
+def _parse_sexp_tokens(toks, theory, gkat, use):
     stack = [[None, None, None]]
     i = 0  # an error is raised as soon as the eof token is consumed
     while True:
-        kind, val, pos = toks[i]
+        tok = toks[i]
         i += 1
-        if kind == "(":
+        if tok == "(":
             stack.append([None, None, None])
             continue
-        if kind == "num" and val in ("0", "1"):
-            e = SZERO if val == "0" else SONE
-        elif kind == "ident" and gkat and val == "test":
+        if tok == "0" or tok == "1":
+            e = SZERO if tok == "0" else SONE
+        elif tok == "test" and gkat:
+            at = i - 1
             guard, i = parse_param(toks, i, theory)
             if not isinstance(guard, frozenset):
-                raise ParseError("test expects a guard", pos)
+                raise ParseError("test expects a guard", at)
             e = SChoice(guard, SONE, SZERO)
-        elif kind == "ident":
-            use.see_action(val, pos)
-            e = SAct(val)
+        elif token_kind(tok) == "ident":
+            use.see_action(tok, i - 1)
+            e = SAct(tok)
         else:
-            raise ParseError(f"unexpected token {val!r}", pos)
+            raise ParseError(f"unexpected token {tok!r}", i - 1)
         while True:  # e is a complete atom
-            while toks[i][0] == "^":
-                if toks[i + 1][0] == "*":
+            while toks[i] == "^":
+                if toks[i + 1] == "*":
                     i += 2
                     param = None
                     theory.check_param(None)
@@ -145,21 +150,20 @@ def parse_sexp(text, theory, gkat=False, actions=None):
             top = stack[-1]
             if top[2] is not None:
                 e = SSeq(top[2], e)
-            if toks[i][0] == ";":
+            if toks[i] == ";":
                 i += 1
                 top[2] = e
                 break
             if top[0] is not None:
                 e = SChoice(top[1], top[0], e)
-            if toks[i][0] == "+":
+            if toks[i] == "+":
                 param, i = choice_param(toks, i + 1, theory)
                 top[:] = e, param, None
                 break
             stack.pop()
             if not stack:
-                t = toks[i]
-                if t[0] != "eof":
-                    raise ParseError(f"trailing input {t[1]!r}", t[2])
+                if toks[i]:
+                    raise ParseError(f"trailing input {toks[i]!r}", i)
                 return e
             expect_token(toks, i, ")")
             i += 1

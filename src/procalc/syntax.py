@@ -13,16 +13,25 @@ guard); probabilities are integers or fractions (``+[1/2]``).  Recursion
 variables introduced internally live in the reserved ``%`` namespace, which
 the tokenizer cannot produce, so freshness never clashes with user input.
 
-No walk over a term recurses on its depth.  The parser is one loop over the
-tokens with an explicit stack of open sums and pending prefixes; the star
-fragment's parser is a loop of the same kind over the same tokens, and both
-read choice parameters with ``parse_param``.  Terms are
-hash-consed DAGs.  ``post_order`` lists the nodes under a root that a caller
-still has to visit, children first, each once; the one-step semantics, the
-star fragment's walks, guardedness and the bound names are loops over it.
-Substitution rewrites each (node, bindings) pair once per ``substitute``
-call, with an explicit stack (``_rewrite``); its memo lives for that call
-only.  The printer builds each node's text once, with its own stack.
+No walk over a term recurses on its depth.  The tokenizer is one
+``findall`` that returns the tokens as strings, then ``""`` for the end;
+one search before it finds the first character that no token can start or
+continue.  A token's kind is read from its first character, and its offset
+is computed, by reading the tokens again, only when a parse error is
+raised.  The parser is one loop over the tokens with an explicit stack of
+open sums and pending runs of prefixes: a run ``a1.a2. … an.`` is one
+frame, which ``_prefix_run`` interns innermost first once the item below
+it is complete.  The star fragment's parser is a loop of the same kind over
+the same tokens, and both read choice parameters with ``parse_param``.
+Terms are hash-consed DAGs.  ``post_order`` lists the nodes under a root
+that a caller still has to visit, children first, each once; the one-step
+semantics, the star fragment's walks, guardedness and the bound names are
+loops over it.  Substitution rewrites each (node, bindings) pair once per
+``substitute`` call, with an explicit stack (``_rewrite``) and one memo per
+set of bindings, keyed by node, that lives for that call only; a run of
+prefixes that must change is walked down in one loop and rebuilt by
+``_prefix_run``.  The printer builds each node's text once, with its own
+stack.
 """
 
 from __future__ import annotations
@@ -37,7 +46,7 @@ from fractions import Fraction
 class ParseError(ValueError):
     def __init__(self, message, pos=None):
         super().__init__(message if pos is None else f"{message} (at {pos})")
-        self.pos = pos
+        self.message, self.pos = message, pos
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +79,8 @@ class Interned:
     of every child.  The generic constructor below fills the fields in a
     loop; the hot classes ``Var``, ``Prefix``, ``Op``, ``Mu`` and ``Leaf``
     have their own, which take the fields by name and also fill ``_free``,
-    the free variables.  All of them enter a new node by ``_intern``.
+    the free variables; ``Prefix``'s is ``_prefix_run`` over one action.
+    All of them enter a new node by ``_intern``.
     """
 
     __slots__ = ("_text",)
@@ -328,22 +338,37 @@ class Prefix(Exp):
     __slots__ = _fields = ("action", "body")
 
     def __new__(cls, action, body):
-        key = (cls, action, body)
-        node = _TABLE.get(key)
-        if node is None:
-            node = object.__new__(cls)
-            _set(node, "action", action)
-            _set(node, "body", body)
-            _set(node, "_text", None)
-            _set(node, "_free", body._free)
-            _intern(key, node)
-        return node
+        return _prefix_run((action,), body)
 
     def _kids(self):
         return (self.body,)
 
     def _render(self):
         return f"{self.action}.{bracket(self.body, _ITEM)}"
+
+
+_set_action, _set_body = Prefix.action.__set__, Prefix.body.__set__
+_set_text, _set_free = Interned._text.__set__, Exp._free.__set__
+
+
+def _prefix_run(actions, body):
+    """The run ``actions[0].actions[1]. … .body``, interned innermost first
+    in one loop.  Every node of the run shares ``body``'s free-variable set,
+    and each new one enters the table by ``_intern``; the node built last
+    holds the ones below it, so a sweep in the middle drops none of them."""
+    free = body._free
+    for action in reversed(actions):
+        key = (Prefix, action, body)
+        node = _TABLE.get(key)
+        if node is None:
+            node = object.__new__(Prefix)
+            _set_action(node, action)
+            _set_body(node, body)
+            _set_text(node, None)
+            _set_free(node, free)
+            _intern(key, node)
+        body = node
+    return body
 
 
 class Mu(Exp):
@@ -544,56 +569,81 @@ _ENTER, _KIDS = object(), object()  # the first and the second visit of a node o
 
 def _rewrite(root, enter):
     """Rewrite the DAG under ``root`` bottom-up with an explicit stack, once
-    per (node, context) pair; the walk starts in context 0.
+    per (node, context) pair; the walk starts in context 0, and there is one
+    memo per context, keyed by node.
 
     ``enter(node, ctx)`` decides each pair on its first visit.  It returns
     the result itself; or None, to rebuild a ``Prefix`` or ``Op`` from its
     children rewritten in the same context; or ``(var, body, ctx')``, to
-    build ``Mu(var, ·)`` over ``body`` rewritten in ``ctx'``.  Children are
-    entered left to right, as a recursive walk would."""
-    done = {}
+    build ``Mu(var, ·)`` over ``body`` rewritten in ``ctx'``.  Contexts are
+    numbered in the order ``enter`` first returns them.  Children are
+    entered left to right, as a recursive walk would.
+
+    A ``Prefix`` that ``enter`` rebuilds takes the run of prefixes below it
+    along: they share its free variables, so ``enter`` must decide a
+    ``Prefix`` by those alone, and it is not asked about them.  The run is
+    walked down in one loop, the node below it is rewritten, and
+    ``_prefix_run`` builds the run again over that."""
+    memos = [{}]
     stack = [(root, 0, _ENTER)]
     push, pop = stack.append, stack.pop
     while stack:
         node, ctx, plan = pop()
+        memo = memos[ctx]
         if plan is _ENTER:
-            if (node, ctx) in done:
+            if node in memo:
                 continue
             plan = enter(node, ctx)
             if plan is None:
-                push((node, ctx, _KIDS))
-                if type(node) is Prefix:
-                    push((node.body, ctx, _ENTER))
+                if type(node) is Prefix:  # a run's plan is its actions
+                    run, actions = [node], [node.action]
+                    below = node.body
+                    while type(below) is Prefix and below not in memo:
+                        run.append(below)
+                        actions.append(below.action)
+                        below = below.body
+                    push((run, ctx, actions))
+                    push((below, ctx, _ENTER))
                 else:
                     l, r = node.args
+                    push((node, ctx, _KIDS))
                     push((r, ctx, _ENTER))
                     push((l, ctx, _ENTER))
             elif type(plan) is tuple:
+                if plan[2] == len(memos):
+                    memos.append({})
                 push((node, ctx, plan))
                 push((plan[1], plan[2], _ENTER))
             else:
-                done[node, ctx] = plan
+                memo[node] = plan
         elif plan is _KIDS:
-            if type(node) is Prefix:
-                body = done[node.body, ctx]
-                done[node, ctx] = node if body is node.body else Prefix(node.action, body)
-            else:
-                l, r = node.args
-                nl, nr = done[l, ctx], done[r, ctx]
-                done[node, ctx] = node if nl is l and nr is r else Op(node.param, (nl, nr))
+            l, r = node.args
+            nl, nr = memo[l], memo[r]
+            memo[node] = node if nl is l and nr is r else Op(node.param, (nl, nr))
+        elif type(plan) is list:  # node is the run, top first
+            below = node[-1].body
+            new = memo[below]
+            new = node[0] if new is below else _prefix_run(plan, new)
+            for old in node:
+                memo[old] = new
+                new = new.body
         else:
             var, body, sub = plan
-            done[node, ctx] = Mu(var, done[body, sub])
-    return done[root, 0]
+            memo[node] = Mu(var, memos[sub][body])
+    return memos[0][root]
 
 
 # ---------------------------------------------------------------------------
 # tokenizer and parameters, shared with the star fragment: both parsers are
-# loops over ``tokenize``'s list
+# loops over ``tokenize``'s list, run by ``parse_tokens``
 
 _IDENT, _NUM = r"[A-Za-z_][A-Za-z0-9_']*", r"\d+"
-_TOKEN = re.compile(rf"\s*(?:({_IDENT})|({_NUM})|([+.()\[\]/;^*=])|(\S))")
-_KINDS = (None, "ident", "num", None)  # by group of _TOKEN; punctuation is its own kind
+_TOKEN = re.compile(rf"{_IDENT}|{_NUM}|[+.()\[\]/;^*=]")
+# the first character that no token can start or continue: neither a token
+# character nor a space, or a quote with no identifier start before it in
+# its run of identifier characters
+_BAD = re.compile(r"[^A-Za-z0-9_'+.()\[\]/;^*=\s\d]|(?<![A-Za-z0-9_'])[0-9]*'")
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 GUARD_ATOM = re.compile(f"{_IDENT}|{_NUM}")  # what a guard ``[...]`` reads as one atom
 
 
@@ -605,23 +655,51 @@ def is_name(text):
 
 
 def tokenize(text):
-    toks = []
-    for m in _TOKEN.finditer(text):
-        group = m.lastindex  # the one alternative that matched
-        val = m.group(group)
-        if group == 4:
-            raise ParseError(f"unexpected character {val!r}", m.start(4))
-        toks.append((_KINDS[group] or val, val, m.start(group)))
-    toks.append(("eof", "", len(text)))
+    """The tokens of ``text`` as strings, then ``""`` for its end.  A
+    token's kind is read from its first character (``token_kind``); its
+    offset is found again only for an error (``token_pos``)."""
+    bad = _BAD.search(text)
+    if bad is not None:
+        pos = bad.end() - 1  # a quote ends its match
+        raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    toks = _TOKEN.findall(text)
+    toks.append("")
     return toks
+
+
+def token_kind(tok):
+    """``'ident'``, ``'num'``, ``'eof'`` for the end, or the punctuation itself."""
+    if not tok:
+        return "eof"
+    if tok[0] in _IDENT_START:
+        return "ident"
+    return "num" if tok[0].isdecimal() else tok
+
+
+def token_pos(text, i):
+    """The offset of token ``i`` in ``text``, found by reading the tokens
+    again; the end's is the length of ``text``."""
+    m = next(itertools.islice(_TOKEN.finditer(text), i, None), None)
+    return len(text) if m is None else m.start()
+
+
+def parse_tokens(text, parser, *args):
+    """``parser(tokenize(text), *args)``.  The parser raises a parse error
+    at a token's index, which is placed here at that token's offset."""
+    toks = tokenize(text)
+    try:
+        return parser(toks, *args)
+    except ParseError as err:
+        pos = None if err.pos is None else token_pos(text, err.pos)
+        raise ParseError(err.message, pos) from None
 
 
 def expect_token(toks, i, kind):
     """Token ``i``, which must be of ``kind``."""
-    t = toks[i]
-    if t[0] != kind:
-        raise ParseError(f"expected {kind!r}, found {t[1]!r}", t[2])
-    return t
+    tok = toks[i]
+    if token_kind(tok) != kind:
+        raise ParseError(f"expected {kind!r}, found {tok!r}", i)
+    return tok
 
 
 def parse_param(toks, i, theory):
@@ -631,32 +709,30 @@ def parse_param(toks, i, theory):
     i += 1
     if "gplus" in theory.binary_families:
         j = i
-        while toks[j][0] in ("ident", "num"):
+        while token_kind(toks[j]) in ("ident", "num"):
             j += 1
         expect_token(toks, j, "]")
-        guard = frozenset(t[1] for t in toks[i:j])
+        guard = frozenset(toks[i:j])
         theory.check_param(guard)
         return guard, j + 1
     # probability
-    t = expect_token(toks, i, "num")
-    num = int(t[1])
+    num = int(expect_token(toks, i, "num"))
     den = 1
-    i += 1
-    if toks[i][0] == "/":
-        den = int(expect_token(toks, i + 1, "num")[1])
+    if toks[i + 1] == "/":
+        den = int(expect_token(toks, i + 2, "num"))
         if den == 0:
-            raise ParseError("zero denominator", t[2])
+            raise ParseError("zero denominator", i)
         i += 2
     prob = Fraction(num, den)
-    expect_token(toks, i, "]")
+    expect_token(toks, i + 1, "]")
     theory.check_param(prob)
-    return prob, i + 1
+    return prob, i + 2
 
 
 def choice_param(toks, i, theory):
     """``parse_param`` for the optional ``[...]`` after a ``+``: a plain
     ``+`` has the parameter None."""
-    if toks[i][0] == "[":
+    if toks[i] == "[":
         return parse_param(toks, i, theory)
     theory.check_param(None)
     return None, i
@@ -677,6 +753,16 @@ class NameUse:
             raise ParseError(f"undeclared action {name!r}", pos)
         self.actions.add(name)
 
+    def see_actions(self, names, positions):
+        """``see_action`` for each name at its position, in order; at once
+        when none of them can fail."""
+        if self.variables.isdisjoint(names) and (
+                self.declared is None or self.declared.issuperset(names)):
+            self.actions.update(names)
+        else:
+            for name, pos in zip(names, positions):
+                self.see_action(name, pos)
+
     def see_variable(self, name, pos):
         if name in self.actions:
             raise ParseError(f"{name!r} used both as action and variable", pos)
@@ -688,58 +774,67 @@ _PAREN = object()  # the close of a bracket's sum frame in parse_exp; a mu body'
 
 def parse_exp(text, theory, actions=None, names=None):
     """Parse a term in one loop over its tokens, with an explicit stack of
-    frames: a list ``[left, param, close]`` per open sum (the whole input
+    frames: a tuple ``(left, param, close)`` per open sum (the whole input
     at the bottom, a bracket, or a ``mu`` body, whose ``close`` is its
-    variable) and an action name per pending prefix.  A complete item closes the prefixes
-    above it and joins its sum; a sum ends at the first token that is not
-    ``+`` and completes the item that opened it."""
-    toks = tokenize(text)
+    variable) and a list of action names per pending run of prefixes.  A
+    run ``a1.a2. … an.`` is read in one inner loop as one frame.  A
+    complete item closes the run above it (``_prefix_run``) and joins its
+    sum; a sum ends at the first token that is not ``+`` and completes the
+    item that opened it."""
     use = names if names is not None else NameUse(actions)
-    stack = [[None, None, None]]
+    return parse_tokens(text, _parse_exp_tokens, theory, use)
+
+
+def _parse_exp_tokens(toks, theory, use):
+    stack = [(None, None, None)]
     i = 0  # an error is raised as soon as the eof token is consumed
     while True:
-        kind, val, pos = toks[i]
+        tok = toks[i]
         i += 1
-        if kind == "ident":
-            if val == "mu":
-                var = expect_token(toks, i, "ident")[1]
-                use.see_variable(var, pos)
-                expect_token(toks, i + 1, ".")
-                i += 2
-                stack.append([None, None, var])
-                continue
-            if toks[i][0] == ".":
-                i += 1
-                use.see_action(val, pos)
-                stack.append(val)
-                continue
-            use.see_variable(val, pos)
-            e = Var(val)
-        elif kind == "(":
-            stack.append([None, None, _PAREN])
+        if tok == "(":
+            stack.append((None, None, _PAREN))
             continue
-        elif kind == "num" and val == "0":
+        if tok == "0":
             e = ZERO
+        elif tok[:1] not in _IDENT_START:
+            raise ParseError(f"unexpected token {tok!r}", i - 1)
+        elif tok == "mu":
+            var = expect_token(toks, i, "ident")
+            use.see_variable(var, i - 1)
+            expect_token(toks, i + 1, ".")
+            i += 2
+            stack.append((None, None, var))
+            continue
+        elif toks[i] == ".":  # a run of prefixes, up to the item it guards
+            j = i + 1
+            while True:
+                t = toks[j]
+                if t[:1] not in _IDENT_START or t == "mu" or toks[j + 1] != ".":
+                    break
+                j += 2
+            run = toks[i - 1:j:2]
+            use.see_actions(run, range(i - 1, j, 2))
+            stack.append(run)
+            i = j
+            continue
         else:
-            raise ParseError(f"unexpected token {val!r}", pos)
+            use.see_variable(tok, i - 1)
+            e = Var(tok)
         while True:  # e is a complete item
-            top = stack[-1]
-            if type(top) is str:
-                stack.pop()
-                e = Prefix(top, e)
-                continue
-            if top[0] is not None:
-                e = Op(top[1], (top[0], e))
-            if toks[i][0] == "+":
+            top = stack.pop()
+            if type(top) is list:  # never two runs in a row
+                e = _prefix_run(top, e)
+                top = stack.pop()
+            left, param, close = top
+            if left is not None:
+                e = Op(param, (left, e))
+            if toks[i] == "+":
                 param, i = choice_param(toks, i + 1, theory)
-                top[0], top[1] = e, param
+                stack.append((e, param, close))
                 break
-            stack.pop()
-            close = top[2]
             if not stack:
-                t = toks[i]
-                if t[0] != "eof":
-                    raise ParseError(f"trailing input {t[1]!r}", t[2])
+                if toks[i]:
+                    raise ParseError(f"trailing input {toks[i]!r}", i)
                 return e
             if close is _PAREN:
                 expect_token(toks, i, ")")

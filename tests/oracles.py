@@ -30,13 +30,14 @@ recursion.
 
 import itertools
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 
 import procalc as pc
 from masses import count_form, count_point, fraction_point
-from procalc.syntax import (_TOKEN, ZERO, Leaf, NameUse, Op, ParseError, all_names, leaf_term,
-                            fresh_name, render_param, tokenize)
+from procalc.syntax import (_IDENT, _NUM, ZERO, Leaf, NameUse, Op, ParseError, all_names,
+                            leaf_term, fresh_name, render_param)
 from procalc.theory import (CA_AXIOMS, CS_AXIOMS, ZERO_SUBDIST, Theory, TheoryError,
                             canonical_convex_set, feasible, generator_key, in_lower_hull,
                             sorted_gens, theory_from_json)
@@ -776,12 +777,17 @@ def unparse_sexp_uncached(e, level=_CHOICE):
     raise TypeError(e)
 
 
+_GROUPED_TOKEN = re.compile(rf"\s*(?:({_IDENT})|({_NUM})|([+.()\[\]/;^*=])|(\S))")
+
+
 def tokenize_by_match(text):
-    """The tokens of ``text``, one ``_TOKEN.match`` call per token."""
+    """The tokens of ``text`` as (kind, text, offset) triples, the last of
+    kind ``eof``, one match of a grouped regex per token, the fourth group
+    being any other character; oracle for ``syntax.tokenize``."""
     toks = []
     pos = 0
     while pos < len(text):
-        m = _TOKEN.match(text, pos)
+        m = _GROUPED_TOKEN.match(text, pos)
         if not m or m.end() == pos:
             break
         ident, num, punct, bad = m.groups()
@@ -799,10 +805,11 @@ def tokenize_by_match(text):
 
 
 class TokenStream:
-    """A cursor over ``tokenize``'s list, for the recursive-descent parsers."""
+    """A cursor over ``tokenize_by_match``'s list, for the recursive-descent
+    parsers."""
 
     def __init__(self, text):
-        self.toks = tokenize(text)
+        self.toks = tokenize_by_match(text)
         self.i = 0
 
     def peek(self):

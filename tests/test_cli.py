@@ -51,6 +51,35 @@ def test_deep_terms_through_the_cli():
     assert r.returncode == 0 and r.stdout.startswith("equivalent: "), r.stderr
 
 
+def test_step_reads_a_term_from_stdin():
+    r = run("step", "-", stdin="a.b.0 + c.0\n")
+    assert (r.returncode, r.stdout, r.stderr) == (0, "a.b.0 + c.0\n", "")
+    r = run("star", "step", "-", stdin="a ; b")
+    assert (r.returncode, r.stdout, r.stderr) == (0, "a.(1 ; b)\n", "")
+    # an error's offset is in the text read from stdin
+    r = run("lts", "-", stdin="a.0 @")
+    assert (r.returncode, r.stdout, r.stderr) == (1, "", "error: unexpected character '@' (at 4)\n")
+
+
+def test_equiv_reads_either_term_from_stdin():
+    r = run("equiv", "-", "mu y. a.a.y", stdin="mu x. a.x")
+    assert (r.returncode, r.stdout) == (0, "equivalent: stable partition: {as0 bs0 bs1}\n")
+    r = run("equiv", "--theory", "cm", "a.0", "-", stdin="a.0 + a.0")
+    assert r.returncode == 10 and r.stdout.startswith("not equivalent: ")
+    # 132,001 bytes: longer than Linux lets one argv string be
+    chain = "a." * 66000 + "0"
+    r = run("equiv", "--cap", "70000", "-", "a.0", stdin=chain)
+    assert (r.returncode, r.stderr) == (10, "")
+    assert r.stdout.startswith("not equivalent: split at refinement round 2: ")
+
+
+def test_two_terms_from_stdin_exit_1():
+    for argv in (("equiv", "-", "-"), ("star", "equiv", "-", "-"), ("equiv", "--", "-", "-")):
+        r = run(*argv, stdin="a.0")
+        assert (r.returncode, r.stdout, r.stderr) == (
+            1, "", "error: at most one TERM can be '-' (read from stdin)\n"), argv
+
+
 def _main_err(monkeypatch, capsys, *argv):
     """Run ``cli.main()`` in this process with ``argv``: (exit code, stdout,
     stderr)."""

@@ -11,7 +11,8 @@ import pytest
 
 import procalc as pc
 from procalc.semantics import Step
-from procalc.syntax import (_TABLE, Mu, Op, Prefix, Var, ZERO, _sweep,
+from procalc import syntax
+from procalc.syntax import (_TABLE, Mu, Op, Prefix, Var, ZERO, _prefix_run, _sweep,
                             bound_vars, free_vars, unparse)
 
 from gen import ALL_THEORIES, rand_exp, rand_sexp, seed_for, theory
@@ -186,6 +187,72 @@ def test_sweep_under_constant_collection_keeps_the_table_sound():
         assert type(node) is cls
         assert all(a is b for a, b in zip(fields, key[1:]))
         assert cls(*fields) is node
+
+
+def _levels(node, n):
+    """The first n nodes down a run of prefixes, and the node below them."""
+    levels = []
+    for _ in range(n):
+        assert type(node) is Prefix
+        levels.append(node)
+        node = node.body
+    return levels, node
+
+
+def test_prefix_run_is_the_chain_of_single_prefixes():
+    body = Op(None, (Var("run_u"), Mu("run_x", Prefix("run_b", Var("run_x")))))
+    actions = [f"run_a{k % 3}" for k in range(40)]
+    top = _prefix_run(actions, body)
+    one_by_one = body
+    for a in reversed(actions):
+        one_by_one = Prefix(a, one_by_one)
+    assert top is one_by_one
+    levels, below = _levels(top, 40)
+    assert below is body
+    assert [n.action for n in levels] == actions
+    assert all(n._free is body._free for n in levels)
+    assert all(_TABLE[Prefix, n.action, n.body] is n for n in levels)
+    assert _prefix_run(actions, body) is top
+    assert _prefix_run((), body) is body
+    assert _prefix_run(actions[:1], body) is Prefix(actions[0], body)
+
+
+def test_prefix_run_interns_each_new_node_once(monkeypatch):
+    body = Var("once_v")
+    actions = [f"once_a{k}" for k in range(30)]
+    held = _prefix_run(actions[10:], body)  # the lower 20 nodes exist already
+    interned = []
+    intern = syntax._intern
+    monkeypatch.setattr(syntax, "_intern", lambda key, node: interned.append(node) or intern(key, node))
+    top = _prefix_run(actions, body)
+    levels, _ = _levels(top, 30)
+    assert interned == levels[9::-1]  # innermost first, one call each
+    assert levels[10] is held
+
+
+def test_prefix_run_keeps_every_node_through_a_sweep_mid_run(monkeypatch):
+    # the table limit is dropped to 0 before the 5th and the 20th new node,
+    # so _intern sweeps the table while the run is half built
+    body = Op(None, (Var("swept_v"), ZERO))
+    actions = [f"swept_a{k}" for k in range(40)]
+    sweeps, count = [], 0
+    intern, sweep = syntax._intern, syntax._sweep
+
+    def intern_forcing_sweeps(key, node):
+        nonlocal count
+        count += 1
+        if count in (5, 20):
+            monkeypatch.setattr(syntax, "_limit", 0)
+        intern(key, node)
+
+    monkeypatch.setattr(syntax, "_intern", intern_forcing_sweeps)
+    monkeypatch.setattr(syntax, "_sweep", lambda: sweeps.append(len(_TABLE)) or sweep())
+    top = _prefix_run(actions, body)
+    assert len(sweeps) >= 2 and count == 40  # a full collection may sweep once more
+    levels, below = _levels(top, 40)
+    assert below is body
+    assert all(_TABLE[Prefix, n.action, n.body] is n for n in levels)
+    assert [n.action for n in levels] == actions
 
 
 @pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)

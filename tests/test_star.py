@@ -88,7 +88,7 @@ def test_parse_sexp_agrees_with_recursive_descent(th):
     rng = random.Random(seed_for(th.id, 0x5E9))
     texts = ["", "(", ")", "a1 ;", "test", "test[x1] ; a1", "test[1/2]^*", "a1^", "(a1 + a2"]
     for _ in range(300):
-        toks = [t[1] for t in pc.syntax.tokenize(unparse_sexp(rand_sexp(th, rng, depth=4)))[:-1]]
+        toks = pc.syntax.tokenize(unparse_sexp(rand_sexp(th, rng, depth=4)))[:-1]
         texts.append(" ".join(toks))
         for edit in ("delete", "insert", "replace"):
             mutated = list(toks)

@@ -12,8 +12,8 @@ from procalc.syntax import (Mu, Op, ParseError, Prefix, Var, ZERO,
                             guarded_subst_exp, tokenize, unguarded_vars,
                             unparse, substitute)
 
-from gen import ACTIONS, ALL_THEORIES, OUTVARS, rand_exp, rand_sexp, seed_for, theory
-from oracles import (alpha_eq, is_guarded_recursive, parse_exp_recursive,
+from gen import ACTIONS, ALL_THEORIES, OUTVARS, rand_exp, rand_param, rand_sexp, seed_for, theory
+from oracles import (alpha_eq, is_guarded_recursive, parse_exp_recursive, parse_sexp_recursive,
                      substitute_recursive, tokenize_by_match)
 
 F = Fraction
@@ -119,19 +119,52 @@ def _tokens_or_error(tokenizer, text):
         return ("error", str(err), err.pos)
 
 
+def _match_loop_texts(text):
+    """``tokenize_by_match``'s token texts, with ``""`` for the end."""
+    return [t[1] for t in tokenize_by_match(text)]
+
+
+# quotes, digits and non-ASCII characters at the edges of identifiers and numbers
+_EDGE_TEXTS = ["'a", "1'", "a1'", "1a'", "a''", "a1''b", "12'x", "a.1'", "١'", "a١'", "١a'",
+               "a\u00a0.\u00a00", "\u00a0", "\u00e9", "a.\u00e9", "caf\u00e9.0", "a.+ @",
+               "a.0 +[\u0661/\u0662] b.0", "x1 ' y", "a'.b'.0", "_'", "_1'.0"]
+
+
 @pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
 def test_tokenize_agrees_with_match_loop(th):
+    # the token texts, the first bad character and its offset, and each
+    # token's offset as token_pos finds it again
     rng = random.Random(seed_for(th.id, 0x70C))
-    texts = ["", " ", "\t\n ", "@", "a.0 @", "  a . 0  "]
+    texts = ["", " ", "\t\n ", "@", "a.0 @", "  a . 0  ", *_EDGE_TEXTS]
     for _ in range(200):
         text = rng.choice([unparse(rand_exp(th, rng, depth=4)),
                            pc.unparse_sexp(rand_sexp(th, rng, depth=3))])
         at = rng.randrange(len(text) + 1)
         texts += [text, text + rng.choice([" ", "  \n", "\t"]),
-                  text[:at] + rng.choice("@#$!&") + text[at:]]
+                  text[:at] + rng.choice("@#$!&'\u00a0\u00e9\u0663") + text[at:]]
+    errors = 0
     for text in texts:
-        assert _tokens_or_error(tokenize, text) == _tokens_or_error(tokenize_by_match, text)
+        new = _tokens_or_error(tokenize, text)
+        assert new == _tokens_or_error(_match_loop_texts, text), text
+        if new[0] == "error":
+            errors += 1
+            continue
+        offsets = [t[2] for t in tokenize_by_match(text)]
+        assert [syntax.token_pos(text, k) for k in range(len(new))] == offsets, text
+    assert errors >= 100
     assert _tokens_or_error(tokenize, "a.0 @") == ("error", "unexpected character '@' (at 4)", 4)
+    # the bad character is found before the parse error that precedes it
+    assert _tokens_or_error(tokenize, "a.+ @") == ("error", "unexpected character '@' (at 4)", 4)
+    assert _tokens_or_error(tokenize, "1'") == ("error", "unexpected character \"'\" (at 1)", 1)
+    assert tokenize("a1' 1a' a''") == ["a1'", "1", "a'", "a''", ""]
+
+
+def test_a_unicode_digit_is_a_number():
+    th = theory("ca")
+    assert tokenize("+[\u0661/\u0662]") == ["+", "[", "\u0661", "/", "\u0662", "]", ""]
+    e = pc.parse_exp("a.0 +[\u0661/\u0662] b.0", th)
+    assert e is pc.parse_exp("a.0 +[1/2] b.0", th)
+    assert e.param == F(1, 2)
 
 
 def _parsed_or_error(parser, text, th, actions):
@@ -157,6 +190,84 @@ def test_parse_exp_agrees_with_recursive_descent(th):
             assert new == old, text
         else:
             assert new is old, text
+
+
+def _run_term(th, rng, depth=0, share=True):
+    """The text of a random term made of prefix runs of 1 to 50 actions,
+    each over 0, a variable, a ``mu``, a bracketed choice, or (at the top)
+    a choice of two.  With ``share``, a choice's right side is at times a
+    suffix of its left side, which the parsed DAG then shares."""
+    run = "".join(f"{rng.choice(ACTIONS)}." for _ in range(rng.randint(1, 50)))
+    pick = rng.random()
+    if depth >= 3 or pick < 0.3:
+        return run + rng.choice(["0", "u", "v", "m1"])
+    if pick < 0.55:
+        return f"{run}mu m1. {_run_term(th, rng, depth + 1, share)}"
+    left = _run_term(th, rng, depth + 1, share)
+    right = left[3:] if share and rng.random() < 0.3 else _run_term(th, rng, depth + 1, share)
+    choice = f"{left} +{syntax.render_param(rand_param(th, rng))} {right}"
+    return choice if depth == 0 and pick > 0.9 else f"{run}({choice})"
+
+
+# what a fault inside or right after a run inserts or puts in place of a token
+RUN_FAULTS = ("(", ")", "+", ".", "mu", "0", "1", "a1", "u", "m1", "[", "]", "/", "@", "'", ";")
+
+
+def _run_texts(th, rng, count):
+    """``count`` run-heavy texts, each also with a fault inside or right
+    after one of its runs: a token deleted, inserted or replaced at a dot,
+    just after it, or one further."""
+    texts = []
+    for _ in range(count):
+        toks = tokenize(_run_term(th, rng))[:-1]
+        texts.append(" ".join(toks))
+        dots = [k for k, t in enumerate(toks) if t == "."]
+        for edit in ("delete", "insert", "replace"):
+            mutated = list(toks)
+            at = min(rng.choice(dots) + rng.choice((0, 1, 2)), len(mutated) - (edit != "insert"))
+            if edit != "insert":
+                del mutated[at]
+            if edit != "delete":
+                mutated.insert(at, rng.choice(RUN_FAULTS))
+            texts.append(" ".join(mutated))
+    return texts
+
+
+@pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
+def test_parse_exp_agrees_with_recursive_descent_on_prefix_runs(th):
+    rng = random.Random(seed_for(th.id, 0x2A9))
+    outcomes = []
+    for text in _run_texts(th, rng, 150):
+        actions = rng.choice([None, None, ACTIONS, ACTIONS[:1]])
+        new = _parsed_or_error(pc.parse_exp, text, th, actions)
+        old = _parsed_or_error(parse_exp_recursive, text, th, actions)
+        if isinstance(old, tuple):
+            assert new == old, text
+            outcomes.append("clash" if "used both" in old[2] else old[2].split(" ")[0])
+        else:
+            assert new is old, text
+            outcomes.append("parsed")
+    # parsed terms, and errors of the tokenizer, the parser, the names and the theory
+    assert {"parsed", "unexpected", "expected", "trailing", "clash", "undeclared"} <= set(outcomes)
+
+
+@pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
+def test_parse_sexp_agrees_with_recursive_descent_on_prefix_runs(th):
+    # the star grammar has no prefix, so a run is an error at its first dot;
+    # the same texts with "." read as ";" are runs of sequenced actions
+    rng = random.Random(seed_for(th.id, 0x2AA))
+    parsed = 0
+    for text in _run_texts(th, rng, 60):
+        for star_text in (text, text.replace(".", ";").replace("mu m1;", "(m1) ;")):
+            actions = rng.choice([None, None, ACTIONS])
+            new = _parsed_or_error(pc.parse_sexp, star_text, th, actions)
+            old = _parsed_or_error(parse_sexp_recursive, star_text, th, actions)
+            if isinstance(old, tuple):
+                assert new == old, star_text
+            else:
+                assert new is old, star_text
+                parsed += 1
+    assert parsed >= 20
 
 
 def test_parse_exp_at_depth():
@@ -310,6 +421,64 @@ def test_substitute_agrees_with_recursive_walk(th):
     assert renamed >= 10
 
 
+@pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
+def test_substitute_agrees_with_recursive_walk_on_prefix_runs(th):
+    # runs of up to 50 prefixes over mu m1 binders, which a value with m1
+    # free renames; where runs share a suffix, the DAG walk renames a shared
+    # binder once and the tree walk once per occurrence
+    rng = random.Random(seed_for(th.id, 0x5B6))
+    renamed = 0
+    for k in range(200):
+        share = k % 2 == 1
+        try:
+            e = pc.parse_exp(_run_term(th, rng, share=share), th)
+        except pc.TheoryError:  # a sampled parameter the theory refuses
+            continue
+        bindings = {v: _random_binding(th, rng) for v in ("u", "v", "m1") if rng.random() < 0.6}
+        if rng.random() < 0.5:
+            bindings["u"] = Prefix("a1", Var("m1"))  # captured under every mu m1
+        old, new = substitute_recursive(e, bindings), substitute(e, bindings)
+        if share:
+            assert alpha_eq(new, old), (unparse(e), bindings)
+        else:
+            assert new is old, (unparse(e), bindings)
+            renamed += "%" in unparse(old)
+    assert renamed >= 10
+
+
+def test_substitute_renames_binders_below_runs_in_walk_order():
+    th = theory("sl")
+    e = pc.parse_exp("a1.a2.a1.(mu m. b.(m + u)) + a2.a2.(c.(mu m. c.(m + u)) + mu n. a1.(n + u))", th)
+    new = substitute(e, {"u": Var("m")})
+    assert new is substitute_recursive(e, {"u": Var("m")})
+    assert unparse(new) == ("a1.a2.a1.(mu %0. b.(%0 + m))"
+                            " + a2.a2.(c.(mu %1. c.(%1 + m)) + (mu n. a1.(n + m)))")
+    e = pc.parse_exp("a1.(mu m. b.(m + u)) + a2.(mu m. c.(m + u))", th)
+    assert unparse(substitute(e, {"u": Var("m")})) == "a1.(mu %0. b.(%0 + m)) + a2.(mu %1. c.(%1 + m))"
+
+
+def test_a_run_that_does_not_change_is_kept():
+    th = theory("sl")
+    run = pc.parse_exp("a1." * 50 + "v", th)
+    assert substitute(run, {"u": ZERO}) is run
+    e = Op(None, (run, Var("u")))
+    assert substitute(e, {"u": ZERO}).args[0] is run
+    # a rewrite that leaves the node below a run as it is keeps the run; it
+    # enters the run's top, not its 52 other prefixes
+    keep = pc.parse_exp("a1." * 50 + "a2." * 3 + "(v + u)", th)
+    below = keep
+    for _ in range(53):
+        below = below.body
+    seen = []
+
+    def enter(node, ctx):
+        seen.append(node)
+        return node if type(node) is Var else None
+
+    assert syntax._rewrite(keep, enter) is keep
+    assert seen == [keep, below, Var("v"), Var("u")]
+
+
 def test_substitute_renames_a_shared_subterm_once():
     # the one place where the DAG walk and the tree walk differ: a subterm
     # that occurs twice and renames a binder is rewritten once
@@ -346,6 +515,24 @@ def test_substitute_walks_the_dag_not_the_tree(monkeypatch):
         assert r.args[0] is r.args[1]
         r = r.args[0]
     assert r is Prefix("fresh_dag_action", ZERO)
+
+
+def test_substitute_rewrites_each_prefix_of_shared_runs_once(monkeypatch):
+    # every suffix of a 200-prefix run, shortest first, joined by choices:
+    # the tree has 20,100 prefixes, the DAG 200, and each is rebuilt once
+    suffixes = [Var("x")]
+    for k in range(200):
+        suffixes.append(Prefix(f"shared{k % 3}", suffixes[-1]))
+    e = suffixes[0]
+    for t in suffixes[1:]:
+        e = Op(None, (e, t))
+    rebuilt = []
+    prefix_run = syntax._prefix_run
+    monkeypatch.setattr(syntax, "_prefix_run",
+                        lambda actions, body: rebuilt.extend(actions) or prefix_run(actions, body))
+    r = substitute(e, {"x": ZERO})
+    assert len(rebuilt) == 200
+    assert r is substitute_recursive(e, {"x": ZERO})
 
 
 def _deep(n, level):

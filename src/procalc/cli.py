@@ -118,7 +118,10 @@ def read_argv(argv):
         if action == "store_true":
             ns[word[2:]] = True
             continue
-        value = _value(kw, next(words, "-"))  # a missing value reads as an option
+        text = next(words, None)
+        if text is None:  # a missing value: argparse prints the usage error
+            return None
+        value = _value(kw, text)
         if value is None:
             return None
         if action == "append":

@@ -753,16 +753,6 @@ class NameUse:
             raise ParseError(f"undeclared action {name!r}", pos)
         self.actions.add(name)
 
-    def see_actions(self, names, positions):
-        """``see_action`` for each name at its position, in order; at once
-        when none of them can fail."""
-        if self.variables.isdisjoint(names) and (
-                self.declared is None or self.declared.issuperset(names)):
-            self.actions.update(names)
-        else:
-            for name, pos in zip(names, positions):
-                self.see_action(name, pos)
-
     def see_variable(self, name, pos):
         if name in self.actions:
             raise ParseError(f"{name!r} used both as action and variable", pos)
@@ -812,9 +802,9 @@ def _parse_exp_tokens(toks, theory, use):
                 if t[:1] not in _IDENT_START or t == "mu" or toks[j + 1] != ".":
                     break
                 j += 2
-            run = toks[i - 1:j:2]
-            use.see_actions(run, range(i - 1, j, 2))
-            stack.append(run)
+            for k in range(i - 1, j, 2):
+                use.see_action(toks[k], k)
+            stack.append(toks[i - 1:j:2])
             i = j
             continue
         else:

@@ -56,7 +56,7 @@ def test_reader_agrees_with_argparse_on_random_command_lines():
     # reader leaves to argparse
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    bad = ["xx", "ten", "1.5", "-5", "-x", "--", "--theory", "E9"]
+    bad = ["xx", "ten", "1.5", "-5", "-x", "-", "--", "--theory", "E9"]
     terms = ["a.0", "a.0 + b.0", "x=a.x", "1/2", "step", ""]
     noise = ["-a.0", "--the", "--form", "--ca", "--g", "--st", "--e", "--theory=cs", "--cap=5",
              "--format=json", "--", "-", "-h", "--help", "--bogus", "--exp", "star", "nope"]
@@ -92,6 +92,14 @@ def test_reader_agrees_with_argparse_on_random_command_lines():
     assert seen[False] >= 200 and seen[True] >= 200, seen
 
 
+@pytest.mark.parametrize("argv", [
+    ["step", "-"], ["equiv", "-", "a.0"], ["equiv", "-", "-"], ["step", "--actions", "-", "a.0"],
+    ["solve", "f", "--state", "-"], ["star", "estar", "E1", "--exp", "-", "--atoms", "-"],
+])
+def test_a_dash_word_is_read_as_a_value_like_argparse(argv):
+    assert read(argv) is not None
+
+
 def test_list_defaults_are_fresh_on_every_call():
     once = cli.read_argv(["star", "estar", "E1", "--exp", "e=a", "--exp", "f=b"])
     assert once.exp == ["e=a", "f=b"]
@@ -107,6 +115,9 @@ BAD = [
     ["step", "--format=xml", "a.0"], ["step", "--bogus", "a.0"], ["solve", "--state"],
     ["step", "--theory", "--gkat", "a.0"], ["--theory", "cs", "step", "a.0"],
     ["star", "--theory", "cs", "step", "a"],
+    ["step", "a.0", "--actions"], ["solve", "f", "--state"], ["star", "estar", "E1", "--exp"],
+    ["star", "estar", "E1", "--sigma"], ["star", "estar", "E1", "--tau"],
+    ["star", "estar", "E1", "--atoms"], ["step", "-", "--theory"],
 ]
 
 

@@ -132,8 +132,8 @@ _EDGE_TEXTS = ["'a", "1'", "a1'", "1a'", "a''", "a1''b", "12'x", "a.1'", "١'", 
 
 @pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
 def test_tokenize_agrees_with_match_loop(th):
-    # the token texts, the first bad character and its offset, and each
-    # token's offset as token_pos finds it again
+    # the token texts, the first bad character and its offset, each token's
+    # kind as token_kind reads it, and its offset as token_pos finds it again
     rng = random.Random(seed_for(th.id, 0x70C))
     texts = ["", " ", "\t\n ", "@", "a.0 @", "  a . 0  ", *_EDGE_TEXTS]
     for _ in range(200):
@@ -149,8 +149,9 @@ def test_tokenize_agrees_with_match_loop(th):
         if new[0] == "error":
             errors += 1
             continue
-        offsets = [t[2] for t in tokenize_by_match(text)]
-        assert [syntax.token_pos(text, k) for k in range(len(new))] == offsets, text
+        oracle = tokenize_by_match(text)
+        assert [syntax.token_kind(t) for t in new] == [t[0] for t in oracle], text
+        assert [syntax.token_pos(text, k) for k in range(len(new))] == [t[2] for t in oracle], text
     assert errors >= 100
     assert _tokens_or_error(tokenize, "a.0 @") == ("error", "unexpected character '@' (at 4)", 4)
     # the bad character is found before the parse error that precedes it

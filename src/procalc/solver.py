@@ -12,6 +12,8 @@ unknowns asked for and those they depend on.
 
 from __future__ import annotations
 
+import re
+
 from . import syntax
 from .semantics import Tick
 from .syntax import (Mu, Prefix, Record, Var, bound_vars, free_vars, fresh_name, substitute,
@@ -165,7 +167,7 @@ def parse_system(text, theory, actions=None):
             raise syntax.ParseError(f"expected 'x = term' in {line!r}")
         lhs, rhs = line.split("=", 1)
         x = lhs.strip()
-        if not x.isidentifier():
+        if x == "mu" or not re.fullmatch(syntax._IDENT, x):  # as the term parser reads a name
             raise syntax.ParseError(f"bad unknown {x!r}")
         variables.append(x)
         pending.append(rhs)

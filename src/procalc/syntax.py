@@ -25,13 +25,15 @@ it is complete.  The star fragment's parser is a loop of the same kind over
 the same tokens, and both read choice parameters with ``parse_param``.
 Terms are hash-consed DAGs.  ``post_order`` lists the nodes under a root
 that a caller still has to visit, children first, each once; the one-step
-semantics, the star fragment's walks, guardedness and the bound names are
-loops over it.  Substitution rewrites each (node, bindings) pair once per
-``substitute`` call, with an explicit stack (``_rewrite``) and one memo per
-set of bindings, keyed by node, that lives for that call only; a run of
-prefixes that must change is walked down in one loop and rebuilt by
-``_prefix_run``.  The printer builds each node's text once, with its own
-stack.
+semantics, the star fragment's walks, guardedness, the bound names, the
+printer (which builds each node's text once) and the zeroing step of
+guarded substitution are loops over it.  Substitution is one loop,
+``_subst``: it rewrites each (node, bindings) pair once per ``substitute``
+call, with an explicit stack and one memo per set of bindings, keyed by
+node, that lives for that call only; a run of prefixes that must change is
+walked down in one loop and rebuilt by ``_prefix_run``.  Guarded
+substitution turns the unguarded occurrences of its variable into ``0``
+and then calls ``substitute``.
 """
 
 from __future__ import annotations
@@ -80,7 +82,9 @@ class Interned:
     loop; the hot classes ``Var``, ``Prefix``, ``Op``, ``Mu`` and ``Leaf``
     have their own, which take the fields by name and also fill ``_free``,
     the free variables; ``Prefix``'s is ``_prefix_run`` over one action.
-    All of them enter a new node by ``_intern``.
+    All of them enter a new node by ``_intern``.  They are written out by
+    hand on purpose: one shared helper for their miss path measured slower
+    on every benchmark workload (ROADMAP item 2).
     """
 
     __slots__ = ("_text",)
@@ -222,19 +226,12 @@ class Frozen(Record):
 
 
 def cached_text(node):
-    """The printed text of an interned node, built once per node.  Children
-    are printed first, with an explicit stack, and keep their text too."""
+    """The printed text of an interned node, built once per node: the nodes
+    under it that have no text yet are printed children first, and keep
+    their text too."""
     if node._text is None:
-        stack = [node]
-        while stack:
-            n = stack[-1]
-            todo = [k for k in n._kids() if k._text is None]
-            if todo:
-                stack.extend(todo)
-                continue
-            stack.pop()
-            if n._text is None:
-                _set(n, "_text", n._render())
+        for n in post_order((node,), lambda n: n._text is None):
+            _set(n, "_text", n._render())
     return node._text
 
 
@@ -488,149 +485,101 @@ def substitute(e, bindings):
     return _subst(e, bindings)
 
 
+_KIDS = object()  # on _subst's stack: the children of the Op below are done
+
+
 def _subst(e, bindings):
-    """``substitute`` on the DAG under e, by ``_rewrite``.  A context is the
-    index of one set of bindings; equal sets share an index, so a node is
-    rewritten once per set that reaches it, however often the set is
-    rebuilt under a ``mu``.  A binder that would capture is renamed to a
-    fresh name, chosen in the order of a left-to-right walk of the tree;
-    the renaming joins the bindings of its body."""
-    table = [bindings]
+    """``substitute`` on the DAG under e, bottom-up with an explicit stack.
+
+    A context is the index of one set of bindings; equal sets share an
+    index, and each has one memo, keyed by node, so a node is rewritten once
+    per set that reaches it, however often the set is rebuilt under a
+    ``mu``.  A node whose free variables miss its bindings is kept, and any
+    other always changes.  A binder that would capture is renamed
+    to a fresh name, chosen in the order of a left-to-right walk of the
+    tree; the renaming joins the bindings of its body.  A ``Prefix`` takes
+    along the run of prefixes below it, which share its free variables: the
+    run is walked down in one loop, the node below it is rewritten, and
+    ``_prefix_run`` builds the run again over that."""
+    table, memos = [bindings], [{}]
     index = {frozenset(bindings.items()): 0}
     fresh = None  # the fresh binder names, set up at the first renaming
-
-    def enter(node, ctx):
-        nonlocal fresh
-        bnd = table[ctx]
-        if node._free.isdisjoint(bnd):
-            return node
-        cls = type(node)
-        if cls is Var:
-            return bnd[node.name]
-        if cls is Prefix or cls is Op:
-            return None
-        if cls is not Mu:
-            raise TypeError(f"not an expression: {node!r}")
-        u, body = node.var, node.body
-        fv = body._free
-        live = {v: f for v, f in bnd.items() if v != u and v in fv}
-        if not live:
-            return node
-        if any(u in f._free for f in live.values()):
-            if fresh is None:
-                fresh = _fresh_names(all_names(e, *bindings.values()))
-            u = next(fresh)
-            live[node.var] = Var(u)
-        key = frozenset(live.items())
-        sub = index.get(key)
-        if sub is None:
-            sub = index[key] = len(table)
-            table.append(live)
-        return u, body, sub
-
-    return _rewrite(e, enter)
-
-
-def guarded_subst_exp(e, g, v):
-    """Guarded syntactic substitution e[g//v]: unguarded occurrences of v
-    become 0, guarded ones (under a prefix) become g."""
-    fresh = None  # the fresh binder names, set up at the first renaming
-    under = {v: g}
-
-    def enter(node, ctx):
-        nonlocal fresh
-        cls = type(node)
-        if cls is Var:
-            return ZERO if node.name == v else node
-        if cls is Zero:
-            return node
-        if cls is Prefix:
-            return Prefix(node.action, substitute(node.body, under))
-        if cls is Op:
-            return None
-        if cls is not Mu:
-            raise TypeError(f"not an expression: {node!r}")
-        u, body = node.var, node.body
-        if u == v or v not in body._free:
-            return node
-        if u in g._free:
-            if fresh is None:
-                fresh = _fresh_names(all_names(e, g))
-            w = next(fresh)
-            body = substitute(body, {u: Var(w)})
-            u = w
-        return u, body, ctx
-
-    return _rewrite(e, enter)
-
-
-_ENTER, _KIDS = object(), object()  # the first and the second visit of a node on _rewrite's stack
-
-
-def _rewrite(root, enter):
-    """Rewrite the DAG under ``root`` bottom-up with an explicit stack, once
-    per (node, context) pair; the walk starts in context 0, and there is one
-    memo per context, keyed by node.
-
-    ``enter(node, ctx)`` decides each pair on its first visit.  It returns
-    the result itself; or None, to rebuild a ``Prefix`` or ``Op`` from its
-    children rewritten in the same context; or ``(var, body, ctx')``, to
-    build ``Mu(var, ·)`` over ``body`` rewritten in ``ctx'``.  Contexts are
-    numbered in the order ``enter`` first returns them.  Children are
-    entered left to right, as a recursive walk would.
-
-    A ``Prefix`` that ``enter`` rebuilds takes the run of prefixes below it
-    along: they share its free variables, so ``enter`` must decide a
-    ``Prefix`` by those alone, and it is not asked about them.  The run is
-    walked down in one loop, the node below it is rewritten, and
-    ``_prefix_run`` builds the run again over that."""
-    memos = [{}]
-    stack = [(root, 0, _ENTER)]
-    push, pop = stack.append, stack.pop
+    stack = [(e, 0, None)]
+    pop = stack.pop
     while stack:
         node, ctx, plan = pop()
         memo = memos[ctx]
-        if plan is _ENTER:
+        if plan is None:  # the first visit
             if node in memo:
                 continue
-            plan = enter(node, ctx)
-            if plan is None:
-                if type(node) is Prefix:  # a run's plan is its actions
-                    run, actions = [node], [node.action]
-                    below = node.body
-                    while type(below) is Prefix and below not in memo:
-                        run.append(below)
-                        actions.append(below.action)
-                        below = below.body
-                    push((run, ctx, actions))
-                    push((below, ctx, _ENTER))
-                else:
-                    l, r = node.args
-                    push((node, ctx, _KIDS))
-                    push((r, ctx, _ENTER))
-                    push((l, ctx, _ENTER))
-            elif type(plan) is tuple:
-                if plan[2] == len(memos):
+            bnd = table[ctx]
+            if node._free.isdisjoint(bnd):
+                memo[node] = node
+                continue
+            cls = type(node)
+            if cls is Var:
+                memo[node] = bnd[node.name]
+            elif cls is Prefix:  # a run's plan is its actions
+                run, actions = [node], [node.action]
+                below = node.body
+                while type(below) is Prefix and below not in memo:
+                    run.append(below)
+                    actions.append(below.action)
+                    below = below.body
+                stack += ((run, ctx, actions), (below, ctx, None))
+            elif cls is Op:
+                l, r = node.args
+                stack += ((node, ctx, _KIDS), (r, ctx, None), (l, ctx, None))
+            elif cls is Mu:
+                u, body = node.var, node.body
+                fv = body._free
+                live = {v: f for v, f in bnd.items() if v != u and v in fv}
+                if any(u in f._free for f in live.values()):
+                    if fresh is None:
+                        fresh = _fresh_names(all_names(e, *bindings.values()))
+                    u = next(fresh)
+                    live[node.var] = Var(u)
+                key = frozenset(live.items())
+                sub = index.get(key)
+                if sub is None:
+                    sub = index[key] = len(table)
+                    table.append(live)
                     memos.append({})
-                push((node, ctx, plan))
-                push((plan[1], plan[2], _ENTER))
+                stack += ((node, ctx, (u, sub)), (body, sub, None))
             else:
-                memo[node] = plan
+                raise TypeError(f"not an expression: {node!r}")
         elif plan is _KIDS:
             l, r = node.args
-            nl, nr = memo[l], memo[r]
-            memo[node] = node if nl is l and nr is r else Op(node.param, (nl, nr))
+            memo[node] = Op(node.param, (memo[l], memo[r]))
         elif type(plan) is list:  # node is the run, top first
-            below = node[-1].body
-            new = memo[below]
-            new = node[0] if new is below else _prefix_run(plan, new)
+            new = _prefix_run(plan, memo[node[-1].body])
             for old in node:
                 memo[old] = new
                 new = new.body
         else:
-            var, body, sub = plan
-            memo[node] = Mu(var, memos[sub][body])
-    return memos[0][root]
+            u, sub = plan
+            memo[node] = Mu(u, memos[sub][node.body])
+    return memos[0][e]
+
+
+def guarded_subst_exp(e, g, v):
+    """Guarded syntactic substitution e[g//v]: unguarded occurrences of v
+    become 0, guarded ones (under a prefix) become g.  One pass over the DAG
+    above the prefixes turns the first into 0; ``substitute`` then puts g
+    for the rest."""
+    zeroed = {}
+    for n in post_order((e,), lambda n: type(n) is not Prefix and v in n._free):
+        cls = type(n)
+        if cls is Var:
+            zeroed[n] = ZERO
+        elif cls is Op:
+            l, r = n.args
+            zeroed[n] = Op(n.param, (zeroed.get(l, l), zeroed.get(r, r)))
+        elif cls is Mu:
+            zeroed[n] = Mu(n.var, zeroed.get(n.body, n.body))
+        else:
+            raise TypeError(f"not an expression: {n!r}")
+    return substitute(zeroed.get(e, e), {v: g})
 
 
 # ---------------------------------------------------------------------------
@@ -640,9 +589,10 @@ def _rewrite(root, enter):
 _IDENT, _NUM = r"[A-Za-z_][A-Za-z0-9_']*", r"\d+"
 _TOKEN = re.compile(rf"{_IDENT}|{_NUM}|[+.()\[\]/;^*=]")
 # the first character that no token can start or continue: neither a token
-# character nor a space, or a quote with no identifier start before it in
-# its run of identifier characters
-_BAD = re.compile(r"[^A-Za-z0-9_'+.()\[\]/;^*=\s\d]|(?<![A-Za-z0-9_'])[0-9]*'")
+# character nor a space (_BAD), or a quote with no identifier start before
+# it in its run of identifier characters (_BAD_QUOTE, which ends there)
+_BAD = re.compile(r"[^A-Za-z0-9_'+.()\[\]/;^*=\s\d]")
+_BAD_QUOTE = re.compile(r"(?<![A-Za-z0-9_'])[0-9]*'")
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 GUARD_ATOM = re.compile(f"{_IDENT}|{_NUM}")  # what a guard ``[...]`` reads as one atom
 
@@ -659,8 +609,12 @@ def tokenize(text):
     token's kind is read from its first character (``token_kind``); its
     offset is found again only for an error (``token_pos``)."""
     bad = _BAD.search(text)
-    if bad is not None:
-        pos = bad.end() - 1  # a quote ends its match
+    pos = len(text) if bad is None else bad.start()
+    if "'" in text:  # a bad quote before pos
+        quote = _BAD_QUOTE.search(text, 0, pos)
+        if quote is not None:
+            pos = quote.end() - 1
+    if pos < len(text):
         raise ParseError(f"unexpected character {text[pos]!r}", pos)
     toks = _TOKEN.findall(text)
     toks.append("")

@@ -81,7 +81,7 @@ def sorted_gens(gens):
 
 class Axiom(Frozen):
     _fields = ("name", "lhs", "rhs", "side")
-    side = None  # "pq<1" for the nested convex re-association
+    side = None  # "pq<1" for CA4, whose ``pca4`` eval_param refuses for pq = 1
 
 
 def param_symbols(expr):
@@ -123,14 +123,6 @@ def eval_param(expr, env, atoms=None):
             raise TheoryError("re-association parameter undefined for pq = 1")
         return q * (1 - p) / (1 - p * q)
     raise TheoryError(f"unknown parameter expression {expr!r}")
-
-
-def axiom_side_ok(ax, env):
-    if ax.side is None:
-        return True
-    if ax.side == "pq<1":
-        return env["p"] * env["q"] != 1
-    raise TheoryError(f"unknown side condition {ax.side!r}")
 
 
 _X, _Y, _Z = Var("x"), Var("y"), Var("z")

@@ -23,9 +23,11 @@ plain recursion, equation systems by recursive elimination that
 back-substitutes every unknown, alpha-equivalence by a walk with binder
 environments, the printers by plain recursion with no per-node text
 cache, the tokenizer by one regex match per token, both parsers by
-recursive descent over a token cursor, substitution by a recursive walk of the tree, and the
-star fragment's translation, direct one-step map and derivatives by plain
-recursion.
+recursive descent over a token cursor, substitution by a recursive walk
+of the tree, guarded substitution by a walk with a binder-renaming rule
+of its own, axiom instances by instantiating a schema's right side, and
+the star fragment's translation, direct one-step map and derivatives by
+plain recursion.
 """
 
 import itertools
@@ -39,8 +41,8 @@ from masses import count_form, count_point, fraction_point
 from procalc.syntax import (_IDENT, _NUM, ZERO, Leaf, NameUse, Op, ParseError, all_names,
                             leaf_term, fresh_name, render_param)
 from procalc.theory import (CA_AXIOMS, CS_AXIOMS, ZERO_SUBDIST, Theory, TheoryError,
-                            canonical_convex_set, feasible, generator_key, in_lower_hull,
-                            sorted_gens, theory_from_json)
+                            canonical_convex_set, eval_param, feasible, generator_key,
+                            in_lower_hull, sorted_gens, theory_from_json)
 
 
 def _gauss_solve(rows, rhs):
@@ -530,6 +532,30 @@ class FractionConvexSemilattice(Theory):
         return t
 
 
+def instantiate_schema(schema, menv, penv, theory):
+    """An axiom side with its metavariables and parameter symbols replaced
+    by ``menv`` and ``penv``, each parameter checked by the theory.  The
+    proof checker matches both sides of a schema instead."""
+    if isinstance(schema, pc.Var):
+        return menv[schema.name]
+    if isinstance(schema, pc.Zero):
+        return schema
+    param = None
+    if schema.param is not None:
+        param = eval_param(schema.param, penv, theory.atoms)
+        theory.check_param(param)
+    return Op(param, tuple(instantiate_schema(s, menv, penv, theory) for s in schema.args))
+
+
+def axiom_side_ok(ax, env):
+    """An axiom's side condition under the parameter assignment ``env``."""
+    if ax.side is None:
+        return True
+    if ax.side == "pq<1":
+        return env["p"] * env["q"] != 1
+    raise TheoryError(f"unknown side condition {ax.side!r}")
+
+
 def u_set(e):
     """Syntactic over-approximation of the reachable expressions."""
     if isinstance(e, (pc.Var, pc.Zero)):
@@ -1011,6 +1037,47 @@ def _subst(e, bnd, avoid):
             u = w
         return pc.Mu(u, _subst(body, live, avoid))
     raise TypeError(f"not an expression: {e!r}")
+
+
+def guarded_subst_renaming(e, g, v):
+    """Guarded substitution e[g//v] by a recursive walk above the prefixes
+    with a renaming rule of its own: a binder u with u free in g is renamed
+    whenever v is free in its body, even where every occurrence of v there
+    is unguarded, and the body of each prefix goes to ``substitute``, which
+    counts its fresh names afresh.  A node is rewritten once (a memo keyed
+    by node), as the DAG walk it replaces did.  Oracle for
+    ``syntax.guarded_subst_exp``, which zeroes the unguarded occurrences
+    first and makes one ``substitute`` call."""
+    avoid = all_names(e, g)
+    fresh = (w for w in map("%{}".format, itertools.count()) if w not in avoid)
+    memo = {}
+
+    def walk(n):
+        if n in memo:
+            return memo[n]
+        if isinstance(n, pc.Var):
+            out = ZERO if n.name == v else n
+        elif isinstance(n, (pc.Zero, Leaf)):
+            out = n
+        elif isinstance(n, pc.Prefix):
+            out = pc.Prefix(n.action, pc.substitute(n.body, {v: g}))
+        elif isinstance(n, Op):
+            out = Op(n.param, tuple(walk(a) for a in n.args))
+        elif isinstance(n, pc.Mu):
+            u, body = n.var, n.body
+            if u == v or v not in pc.free_vars(body):
+                out = n
+            else:
+                if u in pc.free_vars(g):
+                    u = next(fresh)
+                    body = pc.substitute(body, {n.var: pc.Var(u)})
+                out = pc.Mu(u, walk(body))
+        else:
+            raise TypeError(f"not an expression: {n!r}")
+        memo[n] = out
+        return out
+
+    return walk(e)
 
 
 def translate_recursive(s):

@@ -3,11 +3,17 @@
 import glob
 import json
 import os
+import random
 
 import pytest
 
 import procalc as pc
-from procalc.axioms import ProofStep, Proof, check_proof
+from procalc.axioms import ProofStep, Proof, _match, axiom_instance, check_proof
+from procalc.syntax import ZERO, Mu, Op, Prefix, Var
+from procalc.theory import TheoryError
+
+from gen import ALL_THEORIES, rand_exp, rand_param, seed_for
+from oracles import axiom_side_ok, instantiate_schema
 
 PROOF_DIR = os.path.join(os.path.dirname(__file__), "proofs")
 PROOF_FILES = sorted(glob.glob(os.path.join(PROOF_DIR, "*.json")))
@@ -164,6 +170,71 @@ def test_reject_ca4_side_condition():
                   name="CA4"),
     ])
     assert not check_proof(p)
+
+
+@pytest.mark.parametrize("inner", ["0", "1/2", "1"])
+def test_reject_ca4_with_pq_one_in_either_orientation(inner):
+    # pca4 is undefined for p = q = 1, so no inner parameter on the
+    # re-associated side makes an instance, whichever side comes first
+    lhs, rhs = "(u +[1] v) +[1] w", f"u +[1] (v +[{inner}] w)"
+    for a, b in ((lhs, rhs), (rhs, lhs)):
+        v = check_proof(mk("ca", (a, b), lambda t: [ProofStep("axiom", t(a), t(b), name="CA4")]))
+        assert not v and v.reason == "not an instance of CA4" and v.step == 1
+
+
+def _instance_by_instantiating(ax, lhs, rhs, theory):
+    """The checker's former rule: match the schema's left side, check the
+    side condition, and compare the instantiated right side."""
+    for a, b in ((lhs, rhs), (rhs, lhs)):
+        menv, penv = {}, {}
+        if not _match(ax.lhs, a, menv, penv, theory):
+            continue
+        try:
+            if axiom_side_ok(ax, penv) and instantiate_schema(ax.rhs, menv, penv, theory) == b:
+                return True
+        except TheoryError:
+            continue
+    return False
+
+
+@pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
+def test_axiom_instance_agrees_with_instantiating_oracle(th):
+    # pairs of an Op term with an instance of an axiom at it, with another
+    # axiom's instance, with such an instance under another top parameter,
+    # and with a random term
+    rng = random.Random(seed_for(th.id, 0xA41))
+    instances = 0
+    for _ in range(400):
+        e = Op(rand_param(th, rng), (rand_exp(th, rng, depth=2), rand_exp(th, rng, depth=2)))
+        others = [rand_exp(th, rng, depth=3)]
+        for ax in th.axioms:
+            menv, penv = {}, {}
+            if _match(ax.lhs, e, menv, penv, th) and axiom_side_ok(ax, penv):
+                try:
+                    inst = instantiate_schema(ax.rhs, menv, penv, th)
+                except TheoryError:
+                    continue
+                others.append(inst)
+                if type(inst) is Op:
+                    others.append(Op(rand_param(th, rng), inst.args))
+        for ax in th.axioms:
+            for other in others:
+                old = _instance_by_instantiating(ax, e, other, th)
+                assert axiom_instance(ax, e, other, th) == old, (ax.name, e, other)
+                assert axiom_instance(ax, other, e, th) == old
+                instances += old
+    assert instances >= 100
+
+
+def test_r1_keeps_a_binder_whose_body_holds_v_only_unguarded():
+    # v becomes 0 under mu u, so the unfolding's free u is not captured there
+    # and u needs no renaming; the line with mu %0 is alpha-equivalent
+    lhs, rhs = "mu v. (mu u. (v + a.u)) + b.u", "(mu u. (0 + a.u)) + b.u"
+    assert check_proof(mk("sl", (lhs, rhs), lambda t: [ProofStep("r1", t(lhs), t(rhs))]))
+    p = mk("sl", (lhs, rhs), lambda t: [ProofStep("r1", t(lhs), t(rhs))])
+    renamed = Op(None, (Mu("%0", Op(None, (ZERO, Prefix("a", Var("%0"))))), Prefix("b", Var("u"))))
+    v = check_proof(Proof(p.theory, (p.goal[0], renamed), [ProofStep("r1", p.goal[0], renamed)]))
+    assert not v and v.reason == "not a fixpoint unfolding"
 
 
 def test_verdict_reports_first_bad_line():

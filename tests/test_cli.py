@@ -309,6 +309,17 @@ def test_prove_exit_codes(tmp_path):
     assert r.stdout.startswith("rejected at step 1")
 
 
+def test_prove_accepts_an_unfolding_that_renames_no_binder(tmp_path):
+    # r1 on mu v. (mu u. (v + a.u)) + b.u: v is unguarded under mu u, so
+    # the unfolding keeps the binder u
+    lhs, rhs = "mu v. (mu u. (v + a.u)) + b.u", "(mu u. (0 + a.u)) + b.u"
+    proof = tmp_path / "r1.json"
+    proof.write_text(json.dumps({"theory": "sl", "goal": [lhs, rhs],
+                                 "steps": [{"rule": "r1", "lhs": lhs, "rhs": rhs}]}))
+    r = run("prove", str(proof))
+    assert (r.returncode, r.stdout, r.stderr) == (0, "accepted\n", "")
+
+
 def test_parse_error_exit_code():
     r = run("step", "a. + v")
     assert r.returncode == 1 and r.stderr.startswith("error:")

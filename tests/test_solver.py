@@ -326,6 +326,16 @@ def test_empty_system_rejected():
         pc.parse_system("# comment\n", theory("sl"))
 
 
+def test_unknowns_are_the_names_the_term_parser_reads():
+    # a quote continues a name, as in ``mu x'. a.x'``; a non-ASCII letter
+    # and ``mu`` are no names, and would print text that does not parse
+    assert run_cli(["solve", "{file}"], "x' = a.x'\n") == {
+        "stdout": "x' = mu x'. a.x'\n", "stderr": "", "code": 0}
+    for x in ("é", "mu", "1x", "x-y"):
+        assert run_cli(["solve", "{file}"], f"{x} = a.0\n") == {
+            "stdout": "", "stderr": f"error: bad unknown {x!r}\n", "code": 1}
+
+
 def test_solve_deep_chain():
     # s_i = a.s_{i+1} + b.s0: the solution of s1 nests 199 mu-binders
     n = 200

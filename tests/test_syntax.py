@@ -1,6 +1,7 @@
 """Parser, printer, variable analysis, guardedness, substitution."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,8 +14,8 @@ from procalc.syntax import (Mu, Op, ParseError, Prefix, Var, ZERO,
                             unparse, substitute)
 
 from gen import ACTIONS, ALL_THEORIES, OUTVARS, rand_exp, rand_param, rand_sexp, seed_for, theory
-from oracles import (alpha_eq, is_guarded_recursive, parse_exp_recursive, parse_sexp_recursive,
-                     substitute_recursive, tokenize_by_match)
+from oracles import (alpha_eq, guarded_subst_renaming, is_guarded_recursive, parse_exp_recursive,
+                     parse_sexp_recursive, substitute_recursive, tokenize_by_match)
 
 F = Fraction
 
@@ -127,7 +128,9 @@ def _match_loop_texts(text):
 # quotes, digits and non-ASCII characters at the edges of identifiers and numbers
 _EDGE_TEXTS = ["'a", "1'", "a1'", "1a'", "a''", "a1''b", "12'x", "a.1'", "١'", "a١'", "١a'",
                "a\u00a0.\u00a00", "\u00a0", "\u00e9", "a.\u00e9", "caf\u00e9.0", "a.+ @",
-               "a.0 +[\u0661/\u0662] b.0", "x1 ' y", "a'.b'.0", "_'", "_1'.0"]
+               "a.0 +[\u0661/\u0662] b.0", "x1 ' y", "a'.b'.0", "_'", "_1'.0",
+               # a bad character and a bad quote: the first one is reported
+               "@ 'a", "a.\u00e9 1'", "'a @", "1' \u00e9", "a' @ 'b"]
 
 
 @pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
@@ -136,12 +139,14 @@ def test_tokenize_agrees_with_match_loop(th):
     # kind as token_kind reads it, and its offset as token_pos finds it again
     rng = random.Random(seed_for(th.id, 0x70C))
     texts = ["", " ", "\t\n ", "@", "a.0 @", "  a . 0  ", *_EDGE_TEXTS]
+    bad = "@#$!&'\u00a0\u00e9\u0663"
     for _ in range(200):
         text = rng.choice([unparse(rand_exp(th, rng, depth=4)),
                            pc.unparse_sexp(rand_sexp(th, rng, depth=3))])
-        at = rng.randrange(len(text) + 1)
+        at, to = sorted(rng.randrange(len(text) + 1) for _ in range(2))
         texts += [text, text + rng.choice([" ", "  \n", "\t"]),
-                  text[:at] + rng.choice("@#$!&'\u00a0\u00e9\u0663") + text[at:]]
+                  text[:at] + rng.choice(bad) + text[at:],
+                  text[:at] + rng.choice(bad) + text[at:to] + rng.choice(bad) + text[to:]]
     errors = 0
     for text in texts:
         new = _tokens_or_error(tokenize, text)
@@ -464,20 +469,6 @@ def test_a_run_that_does_not_change_is_kept():
     assert substitute(run, {"u": ZERO}) is run
     e = Op(None, (run, Var("u")))
     assert substitute(e, {"u": ZERO}).args[0] is run
-    # a rewrite that leaves the node below a run as it is keeps the run; it
-    # enters the run's top, not its 52 other prefixes
-    keep = pc.parse_exp("a1." * 50 + "a2." * 3 + "(v + u)", th)
-    below = keep
-    for _ in range(53):
-        below = below.body
-    seen = []
-
-    def enter(node, ctx):
-        seen.append(node)
-        return node if type(node) is Var else None
-
-    assert syntax._rewrite(keep, enter) is keep
-    assert seen == [keep, below, Var("v"), Var("u")]
 
 
 def test_substitute_renames_a_shared_subterm_once():
@@ -601,6 +592,68 @@ def test_guarded_subst_agrees_when_guarded():
             n += 1
             assert guarded_subst_exp(e, g, "u") == substitute(e, {"u": g})
     assert n > 10
+
+
+def _has_guarded(v, e, guarded=False):
+    """Whether v occurs free in e under an action prefix."""
+    if type(e) is Var:
+        return guarded and e.name == v
+    if type(e) is Prefix:
+        return _has_guarded(v, e.body, True)
+    if type(e) is Mu:
+        return e.var != v and _has_guarded(v, e.body, guarded)
+    return type(e) is Op and any(_has_guarded(v, a, guarded) for a in e.args)
+
+
+def _renames_needlessly(e, g, v):
+    """Whether a binder of e above its prefixes captures a free name of g
+    although v occurs in its body, but only unguarded: the renaming walk
+    renames it, and zeroing v leaves nothing to capture."""
+    if type(e) is Op:
+        return any(_renames_needlessly(a, g, v) for a in e.args)
+    if type(e) is not Mu or e.var == v or v not in free_vars(e.body):
+        return False
+    if e.var in free_vars(g) and not _has_guarded(v, e.body):
+        return True
+    return _renames_needlessly(e.body, g, v)
+
+
+@pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
+def test_guarded_subst_agrees_with_renaming_walk(th):
+    # the same term up to alpha, and the same text unless the walk renamed a
+    # binder needlessly or the result has two renamed binders: the walk
+    # counts fresh names afresh under each prefix, substitute once over the
+    # whole term
+    rng = random.Random(seed_for(th.id, 0x6A7))
+    kept = needless = 0
+    for _ in range(2000):
+        e = rand_exp(th, rng, depth=rng.randint(3, 6))
+        v = rng.choice(OUTVARS)
+        m = Var(rng.choice(("m1", "m2", "m3")))  # free in g, so binders of e capture it
+        g = Prefix("a1", m) if rng.random() < 0.5 else Mu(v, Op(rand_param(th, rng), (e, m)))
+        old, new = guarded_subst_renaming(e, g, v), guarded_subst_exp(e, g, v)
+        assert alpha_eq(new, old), (unparse(e), unparse(g), v)
+        if _renames_needlessly(e, g, v):
+            needless += 1
+        elif len(set(re.findall(r"mu (%\d+)", unparse(new)))) < 2:
+            assert new is old, (unparse(e), unparse(g), v)
+            kept += "%" in unparse(new)
+    assert kept >= 20 and needless >= 5
+
+
+def test_guarded_subst_renames_no_binder_that_only_holds_v_unguarded():
+    th = theory("sl")
+    e = pc.parse_exp("(mu u. (v + a.u)) + b.u", th)
+    g = Mu("v", e)
+    assert unparse(guarded_subst_renaming(e, g, "v")) == "(mu %0. 0 + a.%0) + b.u"
+    assert unparse(guarded_subst_exp(e, g, "v")) == "(mu u. 0 + a.u) + b.u"
+    # renamings under two prefixes take %0 and %1 from one count
+    e = pc.parse_exp("a.(mu u. b.(v + u)) + c.(mu u. d.(v + u))", th)
+    g = pc.parse_exp("e.u", th)
+    assert unparse(guarded_subst_renaming(e, g, "v")) == (
+        "a.(mu %0. b.(e.u + %0)) + c.(mu %0. d.(e.u + %0))")
+    assert unparse(guarded_subst_exp(e, g, "v")) == (
+        "a.(mu %0. b.(e.u + %0)) + c.(mu %1. d.(e.u + %1))")
 
 
 def test_fresh_name():

@@ -10,18 +10,18 @@ import pytest
 
 import procalc as pc
 from procalc import ZERO, Leaf, Op, Var, cli, step
-from procalc.theory import (TheoryError, ZERO_SUBDIST, axiom_side_ok, eval_param,
-                            generator_key, in_lower_hull, param_family, param_symbols,
-                            sorted_gens, theory_from_json)
+from procalc.theory import (TheoryError, ZERO_SUBDIST, eval_param, generator_key,
+                            in_lower_hull, param_family, param_symbols, sorted_gens,
+                            theory_from_json)
 
 from gen import ALL_THEORIES, ATOMS, rand_exp, rand_guard, rand_param, rand_prob, theory
 from masses import count_form, count_point, fraction_point
-from oracles import (ca_nf_flatten_validating, ca_nf_map_validating, ca_op_apply_validating,
-                     ca_term_of_nf_sorted, canonical_convex_set_lp, cm_bind_counter, cm_counter,
-                     cm_nf_map_counter, cm_op_apply_counter, convex_member_bruteforce,
-                     cs_edges_sorted, cs_nf_flatten_validating, cs_nf_map_validating,
-                     cs_op_apply_validating, cs_term_of_nf_sorted, generator_key_by_isinstance,
-                     nf_flatten)
+from oracles import (axiom_side_ok, ca_nf_flatten_validating, ca_nf_map_validating,
+                     ca_op_apply_validating, ca_term_of_nf_sorted, canonical_convex_set_lp,
+                     cm_bind_counter, cm_counter, cm_nf_map_counter, cm_op_apply_counter,
+                     convex_member_bruteforce, cs_edges_sorted, cs_nf_flatten_validating,
+                     cs_nf_map_validating, cs_op_apply_validating, cs_term_of_nf_sorted,
+                     generator_key_by_isinstance, nf_flatten)
 
 F = Fraction
 

@@ -12,7 +12,13 @@ a theory.  It is computed bottom-up, in one loop over ``syntax.post_order``,
 so a term's depth is no limit.  ``reachable`` keeps one memo for its whole
 exploration and steps each distinct subterm once: the states under one
 ``mu`` share its unfolding instead of substituting the fixpoint into its
-body again at every state.
+body again at every state.  Two rules spare most of that work, and both
+are exact.  A node whose children are already stepped is evaluated by its
+rule at once, with no walk; in an exploration that is the common case,
+since a state's subterms are mostly states stepped before.  And ``mu x. t``
+with ``x`` not free in ``t`` steps as ``t``: every output and step target
+of ``t``'s normal form has its free variables among ``t``'s, so guarded
+substitution would leave each of them as it is.
 
 A prefix state ``a.t`` steps to the unit of ``a.t``, and the unit is
 natural: its pushforward along any map ``f`` is the unit of ``f(a.t)``.  So
@@ -25,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .syntax import (_TABLE, Frozen, Interned, Leaf, Mu, Op, Prefix, Record, Var, Zero,
+from .syntax import (_TABLE, Exp, Frozen, Interned, Leaf, Mu, Op, Prefix, Record, Var, Zero,
                      _intern, _set, cached_text, is_name, post_order, substitute, unparse)
 from .theory import (MAX_JSON_DEPTH, TheoryError, exact_fraction, generator_key,
                      read_json, sorted_gens, theory_from_json)
@@ -95,19 +101,42 @@ def step(e, theory, memo=None):
     normal forms.  The nodes under ``e`` that it lacks are stepped children
     first and added to it, so a caller that steps many terms sharing
     subterms (``reachable``) steps each of them once.  The other nodes step
-    in constant time and are not memoised."""
+    in constant time and are not memoised.  A node whose children are all
+    stepped is evaluated by its rule at once; only one with a pending child
+    takes a ``post_order`` walk.
+
+    ``mu x. t`` unfolds by `gsubst_bm`, unless ``x`` is not free in ``t``:
+    then it steps as ``t``.  That is exact, because the outputs and step
+    targets of ``t``'s normal form have their free variables among ``t``'s,
+    so there is no output ``x`` to make deadlock and no target to put the
+    fixpoint into.  A ``Leaf`` counts as closed here, as in its ``_free``,
+    in ``substitute`` and in ``unguarded_vars``: a binder whose variable
+    occurs only in the target of a ``Leaf``'s generator steps as its body,
+    and that target is kept as it is."""
     if memo is None:
         memo = {}
 
     def pending(n):
         return (type(n) is Op or type(n) is Mu) and n not in memo
 
-    for n in post_order((e,), pending) if pending(e) else ():
-        if type(n) is Op:
-            memo[n] = theory.op_apply(n.param, [_stepped(a, theory, memo) for a in n.args])
+    if pending(e):
+        if any(map(pending, e._kids())):
+            for n in post_order((e,), pending):
+                memo[n] = _rule(n, theory, memo)
         else:
-            memo[n] = gsubst_bm(_stepped(n.body, theory, memo), n, n.var, theory)
+            memo[e] = _rule(e, theory, memo)
     return _stepped(e, theory, memo)
+
+
+def _rule(n, theory, memo):
+    """The normal form of the choice or recursion node ``n``, whose children
+    are stepped: its theory operation on theirs, or its unfolding."""
+    if type(n) is Op:
+        return theory.op_apply(n.param, [_stepped(a, theory, memo) for a in n.args])
+    nf = _stepped(n.body, theory, memo)
+    if n.var not in n.body._free:  # vacuous: nothing to substitute
+        return nf
+    return gsubst_bm(nf, n, n.var, theory)
 
 
 def _stepped(e, theory, memo):
@@ -127,13 +156,14 @@ def _stepped(e, theory, memo):
 
 def gsubst_bm(nf, g, v, theory):
     """Guarded substitution on behaviours: the output ``Var(v)`` becomes
-    deadlock, step targets get g substituted for v."""
+    deadlock, step targets get g substituted for v.  A target that is not
+    an expression (a state id) has no variables and is kept."""
     out = Var(v)
 
     def leaf(t):
         if t is out:
             return theory.bottom()
-        if isinstance(t, Step):
+        if type(t) is Step and isinstance(t.target, Exp):
             return theory.unit(Step(t.action, substitute(t.target, {v: g})))
         return theory.unit(t)
 

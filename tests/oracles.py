@@ -15,6 +15,7 @@ the ``ca`` / ``cs`` term readings and the ``cs`` edges by sorting with
 ``sorted_gens`` and one fraction division per generator,
 generator sort keys by a chain of ``isinstance`` tests,
 the syntactic U(e) over-approximation of the reachable state set,
+the one-step map by one walk per term that unfolds every binder,
 reachable coalgebras by stepping every state with no memo shared between
 states, the union of two such coalgebras with every state named,
 bisimilarity by greatest-fixpoint refinement of a relation and by Moore
@@ -37,9 +38,10 @@ from collections import Counter
 from fractions import Fraction
 
 import procalc as pc
+from procalc import semantics
 from masses import count_form, count_point, fraction_point
 from procalc.syntax import (_IDENT, _NUM, ZERO, Leaf, NameUse, Op, ParseError, all_names,
-                            leaf_term, fresh_name, render_param)
+                            leaf_term, fresh_name, post_order, render_param)
 from procalc.theory import (CA_AXIOMS, CS_AXIOMS, ZERO_SUBDIST, Theory, TheoryError,
                             canonical_convex_set, eval_param, feasible, generator_key,
                             in_lower_hull, sorted_gens, theory_from_json)
@@ -611,6 +613,27 @@ def reachable_union(e1, e2, theory, cap=10000, stepper=pc.step):
     c1, c2 = (reachable_unmemoised(e, theory, stepper, cap, name)
               for e, name in ((e1, "as"), (e2, "bs")))
     return pc.Coalgebra(theory, c1.states + c2.states, {**c1.structure, **c2.structure})
+
+
+def step_walk(e, theory, memo=None):
+    """The one-step map as one ``post_order`` walk over every choice and
+    recursion node under ``e`` that ``memo`` lacks, each ``mu`` unfolded by
+    ``gsubst_bm`` whether or not its variable occurs; oracle for ``step``,
+    which evaluates a node with stepped children at once and steps a
+    vacuous ``mu`` as its body."""
+    if memo is None:
+        memo = {}
+
+    def pending(n):
+        return isinstance(n, (pc.Op, pc.Mu)) and n not in memo
+
+    for n in post_order((e,), pending) if pending(e) else ():
+        if isinstance(n, pc.Op):
+            memo[n] = theory.op_apply(n.param, [semantics._stepped(a, theory, memo)
+                                                for a in n.args])
+        else:
+            memo[n] = pc.gsubst_bm(semantics._stepped(n.body, theory, memo), n, n.var, theory)
+    return semantics._stepped(e, theory, memo)
 
 
 def naive_bisim_relation(c):

@@ -9,15 +9,15 @@ from fractions import Fraction
 import pytest
 
 import procalc as pc
-from procalc import semantics
+from procalc import cli, semantics
 from procalc.semantics import StateCapExceeded, Tick, disjoint_union
 from procalc.theory import ZERO_SUBDIST, TheoryError
 
-from gen import (ALL_THEORIES, rand_coalgebra, rand_exp, rand_guarded_exp,
+from gen import (ALL_THEORIES, rand_coalgebra, rand_exp, rand_guarded_exp, rand_param,
                  rand_sexp, rand_sterm, seed_for, theory)
 from masses import count_point, fraction_point
 from oracles import (axiom_side_ok, coalgebra_from_dict_by_step, instantiate_schema, reachable_union,
-                     reachable_unmemoised, u_set)
+                     reachable_unmemoised, step_walk, u_set)
 
 F = Fraction
 
@@ -259,6 +259,87 @@ def test_gs_unfolding_rewrites_its_target_once(atoms, monkeypatch):
     monkeypatch.setattr(syntax, "_subst", lambda *a: calls.append(a[0]) or subst(*a))
     assert len(pc.reachable(e, th).states) == 101
     assert len(calls) == 1
+
+
+def _walk_terms(th, rng):
+    """``tests/gen.py`` terms, some under a vacuous binder (``mu z. t``) and
+    some under two binders of one of their free variables, the outer one
+    shadowed (``mu x. mu x. t``)."""
+    for _ in range(30):
+        t = rand_exp(th, rng, depth=4)
+        yield t
+        yield pc.Mu("z", t)
+        for x in sorted(t._free)[:1]:
+            yield pc.Mu(x, pc.Mu(x, t))
+        yield pc.Op(rand_param(th, rng), (pc.Mu("z", pc.Mu("z", t)), rand_exp(th, rng, depth=3)))
+
+
+def _explored(e, th, stepper):
+    """``_explore`` from ``e`` and its memo, or the error it raised.  Each
+    state's successor positions follow its generators in set order, which
+    equal normal forms built apart need not share, so they are sorted."""
+    memos = []
+
+    def keep_memo(x, theory, memo):
+        memos[:] = [memo]
+        return stepper(x, theory, memo)
+
+    try:
+        order, index, raw, succ = semantics._explore((e,), th, 2000, keep_memo)
+    except StateCapExceeded as err:
+        return str(err), memos
+    return (order, index, raw, [sorted(targets) for targets in succ]), memos
+
+
+def _lts_text(c, capsys):
+    for fmt in ("text", "json"):
+        cli._emit_coalgebra(c, fmt)
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
+def test_step_agrees_with_one_walk_per_term(th, capsys):
+    # step evaluates a node with stepped children at once and steps a
+    # vacuous mu as its body; the oracle walks and unfolds every binder
+    rng = random.Random(seed_for(th.id, 2801))
+    for e in _walk_terms(th, rng):
+        assert pc.step(e, th) == step_walk(e, th)
+        # one memo shared over an exploration, as reachable and equiv keep it
+        assert _explored(e, th, pc.step) == _explored(e, th, step_walk)
+        if not e._free:
+            c, o = pc.reachable(e, th, 2000), pc.reachable(e, th, 2000, step_walk)
+            assert _lts_text(c, capsys) == _lts_text(o, capsys)
+
+
+@pytest.mark.parametrize("name", sorted(CYC_OPS))
+def test_equiv_unfolds_one_binder_per_cyc_side(name, monkeypatch):
+    # only x0 occurs in cyc(n): unfolding the 13 vacuous inner binders too
+    # made 14 gsubst_bm calls per side, and every state's children are
+    # stepped before it, so no state takes a post_order walk
+    th = theory(name)
+    text = cyc(14, CYC_OPS[name])
+    e, f = (pc.parse_exp(t, th) for t in (text, text.replace("mu x", "mu y").replace("(x0", "(y0")))
+    unfolded, walks = [], []
+    gsubst_bm, post_order = semantics.gsubst_bm, semantics.post_order
+    monkeypatch.setattr(semantics, "gsubst_bm", lambda *a: unfolded.append(a[2]) or gsubst_bm(*a))
+    monkeypatch.setattr(semantics, "post_order", lambda *a: walks.append(a) or post_order(*a))
+    assert pc.equivalent(e, f, th).equivalent
+    assert unfolded == ["x0", "y0"]
+    assert walks == []
+
+
+@pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
+def test_a_state_id_target_is_kept_under_a_binder(th):
+    # substituting into the state id "s1" raised AttributeError
+    s1 = pc.Step("a", "s1")
+    param = pc.parse_exp(f"u {CYC_OPS[th.id]} v", th).param
+    either = pc.Op(param, (pc.Var("x"), pc.Leaf(s1)))
+    g = pc.Mu("x", either)
+    want = th.op_apply(param, [th.bottom(), th.unit(s1)])
+    assert pc.step(pc.Mu("x", pc.Leaf(s1)), th) == th.unit(s1)
+    assert pc.step(g, th) == want
+    assert pc.gsubst_bm(th.unit(s1), g, "x", th) == th.unit(s1)
+    assert pc.gsubst_bm(pc.step(either, th), g, "x", th) == want
 
 
 def _cyc_nodes(n, var="x"):

@@ -16,9 +16,9 @@ _EXPORTS = {  # module -> the names procalc exports from it
     "solver": "EqSystem associated_system solve check_solution synthesize parse_system "
               "UnguardedSystem",
     "axioms": "check_proof parse_proof load_proof Proof ProofStep Verdict",
-    "star": "SExp SZero SOne SAct SChoice SSeq SStar SZERO SONE parse_sexp unparse_sexp "
-            "translate lstep star_reachable star_equivalent is_guarded_star "
-            "check_estar_instance partial_derivative output_guard tick_mass UNIT_VAR",
+    "star": "SExp SOne SAct SSeq SStar SONE parse_sexp translate star_reachable "
+            "is_guarded_star check_estar_instance partial_derivative output_guard tick_mass "
+            "UNIT_VAR",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 _SUBMODULES = {*_EXPORTS, "cli"}

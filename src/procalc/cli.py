@@ -224,33 +224,31 @@ def run(argv=None):
     _read_stdin(args)
     theory = _theory(args)
     actions = _actions(args)
-    # step, lts and equiv read either grammar: its parser and one-step map
+    # step, lts and equiv read either grammar with its parser
     command = args.command
     if command == "star":
         from . import star
         command = args.star_command
         if command in ("estar", "deriv"):
             return run_star(args, theory, actions)
-        stepper = star.lstep
         parse = functools.partial(star.parse_sexp, theory=theory, gkat=args.gkat, actions=actions)
     else:
-        stepper = semantics.step
         use = syntax.NameUse(actions)  # equiv's two terms share it
         parse = functools.partial(syntax.parse_exp, theory=theory, names=use)
 
     if command == "step":
-        _emit_nf(stepper(parse(args.term), theory), theory, args.format)
+        _emit_nf(semantics.step(parse(args.term), theory), theory, args.format)
         return 0
 
     if command == "lts":
-        c = semantics.reachable(parse(args.term), theory, args.cap, stepper)
+        c = semantics.reachable(parse(args.term), theory, args.cap)
         _emit_coalgebra(c, args.format)
         return 0
 
     if command == "equiv":
         from . import equivalence
         e1, e2 = parse(args.term1), parse(args.term2)
-        cert = equivalence.check_terms(e1, e2, theory, args.cap, stepper)
+        cert = equivalence.equivalent(e1, e2, theory, args.cap)
         msg = ("equivalent: " if cert.equivalent else "not equivalent: ") + cert.detail
         if args.command == "star" and not cert.equivalent:
             # where weights are masses, the termination masses explain the split
@@ -336,7 +334,7 @@ def run_star(args, theory, actions):
             shown = "yes" if guard else "no"
         else:
             shown = "{" + " ".join(sorted(guard)) + "}"
-        print(f"derivative: {star.unparse_sexp(d)}")
+        print(f"derivative: {syntax.unparse(d)}")
         print(f"outputs: {shown}")
         return 0
 

@@ -14,7 +14,7 @@ split, which ``check_states`` reports, is the least depth of such a formula.
 States are positions 0, 1, ... and refinement never names them.  They come
 in sides: a side is a run of consecutive positions whose normal forms name
 their step targets by keys of one dict, from key to position within the
-side.  ``check_terms`` refines the two explorations of its terms as they
+side.  ``equivalent`` refines the two explorations of its terms as they
 are, with step targets that are terms; ``check_states`` and
 ``bisim_partition`` refine the exploration of a loaded coalgebra from all
 its states, with its structure as the one-step map: one side keyed by
@@ -176,13 +176,13 @@ def check_states(c, s1, s2):
     return _certificate(c.theory, sides, succ, index[s1], index[s2], c.states.__getitem__)
 
 
-def check_terms(e, f, theory, cap, stepper):
-    """Bisimilarity of two terms, each explored by the one-step map
-    ``stepper`` up to ``cap`` states, with a certificate that calls the
-    states of ``e`` ``as0``, ``as1``, ... and those of ``f`` ``bs0``, ...
-    in breadth-first order."""
-    order1, index1, nfs1, succ1 = _explore((e,), theory, cap, stepper)
-    order2, index2, nfs2, succ2 = _explore((f,), theory, cap, stepper)
+def equivalent(e, f, theory, cap=10000):
+    """Bisimilarity of two terms of either grammar, each explored by `step`
+    up to ``cap`` states, with a certificate that calls the states of ``e``
+    ``as0``, ``as1``, ... and those of ``f`` ``bs0``, ... in breadth-first
+    order."""
+    order1, index1, nfs1, succ1 = _explore((e,), theory, cap, step)
+    order2, index2, nfs2, succ2 = _explore((f,), theory, cap, step)
     n1 = len(nfs1)
 
     def name(s):
@@ -191,8 +191,3 @@ def check_terms(e, f, theory, cap, stepper):
     succ = succ1 + [[n1 + t for t in targets] for targets in succ2]
     sides = [(0, index1, order1, nfs1), (n1, index2, order2, nfs2)]
     return _certificate(theory, sides, succ, 0, n1, name)
-
-
-def equivalent(e, f, theory, cap=10000):
-    """Bisimilarity of two process terms."""
-    return check_terms(e, f, theory, cap, step)

@@ -1,11 +1,14 @@
 """Operational semantics: one-step behaviour and reachable coalgebras.
 
-The one-step map sends a closed-enough process term to a normal form over
-*transitions*: outputs (a free variable's own ``Var`` node, whose normal
-form is its unit), action steps ``Step(a, target)``, and (for the star
-fragment) successful termination ``Tick()``.  Recursion unfolds via the
-guarded substitution on behaviours: unguarded occurrences of the recursion
-variable collapse to deadlock, guarded ones are rewired to the fixpoint term.
+The one-step map sends a term to a normal form over *transitions*: outputs
+(a free variable's own ``Var`` node, whose normal form is its unit), action
+steps ``Step(a, target)``, and (for the star fragment) successful
+termination ``Tick()``.  Process terms and star expressions are one kind of
+term, so one map serves both: each node is stepped by its rule, and the
+star nodes carry theirs (``star.py``), which this module applies without
+loading that one.  Recursion unfolds via the guarded substitution on
+behaviours: unguarded occurrences of the recursion variable collapse to
+deadlock, guarded ones are rewired to the fixpoint term.
 
 Terms are hash-consed, so the one-step map is a pure function of a node and
 a theory.  It is computed bottom-up, in one loop over ``syntax.post_order``,
@@ -55,8 +58,8 @@ class Tick(Frozen):
 class Step(Interned):
     """The action step ``action.target``, hash-consed like a term node: equal
     steps are one object, so they hash and compare by identity.  The target
-    (an expression, a star expression or a state id) is keyed with its
-    type, because ``1 == True``."""
+    (an expression or a state id) is keyed with its type, because
+    ``1 == True``."""
 
     __slots__ = _fields = ("action", "target")
 
@@ -86,40 +89,46 @@ TICK = Tick()
 
 
 def _render_target(x):
-    """A step target as text: an expression, a star expression or a state id."""
+    """A step target as text: an expression or a state id."""
     return cached_text(x) if isinstance(x, Interned) else str(x)
 
 
 # ---------------------------------------------------------------------------
 # one-step semantics
 
-def step(e, theory, memo=None):
-    """The one-step normal form of ``e``.  A ``Leaf`` is its generator, so
-    this also evaluates the term reading of a normal form.
+_AT_ONCE = frozenset((Prefix, Zero, Leaf, Var))  # stepped in constant time, not memoised
 
-    ``memo`` maps the choice and recursion nodes already stepped to their
-    normal forms.  The nodes under ``e`` that it lacks are stepped children
-    first and added to it, so a caller that steps many terms sharing
-    subterms (``reachable``) steps each of them once.  The other nodes step
-    in constant time and are not memoised.  A node whose children are all
-    stepped is evaluated by its rule at once; only one with a pending child
-    takes a ``post_order`` walk.
+
+def step(e, theory, memo=None):
+    """The one-step normal form of the term ``e``, of either grammar.  A
+    ``Leaf`` is its generator, so this also evaluates the term reading of a
+    normal form; a star node has its own rule, ``_step``.
+
+    ``memo`` maps the nodes already stepped to their normal forms: every
+    node but a prefix, ``0``, a ``Leaf`` and a variable, which step in
+    constant time.  The nodes under ``e`` that it lacks are stepped
+    children first and added to it, both sides of a sequence included, so
+    a caller that steps many terms sharing subterms (``reachable``) steps
+    each of them once.  A node whose children are all stepped is evaluated
+    by its rule at once; only one with a pending child takes a
+    ``post_order`` walk.
 
     ``mu x. t`` unfolds by `gsubst_bm`, unless ``x`` is not free in ``t``:
     then it steps as ``t``.  That is exact, because the outputs and step
     targets of ``t``'s normal form have their free variables among ``t``'s,
     so there is no output ``x`` to make deadlock and no target to put the
-    fixpoint into.  A ``Leaf`` counts as closed here, as in its ``_free``,
-    in ``substitute`` and in ``unguarded_vars``: a binder whose variable
-    occurs only in the target of a ``Leaf``'s generator steps as its body,
-    and that target is kept as it is."""
+    fixpoint into.  A ``Leaf`` that steps to an expression has that
+    expression's free variables, so a binder whose variable occurs only
+    there is unfolded too."""
     if memo is None:
         memo = {}
 
     def pending(n):
-        return (type(n) is Op or type(n) is Mu) and n not in memo
+        return type(n) not in _AT_ONCE and n not in memo
 
     if pending(e):
+        if not isinstance(e, Exp):
+            raise TypeError(f"not an expression: {e!r}")
         if any(map(pending, e._kids())):
             for n in post_order((e,), pending):
                 memo[n] = _rule(n, theory, memo)
@@ -129,14 +138,18 @@ def step(e, theory, memo=None):
 
 
 def _rule(n, theory, memo):
-    """The normal form of the choice or recursion node ``n``, whose children
-    are stepped: its theory operation on theirs, or its unfolding."""
-    if type(n) is Op:
+    """The normal form of the node ``n``, whose children are stepped: a
+    choice's theory operation on theirs, a binder's unfolding, or a star
+    node's own rule."""
+    cls = type(n)
+    if cls is Op:
         return theory.op_apply(n.param, [_stepped(a, theory, memo) for a in n.args])
-    nf = _stepped(n.body, theory, memo)
-    if n.var not in n.body._free:  # vacuous: nothing to substitute
-        return nf
-    return gsubst_bm(nf, n, n.var, theory)
+    if cls is Mu:
+        nf = _stepped(n.body, theory, memo)
+        if n.var not in n.body._free:  # vacuous: nothing to substitute
+            return nf
+        return gsubst_bm(nf, n, n.var, theory)
+    return n._step(theory, *[_stepped(a, theory, memo) for a in n._kids()])
 
 
 def _stepped(e, theory, memo):
@@ -184,8 +197,9 @@ def _explore(roots, theory, cap, stepper):
     targets are states, and for each of them the positions of its step
     targets.  Nothing is named.
 
-    ``stepper(x, theory, memo)`` is the one-step map; one memo serves the
-    whole exploration, so each distinct subterm is stepped once.  A prefix
+    ``stepper(x, theory, memo)`` is the one-step map: `step` for terms, a
+    lookup for a loaded coalgebra's states.  One memo serves the whole
+    exploration, so each distinct subterm is stepped once.  A prefix
     ``a.t`` is not stepped: its normal form, the unit of ``a.t``, is left
     as None, and only the position of ``t`` is kept.  A state's new
     successors are numbered in generator order; only they are sorted, and
@@ -229,12 +243,13 @@ def _retarget(theory, nf, name):
     return theory.nf_map(nf, lambda g: Step(g.action, name(g.target)) if type(g) is Step else g)
 
 
-def reachable(e, theory, cap=10000, stepper=step):
-    """The reachable subcoalgebra from ``e``, with states ``s0``, ``s1``, ...
-    in breadth-first order; ``stepper`` is the one-step map.  Each normal
-    form is pushed forward once, from term targets onto ids; a prefix
-    ``a.t`` is named the unit of ``a.s<j>``, ``s<j>`` being ``t``'s id."""
-    order, index, raw, succ = _explore((e,), theory, cap, stepper)
+def reachable(e, theory, cap=10000):
+    """The reachable subcoalgebra from the term ``e``, of either grammar,
+    explored by `step`, with states ``s0``, ``s1``, ... in breadth-first
+    order.  Each normal form is pushed forward once, from term targets onto
+    ids; a prefix ``a.t`` is named the unit of ``a.s<j>``, ``s<j>`` being
+    ``t``'s id."""
+    order, index, raw, succ = _explore((e,), theory, cap, step)
     names = [f"s{j}" for j in range(len(order))]
 
     def name(t):

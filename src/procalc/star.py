@@ -1,17 +1,22 @@
 """The star fragment: iteration expressions, their direct semantics, and
 syntactic derivative operators.
 
-Star expressions ``0 | 1 | a | e +_s f | e;f | e^(s)`` translate into the
-full calculus via a reserved continuation variable (spelled ``$unit``); their
-behaviour can also be computed directly, with a termination transition in
-place of the continuation.  The two routes agree up to renaming outputs of
-the continuation variable to termination.
+Star expressions ``0 | 1 | a | e +_s f | e;f | e^(s)`` are terms of the
+calculus: ``0`` and choice are its own ``ZERO`` and ``Op``, and the nodes
+``SOne``, ``SAct``, ``SSeq`` and ``SStar`` defined here are ``Exp`` nodes
+with no free variables.  ``syntax.unparse`` prints them, and each carries
+its one-step rule, which ``semantics.step`` applies: so ``step``,
+``reachable`` and ``equivalent`` compute the direct semantics, with a
+termination transition in place of a continuation.  Star expressions also
+translate into the full calculus via a reserved continuation variable
+(spelled ``$unit``); the two routes agree up to renaming outputs of the
+continuation variable to termination.
 
 The parser is one loop over ``syntax.tokenize``'s list with an explicit
 stack of open brackets, run by ``syntax.parse_tokens`` as
-``syntax.parse_exp`` is.  Translation, the direct
-one-step map and the derivative are computed bottom-up, each in one loop
-over ``syntax.post_order``.  So an expression's depth is no limit.
+``syntax.parse_exp`` is.  Translation and the derivative are computed
+bottom-up, each in one loop over ``syntax.post_order``, and ``step`` is
+such a loop too.  So an expression's depth is no limit.
 """
 
 from __future__ import annotations
@@ -19,11 +24,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import syntax
-from .semantics import Step, TICK, Tick, reachable
-from .syntax import (Interned, Mu, Op, ParseError, Prefix, Record, Var, ZERO, all_names,
-                     bracket, cached_text, choice_param, expect_token, fresh_name,
-                     is_guarded, parse_param, post_order, render_param, substitute,
-                     token_kind)
+from .semantics import Step, TICK, Tick, reachable, step
+from .syntax import (_ATOM, _EMPTY, _ITEM, Exp, Mu, Op, ParseError, Prefix, Record, Var, ZERO,
+                     all_names, bracket, choice_param, expect_token, fresh_name, is_guarded,
+                     parse_param, post_order, render_param, substitute, token_kind)
 from .theory import TheoryError
 
 UNIT_VAR = "$unit"
@@ -32,22 +36,16 @@ UNIT_VAR = "$unit"
 # ---------------------------------------------------------------------------
 # abstract syntax
 
-_CHOICE, _SEQ, _POST = 0, 1, 2
+_SEQ, _POST = _ITEM, _ATOM  # syntax's levels; a choice is an Op, at _SUM
 
 
-class SExp(Interned):
+class SExp(Exp):
+    """A star expression node.  ``_step(theory, *nfs)`` is its one-step
+    rule: its normal form, given those of its children."""
+
     __slots__ = ()
+    _free = _EMPTY
     _prec = _POST
-
-    def sort_key(self):
-        return ("sexp", cached_text(self))
-
-
-class SZero(SExp):
-    __slots__ = _fields = ()
-
-    def _render(self):
-        return "0"
 
 
 class SOne(SExp):
@@ -56,6 +54,9 @@ class SOne(SExp):
     def _render(self):
         return "1"
 
+    def _step(self, theory):
+        return theory.unit(TICK)
+
 
 class SAct(SExp):
     __slots__ = _fields = ("action",)
@@ -63,17 +64,8 @@ class SAct(SExp):
     def _render(self):
         return self.action
 
-
-class SChoice(SExp):
-    __slots__ = _fields = ("param", "left", "right")
-    _typed_param = True
-    _prec = _CHOICE
-
-    def _kids(self):
-        return (self.left, self.right)
-
-    def _render(self):
-        return f"{self.left._text} +{render_param(self.param)} {bracket(self.right, _SEQ)}"
+    def _step(self, theory):
+        return theory.unit(Step(self.action, SONE))
 
 
 class SSeq(SExp):
@@ -85,6 +77,9 @@ class SSeq(SExp):
 
     def _render(self):
         return f"{bracket(self.left, _SEQ)} ; {bracket(self.right, _POST)}"
+
+    def _step(self, theory, left, right):
+        return _then(left, self.right, right, theory)
 
 
 class SStar(SExp):
@@ -98,12 +93,30 @@ class SStar(SExp):
         suffix = "^*" if self.param is None else f"^{render_param(self.param)}"
         return f"{bracket(self.body, _POST)}{suffix}"
 
+    def _step(self, theory, body):
+        looped = _then(body, self, theory.bottom(), theory)
+        return theory.op_apply(self.param, [looped, theory.unit(TICK)])
 
-SZERO, SONE = SZero(), SOne()
+
+def _then(nf, after, on_tick, theory):
+    """The normal form ``nf`` followed by the expression ``after``: each step
+    goes on into ``after``, and termination becomes ``on_tick``."""
+
+    def leaf(t):
+        if isinstance(t, Tick):
+            return on_tick
+        if isinstance(t, Step):
+            return theory.unit(Step(t.action, SSeq(t.target, after)))
+        raise TheoryError("star expressions have no free outputs")
+
+    return theory.bind(nf, leaf)
+
+
+SONE = SOne()
 
 
 # ---------------------------------------------------------------------------
-# parser / printer
+# parser
 
 def parse_sexp(text, theory, gkat=False, actions=None):
     """Parse a star expression in one loop over its tokens, with an explicit
@@ -126,13 +139,13 @@ def _parse_sexp_tokens(toks, theory, gkat, use):
             stack.append([None, None, None])
             continue
         if tok == "0" or tok == "1":
-            e = SZERO if tok == "0" else SONE
+            e = ZERO if tok == "0" else SONE
         elif tok == "test" and gkat:
             at = i - 1
             guard, i = parse_param(toks, i, theory)
             if not isinstance(guard, frozenset):
                 raise ParseError("test expects a guard", at)
-            e = SChoice(guard, SONE, SZERO)
+            e = Op(guard, (SONE, ZERO))
         elif token_kind(tok) == "ident":
             use.see_action(tok, i - 1)
             e = SAct(tok)
@@ -155,7 +168,7 @@ def _parse_sexp_tokens(toks, theory, gkat, use):
                 top[2] = e
                 break
             if top[0] is not None:
-                e = SChoice(top[1], top[0], e)
+                e = Op(top[1], (top[0], e))
             if toks[i] == "+":
                 param, i = choice_param(toks, i + 1, theory)
                 top[:] = e, param, None
@@ -169,26 +182,21 @@ def _parse_sexp_tokens(toks, theory, gkat, use):
             i += 1
 
 
-def unparse_sexp(e):
-    if not isinstance(e, SExp):
-        raise TypeError(f"not a star expression: {e!r}")
-    return cached_text(e)
-
-
 # ---------------------------------------------------------------------------
 # translation into the full calculus
 
 def translate(s):
     done = {}
     for n in post_order((s,)):
-        if isinstance(n, SZero):
+        if n is ZERO:
             done[n] = ZERO
         elif isinstance(n, SOne):
             done[n] = Var(UNIT_VAR)
         elif isinstance(n, SAct):
             done[n] = Prefix(n.action, Var(UNIT_VAR))
-        elif isinstance(n, SChoice):
-            done[n] = Op(n.param, (done[n.left], done[n.right]))
+        elif type(n) is Op:
+            l, r = n.args
+            done[n] = Op(n.param, (done[l], done[r]))
         elif isinstance(n, SSeq):
             done[n] = substitute(done[n.left], {UNIT_VAR: done[n.right]})
         elif isinstance(n, SStar):
@@ -207,62 +215,15 @@ def is_guarded_star(s):
 
 
 # ---------------------------------------------------------------------------
-# direct semantics
+# direct semantics: ``semantics.step`` applies the rules above
 
-def lstep(s, theory, memo=None):
-    """The direct one-step normal form of ``s``.  ``memo`` maps nodes to
-    their normal forms; the nodes under ``s`` that it lacks are stepped
-    children first and added to it, both sides of a sequence included, so
-    a memo that serves a whole exploration steps each node once."""
-    if memo is None:
-        memo = {}
-    for n in post_order((s,), lambda n: n not in memo):
-        if isinstance(n, SZero):
-            memo[n] = theory.bottom()
-        elif isinstance(n, SOne):
-            memo[n] = theory.unit(TICK)
-        elif isinstance(n, SAct):
-            memo[n] = theory.unit(Step(n.action, SONE))
-        elif isinstance(n, SChoice):
-            memo[n] = theory.op_apply(n.param, [memo[n.left], memo[n.right]])
-        elif isinstance(n, SSeq):
-            memo[n] = _then(memo[n.left], n.right, memo[n.right], theory)
-        elif isinstance(n, SStar):
-            looped = _then(memo[n.body], n, theory.bottom(), theory)
-            memo[n] = theory.op_apply(n.param, [looped, theory.unit(TICK)])
-        else:
-            raise TypeError(f"not a star expression: {n!r}")
-    return memo[s]
-
-
-def _then(nf, after, on_tick, theory):
-    """The normal form ``nf`` followed by the expression ``after``: each step
-    goes on into ``after``, and termination becomes ``on_tick``."""
-
-    def leaf(t):
-        if isinstance(t, Tick):
-            return on_tick
-        if isinstance(t, Step):
-            return theory.unit(Step(t.action, SSeq(t.target, after)))
-        raise TheoryError("star expressions have no free outputs")
-
-    return theory.bind(nf, leaf)
-
-
-def star_reachable(s, theory, cap=10000):
-    return reachable(s, theory, cap, stepper=lstep)
-
-
-def star_equivalent(s1, s2, theory, cap=10000):
-    from .equivalence import check_terms  # star step, lts and deriv do not refine
-
-    return check_terms(s1, s2, theory, cap, lstep)
+star_reachable = reachable  # public name; perfbench/tracing.py calls it
 
 
 def tick_mass(s, theory):
     """Termination mass of the one-step behaviour, in a theory whose
     weights are masses (``ca``)."""
-    mass = theory.weight(lstep(s, theory), TICK)
+    mass = theory.weight(step(s, theory), TICK)
     if isinstance(mass, Fraction):
         return mass
     raise TheoryError("tick mass only defined for ca")
@@ -285,7 +246,7 @@ def _star_axiom_sides(name, exps, params):
         return [(SSeq(SONE, e), e), (SSeq(e, SONE), e)], None
     if name == "E2":
         need("e")
-        return [(SSeq(SZERO, exps["e"]), SZERO)], None
+        return [(SSeq(ZERO, exps["e"]), ZERO)], None
     if name == "E3":
         need("e1", "e2", "e3")
         e1, e2, e3 = exps["e1"], exps["e2"], exps["e3"]
@@ -294,17 +255,17 @@ def _star_axiom_sides(name, exps, params):
         need("e")
         e = exps["e"]
         return [
-            (SStar(sigma, SChoice(tau, e, SONE)), SStar(sigma, SChoice(tau, e, SZERO)))
+            (SStar(sigma, Op(tau, (e, SONE))), SStar(sigma, Op(tau, (e, ZERO))))
         ], None
     if name == "E5":
         need("e")
         e = exps["e"]
         star = SStar(sigma, e)
-        return [(star, SChoice(sigma, SSeq(e, star), SONE))], ("guarded", e)
+        return [(star, Op(sigma, (SSeq(e, star), SONE)))], ("guarded", e)
     if name == "E6":
         need("g", "e", "f")
         g, e, f = exps["g"], exps["e"], exps["f"]
-        premise = (g, SChoice(sigma, SSeq(e, g), f))
+        premise = (g, Op(sigma, (SSeq(e, g), f)))
         conclusion = (g, SSeq(SStar(sigma, e), f))
         return [premise, conclusion], ("guarded", e)
     raise TheoryError(f"unknown star axiom {name!r}")
@@ -319,13 +280,15 @@ def check_estar_instance(name, theory, exps, params=None, cap=10000,
     """Semantic validity of one instance of a star fixpoint axiom; side
     conditions are checked syntactically first (unless explicitly ignored,
     for exploring unsound instances)."""
+    from .equivalence import equivalent  # star step, lts and deriv do not refine
+
     sides, condition = _star_axiom_sides(name, exps, params or {})
     if condition is not None and not ignore_side_conditions:
         kind, e = condition
         if kind == "guarded" and not is_guarded_star(e):
             return EStarResult(False, False, "loop body is not guarded")
     for l, r in sides:
-        cert = star_equivalent(l, r, theory, cap)
+        cert = equivalent(l, r, theory, cap)
         if not cert.equivalent:
             return EStarResult(False, True, cert.detail)
     return EStarResult(True, True, "instance holds")
@@ -337,7 +300,7 @@ def check_estar_instance(name, theory, exps, params=None, cap=10000,
 def output_guard(s, theory):
     """Immediate termination: a boolean for sl, the atom set on which the
     expression ticks for gs."""
-    guard = theory.weight(lstep(s, theory), TICK)
+    guard = theory.weight(step(s, theory), TICK)
     if isinstance(guard, (bool, frozenset)):
         return guard
     raise TheoryError("output guards are defined for sl and gs only")
@@ -346,7 +309,7 @@ def output_guard(s, theory):
 def partial_derivative(s, theory):
     """One-step syntactic derivative; sound for sl and gs star expressions,
     the theories whose weights are booleans and atom sets.  Computed in one
-    bottom-up pass; the output guards it reads share one ``lstep`` memo."""
+    bottom-up pass; the output guards it reads share one ``step`` memo."""
     kind = type(theory.weight(theory.bottom(), TICK))
     if kind is not bool and kind is not frozenset:
         raise TheoryError("derivatives are defined for sl and gs only")
@@ -354,28 +317,29 @@ def partial_derivative(s, theory):
     memo, done = {}, {}
 
     def ticks(x):
-        return theory.weight(lstep(x, theory, memo), TICK)
+        return theory.weight(step(x, theory, memo), TICK)
 
     for n in post_order((s,)):
-        if isinstance(n, (SZero, SOne)):
-            done[n] = SZERO
+        if n is ZERO or isinstance(n, SOne):
+            done[n] = ZERO
         elif isinstance(n, SAct):
             done[n] = n
-        elif isinstance(n, SChoice):
+        elif type(n) is Op:
             if guarded and not isinstance(n.param, frozenset):
                 raise TheoryError("unguarded choice in a gs expression")
             if not guarded and n.param is not None:
                 raise TheoryError("guarded choice in an sl expression")
-            done[n] = SChoice(n.param, done[n.left], done[n.right])
+            l, r = n.args
+            done[n] = Op(n.param, (done[l], done[r]))
         elif isinstance(n, SSeq):
             then = SSeq(done[n.left], n.right)
             if guarded:
-                done[n] = SChoice(ticks(n.left), done[n.right], then)
+                done[n] = Op(ticks(n.left), (done[n.right], then))
             else:
-                done[n] = SChoice(None, then, done[n.right]) if ticks(n.left) else then
+                done[n] = Op(None, (then, done[n.right])) if ticks(n.left) else then
         elif isinstance(n, SStar):
             loop = SSeq(done[n.body], n)
-            done[n] = SChoice(ticks(n.body), SZERO, loop) if guarded else loop
+            done[n] = Op(ticks(n.body), (ZERO, loop)) if guarded else loop
         else:
             raise TypeError(f"not a star expression: {n!r}")
     return done[s]

@@ -23,7 +23,9 @@ open sums and pending runs of prefixes: a run ``a1.a2. … an.`` is one
 frame, which ``_prefix_run`` interns innermost first once the item below
 it is complete.  The star fragment's parser is a loop of the same kind over
 the same tokens, and both read choice parameters with ``parse_param``.
-Terms are hash-consed DAGs.  ``post_order`` lists the nodes under a root
+Star expressions are terms too: their ``0`` and choice are ``ZERO`` and
+``Op``, and ``star.py`` adds the other nodes as ``Exp`` subclasses, so
+``unparse`` prints both grammars.  Terms are hash-consed DAGs.  ``post_order`` lists the nodes under a root
 that a caller still has to visit, children first, each once; the one-step
 semantics, the star fragment's walks, guardedness, the bound names, the
 printer (which builds each node's text once) and the zeroing step of
@@ -263,7 +265,7 @@ def post_order(roots, pending=lambda node: True):
 # ---------------------------------------------------------------------------
 # abstract syntax
 
-_SUM, _ITEM = 0, 1
+_SUM, _ITEM, _ATOM = 0, 1, 2
 
 
 class Exp(Interned):
@@ -277,6 +279,7 @@ class Exp(Interned):
 class Zero(Exp):
     __slots__ = _fields = ()
     _free = _EMPTY
+    _prec = _ATOM  # bare under a prefix, a ``;`` and a ``^`` alike
 
     def _render(self):
         return "0"
@@ -303,7 +306,6 @@ class Var(Exp):
 class Op(Exp):
     """Binary choice; param is None, a frozenset guard, or a Fraction."""
     __slots__ = _fields = ("param", "args")
-    _typed_param = True
     _prec = _SUM
 
     def __new__(cls, param, args):
@@ -394,17 +396,21 @@ class Mu(Exp):
 
 class Leaf(Exp):
     """A generator of a theory's normal forms standing as a term, in the
-    term reading of a normal form: an action step or termination."""
+    term reading of a normal form: an action step or termination.  A step
+    to an expression has that expression's free variables, which sit under
+    its action as a prefix's do: substitution refuses them, and guarded
+    substitution leaves them alone."""
     __slots__ = _fields = ("gen",)
-    _free = _EMPTY
 
     def __new__(cls, gen):
         key = (cls, gen, type(gen))
         node = _TABLE.get(key)
         if node is None:
+            target = getattr(gen, "target", None)
             node = object.__new__(cls)
             _set(node, "gen", gen)
             _set(node, "_text", None)
+            _set(node, "_free", target._free if isinstance(target, Exp) else _EMPTY)
             _intern(key, node)
         return node
 
@@ -451,10 +457,11 @@ def _fresh_names(avoid):
 
 
 def unguarded_vars(e):
-    """The free variables of e with an occurrence not under an action prefix,
-    from one set per node of the DAG above the prefixes."""
+    """The free variables of e with an occurrence not under an action prefix
+    (or in a ``Leaf``'s step target), from one set per node of the DAG above
+    the prefixes that has free variables."""
     sets = {}
-    for n in post_order((e,), lambda n: type(n) is not Prefix):
+    for n in post_order((e,), lambda n: type(n) is not Prefix and n._free):
         cls = type(n)
         if cls is Var:
             sets[n] = frozenset((n.name,))
@@ -462,7 +469,7 @@ def unguarded_vars(e):
             sets[n] = sets.get(n.args[0], _EMPTY) | sets.get(n.args[1], _EMPTY)
         elif cls is Mu:
             sets[n] = sets.get(n.body, _EMPTY) - {n.var}
-        elif cls is not Zero and cls is not Leaf:
+        elif cls is not Leaf:
             raise TypeError(f"not an expression: {n!r}")
     return sets.get(e, _EMPTY)
 
@@ -478,7 +485,8 @@ def is_guarded(v, e):
 def substitute(e, bindings):
     """Simultaneous capture-avoiding substitution of expressions for free
     variables.  Bound variables are alpha-renamed into the reserved ``%``
-    namespace when they would capture."""
+    namespace when they would capture.  A ``Leaf`` whose step target holds
+    a substituted variable raises `TypeError`."""
     bindings = {v: f for v, f in bindings.items() if f != Var(v)}
     if free_vars(e).isdisjoint(bindings):
         return e
@@ -546,8 +554,8 @@ def _subst(e, bindings):
                     table.append(live)
                     memos.append({})
                 stack += ((node, ctx, (u, sub)), (body, sub, None))
-            else:
-                raise TypeError(f"not an expression: {node!r}")
+            else:  # a Leaf: its target is not rewritten
+                raise TypeError(f"cannot substitute into {node!r}")
         elif plan is _KIDS:
             l, r = node.args
             memo[node] = Op(node.param, (memo[l], memo[r]))
@@ -566,9 +574,10 @@ def guarded_subst_exp(e, g, v):
     """Guarded syntactic substitution e[g//v]: unguarded occurrences of v
     become 0, guarded ones (under a prefix) become g.  One pass over the DAG
     above the prefixes turns the first into 0; ``substitute`` then puts g
-    for the rest."""
+    for the rest.  A ``Leaf``'s step target counts as guarded."""
     zeroed = {}
-    for n in post_order((e,), lambda n: type(n) is not Prefix and v in n._free):
+    for n in post_order((e,), lambda n: type(n) is not Prefix and type(n) is not Leaf
+                        and v in n._free):
         cls = type(n)
         if cls is Var:
             zeroed[n] = ZERO

@@ -122,16 +122,15 @@ def rand_sexp(th, rng, depth=3):
     ]
     kind = rng.choice(kinds)
     if kind == "zero":
-        return pc.SZERO
+        return pc.ZERO
     if kind == "one":
         return pc.SONE
     if kind == "act":
         return pc.SAct(rng.choice(ACTIONS))
     if kind == "choice":
-        return pc.SChoice(
+        return pc.Op(
             rand_param(th, rng),
-            rand_sexp(th, rng, depth - 1),
-            rand_sexp(th, rng, depth - 1),
+            (rand_sexp(th, rng, depth - 1), rand_sexp(th, rng, depth - 1)),
         )
     if kind == "seq":
         return pc.SSeq(rand_sexp(th, rng, depth - 1), rand_sexp(th, rng, depth - 1))
@@ -148,8 +147,7 @@ def rand_guarded_sexp(th, rng, depth=2):
         return pc.SAct(rng.choice(ACTIONS))
     if kind == "seq":
         return pc.SSeq(rand_guarded_sexp(th, rng, depth - 1), rand_sexp(th, rng, depth - 1))
-    return pc.SChoice(
+    return pc.Op(
         rand_param(th, rng),
-        rand_guarded_sexp(th, rng, depth - 1),
-        rand_guarded_sexp(th, rng, depth - 1),
+        (rand_guarded_sexp(th, rng, depth - 1), rand_guarded_sexp(th, rng, depth - 1)),
     )

@@ -579,8 +579,7 @@ def u_set(e):
 def reachable_unmemoised(e, theory, stepper=pc.step, cap=None, name="s"):
     """Breadth-first reachable coalgebra that steps every state afresh,
     sharing no memo between states, and pushes every normal form forward;
-    oracle for the memoised ``reachable`` (and, with ``stepper=pc.lstep``,
-    for ``star_reachable``).  The states are ``name`` followed by 0, 1, ...;
+    oracle for the memoised ``reachable``.  The states are ``name`` followed by 0, 1, ...;
     past ``cap`` states it raises ``StateCapExceeded`` as ``reachable`` does."""
     index = {e: 0}
     order = [e]
@@ -607,7 +606,7 @@ def reachable_union(e1, e2, theory, cap=10000, stepper=pc.step):
     """``disjoint_union(reachable(e1), reachable(e2))``, with states
     ``as0``, ``as1``, ..., ``bs0``, ``bs1``, ..., each named once, built
     from two ``reachable_unmemoised`` coalgebras; with
-    ``check_states(..., "as0", "bs0")``, the oracle for ``check_terms``,
+    ``check_states(..., "as0", "bs0")``, the oracle for ``equivalent``,
     which refines the explored terms without naming them and never pushes
     a prefix state forward."""
     c1, c2 = (reachable_unmemoised(e, theory, stepper, cap, name)
@@ -634,6 +633,42 @@ def step_walk(e, theory, memo=None):
         else:
             memo[n] = pc.gsubst_bm(semantics._stepped(n.body, theory, memo), n, n.var, theory)
     return semantics._stepped(e, theory, memo)
+
+
+def lstep_walk(s, theory, memo=None):
+    """The direct one-step map of a star expression as one ``post_order``
+    walk over every node under ``s`` that ``memo`` lacks, ``0`` included,
+    with a rule per node type; oracle for ``step``, which evaluates a node
+    with stepped children at once and reads each star node's rule from its
+    class."""
+    if memo is None:
+        memo = {}
+
+    def then(nf, after, on_tick):
+        def leaf(t):
+            if isinstance(t, pc.Tick):
+                return on_tick
+            return theory.unit(pc.Step(t.action, pc.SSeq(t.target, after)))
+
+        return theory.bind(nf, leaf)
+
+    for n in post_order((s,), lambda n: n not in memo):
+        if n is ZERO:
+            memo[n] = theory.bottom()
+        elif isinstance(n, pc.SOne):
+            memo[n] = theory.unit(pc.TICK)
+        elif isinstance(n, pc.SAct):
+            memo[n] = theory.unit(pc.Step(n.action, pc.SONE))
+        elif isinstance(n, Op):
+            memo[n] = theory.op_apply(n.param, [memo[a] for a in n.args])
+        elif isinstance(n, pc.SSeq):
+            memo[n] = then(memo[n.left], n.right, memo[n.right])
+        elif isinstance(n, pc.SStar):
+            looped = then(memo[n.body], n, theory.bottom())
+            memo[n] = theory.op_apply(n.param, [looped, theory.unit(pc.TICK)])
+        else:
+            raise TypeError(f"not a star expression: {n!r}")
+    return memo[s]
 
 
 def naive_bisim_relation(c):
@@ -807,15 +842,15 @@ _CHOICE, _SEQ, _POST = 0, 1, 2
 
 def unparse_sexp_uncached(e, level=_CHOICE):
     """Surface text of a star expression, recomputed from scratch."""
-    if isinstance(e, pc.SZero):
+    if e is ZERO:
         return "0"
     if isinstance(e, pc.SOne):
         return "1"
     if isinstance(e, pc.SAct):
         return e.action
-    if isinstance(e, pc.SChoice):
-        s = (f"{unparse_sexp_uncached(e.left, _CHOICE)} +{render_param(e.param)} "
-             f"{unparse_sexp_uncached(e.right, _SEQ)}")
+    if isinstance(e, Op):
+        s = (f"{unparse_sexp_uncached(e.args[0], _CHOICE)} +{render_param(e.param)} "
+             f"{unparse_sexp_uncached(e.args[1], _SEQ)}")
         return f"({s})" if level > _CHOICE else s
     if isinstance(e, pc.SSeq):
         s = f"{unparse_sexp_uncached(e.left, _SEQ)} ; {unparse_sexp_uncached(e.right, _POST)}"
@@ -977,7 +1012,7 @@ def _parse_schoice(ts, theory, use, gkat):
         else:
             param = None
             theory.check_param(None)
-        e = pc.SChoice(param, e, _parse_sseq(ts, theory, use, gkat))
+        e = pc.Op(param, (e, _parse_sseq(ts, theory, use, gkat)))
     return e
 
 
@@ -1006,7 +1041,7 @@ def _parse_spost(ts, theory, use, gkat):
 def _parse_satom(ts, theory, use, gkat):
     kind, val, pos = ts.next()
     if kind == "num" and val == "0":
-        return pc.SZERO
+        return pc.ZERO
     if kind == "num" and val == "1":
         return pc.SONE
     if kind == "(":
@@ -1018,7 +1053,7 @@ def _parse_satom(ts, theory, use, gkat):
             guard = parse_param(ts, theory)
             if not isinstance(guard, frozenset):
                 raise ParseError("test expects a guard", pos)
-            return pc.SChoice(guard, pc.SONE, pc.SZERO)
+            return pc.Op(guard, (pc.SONE, pc.ZERO))
         use.see_action(val, pos)
         return pc.SAct(val)
     raise ParseError(f"unexpected token {val!r}", pos)
@@ -1106,14 +1141,14 @@ def guarded_subst_renaming(e, g, v):
 def translate_recursive(s):
     """Translation of a star expression by plain recursion; oracle for
     ``star.translate``."""
-    if isinstance(s, pc.SZero):
+    if s is ZERO:
         return pc.ZERO
     if isinstance(s, pc.SOne):
         return pc.Var(pc.UNIT_VAR)
     if isinstance(s, pc.SAct):
         return pc.Prefix(s.action, pc.Var(pc.UNIT_VAR))
-    if isinstance(s, pc.SChoice):
-        return pc.Op(s.param, (translate_recursive(s.left), translate_recursive(s.right)))
+    if isinstance(s, Op):
+        return pc.Op(s.param, tuple(translate_recursive(a) for a in s.args))
     if isinstance(s, pc.SSeq):
         return pc.substitute(translate_recursive(s.left),
                              {pc.UNIT_VAR: translate_recursive(s.right)})
@@ -1126,16 +1161,15 @@ def translate_recursive(s):
 def lstep_recursive(s, theory):
     """The direct one-step map by plain recursion, with no memo; a
     sequence's right side is stepped only when its left side ticks.
-    Oracle for ``star.lstep``."""
-    if isinstance(s, pc.SZero):
+    Oracle for ``step`` on star expressions."""
+    if s is ZERO:
         return theory.bottom()
     if isinstance(s, pc.SOne):
         return theory.unit(pc.TICK)
     if isinstance(s, pc.SAct):
         return theory.unit(pc.Step(s.action, pc.SONE))
-    if isinstance(s, pc.SChoice):
-        return theory.op_apply(
-            s.param, [lstep_recursive(s.left, theory), lstep_recursive(s.right, theory)])
+    if isinstance(s, Op):
+        return theory.op_apply(s.param, [lstep_recursive(a, theory) for a in s.args])
     if isinstance(s, pc.SSeq):
         def leaf(t):
             if isinstance(t, pc.Tick):
@@ -1157,18 +1191,18 @@ def deriv_sl(s, theory):
     """The ``sl`` syntactic derivative by plain recursion, a sequence's
     right side derived only when its left side ticks; with ``deriv_gs``,
     the oracle for ``star.partial_derivative``."""
-    if isinstance(s, (pc.SZero, pc.SOne)):
-        return pc.SZERO
+    if s is ZERO or isinstance(s, pc.SOne):
+        return pc.ZERO
     if isinstance(s, pc.SAct):
         return s
-    if isinstance(s, pc.SChoice):
+    if isinstance(s, Op):
         if s.param is not None:
             raise pc.TheoryError("guarded choice in an sl expression")
-        return pc.SChoice(None, deriv_sl(s.left, theory), deriv_sl(s.right, theory))
+        return pc.Op(None, tuple(deriv_sl(a, theory) for a in s.args))
     if isinstance(s, pc.SSeq):
         de_f = pc.SSeq(deriv_sl(s.left, theory), s.right)
         if pc.output_guard(s.left, theory):
-            return pc.SChoice(None, de_f, deriv_sl(s.right, theory))
+            return pc.Op(None, (de_f, deriv_sl(s.right, theory)))
         return de_f
     if isinstance(s, pc.SStar):
         return pc.SSeq(deriv_sl(s.body, theory), s)
@@ -1177,20 +1211,20 @@ def deriv_sl(s, theory):
 
 def deriv_gs(s, theory):
     """The ``gs`` syntactic derivative by plain recursion."""
-    if isinstance(s, (pc.SZero, pc.SOne)):
-        return pc.SZERO
+    if s is ZERO or isinstance(s, pc.SOne):
+        return pc.ZERO
     if isinstance(s, pc.SAct):
         return s
-    if isinstance(s, pc.SChoice):
+    if isinstance(s, Op):
         if not isinstance(s.param, frozenset):
             raise pc.TheoryError("unguarded choice in a gs expression")
-        return pc.SChoice(s.param, deriv_gs(s.left, theory), deriv_gs(s.right, theory))
+        return pc.Op(s.param, tuple(deriv_gs(a, theory) for a in s.args))
     if isinstance(s, pc.SSeq):
         b = pc.output_guard(s.left, theory)
-        return pc.SChoice(b, deriv_gs(s.right, theory), pc.SSeq(deriv_gs(s.left, theory), s.right))
+        return pc.Op(b, (deriv_gs(s.right, theory), pc.SSeq(deriv_gs(s.left, theory), s.right)))
     if isinstance(s, pc.SStar):
         b = pc.output_guard(s.body, theory)
-        return pc.SChoice(b, pc.SZERO, pc.SSeq(deriv_gs(s.body, theory), s))
+        return pc.Op(b, (pc.ZERO, pc.SSeq(deriv_gs(s.body, theory), s)))
     raise TypeError(f"not a star expression: {s!r}")
 
 

@@ -15,12 +15,13 @@ from fractions import Fraction
 import pytest
 
 import procalc as pc
-from procalc.equivalence import check_states
+from procalc.equivalence import check_states, equivalent
 from procalc.semantics import disjoint_union
-from procalc.star import (SChoice, SSeq, SStar, SZERO, SONE,
-                          check_estar_instance, lstep, output_guard,
-                          parse_sexp, partial_derivative, star_equivalent,
-                          star_reachable, translate, unparse_sexp)
+from procalc.star import (SSeq, SStar, SONE,
+                          check_estar_instance, output_guard,
+                          parse_sexp, partial_derivative,
+                          star_reachable, translate)
+from procalc.syntax import Op
 from procalc.theory import ZERO_SUBDIST
 
 from gen import (ALL_THEORIES, rand_coalgebra, rand_guard, rand_sexp,
@@ -106,11 +107,11 @@ def test_acceptance_4_star_ca_counterexample():
     ca = theory("ca")
     e = parse_sexp("1 +[1/3] a", ca)
     star = SStar(F(1, 2), e)
-    unrolled = SChoice(F(1, 2), SSeq(e, star), SONE)
+    unrolled = Op(F(1, 2), (SSeq(e, star), SONE))
     m1, m2 = pc.tick_mass(star, ca), pc.tick_mass(unrolled, ca)
-    inequiv = not star_equivalent(star, unrolled, ca).equivalent
+    inequiv = not equivalent(star, unrolled, ca).equivalent
     ok = m1 == F(1, 2) and m2 == F(7, 12) and inequiv
-    report(4, ok, f"tick mass {m1} vs {m2}, star_equivalent={not inequiv}")
+    report(4, ok, f"tick mass {m1} vs {m2}, equivalent={not inequiv}")
 
 
 def test_acceptance_5_example_51():
@@ -184,22 +185,22 @@ def test_acceptance_8_appendix_f():
     for _ in range(100):
         e = rand_sexp(sl, rng, depth=3)
         star = SStar(None, e)
-        if not star_equivalent(star, SChoice(None, SSeq(e, star), SONE), sl).equivalent:
+        if not equivalent(star, Op(None, (SSeq(e, star), SONE)), sl).equivalent:
             bad += 1
         d = partial_derivative(e, sl)
-        rhs = SChoice(None, d, SONE) if output_guard(e, sl) else d
-        if not star_equivalent(e, rhs, sl).equivalent:
+        rhs = Op(None, (d, SONE)) if output_guard(e, sl) else d
+        if not equivalent(e, rhs, sl).equivalent:
             bad += 1
     rng = random.Random(88002)
     for _ in range(100):
         e = rand_sexp(gs, rng, depth=3)
         b = rand_guard(rng)
         star = SStar(b, e)
-        if not star_equivalent(star, SChoice(b, SSeq(e, star), SONE), gs).equivalent:
+        if not equivalent(star, Op(b, (SSeq(e, star), SONE)), gs).equivalent:
             bad += 1
         d = partial_derivative(e, gs)
         out = output_guard(e, gs)
-        if not star_equivalent(e, SChoice(out, SONE, d), gs).equivalent:
+        if not equivalent(e, Op(out, (SONE, d)), gs).equivalent:
             bad += 1
     report(8, bad == 0,
            f"unguarded unrolling + derivative characterisations, {bad} failures")

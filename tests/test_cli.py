@@ -114,7 +114,7 @@ def test_long_star_expressions_through_cli_main(monkeypatch, capsys):
     assert _main(monkeypatch, capsys, "star", "step", chain) == (0, "a.(1" + " ; a" * 2999 + ")\n")
     lts = "".join(f"s{k} = a.s{k + 1}\n" for k in range(3000)) + "s3000 = 1\n"
     assert _main(monkeypatch, capsys, "star", "lts", chain) == (0, lts)
-    # one lstep memo serves every output guard the derivative reads
+    # one step memo serves every output guard the derivative reads
     chain = " ; ".join(["a"] * 2000)
     start = time.perf_counter()
     assert _main(monkeypatch, capsys, "star", "deriv", chain) == (

@@ -86,7 +86,7 @@ def test_fraction_params_key_on_their_ratio_and_type():
     assert [type(n.param) for n in nodes] == [int, bool, Fraction, tuple]
     assert Op(F(2, 4), (a, b)) is Op(F(1, 2), (a, b)) is not Op((1, 2), (a, b))
     assert unparse(nodes[2]) == "a +[1] b"
-    stars = [pc.SChoice(p, pc.SAct("a"), pc.SONE) for p in (1, True, F(1))]
+    stars = [pc.Op(p, (pc.SAct("a"), pc.SONE)) for p in (1, True, F(1))]
     assert len({id(n) for n in stars}) == 3
     assert pc.SStar(F(3, 6), pc.SAct("a")) is pc.SStar(F(1, 2), pc.SAct("a"))
     leaves = [pc.Leaf(g) for g in (1, True, F(1))]
@@ -265,6 +265,6 @@ def test_cached_text_matches_uncached_printer(th):
         assert e.sort_key() == ("exp", unparse_uncached(e))
     for _ in range(300):
         s = rand_sexp(th, rng, depth=4)
-        assert pc.unparse_sexp(s) == unparse_sexp_uncached(s)
-        assert pc.parse_sexp(pc.unparse_sexp(s), th) is s
-        assert s.sort_key() == ("sexp", unparse_sexp_uncached(s))
+        assert pc.unparse(s) == unparse_sexp_uncached(s)
+        assert pc.parse_sexp(pc.unparse(s), th) is s
+        assert s.sort_key() == ("exp", unparse_sexp_uncached(s))

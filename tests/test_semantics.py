@@ -16,8 +16,8 @@ from procalc.theory import ZERO_SUBDIST, TheoryError
 from gen import (ALL_THEORIES, rand_coalgebra, rand_exp, rand_guarded_exp, rand_param,
                  rand_sexp, rand_sterm, seed_for, theory)
 from masses import count_point, fraction_point
-from oracles import (axiom_side_ok, coalgebra_from_dict_by_step, instantiate_schema, reachable_union,
-                     reachable_unmemoised, step_walk, u_set)
+from oracles import (axiom_side_ok, coalgebra_from_dict_by_step, instantiate_schema, lstep_walk,
+                     reachable_union, reachable_unmemoised, step_walk, u_set)
 
 F = Fraction
 
@@ -227,7 +227,7 @@ def test_memoised_reachable_agrees_with_fresh_stepping(th):
         assert (c.states, c.structure) == (o.states, o.structure)
     for _ in range(40):
         s = rand_sexp(th, rng, depth=4)
-        c, o = pc.star_reachable(s, th), reachable_unmemoised(s, th, pc.lstep)
+        c, o = pc.star_reachable(s, th), reachable_unmemoised(s, th, pc.step)
         assert (c.states, c.structure) == (o.states, o.structure)
 
 
@@ -307,8 +307,49 @@ def test_step_agrees_with_one_walk_per_term(th, capsys):
         # one memo shared over an exploration, as reachable and equiv keep it
         assert _explored(e, th, pc.step) == _explored(e, th, step_walk)
         if not e._free:
-            c, o = pc.reachable(e, th, 2000), pc.reachable(e, th, 2000, step_walk)
+            c, o = pc.reachable(e, th, 2000), reachable_unmemoised(e, th, step_walk, 2000)
             assert _lts_text(c, capsys) == _lts_text(o, capsys)
+
+
+def _without_zero(explored):
+    """``_explored``'s result with ``0`` left out of the memo: the walk
+    memoises it, `step` makes it at once."""
+    result, memos = explored
+    return result, [{n: nf for n, nf in memo.items() if n is not pc.ZERO} for memo in memos]
+
+
+@pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
+def test_step_on_star_expressions_agrees_with_a_walk_per_node_type(th, capsys):
+    # the star nodes carry their rules and step memoises them as it does Op
+    # and Mu; the oracle walks every node with one rule per node type
+    rng = random.Random(seed_for(th.id, 2901))
+    for _ in range(60):
+        s = rand_sexp(th, rng, depth=4)
+        assert pc.step(s, th) == lstep_walk(s, th)
+        assert _without_zero(_explored(s, th, pc.step)) == _without_zero(
+            _explored(s, th, lstep_walk))
+        o = reachable_unmemoised(s, th, lstep_walk)
+        assert _lts_text(pc.reachable(s, th), capsys) == _lts_text(o, capsys)
+    for value in ("a", 1, None, pc.TICK, pc.Step("a", "s1"), th.unit(pc.TICK)):
+        with pytest.raises(TypeError):
+            pc.step(value, th)
+
+
+@pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
+def test_a_leaf_step_target_is_unfolded_under_its_binder(th):
+    # Leaf._free was empty, so mu x. Leaf(a.x) stepped as its body, to a.x
+    x = pc.Var("x")
+    leaf = pc.Leaf(pc.Step("a", x))
+    param = pc.parse_exp(f"u {CYC_OPS[th.id]} v", th).param
+    assert leaf._free == {"x"} and pc.is_guarded("x", leaf)
+    for body in (leaf, pc.Op(param, (x, leaf)), pc.Prefix("a", x)):
+        g = pc.Mu("x", body)
+        steps = [t for t in th.generators(pc.step(g, th)) if type(t) is pc.Step]
+        assert steps == [pc.Step("a", g)] and not g._free
+    for bad in (lambda: pc.substitute(leaf, {"x": pc.Var("y")}),
+                lambda: pc.guarded_subst_exp(pc.Op(param, (x, leaf)), pc.ZERO, "x")):
+        with pytest.raises(TypeError):
+            bad()
 
 
 @pytest.mark.parametrize("name", sorted(CYC_OPS))
@@ -381,7 +422,7 @@ def test_reachable_union_is_the_disjoint_union_of_reachables():
             d = disjoint_union(pc.reachable(e, th), pc.reachable(f, th))
             assert (u.states, u.structure) == (d.states, d.structure)
             s, t = rand_sexp(th, rng), rand_sexp(th, rng)
-            u = reachable_union(s, t, th, stepper=pc.lstep)
+            u = reachable_union(s, t, th, stepper=pc.step)
             d = disjoint_union(pc.star_reachable(s, th), pc.star_reachable(t, th))
             assert (u.states, u.structure) == (d.states, d.structure)
 

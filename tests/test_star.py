@@ -8,13 +8,13 @@ from fractions import Fraction
 import pytest
 
 import procalc as pc
-from procalc.semantics import Coalgebra, disjoint_union
-from procalc.equivalence import check_states
-from procalc.star import (SAct, SChoice, SOne, SSeq, SStar, SZERO, SONE,
-                          UNIT_VAR, check_estar_instance, lstep,
+from procalc.semantics import Coalgebra, disjoint_union, step
+from procalc.equivalence import check_states, equivalent
+from procalc.star import (SAct, SOne, SSeq, SStar, SONE,
+                          UNIT_VAR, check_estar_instance,
                           output_guard, parse_sexp, partial_derivative,
-                          star_equivalent, star_reachable, translate,
-                          unparse_sexp, is_guarded_star)
+                          star_reachable, translate, is_guarded_star)
+from procalc.syntax import ZERO, Op, unparse
 
 from gen import ACTIONS, ALL_THEORIES, rand_guarded_sexp, rand_sexp, seed_for, theory
 from masses import count_point
@@ -32,20 +32,18 @@ def sx(text, name, **kw):
 # parsing and printing
 
 def test_parse_sexp_basics():
-    assert sx("0", "sl") == SZERO
+    assert sx("0", "sl") == ZERO
     assert sx("1", "sl") == SONE
     assert sx("a", "sl") == SAct("a")
     assert sx("a ; b", "sl") == SSeq(SAct("a"), SAct("b"))
-    assert sx("a + b", "sl") == SChoice(None, SAct("a"), SAct("b"))
+    assert sx("a + b", "sl") == Op(None, (SAct("a"), SAct("b")))
     assert sx("a^*", "sl") == SStar(None, SAct("a"))
     assert sx("a^[1/2]", "ca") == SStar(F(1, 2), SAct("a"))
 
 
 def test_parse_sexp_precedence():
     # seq binds tighter than choice, postfix star tightest
-    assert sx("a ; b + c", "sl") == SChoice(
-        None, SSeq(SAct("a"), SAct("b")), SAct("c")
-    )
+    assert sx("a ; b + c", "sl") == Op(None, (SSeq(SAct("a"), SAct("b")), SAct("c")))
     assert sx("a ; b^*", "sl") == SSeq(SAct("a"), SStar(None, SAct("b")))
     assert sx("(a ; b)^*", "sl") == SStar(None, SSeq(SAct("a"), SAct("b")))
 
@@ -53,9 +51,9 @@ def test_parse_sexp_precedence():
 def test_gkat_sugar():
     th = theory("gs")
     e = parse_sexp("test[x1]", th, gkat=True)
-    assert e == SChoice(frozenset({"x1"}), SONE, SZERO)
+    assert e == Op(frozenset({"x1"}), (SONE, ZERO))
     # lambda xi. (xi in b ? Tick : bottom)
-    assert lstep(e, th) == (pc.TICK, None)
+    assert step(e, th) == (pc.TICK, None)
     with pytest.raises(pc.ParseError):
         parse_sexp("test[x1]", th)  # sugar off by default
 
@@ -66,7 +64,7 @@ def test_sexp_print_parse_round_trip(name):
     rng = random.Random(seed_for(name, 2003))
     for _ in range(300):
         e = rand_sexp(th, rng, depth=4)
-        assert parse_sexp(unparse_sexp(e), th) == e
+        assert parse_sexp(unparse(e), th) == e
 
 
 # the tokens that the mutations below insert, or put in place of another
@@ -88,7 +86,7 @@ def test_parse_sexp_agrees_with_recursive_descent(th):
     rng = random.Random(seed_for(th.id, 0x5E9))
     texts = ["", "(", ")", "a1 ;", "test", "test[x1] ; a1", "test[1/2]^*", "a1^", "(a1 + a2"]
     for _ in range(300):
-        toks = pc.syntax.tokenize(unparse_sexp(rand_sexp(th, rng, depth=4)))[:-1]
+        toks = pc.syntax.tokenize(unparse(rand_sexp(th, rng, depth=4)))[:-1]
         texts.append(" ".join(toks))
         for edit in ("delete", "insert", "replace"):
             mutated = list(toks)
@@ -149,8 +147,8 @@ def test_right_distributivity_structural():
             e2 = rand_sexp(th, rng, depth=2)
             f = rand_sexp(th, rng, depth=2)
             p = rand_param(th, rng)
-            assert translate(SSeq(SChoice(p, e1, e2), f)) == translate(
-                SChoice(p, SSeq(e1, f), SSeq(e2, f))
+            assert translate(SSeq(Op(p, (e1, e2)), f)) == translate(
+                Op(p, (SSeq(e1, f), SSeq(e2, f)))
             )
 
 
@@ -166,36 +164,36 @@ def test_is_guarded_star():
 
 def test_lstep_base_cases():
     th = theory("sl")
-    assert lstep(SZERO, th) == th.bottom()
-    assert lstep(SONE, th) == th.unit(pc.TICK)
-    assert lstep(SAct("a"), th) == th.unit(pc.Step("a", SONE))
+    assert step(ZERO, th) == th.bottom()
+    assert step(SONE, th) == th.unit(pc.TICK)
+    assert step(SAct("a"), th) == th.unit(pc.Step("a", SONE))
 
 
 def test_lstep_ca_star_counterexample_masses():
     th = theory("ca")
     e = sx("1 +[1/3] a", "ca")
     star = SStar(F(1, 2), e)
-    assert lstep(star, th) == count_point(frozenset(
+    assert step(star, th) == count_point(frozenset(
         {
             (pc.TICK, F(1, 2)),
             (pc.Step("a", SSeq(SONE, star)), F(1, 3)),
         }
     ))
-    unrolled = SChoice(F(1, 2), SSeq(e, star), SONE)
+    unrolled = Op(F(1, 2), (SSeq(e, star), SONE))
     assert pc.tick_mass(star, th) == F(1, 2)
     assert pc.tick_mass(unrolled, th) == F(7, 12)
-    assert not star_equivalent(star, unrolled, th).equivalent
+    assert not equivalent(star, unrolled, th).equivalent
 
 
 def test_star_equivalent_examples():
     th = theory("sl")
-    assert star_equivalent(sx("1 ; a", "sl"), SAct("a"), th).equivalent
-    assert star_equivalent(sx("0 ; a", "sl"), SZERO, th).equivalent
-    assert star_equivalent(
+    assert equivalent(sx("1 ; a", "sl"), SAct("a"), th).equivalent
+    assert equivalent(sx("0 ; a", "sl"), ZERO, th).equivalent
+    assert equivalent(
         sx("a ; (b ; c)", "sl"), sx("(a ; b) ; c", "sl"), th
     ).equivalent
     # bisimilarity distinguishes a(b+c) from ab + ac
-    assert not star_equivalent(
+    assert not equivalent(
         sx("a ; (b + c)", "sl"), sx("a;b + a;c", "sl"), th
     ).equivalent
 
@@ -224,7 +222,7 @@ def test_coherence_with_translation(name):
         c1 = star_reachable(s, th)
         c2 = unit_identified(pc.reachable(translate(s), th))
         u = disjoint_union(c1, c2)
-        assert check_states(u, "as0", "bs0").equivalent, unparse_sexp(s)
+        assert check_states(u, "as0", "bs0").equivalent, unparse(s)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +277,7 @@ def test_translate_and_lstep_agree_with_recursive_walks(th):
     for _ in range(300):
         e = rand_sexp(th, rng, depth=4)
         assert translate(e) is translate_recursive(e)
-        assert lstep(e, th) == lstep_recursive(e, th)
+        assert step(e, th) == lstep_recursive(e, th)
 
 
 def test_star_walks_at_depth():
@@ -288,7 +286,7 @@ def test_star_walks_at_depth():
     e, unit = SAct("a"), pc.Prefix("a", pc.Var(UNIT_VAR))
     for _ in range(10_000):
         e, unit = SSeq(SAct("a"), e), pc.Prefix("a", unit)
-    assert lstep(e, sl) == sl.unit(pc.Step("a", SSeq(SONE, e.right)))
+    assert step(e, sl) == sl.unit(pc.Step("a", SSeq(SONE, e.right)))
     assert translate(e) is unit
     assert is_guarded_star(e)
     assert partial_derivative(e, sl) is e
@@ -299,8 +297,8 @@ def test_star_walks_at_depth():
 
 def test_derivative_base_cases():
     sl = theory("sl")
-    assert partial_derivative(SZERO, sl) == SZERO
-    assert partial_derivative(SONE, sl) == SZERO
+    assert partial_derivative(ZERO, sl) == ZERO
+    assert partial_derivative(SONE, sl) == ZERO
     assert partial_derivative(SAct("a"), sl) == SAct("a")
 
 
@@ -319,8 +317,8 @@ def test_sl_derivative_characterisation():
     for _ in range(100):
         e = rand_sexp(sl, rng, depth=3)
         d = partial_derivative(e, sl)
-        rhs = SChoice(None, d, SONE) if output_guard(e, sl) else d
-        assert star_equivalent(e, rhs, sl).equivalent, unparse_sexp(e)
+        rhs = Op(None, (d, SONE)) if output_guard(e, sl) else d
+        assert equivalent(e, rhs, sl).equivalent, unparse(e)
         # derivatives never tick
         assert output_guard(d, sl) is False
 
@@ -332,7 +330,7 @@ def test_gs_derivative_characterisation():
         e = rand_sexp(gs, rng, depth=3)
         d = partial_derivative(e, gs)
         b = output_guard(e, gs)
-        assert star_equivalent(e, SChoice(b, SONE, d), gs).equivalent, unparse_sexp(e)
+        assert equivalent(e, Op(b, (SONE, d)), gs).equivalent, unparse(e)
         assert output_guard(d, gs) == frozenset()
 
 
@@ -342,7 +340,7 @@ def test_partial_derivative_agrees_with_recursive_walks(name):
     rng = random.Random(seed_for(name, 89))
     for _ in range(300):
         e = rand_sexp(th, rng, depth=4)
-        assert partial_derivative(e, th) is oracle(e, th), unparse_sexp(e)
+        assert partial_derivative(e, th) is oracle(e, th), unparse(e)
 
 
 @pytest.mark.parametrize("name", ["sl", "gs"])
@@ -355,8 +353,8 @@ def test_partial_derivative_rejects_mixed_choices_as_the_recursive_walks(name):
     rng = random.Random(seed_for(name, 97))
     for _ in range(100):
         e, f = rand_sexp(th, rng, depth=3), rand_sexp(th, rng, depth=3)
-        bad = SChoice(rng.choice(wrong), e, f)
-        for mixed in (bad, SChoice(right, f, bad)):
+        bad = Op(rng.choice(wrong), (e, f))
+        for mixed in (bad, Op(right, (f, bad))):
             with pytest.raises(pc.TheoryError) as old:
                 oracle(mixed, th)
             with pytest.raises(pc.TheoryError, match=f"^{re.escape(str(old.value))}$"):
@@ -367,7 +365,7 @@ def test_partial_derivative_rejects_a_wrong_choice_anywhere():
     # the recursive sl walk derived a sequence's right side only after a
     # left side that ticks, so it let this guarded choice through
     sl = theory("sl")
-    e = SSeq(SAct("a1"), SChoice(frozenset({"x1"}), SAct("a1"), SAct("a2")))
+    e = SSeq(SAct("a1"), Op(frozenset({"x1"}), (SAct("a1"), SAct("a2"))))
     assert deriv_sl(e, sl) is e
     with pytest.raises(pc.TheoryError, match="guarded choice in an sl expression"):
         partial_derivative(e, sl)
@@ -379,9 +377,9 @@ def test_unguarded_unrolling_sl_and_gs():
     for _ in range(100):
         e = rand_sexp(sl, rng, depth=2)
         star = SStar(None, e)
-        assert star_equivalent(
-            star, SChoice(None, SSeq(e, star), SONE), sl
-        ).equivalent, unparse_sexp(e)
+        assert equivalent(
+            star, Op(None, (SSeq(e, star), SONE)), sl
+        ).equivalent, unparse(e)
     gs = theory("gs")
     rng = random.Random(83)
     for _ in range(100):
@@ -390,6 +388,6 @@ def test_unguarded_unrolling_sl_and_gs():
 
         b = rand_guard(rng)
         star = SStar(b, e)
-        assert star_equivalent(
-            star, SChoice(b, SSeq(e, star), SONE), gs
-        ).equivalent, unparse_sexp(e)
+        assert equivalent(
+            star, Op(b, (SSeq(e, star), SONE)), gs
+        ).equivalent, unparse(e)

@@ -142,7 +142,7 @@ def test_tokenize_agrees_with_match_loop(th):
     bad = "@#$!&'\u00a0\u00e9\u0663"
     for _ in range(200):
         text = rng.choice([unparse(rand_exp(th, rng, depth=4)),
-                           pc.unparse_sexp(rand_sexp(th, rng, depth=3))])
+                           pc.unparse(rand_sexp(th, rng, depth=3))])
         at, to = sorted(rng.randrange(len(text) + 1) for _ in range(2))
         texts += [text, text + rng.choice([" ", "  \n", "\t"]),
                   text[:at] + rng.choice(bad) + text[at:],
@@ -326,6 +326,7 @@ def test_unguarded_vars_clauses():
     assert unguarded_vars(e) == {"v", "x"}
     assert unguarded_vars(Op(None, (Mu("v", Var("v")), Var("v")))) == {"v"}
     assert unguarded_vars(ZERO) == set()
+    assert unguarded_vars(pc.SSeq(pc.SAct("a"), pc.SStar(None, Op(None, (pc.SONE, ZERO))))) == set()
 
 
 @pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)

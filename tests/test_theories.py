@@ -581,7 +581,8 @@ def test_cs_state_renaming_makes_no_redundancy_call(monkeypatch):
     # a prefix state's raw entry is None: step it here
     stepped = {x: step(x, th) if nf is None else nf for x, nf in zip(order, raw)}
     calls.clear()
-    c = pc.reachable(e, th, stepper=lambda x, th, memo: stepped[x])
+    monkeypatch.setattr(pc.semantics, "step", lambda x, th, memo: stepped[x])
+    c = pc.reachable(e, th)
     assert c == expected and calls == []
 
     def rename(g):
@@ -624,7 +625,7 @@ def test_cs_unfolding_and_sequence_of_a_mixture_canonicalise_few_points(monkeypa
     for k in range(8, 17):
         e = pc.parse_exp("mu x. " + _uniform_mixture(k, lambda i: f"a{i}.x"), th)
         s = pc.parse_sexp(f"({_uniform_mixture(k, lambda i: f'a{i}')}) ; b", th)
-        for nf in (step(e, th), pc.lstep(s, th)):
+        for nf in (step(e, th), pc.step(s, th)):
             (point,) = nf - {ZERO_SUBDIST}
             assert sorted(m for _, m in fraction_point(point)) == [F(1, k)] * k
         assert sum(counts) <= k, (k, counts)

@@ -7,7 +7,7 @@ import sys
 
 _EXPORTS = {  # module -> the names procalc exports from it
     "theory": "Theory TheoryError make_theory THEORY_NAMES is_skew_associative generator_key",
-    "syntax": "Exp Zero Var Op Prefix Mu Leaf ZERO parse_exp unparse substitute "
+    "syntax": "Exp Zero Var Op Prefix Mu ZERO parse_exp unparse substitute "
               "guarded_subst_exp is_guarded free_vars ParseError",
     "semantics": "Tick Step TICK step gsubst_bm reachable Coalgebra coalgebra_to_json "
                  "coalgebra_from_json coalgebra_to_dot render_sterm StateCapExceeded "

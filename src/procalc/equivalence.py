@@ -11,14 +11,16 @@ P(N) exactly when their behaviours agree to depth N, that is, when no modal
 formula of depth N tells them apart; so the round at which two states first
 split, which ``check_states`` reports, is the least depth of such a formula.
 
-States are positions 0, 1, ... and refinement never names them.  They come
-in sides: a side is a run of consecutive positions whose normal forms name
-their step targets by keys of one dict, from key to position within the
-side.  ``equivalent`` refines the two explorations of its terms as they
-are, with step targets that are terms; ``check_states`` and
+States are positions 0, 1, ... and refinement never names them.  One
+table lists each position's state, normal form and successors, and one
+index maps each step target to a position.  ``equivalent`` refines the two
+explorations of its terms as they are, the second's positions after the
+first's, with step targets that are terms.  A term that both explorations
+reach is read at its first position.  That is exact: its two positions
+hold one term, with one normal form and successors that are the same
+terms, so no round separates them.  ``check_states`` and
 ``bisim_partition`` refine the exploration of a loaded coalgebra from all
-its states, with its structure as the one-step map: one side keyed by
-state id.
+its states, with its structure as the one-step map, indexed by state id.
 Names exist only for the certificate: ``as0``, ``as1``, ..., ``bs0``, ...
 for the positions of two explored terms, the state ids for a coalgebra.
 
@@ -45,34 +47,31 @@ from .semantics import Step, _explore, _retarget, step
 from .syntax import Record, unparse
 
 
-def _signature_text(theory, sides, s, block):
+def _signature_text(theory, table, s, block):
     """The signature of position ``s`` under ``block`` printed as a term,
-    each pair as the step ``a.block[t]``."""
-    off, index, order, nfs = next(side for side in sides if s < side[0] + len(side[3]))
-    nf = nfs[s - off]
+    each pair as the step ``a.block[t]``; ``table`` as for `_rounds`."""
+    order, index, nfs, _ = table
+    nf = nfs[s]
     if nf is None:  # a prefix a.t, whose normal form is the unit of a.t
-        x = order[s - off]
-        nf = theory.unit(Step(x.action, x.body))
-    return unparse(theory.term_of_nf(_retarget(theory, nf, lambda t: block[off + index[t]])))
+        nf = theory.unit(Step(order[s].action, order[s].body))
+    return unparse(theory.term_of_nf(_retarget(theory, nf, lambda t: block[index[t]])))
 
 
-def _rounds(theory, sides, succ, block):
+def _rounds(theory, table, block):
     """Moore refinement of ``block``, a list of zeros with one entry per
-    position, which becomes the internal block ids.  ``sides`` lists
-    ``(offset, index, order, nfs)``: position ``offset + j`` is ``order[j]``,
-    ``nfs[j]`` is its normal form, and it names the step target at position
-    ``offset + index[t]`` by ``t``.  A normal form of None stands for the
-    unit of the prefix ``order[j]``.  ``succ`` lists each position's step
-    targets as positions.  One round per iteration: yields the positions
+    position, which becomes the internal block ids.  ``table`` is
+    ``(order, index, nfs, succ)``: position ``s`` is the state
+    ``order[s]``, ``nfs[s]`` is its normal form, which names the step target
+    at position ``index[t]`` by ``t``, and ``succ[s]`` lists its step
+    targets as positions.  A normal form of None stands for the unit of the
+    prefix ``order[s]``.  One round per iteration: yields the positions
     that leave their block, mapped to their new ids, then applies the move
     to ``block`` in place.  Stops when a round moves nothing."""
-    nfs, reads, acts = [], [], []
-    for off, index, order, side in sides:
-        def read(g, index=index, off=off):
-            return (g.action, block[off + index[g.target]]) if type(g) is Step else g
-        nfs += side
-        reads += [read] * len(side)
-        acts += [x.action if nf is None else None for x, nf in zip(order, side)]
+    order, index, nfs, succ = table
+
+    def read(g):
+        return (g.action, block[index[g.target]]) if type(g) is Step else g
+
     unit, nf_map = theory.unit, theory.nf_map
     pred = [[] for _ in block]
     for s, targets in enumerate(succ):
@@ -85,9 +84,9 @@ def _rounds(theory, sides, succ, block):
         for s in dirty:
             nf = nfs[s]
             if nf is None:  # the prefix a.t: nf_map(unit(a.t), read) is unit(read(a.t))
-                sig = unit((acts[s], block[succ[s][0]]))
+                sig = unit((order[s].action, block[succ[s][0]]))
             else:
-                sig = nf_map(nf, reads[s])
+                sig = nf_map(nf, read)
             by_sig = recomputed.get(block[s])
             if by_sig is None:
                 recomputed[block[s]] = {sig: [s]}
@@ -124,20 +123,17 @@ def _dense(block):
     return [ids.setdefault(b, len(ids)) for b in block]
 
 
-def _coalgebra_side(c):
-    """A coalgebra as the one side of its positions, keyed by state id, and
-    the positions' successors: its exploration from all its states, with
-    ``c.structure`` as the one-step map."""
-    order, index, nfs, succ = _explore(c.states, c.theory, float("inf"),
-                                       lambda s, theory, memo: c.structure[s])
-    return [(0, index, order, nfs)], succ
+def _coalgebra_table(c):
+    """A coalgebra's positions as a table for `_rounds`: its exploration
+    from all its states, with ``c.structure`` as the one-step map."""
+    return _explore(c.states, c.theory, float("inf"), lambda s, theory, memo: c.structure[s])
 
 
 def bisim_partition(c):
     """Coarsest stable partition; returns dict state -> block id (dense ints,
     numbered by first occurrence in state order)."""
     block = [0] * len(c.states)
-    for _ in _rounds(c.theory, *_coalgebra_side(c), block):
+    for _ in _rounds(c.theory, _coalgebra_table(c), block):
         pass
     return dict(zip(c.states, _dense(block)))
 
@@ -146,20 +142,20 @@ class Certificate(Record):
     _fields = ("equivalent", "rounds", "detail")
 
 
-def _certificate(theory, sides, succ, s1, s2, name):
+def _certificate(theory, table, s1, s2, name):
     """Bisimilarity of positions ``s1`` and ``s2``, with a certificate in
-    which position ``i`` is called ``name(i)``; ``sides`` and ``succ`` as
-    for `_rounds`."""
-    block = [0] * sum(len(nfs) for _, _, _, nfs in sides)
+    which position ``i`` is called ``name(i)``; ``table`` as for
+    `_rounds`."""
+    block = [0] * len(table[2])
     rounds = 0
-    for moved in _rounds(theory, sides, succ, block):
+    for moved in _rounds(theory, table, block):
         rounds += 1
         if moved.get(s1, block[s1]) != moved.get(s2, block[s2]):
             prev = _dense(block)
             detail = (
                 f"split at refinement round {rounds}: "
-                f"{name(s1)} has signature {_signature_text(theory, sides, s1, prev)}, "
-                f"{name(s2)} has signature {_signature_text(theory, sides, s2, prev)}"
+                f"{name(s1)} has signature {_signature_text(theory, table, s1, prev)}, "
+                f"{name(s2)} has signature {_signature_text(theory, table, s2, prev)}"
             )
             return Certificate(False, rounds, detail)
     classes = {}
@@ -171,9 +167,9 @@ def _certificate(theory, sides, succ, s1, s2, name):
 
 def check_states(c, s1, s2):
     """Bisimilarity of two states of one coalgebra, with a certificate."""
-    sides, succ = _coalgebra_side(c)
-    index = sides[0][1]
-    return _certificate(c.theory, sides, succ, index[s1], index[s2], c.states.__getitem__)
+    table = _coalgebra_table(c)
+    index = table[1]
+    return _certificate(c.theory, table, index[s1], index[s2], c.states.__getitem__)
 
 
 def equivalent(e, f, theory, cap=10000):
@@ -188,6 +184,8 @@ def equivalent(e, f, theory, cap=10000):
     def name(s):
         return f"as{s}" if s < n1 else f"bs{s - n1}"
 
-    succ = succ1 + [[n1 + t for t in targets] for targets in succ2]
-    sides = [(0, index1, order1, nfs1), (n1, index2, order2, nfs2)]
-    return _certificate(theory, sides, succ, 0, n1, name)
+    index = {t: n1 + j for t, j in index2.items()}
+    index.update(index1)  # a term both reach is read at its first position
+    table = (order1 + order2, index, nfs1 + nfs2,
+             succ1 + [[n1 + t for t in targets] for targets in succ2])
+    return _certificate(theory, table, 0, n1, name)

@@ -1,12 +1,13 @@
 """Operational semantics: one-step behaviour and reachable coalgebras.
 
 The one-step map sends a term to a normal form over *transitions*: outputs
-(a free variable's own ``Var`` node, whose normal form is its unit), action
-steps ``Step(a, target)``, and (for the star fragment) successful
-termination ``Tick()``.  Process terms and star expressions are one kind of
-term, so one map serves both: each node is stepped by its rule, and the
-star nodes carry theirs (``star.py``), which this module applies without
-loading that one.  Recursion unfolds via the guarded substitution on
+(a free variable's own ``Var`` node), action steps ``Step(a, target)``, and
+(for the star fragment) successful termination ``TICK``.  Each of them is a
+term node of its own, whose normal form is its unit, so the term reading of
+a normal form steps back to it.  Process terms and star expressions are one
+kind of term, so one map serves both: each node is stepped by its rule, and
+the star nodes carry theirs (``star.py``), which this module applies
+without loading that one.  Recursion unfolds via the guarded substitution on
 behaviours: unguarded occurrences of the recursion variable collapse to
 deadlock, guarded ones are rewired to the fixpoint term.
 
@@ -34,10 +35,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .syntax import (_TABLE, Exp, Frozen, Interned, Leaf, Mu, Op, Prefix, Record, Var, Zero,
-                     _intern, _set, cached_text, is_name, post_order, substitute, unparse)
-from .theory import (MAX_JSON_DEPTH, TheoryError, exact_fraction, generator_key,
-                     read_json, sorted_gens, theory_from_json)
+from .syntax import (TICK, Exp, Mu, Op, Prefix, Record, Step, Tick, Var, Zero, is_name,
+                     post_order, render_target, sorted_gens, substitute, unparse)
+from .theory import MAX_JSON_DEPTH, TheoryError, exact_fraction, read_json, theory_from_json
 
 
 class StateCapExceeded(RuntimeError):
@@ -45,68 +45,21 @@ class StateCapExceeded(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# transitions
-
-class Tick(Frozen):
-    def sort_key(self):
-        return ("tick",)
-
-    def text(self):
-        return "1"
-
-
-class Step(Interned):
-    """The action step ``action.target``, hash-consed like a term node: equal
-    steps are one object, so they hash and compare by identity.  The target
-    (an expression or a state id) is keyed with its type, because
-    ``1 == True``."""
-
-    __slots__ = _fields = ("action", "target")
-
-    def __new__(cls, action, target):
-        key = (cls, action, target, type(target))
-        node = _TABLE.get(key)
-        if node is None:
-            node = object.__new__(cls)
-            _set(node, "action", action)
-            _set(node, "target", target)
-            _intern(key, node)
-        return node
-
-    def sort_key(self):
-        return ("act", self.action, generator_key(self.target))
-
-    def text(self):
-        """``a.target``, the target bracketed when its text has a space or
-        one of ``+;^``."""
-        target = _render_target(self.target)
-        if any(ch in target for ch in " +;^"):
-            target = f"({target})"
-        return f"{self.action}.{target}"
-
-
-TICK = Tick()
-
-
-def _render_target(x):
-    """A step target as text: an expression or a state id."""
-    return cached_text(x) if isinstance(x, Interned) else str(x)
-
-
-# ---------------------------------------------------------------------------
 # one-step semantics
 
-_AT_ONCE = frozenset((Prefix, Zero, Leaf, Var))  # stepped in constant time, not memoised
+_GENERATORS = (Var, Step, Tick)  # each steps to its own unit
+_AT_ONCE = frozenset((Prefix, Zero, *_GENERATORS))  # stepped in constant time, not memoised
 
 
 def step(e, theory, memo=None):
-    """The one-step normal form of the term ``e``, of either grammar.  A
-    ``Leaf`` is its generator, so this also evaluates the term reading of a
-    normal form; a star node has its own rule, ``_step``.
+    """The one-step normal form of the term ``e``, of either grammar.  An
+    output, a step and termination each step to their own unit, so this
+    also evaluates the term reading of a normal form; a star node has its
+    own rule, ``_step``.
 
     ``memo`` maps the nodes already stepped to their normal forms: every
-    node but a prefix, ``0``, a ``Leaf`` and a variable, which step in
-    constant time.  The nodes under ``e`` that it lacks are stepped
+    node but a prefix, ``0`` and a generator, which step in constant
+    time.  The nodes under ``e`` that it lacks are stepped
     children first and added to it, both sides of a sequence included, so
     a caller that steps many terms sharing subterms (``reachable``) steps
     each of them once.  A node whose children are all stepped is evaluated
@@ -117,9 +70,9 @@ def step(e, theory, memo=None):
     then it steps as ``t``.  That is exact, because the outputs and step
     targets of ``t``'s normal form have their free variables among ``t``'s,
     so there is no output ``x`` to make deadlock and no target to put the
-    fixpoint into.  A ``Leaf`` that steps to an expression has that
-    expression's free variables, so a binder whose variable occurs only
-    there is unfolded too."""
+    fixpoint into.  A step to an expression has that expression's free
+    variables, so a binder whose variable occurs only there is unfolded
+    too."""
     if memo is None:
         memo = {}
 
@@ -158,9 +111,7 @@ def _stepped(e, theory, memo):
         return theory.unit(Step(e.action, e.body))
     if isinstance(e, Zero):
         return theory.bottom()
-    if isinstance(e, Leaf):
-        return theory.unit(e.gen)
-    if isinstance(e, Var):
+    if isinstance(e, _GENERATORS):
         return theory.unit(e)
     if e in memo:
         return memo[e]
@@ -169,16 +120,14 @@ def _stepped(e, theory, memo):
 
 def gsubst_bm(nf, g, v, theory):
     """Guarded substitution on behaviours: the output ``Var(v)`` becomes
-    deadlock, step targets get g substituted for v.  A target that is not
-    an expression (a state id) has no variables and is kept."""
+    deadlock, and each step gets g substituted for v in its target (a state
+    id has no variables)."""
     out = Var(v)
 
     def leaf(t):
         if t is out:
             return theory.bottom()
-        if type(t) is Step and isinstance(t.target, Exp):
-            return theory.unit(Step(t.action, substitute(t.target, {v: g})))
-        return theory.unit(t)
+        return theory.unit(substitute(t, {v: g}) if type(t) is Step else t)
 
     return theory.bind(nf, leaf)
 
@@ -291,12 +240,10 @@ def _sterm_to_json(t):
             done[n] = {"const": "0"}, 1
         elif type(n) is Var:
             done[n] = {"out": n.name}, 1
-        elif isinstance(n, Leaf):
-            g = n.gen
-            if isinstance(g, Tick):
-                done[n] = {"tick": True}, 1
-            else:
-                done[n] = {"act": g.action, "to": _render_target(g.target)}, 1
+        elif type(n) is Step:
+            done[n] = {"act": n.action, "to": render_target(n.target)}, 1
+        elif type(n) is Tick:
+            done[n] = {"tick": True}, 1
         else:
             node = {"op": "+"}
             if isinstance(n.param, frozenset):

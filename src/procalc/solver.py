@@ -15,9 +15,8 @@ from __future__ import annotations
 import re
 
 from . import syntax
-from .semantics import Tick
-from .syntax import (Mu, Prefix, Record, Var, bound_vars, free_vars, fresh_name, substitute,
-                     unguarded_vars)
+from .syntax import (Mu, Prefix, Record, Tick, Var, bound_vars, free_vars, fresh_name,
+                     substitute, unguarded_vars)
 from .theory import TheoryError
 
 

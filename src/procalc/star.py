@@ -24,10 +24,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import syntax
-from .semantics import Step, TICK, Tick, reachable, step
-from .syntax import (_ATOM, _EMPTY, _ITEM, Exp, Mu, Op, ParseError, Prefix, Record, Var, ZERO,
-                     all_names, bracket, choice_param, expect_token, fresh_name, is_guarded,
-                     parse_param, post_order, render_param, substitute, token_kind)
+from .semantics import reachable, step
+from .syntax import (_ATOM, _EMPTY, _ITEM, TICK, Exp, Mu, Op, ParseError, Prefix, Record, Step,
+                     Tick, Var, ZERO, all_names, bracket, choice_param, expect_token, fresh_name,
+                     is_guarded, parse_param, post_order, render_param, substitute, token_kind)
 from .theory import TheoryError
 
 UNIT_VAR = "$unit"

@@ -25,17 +25,23 @@ it is complete.  The star fragment's parser is a loop of the same kind over
 the same tokens, and both read choice parameters with ``parse_param``.
 Star expressions are terms too: their ``0`` and choice are ``ZERO`` and
 ``Op``, and ``star.py`` adds the other nodes as ``Exp`` subclasses, so
-``unparse`` prints both grammars.  Terms are hash-consed DAGs.  ``post_order`` lists the nodes under a root
-that a caller still has to visit, children first, each once; the one-step
-semantics, the star fragment's walks, guardedness, the bound names, the
-printer (which builds each node's text once) and the zeroing step of
-guarded substitution are loops over it.  Substitution is one loop,
+``unparse`` prints both grammars.  So are the transitions of the one-step
+semantics, the generators of its normal forms: an output is its ``Var``,
+and an action step ``Step(a, target)`` and termination ``TICK`` are nodes
+defined here, leaves for every walk, so a normal form's term reading is
+written with its own generators.  Terms are hash-consed DAGs.
+``post_order`` lists the nodes under a root that a caller still has to
+visit, children first, each once; the one-step semantics, the star
+fragment's walks, guardedness, the bound names (which also walk step
+targets), the printer (which builds each node's text once) and the zeroing
+step of guarded substitution are loops over it.  Substitution is one loop,
 ``_subst``: it rewrites each (node, bindings) pair once per ``substitute``
 call, with an explicit stack and one memo per set of bindings, keyed by
 node, that lives for that call only; a run of prefixes that must change is
-walked down in one loop and rebuilt by ``_prefix_run``.  Guarded
-substitution turns the unguarded occurrences of its variable into ``0``
-and then calls ``substitute``.
+walked down in one loop and rebuilt by ``_prefix_run``, and a step is
+rebuilt around its rewritten target.  Guarded substitution turns the
+unguarded occurrences of its variable into ``0`` and then calls
+``substitute``.
 """
 
 from __future__ import annotations
@@ -69,7 +75,7 @@ class Interned:
     ``(cls, *fields)``; its children are interned already, so the key costs
     O(1) to build and two structurally equal nodes are the same object.
     Equality and hashing are therefore ``object``'s own, by identity.  A
-    ``param`` or ``gen`` field is keyed on its type as well, because
+    ``param`` field is keyed on its type as well, because
     ``1 == True == Fraction(1)``; a ``Fraction`` parameter is keyed on its
     numerator and denominator (``_param_key``), whose ints hash far faster
     than a ``Fraction`` does.  The table is a plain dict, and
@@ -77,11 +83,11 @@ class Interned:
     soon after its last user.
 
     Subclasses list their fields in ``_fields`` (and ``__slots__``), with
-    ``param`` or ``gen`` first when they have one (``_typed_param``); their
+    ``param`` first when they have one (``_typed_param``); their
     child nodes in ``_kids``; their printing precedence in ``_prec``; and
     their printed text in ``_render``, which may read the cached ``_text``
     of every child.  The generic constructor below fills the fields in a
-    loop; the hot classes ``Var``, ``Prefix``, ``Op``, ``Mu`` and ``Leaf``
+    loop; the hot classes ``Var``, ``Prefix``, ``Op``, ``Mu`` and ``Step``
     have their own, which take the fields by name and also fill ``_free``,
     the free variables; ``Prefix``'s is ``_prefix_run`` over one action.
     All of them enter a new node by ``_intern``.  They are written out by
@@ -394,37 +400,99 @@ class Mu(Exp):
         return f"mu {self.var}. {self.body._text}"
 
 
-class Leaf(Exp):
-    """A generator of a theory's normal forms standing as a term, in the
-    term reading of a normal form: an action step or termination.  A step
-    to an expression has that expression's free variables, which sit under
-    its action as a prefix's do: substitution refuses them, and guarded
-    substitution leaves them alone."""
-    __slots__ = _fields = ("gen",)
+# ---------------------------------------------------------------------------
+# transitions: the generators of a one-step normal form that are not outputs
+# (an output is its own ``Var``), and their sort order
 
-    def __new__(cls, gen):
-        key = (cls, gen, type(gen))
+def _tuple_key(g):
+    return ("t", tuple(map(generator_key, g)))
+
+
+def _frozenset_key(g):
+    return ("f", tuple(sorted(map(generator_key, g))))
+
+
+# the value types, looked up by exact type (a bool is not keyed as an int)
+_VALUE_KEYS = {
+    bool: lambda g: ("b", g),
+    int: lambda g: ("i", g),
+    Fraction: lambda g: ("q", g),
+    str: lambda g: ("s", g),
+    tuple: _tuple_key,
+    frozenset: _frozenset_key,
+}
+
+
+def generator_key(g):
+    """A sort key for any generator: ``None``, a node or transition with a
+    ``sort_key``, or a value built from bools, ints, fractions, strings,
+    tuples and frozensets.  The exact value types are one dict lookup."""
+    key = _VALUE_KEYS.get(type(g))
+    if key is not None:
+        return key(g)
+    if g is None:
+        return ("0",)
+    if hasattr(g, "sort_key"):
+        return ("k",) + tuple(g.sort_key())
+    return ("r", repr(g))
+
+
+def sorted_gens(gens):
+    return sorted(gens, key=generator_key)
+
+
+class Step(Exp):
+    """The action step ``action.target``, a term that steps to its own unit.
+    The target (an expression or a state id) is keyed with its type,
+    because ``1 == True``.  It is a leaf for every walk; an expression
+    target's free variables are the step's, and sit under its action as a
+    prefix body's do."""
+    __slots__ = _fields = ("action", "target")
+
+    def __new__(cls, action, target):
+        key = (cls, action, target, type(target))
         node = _TABLE.get(key)
         if node is None:
-            target = getattr(gen, "target", None)
             node = object.__new__(cls)
-            _set(node, "gen", gen)
+            _set(node, "action", action)
+            _set(node, "target", target)
             _set(node, "_text", None)
             _set(node, "_free", target._free if isinstance(target, Exp) else _EMPTY)
             _intern(key, node)
         return node
 
+    def sort_key(self):
+        return ("act", self.action, generator_key(self.target))
+
     def _render(self):
-        return self.gen.text()
+        """``a.target``, the target bracketed when its text has a space or
+        one of ``+;^``."""
+        target = render_target(self.target)
+        if any(ch in target for ch in " +;^"):
+            target = f"({target})"
+        return f"{self.action}.{target}"
 
 
-def leaf_term(g):
-    """The term of the generator ``g`` in a term reading: an output is its
-    variable, any other generator a ``Leaf``."""
-    return g if type(g) is Var else Leaf(g)
+class Tick(Exp):
+    """Successful termination, the star fragment's transition: a term that
+    steps to its own unit and prints ``1``."""
+    __slots__ = _fields = ()
+    _free = _EMPTY
+
+    def sort_key(self):
+        return ("tick",)
+
+    def _render(self):
+        return "1"
+
+
+def render_target(x):
+    """A step target as text: an expression or a state id."""
+    return cached_text(x) if isinstance(x, Exp) else str(x)
 
 
 ZERO = Zero()
+TICK = Tick()
 
 
 def children(e):
@@ -439,8 +507,15 @@ def free_vars(e):
 
 
 def bound_vars(*es):
-    """The names bound by a ``mu`` anywhere under the expressions ``es``."""
-    return {n.var for n in post_order(es) if type(n) is Mu}
+    """The names bound by a ``mu`` anywhere under the expressions ``es``,
+    step targets included: each round walks the targets the last one met."""
+    names, seen = set(), set()
+    while es:
+        nodes = post_order(es, lambda n: n not in seen)
+        seen.update(nodes)
+        names.update(n.var for n in nodes if type(n) is Mu)
+        es = [n.target for n in nodes if type(n) is Step and isinstance(n.target, Exp)]
+    return names
 
 
 def all_names(*es):
@@ -456,21 +531,22 @@ def _fresh_names(avoid):
     return (w for w in map("%{}".format, itertools.count()) if w not in avoid)
 
 
+_ABOVE_GUARDS = frozenset((Var, Op, Mu))  # the nodes with free variables outside any action
+
+
 def unguarded_vars(e):
-    """The free variables of e with an occurrence not under an action prefix
-    (or in a ``Leaf``'s step target), from one set per node of the DAG above
-    the prefixes that has free variables."""
+    """The free variables of e with an occurrence not under an action (a
+    prefix's or a step's), from one set per node of the DAG above the
+    actions that has free variables."""
     sets = {}
-    for n in post_order((e,), lambda n: type(n) is not Prefix and n._free):
+    for n in post_order((e,), lambda n: type(n) in _ABOVE_GUARDS and n._free):
         cls = type(n)
         if cls is Var:
             sets[n] = frozenset((n.name,))
         elif cls is Op:
             sets[n] = sets.get(n.args[0], _EMPTY) | sets.get(n.args[1], _EMPTY)
-        elif cls is Mu:
+        else:
             sets[n] = sets.get(n.body, _EMPTY) - {n.var}
-        elif cls is not Leaf:
-            raise TypeError(f"not an expression: {n!r}")
     return sets.get(e, _EMPTY)
 
 
@@ -485,8 +561,8 @@ def is_guarded(v, e):
 def substitute(e, bindings):
     """Simultaneous capture-avoiding substitution of expressions for free
     variables.  Bound variables are alpha-renamed into the reserved ``%``
-    namespace when they would capture.  A ``Leaf`` whose step target holds
-    a substituted variable raises `TypeError`."""
+    namespace when they would capture.  A step's expression target is
+    rewritten as a prefix body is."""
     bindings = {v: f for v, f in bindings.items() if f != Var(v)}
     if free_vars(e).isdisjoint(bindings):
         return e
@@ -494,6 +570,7 @@ def substitute(e, bindings):
 
 
 _KIDS = object()  # on _subst's stack: the children of the Op below are done
+_TARGET = object()  # on _subst's stack: the target of the Step below is done
 
 
 def _subst(e, bindings):
@@ -508,7 +585,8 @@ def _subst(e, bindings):
     tree; the renaming joins the bindings of its body.  A ``Prefix`` takes
     along the run of prefixes below it, which share its free variables: the
     run is walked down in one loop, the node below it is rewritten, and
-    ``_prefix_run`` builds the run again over that."""
+    ``_prefix_run`` builds the run again over that.  A ``Step`` is rebuilt
+    around its rewritten target."""
     table, memos = [bindings], [{}]
     index = {frozenset(bindings.items()): 0}
     fresh = None  # the fresh binder names, set up at the first renaming
@@ -538,7 +616,9 @@ def _subst(e, bindings):
             elif cls is Op:
                 l, r = node.args
                 stack += ((node, ctx, _KIDS), (r, ctx, None), (l, ctx, None))
-            elif cls is Mu:
+            elif cls is Step:
+                stack += ((node, ctx, _TARGET), (node.target, ctx, None))
+            else:  # a Mu
                 u, body = node.var, node.body
                 fv = body._free
                 live = {v: f for v, f in bnd.items() if v != u and v in fv}
@@ -554,11 +634,11 @@ def _subst(e, bindings):
                     table.append(live)
                     memos.append({})
                 stack += ((node, ctx, (u, sub)), (body, sub, None))
-            else:  # a Leaf: its target is not rewritten
-                raise TypeError(f"cannot substitute into {node!r}")
         elif plan is _KIDS:
             l, r = node.args
             memo[node] = Op(node.param, (memo[l], memo[r]))
+        elif plan is _TARGET:
+            memo[node] = Step(node.action, memo[node.target])
         elif type(plan) is list:  # node is the run, top first
             new = _prefix_run(plan, memo[node[-1].body])
             for old in node:
@@ -572,22 +652,19 @@ def _subst(e, bindings):
 
 def guarded_subst_exp(e, g, v):
     """Guarded syntactic substitution e[g//v]: unguarded occurrences of v
-    become 0, guarded ones (under a prefix) become g.  One pass over the DAG
-    above the prefixes turns the first into 0; ``substitute`` then puts g
-    for the rest.  A ``Leaf``'s step target counts as guarded."""
+    become 0, guarded ones (under a prefix or in a step's target) become g.
+    One pass over the DAG above the actions turns the first into 0;
+    ``substitute`` then puts g for the rest."""
     zeroed = {}
-    for n in post_order((e,), lambda n: type(n) is not Prefix and type(n) is not Leaf
-                        and v in n._free):
+    for n in post_order((e,), lambda n: type(n) in _ABOVE_GUARDS and v in n._free):
         cls = type(n)
         if cls is Var:
             zeroed[n] = ZERO
         elif cls is Op:
             l, r = n.args
             zeroed[n] = Op(n.param, (zeroed.get(l, l), zeroed.get(r, r)))
-        elif cls is Mu:
-            zeroed[n] = Mu(n.var, zeroed.get(n.body, n.body))
         else:
-            raise TypeError(f"not an expression: {n!r}")
+            zeroed[n] = Mu(n.var, zeroed.get(n.body, n.body))
     return substitute(zeroed.get(e, e), {v: g})
 
 

@@ -25,52 +25,11 @@ import itertools
 import math
 from fractions import Fraction
 
-from .syntax import GUARD_ATOM, ZERO, Frozen, Op, Var, leaf_term
+from .syntax import GUARD_ATOM, ZERO, Frozen, Op, Var, generator_key, sorted_gens
 
 
 class TheoryError(ValueError):
     """Ill-formed term, invalid parameter, or backend mismatch."""
-
-
-# ---------------------------------------------------------------------------
-# generic ordering of generators (used wherever sets must be walked
-# deterministically: term readings, BFS target extraction, printing)
-
-def _tuple_key(g):
-    return ("t", tuple(map(generator_key, g)))
-
-
-def _frozenset_key(g):
-    return ("f", tuple(sorted(map(generator_key, g))))
-
-
-# the value types, looked up by exact type (a bool is not keyed as an int)
-_VALUE_KEYS = {
-    bool: lambda g: ("b", g),
-    int: lambda g: ("i", g),
-    Fraction: lambda g: ("q", g),
-    str: lambda g: ("s", g),
-    tuple: _tuple_key,
-    frozenset: _frozenset_key,
-}
-
-
-def generator_key(g):
-    """A sort key for any generator: ``None``, a node or transition with a
-    ``sort_key``, or a value built from bools, ints, fractions, strings,
-    tuples and frozensets.  The exact value types are one dict lookup."""
-    key = _VALUE_KEYS.get(type(g))
-    if key is not None:
-        return key(g)
-    if g is None:
-        return ("0",)
-    if hasattr(g, "sort_key"):
-        return ("k",) + tuple(g.sort_key())
-    return ("r", repr(g))
-
-
-def sorted_gens(gens):
-    return sorted(gens, key=generator_key)
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +384,10 @@ def exact_fraction(value):
 _FAMILY_WORDS = {"plus": "unparametrised", "gplus": "guarded", "pplus": "probabilistic"}
 
 
+def _itself(g):
+    return g
+
+
 class Theory:
     """A branching theory together with its normal-form backend."""
 
@@ -454,9 +417,10 @@ class Theory:
     def generators(self, nf):
         raise NotImplementedError
 
-    def term_of_nf(self, nf, leaf=leaf_term):
+    def term_of_nf(self, nf, leaf=_itself):
         """The canonical term reading of ``nf``: an expression built from
-        ``ZERO``, ``Op`` and ``leaf(g)`` for each generator ``g``."""
+        ``ZERO``, ``Op`` and ``leaf(g)`` for each generator ``g``, by default
+        the generator itself, which is a term."""
         raise NotImplementedError
 
     def weight(self, nf, g):
@@ -527,7 +491,7 @@ class Semilattice(Theory):
     def weight(self, nf, g):
         return g in nf
 
-    def term_of_nf(self, nf, leaf=leaf_term):
+    def term_of_nf(self, nf, leaf=_itself):
         return _sum([leaf(g) for g in sorted_gens(nf)])
 
 
@@ -593,7 +557,7 @@ class CommutativeMonoid(_WeightedSums):
         self.check_param(param)
         return _mixed([(u, 1) for u in args], 1)
 
-    def term_of_nf(self, nf, leaf=leaf_term):
+    def term_of_nf(self, nf, leaf=_itself):
         return _sum([leaf(g) for g, n in sorted(nf[1], key=_pair_key({})) for _ in range(n)])
 
 
@@ -645,7 +609,7 @@ class GuardedSemilattice(Theory):
     def weight(self, nf, g):
         return frozenset(atom for atom, e in zip(self.atoms, nf) if e == g)
 
-    def term_of_nf(self, nf, leaf=leaf_term):
+    def term_of_nf(self, nf, leaf=_itself):
         # group atoms by value, classes ordered by first occurrence; the
         # last class stands alone, each other one guards a choice
         classes = {}
@@ -719,7 +683,7 @@ class ConvexAlgebra(_WeightedSums):
         a, b = param.numerator, param.denominator
         return _mixed(((args[0], a), (args[1], b - a)), b)
 
-    def term_of_nf(self, nf, leaf=leaf_term):
+    def term_of_nf(self, nf, leaf=_itself):
         d, pairs = nf
         return _ca_reading(d, sorted(pairs, key=_pair_key({})), leaf)
 
@@ -805,7 +769,7 @@ class ConvexSemilattice(Theory):
         # the (generator, mass) pairs in reading order, each listed once
         return list(dict.fromkeys((g, Fraction(n, d)) for d, ps in _ranked(nf) for g, n in ps))
 
-    def term_of_nf(self, nf, leaf=leaf_term):
+    def term_of_nf(self, nf, leaf=_itself):
         return _sum([_ca_reading(d, pairs, leaf) for d, pairs in _ranked(nf)])
 
 

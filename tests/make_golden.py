@@ -317,6 +317,13 @@ def cases():
     add("prove", "{file}", file=json.dumps(
         {"theory": "sl", "goal": ["u", "u + 0"],
          "steps": [{"rule": "axiom", "name": "SL9", "lhs": "u", "rhs": "u + 0"}]}))
+
+    # paths that no case above reaches: a cs sum that shares generators and
+    # leaves a point whose dominance takes one exact simplex, and a binder
+    # renamed to %0 in the binding context of an inner mu
+    add("step", "--theory", "cs", "(a.0 +[1/2] b.0) + a.0 + b.0")
+    add("step", "mu x. (mu y. a.(x + y)) + y")
+    add("lts", "mu x. (mu y. a.(x + y)) + y")
     return out
 
 

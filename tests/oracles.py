@@ -40,11 +40,39 @@ from fractions import Fraction
 import procalc as pc
 from procalc import semantics
 from masses import count_form, count_point, fraction_point
-from procalc.syntax import (_IDENT, _NUM, ZERO, Leaf, NameUse, Op, ParseError, all_names,
-                            leaf_term, fresh_name, post_order, render_param)
+from procalc.syntax import (_IDENT, _NUM, ZERO, NameUse, Op, ParseError, all_names, fresh_name,
+                            post_order, render_param)
 from procalc.theory import (CA_AXIOMS, CS_AXIOMS, ZERO_SUBDIST, Theory, TheoryError,
                             canonical_convex_set, eval_param, feasible, generator_key,
                             in_lower_hull, sorted_gens, theory_from_json)
+
+
+class Gen(pc.Exp):
+    """A generator of any kind (a string, a tuple, a normal form) standing
+    as a term, for the theory-law tests, whose normal forms are over such
+    generators: it carries its own one-step rule, as a star node does, to
+    the generator's unit.  It is keyed on the generator's type as well, so
+    ``1``, ``True`` and ``Fraction(1)`` are three nodes."""
+
+    __slots__ = _fields = ("gen",)
+    _typed_param = True
+    _free = frozenset()
+
+    def _render(self):
+        return repr(self.gen)
+
+    def _step(self, theory):
+        return theory.unit(self.gen)
+
+
+def gen_term(g):
+    """``g`` itself when it is a term (an output, a step or termination),
+    else ``Gen(g)``: a ``leaf`` for ``term_of_nf`` over any generators."""
+    return g if isinstance(g, pc.Exp) else Gen(g)
+
+
+def _itself(g):
+    return g
 
 
 def _gauss_solve(rows, rhs):
@@ -281,14 +309,14 @@ def _ca_reading_sorted(sub, leaf):
     return t
 
 
-def ca_term_of_nf_sorted(nf, leaf=leaf_term):
+def ca_term_of_nf_sorted(nf, leaf=_itself):
     """The ``ca`` reading of a subdistribution, sorted by ``sorted_gens``
     in ``Fraction`` form with one ``Fraction`` division per generator;
     oracle for ``ConvexAlgebra.term_of_nf``."""
     return _ca_reading_sorted(fraction_point(nf), leaf)
 
 
-def cs_term_of_nf_sorted(nf, leaf=leaf_term):
+def cs_term_of_nf_sorted(nf, leaf=_itself):
     """The ``cs`` reading: the ``ca`` readings of the points, ranked by
     ``sorted_gens`` in ``Fraction`` form, summed from the left; oracle for
     ``ConvexSemilattice.term_of_nf``."""
@@ -467,7 +495,7 @@ class FractionConvexAlgebra(Theory):
     def weight(self, nf, g):
         return dict(nf).get(g, Fraction(0))
 
-    def term_of_nf(self, nf, leaf=leaf_term):
+    def term_of_nf(self, nf, leaf=_itself):
         return _f_ca_reading(sorted(nf, key=_f_pair_key({})), leaf)
 
 
@@ -520,7 +548,7 @@ class FractionConvexSemilattice(Theory):
     def edges(self, nf):
         return list(dict.fromkeys(p for sub in sorted_gens(nf) for p in sorted_gens(sub)))
 
-    def term_of_nf(self, nf, leaf=leaf_term):
+    def term_of_nf(self, nf, leaf=_itself):
         key = _f_pair_key({})
         ranked = []
         for sub in nf:
@@ -750,7 +778,7 @@ def is_guarded_recursive(v, e):
     recursion; oracle for ``syntax.unguarded_vars``."""
     if isinstance(e, pc.Var):
         return e.name != v
-    if isinstance(e, (pc.Zero, pc.Leaf, pc.Prefix)):
+    if isinstance(e, (pc.Zero, pc.Step, pc.Prefix)):
         return True
     if isinstance(e, pc.Mu):
         return True if e.var == v else is_guarded_recursive(v, e.body)
@@ -1115,10 +1143,12 @@ def guarded_subst_renaming(e, g, v):
             return memo[n]
         if isinstance(n, pc.Var):
             out = ZERO if n.name == v else n
-        elif isinstance(n, (pc.Zero, Leaf)):
+        elif isinstance(n, pc.Zero):
             out = n
         elif isinstance(n, pc.Prefix):
             out = pc.Prefix(n.action, pc.substitute(n.body, {v: g}))
+        elif isinstance(n, pc.Step):
+            out = pc.Step(n.action, pc.substitute(n.target, {v: g}))
         elif isinstance(n, Op):
             out = Op(n.param, tuple(walk(a) for a in n.args))
         elif isinstance(n, pc.Mu):
@@ -1251,7 +1281,7 @@ def sterm_from_json(d, states):
                 raise TheoryError(f"an output must be a string, not {d['out']!r}")
             built.append(pc.Var(d["out"]))
         elif "tick" in d:
-            built.append(Leaf(pc.TICK))
+            built.append(pc.TICK)
         elif "act" in d:
             if not isinstance(d["act"], str):
                 raise TheoryError(f"an action must be a string, not {d['act']!r}")
@@ -1262,7 +1292,7 @@ def sterm_from_json(d, states):
                     f"the target of action {d['act']!r} must be a string, not {d['to']!r}")
             if d["to"] not in states:
                 raise TheoryError(f"unknown target state {d['to']!r}")
-            built.append(Leaf(pc.Step(d["act"], d["to"])))
+            built.append(pc.Step(d["act"], d["to"]))
         elif "op" in d:
             if "guard" in d:
                 if not isinstance(d["guard"], list) or not all(

@@ -196,9 +196,10 @@ def _named_union_certificates(x, y, th, stepper=pc.step):
 
 @pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
 def test_refining_explored_terms_agrees_with_the_named_union(th):
-    # equivalent refines the explored terms of either grammar by position;
-    # the oracle names both sides' states first.  Sides that share subterms
-    # get separate positions: e against e, a.e and e + 0.
+    # equivalent refines the explored terms of either grammar by position,
+    # and reads a term that both sides reach at its first position; the
+    # oracle names both sides' states first.  Sides that share subterms: e
+    # against e, a.e and e + 0, and a cycle against its unfolding.
     rng = random.Random(seed_for(th.id, 15151))
     pairs = []
     for _ in range(25):
@@ -213,6 +214,12 @@ def test_refining_explored_terms_agrees_with_the_named_union(th):
     cycle = pc.parse_exp(long_cycle(6, LONG_OPS[th.id]), th)
     apart = [(pc.parse_exp("a1.b1.0", th), pc.parse_exp("a1.c1.0", th)),
              (cycle, pc.Prefix("a2", cycle))]
+    unfolded = pc.substitute(cycle.body, {"x": cycle})
+    pairs.append((cycle, unfolded))
+    apart.append((unfolded, pc.Prefix("a1", pc.Prefix("a1", unfolded.body))))
+    for e, f in (pairs[-1], *apart[1:]):
+        orders = [pc.semantics._explore((x,), th, 100, pc.step)[0] for x in (e, f)]
+        assert len(set(orders[0]) & set(orders[1])) >= 5
     verdicts = set()
     for e, f in pairs + apart:
         cert = pc.equivalent(e, f, th)

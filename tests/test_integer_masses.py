@@ -7,13 +7,13 @@ import random
 from fractions import Fraction
 
 import procalc as pc
-from procalc import Leaf, Op, ZERO, step
+from procalc import Op, ZERO, step
 from procalc.theory import ZERO_SUBDIST, canonical_convex_set
 
 from gen import rand_exp, theory
 from masses import count_point, fraction_form, fraction_point, is_lowest
 from oracles import (FractionConvexAlgebra, FractionConvexSemilattice,
-                     fraction_canonical_convex_set)
+                     fraction_canonical_convex_set, gen_term)
 
 F = Fraction
 CA, CS = theory("ca"), theory("cs")
@@ -34,7 +34,7 @@ def _agree(th, got, want):
 def _terms_agree(th, nf, ref_nf):
     ref = REFERENCE[th.id]
     _agree(th, nf, ref_nf)
-    assert th.term_of_nf(nf) is ref.term_of_nf(ref_nf)
+    assert th.term_of_nf(nf, gen_term) is ref.term_of_nf(ref_nf, gen_term)
     for g in th.generators(nf) | {"absent"}:
         got, want = th.weight(nf, g), ref.weight(ref_nf, g)
         assert got == want and type(got) is type(want)
@@ -69,11 +69,11 @@ def _chain(th, rng, gens, length):
     """A random choice chain over ``gens`` of ``length`` choices, nested to
     the left or the right at each level, its parameters drawn from
     ``PROBS``; in ``cs`` some choices are plain sums."""
-    t = Leaf(rng.choice(gens))
+    t = gen_term(rng.choice(gens))
     for _ in range(length):
         p = None if th is CS and rng.random() < 0.2 else \
             rng.choice(PROBS[2:] if rng.random() < 0.97 else PROBS[:2])
-        u = ZERO if rng.random() < 0.1 else Leaf(rng.choice(gens))
+        u = ZERO if rng.random() < 0.1 else gen_term(rng.choice(gens))
         t = Op(p, (t, u) if rng.random() < 0.5 else (u, t))
     return t
 

@@ -16,7 +16,7 @@ from procalc.syntax import (_TABLE, Mu, Op, Prefix, Var, ZERO, _prefix_run, _swe
                             bound_vars, free_vars, unparse)
 
 from gen import ALL_THEORIES, rand_exp, rand_sexp, seed_for, theory
-from oracles import unparse_sexp_uncached, unparse_uncached
+from oracles import Gen, unparse_sexp_uncached, unparse_uncached
 
 F = Fraction
 DEPTH = 10_000
@@ -89,8 +89,8 @@ def test_fraction_params_key_on_their_ratio_and_type():
     stars = [pc.Op(p, (pc.SAct("a"), pc.SONE)) for p in (1, True, F(1))]
     assert len({id(n) for n in stars}) == 3
     assert pc.SStar(F(3, 6), pc.SAct("a")) is pc.SStar(F(1, 2), pc.SAct("a"))
-    leaves = [pc.Leaf(g) for g in (1, True, F(1))]
-    assert len({id(n) for n in leaves}) == 3 and pc.Leaf(F(1)) is leaves[2]
+    leaves = [Gen(g) for g in (1, True, F(1))]
+    assert len({id(n) for n in leaves}) == 3 and Gen(F(1)) is leaves[2]
     assert [type(n.gen) for n in leaves] == [int, bool, Fraction]
 
 

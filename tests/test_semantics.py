@@ -330,26 +330,40 @@ def test_step_on_star_expressions_agrees_with_a_walk_per_node_type(th, capsys):
             _explored(s, th, lstep_walk))
         o = reachable_unmemoised(s, th, lstep_walk)
         assert _lts_text(pc.reachable(s, th), capsys) == _lts_text(o, capsys)
-    for value in ("a", 1, None, pc.TICK, pc.Step("a", "s1"), th.unit(pc.TICK)):
+    for value in ("a", 1, None, th.unit(pc.TICK)):
         with pytest.raises(TypeError):
             pc.step(value, th)
+    for g in (pc.TICK, pc.Step("a", "s1"), pc.Step("a", s)):  # transitions are terms
+        assert pc.step(g, th) == th.unit(g)
 
 
 @pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
 def test_a_leaf_step_target_is_unfolded_under_its_binder(th):
-    # Leaf._free was empty, so mu x. Leaf(a.x) stepped as its body, to a.x
+    # a step is a leaf for every walk, but its target's free variables are
+    # its own: with none, mu x. a.x (a step) stepped as its body, to a.x
     x = pc.Var("x")
-    leaf = pc.Leaf(pc.Step("a", x))
+    leaf = pc.Step("a", x)
     param = pc.parse_exp(f"u {CYC_OPS[th.id]} v", th).param
     assert leaf._free == {"x"} and pc.is_guarded("x", leaf)
     for body in (leaf, pc.Op(param, (x, leaf)), pc.Prefix("a", x)):
         g = pc.Mu("x", body)
         steps = [t for t in th.generators(pc.step(g, th)) if type(t) is pc.Step]
         assert steps == [pc.Step("a", g)] and not g._free
-    for bad in (lambda: pc.substitute(leaf, {"x": pc.Var("y")}),
-                lambda: pc.guarded_subst_exp(pc.Op(param, (x, leaf)), pc.ZERO, "x")):
-        with pytest.raises(TypeError):
-            bad()
+    # substitution rewrites the target, and guarded substitution counts it as guarded
+    assert pc.substitute(leaf, {"x": pc.Var("y")}) is pc.Step("a", pc.Var("y"))
+    assert pc.guarded_subst_exp(pc.Op(param, (x, leaf)), pc.ZERO, "x") is pc.Op(
+        param, (pc.ZERO, pc.Step("a", pc.ZERO)))
+
+
+@pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
+def test_a_binder_over_a_step_under_a_prefix_unfolds_into_the_target(th):
+    # substitute refused a step whose target held the substituted variable,
+    # so stepping this term raised TypeError
+    found = pc.Mu("x", pc.Prefix("a", pc.Step("b", pc.Var("x"))))
+    assert pc.step(found, th) == th.unit(pc.Step("a", pc.Step("b", found)))
+    spelled = pc.Mu("x", pc.Prefix("a", pc.Prefix("b", pc.Var("x"))))
+    assert pc.equivalent(found, spelled, th).equivalent
+    assert pc.reachable(found, th).structure == pc.reachable(spelled, th).structure
 
 
 @pytest.mark.parametrize("name", sorted(CYC_OPS))
@@ -374,10 +388,10 @@ def test_a_state_id_target_is_kept_under_a_binder(th):
     # substituting into the state id "s1" raised AttributeError
     s1 = pc.Step("a", "s1")
     param = pc.parse_exp(f"u {CYC_OPS[th.id]} v", th).param
-    either = pc.Op(param, (pc.Var("x"), pc.Leaf(s1)))
+    either = pc.Op(param, (pc.Var("x"), s1))
     g = pc.Mu("x", either)
     want = th.op_apply(param, [th.bottom(), th.unit(s1)])
-    assert pc.step(pc.Mu("x", pc.Leaf(s1)), th) == th.unit(s1)
+    assert pc.step(pc.Mu("x", s1), th) == th.unit(s1)
     assert pc.step(g, th) == want
     assert pc.gsubst_bm(th.unit(s1), g, "x", th) == th.unit(s1)
     assert pc.gsubst_bm(pc.step(either, th), g, "x", th) == want

@@ -30,11 +30,11 @@ def test_associated_system_reads_leaves_back_as_syntax():
     the unknown of its target state.  The term reading lists steps before
     outputs, so the choice of s3 comes back with its arguments swapped."""
     th = theory("ca")
-    out_v, step_s0 = pc.Var("v"), pc.Leaf(pc.Step("a", "s0"))
+    out_v, step_s0 = pc.Var("v"), pc.Step("a", "s0")
     structure = {
         "s0": pc.ZERO,
         "s1": out_v,
-        "s2": pc.Leaf(pc.Step("a", "s1")),
+        "s2": pc.Step("a", "s1"),
         "s3": pc.Op(F(1, 2), (out_v, step_s0)),
     }
     c = pc.Coalgebra(th, tuple(structure), {s: pc.step(t, th) for s, t in structure.items()})

@@ -9,19 +9,19 @@ from fractions import Fraction
 import pytest
 
 import procalc as pc
-from procalc import ZERO, Leaf, Op, Var, cli, step
+from procalc import ZERO, Op, Var, cli, step
 from procalc.theory import (TheoryError, ZERO_SUBDIST, eval_param, generator_key,
                             in_lower_hull, param_family, param_symbols, sorted_gens,
                             theory_from_json)
 
 from gen import ALL_THEORIES, ATOMS, rand_exp, rand_guard, rand_param, rand_prob, theory
 from masses import count_form, count_point, fraction_point
-from oracles import (axiom_side_ok, ca_nf_flatten_validating, ca_nf_map_validating,
+from oracles import (Gen, axiom_side_ok, ca_nf_flatten_validating, ca_nf_map_validating,
                      ca_op_apply_validating, ca_term_of_nf_sorted, canonical_convex_set_lp,
                      cm_bind_counter, cm_counter, cm_nf_map_counter, cm_op_apply_counter,
                      convex_member_bruteforce, cs_edges_sorted, cs_nf_flatten_validating,
                      cs_nf_map_validating, cs_op_apply_validating, cs_term_of_nf_sorted,
-                     generator_key_by_isinstance, nf_flatten)
+                     gen_term, generator_key_by_isinstance, nf_flatten)
 
 F = Fraction
 
@@ -29,11 +29,7 @@ F = Fraction
 def t(*args):
     """Shorthand: t(param, l, r) builds an Op, strings become generators."""
     param, l, r = args
-    return Op(param, (_wrap(l), _wrap(r)))
-
-
-def _wrap(x):
-    return x if isinstance(x, pc.Exp) else Leaf(x)
+    return Op(param, (gen_term(l), gen_term(r)))
 
 
 def sub(**kw):
@@ -192,7 +188,7 @@ def test_cs_edges_agree_with_the_sorted_masses_oracle():
 
 def _schema_to_sterm(schema, menv, penv, th):
     if isinstance(schema, Var):
-        return Leaf(menv[schema.name])
+        return Gen(menv[schema.name])
     if schema is ZERO:
         return ZERO
     param = None
@@ -247,7 +243,7 @@ def _random_nfs(th, rng, tokens, count=12, depth=2):
 
     def rand_sterm(d):
         if d <= 0 or rng.random() < 0.3:
-            return ZERO if rng.random() < 0.2 else Leaf(rng.choice(tokens))
+            return ZERO if rng.random() < 0.2 else Gen(rng.choice(tokens))
         return Op(rand_param(th, rng), (rand_sterm(d - 1), rand_sterm(d - 1)))
 
     return [step(rand_sterm(depth), th) for _ in range(count)]
@@ -344,7 +340,7 @@ def test_bind_agrees_with_flattened_pushforward(th):
 def test_term_reading_round_trip(th):
     rng = random.Random(17)
     for nf in _random_nfs(th, rng, GENS, count=20):
-        assert step(th.term_of_nf(nf), th) == nf
+        assert step(th.term_of_nf(nf, gen_term), th) == nf
 
 
 def test_ca_term_reading_of_2000_generators():
@@ -359,10 +355,10 @@ def test_ca_term_reading_of_2000_generators():
         t, masses, reach = th.term_of_nf(nf), {}, F(1)
         while isinstance(t, Op):
             (leaf, t), weight = t.args, t.param
-            masses[leaf.gen] = reach * weight
+            masses[leaf] = reach * weight
             reach *= 1 - weight
         if total == 1:
-            masses[t.gen] = reach
+            masses[t] = reach
         else:
             assert t is ZERO
         assert frozenset(masses.items()) == want
@@ -372,14 +368,14 @@ def test_gs_flatten_is_diagonal():
     th = theory("gs")
     b = frozenset({"x1"})
     inner_x = th.unit("x")
-    nested = step(t(b, Leaf(inner_x), ZERO), th)
+    nested = step(t(b, Gen(inner_x), ZERO), th)
     assert th.bind(nested, _identity) == ("x", None)
 
 
 def test_cm_flatten_weighted_sum():
     th = theory("cm")
     n1 = step(t(None, "x", "x"), th)
-    nested = step(t(None, Leaf(n1), Leaf(n1)), th)
+    nested = step(t(None, Gen(n1), Gen(n1)), th)
     assert th.bind(nested, _identity) == count_form(th, frozenset({("x", 4)}))
 
 
@@ -387,7 +383,7 @@ def test_ca_flatten_expectation():
     th = theory("ca")
     n1 = th.unit("x")
     n2 = sub(y=F(1, 2))
-    nested = step(t(F(1, 2), Leaf(n1), Leaf(n2)), th)
+    nested = step(t(F(1, 2), Gen(n1), Gen(n2)), th)
     assert th.bind(nested, _identity) == sub(x=F(1, 2), y=F(1, 4))
 
 

@@ -9,7 +9,7 @@ _EXPORTS = {  # module -> the names procalc exports from it
     "theory": "Theory TheoryError make_theory THEORY_NAMES is_skew_associative generator_key",
     "syntax": "Exp Zero Var Op Prefix Mu ZERO parse_exp unparse substitute "
               "guarded_subst_exp is_guarded free_vars ParseError",
-    "semantics": "Tick Step TICK step gsubst_bm reachable Coalgebra coalgebra_to_json "
+    "semantics": "Tick TICK step gsubst_bm reachable Coalgebra coalgebra_to_json "
                  "coalgebra_from_json coalgebra_to_dot render_sterm StateCapExceeded "
                  "disjoint_union",
     "equivalence": "bisim_partition equivalent check_states Certificate",

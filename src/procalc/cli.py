@@ -351,5 +351,5 @@ def main():
         print(f"error: {err}", file=sys.stderr)
         sys.exit(2)
     except Exception as err:  # a fault in procalc, not in its input
-        print(f"internal error: {err}", file=sys.stderr)
+        print(f"internal error: {str(err) or type(err).__name__}", file=sys.stderr)
         sys.exit(2)

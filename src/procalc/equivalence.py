@@ -2,8 +2,8 @@
 
 States are bisimilar exactly when they receive the same block in the coarsest
 stable partition.  A state's signature under a partition is its normal form
-with step targets replaced by their block ids; refinement splits blocks by
-signature until stable.
+with each step ``a.t`` read as the pair of ``a`` and the block of ``t``;
+refinement splits blocks by signature until stable.
 
 Refinement runs Moore's rounds: round N splits every block of partition
 P(N-1) by signature under P(N-1).  By induction, two states share a block of
@@ -13,22 +13,23 @@ split, which ``check_states`` reports, is the least depth of such a formula.
 
 States are positions 0, 1, ... and refinement never names them.  One
 table lists each position's state, normal form and successors, and one
-index maps each step target to a position.  ``equivalent`` refines the two
-explorations of its terms as they are, the second's positions after the
-first's, with step targets that are terms.  A term that both explorations
-reach is read at its first position.  That is exact: its two positions
-hold one term, with one normal form and successors that are the same
-terms, so no round separates them.  ``check_states`` and
+index maps each state a step goes to onto its position.  ``equivalent``
+refines the two explorations of its terms as they are, the second's
+positions after the first's, with steps whose states are terms.  A term
+that both explorations reach is read at its first position.  That is
+exact: its two positions hold one term, with one normal form and
+successors that are the same terms, so no round separates them.  ``check_states`` and
 ``bisim_partition`` refine the exploration of a loaded coalgebra from all
-its states, with its structure as the one-step map, indexed by state id.
+its states, with its structure as the one-step map, indexed by the
+``Var`` of each state id.
 Names exist only for the certificate: ``as0``, ``as1``, ..., ``bs0``, ...
 for the positions of two explored terms, the state ids for a coalgebra.
 
 An explored prefix state ``a.t`` comes with no normal form (``_explore``
-keeps None in its place).  Its normal form would be the unit of ``a.t``,
-and the pushforward of a unit is the unit of the image, so its signature
-is ``unit((a, block[t]))``, built from the action and the position of
-``t``; only a certificate that prints it builds the unit of ``a.t``.
+keeps None in its place).  Its normal form is the unit of ``a.t``, and the
+pushforward of a unit is the unit of the image, so its signature is
+``unit((a, block[t]))``, built from the action and the position of ``t``;
+only a certificate that prints it reads the unit of ``a.t``.
 
 The rounds are computed incrementally.  Blocks carry internal ids, and a
 state that leaves its block always gets a fresh id.  A signature changes only
@@ -43,34 +44,36 @@ occurrence in position order, is made only for output.
 
 from __future__ import annotations
 
-from .semantics import Step, _explore, _retarget, step
-from .syntax import Record, unparse
+from .semantics import _explore, _retarget, step
+from .syntax import Prefix, Record, Var, unparse
 
 
 def _signature_text(theory, table, s, block):
     """The signature of position ``s`` under ``block`` printed as a term,
-    each pair as the step ``a.block[t]``; ``table`` as for `_rounds`."""
+    each pair as the step ``a.block[t]``; ``table`` as for `_rounds`.  A
+    block is named by the ``Var`` whose name is its id, an int, so that the
+    reading orders the blocks numerically."""
     order, index, nfs, _ = table
     nf = nfs[s]
-    if nf is None:  # a prefix a.t, whose normal form is the unit of a.t
-        nf = theory.unit(Step(order[s].action, order[s].body))
-    return unparse(theory.term_of_nf(_retarget(theory, nf, lambda t: block[index[t]])))
+    if nf is None:  # a prefix, whose normal form is its unit
+        nf = theory.unit(order[s])
+    return unparse(theory.term_of_nf(_retarget(theory, nf, lambda t: Var(block[index[t]]))))
 
 
 def _rounds(theory, table, block):
     """Moore refinement of ``block``, a list of zeros with one entry per
     position, which becomes the internal block ids.  ``table`` is
     ``(order, index, nfs, succ)``: position ``s`` is the state
-    ``order[s]``, ``nfs[s]`` is its normal form, which names the step target
-    at position ``index[t]`` by ``t``, and ``succ[s]`` lists its step
-    targets as positions.  A normal form of None stands for the unit of the
-    prefix ``order[s]``.  One round per iteration: yields the positions
-    that leave their block, mapped to their new ids, then applies the move
-    to ``block`` in place.  Stops when a round moves nothing."""
+    ``order[s]``, ``nfs[s]`` is its normal form, whose step ``a.t`` goes
+    to the state at position ``index[t]``, and ``succ[s]`` lists the
+    positions its steps go to.  A normal form of None stands for the unit
+    of the prefix ``order[s]``.  One round per iteration: yields the
+    positions that leave their block, mapped to their new ids, then applies
+    the move to ``block`` in place.  Stops when a round moves nothing."""
     order, index, nfs, succ = table
 
     def read(g):
-        return (g.action, block[index[g.target]]) if type(g) is Step else g
+        return (g.action, block[index[g.body]]) if type(g) is Prefix else g
 
     unit, nf_map = theory.unit, theory.nf_map
     pred = [[] for _ in block]
@@ -125,8 +128,10 @@ def _dense(block):
 
 def _coalgebra_table(c):
     """A coalgebra's positions as a table for `_rounds`: its exploration
-    from all its states, with ``c.structure`` as the one-step map."""
-    return _explore(c.states, c.theory, float("inf"), lambda s, theory, memo: c.structure[s])
+    from the ``Var`` of each state id, with ``c.structure`` as the one-step
+    map."""
+    return _explore([Var(s) for s in c.states], c.theory, float("inf"),
+                    lambda v, theory, memo: c.structure[v.name])
 
 
 def bisim_partition(c):
@@ -169,7 +174,7 @@ def check_states(c, s1, s2):
     """Bisimilarity of two states of one coalgebra, with a certificate."""
     table = _coalgebra_table(c)
     index = table[1]
-    return _certificate(c.theory, table, index[s1], index[s2], c.states.__getitem__)
+    return _certificate(c.theory, table, index[Var(s1)], index[Var(s2)], c.states.__getitem__)
 
 
 def equivalent(e, f, theory, cap=10000):

@@ -1,15 +1,16 @@
 """Operational semantics: one-step behaviour and reachable coalgebras.
 
 The one-step map sends a term to a normal form over *transitions*: outputs
-(a free variable's own ``Var`` node), action steps ``Step(a, target)``, and
-(for the star fragment) successful termination ``TICK``.  Each of them is a
-term node of its own, whose normal form is its unit, so the term reading of
-a normal form steps back to it.  Process terms and star expressions are one
-kind of term, so one map serves both: each node is stepped by its rule, and
-the star nodes carry theirs (``star.py``), which this module applies
-without loading that one.  Recursion unfolds via the guarded substitution on
-behaviours: unguarded occurrences of the recursion variable collapse to
-deadlock, guarded ones are rewired to the fixpoint term.
+(a free variable's own ``Var`` node), action steps (the prefix ``a.t``
+itself), and (for the star fragment) successful termination ``TICK``.  Each
+of them is a term node of its own, whose normal form is its unit, so the
+term reading of a normal form steps back to it.  Process terms and star
+expressions are one kind of term, so one map serves both: each node is
+stepped by its rule, and the star nodes carry theirs (``star.py``), which
+this module applies without loading that one.  Recursion unfolds via the
+guarded substitution on behaviours: unguarded occurrences of the recursion
+variable collapse to deadlock, guarded ones are rewired to the fixpoint
+term.
 
 Terms are hash-consed, so the one-step map is a pure function of a node and
 a theory.  It is computed bottom-up, in one loop over ``syntax.post_order``,
@@ -20,7 +21,7 @@ body again at every state.  Two rules spare most of that work, and both
 are exact.  A node whose children are already stepped is evaluated by its
 rule at once, with no walk; in an exploration that is the common case,
 since a state's subterms are mostly states stepped before.  And ``mu x. t``
-with ``x`` not free in ``t`` steps as ``t``: every output and step target
+with ``x`` not free in ``t`` steps as ``t``: every output and step
 of ``t``'s normal form has its free variables among ``t``'s, so guarded
 substitution would leave each of them as it is.
 
@@ -29,14 +30,18 @@ natural: its pushforward along any map ``f`` is the unit of ``f(a.t)``.  So
 exploration keeps no normal form for a prefix state, only its successor's
 position, and whoever needs one builds it from the action and that
 position: ``reachable`` names the state the unit of ``a.s<j>``.
+
+A coalgebra's states are named by ids ``s0``, ``s1``, ...; its normal forms
+step to ``a.s<j>``, a prefix on the ``Var`` of the id, so the term reading of
+a state's normal form is its equation over the ids.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .syntax import (TICK, Exp, Mu, Op, Prefix, Record, Step, Tick, Var, Zero, is_name,
-                     post_order, render_target, sorted_gens, substitute, unparse)
+from .syntax import (TICK, Exp, Mu, Op, Prefix, Record, Tick, Var, Zero, is_name,
+                     post_order, sorted_gens, substitute, unparse)
 from .theory import MAX_JSON_DEPTH, TheoryError, exact_fraction, read_json, theory_from_json
 
 
@@ -47,13 +52,13 @@ class StateCapExceeded(RuntimeError):
 # ---------------------------------------------------------------------------
 # one-step semantics
 
-_GENERATORS = (Var, Step, Tick)  # each steps to its own unit
-_AT_ONCE = frozenset((Prefix, Zero, *_GENERATORS))  # stepped in constant time, not memoised
+_GENERATORS = frozenset((Prefix, Var, Tick))  # each steps to its own unit
+_AT_ONCE = _GENERATORS | {Zero}  # stepped in constant time, not memoised
 
 
 def step(e, theory, memo=None):
     """The one-step normal form of the term ``e``, of either grammar.  An
-    output, a step and termination each step to their own unit, so this
+    output, a prefix and termination each step to their own unit, so this
     also evaluates the term reading of a normal form; a star node has its
     own rule, ``_step``.
 
@@ -67,12 +72,10 @@ def step(e, theory, memo=None):
     ``post_order`` walk.
 
     ``mu x. t`` unfolds by `gsubst_bm`, unless ``x`` is not free in ``t``:
-    then it steps as ``t``.  That is exact, because the outputs and step
-    targets of ``t``'s normal form have their free variables among ``t``'s,
-    so there is no output ``x`` to make deadlock and no target to put the
-    fixpoint into.  A step to an expression has that expression's free
-    variables, so a binder whose variable occurs only there is unfolded
-    too."""
+    then it steps as ``t``.  That is exact, because the outputs and steps
+    of ``t``'s normal form have their free variables among ``t``'s, so
+    there is no output ``x`` to make deadlock and no step to put the
+    fixpoint into."""
     if memo is None:
         memo = {}
 
@@ -107,12 +110,11 @@ def _rule(n, theory, memo):
 
 def _stepped(e, theory, memo):
     """The normal form of ``e``, made at once or read from ``memo``."""
-    if type(e) is Prefix:  # the most common state
-        return theory.unit(Step(e.action, e.body))
-    if isinstance(e, Zero):
-        return theory.bottom()
-    if isinstance(e, _GENERATORS):
+    cls = type(e)
+    if cls in _GENERATORS:  # a prefix is the most common state
         return theory.unit(e)
+    if cls is Zero:
+        return theory.bottom()
     if e in memo:
         return memo[e]
     raise TypeError(f"not an expression: {e!r}")
@@ -120,14 +122,13 @@ def _stepped(e, theory, memo):
 
 def gsubst_bm(nf, g, v, theory):
     """Guarded substitution on behaviours: the output ``Var(v)`` becomes
-    deadlock, and each step gets g substituted for v in its target (a state
-    id has no variables)."""
+    deadlock, and each step ``a.t`` becomes ``a.t[g/v]``."""
     out = Var(v)
 
     def leaf(t):
         if t is out:
             return theory.bottom()
-        return theory.unit(substitute(t, {v: g}) if type(t) is Step else t)
+        return theory.unit(substitute(t, {v: g}) if type(t) is Prefix else t)
 
     return theory.bind(nf, leaf)
 
@@ -135,25 +136,25 @@ def gsubst_bm(nf, g, v, theory):
 # ---------------------------------------------------------------------------
 # coalgebras
 
-class Coalgebra(Record):  # state ids "s0", "s1", ...; id -> normal form with id targets
+class Coalgebra(Record):  # state ids "s0", "s1", ...; id -> normal form over steps a.<id>
     _fields = ("theory", "states", "structure")
 
 
 def _explore(roots, theory, cap, stepper):
     """Breadth-first exploration from the sequence ``roots``: the reachable
     states in BFS order (the distinct roots first), a dict from each of
-    them to its position in that order, their normal forms, whose step
-    targets are states, and for each of them the positions of its step
-    targets.  Nothing is named.
+    them to its position in that order, their normal forms, whose steps
+    ``a.t`` go to states ``t``, and for each of them the positions of its
+    steps' states.  Nothing is named.
 
     ``stepper(x, theory, memo)`` is the one-step map: `step` for terms, a
-    lookup for a loaded coalgebra's states.  One memo serves the whole
-    exploration, so each distinct subterm is stepped once.  A prefix
-    ``a.t`` is not stepped: its normal form, the unit of ``a.t``, is left
-    as None, and only the position of ``t`` is kept.  A state's new
-    successors are numbered in generator order; only they are sorted, and
-    only when there are two or more, because the sort key of a term is
-    built from its printed text."""
+    lookup for a loaded coalgebra's states, which are the ``Var`` nodes of
+    their ids.  One memo serves the whole exploration, so each distinct
+    subterm is stepped once.  A prefix ``a.t`` is not stepped: its normal
+    form, the unit of ``a.t``, is left as None, and only the position of
+    ``t`` is kept.  A state's new successors are numbered in generator
+    order; only they are sorted, and only when there are two or more,
+    because the sort key of a term is built from its printed text."""
     memo = {}
     index = {x: i for i, x in enumerate(dict.fromkeys(roots))}
     order = list(index)
@@ -172,42 +173,42 @@ def _explore(roots, theory, cap, stepper):
             succ.append((j,))
             continue
         nf = stepper(x, theory, memo)
-        steps = [g for g in theory.generators(nf) if type(g) is Step]
+        steps = [g for g in theory.generators(nf) if type(g) is Prefix]
         raw.append(nf)
-        new = [g for g in steps if g.target not in index]
+        new = [g for g in steps if g.body not in index]
         if len(new) > 1:
             new = sorted_gens(new)
         for g in new:
-            if g.target not in index:
+            if g.body not in index:
                 if len(order) >= cap:
                     raise StateCapExceeded(f"more than {cap} reachable states")
-                index[g.target] = len(order)
-                order.append(g.target)
-        succ.append([index[g.target] for g in steps])
+                index[g.body] = len(order)
+                order.append(g.body)
+        succ.append([index[g.body] for g in steps])
     return order, index, raw, succ
 
 
 def _retarget(theory, nf, name):
     """``nf`` with each step ``a.t`` replaced by ``a.name(t)``."""
-    return theory.nf_map(nf, lambda g: Step(g.action, name(g.target)) if type(g) is Step else g)
+    return theory.nf_map(nf, lambda g: Prefix(g.action, name(g.body)) if type(g) is Prefix else g)
 
 
 def reachable(e, theory, cap=10000):
     """The reachable subcoalgebra from the term ``e``, of either grammar,
     explored by `step`, with states ``s0``, ``s1``, ... in breadth-first
-    order.  Each normal form is pushed forward once, from term targets onto
-    ids; a prefix ``a.t`` is named the unit of ``a.s<j>``, ``s<j>`` being
-    ``t``'s id."""
+    order.  Each normal form is pushed forward once, from term steps onto
+    id steps; a prefix ``a.t`` is named the unit of ``a.s<j>``, ``s<j>``
+    being ``t``'s id."""
     order, index, raw, succ = _explore((e,), theory, cap, step)
-    names = [f"s{j}" for j in range(len(order))]
+    ids = [Var(f"s{j}") for j in range(len(order))]
 
     def name(t):
-        return names[index[t]]
+        return ids[index[t]]
 
-    return Coalgebra(theory, tuple(names), {
-        s: _retarget(theory, nf, name) if nf is not None
-        else theory.unit(Step(x.action, names[targets[0]]))
-        for s, x, nf, targets in zip(names, order, raw, succ)})
+    return Coalgebra(theory, tuple(v.name for v in ids), {
+        s.name: _retarget(theory, nf, name) if nf is not None
+        else theory.unit(Prefix(x.action, ids[targets[0]]))
+        for s, x, nf, targets in zip(ids, order, raw, succ)})
 
 
 def disjoint_union(c1, c2):
@@ -219,7 +220,8 @@ def disjoint_union(c1, c2):
     for c, tag in ((c1, "a"), (c2, "b")):
         ren = {s: f"{tag}{s}" for s in c.states}
         states += tuple(ren.values())
-        structure.update((ren[s], _retarget(c.theory, c.structure[s], ren.__getitem__))
+        structure.update((ren[s], _retarget(c.theory, c.structure[s],
+                                            lambda v: Var(ren[v.name])))
                          for s in c.states)
     return Coalgebra(c1.theory, states, structure)
 
@@ -233,27 +235,28 @@ render_sterm = unparse  # public name; perfbench/tracing.py calls it
 def _sterm_to_json(t):
     """The JSON form of the structure term ``t``, and how many levels of
     objects and arrays it nests.  Built children first, in one loop over
-    ``post_order``, so a term's depth is no limit here."""
-    done = {}
-    for n in post_order((t,)):
+    ``post_order`` of its choices, so a term's depth is no limit here; a
+    step ``a.u`` is a leaf, whose ``"to"`` is the text of ``u``."""
+    def leaf(n):
         if isinstance(n, Zero):
-            done[n] = {"const": "0"}, 1
-        elif type(n) is Var:
-            done[n] = {"out": n.name}, 1
-        elif type(n) is Step:
-            done[n] = {"act": n.action, "to": render_target(n.target)}, 1
-        elif type(n) is Tick:
-            done[n] = {"tick": True}, 1
-        else:
-            node = {"op": "+"}
-            if isinstance(n.param, frozenset):
-                node["guard"] = sorted(n.param)
-            elif isinstance(n.param, Fraction):
-                node["prob"] = str(n.param)
-            args = [done[a] for a in n.args]
-            node["args"] = [a for a, _ in args]
-            done[n] = node, 2 + max(depth for _, depth in args)
-    return done[t]
+            return {"const": "0"}, 1
+        if type(n) is Var:
+            return {"out": n.name}, 1
+        if type(n) is Prefix:
+            return {"act": n.action, "to": unparse(n.body)}, 1
+        return {"tick": True}, 1
+
+    done = {}
+    for n in post_order((t,), lambda n: type(n) is Op):
+        node = {"op": "+"}
+        if isinstance(n.param, frozenset):
+            node["guard"] = sorted(n.param)
+        elif isinstance(n.param, Fraction):
+            node["prob"] = str(n.param)
+        args = [done[a] if a in done else leaf(a) for a in n.args]
+        node["args"] = [a for a, _ in args]
+        done[n] = node, 2 + max(depth for _, depth in args)
+    return done[t] if t in done else leaf(t)
 
 
 def _json_text(value, depth, what, indent=None):
@@ -312,7 +315,7 @@ def _nf_from_json(d, states, theory):
                     f"the target of action {d['act']!r} must be a string, not {d['to']!r}")
             if d["to"] not in states:
                 raise TheoryError(f"unknown target state {d['to']!r}")
-            built.append(theory.unit(Step(d["act"], d["to"])))
+            built.append(theory.unit(Prefix(d["act"], Var(d["to"]))))
         elif "op" in d:
             if "guard" in d:
                 if not isinstance(d["guard"], list) or not all(
@@ -419,8 +422,8 @@ def coalgebra_to_dot(c):
     for s in c.states:
         for g, w in th.edges(c.structure[s]):
             label = _weight_label(w, th.atoms)
-            if isinstance(g, Step):
-                edges.append(f'  "{s}" -> "{g.target}" [label="{label}{g.action}"];')
+            if type(g) is Prefix:
+                edges.append(f'  "{s}" -> "{g.body.name}" [label="{label}{g.action}"];')
             elif type(g) is Var:
                 v = g.name
                 outs.add(v)

@@ -1,11 +1,11 @@
 """Guarded equation systems and their unique (up to bisimilarity) solutions.
 
 A finite coalgebra gives an equation system whose unknowns are its states;
-each right-hand side is the term reading of a state's normal form with
-transitions turned back into syntax (an output is its variable already, a
-step becomes a prefix on an unknown).  Systems are solved by elimination in
-two passes.  The forward pass closes each unknown in turn with a mu-binder
-and substitutes it into the equations left; the back pass substitutes the
+each right-hand side is the term reading of a state's normal form, whose
+transitions are syntax already: an output is its variable, and a step is
+a prefix on an unknown.  Systems are solved by elimination in two passes.
+The forward pass closes each unknown in turn with a mu-binder and
+substitutes it into the equations left; the back pass substitutes the
 solutions of later unknowns into the closed equations, only for the
 unknowns asked for and those they depend on.
 """
@@ -15,8 +15,9 @@ from __future__ import annotations
 import re
 
 from . import syntax
-from .syntax import (Mu, Prefix, Record, Tick, Var, bound_vars, free_vars, fresh_name,
-                     substitute, unguarded_vars)
+from .semantics import _retarget
+from .syntax import (Mu, Record, Tick, Var, bound_vars, free_vars, fresh_name, substitute,
+                     unguarded_vars)
 from .theory import TheoryError
 
 
@@ -50,11 +51,13 @@ class EqSystem(Record):
 
 
 def associated_system(c):
-    """The guarded equation system of a finite coalgebra.
+    """The guarded equation system of a finite coalgebra: the term
+    readings of its normal forms, whose steps ``a.s`` go to unknowns.
 
     State ids double as unknowns when they do not clash with output
     variables; a clashing id is renamed to the least ``%k`` that is
-    neither a state nor an output, nor taken by an earlier renaming.
+    neither a state nor an output, nor taken by an earlier renaming, and
+    the steps to it with it.
     """
     outputs = set()
     for s in c.states:
@@ -68,11 +71,10 @@ def associated_system(c):
     for s in c.states:
         rename[s] = fresh_name(taken) if s in outputs else s
         taken.add(rename[s])
-
-    def leaf(g):
-        return g if type(g) is Var else Prefix(g.action, Var(rename[g.target]))
-
-    exprs = tuple(c.theory.term_of_nf(c.structure[s], leaf) for s in c.states)
+    nfs = [c.structure[s] for s in c.states]
+    if not outputs.isdisjoint(c.states):
+        nfs = [_retarget(c.theory, nf, lambda v: Var(rename[v.name])) for nf in nfs]
+    exprs = tuple(map(c.theory.term_of_nf, nfs))
     return EqSystem(c.theory, tuple(rename[s] for s in c.states), exprs)
 
 

@@ -7,10 +7,12 @@ calculus: ``0`` and choice are its own ``ZERO`` and ``Op``, and the nodes
 with no free variables.  ``syntax.unparse`` prints them, and each carries
 its one-step rule, which ``semantics.step`` applies: so ``step``,
 ``reachable`` and ``equivalent`` compute the direct semantics, with a
-termination transition in place of a continuation.  Star expressions also
-translate into the full calculus via a reserved continuation variable
-(spelled ``$unit``); the two routes agree up to renaming outputs of the
-continuation variable to termination.
+termination transition in place of a continuation.  An action ``a`` steps
+to ``a.1``, a prefix on a star expression, which is its own transition;
+a sequence sits at ``syntax``'s ``_SEQ`` level, so a prefix brackets it, as
+in ``a.(1 ; b)``.  Star expressions also translate into the full calculus
+via a reserved continuation variable (spelled ``$unit``); the two routes
+agree up to renaming outputs of the continuation variable to termination.
 
 The parser is one loop over ``syntax.tokenize``'s list with an explicit
 stack of open brackets, run by ``syntax.parse_tokens`` as
@@ -25,8 +27,8 @@ from fractions import Fraction
 
 from . import syntax
 from .semantics import reachable, step
-from .syntax import (_ATOM, _EMPTY, _ITEM, TICK, Exp, Mu, Op, ParseError, Prefix, Record, Step,
-                     Tick, Var, ZERO, all_names, bracket, choice_param, expect_token, fresh_name,
+from .syntax import (_ATOM, _EMPTY, _SEQ, TICK, Exp, Mu, Op, ParseError, Prefix, Record, Tick,
+                     Var, ZERO, all_names, bracket, choice_param, expect_token, fresh_name,
                      is_guarded, parse_param, post_order, render_param, substitute, token_kind)
 from .theory import TheoryError
 
@@ -36,7 +38,7 @@ UNIT_VAR = "$unit"
 # ---------------------------------------------------------------------------
 # abstract syntax
 
-_SEQ, _POST = _ITEM, _ATOM  # syntax's levels; a choice is an Op, at _SUM
+_POST = _ATOM  # a choice is an Op, at syntax's _SUM; a sequence is at its _SEQ
 
 
 class SExp(Exp):
@@ -65,7 +67,7 @@ class SAct(SExp):
         return self.action
 
     def _step(self, theory):
-        return theory.unit(Step(self.action, SONE))
+        return theory.unit(Prefix(self.action, SONE))
 
 
 class SSeq(SExp):
@@ -100,13 +102,14 @@ class SStar(SExp):
 
 def _then(nf, after, on_tick, theory):
     """The normal form ``nf`` followed by the expression ``after``: each step
-    goes on into ``after``, and termination becomes ``on_tick``."""
+    ``a.t`` goes on to ``a.(t ; after)``, and termination becomes
+    ``on_tick``."""
 
     def leaf(t):
         if isinstance(t, Tick):
             return on_tick
-        if isinstance(t, Step):
-            return theory.unit(Step(t.action, SSeq(t.target, after)))
+        if type(t) is Prefix:
+            return theory.unit(Prefix(t.action, SSeq(t.body, after)))
         raise TheoryError("star expressions have no free outputs")
 
     return theory.bind(nf, leaf)

@@ -27,21 +27,19 @@ Star expressions are terms too: their ``0`` and choice are ``ZERO`` and
 ``Op``, and ``star.py`` adds the other nodes as ``Exp`` subclasses, so
 ``unparse`` prints both grammars.  So are the transitions of the one-step
 semantics, the generators of its normal forms: an output is its ``Var``,
-and an action step ``Step(a, target)`` and termination ``TICK`` are nodes
-defined here, leaves for every walk, so a normal form's term reading is
-written with its own generators.  Terms are hash-consed DAGs.
-``post_order`` lists the nodes under a root that a caller still has to
-visit, children first, each once; the one-step semantics, the star
-fragment's walks, guardedness, the bound names (which also walk step
-targets), the printer (which builds each node's text once) and the zeroing
-step of guarded substitution are loops over it.  Substitution is one loop,
+an action step is the prefix ``a.t`` itself, and termination is ``TICK``,
+so a normal form's term reading is written with its own generators.
+Terms are hash-consed DAGs.  ``post_order`` lists the nodes under a root
+that a caller still has to visit, children first, each once; the one-step
+semantics, the star fragment's walks, guardedness, the bound names, the
+printer (which builds each node's text once) and the zeroing step of
+guarded substitution are loops over it.  Substitution is one loop,
 ``_subst``: it rewrites each (node, bindings) pair once per ``substitute``
 call, with an explicit stack and one memo per set of bindings, keyed by
 node, that lives for that call only; a run of prefixes that must change is
-walked down in one loop and rebuilt by ``_prefix_run``, and a step is
-rebuilt around its rewritten target.  Guarded substitution turns the
-unguarded occurrences of its variable into ``0`` and then calls
-``substitute``.
+walked down in one loop and rebuilt by ``_prefix_run``.  Guarded
+substitution turns the unguarded occurrences of its variable into ``0``
+and then calls ``substitute``.
 """
 
 from __future__ import annotations
@@ -87,8 +85,8 @@ class Interned:
     child nodes in ``_kids``; their printing precedence in ``_prec``; and
     their printed text in ``_render``, which may read the cached ``_text``
     of every child.  The generic constructor below fills the fields in a
-    loop; the hot classes ``Var``, ``Prefix``, ``Op``, ``Mu`` and ``Step``
-    have their own, which take the fields by name and also fill ``_free``,
+    loop; the hot classes ``Var``, ``Prefix``, ``Op`` and ``Mu`` have
+    their own, which take the fields by name and also fill ``_free``,
     the free variables; ``Prefix``'s is ``_prefix_run`` over one action.
     All of them enter a new node by ``_intern``.  They are written out by
     hand on purpose: one shared helper for their miss path measured slower
@@ -271,7 +269,7 @@ def post_order(roots, pending=lambda node: True):
 # ---------------------------------------------------------------------------
 # abstract syntax
 
-_SUM, _ITEM, _ATOM = 0, 1, 2
+_SUM, _SEQ, _ITEM, _ATOM = 0, 1, 2, 3  # _SEQ is the star fragment's ``;``
 
 
 class Exp(Interned):
@@ -336,7 +334,7 @@ class Op(Exp):
         # a mu on the left of a sum must be bracketed: it binds rightward
         left, right = self.args
         l = bracket(left, _ITEM) if isinstance(left, Mu) else left._text
-        return f"{l} +{render_param(self.param)} {bracket(right, _ITEM)}"
+        return f"{l} +{render_param(self.param)} {bracket(right, _SEQ)}"
 
 
 class Prefix(Exp):
@@ -401,8 +399,12 @@ class Mu(Exp):
 
 
 # ---------------------------------------------------------------------------
-# transitions: the generators of a one-step normal form that are not outputs
-# (an output is its own ``Var``), and their sort order
+# transitions: the generators of a one-step normal form (an output is its
+# ``Var``, a step its prefix), and their sort order
+
+def _prefix_key(g):
+    return ("k", "act", g.action, ("k",) + g.body.sort_key())
+
 
 def _tuple_key(g):
     return ("t", tuple(map(generator_key, g)))
@@ -412,8 +414,10 @@ def _frozenset_key(g):
     return ("f", tuple(sorted(map(generator_key, g))))
 
 
-# the value types, looked up by exact type (a bool is not keyed as an int)
-_VALUE_KEYS = {
+# the value types and the step generator, looked up by exact type (a bool
+# is not keyed as an int)
+_KEYS = {
+    Prefix: _prefix_key,
     bool: lambda g: ("b", g),
     int: lambda g: ("i", g),
     Fraction: lambda g: ("q", g),
@@ -424,10 +428,11 @@ _VALUE_KEYS = {
 
 
 def generator_key(g):
-    """A sort key for any generator: ``None``, a node or transition with a
-    ``sort_key``, or a value built from bools, ints, fractions, strings,
-    tuples and frozensets.  The exact value types are one dict lookup."""
-    key = _VALUE_KEYS.get(type(g))
+    """A sort key for any generator: ``None``, a prefix (by its action,
+    then by its body as a state), another node with a ``sort_key``, or a
+    value built from bools, ints, fractions, strings, tuples and frozensets.
+    A prefix and the exact value types are one dict lookup."""
+    key = _KEYS.get(type(g))
     if key is not None:
         return key(g)
     if g is None:
@@ -441,38 +446,6 @@ def sorted_gens(gens):
     return sorted(gens, key=generator_key)
 
 
-class Step(Exp):
-    """The action step ``action.target``, a term that steps to its own unit.
-    The target (an expression or a state id) is keyed with its type,
-    because ``1 == True``.  It is a leaf for every walk; an expression
-    target's free variables are the step's, and sit under its action as a
-    prefix body's do."""
-    __slots__ = _fields = ("action", "target")
-
-    def __new__(cls, action, target):
-        key = (cls, action, target, type(target))
-        node = _TABLE.get(key)
-        if node is None:
-            node = object.__new__(cls)
-            _set(node, "action", action)
-            _set(node, "target", target)
-            _set(node, "_text", None)
-            _set(node, "_free", target._free if isinstance(target, Exp) else _EMPTY)
-            _intern(key, node)
-        return node
-
-    def sort_key(self):
-        return ("act", self.action, generator_key(self.target))
-
-    def _render(self):
-        """``a.target``, the target bracketed when its text has a space or
-        one of ``+;^``."""
-        target = render_target(self.target)
-        if any(ch in target for ch in " +;^"):
-            target = f"({target})"
-        return f"{self.action}.{target}"
-
-
 class Tick(Exp):
     """Successful termination, the star fragment's transition: a term that
     steps to its own unit and prints ``1``."""
@@ -484,11 +457,6 @@ class Tick(Exp):
 
     def _render(self):
         return "1"
-
-
-def render_target(x):
-    """A step target as text: an expression or a state id."""
-    return cached_text(x) if isinstance(x, Exp) else str(x)
 
 
 ZERO = Zero()
@@ -507,15 +475,8 @@ def free_vars(e):
 
 
 def bound_vars(*es):
-    """The names bound by a ``mu`` anywhere under the expressions ``es``,
-    step targets included: each round walks the targets the last one met."""
-    names, seen = set(), set()
-    while es:
-        nodes = post_order(es, lambda n: n not in seen)
-        seen.update(nodes)
-        names.update(n.var for n in nodes if type(n) is Mu)
-        es = [n.target for n in nodes if type(n) is Step and isinstance(n.target, Exp)]
-    return names
+    """The names bound by a ``mu`` anywhere under the expressions ``es``."""
+    return {n.var for n in post_order(es) if type(n) is Mu}
 
 
 def all_names(*es):
@@ -535,9 +496,9 @@ _ABOVE_GUARDS = frozenset((Var, Op, Mu))  # the nodes with free variables outsid
 
 
 def unguarded_vars(e):
-    """The free variables of e with an occurrence not under an action (a
-    prefix's or a step's), from one set per node of the DAG above the
-    actions that has free variables."""
+    """The free variables of e with an occurrence not under an action
+    prefix, from one set per node of the DAG above the prefixes that has
+    free variables."""
     sets = {}
     for n in post_order((e,), lambda n: type(n) in _ABOVE_GUARDS and n._free):
         cls = type(n)
@@ -561,8 +522,7 @@ def is_guarded(v, e):
 def substitute(e, bindings):
     """Simultaneous capture-avoiding substitution of expressions for free
     variables.  Bound variables are alpha-renamed into the reserved ``%``
-    namespace when they would capture.  A step's expression target is
-    rewritten as a prefix body is."""
+    namespace when they would capture."""
     bindings = {v: f for v, f in bindings.items() if f != Var(v)}
     if free_vars(e).isdisjoint(bindings):
         return e
@@ -570,7 +530,6 @@ def substitute(e, bindings):
 
 
 _KIDS = object()  # on _subst's stack: the children of the Op below are done
-_TARGET = object()  # on _subst's stack: the target of the Step below is done
 
 
 def _subst(e, bindings):
@@ -585,8 +544,7 @@ def _subst(e, bindings):
     tree; the renaming joins the bindings of its body.  A ``Prefix`` takes
     along the run of prefixes below it, which share its free variables: the
     run is walked down in one loop, the node below it is rewritten, and
-    ``_prefix_run`` builds the run again over that.  A ``Step`` is rebuilt
-    around its rewritten target."""
+    ``_prefix_run`` builds the run again over that."""
     table, memos = [bindings], [{}]
     index = {frozenset(bindings.items()): 0}
     fresh = None  # the fresh binder names, set up at the first renaming
@@ -616,8 +574,6 @@ def _subst(e, bindings):
             elif cls is Op:
                 l, r = node.args
                 stack += ((node, ctx, _KIDS), (r, ctx, None), (l, ctx, None))
-            elif cls is Step:
-                stack += ((node, ctx, _TARGET), (node.target, ctx, None))
             else:  # a Mu
                 u, body = node.var, node.body
                 fv = body._free
@@ -637,8 +593,6 @@ def _subst(e, bindings):
         elif plan is _KIDS:
             l, r = node.args
             memo[node] = Op(node.param, (memo[l], memo[r]))
-        elif plan is _TARGET:
-            memo[node] = Step(node.action, memo[node.target])
         elif type(plan) is list:  # node is the run, top first
             new = _prefix_run(plan, memo[node[-1].body])
             for old in node:
@@ -652,7 +606,7 @@ def _subst(e, bindings):
 
 def guarded_subst_exp(e, g, v):
     """Guarded syntactic substitution e[g//v]: unguarded occurrences of v
-    become 0, guarded ones (under a prefix or in a step's target) become g.
+    become 0, guarded ones (under a prefix) become g.
     One pass over the DAG above the actions turns the first into 0;
     ``substitute`` then puts g for the rest."""
     zeroed = {}

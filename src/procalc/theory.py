@@ -384,10 +384,6 @@ def exact_fraction(value):
 _FAMILY_WORDS = {"plus": "unparametrised", "gplus": "guarded", "pplus": "probabilistic"}
 
 
-def _itself(g):
-    return g
-
-
 class Theory:
     """A branching theory together with its normal-form backend."""
 
@@ -417,10 +413,9 @@ class Theory:
     def generators(self, nf):
         raise NotImplementedError
 
-    def term_of_nf(self, nf, leaf=_itself):
+    def term_of_nf(self, nf):
         """The canonical term reading of ``nf``: an expression built from
-        ``ZERO``, ``Op`` and ``leaf(g)`` for each generator ``g``, by default
-        the generator itself, which is a term."""
+        ``ZERO``, ``Op`` and its generators, each of which is a term."""
         raise NotImplementedError
 
     def weight(self, nf, g):
@@ -491,8 +486,8 @@ class Semilattice(Theory):
     def weight(self, nf, g):
         return g in nf
 
-    def term_of_nf(self, nf, leaf=_itself):
-        return _sum([leaf(g) for g in sorted_gens(nf)])
+    def term_of_nf(self, nf):
+        return _sum(sorted_gens(nf))
 
 
 class _WeightedSums(Theory):
@@ -557,8 +552,8 @@ class CommutativeMonoid(_WeightedSums):
         self.check_param(param)
         return _mixed([(u, 1) for u in args], 1)
 
-    def term_of_nf(self, nf, leaf=_itself):
-        return _sum([leaf(g) for g, n in sorted(nf[1], key=_pair_key({})) for _ in range(n)])
+    def term_of_nf(self, nf):
+        return _sum([g for g, n in sorted(nf[1], key=_pair_key({})) for _ in range(n)])
 
 
 class GuardedSemilattice(Theory):
@@ -609,7 +604,7 @@ class GuardedSemilattice(Theory):
     def weight(self, nf, g):
         return frozenset(atom for atom, e in zip(self.atoms, nf) if e == g)
 
-    def term_of_nf(self, nf, leaf=_itself):
+    def term_of_nf(self, nf):
         # group atoms by value, classes ordered by first occurrence; the
         # last class stands alone, each other one guards a choice
         classes = {}
@@ -617,7 +612,7 @@ class GuardedSemilattice(Theory):
             classes.setdefault(value, []).append(atom)
         t = None
         for value, guard in reversed(classes.items()):
-            u = ZERO if value is None else leaf(value)
+            u = ZERO if value is None else value
             t = u if t is None else Op(frozenset(guard), (u, t))
         return t
 
@@ -636,7 +631,7 @@ def _pair_key(keys):
     return key
 
 
-def _ca_reading(d, pairs, leaf):
+def _ca_reading(d, pairs):
     """The ``ca`` term of a subdistribution's (generator, count) pairs over
     the denominator ``d``, in the order given, built from the right: each
     generator ``+[p]`` what follows it, where p is its count over its count
@@ -645,7 +640,7 @@ def _ca_reading(d, pairs, leaf):
     tail = d - sum(n for _, n in pairs)
     t = ZERO
     for g, n in reversed(pairs):
-        t = Op(Fraction(n, n + tail), (leaf(g), t)) if tail else leaf(g)
+        t = Op(Fraction(n, n + tail), (g, t)) if tail else g
         tail += n
     return t
 
@@ -683,9 +678,9 @@ class ConvexAlgebra(_WeightedSums):
         a, b = param.numerator, param.denominator
         return _mixed(((args[0], a), (args[1], b - a)), b)
 
-    def term_of_nf(self, nf, leaf=_itself):
+    def term_of_nf(self, nf):
         d, pairs = nf
-        return _ca_reading(d, sorted(pairs, key=_pair_key({})), leaf)
+        return _ca_reading(d, sorted(pairs, key=_pair_key({})))
 
 
 class ConvexSemilattice(Theory):
@@ -769,8 +764,8 @@ class ConvexSemilattice(Theory):
         # the (generator, mass) pairs in reading order, each listed once
         return list(dict.fromkeys((g, Fraction(n, d)) for d, ps in _ranked(nf) for g, n in ps))
 
-    def term_of_nf(self, nf, leaf=_itself):
-        return _sum([_ca_reading(d, pairs, leaf) for d, pairs in _ranked(nf)])
+    def term_of_nf(self, nf):
+        return _sum([_ca_reading(d, pairs) for d, pairs in _ranked(nf)])
 
 
 # ---------------------------------------------------------------------------

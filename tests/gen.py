@@ -100,7 +100,7 @@ def rand_sterm(th, rng, states, depth=2):
             return pc.ZERO
         if which < 0.5:
             return pc.Var(rng.choice(OUTVARS))
-        return pc.Step(rng.choice(ACTIONS), rng.choice(states))
+        return pc.Prefix(rng.choice(ACTIONS), pc.Var(rng.choice(states)))
     return pc.Op(
         rand_param(th, rng),
         (rand_sterm(th, rng, states, depth - 1), rand_sterm(th, rng, states, depth - 1)),

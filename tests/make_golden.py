@@ -324,6 +324,10 @@ def cases():
     add("step", "--theory", "cs", "(a.0 +[1/2] b.0) + a.0 + b.0")
     add("step", "mu x. (mu y. a.(x + y)) + y")
     add("lts", "mu x. (mu y. a.(x + y)) + y")
+    # a certificate whose signatures step one action into blocks 1 to 12,
+    # which must print in numeric order
+    add("equiv", " + ".join(f"a.u{i}" for i in range(12)),
+        " + ".join(f"a.u{i}" for i in range(11)))
     return out
 
 

@@ -51,12 +51,16 @@ class Gen(pc.Exp):
     """A generator of any kind (a string, a tuple, a normal form) standing
     as a term, for the theory-law tests, whose normal forms are over such
     generators: it carries its own one-step rule, as a star node does, to
-    the generator's unit.  It is keyed on the generator's type as well, so
-    ``1``, ``True`` and ``Fraction(1)`` are three nodes."""
+    the generator's unit, and sorts as its generator does.  It is keyed on
+    the generator's type as well, so ``1``, ``True`` and ``Fraction(1)``
+    are three nodes."""
 
     __slots__ = _fields = ("gen",)
     _typed_param = True
     _free = frozenset()
+
+    def sort_key(self):
+        return generator_key(self.gen)
 
     def _render(self):
         return repr(self.gen)
@@ -67,12 +71,16 @@ class Gen(pc.Exp):
 
 def gen_term(g):
     """``g`` itself when it is a term (an output, a step or termination),
-    else ``Gen(g)``: a ``leaf`` for ``term_of_nf`` over any generators."""
+    else ``Gen(g)``: ``nf_map(nf, gen_term)`` is a normal form over terms,
+    whatever ``nf``'s generators, so ``term_of_nf`` reads it."""
     return g if isinstance(g, pc.Exp) else Gen(g)
 
 
-def _itself(g):
-    return g
+def step_generator_key(g):
+    """The sort key that a step ``a.t`` had when it was a node of its own
+    kind: its action, then its state ``t`` keyed by its printed text, as
+    every term is.  Oracle for ``generator_key`` on prefix generators."""
+    return ("k", "act", g.action, ("k", "exp", pc.unparse(g.body)))
 
 
 def _gauss_solve(rows, rhs):
@@ -139,6 +147,8 @@ def generator_key_by_isinstance(g):
     for the type-dispatching ``generator_key``."""
     if g is None:
         return ("0",)
+    if isinstance(g, pc.Prefix):
+        return step_generator_key(g)
     if hasattr(g, "sort_key"):
         return ("k",) + tuple(g.sort_key())
     if isinstance(g, bool):
@@ -299,28 +309,28 @@ def cm_bind_counter(nf, f):
     return _multiset(sum((cm_counter(f(g)) for g in cm_counter(nf).elements()), Counter()))
 
 
-def _ca_reading_sorted(sub, leaf):
+def _ca_reading_sorted(sub):
     items = sorted_gens(sub)
     tail = 1 - sum(m for _, m in items)
     t = ZERO
     for g, mass in reversed(items):
-        t = Op(mass / (mass + tail), (leaf(g), t)) if tail else leaf(g)
+        t = Op(mass / (mass + tail), (g, t)) if tail else g
         tail += mass
     return t
 
 
-def ca_term_of_nf_sorted(nf, leaf=_itself):
+def ca_term_of_nf_sorted(nf):
     """The ``ca`` reading of a subdistribution, sorted by ``sorted_gens``
     in ``Fraction`` form with one ``Fraction`` division per generator;
     oracle for ``ConvexAlgebra.term_of_nf``."""
-    return _ca_reading_sorted(fraction_point(nf), leaf)
+    return _ca_reading_sorted(fraction_point(nf))
 
 
-def cs_term_of_nf_sorted(nf, leaf=_itself):
+def cs_term_of_nf_sorted(nf):
     """The ``cs`` reading: the ``ca`` readings of the points, ranked by
     ``sorted_gens`` in ``Fraction`` form, summed from the left; oracle for
     ``ConvexSemilattice.term_of_nf``."""
-    readings = [_ca_reading_sorted(sub, leaf) for sub in sorted_gens(map(fraction_point, nf))]
+    readings = [_ca_reading_sorted(sub) for sub in sorted_gens(map(fraction_point, nf))]
     t = readings[0] if readings else ZERO
     for u in readings[1:]:
         t = Op(None, (t, u))
@@ -440,13 +450,13 @@ def _f_pair_key(keys):
     return key
 
 
-def _f_ca_reading(pairs, leaf):
+def _f_ca_reading(pairs):
     scale = math.lcm(*[m.denominator for _, m in pairs])
     counts = [m.numerator * (scale // m.denominator) for _, m in pairs]
     tail = scale - sum(counts)
     t = ZERO
     for (g, _), n in zip(reversed(pairs), reversed(counts)):
-        t = Op(Fraction(n, n + tail), (leaf(g), t)) if tail else leaf(g)
+        t = Op(Fraction(n, n + tail), (g, t)) if tail else g
         tail += n
     return t
 
@@ -495,8 +505,8 @@ class FractionConvexAlgebra(Theory):
     def weight(self, nf, g):
         return dict(nf).get(g, Fraction(0))
 
-    def term_of_nf(self, nf, leaf=_itself):
-        return _f_ca_reading(sorted(nf, key=_f_pair_key({})), leaf)
+    def term_of_nf(self, nf):
+        return _f_ca_reading(sorted(nf, key=_f_pair_key({})))
 
 
 class FractionConvexSemilattice(Theory):
@@ -548,14 +558,14 @@ class FractionConvexSemilattice(Theory):
     def edges(self, nf):
         return list(dict.fromkeys(p for sub in sorted_gens(nf) for p in sorted_gens(sub)))
 
-    def term_of_nf(self, nf, leaf=_itself):
+    def term_of_nf(self, nf):
         key = _f_pair_key({})
         ranked = []
         for sub in nf:
             pairs = sorted(sub, key=key)
             ranked.append((tuple(map(key, pairs)), pairs))
         ranked.sort(key=lambda r: r[0])
-        readings = [_f_ca_reading(pairs, leaf) for _, pairs in ranked]
+        readings = [_f_ca_reading(pairs) for _, pairs in ranked]
         t = readings[0] if readings else ZERO
         for u in readings[1:]:
             t = Op(None, (t, u))
@@ -616,14 +626,16 @@ def reachable_unmemoised(e, theory, stepper=pc.step, cap=None, name="s"):
         nf = stepper(x, theory)
         raw.append(nf)
         for g in sorted_gens(theory.generators(nf)):
-            if isinstance(g, pc.Step) and g.target not in index:
+            if isinstance(g, pc.Prefix) and g.body not in index:
                 if cap is not None and len(order) >= cap:
                     raise pc.StateCapExceeded(f"more than {cap} reachable states")
-                index[g.target] = len(order)
-                order.append(g.target)
+                index[g.body] = len(order)
+                order.append(g.body)
 
     def rename(t):
-        return pc.Step(t.action, f"{name}{index[t.target]}") if isinstance(t, pc.Step) else t
+        if isinstance(t, pc.Prefix):
+            return pc.Prefix(t.action, pc.Var(f"{name}{index[t.body]}"))
+        return t
 
     states = tuple(f"{name}{j}" for j in range(len(order)))
     return pc.Coalgebra(theory, states,
@@ -676,7 +688,7 @@ def lstep_walk(s, theory, memo=None):
         def leaf(t):
             if isinstance(t, pc.Tick):
                 return on_tick
-            return theory.unit(pc.Step(t.action, pc.SSeq(t.target, after)))
+            return theory.unit(pc.Prefix(t.action, pc.SSeq(t.body, after)))
 
         return theory.bind(nf, leaf)
 
@@ -686,7 +698,7 @@ def lstep_walk(s, theory, memo=None):
         elif isinstance(n, pc.SOne):
             memo[n] = theory.unit(pc.TICK)
         elif isinstance(n, pc.SAct):
-            memo[n] = theory.unit(pc.Step(n.action, pc.SONE))
+            memo[n] = theory.unit(pc.Prefix(n.action, pc.SONE))
         elif isinstance(n, Op):
             memo[n] = theory.op_apply(n.param, [memo[a] for a in n.args])
         elif isinstance(n, pc.SSeq):
@@ -708,7 +720,7 @@ def naive_bisim_relation(c):
         cls = {t: frozenset(u for u in c.states if (t, u) in rel) for t in c.states}
 
         def f(g):
-            return pc.Step(g.action, cls[g.target]) if isinstance(g, pc.Step) else g
+            return (g.action, cls[g.body.name]) if isinstance(g, pc.Prefix) else g
 
         return c.theory.nf_map(c.structure[s], f)
 
@@ -722,9 +734,17 @@ def naive_bisim_relation(c):
 
 def _moore_signature(c, s, block):
     def f(t):
-        return pc.Step(t.action, block[t.target]) if isinstance(t, pc.Step) else t
+        return (t.action, block[t.body.name]) if isinstance(t, pc.Prefix) else t
 
     return c.theory.nf_map(c.structure[s], f)
+
+
+def _signature_term(theory, sig):
+    """The reading of a signature, each pair ``(a, b)`` as the prefix
+    ``a.b`` on the ``Var`` named by the block id ``b``, an int, which sorts
+    numerically."""
+    return theory.term_of_nf(
+        theory.nf_map(sig, lambda g: pc.Prefix(g[0], pc.Var(g[1])) if type(g) is tuple else g))
 
 
 def moore_partition(c, history=False):
@@ -763,8 +783,8 @@ def moore_check_states(c, s1, s2):
         return pc.Certificate(True, len(trace) - 1, f"stable partition: {detail}")
     split = next(i for i, t in enumerate(trace) if t[s1] != t[s2])
     prev = trace[split - 1]
-    sig1 = c.theory.term_of_nf(_moore_signature(c, s1, prev))
-    sig2 = c.theory.term_of_nf(_moore_signature(c, s2, prev))
+    sig1 = _signature_term(c.theory, _moore_signature(c, s1, prev))
+    sig2 = _signature_term(c.theory, _moore_signature(c, s2, prev))
     detail = (
         f"split at refinement round {split}: "
         f"{s1} has signature {pc.render_sterm(sig1)}, "
@@ -778,7 +798,7 @@ def is_guarded_recursive(v, e):
     recursion; oracle for ``syntax.unguarded_vars``."""
     if isinstance(e, pc.Var):
         return e.name != v
-    if isinstance(e, (pc.Zero, pc.Step, pc.Prefix)):
+    if isinstance(e, (pc.Zero, pc.Prefix)):
         return True
     if isinstance(e, pc.Mu):
         return True if e.var == v else is_guarded_recursive(v, e.body)
@@ -1147,8 +1167,6 @@ def guarded_subst_renaming(e, g, v):
             out = n
         elif isinstance(n, pc.Prefix):
             out = pc.Prefix(n.action, pc.substitute(n.body, {v: g}))
-        elif isinstance(n, pc.Step):
-            out = pc.Step(n.action, pc.substitute(n.target, {v: g}))
         elif isinstance(n, Op):
             out = Op(n.param, tuple(walk(a) for a in n.args))
         elif isinstance(n, pc.Mu):
@@ -1197,21 +1215,21 @@ def lstep_recursive(s, theory):
     if isinstance(s, pc.SOne):
         return theory.unit(pc.TICK)
     if isinstance(s, pc.SAct):
-        return theory.unit(pc.Step(s.action, pc.SONE))
+        return theory.unit(pc.Prefix(s.action, pc.SONE))
     if isinstance(s, Op):
         return theory.op_apply(s.param, [lstep_recursive(a, theory) for a in s.args])
     if isinstance(s, pc.SSeq):
         def leaf(t):
             if isinstance(t, pc.Tick):
                 return lstep_recursive(s.right, theory)
-            return theory.unit(pc.Step(t.action, pc.SSeq(t.target, s.right)))
+            return theory.unit(pc.Prefix(t.action, pc.SSeq(t.body, s.right)))
 
         return nf_flatten(theory, theory.nf_map(lstep_recursive(s.left, theory), leaf))
 
     def loop(t):
         if isinstance(t, pc.Tick):
             return theory.bottom()
-        return theory.unit(pc.Step(t.action, pc.SSeq(t.target, s)))
+        return theory.unit(pc.Prefix(t.action, pc.SSeq(t.body, s)))
 
     looped = nf_flatten(theory, theory.nf_map(lstep_recursive(s.body, theory), loop))
     return theory.op_apply(s.param, [looped, theory.unit(pc.TICK)])
@@ -1292,7 +1310,7 @@ def sterm_from_json(d, states):
                     f"the target of action {d['act']!r} must be a string, not {d['to']!r}")
             if d["to"] not in states:
                 raise TheoryError(f"unknown target state {d['to']!r}")
-            built.append(pc.Step(d["act"], d["to"]))
+            built.append(pc.Prefix(d["act"], pc.Var(d["to"])))
         elif "op" in d:
             if "guard" in d:
                 if not isinstance(d["guard"], list) or not all(

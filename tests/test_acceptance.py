@@ -51,13 +51,13 @@ def test_acceptance_1_golden_derivations():
     f_gs = pc.parse_exp(
         "v +[x1] a2.(mu w. (a1.(v +[x1] a2.w) +[x1] u))", gs
     )
-    ok_gs = pc.step(e_gs, gs) == (pc.Step("a1", f_gs), pc.Var("u"))
+    ok_gs = pc.step(e_gs, gs) == (pc.Prefix("a1", f_gs), pc.Var("u"))
 
     ca = theory("ca")
     e_ca = pc.parse_exp("mu v. (a1.u +[1/2] (a2.v +[1/3] w))", ca)
     ok_ca = pc.step(e_ca, ca) == sub(
-        (pc.Step("a1", pc.Var("u")), F(1, 2)),
-        (pc.Step("a2", e_ca), F(1, 6)),
+        (pc.Prefix("a1", pc.Var("u")), F(1, 2)),
+        (pc.Prefix("a2", e_ca), F(1, 6)),
         (pc.Var("w"), F(1, 3)),
     )
 
@@ -66,9 +66,9 @@ def test_acceptance_1_golden_derivations():
     ok_cs = pc.step(e_cs, cs) == frozenset(
         {
             ZERO_SUBDIST,
-            sub((pc.Step("a1", e_cs), F(1, 3)),
-                (pc.Step("a2", pc.Var("w")), F(2, 3))),
-            sub((pc.Step("a2", e_cs), F(1))),
+            sub((pc.Prefix("a1", e_cs), F(1, 3)),
+                (pc.Prefix("a2", pc.Var("w")), F(2, 3))),
+            sub((pc.Prefix("a2", e_cs), F(1))),
         }
     )
     elapsed = time.monotonic() - t0

@@ -344,6 +344,15 @@ def test_a_key_error_inside_a_command_is_an_internal_error(monkeypatch, capsys):
     assert _main_err(monkeypatch, capsys, "lts", "a.0") == (2, "", "internal error: 's9'\n")
 
 
+def test_an_internal_error_with_no_message_is_named_by_its_type(monkeypatch, capsys):
+    # a MemoryError has no message, and printed as "internal error: "
+    def fault(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli.semantics, "reachable", fault)
+    assert _main_err(monkeypatch, capsys, "lts", "a.0") == (2, "", "internal error: MemoryError\n")
+
+
 # ---------------------------------------------------------------------------
 # machine formats
 

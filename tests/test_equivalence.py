@@ -140,7 +140,8 @@ def test_certificate_contents():
 def test_a_step_to_a_state_outside_the_coalgebra_raises():
     # loading a file refuses such a step; a coalgebra built in code is
     # explored from its states, and stepping the unknown target raises
-    c = pc.semantics.Coalgebra(theory("sl"), ("s0",), {"s0": frozenset({pc.Step("a", "s1")})})
+    c = pc.semantics.Coalgebra(theory("sl"), ("s0",),
+                               {"s0": frozenset({pc.Prefix("a", pc.Var("s1"))})})
     for refine in (pc.bisim_partition, lambda c: pc.check_states(c, "s0", "s0")):
         with pytest.raises(KeyError, match="s1"):
             refine(c)
@@ -293,26 +294,37 @@ def test_refinement_recomputes_only_predecessors_of_moved_states(name, monkeypat
 def test_equivalent_pushes_each_state_forward_once(name, monkeypatch):
     # refinement reads the explored terms, so no state is pushed forward to
     # be named (naming both sides took one more nf_map per state, relabelling
-    # a disjoint union two); a prefix state a.t is signed as the unit of its
-    # step, so it gets no Step and no nf_map, only the other states' signatures
-    # push forward; and a mu unfolding is one bind
-    from procalc import semantics
+    # a disjoint union two); a prefix state a.t is its own step, signed as the
+    # unit of (a, block of t), so it builds no node and gets no nf_map, only
+    # the other states' signatures push forward; and a mu unfolding is one
+    # bind, which builds the only prefixes made
+    from procalc import semantics, syntax
 
     th = theory(name)
     e, f = (pc.parse_exp(long_cycle(60, LONG_OPS[name], **kw), th)
             for kw in ({}, {"laps": 2}))
     states = [x for c in (e, f) for x in semantics._explore((c,), th, 1000, pc.step)[0]]
-    prefix_steps = {(x.action, x.body) for x in states if type(x) is pc.Prefix}
+    prefix_steps = {x for x in states if type(x) is pc.Prefix}
     others = [pc.step(x, th) for x in states if type(x) is not pc.Prefix]
-    made, pushed, binds = [], [], []
-    new_step, nf_map, gsubst_bm = pc.Step.__new__, th.nf_map, semantics.gsubst_bm
-    monkeypatch.setattr(pc.Step, "__new__",
-                        lambda cls, a, t: made.append((a, t)) or new_step(cls, a, t))
+    made, pushed, binds, unfolding = [], [], [], []
+    prefix_run, nf_map, gsubst_bm = syntax._prefix_run, th.nf_map, semantics.gsubst_bm
+
+    def unfold(*args):
+        binds.append(args)
+        unfolding.append(args)
+        try:
+            return gsubst_bm(*args)
+        finally:
+            unfolding.pop()
+
+    # made: for each run of prefixes built, whether an unfolding builds it
+    monkeypatch.setattr(syntax, "_prefix_run",
+                        lambda acts, body: made.append(bool(unfolding)) or prefix_run(acts, body))
     monkeypatch.setattr(th, "nf_map", lambda nf, g: pushed.append(nf) or nf_map(nf, g))
-    monkeypatch.setattr(semantics, "gsubst_bm", lambda *a: binds.append(a) or gsubst_bm(*a))
+    monkeypatch.setattr(semantics, "gsubst_bm", unfold)
     assert pc.equivalent(e, f, th).equivalent
     assert len(states) == 183 and len(prefix_steps) == 178 and len(binds) == 2
-    assert made and sum(step in prefix_steps for step in made) == 0
+    assert made and all(made)
     # round 1 signs the five other states, later rounds fewer than that again
     assert all(nf in others for nf in pushed)
     assert len(others) <= len(pushed) < 2 * len(others)

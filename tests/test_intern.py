@@ -10,7 +10,6 @@ from fractions import Fraction
 import pytest
 
 import procalc as pc
-from procalc.semantics import Step
 from procalc import syntax
 from procalc.syntax import (_TABLE, Mu, Op, Prefix, Var, ZERO, _prefix_run, _sweep,
                             bound_vars, free_vars, unparse)
@@ -94,13 +93,6 @@ def test_fraction_params_key_on_their_ratio_and_type():
     assert [type(n.gen) for n in leaves] == [int, bool, Fraction]
 
 
-def test_steps_are_interned_on_their_target_and_its_type():
-    steps = [Step("a", t) for t in (1, True, F(1), "1", Var("x"))]
-    assert len({id(s) for s in steps}) == 5
-    assert [type(s.target) for s in steps] == [int, bool, Fraction, str, Var]
-    assert Step(action="a", target=Var("x")) is steps[4] and Step("a", 1) is steps[0]
-
-
 def test_nodes_are_immutable_and_copy_to_themselves():
     e = Prefix("a", Mu("x", Var("x")))
     with pytest.raises(AttributeError):
@@ -143,7 +135,7 @@ HOLDERS = {
     "list": (lambda n: [n], lambda h: h[0]),
     "dict value": (lambda n: {"k": n}, lambda h: h["k"]),
     "frozenset member": (lambda n: frozenset({n}), lambda h: next(iter(h))),
-    "Step target": (lambda n: Step("a", n), lambda h: h.target),
+    "prefix body": (lambda n: Prefix("a", n), lambda h: h.body),
     "closure cell": (lambda n: lambda: n, lambda h: h()),
 }
 

@@ -13,11 +13,11 @@ from procalc import cli, semantics
 from procalc.semantics import StateCapExceeded, Tick, disjoint_union
 from procalc.theory import ZERO_SUBDIST, TheoryError
 
-from gen import (ALL_THEORIES, rand_coalgebra, rand_exp, rand_guarded_exp, rand_param,
+from gen import (ACTIONS, ALL_THEORIES, rand_coalgebra, rand_exp, rand_guarded_exp, rand_param,
                  rand_sexp, rand_sterm, seed_for, theory)
 from masses import count_point, fraction_point
 from oracles import (axiom_side_ok, coalgebra_from_dict_by_step, instantiate_schema, lstep_walk,
-                     reachable_union, reachable_unmemoised, step_walk, u_set)
+                     reachable_union, reachable_unmemoised, step_walk, u_set, unparse_uncached)
 
 F = Fraction
 
@@ -38,15 +38,15 @@ def test_step_gs_example():
     th = theory("gs")
     e = pc.parse_exp(GS_E, th)
     f = pc.parse_exp("v +[x1] a2.(mu w. (a1.(v +[x1] a2.w) +[x1] u))", th)
-    assert pc.step(e, th) == (pc.Step("a1", f), pc.Var("u"))
+    assert pc.step(e, th) == (pc.Prefix("a1", f), pc.Var("u"))
 
 
 def test_step_ca_example():
     th = theory("ca")
     e = pc.parse_exp(CA_E, th)
     assert pc.step(e, th) == sub(
-        (pc.Step("a1", pc.Var("u")), F(1, 2)),
-        (pc.Step("a2", e), F(1, 6)),
+        (pc.Prefix("a1", pc.Var("u")), F(1, 2)),
+        (pc.Prefix("a2", e), F(1, 6)),
         (pc.Var("w"), F(1, 3)),
     )
 
@@ -57,8 +57,8 @@ def test_step_cs_example():
     assert pc.step(e, th) == frozenset(
         {
             ZERO_SUBDIST,
-            sub((pc.Step("a1", e), F(1, 3)), (pc.Step("a2", pc.Var("w")), F(2, 3))),
-            sub((pc.Step("a2", e), F(1))),
+            sub((pc.Prefix("a1", e), F(1, 3)), (pc.Prefix("a2", pc.Var("w")), F(2, 3))),
+            sub((pc.Prefix("a2", e), F(1))),
         }
     )
 
@@ -67,7 +67,7 @@ def test_step_base_cases():
     th = theory("sl")
     assert pc.step(pc.Var("v"), th) == frozenset({pc.Var("v")})
     assert pc.step(pc.Prefix("a", pc.ZERO), th) == frozenset(
-        {pc.Step("a", pc.ZERO)}
+        {pc.Prefix("a", pc.ZERO)}
     )
     assert pc.step(pc.parse_exp("mu v. v", th), th) == th.bottom()
     assert pc.step(pc.ZERO, th) == th.bottom()
@@ -81,8 +81,8 @@ def test_gsubst_bm_examples():
     g = pc.Prefix("b", pc.ZERO)
     assert pc.gsubst_bm(th.unit(pc.Var("v")), g, "v", th) == th.bottom()
     assert pc.gsubst_bm(
-        th.unit(pc.Step("a", pc.Var("v"))), g, "v", th
-    ) == th.unit(pc.Step("a", g))
+        th.unit(pc.Prefix("a", pc.Var("v"))), g, "v", th
+    ) == th.unit(pc.Prefix("a", g))
 
     ca = theory("ca")
     nf = sub((pc.Var("v"), F(1, 2)), (pc.Var("u"), F(1, 2)))
@@ -159,8 +159,8 @@ def test_reachable_gs_example():
     th = theory("gs")
     c = pc.reachable(pc.parse_exp(GS_E, th), th)
     assert c.states == ("s0", "s1")
-    assert c.structure["s0"] == (pc.Step("a1", "s1"), pc.Var("u"))
-    assert c.structure["s1"] == (pc.Var("v"), pc.Step("a2", "s0"))
+    assert c.structure["s0"] == (pc.Prefix("a1", pc.Var("s1")), pc.Var("u"))
+    assert c.structure["s1"] == (pc.Var("v"), pc.Prefix("a2", pc.Var("s0")))
 
 
 def test_reachable_ca_example():
@@ -170,7 +170,8 @@ def test_reachable_ca_example():
     # the second state is the a1-target u, which only outputs
     assert c.structure[c.states[1]] == sub((pc.Var("u"), F(1)))
     # self-loop 1/6 | a2 on the seed
-    assert (pc.Step("a2", c.states[0]), F(1, 6)) in fraction_point(c.structure[c.states[0]])
+    s0 = c.states[0]
+    assert (pc.Prefix("a2", pc.Var(s0)), F(1, 6)) in fraction_point(c.structure[s0])
 
 
 def test_reachable_trivial():
@@ -189,8 +190,8 @@ def test_reachable_closure_and_oracle_bound(th):
         listed = set(c.states)
         for s in c.states:
             for g in th.generators(c.structure[s]):
-                if isinstance(g, pc.Step):
-                    assert g.target in listed
+                if isinstance(g, pc.Prefix):
+                    assert g.body.name in listed
         assert len(c.states) <= len(u_set(e))
 
 
@@ -333,37 +334,60 @@ def test_step_on_star_expressions_agrees_with_a_walk_per_node_type(th, capsys):
     for value in ("a", 1, None, th.unit(pc.TICK)):
         with pytest.raises(TypeError):
             pc.step(value, th)
-    for g in (pc.TICK, pc.Step("a", "s1"), pc.Step("a", s)):  # transitions are terms
+    for g in (pc.TICK, pc.Prefix("a", pc.Var("s1")), pc.Prefix("a", s)):  # transitions are terms
         assert pc.step(g, th) == th.unit(g)
 
 
 @pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
+def test_a_prefix_reads_back_as_itself(th):
+    # a.t steps to the unit of a.t, whose reading is the same node and
+    # prints as the term does, brackets included; cs reads its deadlock
+    # point too
+    rng = random.Random(seed_for(th.id, 3132))
+    bracketed = 0
+    for _ in range(150):
+        t = rand_exp(th, rng, depth=rng.randint(0, 4))
+        for a in ACTIONS:
+            p = pc.Prefix(a, t)
+            reading = th.term_of_nf(pc.step(p, th))
+            if th.id == "cs":
+                assert type(reading) is pc.Op and reading.args[0] is pc.ZERO
+                reading = reading.args[1]
+            assert reading is p
+            assert pc.unparse(reading) == unparse_uncached(p)
+            bracketed += "(" in pc.unparse(p)
+    assert bracketed >= 100, bracketed
+
+
+@pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
 def test_a_leaf_step_target_is_unfolded_under_its_binder(th):
-    # a step is a leaf for every walk, but its target's free variables are
-    # its own: with none, mu x. a.x (a step) stepped as its body, to a.x
+    # the step a.x is a leaf of a normal form's reading and the prefix a.x
+    # at once: under mu x its target is unfolded, alone, in a choice, or in
+    # the reading of that choice's normal form
     x = pc.Var("x")
-    leaf = pc.Step("a", x)
+    leaf = pc.Prefix("a", x)
     param = pc.parse_exp(f"u {CYC_OPS[th.id]} v", th).param
+    either = pc.Op(param, (x, leaf))
     assert leaf._free == {"x"} and pc.is_guarded("x", leaf)
-    for body in (leaf, pc.Op(param, (x, leaf)), pc.Prefix("a", x)):
+    for body in (leaf, either, th.term_of_nf(pc.step(either, th))):
         g = pc.Mu("x", body)
-        steps = [t for t in th.generators(pc.step(g, th)) if type(t) is pc.Step]
-        assert steps == [pc.Step("a", g)] and not g._free
+        steps = [t for t in th.generators(pc.step(g, th)) if type(t) is pc.Prefix]
+        assert steps == [pc.Prefix("a", g)] and not g._free
     # substitution rewrites the target, and guarded substitution counts it as guarded
-    assert pc.substitute(leaf, {"x": pc.Var("y")}) is pc.Step("a", pc.Var("y"))
-    assert pc.guarded_subst_exp(pc.Op(param, (x, leaf)), pc.ZERO, "x") is pc.Op(
-        param, (pc.ZERO, pc.Step("a", pc.ZERO)))
+    assert pc.substitute(leaf, {"x": pc.Var("y")}) is pc.Prefix("a", pc.Var("y"))
+    assert pc.guarded_subst_exp(either, pc.ZERO, "x") is pc.Op(
+        param, (pc.ZERO, pc.Prefix("a", pc.ZERO)))
 
 
 @pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
 def test_a_binder_over_a_step_under_a_prefix_unfolds_into_the_target(th):
-    # substitute refused a step whose target held the substituted variable,
-    # so stepping this term raised TypeError
-    found = pc.Mu("x", pc.Prefix("a", pc.Step("b", pc.Var("x"))))
-    assert pc.step(found, th) == th.unit(pc.Step("a", pc.Step("b", found)))
-    spelled = pc.Mu("x", pc.Prefix("a", pc.Prefix("b", pc.Var("x"))))
-    assert pc.equivalent(found, spelled, th).equivalent
-    assert pc.reachable(found, th).structure == pc.reachable(spelled, th).structure
+    # the step b.x under the prefix a is the run a.b.x, whose last body the
+    # binder's unfolding rewrites
+    found = pc.Mu("x", pc.Prefix("a", pc.Prefix("b", pc.Var("x"))))
+    assert found is pc.parse_exp("mu x. a.b.x", th)
+    assert pc.step(found, th) == th.unit(pc.Prefix("a", pc.Prefix("b", found)))
+    assert pc.reachable(found, th).structure == {
+        "s0": th.unit(pc.Prefix("a", pc.Var("s1"))), "s1": th.unit(pc.Prefix("b", pc.Var("s0")))}
 
 
 @pytest.mark.parametrize("name", sorted(CYC_OPS))
@@ -385,8 +409,9 @@ def test_equiv_unfolds_one_binder_per_cyc_side(name, monkeypatch):
 
 @pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
 def test_a_state_id_target_is_kept_under_a_binder(th):
-    # substituting into the state id "s1" raised AttributeError
-    s1 = pc.Step("a", "s1")
+    # a step to the state id s1 is a prefix on the variable s1, which no
+    # unfolding of x touches
+    s1 = pc.Prefix("a", pc.Var("s1"))
     param = pc.parse_exp(f"u {CYC_OPS[th.id]} v", th).param
     either = pc.Op(param, (pc.Var("x"), s1))
     g = pc.Mu("x", either)
@@ -443,18 +468,18 @@ def test_reachable_union_is_the_disjoint_union_of_reachables():
 
 def test_step_is_a_value():
     th = theory("sl")
-    a = pc.Step("a", "s1")
-    assert a == pc.Step("a", "s1") and hash(a) == hash(pc.Step("a", "s1"))
-    assert a != pc.Step("b", "s1") and a != pc.Step("a", "s2")
+    a = pc.Prefix("a", pc.Var("s1"))
+    assert a == pc.Prefix("a", pc.Var("s1")) and hash(a) == hash(pc.Prefix("a", pc.Var("s1")))
+    assert a != pc.Prefix("b", pc.Var("s1")) and a != pc.Prefix("a", pc.Var("s2"))
     assert a != pc.Var("a") and pc.Var("a") != a and a != ("a", "s1")
-    assert pc.Step("a", pc.parse_exp("b.0", th)) == pc.Step("a", pc.parse_exp("b.0", th))
-    assert repr(a) == "Step(action='a', target='s1')"
+    assert pc.Prefix("a", pc.parse_exp("b.0", th)) == pc.Prefix("a", pc.parse_exp("b.0", th))
+    assert repr(a) == "Prefix(action='a', body=Var(name='s1'))"
     with pytest.raises(AttributeError):
         a.action = "b"
     with pytest.raises(AttributeError):
-        del a.target
+        del a.body
     assert pickle.loads(pickle.dumps(a)) == a
-    assert len({a, pc.Step("a", "s1"), pc.Step("a", "s2")}) == 2
+    assert len({a, pc.Prefix("a", pc.Var("s1")), pc.Prefix("a", pc.Var("s2"))}) == 2
 
 
 def test_disjoint_union():
@@ -463,7 +488,7 @@ def test_disjoint_union():
     c2 = pc.reachable(pc.parse_exp("b.0", th), th)
     u = disjoint_union(c1, c2)
     assert set(u.states) == {"as0", "as1", "bs0", "bs1"}
-    assert u.structure["as0"] == frozenset({pc.Step("a", "as1")})
+    assert u.structure["as0"] == frozenset({pc.Prefix("a", pc.Var("as1"))})
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +565,7 @@ def test_structure_terms_load_deeper_than_the_recursion_limit():
     # the structure walk keeps no Python frame per level: only read_json bounds the depth
     c = semantics.coalgebra_from_dict(_deep_sum(3000))
     assert sorted(c.theory.generators(c.structure["s0"]), key=str) == [
-        pc.Step("a", "s0"), pc.Step("b", "s0")]
+        pc.Prefix("a", pc.Var("s0")), pc.Prefix("b", pc.Var("s0"))]
 
 
 def test_json_writer_depth_limit_is_exact(monkeypatch):
@@ -629,7 +654,7 @@ def test_reserved_names_are_read():
     d = {"theory": "sl", "states": ["%0", "s_1'"],
          "structure": {"%0": {"act": "a_b", "to": "s_1'"}, "s_1'": {"out": "%3"}}}
     c = pc.coalgebra_from_json(json.dumps(d))
-    assert c.structure == {"%0": frozenset({pc.Step("a_b", "s_1'")}),
+    assert c.structure == {"%0": frozenset({pc.Prefix("a_b", pc.Var("s_1'"))}),
                            "s_1'": frozenset({pc.Var("%3")})}
 
 

@@ -30,11 +30,11 @@ def test_associated_system_reads_leaves_back_as_syntax():
     the unknown of its target state.  The term reading lists steps before
     outputs, so the choice of s3 comes back with its arguments swapped."""
     th = theory("ca")
-    out_v, step_s0 = pc.Var("v"), pc.Step("a", "s0")
+    out_v, step_s0 = pc.Var("v"), pc.Prefix("a", pc.Var("s0"))
     structure = {
         "s0": pc.ZERO,
         "s1": out_v,
-        "s2": pc.Step("a", "s1"),
+        "s2": pc.Prefix("a", pc.Var("s1")),
         "s3": pc.Op(F(1, 2), (out_v, step_s0)),
     }
     c = pc.Coalgebra(th, tuple(structure), {s: pc.step(t, th) for s, t in structure.items()})
@@ -66,7 +66,7 @@ def test_associated_system_renames_clashing_states():
     c = pc.Coalgebra(
         th,
         ("u",),
-        {"u": frozenset({pc.Var("u"), pc.Step("a", "u")})},
+        {"u": frozenset({pc.Var("u"), pc.Prefix("a", pc.Var("u"))})},
     )
     sys = pc.associated_system(c)
     assert sys.variables == ("%0",)
@@ -85,7 +85,7 @@ def test_renamed_state_avoids_outputs_and_states():
     c = pc.Coalgebra(theory("sl"), ("%1", "v", "w"), {
         "%1": frozenset({pc.Var("v"), pc.Var("%0")}),
         "v": frozenset({pc.Var("w")}),
-        "w": frozenset({pc.Step("a", "v")}),
+        "w": frozenset({pc.Prefix("a", pc.Var("v"))}),
     })
     assert pc.associated_system(c).variables == ("%1", "%2", "%3")
 
@@ -264,7 +264,8 @@ def _ring(n, m=3, c=1):
     """The coalgebra s_i = a.s_{i+1 mod n} + b.s_{(m*i+c) mod n} in sl."""
     th = theory("sl")
     structure = {
-        f"s{i}": frozenset({pc.Step("a", f"s{(i + 1) % n}"), pc.Step("b", f"s{(m * i + c) % n}")})
+        f"s{i}": frozenset({pc.Prefix("a", pc.Var(f"s{(i + 1) % n}")),
+                            pc.Prefix("b", pc.Var(f"s{(m * i + c) % n}"))})
         for i in range(n)
     }
     return pc.Coalgebra(th, tuple(structure), structure)

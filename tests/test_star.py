@@ -166,7 +166,7 @@ def test_lstep_base_cases():
     th = theory("sl")
     assert step(ZERO, th) == th.bottom()
     assert step(SONE, th) == th.unit(pc.TICK)
-    assert step(SAct("a"), th) == th.unit(pc.Step("a", SONE))
+    assert step(SAct("a"), th) == th.unit(pc.Prefix("a", SONE))
 
 
 def test_lstep_ca_star_counterexample_masses():
@@ -176,7 +176,7 @@ def test_lstep_ca_star_counterexample_masses():
     assert step(star, th) == count_point(frozenset(
         {
             (pc.TICK, F(1, 2)),
-            (pc.Step("a", SSeq(SONE, star)), F(1, 3)),
+            (pc.Prefix("a", SSeq(SONE, star)), F(1, 3)),
         }
     ))
     unrolled = Op(F(1, 2), (SSeq(e, star), SONE))
@@ -286,7 +286,7 @@ def test_star_walks_at_depth():
     e, unit = SAct("a"), pc.Prefix("a", pc.Var(UNIT_VAR))
     for _ in range(10_000):
         e, unit = SSeq(SAct("a"), e), pc.Prefix("a", unit)
-    assert step(e, sl) == sl.unit(pc.Step("a", SSeq(SONE, e.right)))
+    assert step(e, sl) == sl.unit(pc.Prefix("a", SSeq(SONE, e.right)))
     assert translate(e) is unit
     assert is_guarded_star(e)
     assert partial_derivative(e, sl) is e

@@ -453,57 +453,11 @@ def test_substitute_agrees_with_recursive_walk_on_prefix_runs(th):
     assert renamed >= 10
 
 
-def _as_prefixes(e):
-    """``e`` with every step ``a.t`` spelled as the prefix ``a.t``, in step
-    targets too."""
-    if isinstance(e, (pc.Step, Prefix)):
-        return Prefix(e.action, _as_prefixes(e.target if isinstance(e, pc.Step) else e.body))
-    if isinstance(e, Op):
-        return Op(e.param, tuple(map(_as_prefixes, e.args)))
-    if isinstance(e, Mu):
-        return Mu(e.var, _as_prefixes(e.body))
-    return e
-
-
-def _some_as_steps(e, rng):
-    """``e`` with about half of its prefixes spelled as steps."""
-    if isinstance(e, Prefix):
-        body = _some_as_steps(e.body, rng)
-        return pc.Step(e.action, body) if rng.random() < 0.5 else Prefix(e.action, body)
-    if isinstance(e, Op):
-        return Op(e.param, tuple(_some_as_steps(a, rng) for a in e.args))
-    if isinstance(e, Mu):
-        return Mu(e.var, _some_as_steps(e.body, rng))
-    return e
-
-
-@pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
-def test_substitution_into_steps_agrees_with_substitution_into_prefixes(th):
-    # a step's target is rewritten as a prefix body is (substitute refused
-    # one that held a substituted variable): substituting and then spelling
-    # every step as a prefix is substituting into the prefix spelling
-    rng = random.Random(seed_for(th.id, 0x5B7))
-    renamed = 0
-    for _ in range(400):
-        e = _some_as_steps(rand_exp(th, rng, depth=rng.randint(2, 5)), rng)
-        bindings = {v: _some_as_steps(_random_binding(th, rng), rng)
-                    for v in OUTVARS + ("m1",) if rng.random() < 0.5}
-        plain = {v: _as_prefixes(f) for v, f in bindings.items()}
-        new, old = _as_prefixes(substitute(e, bindings)), substitute(_as_prefixes(e), plain)
-        assert alpha_eq(new, old), (unparse(e), bindings)
-        renamed += "%" in unparse(old)
-        v = rng.choice(OUTVARS)
-        new = _as_prefixes(guarded_subst_exp(e, bindings.get(v, ZERO), v))
-        old = guarded_subst_exp(_as_prefixes(e), plain.get(v, ZERO), v)
-        assert alpha_eq(new, old), (unparse(e), v)
-    assert renamed >= 10
-
-
 def test_a_renamed_binder_avoids_the_names_bound_in_step_targets():
     # %0 is bound in a step target, so the binder y, which would capture the
     # y put for x, is renamed to %1
     target = Mu("%0", Prefix("b", Op(None, (Var("y"), Var("%0")))))
-    e = Mu("y", Op(None, (Var("x"), pc.Step("a", target))))
+    e = Mu("y", Op(None, (Var("x"), Prefix("a", target))))
     assert unparse(substitute(e, {"x": Var("y")})) == "mu %1. y + a.(mu %0. b.(%1 + %0))"
 
 

@@ -3,11 +3,13 @@
 A finite coalgebra gives an equation system whose unknowns are its states;
 each right-hand side is the term reading of a state's normal form, whose
 transitions are syntax already: an output is its variable, and a step is
-a prefix on an unknown.  Systems are solved by elimination in two passes.
-The forward pass closes each unknown in turn with a mu-binder and
-substitutes it into the equations left; the back pass substitutes the
-solutions of later unknowns into the closed equations, only for the
-unknowns asked for and those they depend on.
+a prefix on an unknown.  Such readings bind no name, so the system is
+built without the walk that checks it.  Systems are solved by elimination
+in two passes.  The forward pass closes each unknown in turn with a
+mu-binder and substitutes it into the equations left that mention it,
+found through an index from each unknown to those equations; the back
+pass substitutes the solutions of later unknowns into the closed
+equations, only for the unknowns asked for and those they depend on.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ import re
 
 from . import syntax
 from .semantics import _retarget
-from .syntax import (Mu, Record, Tick, Var, bound_vars, free_vars, fresh_name, substitute,
-                     unguarded_vars)
+from .syntax import (Mu, Prefix, Record, Tick, Var, bound_vars, free_vars, fresh_name,
+                     substitute, unguarded_sets)
 from .theory import TheoryError
 
 
@@ -30,6 +32,24 @@ class EqSystem(Record):
 
     def __init__(self, theory, variables, exprs):
         super().__init__(theory, variables, exprs)
+        unknowns = self._unknowns()
+        if not unknowns.isdisjoint(bound_vars(*self.exprs)):  # name the first equation
+            for y, e in zip(self.variables, self.exprs):
+                bound = unknowns & bound_vars(e)
+                if bound:
+                    raise TheoryError(f"unknown {min(bound)!r} is bound in the equation for {y!r}")
+
+    @classmethod
+    def _binding_nothing(cls, theory, variables, exprs):
+        """A system whose right-hand sides the caller knows to have no
+        binder, built without walking them: only the unknowns are checked."""
+        system = cls.__new__(cls)
+        Record.__init__(system, theory, variables, exprs)
+        system._unknowns()
+        return system
+
+    def _unknowns(self):
+        """The set of the unknowns, which must be there and distinct."""
         if not self.variables:
             raise TheoryError("an equation system needs at least one unknown")
         unknowns = set()
@@ -37,11 +57,7 @@ class EqSystem(Record):
             if x in unknowns:
                 raise TheoryError(f"duplicate unknown {x!r}")
             unknowns.add(x)
-        if not unknowns.isdisjoint(bound_vars(*self.exprs)):  # name the first equation
-            for y, e in zip(self.variables, self.exprs):
-                bound = unknowns & bound_vars(e)
-                if bound:
-                    raise TheoryError(f"unknown {min(bound)!r} is bound in the equation for {y!r}")
+        return unknowns
 
     def render(self):
         return "\n".join(
@@ -57,16 +73,24 @@ def associated_system(c):
     State ids double as unknowns when they do not clash with output
     variables; a clashing id is renamed to the least ``%k`` that is
     neither a state nor an output, nor taken by an earlier renaming, and
-    the steps to it with it.
+    the steps to it with it.  When every generator is an output or a step
+    to a state, the readings bind nothing and are not walked again; any
+    other generator, such as a step to a term that binds, sends them
+    through the checks of ``EqSystem``.
     """
+    states = set(c.states)
     outputs = set()
+    plain = True  # every generator an output or a step to a state
     for s in c.states:
         for g in c.theory.generators(c.structure[s]):
-            if type(g) is Var:
+            cls = type(g)
+            if cls is Var:
                 outputs.add(g.name)
-            elif isinstance(g, Tick):
+            elif cls is Tick:
                 raise TheoryError("termination transitions have no syntax")
-    taken = outputs | set(c.states)
+            elif cls is not Prefix or type(g.body) is not Var or g.body.name not in states:
+                plain = False
+    taken = outputs | states
     rename = {}
     for s in c.states:
         rename[s] = fresh_name(taken) if s in outputs else s
@@ -75,17 +99,23 @@ def associated_system(c):
     if not outputs.isdisjoint(c.states):
         nfs = [_retarget(c.theory, nf, lambda v: Var(rename[v.name])) for nf in nfs]
     exprs = tuple(map(c.theory.term_of_nf, nfs))
-    return EqSystem(c.theory, tuple(rename[s] for s in c.states), exprs)
+    build = EqSystem._binding_nothing if plain else EqSystem
+    return build(c.theory, tuple(rename[s] for s in c.states), exprs)
 
 
 def solve(system, order=None, wanted=None):
     """Milner elimination.  ``order`` lists the unknown positions in the
     order they are eliminated (default: last to first).  Returns the
     solutions of the ``wanted`` unknowns (default: all) as a dict unknown ->
-    closed-over expression."""
+    closed-over expression.
+
+    The forward pass substitutes a closed unknown only into the equations
+    left in which it is free, so it makes one substitution per such
+    occurrence, not one per pair of unknowns."""
     known = set(system.variables)
+    unguarded = unguarded_sets(system.exprs)
     for y, e in zip(system.variables, system.exprs):
-        bad = unguarded_vars(e) & known
+        bad = known.intersection(unguarded.get(e, ()))
         if bad:
             x = min(bad, key=system.variables.index)
             raise UnguardedSystem(f"unknown {x!r} is unguarded in the equation for {y!r}")
@@ -96,14 +126,25 @@ def solve(system, order=None, wanted=None):
     wanted = system.variables if wanted is None else tuple(wanted)
 
     # forward: close each unknown in turn and substitute it away, so the
-    # closed equation of an unknown mentions only unknowns eliminated later
+    # closed equation of an unknown mentions only unknowns eliminated later.
+    # ``occurs`` maps each unknown left to the equations it is free in, and
+    # to some closed ones, which are skipped.  The unknowns of the closed
+    # equation, all of them left, now occur wherever the closed one did
     rest = dict(zip(system.variables, system.exprs))
+    occurs = {x: set() for x in rest}
+    for y, e in rest.items():
+        for x in known.intersection(free_vars(e)):
+            occurs[x].add(y)
     closed = {}
     for i in order:
         x = system.variables[i]
         closed[x] = f = Mu(x, rest.pop(x))
-        for y, e in rest.items():
-            rest[y] = substitute(e, {x: f})
+        targets = occurs.pop(x)
+        for y in targets:
+            if y in rest:
+                rest[y] = substitute(rest[y], {x: f})
+        for u in known.intersection(free_vars(f)):
+            occurs[u] |= targets
 
     # back: only the wanted unknowns and, transitively, the later ones their
     # closed equations mention.  Back-substitution renames a binder only

@@ -497,10 +497,16 @@ _ABOVE_GUARDS = frozenset((Var, Op, Mu))  # the nodes with free variables outsid
 
 def unguarded_vars(e):
     """The free variables of e with an occurrence not under an action
-    prefix, from one set per node of the DAG above the prefixes that has
-    free variables."""
+    prefix."""
+    return unguarded_sets((e,)).get(e, _EMPTY)
+
+
+def unguarded_sets(roots):
+    """``unguarded_vars`` of each node under ``roots`` that is above the
+    prefixes and has free variables, keyed by node: one set per node of
+    the DAG, from one walk, so roots that share nodes share their sets."""
     sets = {}
-    for n in post_order((e,), lambda n: type(n) in _ABOVE_GUARDS and n._free):
+    for n in post_order(roots, lambda n: type(n) in _ABOVE_GUARDS and n._free):
         cls = type(n)
         if cls is Var:
             sets[n] = frozenset((n.name,))
@@ -508,7 +514,7 @@ def unguarded_vars(e):
             sets[n] = sets.get(n.args[0], _EMPTY) | sets.get(n.args[1], _EMPTY)
         else:
             sets[n] = sets.get(n.body, _EMPTY) - {n.var}
-    return sets.get(e, _EMPTY)
+    return sets
 
 
 def is_guarded(v, e):

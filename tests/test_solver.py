@@ -90,6 +90,24 @@ def test_renamed_state_avoids_outputs_and_states():
     assert pc.associated_system(c).variables == ("%1", "%2", "%3")
 
 
+@pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
+def test_associated_system_passes_the_system_checks(th):
+    # readings of outputs and steps to states are built unchecked; the
+    # checks of EqSystem would build the same system
+    rng = random.Random(seed_for(th.id, 3201))
+    for _ in range(40):
+        system = pc.associated_system(rand_coalgebra(th, rng))
+        assert system == pc.EqSystem(system.theory, system.variables, system.exprs)
+
+
+def test_associated_system_checks_a_step_to_a_binder():
+    th = theory("sl")
+    loop = pc.Mu("s0", pc.Prefix("a", pc.Var("s0")))
+    c = pc.Coalgebra(th, ("s0",), {"s0": frozenset({pc.Prefix("b", loop)})})
+    with pytest.raises(pc.TheoryError, match="unknown 's0' is bound in the equation for 's0'"):
+        pc.associated_system(c)
+
+
 # ---------------------------------------------------------------------------
 # solving
 
@@ -213,6 +231,24 @@ def _rand_text_system(th, rng, n):
     return pc.parse_system("\n".join(lines), th)
 
 
+def _loops(th, rng, succ, n):
+    """The system s_i = a.s_j OP b.s_k for (j, k) = succ(i), or s_i = a.0
+    where succ(i) is None, with random choices OP."""
+    exprs = []
+    for i in range(n):
+        if succ(i) is None:
+            exprs.append(pc.Prefix("a", pc.ZERO))
+        else:
+            j, k = succ(i)
+            exprs.append(pc.Op(rand_param(th, rng), (pc.Prefix("a", pc.Var(f"s{j}")),
+                                                     pc.Prefix("b", pc.Var(f"s{k}")))))
+    return pc.EqSystem(th, tuple(f"s{i}" for i in range(n)), tuple(exprs))
+
+
+def _chain(th, rng, n):
+    return _loops(th, rng, lambda i: (i + 1, 0) if i < n - 1 else None, n)
+
+
 def _systems(th, rng):
     for _ in range(12):
         yield pc.associated_system(rand_coalgebra(th, rng, max_states=5))
@@ -225,6 +261,8 @@ def _systems(th, rng):
             continue
         found += 1
         yield system
+    yield _chain(th, rng, 12)
+    yield _loops(th, rng, lambda i: ((i + 1) % 8, (3 * i + 1) % 8), 8)  # ring(8)
 
 
 @pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
@@ -271,19 +309,45 @@ def _ring(n, m=3, c=1):
     return pc.Coalgebra(th, tuple(structure), structure)
 
 
-def test_solve_one_state_back_substitutes_nothing(monkeypatch):
-    # with the default order s0 is eliminated last, so its solution is its
-    # closed equation: only the forward pass substitutes
-    system = pc.associated_system(_ring(13))
+def _substitutions(monkeypatch):
+    """Whether each call of the solver's ``substitute`` from now on rewrote
+    its term, in call order."""
     calls = []
     real = solver.substitute
-    monkeypatch.setattr(solver, "substitute", lambda e, b: calls.append(e) or real(e, b))
+
+    def counted(e, bindings):
+        out = real(e, bindings)
+        calls.append(out is not e)
+        return out
+
+    monkeypatch.setattr(solver, "substitute", counted)
+    return calls
+
+
+def test_solve_one_state_back_substitutes_nothing(monkeypatch):
+    # with the default order s0 is eliminated last, so its solution is its
+    # closed equation: only the forward pass substitutes, and only into the
+    # equations that mention the unknown it closes
+    system = pc.associated_system(_ring(13))
+    calls = _substitutions(monkeypatch)
     phi = pc.solve(system, wanted=("s0",))
-    assert len(calls) == 13 * 12 // 2
+    assert calls == [True] * 22
     assert len(pc.unparse(phi["s0"])) == 225_534
     calls.clear()
     pc.solve(system)
-    assert len(calls) == 13 * 12 // 2 + 12
+    assert calls == [True] * (22 + 12)
+
+
+@pytest.mark.parametrize("n", [50, 300])
+def test_solve_chain_substitutes_per_occurrence(monkeypatch, n):
+    # each closed s_i is free only in the equation of s_{i-1}, and s0 in every closed equation
+    system = _chain(theory("sl"), random.Random(n), n)
+    calls = _substitutions(monkeypatch)
+    pc.solve(system, wanted=("s0",))
+    assert calls == [True] * (n - 1)
+    calls.clear()
+    pc.solve(system)
+    assert calls == [True] * (2 * n - 3)
 
 
 def test_solve_one_state_of_ring_30():
@@ -297,13 +361,11 @@ def test_solve_one_state_of_ring_30():
 def test_cli_solve_state_on_ring(tmp_path, capsys, monkeypatch):
     path = tmp_path / "ring.json"
     path.write_text(pc.coalgebra_to_json(_ring(13)))
-    calls = []
-    real = solver.substitute
-    monkeypatch.setattr(solver, "substitute", lambda e, b: calls.append(e) or real(e, b))
+    calls = _substitutions(monkeypatch)
     assert cli.run(["solve", str(path), "--state", "s0"]) == 0
     out = capsys.readouterr().out
     assert len(out) == 225_534 + 1 and out.endswith("\n")
-    assert len(calls) == 13 * 12 // 2
+    assert calls == [True] * 22
 
 
 def test_system_errors_come_before_an_unknown_state():

@@ -198,10 +198,9 @@ def _emit_coalgebra(c, fmt):
         print(semantics.coalgebra_to_json(c))
     elif fmt == "dot":
         sys.stdout.write(semantics.coalgebra_to_dot(c))
-    else:
-        for s in c.states:
-            t = c.theory.term_of_nf(c.structure[s])
-            print(f"{s} = {syntax.unparse(t)}")
+    else:  # the equations that solve reads
+        for x, nf in zip(*semantics.equations(c)):
+            print(f"{x} = {syntax.unparse(c.theory.term_of_nf(nf))}")
 
 
 def _read_stdin(args):

@@ -28,8 +28,9 @@ for the positions of two explored terms, the state ids for a coalgebra.
 An explored prefix state ``a.t`` comes with no normal form (``_explore``
 keeps None in its place).  Its normal form is the unit of ``a.t``, and the
 pushforward of a unit is the unit of the image, so its signature is
-``unit((a, block[t]))``, built from the action and the position of ``t``;
-only a certificate that prints it reads the unit of ``a.t``.
+``unit((a, block[t]))``, built from the action and the position of ``t``,
+once per (action, block) pair in a refinement; only a certificate that
+prints it reads the unit of ``a.t``.
 
 The rounds are computed incrementally.  Blocks carry internal ids, and a
 state that leaves its block always gets a fresh id.  A signature changes only
@@ -76,6 +77,7 @@ def _rounds(theory, table, block):
         return (g.action, block[index[g.body]]) if type(g) is Prefix else g
 
     unit, nf_map = theory.unit, theory.nf_map
+    units = {}  # (a, block id) -> its unit, a prefix state's signature
     pred = [[] for _ in block]
     for s, targets in enumerate(succ):
         for t in targets:
@@ -87,7 +89,10 @@ def _rounds(theory, table, block):
         for s in dirty:
             nf = nfs[s]
             if nf is None:  # the prefix a.t: nf_map(unit(a.t), read) is unit(read(a.t))
-                sig = unit((order[s].action, block[succ[s][0]]))
+                pair = (order[s].action, block[succ[s][0]])
+                sig = units.get(pair)
+                if sig is None:
+                    sig = units[pair] = unit(pair)
             else:
                 sig = nf_map(nf, read)
             by_sig = recomputed.get(block[s])

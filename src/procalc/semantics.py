@@ -33,14 +33,17 @@ position: ``reachable`` names the state the unit of ``a.s<j>``.
 
 A coalgebra's states are named by ids ``s0``, ``s1``, ...; its normal forms
 step to ``a.s<j>``, a prefix on the ``Var`` of the id, so the term reading of
-a state's normal form is its equation over the ids.
+a state's normal form is its equation over the ids.  An id that is also an
+output or an action would read as that name, so ``equations`` renames it
+to a fresh ``%k``; ``lts`` text and ``solver.associated_system`` both take
+their equations from it, and ``solve`` reads that text back.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .syntax import (TICK, Exp, Mu, Op, Prefix, Record, Tick, Var, Zero, is_name,
+from .syntax import (TICK, Exp, Mu, Op, Prefix, Record, Tick, Var, Zero, fresh_name, is_name,
                      post_order, sorted_gens, substitute, unparse)
 from .theory import MAX_JSON_DEPTH, TheoryError, exact_fraction, read_json, theory_from_json
 
@@ -78,16 +81,17 @@ def step(e, theory, memo=None):
     fixpoint into."""
     if memo is None:
         memo = {}
-
-    def pending(n):
-        return type(n) not in _AT_ONCE and n not in memo
-
-    if pending(e):
+    if type(e) not in _AT_ONCE and e not in memo:
         if not isinstance(e, Exp):
             raise TypeError(f"not an expression: {e!r}")
-        if any(map(pending, e._kids())):
-            for n in post_order((e,), pending):
-                memo[n] = _rule(n, theory, memo)
+        for kid in e._kids():
+            if type(kid) not in _AT_ONCE and kid not in memo:  # a pending child
+                def pending(n):
+                    return type(n) not in _AT_ONCE and n not in memo
+
+                for n in post_order((e,), pending):
+                    memo[n] = _rule(n, theory, memo)
+                break
         else:
             memo[e] = _rule(e, theory, memo)
     return _stepped(e, theory, memo)
@@ -209,6 +213,33 @@ def reachable(e, theory, cap=10000):
         s.name: _retarget(theory, nf, name) if nf is not None
         else theory.unit(Prefix(x.action, ids[targets[0]]))
         for s, x, nf, targets in zip(ids, order, raw, succ)})
+
+
+def equations(c):
+    """The unknowns and normal forms of a coalgebra's equations, in state
+    order.  A state id is its own unknown unless it is also an output or an
+    action, which its equations would read as that name; such an id is
+    renamed to the least ``%k`` that names no state, output or action, nor
+    an earlier renamed state, and every step to it with it.  Both
+    ``solver.associated_system`` and ``lts`` text use them, so ``solve``
+    reads that text back."""
+    names = set()  # the outputs and actions
+    for s in c.states:
+        for g in c.theory.generators(c.structure[s]):
+            if type(g) is Var:
+                names.add(g.name)
+            elif type(g) is Prefix:
+                names.add(g.action)
+    nfs = [c.structure[s] for s in c.states]
+    if names.isdisjoint(c.states):
+        return c.states, nfs
+    taken = names | set(c.states)
+    rename = {}
+    for s in c.states:
+        rename[s] = fresh_name(taken) if s in names else s
+        taken.add(rename[s])
+    return (tuple(rename.values()),
+            [_retarget(c.theory, nf, lambda v: Var(rename[v.name])) for nf in nfs])
 
 
 def disjoint_union(c1, c2):

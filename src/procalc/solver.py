@@ -1,10 +1,12 @@
 """Guarded equation systems and their unique (up to bisimilarity) solutions.
 
-A finite coalgebra gives an equation system whose unknowns are its states;
-each right-hand side is the term reading of a state's normal form, whose
-transitions are syntax already: an output is its variable, and a step is
-a prefix on an unknown.  Such readings bind no name, so the system is
-built without the walk that checks it.  Systems are solved by elimination
+A finite coalgebra gives an equation system whose unknowns are its states,
+named by ``semantics.equations`` as ``lts`` text names them (an id that is
+also an output or an action becomes a fresh ``%k``); each right-hand side
+is the term reading of a state's normal form, whose transitions are
+syntax already: an output is its variable, and a step is a prefix on an
+unknown.  Such readings bind no name, so the system is built without the
+walk that checks it.  Systems are solved by elimination
 in two passes.  The forward pass closes each unknown in turn with a
 mu-binder and substitutes it into the equations left that mention it,
 found through an index from each unknown to those equations; the back
@@ -14,12 +16,10 @@ equations, only for the unknowns asked for and those they depend on.
 
 from __future__ import annotations
 
-import re
-
 from . import syntax
-from .semantics import _retarget
-from .syntax import (Mu, Prefix, Record, Tick, Var, bound_vars, free_vars, fresh_name,
-                     substitute, unguarded_sets)
+from .semantics import equations
+from .syntax import (Mu, Prefix, Record, Tick, Var, bound_vars, free_vars, substitute,
+                     unguarded_sets)
 from .theory import TheoryError
 
 
@@ -70,37 +70,25 @@ def associated_system(c):
     """The guarded equation system of a finite coalgebra: the term
     readings of its normal forms, whose steps ``a.s`` go to unknowns.
 
-    State ids double as unknowns when they do not clash with output
-    variables; a clashing id is renamed to the least ``%k`` that is
-    neither a state nor an output, nor taken by an earlier renaming, and
-    the steps to it with it.  When every generator is an output or a step
-    to a state, the readings bind nothing and are not walked again; any
-    other generator, such as a step to a term that binds, sends them
-    through the checks of ``EqSystem``.
+    The unknowns are ``semantics.equations``'s: a state id, or a ``%k``
+    where the id is also an output or an action.  When every generator is
+    an output or a step to a state, the readings bind nothing and are not
+    walked again; any other generator, such as a step to a term that
+    binds, sends them through the checks of ``EqSystem``.
     """
-    states = set(c.states)
-    outputs = set()
+    unknowns, nfs = equations(c)
+    known = set(unknowns)
     plain = True  # every generator an output or a step to a state
-    for s in c.states:
-        for g in c.theory.generators(c.structure[s]):
+    for nf in nfs:
+        for g in c.theory.generators(nf):
             cls = type(g)
-            if cls is Var:
-                outputs.add(g.name)
-            elif cls is Tick:
+            if cls is Tick:
                 raise TheoryError("termination transitions have no syntax")
-            elif cls is not Prefix or type(g.body) is not Var or g.body.name not in states:
+            if cls is not Var and (cls is not Prefix or type(g.body) is not Var
+                                   or g.body.name not in known):
                 plain = False
-    taken = outputs | states
-    rename = {}
-    for s in c.states:
-        rename[s] = fresh_name(taken) if s in outputs else s
-        taken.add(rename[s])
-    nfs = [c.structure[s] for s in c.states]
-    if not outputs.isdisjoint(c.states):
-        nfs = [_retarget(c.theory, nf, lambda v: Var(rename[v.name])) for nf in nfs]
-    exprs = tuple(map(c.theory.term_of_nf, nfs))
     build = EqSystem._binding_nothing if plain else EqSystem
-    return build(c.theory, tuple(rename[s] for s in c.states), exprs)
+    return build(c.theory, tuple(unknowns), tuple(map(c.theory.term_of_nf, nfs)))
 
 
 def solve(system, order=None, wanted=None):
@@ -196,7 +184,8 @@ def synthesize(c, state, order=None):
 # -- system text format ------------------------------------------------------
 
 def parse_system(text, theory, actions=None):
-    """One equation per line, ``x = term``; blank lines and # comments ok."""
+    """One equation per line, ``x = term``; blank lines and # comments ok.
+    An unknown is a name as the term parser reads it, ``%k`` included."""
     variables = []
     exprs = []
     use = syntax.NameUse(actions)
@@ -209,7 +198,7 @@ def parse_system(text, theory, actions=None):
             raise syntax.ParseError(f"expected 'x = term' in {line!r}")
         lhs, rhs = line.split("=", 1)
         x = lhs.strip()
-        if x == "mu" or not re.fullmatch(syntax._IDENT, x):  # as the term parser reads a name
+        if not syntax.is_name(x):  # as the term parser reads a name
             raise syntax.ParseError(f"bad unknown {x!r}")
         variables.append(x)
         pending.append(rhs)

@@ -134,6 +134,7 @@ def parse_sexp(text, theory, gkat=False, actions=None):
 
 def _parse_sexp_tokens(toks, theory, gkat, use):
     stack = [[None, None, None]]
+    read = {}  # the brackets read, for choice_param
     i = 0  # an error is raised as soon as the eof token is consumed
     while True:
         tok = toks[i]
@@ -173,7 +174,7 @@ def _parse_sexp_tokens(toks, theory, gkat, use):
             if top[0] is not None:
                 e = Op(top[1], (top[0], e))
             if toks[i] == "+":
-                param, i = choice_param(toks, i + 1, theory)
+                param, i = choice_param(toks, i + 1, theory, read)
                 top[:] = e, param, None
                 break
             stack.pop()

@@ -4,14 +4,18 @@ Surface grammar (theory decides how choice parameters read):
 
     term   := sum
     sum    := item ('+' ('[' param ']')? item)*        # left-associative
-    item   := 'mu' IDENT '.' sum                        # extends maximally right
-            | IDENT '.' item                            # action prefix
-            | '0' | IDENT | '(' sum ')'
+    item   := 'mu' NAME '.' sum                         # extends maximally right
+            | NAME '.' item                             # action prefix
+            | '0' | NAME | '(' sum ')'
+    NAME   := IDENT | '%' DIGITS                        # but mu; %k is a fresh name
 
 Guards are space-separated atom lists (``+[a1 a2]``, ``[]`` is the empty
-guard); probabilities are integers or fractions (``+[1/2]``).  Recursion
-variables introduced internally live in the reserved ``%`` namespace, which
-the tokenizer cannot produce, so freshness never clashes with user input.
+guard); probabilities are integers or fractions (``+[1/2]``).  A fresh
+name prints as ``%k`` and parses back, like any other name, so freshness
+rests on each ``fresh_name`` / ``_fresh_names`` call avoiding every name
+of the terms it works on: ``_subst`` avoids all names of the term and of
+the values put in, ``semantics.equations`` the states, outputs and actions
+of its coalgebra, and ``star.translate`` all names of the loop body.
 
 No walk over a term recurses on its depth.  The tokenizer is one
 ``findall`` that returns the tokens as strings, then ``""`` for the end;
@@ -22,7 +26,8 @@ raised.  The parser is one loop over the tokens with an explicit stack of
 open sums and pending runs of prefixes: a run ``a1.a2. … an.`` is one
 frame, which ``_prefix_run`` interns innermost first once the item below
 it is complete.  The star fragment's parser is a loop of the same kind over
-the same tokens, and both read choice parameters with ``parse_param``.
+the same tokens, and both read choice parameters with ``parse_param``,
+each distinct bracket of an input once.
 Star expressions are terms too: their ``0`` and choice are ``ZERO`` and
 ``Op``, and ``star.py`` adds the other nodes as ``Exp`` subclasses, so
 ``unparse`` prints both grammars.  So are the transitions of the one-step
@@ -36,8 +41,10 @@ printer (which builds each node's text once) and the zeroing step of
 guarded substitution are loops over it.  Substitution is one loop,
 ``_subst``: it rewrites each (node, bindings) pair once per ``substitute``
 call, with an explicit stack and one memo per set of bindings, keyed by
-node, that lives for that call only; a run of prefixes that must change is
-walked down in one loop and rebuilt by ``_prefix_run``.  Guarded
+node, that lives for that call only; a binder whose body keeps every
+binding, and which no value has free, passes its set on as it is, so a
+chain of such binders builds no set.  A run of prefixes that must change
+is walked down in one loop and rebuilt by ``_prefix_run``.  Guarded
 substitution turns the unguarded occurrences of its variable into ``0``
 and then calls ``substitute``.
 """
@@ -86,8 +93,9 @@ class Interned:
     their printed text in ``_render``, which may read the cached ``_text``
     of every child.  The generic constructor below fills the fields in a
     loop; the hot classes ``Var``, ``Prefix``, ``Op`` and ``Mu`` have
-    their own, which take the fields by name and also fill ``_free``,
-    the free variables; ``Prefix``'s is ``_prefix_run`` over one action.
+    their own, which take the fields by name, set the slots through their
+    member descriptors and also fill ``_free``, the free variables;
+    ``Prefix``'s is ``_prefix_run`` over one action.
     All of them enter a new node by ``_intern``.  They are written out by
     hand on purpose: one shared helper for their miss path measured slower
     on every benchmark workload (ROADMAP item 2).
@@ -297,9 +305,9 @@ class Var(Exp):
         node = _TABLE.get(key)
         if node is None:
             node = object.__new__(cls)
-            _set(node, "name", name)
-            _set(node, "_text", None)
-            _set(node, "_free", frozenset((name,)))
+            _set_name(node, name)
+            _set_text(node, None)
+            _set_free(node, frozenset((name,)))
             _intern(key, node)
         return node
 
@@ -319,11 +327,11 @@ class Op(Exp):
         if node is None:
             l, r = args  # a child's set is shared when the other's is empty
             node = object.__new__(cls)
-            _set(node, "param", param)
-            _set(node, "args", args)
-            _set(node, "_text", None)
+            _set_param(node, param)
+            _set_args(node, args)
+            _set_text(node, None)
             f, g = l._free, r._free
-            _set(node, "_free", f | g if f and g else f or g)
+            _set_free(node, f | g if f and g else f or g)
             _intern(key, node)
         return node
 
@@ -348,10 +356,6 @@ class Prefix(Exp):
 
     def _render(self):
         return f"{self.action}.{bracket(self.body, _ITEM)}"
-
-
-_set_action, _set_body = Prefix.action.__set__, Prefix.body.__set__
-_set_text, _set_free = Interned._text.__set__, Exp._free.__set__
 
 
 def _prefix_run(actions, body):
@@ -384,10 +388,10 @@ class Mu(Exp):
         if node is None:
             free = body._free
             node = object.__new__(cls)
-            _set(node, "var", var)
-            _set(node, "body", body)
-            _set(node, "_text", None)
-            _set(node, "_free", free - {var} if var in free else free)
+            _set_var(node, var)
+            _set_mu_body(node, body)
+            _set_text(node, None)
+            _set_free(node, free - {var} if var in free else free)
             _intern(key, node)
         return node
 
@@ -396,6 +400,14 @@ class Mu(Exp):
 
     def _render(self):
         return f"mu {self.var}. {self.body._text}"
+
+
+# the slots of the hot nodes, which their constructors above set through
+# the member descriptors: faster than object.__setattr__ by name
+_set_text, _set_free = Interned._text.__set__, Exp._free.__set__
+_set_name, _set_param, _set_args = Var.name.__set__, Op.param.__set__, Op.args.__set__
+_set_action, _set_body = Prefix.action.__set__, Prefix.body.__set__
+_set_var, _set_mu_body = Mu.var.__set__, Mu.body.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -527,9 +539,9 @@ def is_guarded(v, e):
 
 def substitute(e, bindings):
     """Simultaneous capture-avoiding substitution of expressions for free
-    variables.  Bound variables are alpha-renamed into the reserved ``%``
-    namespace when they would capture."""
-    bindings = {v: f for v, f in bindings.items() if f != Var(v)}
+    variables.  A bound variable that would capture is alpha-renamed to a
+    fresh ``%k`` that no name of ``e`` or of the values takes."""
+    bindings = {v: f for v, f in bindings.items() if type(f) is not Var or f.name != v}
     if free_vars(e).isdisjoint(bindings):
         return e
     return _subst(e, bindings)
@@ -544,7 +556,10 @@ def _subst(e, bindings):
     A context is the index of one set of bindings; equal sets share an
     index, and each has one memo, keyed by node, so a node is rewritten once
     per set that reaches it, however often the set is rebuilt under a
-    ``mu``.  A node whose free variables miss its bindings is kept, and any
+    ``mu``.  A ``mu`` whose variable is not bound, whose body has every
+    bound variable free, and whose variable no value has free, passes its
+    own context to its body, without rebuilding the set: that is the set
+    the body would get.  A node whose free variables miss its bindings is kept, and any
     other always changes.  A binder that would capture is renamed
     to a fresh name, chosen in the order of a left-to-right walk of the
     tree; the renaming joins the bindings of its body.  A ``Prefix`` takes
@@ -583,18 +598,21 @@ def _subst(e, bindings):
             else:  # a Mu
                 u, body = node.var, node.body
                 fv = body._free
-                live = {v: f for v, f in bnd.items() if v != u and v in fv}
-                if any(u in f._free for f in live.values()):
-                    if fresh is None:
-                        fresh = _fresh_names(all_names(e, *bindings.values()))
-                    u = next(fresh)
-                    live[node.var] = Var(u)
-                key = frozenset(live.items())
-                sub = index.get(key)
-                if sub is None:
-                    sub = index[key] = len(table)
-                    table.append(live)
-                    memos.append({})
+                if u not in bnd and bnd.keys() <= fv and not any(u in f._free for f in bnd.values()):
+                    sub = ctx  # the body's bindings are these: none is dropped or captured
+                else:
+                    live = {v: f for v, f in bnd.items() if v != u and v in fv}
+                    if any(u in f._free for f in live.values()):
+                        if fresh is None:
+                            fresh = _fresh_names(all_names(e, *bindings.values()))
+                        u = next(fresh)
+                        live[node.var] = Var(u)
+                    key = frozenset(live.items())
+                    sub = index.get(key)
+                    if sub is None:
+                        sub = index[key] = len(table)
+                        table.append(live)
+                        memos.append({})
                 stack += ((node, ctx, (u, sub)), (body, sub, None))
         elif plan is _KIDS:
             l, r = node.args
@@ -633,13 +651,15 @@ def guarded_subst_exp(e, g, v):
 # loops over ``tokenize``'s list, run by ``parse_tokens``
 
 _IDENT, _NUM = r"[A-Za-z_][A-Za-z0-9_']*", r"\d+"
-_TOKEN = re.compile(rf"{_IDENT}|{_NUM}|[+.()\[\]/;^*=]")
+_NAME = rf"{_IDENT}|%{_NUM}"  # a fresh name prints as %k
+_TOKEN = re.compile(rf"{_NAME}|{_NUM}|[+.()\[\]/;^*=]")
 # the first character that no token can start or continue: neither a token
-# character nor a space (_BAD), or a quote with no identifier start before
-# it in its run of identifier characters (_BAD_QUOTE, which ends there)
-_BAD = re.compile(r"[^A-Za-z0-9_'+.()\[\]/;^*=\s\d]")
+# character nor a space, or a % with no digit after it (_BAD), or a quote
+# with no identifier start before it in its run of identifier characters
+# (_BAD_QUOTE, which ends there)
+_BAD = re.compile(r"[^A-Za-z0-9_'+.()\[\]/;^*=\s\d%]|%(?!\d)")
 _BAD_QUOTE = re.compile(r"(?<![A-Za-z0-9_'])[0-9]*'")
-_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_%")
 GUARD_ATOM = re.compile(f"{_IDENT}|{_NUM}")  # what a guard ``[...]`` reads as one atom
 
 
@@ -647,7 +667,7 @@ def is_name(text):
     """Whether ``text`` prints as one name: an identifier but ``mu``, or ``%k``."""
     if text.isidentifier() and text.isascii():  # the common case, without a regex
         return text != "mu"
-    return re.fullmatch(rf"{_IDENT}|%\d+", text) is not None
+    return re.fullmatch(_NAME, text) is not None
 
 
 def tokenize(text):
@@ -671,7 +691,7 @@ def token_kind(tok):
     """``'ident'``, ``'num'``, ``'eof'`` for the end, or the punctuation itself."""
     if not tok:
         return "eof"
-    if tok[0] in _IDENT_START:
+    if tok[0] in _NAME_START:
         return "ident"
     return "num" if tok[0].isdecimal() else tok
 
@@ -729,13 +749,23 @@ def parse_param(toks, i, theory):
     return prob, i + 2
 
 
-def choice_param(toks, i, theory):
+def choice_param(toks, i, theory, read):
     """``parse_param`` for the optional ``[...]`` after a ``+``: a plain
-    ``+`` has the parameter None."""
-    if toks[i] == "[":
+    ``+`` has the parameter None.  ``read`` maps the tokens of each bracket
+    read before, up to its first ``]``, to its parameter, so that a parser
+    reads and checks each distinct bracket of its input once.  A bracket
+    that fails never enters it, and fails in ``parse_param`` each time."""
+    if toks[i] != "[":
+        theory.check_param(None)
+        return None, i
+    try:
+        j = toks.index("]", i) + 1
+    except ValueError:  # no ']': parse_param says where the bracket fails
         return parse_param(toks, i, theory)
-    theory.check_param(None)
-    return None, i
+    key = tuple(toks[i:j])
+    if key not in read:
+        read[key] = parse_param(toks, i, theory)[0]
+    return read[key], j
 
 
 class NameUse:
@@ -777,6 +807,7 @@ def parse_exp(text, theory, actions=None, names=None):
 
 def _parse_exp_tokens(toks, theory, use):
     stack = [(None, None, None)]
+    read = {}  # the brackets read, for choice_param
     i = 0  # an error is raised as soon as the eof token is consumed
     while True:
         tok = toks[i]
@@ -786,7 +817,7 @@ def _parse_exp_tokens(toks, theory, use):
             continue
         if tok == "0":
             e = ZERO
-        elif tok[:1] not in _IDENT_START:
+        elif tok[:1] not in _NAME_START:
             raise ParseError(f"unexpected token {tok!r}", i - 1)
         elif tok == "mu":
             var = expect_token(toks, i, "ident")
@@ -799,7 +830,7 @@ def _parse_exp_tokens(toks, theory, use):
             j = i + 1
             while True:
                 t = toks[j]
-                if t[:1] not in _IDENT_START or t == "mu" or toks[j + 1] != ".":
+                if t[:1] not in _NAME_START or t == "mu" or toks[j + 1] != ".":
                     break
                 j += 2
             for k in range(i - 1, j, 2):
@@ -819,7 +850,7 @@ def _parse_exp_tokens(toks, theory, use):
             if left is not None:
                 e = Op(param, (left, e))
             if toks[i] == "+":
-                param, i = choice_param(toks, i + 1, theory)
+                param, i = choice_param(toks, i + 1, theory, read)
                 stack.append((e, param, close))
                 break
             if not stack:

@@ -434,7 +434,7 @@ class Theory:
         family = param_family(param)
         if family not in self.binary_families:
             raise TheoryError(f"theory {self.id} has no {_FAMILY_WORDS[family]} choice")
-        if family == "gplus" and not param <= set(self.atoms):
+        if family == "gplus" and not param <= self.atom_set:
             raise TheoryError(f"guard {sorted(param)} not within declared atoms")
         if family == "pplus" and not 0 <= param.numerator <= param.denominator:
             raise TheoryError(f"probability {param} outside [0, 1]")
@@ -475,7 +475,7 @@ class Semilattice(Theory):
         return args[0] | args[1]
 
     def nf_map(self, nf, f):
-        return frozenset(f(g) for g in nf)
+        return frozenset(map(f, nf))
 
     def bind(self, nf, f):
         return frozenset().union(*map(f, nf))
@@ -576,7 +576,7 @@ class GuardedSemilattice(Theory):
                 raise TheoryError(f"bad atom {atom!r}: an atom is an identifier or a number")
         if len(set(atoms)) != len(atoms):
             raise TheoryError("duplicate atoms")
-        self.atoms = atoms
+        self.atoms, self.atom_set = atoms, frozenset(atoms)
 
     def bottom(self):
         return (None,) * len(self.atoms)

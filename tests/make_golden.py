@@ -328,6 +328,13 @@ def cases():
     # which must print in numeric order
     add("equiv", " + ".join(f"a.u{i}" for i in range(12)),
         " + ".join(f"a.u{i}" for i in range(11)))
+    # lts text renames a state id that is also an output to %k, as solve
+    # does, so solve reads the text back; %k names parse
+    add("lts", "a.s0 + b.(s1 + a.0)")
+    text = run(["lts", "a.s0 + b.(s1 + a.0)"], None)["stdout"]
+    add("solve", "{file}", file=text)
+    add("solve", "{file}", "--state", "%0", file=text)
+    add("step", "mu %1. a.%1")
     return out
 
 

@@ -909,13 +909,14 @@ def unparse_sexp_uncached(e, level=_CHOICE):
     raise TypeError(e)
 
 
-_GROUPED_TOKEN = re.compile(rf"\s*(?:({_IDENT})|({_NUM})|([+.()\[\]/;^*=])|(\S))")
+_GROUPED_TOKEN = re.compile(rf"\s*(?:({_IDENT}|%{_NUM})|({_NUM})|([+.()\[\]/;^*=])|(\S))")
 
 
 def tokenize_by_match(text):
     """The tokens of ``text`` as (kind, text, offset) triples, the last of
-    kind ``eof``, one match of a grouped regex per token, the fourth group
-    being any other character; oracle for ``syntax.tokenize``."""
+    kind ``eof``, one match of a grouped regex per token, the first group
+    being a name (an identifier or ``%k``) and the fourth any other
+    character; oracle for ``syntax.tokenize``."""
     toks = []
     pos = 0
     while pos < len(text):

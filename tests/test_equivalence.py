@@ -237,6 +237,35 @@ def test_refining_explored_terms_agrees_with_the_named_union(th):
     assert verdicts == {True, False}
 
 
+def _runs(th, rng, runs):
+    """``mu x.`` over a choice of ``runs`` runs of one action, 1 to 12 long,
+    each over 0, an output or x: most states are prefixes on that action,
+    and many of them share a block in the same round."""
+    op = f" {LONG_OPS[th.id]} "
+    return "mu x. " + op.join("a1." * rng.randint(1, 12) + rng.choice(("0", "u", "v", "x"))
+                              for _ in range(runs))
+
+
+@pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
+def test_prefix_states_signed_by_shared_units_agree_with_moore(th):
+    # refinement builds the signature of a prefix state once per (action,
+    # block) pair in a call; Moore refinement of the named union rebuilds
+    # every signature in every round: the same rounds and certificate text
+    rng = random.Random(seed_for(th.id, 0x5161))
+    verdicts = set()
+    for _ in range(30):
+        texts = [_runs(th, rng, rng.randint(2, 5)) for _ in range(2)]
+        e, f = (pc.parse_exp(t, th) for t in texts)
+        unfolded = pc.substitute(e.body, {"x": e})
+        for x, y in ((e, f), (e, unfolded), (e, pc.Prefix("a1", e)), (f, f)):
+            cert = pc.equivalent(x, y, th)
+            assert [cert, cert] == list(_named_union_certificates(x, y, th)), texts
+            verdicts.add(cert.equivalent)
+        c = reachable_union(e, unfolded, th)
+        assert pc.bisim_partition(c) == moore_partition(c)
+    assert verdicts == {True, False}
+
+
 @pytest.mark.parametrize("th", [t for t in ALL_THEORIES if t.id != "cs"], ids=lambda t: t.id)
 def test_equiv_reads_each_explored_state_once(th, monkeypatch):
     # exploration hands refinement the successors it found, and steps a prefix

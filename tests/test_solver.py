@@ -13,7 +13,7 @@ from procalc.solver import UnguardedSystem
 
 from gen import (ACTIONS, ALL_THEORIES, rand_coalgebra, rand_exp, rand_guarded_exp,
                  rand_param, seed_for, theory)
-from make_golden import run as run_cli
+from make_golden import THEORY_ARGS, run as run_cli
 from oracles import solve_eager
 
 F = Fraction
@@ -394,7 +394,7 @@ def test_unknowns_are_the_names_the_term_parser_reads():
     # and ``mu`` are no names, and would print text that does not parse
     assert run_cli(["solve", "{file}"], "x' = a.x'\n") == {
         "stdout": "x' = mu x'. a.x'\n", "stderr": "", "code": 0}
-    for x in ("é", "mu", "1x", "x-y"):
+    for x in ("é", "mu", "1x", "x-y", "%", "%x"):
         assert run_cli(["solve", "{file}"], f"{x} = a.0\n") == {
             "stdout": "", "stderr": f"error: bad unknown {x!r}\n", "code": 1}
 
@@ -409,3 +409,60 @@ def test_solve_deep_chain():
     assert not any(pc.free_vars(e) & unknowns for e in phi.values())
     assert pc.solve(system, wanted=("s1",))["s1"] is phi["s1"]
     assert pc.unparse(phi["s198"]) == "mu s198. a.(mu s199. a.0) + b.(%s)" % pc.unparse(phi["s0"])
+
+
+# ---------------------------------------------------------------------------
+# answers and lts text read back: fresh %k names parse, and lts text names
+# the states it renames as solve does
+
+CLASH = "a.s0 + b.(s1 + a.0)"  # s0 and s1 are outputs and state ids
+
+
+def test_percent_names_read_back_through_step_solve_and_equiv():
+    assert run_cli(["step", "mu %1. a.%1"], None) == {
+        "stdout": "a.(mu %1. a.%1)\n", "stderr": "", "code": 0}
+    assert run_cli(["solve", "{file}"], "%0 = a.%0 + s0\n") == {
+        "stdout": "%0 = mu %0. a.%0 + s0\n", "stderr": "", "code": 0}
+    # the answer of test_renamed_state_avoids_outputs_and_states, from its
+    # equation, and against its own unfolding
+    answer = "mu %1. a.%1 + %0 + u"
+    assert run_cli(["solve", "{file}"], "%1 = a.%1 + %0 + u\n")["stdout"] == f"%1 = {answer}\n"
+    out = run_cli(["equiv", answer, f"a.({answer}) + %0 + u"], None)
+    assert out["code"] == 0 and out["stdout"].startswith("equivalent: ")
+
+
+def test_lts_text_of_a_clash_solves_to_the_term():
+    out = run_cli(["lts", CLASH], None)
+    assert out == {"stdout": "%0 = a.%1 + b.s2\n%1 = s0\ns2 = a.s3 + s1\ns3 = 0\n",
+                   "stderr": "", "code": 0}
+    answer = run_cli(["solve", "{file}", "--state", "%0"], out["stdout"])
+    assert answer["code"] == 0
+    assert answer["stdout"] == "mu %0. a.(mu %1. s0) + b.(mu s2. a.(mu s3. 0) + s1)\n"
+    out = run_cli(["equiv", CLASH, answer["stdout"].strip()], None)
+    assert out["code"] == 0 and out["stdout"].startswith("equivalent: ")
+    # JSON keeps the state ids, and solve renames them as the text does
+    text = run_cli(["lts", "--format", "json", CLASH], None)["stdout"]
+    assert json.loads(text)["states"] == ["s0", "s1", "s2", "s3"]
+    assert run_cli(["solve", "{file}", "--state", "s0"], text)["stdout"] == answer["stdout"]
+    # a state id that is an action is renamed too
+    assert run_cli(["lts", "s0.s1.0"], None)["stdout"] == "%0 = s0.%1\n%1 = s1.s2\ns2 = 0\n"
+
+
+@pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
+def test_solve_reads_lts_text_back(th):
+    # outputs and an action renamed to state ids, so that states clash
+    rng = random.Random(seed_for(th.id, 0x1757))
+    renamed = 0
+    for _ in range(30):
+        e = pc.substitute(rand_exp(th, rng, depth=rng.randint(2, 4)),
+                          {"u": pc.Var("s0"), "v": pc.Var("s1")})
+        term = pc.unparse(e).replace("a2.", "s2.")
+        lts = run_cli(["lts", *THEORY_ARGS[th.id], term], None)
+        assert lts["code"] == 0, term
+        first = lts["stdout"].split(" = ", 1)[0]
+        renamed += "%" in lts["stdout"]
+        answer = run_cli(["solve", *THEORY_ARGS[th.id], "{file}", "--state", first], lts["stdout"])
+        assert answer["code"] == 0, (term, lts["stdout"], answer["stderr"])
+        out = run_cli(["equiv", *THEORY_ARGS[th.id], term, answer["stdout"].strip()], None)
+        assert out["code"] == 0 and out["stdout"].startswith("equivalent: "), (term, answer)
+    assert renamed >= 10

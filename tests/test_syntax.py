@@ -130,7 +130,10 @@ _EDGE_TEXTS = ["'a", "1'", "a1'", "1a'", "a''", "a1''b", "12'x", "a.1'", "١'", 
                "a\u00a0.\u00a00", "\u00a0", "\u00e9", "a.\u00e9", "caf\u00e9.0", "a.+ @",
                "a.0 +[\u0661/\u0662] b.0", "x1 ' y", "a'.b'.0", "_'", "_1'.0",
                # a bad character and a bad quote: the first one is reported
-               "@ 'a", "a.\u00e9 1'", "'a @", "1' \u00e9", "a' @ 'b"]
+               "@ 'a", "a.\u00e9 1'", "'a @", "1' \u00e9", "a' @ 'b",
+               # %k names, and a % with no digit after it
+               "%0", "mu %1. a.%1", "%12.%3", "a%1", "%1a", "%1'", "%\u0661", "%", "a.%",
+               "%x", "% 1", "%%1", "a.0 +[1/2] %7", "'%1", "%1 @"]
 
 
 @pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
@@ -183,7 +186,8 @@ def _parsed_or_error(parser, text, th, actions):
 @pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
 def test_parse_exp_agrees_with_recursive_descent(th):
     rng = random.Random(seed_for(th.id, 0x9A5))
-    texts = ["", "  ", "@", "a.0 @", "a.(0 + @", "a.0 + mu a + 0", "mu x x", "mu 0"]
+    texts = ["", "  ", "@", "a.0 @", "a.(0 + @", "a.0 + mu a + 0", "mu x x", "mu 0",
+             "mu %1. a.%1", "%0 + a.%0", "%0.%1", "mu %1. %1.0", "a.%"]
     for _ in range(300):
         text = unparse(rand_exp(th, rng, depth=4))
         at = rng.randrange(len(text) + 1)
@@ -668,3 +672,105 @@ def test_guarded_subst_renames_no_binder_that_only_holds_v_unguarded():
 def test_fresh_name():
     assert fresh_name(set()) == "%0"
     assert fresh_name({"%0", "%1"}) == "%2"
+
+
+# ---------------------------------------------------------------------------
+# %k names, choice brackets read once, and substitution under binder chains
+
+def test_percent_names_are_names():
+    th = theory("sl")
+    e = pc.parse_exp("mu %1. a.%1 + %0", th)
+    assert e is Mu("%1", Op(None, (Prefix("a", Var("%1")), Var("%0"))))
+    assert unparse(e) == "mu %1. a.%1 + %0"
+    assert pc.parse_exp("%2.0", th) is Prefix("%2", ZERO)
+    for text, pos in (("u % v", 2), ("a.%", 2), ("%x", 0), ("%1'", 2)):
+        with pytest.raises(ParseError) as err:
+            pc.parse_exp(text, th)
+        assert err.value.pos == pos, text
+    assert syntax.is_name("%12") and not syntax.is_name("%") and not syntax.is_name("%x")
+
+
+# a bracket that reads like one before it up to where it fails, and one
+# that fails its theory's check after a good one: each fails with the
+# message and offset of a bracket read on its own
+_BRACKET_ERRORS = [
+    ("ca", "a.0 +[1/2] b.0 +[1/2 c.0", ParseError, "expected ']', found 'c' (at 21)"),
+    ("ca", "a.0 +[1/2] b.0 +[1/2 c.0 +[1/2] d.0", ParseError, "expected ']', found 'c' (at 21)"),
+    ("ca", "a.0 +[1/2] b.0 +[3/2] c.0", pc.TheoryError, "probability 3/2 outside [0, 1]"),
+    ("ca", "a.0 +[1/2] b.0 +[1/0] c.0", ParseError, "zero denominator (at 17)"),
+    ("ca", "(a.0 +[1/2] b.0) +[1/2] mu x. a.x +[1/2] x +[1/2", ParseError,
+     "expected ']', found '' (at 48)"),
+    ("gs", "a.0 +[x1] b.0 +[x3] c.0", pc.TheoryError, "guard ['x3'] not within declared atoms"),
+    ("gs", "a.0 +[x1] b.0 +[x1 x3] c.0", pc.TheoryError,
+     "guard ['x1', 'x3'] not within declared atoms"),
+    ("gs", "a.0 +[x1] b.0 +[x1 c.0", ParseError, "expected ']', found '.' (at 20)"),
+]
+
+
+@pytest.mark.parametrize("name, text, kind, message", _BRACKET_ERRORS)
+def test_a_bad_bracket_after_a_good_one_fails_as_on_its_own(name, text, kind, message):
+    th = theory(name)
+    with pytest.raises(kind) as err:
+        pc.parse_exp(text, th)
+    assert type(err.value) is kind and str(err.value) == message
+    assert _parsed_or_error(parse_exp_recursive, text, th, None)[1:3] == (kind, message)
+
+
+def test_each_distinct_bracket_is_read_once(monkeypatch):
+    reads = []
+    parse_param = syntax.parse_param
+    monkeypatch.setattr(syntax, "parse_param",
+                        lambda toks, i, th: reads.append(i) or parse_param(toks, i, th))
+    for name, text, distinct in (
+            ("ca", "a.0 +[1/2] b.0 +[1/2] c.0 +[1/3] d.0 +[1/2] e.0", 2),
+            ("gs", "(a.0 +[x1] b.0) +[x2 x1] (c.0 +[x1] d.0 +[x1 x2] e.0)", 3)):
+        reads.clear()
+        th = theory(name)
+        assert pc.parse_exp(text, th) is parse_exp_recursive(text, th, None)
+        assert len(reads) == distinct
+
+
+def _binder_chain(th, rng, levels):
+    """A chain of ``levels`` binders, each over a choice between a variable
+    and a prefix on the next, above a random term.  Binders are named m1,
+    m2, m3 or u, so some shadow a binder above them (mu m1 under mu m1) or
+    the output u, and many are vacuous."""
+    e = rand_exp(th, rng, depth=2, bound=("m1", "m2", "m3"))
+    for _ in range(levels):
+        var = Var(rng.choice(OUTVARS + ("m1", "m2", "m3")))
+        e = Mu(rng.choice(("m1", "m2", "m3", "u")),
+               Op(rand_param(th, rng), (var, Prefix(rng.choice(ACTIONS), e))))
+    return e
+
+
+@pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
+def test_substitute_under_binder_chains_agrees_with_recursive_walk(th):
+    # a binder whose body keeps every binding, none of whose values has it
+    # free, passes its bindings on unchanged; shadowing drops a binding,
+    # and a value with m1, m2 or m3 free is captured and renames the binder
+    rng = random.Random(seed_for(th.id, 0x5B7))
+    renamed = shadowed = 0
+    for _ in range(400):
+        e = _binder_chain(th, rng, rng.randint(1, 8))
+        bindings = {}
+        for v in ("u", "v", "m1"):
+            if rng.random() < 0.6:
+                bindings[v] = (Prefix("a1", Var(rng.choice(("m1", "m2", "m3"))))
+                               if rng.random() < 0.4 else _random_binding(th, rng))
+        new, old = substitute(e, bindings), substitute_recursive(e, bindings)
+        assert alpha_eq(new, old), (unparse(e), bindings)
+        if len(syntax.post_order((e,))) == _tree_size(e):  # no shared subterm
+            assert new is old, (unparse(e), bindings)
+        renamed += "%" in unparse(old)
+        shadowed += any(type(n) is Mu and n.var in bindings for n in syntax.post_order((e,)))
+    assert renamed >= 40 and shadowed >= 100
+
+
+def _tree_size(e):
+    """The number of nodes of ``e`` read as a tree."""
+    size, stack = 0, [e]
+    while stack:
+        n = stack.pop()
+        size += 1
+        stack += n._kids()
+    return size

@@ -199,8 +199,7 @@ def _emit_coalgebra(c, fmt):
     elif fmt == "dot":
         sys.stdout.write(semantics.coalgebra_to_dot(c))
     else:  # the equations that solve reads
-        for x, nf in zip(*semantics.equations(c)):
-            print(f"{x} = {syntax.unparse(c.theory.term_of_nf(nf))}")
+        print(c.render())
 
 
 def _read_stdin(args):
@@ -262,10 +261,10 @@ def run(argv=None):
         with open(args.file) as fh:
             text = fh.read()
         if text.removeprefix("\ufeff").lstrip().startswith("{"):
-            c = semantics.coalgebra_from_json(text)
-            system = solver.associated_system(c)
-            # state ids may have been renamed; map them positionally
-            unknown_of = dict(zip(c.states, system.variables))
+            d = th.read_json(text, "coalgebra")
+            system = semantics.coalgebra_from_dict(d)
+            # the file's state ids, some of them renamed to unknowns
+            unknown_of = dict(zip(d["states"], system.variables))
         else:
             system = solver.parse_system(text, theory, actions)
             unknown_of = {}

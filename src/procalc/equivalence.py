@@ -19,9 +19,10 @@ positions after the first's, with steps whose states are terms.  A term
 that both explorations reach is read at its first position.  That is
 exact: its two positions hold one term, with one normal form and
 successors that are the same terms, so no round separates them.  ``check_states`` and
-``bisim_partition`` refine the exploration of a loaded coalgebra from all
-its states, with its structure as the one-step map, indexed by the
-``Var`` of each state id.
+``bisim_partition`` refine the exploration of a finite coalgebra, an
+equation system, from all its states, indexed by the ``Var`` of each
+state id, which steps as its equation: the term reading of a normal form
+steps back to it.
 Names exist only for the certificate: ``as0``, ``as1``, ..., ``bs0``, ...
 for the positions of two explored terms, the state ids for a coalgebra.
 
@@ -133,19 +134,19 @@ def _dense(block):
 
 def _coalgebra_table(c):
     """A coalgebra's positions as a table for `_rounds`: its exploration
-    from the ``Var`` of each state id, with ``c.structure`` as the one-step
-    map."""
-    return _explore([Var(s) for s in c.states], c.theory, float("inf"),
-                    lambda v, theory, memo: c.structure[v.name])
+    from the ``Var`` of each state id, which steps as its equation."""
+    equations = dict(zip(map(Var, c.variables), c.exprs))
+    return _explore(list(equations), c.theory, float("inf"),
+                    lambda x, theory, memo: step(equations[x], theory, memo))
 
 
 def bisim_partition(c):
     """Coarsest stable partition; returns dict state -> block id (dense ints,
     numbered by first occurrence in state order)."""
-    block = [0] * len(c.states)
+    block = [0] * len(c.variables)
     for _ in _rounds(c.theory, _coalgebra_table(c), block):
         pass
-    return dict(zip(c.states, _dense(block)))
+    return dict(zip(c.variables, _dense(block)))
 
 
 class Certificate(Record):
@@ -179,7 +180,7 @@ def check_states(c, s1, s2):
     """Bisimilarity of two states of one coalgebra, with a certificate."""
     table = _coalgebra_table(c)
     index = table[1]
-    return _certificate(c.theory, table, index[Var(s1)], index[Var(s2)], c.states.__getitem__)
+    return _certificate(c.theory, table, index[Var(s1)], index[Var(s2)], c.variables.__getitem__)
 
 
 def equivalent(e, f, theory, cap=10000):

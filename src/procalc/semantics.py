@@ -31,20 +31,23 @@ exploration keeps no normal form for a prefix state, only its successor's
 position, and whoever needs one builds it from the action and that
 position: ``reachable`` names the state the unit of ``a.s<j>``.
 
-A coalgebra's states are named by ids ``s0``, ``s1``, ...; its normal forms
-step to ``a.s<j>``, a prefix on the ``Var`` of the id, so the term reading of
-a state's normal form is its equation over the ids.  An id that is also an
-output or an action would read as that name, so ``equations`` renames it
-to a fresh ``%k``; ``lts`` text and ``solver.associated_system`` both take
-their equations from it, and ``solve`` reads that text back.
+A finite coalgebra is a guarded equation system, one record, `EqSystem`:
+its unknowns are the state ids and each right-hand side is the term reading
+of a state's normal form, which steps back to it.  Those normal forms step
+to ``a.s<j>``, a prefix on the ``Var`` of an id, so the readings are the
+equations over the ids.  An id that is also an output or an action would
+read as that name, so `reachable`, `coalgebra_from_dict` and
+`disjoint_union` rename it, once, where they build the record, to a fresh
+``%k``.  ``lts`` text, JSON and DOT, ``solve`` and refinement all read that
+one record, so they name its states alike.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .syntax import (TICK, Exp, Mu, Op, Prefix, Record, Tick, Var, Zero, fresh_name, is_name,
-                     post_order, sorted_gens, substitute, unparse)
+from .syntax import (TICK, Exp, Mu, Op, Prefix, Record, Tick, Var, Zero, bound_vars, fresh_name,
+                     is_name, post_order, sorted_gens, substitute, unparse)
 from .theory import MAX_JSON_DEPTH, TheoryError, exact_fraction, read_json, theory_from_json
 
 
@@ -138,10 +141,50 @@ def gsubst_bm(nf, g, v, theory):
 
 
 # ---------------------------------------------------------------------------
-# coalgebras
+# finite coalgebras, which are guarded equation systems
 
-class Coalgebra(Record):  # state ids "s0", "s1", ...; id -> normal form over steps a.<id>
-    _fields = ("theory", "states", "structure")
+class EqSystem(Record):
+    """An equation system: its unknowns in order and their right-hand
+    sides.  A finite coalgebra is one, whose right-hand sides are the term
+    readings of its states' normal forms."""
+
+    _fields = ("theory", "variables", "exprs")
+
+    def __init__(self, theory, variables, exprs):
+        super().__init__(theory, variables, exprs)
+        unknowns = self._unknowns()
+        if not unknowns.isdisjoint(bound_vars(*self.exprs)):  # name the first equation
+            for y, e in zip(self.variables, self.exprs):
+                bound = unknowns & bound_vars(e)
+                if bound:
+                    raise TheoryError(f"unknown {min(bound)!r} is bound in the equation for {y!r}")
+
+    @classmethod
+    def _binding_nothing(cls, theory, variables, exprs):
+        """A system whose right-hand sides the caller knows to have no
+        binder, built without walking them: only the unknowns are checked."""
+        system = cls.__new__(cls)
+        Record.__init__(system, theory, variables, exprs)
+        system._unknowns()
+        return system
+
+    def _unknowns(self):
+        """The set of the unknowns, which must be there and distinct."""
+        if not self.variables:
+            raise TheoryError("an equation system needs at least one unknown")
+        unknowns = set()
+        for x in self.variables:
+            if x in unknowns:
+                raise TheoryError(f"duplicate unknown {x!r}")
+            unknowns.add(x)
+        return unknowns
+
+    @property
+    def states(self):  # read by perfbench/tracing.py; ROADMAP item 1b deletes it
+        return self.variables
+
+    def render(self):
+        return "\n".join(f"{x} = {unparse(e)}" for x, e in zip(self.variables, self.exprs))
 
 
 def _explore(roots, theory, cap, stepper):
@@ -151,10 +194,10 @@ def _explore(roots, theory, cap, stepper):
     ``a.t`` go to states ``t``, and for each of them the positions of its
     steps' states.  Nothing is named.
 
-    ``stepper(x, theory, memo)`` is the one-step map: `step` for terms, a
-    lookup for a loaded coalgebra's states, which are the ``Var`` nodes of
-    their ids.  One memo serves the whole exploration, so each distinct
-    subterm is stepped once.  A prefix ``a.t`` is not stepped: its normal
+    ``stepper(x, theory, memo)`` is the one-step map: `step` for terms,
+    and for a coalgebra's states, the ``Var`` nodes of their ids, `step`
+    of their equations.  One memo serves the whole exploration, so each
+    distinct subterm is stepped once.  A prefix ``a.t`` is not stepped: its normal
     form, the unit of ``a.t``, is left as None, and only the position of
     ``t`` is kept.  A state's new successors are numbered in generator
     order; only they are sorted, and only when there are two or more,
@@ -197,64 +240,68 @@ def _retarget(theory, nf, name):
     return theory.nf_map(nf, lambda g: Prefix(g.action, name(g.body)) if type(g) is Prefix else g)
 
 
-def reachable(e, theory, cap=10000):
-    """The reachable subcoalgebra from the term ``e``, of either grammar,
-    explored by `step`, with states ``s0``, ``s1``, ... in breadth-first
-    order.  Each normal form is pushed forward once, from term steps onto
-    id steps; a prefix ``a.t`` is named the unit of ``a.s<j>``, ``s<j>``
-    being ``t``'s id."""
-    order, index, raw, succ = _explore((e,), theory, cap, step)
-    ids = [Var(f"s{j}") for j in range(len(order))]
-
-    def name(t):
-        return ids[index[t]]
-
-    return Coalgebra(theory, tuple(v.name for v in ids), {
-        s.name: _retarget(theory, nf, name) if nf is not None
-        else theory.unit(Prefix(x.action, ids[targets[0]]))
-        for s, x, nf, targets in zip(ids, order, raw, succ)})
-
-
-def equations(c):
-    """The unknowns and normal forms of a coalgebra's equations, in state
-    order.  A state id is its own unknown unless it is also an output or an
-    action, which its equations would read as that name; such an id is
-    renamed to the least ``%k`` that names no state, output or action, nor
-    an earlier renamed state, and every step to it with it.  Both
-    ``solver.associated_system`` and ``lts`` text use them, so ``solve``
-    reads that text back."""
-    names = set()  # the outputs and actions
-    for s in c.states:
-        for g in c.theory.generators(c.structure[s]):
+def _names(theory, nfs):
+    """The outputs and actions of the normal forms ``nfs``."""
+    names = set()
+    for nf in nfs:
+        for g in theory.generators(nf):
             if type(g) is Var:
                 names.add(g.name)
             elif type(g) is Prefix:
                 names.add(g.action)
-    nfs = [c.structure[s] for s in c.states]
-    if names.isdisjoint(c.states):
-        return c.states, nfs
-    taken = names | set(c.states)
-    rename = {}
-    for s in c.states:
-        rename[s] = fresh_name(taken) if s in names else s
-        taken.add(rename[s])
-    return (tuple(rename.values()),
-            [_retarget(c.theory, nf, lambda v: Var(rename[v.name])) for nf in nfs])
+    return names
+
+
+def _ids(ids, names):
+    """The state ids ``ids``, each kept unless it is in ``names``, the
+    outputs and actions, as which its equations would read it: such an id
+    becomes the least ``%k`` that names no state, output or action, nor an
+    earlier renamed state."""
+    if names.isdisjoint(ids):
+        return tuple(ids)
+    taken = names.union(ids)
+    out = []
+    for s in ids:
+        if s in names:
+            s = fresh_name(taken)
+            taken.add(s)
+        out.append(s)
+    return tuple(out)
+
+
+def reachable(e, theory, cap=10000):
+    """The reachable subcoalgebra from the term ``e``, of either grammar,
+    explored by `step`, with states ``s0``, ``s1``, ... in breadth-first
+    order, or ``%k`` for an id that is also an output or an action.  Each
+    normal form is pushed forward once, from term steps onto id steps; a
+    prefix ``a.t`` is named the unit of ``a.s<j>``, ``s<j>`` being ``t``'s
+    id, and read, like every normal form, by ``term_of_nf``."""
+    order, index, raw, succ = _explore((e,), theory, cap, step)
+    names = _names(theory, [nf for nf in raw if nf is not None])
+    names.update(x.action for x, nf in zip(order, raw) if nf is None)
+    ids = [Var(s) for s in _ids([f"s{j}" for j in range(len(order))], names)]
+
+    def name(t):
+        return ids[index[t]]
+
+    return EqSystem._binding_nothing(theory, tuple(v.name for v in ids), tuple(
+        theory.term_of_nf(_retarget(theory, nf, name) if nf is not None
+                          else theory.unit(Prefix(x.action, ids[targets[0]])))
+        for x, nf, targets in zip(order, raw, succ)))
 
 
 def disjoint_union(c1, c2):
     """The union of two coalgebras over one theory, their states tagged
-    ``a`` and ``b``."""
+    ``a`` and ``b`` by substitution, under the naming rule of `reachable`."""
     if c1.theory != c2.theory:
         raise TheoryError("coalgebras over different theories")
-    states, structure = (), {}
-    for c, tag in ((c1, "a"), (c2, "b")):
-        ren = {s: f"{tag}{s}" for s in c.states}
-        states += tuple(ren.values())
-        structure.update((ren[s], _retarget(c.theory, c.structure[s],
-                                            lambda v: Var(ren[v.name])))
-                         for s in c.states)
-    return Coalgebra(c1.theory, states, structure)
+    memo = {}
+    names = _names(c1.theory, [step(e, c1.theory, memo) for e in c1.exprs + c2.exprs])
+    ids = _ids([f"{tag}{s}" for c, tag in ((c1, "a"), (c2, "b")) for s in c.variables], names)
+    ren1 = dict(zip(c1.variables, map(Var, ids)))
+    ren2 = dict(zip(c2.variables, map(Var, ids[len(ren1):])))
+    return EqSystem._binding_nothing(c1.theory, ids, tuple(
+        [substitute(e, ren1) for e in c1.exprs] + [substitute(e, ren2) for e in c2.exprs]))
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +431,11 @@ def coalgebra_to_json(c):
     out = {"theory": c.theory.id}
     if c.theory.atoms:
         out["atoms"] = list(c.theory.atoms)
-    out["states"] = list(c.states)
+    out["states"] = list(c.variables)
     out["structure"] = {}
     deepest, depth = None, 0
-    for s in c.states:
-        out["structure"][s], d = _sterm_to_json(c.theory.term_of_nf(c.structure[s]))
+    for s, e in zip(c.variables, c.exprs):
+        out["structure"][s], d = _sterm_to_json(e)
         if d > depth:
             deepest, depth = s, d
     return _json_text(out, 2 + depth, f"state {deepest!r}: coalgebra", indent=2)
@@ -396,7 +443,9 @@ def coalgebra_to_json(c):
 
 def coalgebra_from_dict(d):
     """Load a coalgebra, evaluating each structure entry as it reads it; a
-    malformed file raises `TheoryError` naming the field or state at fault."""
+    malformed file raises `TheoryError` naming the field or state at fault.
+    A state id that is also an output or an action is renamed as
+    `reachable` names one; the unknowns are in the order of ``states``."""
     if not isinstance(d, dict):
         raise TheoryError("a coalgebra must be a JSON object")
     for key in ("theory", "states", "structure"):
@@ -414,16 +463,20 @@ def coalgebra_from_dict(d):
         if s in known:
             raise TheoryError(f"'states' lists {s!r} twice")
         known.add(s)
-    structure = {}
+    nfs = []
     for s in states:
         if s not in d["structure"]:
             raise TheoryError(f"state {s!r} has no structure entry")
         try:
             _check_name("state id", s)
-            structure[s] = _nf_from_json(d["structure"][s], known, theory)
+            nfs.append(_nf_from_json(d["structure"][s], known, theory))
         except TheoryError as err:
             raise TheoryError(f"state {s!r}: {err}") from None
-    return Coalgebra(theory, states, structure)
+    ids = _ids(states, _names(theory, nfs))
+    if ids != states:
+        rename = {s: Var(x) for s, x in zip(states, ids)}
+        nfs = [_retarget(theory, nf, lambda v: rename[v.name]) for nf in nfs]
+    return EqSystem._binding_nothing(theory, ids, tuple(map(theory.term_of_nf, nfs)))
 
 
 def coalgebra_from_json(text):
@@ -445,13 +498,16 @@ def _weight_label(w, atoms):
 
 
 def coalgebra_to_dot(c):
+    """The coalgebra as a DOT graph, each state's edges read from the normal
+    form its equation steps to."""
     th = c.theory
     lines = ["digraph lts {"]
     outs = set()
     ticks = False
     edges = []
-    for s in c.states:
-        for g, w in th.edges(c.structure[s]):
+    memo = {}
+    for s, e in zip(c.variables, c.exprs):
+        for g, w in th.edges(step(e, th, memo)):
             label = _weight_label(w, th.atoms)
             if type(g) is Prefix:
                 edges.append(f'  "{s}" -> "{g.body.name}" [label="{label}{g.action}"];')
@@ -466,7 +522,7 @@ def coalgebra_to_dot(c):
                 edges.append(
                     f'  "{s}" -> "tick" [label="{label}tick", arrowhead="normalnormal"];'
                 )
-    for s in c.states:
+    for s in c.variables:
         lines.append(f'  "{s}" [shape=circle];')
     for v in sorted(outs):
         lines.append(f'  "var_{v}" [shape=none, label="{v}"];')

@@ -1,12 +1,10 @@
 """Guarded equation systems and their unique (up to bisimilarity) solutions.
 
-A finite coalgebra gives an equation system whose unknowns are its states,
-named by ``semantics.equations`` as ``lts`` text names them (an id that is
-also an output or an action becomes a fresh ``%k``); each right-hand side
-is the term reading of a state's normal form, whose transitions are
-syntax already: an output is its variable, and a step is a prefix on an
-unknown.  Such readings bind no name, so the system is built without the
-walk that checks it.  Systems are solved by elimination
+An equation system is ``semantics.EqSystem``, the record a finite
+coalgebra is: its unknowns are the state ids and each right-hand side is
+the term reading of a state's normal form.  Its transitions are syntax
+already: an output is its variable, and a step is a prefix on an unknown;
+only termination has none, and `solve` refuses it.  Systems are solved by elimination
 in two passes.  The forward pass closes each unknown in turn with a
 mu-binder and substitutes it into the equations left that mention it,
 found through an index from each unknown to those equations; the back
@@ -17,9 +15,8 @@ equations, only for the unknowns asked for and those they depend on.
 from __future__ import annotations
 
 from . import syntax
-from .semantics import equations
-from .syntax import (Mu, Prefix, Record, Tick, Var, bound_vars, free_vars, substitute,
-                     unguarded_sets)
+from .semantics import EqSystem
+from .syntax import Mu, Prefix, Tick, bound_vars, free_vars, post_order, substitute, unguarded_sets
 from .theory import TheoryError
 
 
@@ -27,68 +24,9 @@ class UnguardedSystem(ValueError):
     pass
 
 
-class EqSystem(Record):
-    _fields = ("theory", "variables", "exprs")  # unknowns in order, right-hand sides
-
-    def __init__(self, theory, variables, exprs):
-        super().__init__(theory, variables, exprs)
-        unknowns = self._unknowns()
-        if not unknowns.isdisjoint(bound_vars(*self.exprs)):  # name the first equation
-            for y, e in zip(self.variables, self.exprs):
-                bound = unknowns & bound_vars(e)
-                if bound:
-                    raise TheoryError(f"unknown {min(bound)!r} is bound in the equation for {y!r}")
-
-    @classmethod
-    def _binding_nothing(cls, theory, variables, exprs):
-        """A system whose right-hand sides the caller knows to have no
-        binder, built without walking them: only the unknowns are checked."""
-        system = cls.__new__(cls)
-        Record.__init__(system, theory, variables, exprs)
-        system._unknowns()
-        return system
-
-    def _unknowns(self):
-        """The set of the unknowns, which must be there and distinct."""
-        if not self.variables:
-            raise TheoryError("an equation system needs at least one unknown")
-        unknowns = set()
-        for x in self.variables:
-            if x in unknowns:
-                raise TheoryError(f"duplicate unknown {x!r}")
-            unknowns.add(x)
-        return unknowns
-
-    def render(self):
-        return "\n".join(
-            f"{x} = {syntax.unparse(e)}"
-            for x, e in zip(self.variables, self.exprs)
-        )
-
-
-def associated_system(c):
-    """The guarded equation system of a finite coalgebra: the term
-    readings of its normal forms, whose steps ``a.s`` go to unknowns.
-
-    The unknowns are ``semantics.equations``'s: a state id, or a ``%k``
-    where the id is also an output or an action.  When every generator is
-    an output or a step to a state, the readings bind nothing and are not
-    walked again; any other generator, such as a step to a term that
-    binds, sends them through the checks of ``EqSystem``.
-    """
-    unknowns, nfs = equations(c)
-    known = set(unknowns)
-    plain = True  # every generator an output or a step to a state
-    for nf in nfs:
-        for g in c.theory.generators(nf):
-            cls = type(g)
-            if cls is Tick:
-                raise TheoryError("termination transitions have no syntax")
-            if cls is not Var and (cls is not Prefix or type(g.body) is not Var
-                                   or g.body.name not in known):
-                plain = False
-    build = EqSystem._binding_nothing if plain else EqSystem
-    return build(c.theory, tuple(unknowns), tuple(map(c.theory.term_of_nf, nfs)))
+def associated_system(c):  # timed by perfbench/tracing.py; ROADMAP item 1b deletes it
+    """The equation system of a finite coalgebra, which is the coalgebra."""
+    return c
 
 
 def solve(system, order=None, wanted=None):
@@ -100,6 +38,8 @@ def solve(system, order=None, wanted=None):
     The forward pass substitutes a closed unknown only into the equations
     left in which it is free, so it makes one substitution per such
     occurrence, not one per pair of unknowns."""
+    if any(type(n) is Tick for n in post_order(system.exprs, lambda n: type(n) is not Prefix)):
+        raise TheoryError("termination transitions have no syntax")
     known = set(system.variables)
     unguarded = unguarded_sets(system.exprs)
     for y, e in zip(system.variables, system.exprs):
@@ -176,9 +116,7 @@ def check_solution(system, phi, cap=10000):
 
 def synthesize(c, state, order=None):
     """A closed expression whose behaviour matches the given state."""
-    system = associated_system(c)
-    x = system.variables[list(c.states).index(state)]
-    return solve(system, order, wanted=(x,))[x]
+    return solve(c, order, wanted=(state,))[state]
 
 
 # -- system text format ------------------------------------------------------

@@ -14,8 +14,9 @@ guard); probabilities are integers or fractions (``+[1/2]``).  A fresh
 name prints as ``%k`` and parses back, like any other name, so freshness
 rests on each ``fresh_name`` / ``_fresh_names`` call avoiding every name
 of the terms it works on: ``_subst`` avoids all names of the term and of
-the values put in, ``semantics.equations`` the states, outputs and actions
-of its coalgebra, and ``star.translate`` all names of the loop body.
+the values put in, the state naming of ``semantics`` the states, outputs
+and actions of the coalgebra it builds, and ``star.translate`` all names
+of the loop body.
 
 No walk over a term recurses on its depth.  The tokenizer is one
 ``findall`` that returns the tokens as strings, then ``""`` for the end;
@@ -818,6 +819,8 @@ def _parse_exp_tokens(toks, theory, use):
         if tok == "0":
             e = ZERO
         elif tok[:1] not in _NAME_START:
+            if tok == "1":  # the star fragment's, as lts text prints it
+                raise ParseError("termination transitions have no syntax", i - 1)
             raise ParseError(f"unexpected token {tok!r}", i - 1)
         elif tok == "mu":
             var = expect_token(toks, i, "ident")

@@ -108,12 +108,21 @@ def rand_sterm(th, rng, states, depth=2):
 
 
 def rand_coalgebra(th, rng, max_states=5, depth=2):
+    """A random finite coalgebra: the equation system of the term readings
+    of random normal forms, over the outputs and actions above."""
     n = rng.randint(1, max_states)
     states = tuple(f"s{i}" for i in range(n))
-    structure = {
-        s: pc.step(rand_sterm(th, rng, states, depth), th) for s in states
-    }
-    return pc.Coalgebra(th, states, structure)
+    return pc.EqSystem(th, states, tuple(
+        th.term_of_nf(pc.step(rand_sterm(th, rng, states, depth), th)) for s in states))
+
+
+def rand_clash_text(th, rng):
+    """A random term as text, its outputs ``u`` and ``v`` renamed ``s0``
+    and ``s1`` and its action ``a2`` renamed ``s2``, so that the ids of its
+    reachable states clash with them."""
+    e = pc.substitute(rand_exp(th, rng, depth=rng.randint(2, 4)),
+                      {"u": pc.Var("s0"), "v": pc.Var("s1")})
+    return pc.unparse(e).replace("a2.", "s2.")
 
 
 def rand_sexp(th, rng, depth=3):

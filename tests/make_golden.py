@@ -190,7 +190,12 @@ def cases():
             exported = run(["lts", *ta, "--format", "json", t], None)["stdout"]
             add("solve", *ta, "{file}", file=exported)
             add("solve", *ta, "{file}", "--state", "s0", file=exported)
-    clash = run(["lts", "--format", "json", "a.s0 + b.(s1 + a.0)"], None)["stdout"]
+    # a coalgebra file whose state ids s0 and s1 are also outputs
+    clash = json.dumps({"theory": "sl", "states": ["s0", "s1", "s2", "s3"], "structure": {
+        "s0": {"op": "+", "args": [{"act": "a", "to": "s1"}, {"act": "b", "to": "s2"}]},
+        "s1": {"out": "s0"},
+        "s2": {"op": "+", "args": [{"act": "a", "to": "s3"}, {"out": "s1"}]},
+        "s3": {"const": "0"}}}, indent=2) + "\n"
     add("solve", "{file}", file=clash)
     add("solve", "{file}", "--state", "s1", file=clash)
 
@@ -335,6 +340,14 @@ def cases():
     add("solve", "{file}", file=text)
     add("solve", "{file}", "--state", "%0", file=text)
     add("step", "mu %1. a.%1")
+    # lts JSON and DOT name the states of a clash term as lts text does, and
+    # solve takes both a coalgebra file's own ids and the unknowns it reads
+    add("lts", "--format", "json", "a.s0 + b.(s1 + a.0)")
+    add("lts", "--format", "dot", "a.s0 + b.(s1 + a.0)")
+    own = json.dumps({"theory": "sl", "states": ["u"], "structure": {"u": {
+        "op": "+", "args": [{"out": "u"}, {"act": "a", "to": "u"}]}}})
+    for state in ("u", "%0", "%1"):
+        add("solve", "{file}", "--state", state, file=own)
     return out
 
 

@@ -618,7 +618,8 @@ def reachable_unmemoised(e, theory, stepper=pc.step, cap=None, name="s"):
     """Breadth-first reachable coalgebra that steps every state afresh,
     sharing no memo between states, and pushes every normal form forward;
     oracle for the memoised ``reachable``.  The states are ``name`` followed by 0, 1, ...;
-    past ``cap`` states it raises ``StateCapExceeded`` as ``reachable`` does."""
+    past ``cap`` states it raises ``StateCapExceeded`` as ``reachable`` does.
+    No id is renamed, not even one that is also an output or an action."""
     index = {e: 0}
     order = [e]
     raw = []
@@ -638,8 +639,20 @@ def reachable_unmemoised(e, theory, stepper=pc.step, cap=None, name="s"):
         return t
 
     states = tuple(f"{name}{j}" for j in range(len(order)))
-    return pc.Coalgebra(theory, states,
-                        {s: theory.nf_map(nf, rename) for s, nf in zip(states, raw)})
+    return coalgebra(theory, states, {s: theory.nf_map(nf, rename) for s, nf in zip(states, raw)})
+
+
+def coalgebra(theory, states, structure):
+    """The coalgebra whose states are ``states`` and whose normal forms
+    are ``structure``, a dict from each state: the equation system of their
+    term readings, its ids never renamed."""
+    return pc.EqSystem(theory, tuple(states),
+                       tuple(theory.term_of_nf(structure[s]) for s in states))
+
+
+def normal_forms(c):
+    """Each state's normal form, its equation stepped."""
+    return {s: pc.step(e, c.theory) for s, e in zip(c.variables, c.exprs)}
 
 
 def reachable_union(e1, e2, theory, cap=10000, stepper=pc.step):
@@ -651,7 +664,7 @@ def reachable_union(e1, e2, theory, cap=10000, stepper=pc.step):
     a prefix state forward."""
     c1, c2 = (reachable_unmemoised(e, theory, stepper, cap, name)
               for e, name in ((e1, "as"), (e2, "bs")))
-    return pc.Coalgebra(theory, c1.states + c2.states, {**c1.structure, **c2.structure})
+    return pc.EqSystem(theory, c1.variables + c2.variables, c1.exprs + c2.exprs)
 
 
 def step_walk(e, theory, memo=None):
@@ -714,29 +727,30 @@ def lstep_walk(s, theory, memo=None):
 def naive_bisim_relation(c):
     """Greatest fixpoint of relation refinement; oracle for the partition
     refiner."""
-    rel = {(x, y) for x in c.states for y in c.states}
+    states, nfs = c.variables, normal_forms(c)
+    rel = {(x, y) for x in states for y in states}
 
     def sig(s):
-        cls = {t: frozenset(u for u in c.states if (t, u) in rel) for t in c.states}
+        cls = {t: frozenset(u for u in states if (t, u) in rel) for t in states}
 
         def f(g):
             return (g.action, cls[g.body.name]) if isinstance(g, pc.Prefix) else g
 
-        return c.theory.nf_map(c.structure[s], f)
+        return c.theory.nf_map(nfs[s], f)
 
     while True:
-        sigs = {s: sig(s) for s in c.states}
+        sigs = {s: sig(s) for s in states}
         new = {(x, y) for (x, y) in rel if sigs[x] == sigs[y]}
         if new == rel:
             return rel
         rel = new
 
 
-def _moore_signature(c, s, block):
+def _moore_signature(theory, nf, block):
     def f(t):
         return (t.action, block[t.body.name]) if isinstance(t, pc.Prefix) else t
 
-    return c.theory.nf_map(c.structure[s], f)
+    return theory.nf_map(nf, f)
 
 
 def _signature_term(theory, sig):
@@ -752,13 +766,14 @@ def moore_partition(c, history=False):
     signature rebuilt in every round; oracle for ``bisim_partition``.
     Returns dict state -> block id (dense ints, numbered by first occurrence
     in state order), and with ``history`` also the partition of every round."""
-    block = {s: 0 for s in c.states}
+    nfs = normal_forms(c)
+    block = {s: 0 for s in c.variables}
     trace = [dict(block)]
     while True:
-        sigs = {s: _moore_signature(c, s, block) for s in c.states}
+        sigs = {s: _moore_signature(c.theory, nf, block) for s, nf in nfs.items()}
         fresh = {}
         new = {}
-        for s in c.states:
+        for s in c.variables:
             key = (block[s], sigs[s])
             if key not in fresh:
                 fresh[key] = len(fresh)
@@ -775,7 +790,7 @@ def moore_check_states(c, s1, s2):
     block, trace = moore_partition(c, history=True)
     if block[s1] == block[s2]:
         classes = {}
-        for s in c.states:
+        for s in c.variables:
             classes.setdefault(block[s], []).append(s)
         detail = "; ".join(
             "{" + " ".join(classes[b]) + "}" for b in sorted(classes)
@@ -783,8 +798,9 @@ def moore_check_states(c, s1, s2):
         return pc.Certificate(True, len(trace) - 1, f"stable partition: {detail}")
     split = next(i for i, t in enumerate(trace) if t[s1] != t[s2])
     prev = trace[split - 1]
-    sig1 = _signature_term(c.theory, _moore_signature(c, s1, prev))
-    sig2 = _signature_term(c.theory, _moore_signature(c, s2, prev))
+    nfs = normal_forms(c)
+    sig1 = _signature_term(c.theory, _moore_signature(c.theory, nfs[s1], prev))
+    sig2 = _signature_term(c.theory, _moore_signature(c.theory, nfs[s2], prev))
     detail = (
         f"split at refinement round {split}: "
         f"{s1} has signature {pc.render_sterm(sig1)}, "
@@ -1036,6 +1052,8 @@ def _parse_item(ts, theory, use):
             return pc.Prefix(val, _parse_item(ts, theory, use))
         use.see_variable(val, pos)
         return pc.Var(val)
+    if kind == "num" and val == "1":
+        raise ParseError("termination transitions have no syntax", pos)
     raise ParseError(f"unexpected token {val!r}", pos)
 
 
@@ -1338,7 +1356,8 @@ def coalgebra_from_dict_by_step(d):
     """A well-formed coalgebra file's coalgebra, each structure entry built
     as a term by ``sterm_from_json`` and then stepped; a bad entry raises
     `TheoryError` naming its state.  Oracle for
-    ``semantics.coalgebra_from_dict``."""
+    ``semantics.coalgebra_from_dict`` on a file whose ids are not outputs
+    or actions."""
     theory = theory_from_json(d)
     states = tuple(d["states"])
     structure = {}
@@ -1347,4 +1366,4 @@ def coalgebra_from_dict_by_step(d):
             structure[s] = pc.step(sterm_from_json(d["structure"][s], set(states)), theory)
         except TheoryError as err:
             raise TheoryError(f"state {s!r}: {err}") from None
-    return pc.Coalgebra(theory, states, structure)
+    return coalgebra(theory, states, structure)

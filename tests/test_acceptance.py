@@ -117,8 +117,7 @@ def test_acceptance_4_star_ca_counterexample():
 def test_acceptance_5_example_51():
     gs = theory("gs")
     e = pc.parse_exp("mu w. (a1.(v +[x1] a2.w) +[x1] u)", gs)
-    c = pc.reachable(e, gs)
-    system = pc.associated_system(c)
+    system = pc.reachable(e, gs)  # a finite coalgebra is its equation system
     # up to state naming: rename unknowns positionally to y1, y2
     names = {x: f"y{i + 1}" for i, x in enumerate(system.variables)}
     renamed = [
@@ -148,11 +147,10 @@ def test_acceptance_6_synthesis_round_trip():
         rng = random.Random(seed_for(th.id, 20260801))
         for _ in range(200):
             c = rand_coalgebra(th, rng, max_states=5)
-            system = pc.associated_system(c)
-            phi = pc.solve(system)
-            for s, x in zip(c.states, system.variables):
+            phi = pc.solve(c)
+            for s in c.variables:
                 total += 1
-                c2 = pc.reachable(phi[x], th)
+                c2 = pc.reachable(phi[s], th)
                 u = disjoint_union(c, c2)
                 if not check_states(u, f"a{s}", "bs0").equivalent:
                     failures += 1
@@ -170,8 +168,8 @@ def test_acceptance_7_partition_vs_naive():
             c = rand_coalgebra(th, rng, max_states=4)
             block = pc.bisim_partition(c)
             rel = naive_bisim_relation(c)
-            for x in c.states:
-                for y in c.states:
+            for x in c.variables:
+                for y in c.variables:
                     if ((x, y) in rel) != (block[x] == block[y]):
                         disagreements += 1
     report(7, disagreements == 0,

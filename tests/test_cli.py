@@ -363,7 +363,7 @@ def test_lts_json_is_valid_and_round_trips():
             "mu v. (a1.u +[1/2] (a2.v +[1/3] w))")
     assert r.returncode == 0
     c = pc.coalgebra_from_json(r.stdout)
-    assert c.states == ("s0", "s1")
+    assert c.variables == ("s0", "s1")
 
 
 def test_lts_dot():

@@ -125,8 +125,8 @@ def test_partition_agrees_with_naive_relation(th):
         c = rand_coalgebra(th, rng, max_states=4)
         block = pc.bisim_partition(c)
         rel = naive_bisim_relation(c)
-        for x in c.states:
-            for y in c.states:
+        for x in c.variables:
+            for y in c.variables:
                 assert ((x, y) in rel) == (block[x] == block[y])
 
 
@@ -140,8 +140,7 @@ def test_certificate_contents():
 def test_a_step_to_a_state_outside_the_coalgebra_raises():
     # loading a file refuses such a step; a coalgebra built in code is
     # explored from its states, and stepping the unknown target raises
-    c = pc.semantics.Coalgebra(theory("sl"), ("s0",),
-                               {"s0": frozenset({pc.Prefix("a", pc.Var("s1"))})})
+    c = pc.EqSystem(theory("sl"), ("s0",), (pc.Prefix("a", pc.Var("s1")),))
     for refine in (pc.bisim_partition, lambda c: pc.check_states(c, "s0", "s0")):
         with pytest.raises(KeyError, match="s1"):
             refine(c)
@@ -173,7 +172,7 @@ def long_pairs(th, k):
 def test_incremental_refinement_agrees_with_moore(th):
     rng = random.Random(seed_for(th.id, 40503))
     coalgebras = [rand_coalgebra(th, rng, max_states=8) for _ in range(30)]
-    pairs = [(c, x, y) for c in coalgebras for x, y in itertools.combinations(c.states, 2)]
+    pairs = [(c, x, y) for c in coalgebras for x, y in itertools.combinations(c.variables, 2)]
     for _ in range(60):
         e, f = rand_guarded_exp(th, rng), rand_guarded_exp(th, rng)
         c = pc.disjoint_union(pc.reachable(e, th), pc.reachable(f, th))
@@ -292,7 +291,7 @@ def test_state_cap_is_checked_on_each_side(th):
             (e, pc.Prefix("a2", e), pc.equivalent, pc.step, pc.reachable),
             (s, pc.SSeq(pc.SAct("a2"), s), pc.equivalent, pc.step, pc.star_reachable)):
         for x, y in ((x, y), (y, x)):
-            sizes = len(reach(x, th).states), len(reach(y, th).states)
+            sizes = len(reach(x, th).variables), len(reach(y, th).variables)
             assert sizes[0] != sizes[1]
             n = max(sizes)
             assert check(x, y, th, cap=n) == _named_union_certificates(x, y, th, stepper)[0]
@@ -316,7 +315,7 @@ def test_refinement_recomputes_only_predecessors_of_moved_states(name, monkeypat
         calls.clear()
         cert = pc.check_states(c, "as0", "bs0")
         assert cert.equivalent == eq and cert.rounds == (60 if eq else 61)
-        assert len(calls) <= 3 * len(c.states)
+        assert len(calls) <= 3 * len(c.variables)
 
 
 @pytest.mark.parametrize("name", pc.THEORY_NAMES)

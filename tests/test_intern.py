@@ -119,7 +119,7 @@ def test_weak_table_releases_dead_terms():
     th = theory("sl")
     e = pc.parse_exp(_cyc(12), th)
     c = pc.reachable(e, th)
-    assert len(c.states) > 12
+    assert len(c.variables) > 12
     assert len(_TABLE) > before
     del c, e
     gc.collect()

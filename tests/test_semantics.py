@@ -13,11 +13,11 @@ from procalc import cli, semantics
 from procalc.semantics import StateCapExceeded, Tick, disjoint_union
 from procalc.theory import ZERO_SUBDIST, TheoryError
 
-from gen import (ACTIONS, ALL_THEORIES, rand_coalgebra, rand_exp, rand_guarded_exp, rand_param,
+from gen import (ACTIONS, ALL_THEORIES, rand_clash_text, rand_coalgebra, rand_exp, rand_guarded_exp, rand_param,
                  rand_sexp, rand_sterm, seed_for, theory)
 from masses import count_point, fraction_point
 from oracles import (axiom_side_ok, coalgebra_from_dict_by_step, instantiate_schema, lstep_walk,
-                     reachable_union, reachable_unmemoised, step_walk, u_set, unparse_uncached)
+                     moore_check_states, moore_partition, normal_forms, reachable_union, reachable_unmemoised, step_walk, u_set, unparse_uncached)
 
 F = Fraction
 
@@ -158,27 +158,26 @@ def test_step_invariant_under_root_axiom_rewrite(th):
 def test_reachable_gs_example():
     th = theory("gs")
     c = pc.reachable(pc.parse_exp(GS_E, th), th)
-    assert c.states == ("s0", "s1")
-    assert c.structure["s0"] == (pc.Prefix("a1", pc.Var("s1")), pc.Var("u"))
-    assert c.structure["s1"] == (pc.Var("v"), pc.Prefix("a2", pc.Var("s0")))
+    assert c.variables == ("s0", "s1")
+    assert normal_forms(c) == {"s0": (pc.Prefix("a1", pc.Var("s1")), pc.Var("u")),
+                               "s1": (pc.Var("v"), pc.Prefix("a2", pc.Var("s0")))}
 
 
 def test_reachable_ca_example():
     th = theory("ca")
     c = pc.reachable(pc.parse_exp(CA_E, th), th)
-    assert len(c.states) == 2
+    assert len(c.variables) == 2
     # the second state is the a1-target u, which only outputs
-    assert c.structure[c.states[1]] == sub((pc.Var("u"), F(1)))
+    assert c.exprs[1] is pc.Var("u") and pc.step(c.exprs[1], th) == sub((pc.Var("u"), F(1)))
     # self-loop 1/6 | a2 on the seed
-    s0 = c.states[0]
-    assert (pc.Prefix("a2", pc.Var(s0)), F(1, 6)) in fraction_point(c.structure[s0])
+    s0 = c.variables[0]
+    assert (pc.Prefix("a2", pc.Var(s0)), F(1, 6)) in fraction_point(pc.step(c.exprs[0], th))
 
 
 def test_reachable_trivial():
     th = theory("sl")
     c = pc.reachable(pc.parse_exp("mu v. v", th), th)
-    assert len(c.states) == 1
-    assert c.structure[c.states[0]] == th.bottom()
+    assert c == pc.EqSystem(th, ("s0",), (pc.ZERO,))
 
 
 @pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
@@ -187,12 +186,12 @@ def test_reachable_closure_and_oracle_bound(th):
     for _ in range(60):
         e = rand_guarded_exp(th, rng, depth=3)
         c = pc.reachable(e, th)
-        listed = set(c.states)
-        for s in c.states:
-            for g in th.generators(c.structure[s]):
+        listed = set(c.variables)
+        for nf in normal_forms(c).values():
+            for g in th.generators(nf):
                 if isinstance(g, pc.Prefix):
                     assert g.body.name in listed
-        assert len(c.states) <= len(u_set(e))
+        assert len(c.variables) <= len(u_set(e))
 
 
 def test_state_cap():
@@ -206,7 +205,7 @@ def test_reachable_deterministic():
     th = theory("ca")
     e = pc.parse_exp(CA_E, th)
     c1, c2 = pc.reachable(e, th), pc.reachable(e, th)
-    assert c1.states == c2.states and c1.structure == c2.structure
+    assert c1 == c2
 
 
 CYC_OPS = {"sl": "+", "cm": "+", "gs": "+[x1]", "ca": "+[1/2]", "cs": "+[1/3]"}
@@ -224,12 +223,10 @@ def test_memoised_reachable_agrees_with_fresh_stepping(th):
     terms = [rand_guarded_exp(th, rng, depth=4) for _ in range(40)]
     terms += [pc.parse_exp(cyc(n, CYC_OPS[th.id]), th) for n in (6, 14, 40)]
     for e in terms:
-        c, o = pc.reachable(e, th), reachable_unmemoised(e, th)
-        assert (c.states, c.structure) == (o.states, o.structure)
+        assert pc.reachable(e, th) == reachable_unmemoised(e, th)
     for _ in range(40):
         s = rand_sexp(th, rng, depth=4)
-        c, o = pc.star_reachable(s, th), reachable_unmemoised(s, th, pc.step)
-        assert (c.states, c.structure) == (o.states, o.structure)
+        assert pc.star_reachable(s, th) == reachable_unmemoised(s, th, pc.step)
 
 
 @pytest.mark.parametrize("name", ["sl", "ca"])
@@ -244,8 +241,8 @@ def test_reachable_unfolds_each_mu_once(name, monkeypatch):
     monkeypatch.setattr(syntax, "_subst", lambda *a: calls.append(a[0]) or subst(*a))
     monkeypatch.setattr(semantics, "gsubst_bm", lambda *a: unfolded.append(a[1]) or gsubst_bm(*a))
     c = pc.reachable(e, th)
-    assert len(c.states) == 121
-    assert len(calls) <= 3 * len(c.states)
+    assert len(c.variables) == 121
+    assert len(calls) <= 3 * len(c.variables)
     assert len(unfolded) == len(set(unfolded))
 
 
@@ -258,7 +255,7 @@ def test_gs_unfolding_rewrites_its_target_once(atoms, monkeypatch):
     e = pc.parse_exp("mu x. " + "a." * 100 + "(u +[x1] a.x)", th)
     calls, subst = [], syntax._subst
     monkeypatch.setattr(syntax, "_subst", lambda *a: calls.append(a[0]) or subst(*a))
-    assert len(pc.reachable(e, th).states) == 101
+    assert len(pc.reachable(e, th).variables) == 101
     assert len(calls) == 1
 
 
@@ -386,7 +383,7 @@ def test_a_binder_over_a_step_under_a_prefix_unfolds_into_the_target(th):
     found = pc.Mu("x", pc.Prefix("a", pc.Prefix("b", pc.Var("x"))))
     assert found is pc.parse_exp("mu x. a.b.x", th)
     assert pc.step(found, th) == th.unit(pc.Prefix("a", pc.Prefix("b", found)))
-    assert pc.reachable(found, th).structure == {
+    assert normal_forms(pc.reachable(found, th)) == {
         "s0": th.unit(pc.Prefix("a", pc.Var("s1"))), "s1": th.unit(pc.Prefix("b", pc.Var("s0")))}
 
 
@@ -436,7 +433,7 @@ def test_cyc_500_is_explored_and_decided():
     th = theory("sl")
     e, f = _cyc_nodes(500), _cyc_nodes(500, var="y")
     c = pc.reachable(e, th)
-    assert len(c.states) == 1001
+    assert len(c.variables) == 1001
     assert pc.equivalent(e, f, th).equivalent
 
 
@@ -458,12 +455,41 @@ def test_reachable_union_is_the_disjoint_union_of_reachables():
         for _ in range(20):
             e, f = rand_guarded_exp(th, rng), rand_guarded_exp(th, rng)
             u = reachable_union(e, f, th)
-            d = disjoint_union(pc.reachable(e, th), pc.reachable(f, th))
-            assert (u.states, u.structure) == (d.states, d.structure)
+            assert u == disjoint_union(pc.reachable(e, th), pc.reachable(f, th))
             s, t = rand_sexp(th, rng), rand_sexp(th, rng)
             u = reachable_union(s, t, th, stepper=pc.step)
-            d = disjoint_union(pc.star_reachable(s, th), pc.star_reachable(t, th))
-            assert (u.states, u.structure) == (d.states, d.structure)
+            assert u == disjoint_union(pc.star_reachable(s, th), pc.star_reachable(t, th))
+
+
+@pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
+def test_clash_states_are_named_once_for_every_reader(th, capsys):
+    # reachable renames a state id that is also an output or an action, so
+    # lts text, JSON and DOT, the JSON reader and refinement read one record
+    rng = random.Random(seed_for(th.id, 0x1758))
+    renamed = 0
+    for _ in range(30):
+        e = pc.parse_exp(rand_clash_text(th, rng), th)
+        c, o = pc.reachable(e, th), reachable_unmemoised(e, th)
+        renamed += c.variables != o.variables
+        ids = dict(zip(o.variables, map(pc.Var, c.variables)))
+        for x, nf in zip(c.exprs, normal_forms(o).values()):  # the oracle's, under the id map
+            assert pc.step(x, th) == th.nf_map(
+                nf, lambda g: pc.Prefix(g.action, ids[g.body.name]) if type(g) is pc.Prefix else g)
+        shown = []
+        for fmt in ("text", "json", "dot"):
+            cli._emit_coalgebra(c, fmt)
+            shown.append(capsys.readouterr().out)
+        text, js, dot = shown
+        assert [line.split(" = ")[0] for line in text.splitlines()] == list(c.variables)
+        assert json.loads(js)["states"] == list(c.variables)
+        assert [line.split('"')[1] for line in dot.splitlines()
+                if line.endswith("[shape=circle];")] == list(c.variables)
+        assert pc.coalgebra_from_json(js) == c
+        assert pc.bisim_partition(c) == moore_partition(c)
+        for y in c.variables:
+            assert pc.check_states(c, c.variables[0], y) == moore_check_states(
+                c, c.variables[0], y)
+    assert renamed >= 5, renamed
 
 
 def test_step_is_a_value():
@@ -487,8 +513,7 @@ def test_disjoint_union():
     c1 = pc.reachable(pc.parse_exp("a.0", th), th)
     c2 = pc.reachable(pc.parse_exp("b.0", th), th)
     u = disjoint_union(c1, c2)
-    assert set(u.states) == {"as0", "as1", "bs0", "bs1"}
-    assert u.structure["as0"] == frozenset({pc.Prefix("a", pc.Var("as1"))})
+    assert u.render() == "as0 = a.as1\nas1 = 0\nbs0 = b.bs1\nbs1 = 0"
 
 
 # ---------------------------------------------------------------------------
@@ -503,9 +528,7 @@ def test_json_round_trip(th):
         d = json.loads(text)  # valid JSON
         assert d["theory"] == th.id
         c2 = pc.coalgebra_from_json(text)
-        assert c2.states == c.states
-        assert c2.structure == c.structure
-        assert c2.theory.id == th.id and c2.theory.atoms == th.atoms
+        assert c2 == c and c2.theory.id == th.id and c2.theory.atoms == th.atoms
 
 
 @pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
@@ -553,7 +576,7 @@ def _deep_sum(n):
 def test_json_depth_limit_is_exact(monkeypatch):
     # a small limit keeps both sides of it within reach of every Python's decoder
     monkeypatch.setattr(pc.theory, "MAX_JSON_DEPTH", 41)
-    assert pc.coalgebra_from_json(json.dumps(_deep_sum(19))).states == ("s0",)
+    assert pc.coalgebra_from_json(json.dumps(_deep_sum(19))).variables == ("s0",)
     with pytest.raises(TheoryError, match="^coalgebra JSON is nested too deeply$"):
         pc.coalgebra_from_json(json.dumps(_deep_sum(20)))
     assert pc.theory.read_json("[" * 41 + "]" * 41, "proof")
@@ -564,7 +587,7 @@ def test_json_depth_limit_is_exact(monkeypatch):
 def test_structure_terms_load_deeper_than_the_recursion_limit():
     # the structure walk keeps no Python frame per level: only read_json bounds the depth
     c = semantics.coalgebra_from_dict(_deep_sum(3000))
-    assert sorted(c.theory.generators(c.structure["s0"]), key=str) == [
+    assert sorted(c.theory.generators(pc.step(c.exprs[0], c.theory)), key=str) == [
         pc.Prefix("a", pc.Var("s0")), pc.Prefix("b", pc.Var("s0"))]
 
 
@@ -578,7 +601,7 @@ def test_json_writer_depth_limit_is_exact(monkeypatch):
         return pc.parse_exp(" + ".join(f"a{i}.0" for i in range(k)), th)
 
     c = pc.reachable(wide(20), th)
-    assert pc.coalgebra_from_json(pc.coalgebra_to_json(c)).structure == c.structure
+    assert pc.coalgebra_from_json(pc.coalgebra_to_json(c)) == c
     with pytest.raises(TheoryError, match="^state 's0': coalgebra JSON would be nested too deeply$"):
         pc.coalgebra_to_json(pc.reachable(wide(21), th))
     assert json.loads(semantics.structure_json(th.term_of_nf(pc.step(wide(21), th))))
@@ -654,8 +677,8 @@ def test_reserved_names_are_read():
     d = {"theory": "sl", "states": ["%0", "s_1'"],
          "structure": {"%0": {"act": "a_b", "to": "s_1'"}, "s_1'": {"out": "%3"}}}
     c = pc.coalgebra_from_json(json.dumps(d))
-    assert c.structure == {"%0": frozenset({pc.Prefix("a_b", pc.Var("s_1'"))}),
-                           "s_1'": frozenset({pc.Var("%3")})}
+    assert c == pc.EqSystem(c.theory, ("%0", "s_1'"), (pc.Prefix("a_b", pc.Var("s_1'")),
+                                                      pc.Var("%3")))
 
 
 def test_dot_export():

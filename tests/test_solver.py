@@ -1,4 +1,4 @@
-"""Equation systems: associated systems, Milner elimination."""
+"""Equation systems: the systems finite coalgebras are, Milner elimination."""
 
 import functools
 import json
@@ -11,10 +11,10 @@ import procalc as pc
 from procalc import cli, solver
 from procalc.solver import UnguardedSystem
 
-from gen import (ACTIONS, ALL_THEORIES, rand_coalgebra, rand_exp, rand_guarded_exp,
-                 rand_param, seed_for, theory)
+from gen import (ACTIONS, ALL_THEORIES, rand_clash_text, rand_coalgebra, rand_exp,
+                 rand_guarded_exp, rand_param, seed_for, theory)
 from make_golden import THEORY_ARGS, run as run_cli
-from oracles import solve_eager
+from oracles import coalgebra, solve_eager
 
 F = Fraction
 
@@ -23,22 +23,18 @@ CA_E = "mu v. (a1.u +[1/2] (a2.v +[1/3] w))"
 
 
 # ---------------------------------------------------------------------------
-# associated systems
+# associated systems: a finite coalgebra is its equation system
 
 def test_associated_system_reads_leaves_back_as_syntax():
     """Deadlock becomes 0, an output its variable, and a step a prefix on
     the unknown of its target state.  The term reading lists steps before
     outputs, so the choice of s3 comes back with its arguments swapped."""
-    th = theory("ca")
-    out_v, step_s0 = pc.Var("v"), pc.Prefix("a", pc.Var("s0"))
-    structure = {
-        "s0": pc.ZERO,
-        "s1": out_v,
-        "s2": pc.Prefix("a", pc.Var("s1")),
-        "s3": pc.Op(F(1, 2), (out_v, step_s0)),
-    }
-    c = pc.Coalgebra(th, tuple(structure), {s: pc.step(t, th) for s, t in structure.items()})
-    assert pc.associated_system(c).exprs == (
+    text = json.dumps({"theory": "ca", "states": ["s0", "s1", "s2", "s3"], "structure": {
+        "s0": {"const": "0"},
+        "s1": {"out": "v"},
+        "s2": {"act": "a", "to": "s1"},
+        "s3": {"op": "+", "prob": "1/2", "args": [{"out": "v"}, {"act": "a", "to": "s0"}]}}})
+    assert pc.coalgebra_from_json(text).exprs == (
         pc.ZERO,
         pc.Var("v"),
         pc.Prefix("a", pc.Var("s1")),
@@ -48,29 +44,29 @@ def test_associated_system_reads_leaves_back_as_syntax():
 
 def test_associated_system_gs_example():
     th = theory("gs")
-    c = pc.reachable(pc.parse_exp(GS_E, th), th)
-    sys = pc.associated_system(c)
+    sys = pc.reachable(pc.parse_exp(GS_E, th), th)
     assert sys.variables == ("s0", "s1")
     assert sys.render() == "s0 = a1.s1 +[x1] u\ns1 = v +[x1] a2.s0"
 
 
 def test_associated_system_ca_example():
     th = theory("ca")
-    c = pc.reachable(pc.parse_exp(CA_E, th), th)
-    sys = pc.associated_system(c)
+    sys = pc.reachable(pc.parse_exp(CA_E, th), th)
     assert sys.render() == "s0 = a1.s1 +[1/2] (a2.s0 +[1/3] w)\ns1 = u"
 
 
 def test_associated_system_renames_clashing_states():
-    th = theory("sl")
-    c = pc.Coalgebra(
-        th,
-        ("u",),
-        {"u": frozenset({pc.Var("u"), pc.Prefix("a", pc.Var("u"))})},
-    )
-    sys = pc.associated_system(c)
+    # the loader renames a file's state id that is also an output, and
+    # reachable its own; the answer's binder is the unknown
+    text = json.dumps({"theory": "sl", "states": ["u"], "structure": {"u": {
+        "op": "+", "args": [{"out": "u"}, {"act": "a", "to": "u"}]}}})
+    sys = pc.coalgebra_from_json(text)
     assert sys.variables == ("%0",)
     assert set(pc.free_vars(sys.exprs[0])) == {"u", "%0"}
+    th = theory("sl")
+    c = pc.reachable(pc.parse_exp("mu x. a.x + s0", th), th)
+    assert c.render() == "%0 = a.%0 + s0"
+    assert pc.unparse(pc.synthesize(c, "%0")) == "mu %0. a.%0 + s0"
 
 
 def test_renamed_state_avoids_outputs_and_states():
@@ -80,32 +76,32 @@ def test_renamed_state_avoids_outputs_and_states():
             {"out": "%0"}, {"act": "a", "to": "u"}]}]}}})
     assert run_cli(["solve", "{file}"], text) == {
         "stdout": "%1 = mu %1. a.%1 + %0 + u\n", "stderr": "", "code": 0}
-    phi = pc.solve(pc.associated_system(pc.coalgebra_from_json(text)))
+    phi = pc.solve(pc.coalgebra_from_json(text))
     assert pc.free_vars(phi["%1"]) == {"u", "%0"}
-    c = pc.Coalgebra(theory("sl"), ("%1", "v", "w"), {
-        "%1": frozenset({pc.Var("v"), pc.Var("%0")}),
-        "v": frozenset({pc.Var("w")}),
-        "w": frozenset({pc.Prefix("a", pc.Var("v"))}),
-    })
-    assert pc.associated_system(c).variables == ("%1", "%2", "%3")
+    text = json.dumps({"theory": "sl", "states": ["%1", "v", "w"], "structure": {
+        "%1": {"op": "+", "args": [{"out": "v"}, {"out": "%0"}]},
+        "v": {"out": "w"},
+        "w": {"act": "a", "to": "v"}}})
+    c = pc.coalgebra_from_json(text)
+    assert c.render() == "%1 = %0 + v\n%2 = w\n%3 = a.%2"
 
 
 @pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
 def test_associated_system_passes_the_system_checks(th):
-    # readings of outputs and steps to states are built unchecked; the
-    # checks of EqSystem would build the same system
+    # the loader and reachable build their readings, of outputs and steps
+    # to states, unchecked; the checks of EqSystem would build the same system
     rng = random.Random(seed_for(th.id, 3201))
     for _ in range(40):
-        system = pc.associated_system(rand_coalgebra(th, rng))
-        assert system == pc.EqSystem(system.theory, system.variables, system.exprs)
+        for system in (pc.coalgebra_from_json(pc.coalgebra_to_json(rand_coalgebra(th, rng))),
+                       pc.reachable(rand_guarded_exp(th, rng), th)):
+            assert system == pc.EqSystem(system.theory, system.variables, system.exprs)
 
 
 def test_associated_system_checks_a_step_to_a_binder():
     th = theory("sl")
     loop = pc.Mu("s0", pc.Prefix("a", pc.Var("s0")))
-    c = pc.Coalgebra(th, ("s0",), {"s0": frozenset({pc.Prefix("b", loop)})})
     with pytest.raises(pc.TheoryError, match="unknown 's0' is bound in the equation for 's0'"):
-        pc.associated_system(c)
+        pc.EqSystem(th, ("s0",), (pc.Prefix("b", loop),))
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +128,7 @@ def test_solve_two_state_loop():
 def test_example_51_round_trip():
     th = theory("gs")
     e = pc.parse_exp(GS_E, th)
-    c = pc.reachable(e, th)
-    sys = pc.associated_system(c)
+    sys = pc.reachable(e, th)
     phi = pc.solve(sys)
     ok, msg = pc.check_solution(sys, phi)
     assert ok, msg
@@ -151,8 +146,7 @@ def test_unguarded_system_rejected():
 def test_solution_law_random_systems(th):
     rng = random.Random(seed_for(th.id, 49157))
     for _ in range(40):
-        c = rand_coalgebra(th, rng, max_states=4)
-        sys = pc.associated_system(c)
+        sys = rand_coalgebra(th, rng, max_states=4)
         phi = pc.solve(sys)
         ok, msg = pc.check_solution(sys, phi)
         assert ok, (msg, sys.render())
@@ -163,11 +157,9 @@ def test_synthesis_round_trip(th):
     rng = random.Random(seed_for(th.id, 24593))
     for _ in range(25):
         c = rand_coalgebra(th, rng, max_states=4)
-        sys = pc.associated_system(c)
-        phi = pc.solve(sys)
-        for s, x in zip(c.states, sys.variables):
-            e = phi[x]
-            c2 = pc.reachable(e, th)
+        phi = pc.solve(c)
+        for s in c.variables:
+            c2 = pc.reachable(phi[s], th)
             from procalc.semantics import disjoint_union
             from procalc.equivalence import check_states
 
@@ -179,8 +171,7 @@ def test_uniqueness_across_elimination_orders():
     rng = random.Random(12007)
     for th in ALL_THEORIES:
         for _ in range(8):
-            c = rand_coalgebra(th, rng, max_states=3)
-            sys = pc.associated_system(c)
+            sys = rand_coalgebra(th, rng, max_states=3)
             n = len(sys.variables)
             orders = [tuple(reversed(range(n))), tuple(range(n))]
             sols = [pc.solve(sys, order=o) for o in orders]
@@ -197,7 +188,7 @@ def test_expression_system_fixed_point(th):
         e = rand_guarded_exp(th, rng, depth=3)
         c = pc.reachable(e, th)
         try:
-            f = pc.synthesize(c, c.states[0])
+            f = pc.synthesize(c, c.variables[0])
         except UnguardedSystem:
             continue  # unguarded unknowns arise from ungarded subterms
         assert pc.equivalent(e, f, th).equivalent, pc.unparse(e)
@@ -251,7 +242,7 @@ def _chain(th, rng, n):
 
 def _systems(th, rng):
     for _ in range(12):
-        yield pc.associated_system(rand_coalgebra(th, rng, max_states=5))
+        yield rand_coalgebra(th, rng, max_states=5)
     found = 0
     while found < 20:
         system = _rand_text_system(th, rng, rng.randint(2, 4))
@@ -300,13 +291,12 @@ def test_solve_after_renaming_matches_eager_elimination():
 
 def _ring(n, m=3, c=1):
     """The coalgebra s_i = a.s_{i+1 mod n} + b.s_{(m*i+c) mod n} in sl."""
-    th = theory("sl")
     structure = {
         f"s{i}": frozenset({pc.Prefix("a", pc.Var(f"s{(i + 1) % n}")),
                             pc.Prefix("b", pc.Var(f"s{(m * i + c) % n}"))})
         for i in range(n)
     }
-    return pc.Coalgebra(th, tuple(structure), structure)
+    return coalgebra(theory("sl"), structure, structure)
 
 
 def _substitutions(monkeypatch):
@@ -328,7 +318,7 @@ def test_solve_one_state_back_substitutes_nothing(monkeypatch):
     # with the default order s0 is eliminated last, so its solution is its
     # closed equation: only the forward pass substitutes, and only into the
     # equations that mention the unknown it closes
-    system = pc.associated_system(_ring(13))
+    system = _ring(13)
     calls = _substitutions(monkeypatch)
     phi = pc.solve(system, wanted=("s0",))
     assert calls == [True] * 22
@@ -352,7 +342,7 @@ def test_solve_chain_substitutes_per_occurrence(monkeypatch, n):
 
 def test_solve_one_state_of_ring_30():
     # the answer is a DAG whose tree is far too large to substitute into node by node
-    system = pc.associated_system(_ring(30))
+    system = _ring(30)
     phi = pc.solve(system, wanted=("s0",))
     assert pc.free_vars(phi["s0"]) == frozenset()
     assert pc.solve(system, wanted=("s0",))["s0"] is phi["s0"]
@@ -440,10 +430,12 @@ def test_lts_text_of_a_clash_solves_to_the_term():
     assert answer["stdout"] == "mu %0. a.(mu %1. s0) + b.(mu s2. a.(mu s3. 0) + s1)\n"
     out = run_cli(["equiv", CLASH, answer["stdout"].strip()], None)
     assert out["code"] == 0 and out["stdout"].startswith("equivalent: ")
-    # JSON keeps the state ids, and solve renames them as the text does
+    # JSON and DOT name the states as the text does, and solve reads the JSON alike
     text = run_cli(["lts", "--format", "json", CLASH], None)["stdout"]
-    assert json.loads(text)["states"] == ["s0", "s1", "s2", "s3"]
-    assert run_cli(["solve", "{file}", "--state", "s0"], text)["stdout"] == answer["stdout"]
+    assert json.loads(text)["states"] == ["%0", "%1", "s2", "s3"]
+    assert run_cli(["solve", "{file}", "--state", "%0"], text)["stdout"] == answer["stdout"]
+    dot = run_cli(["lts", "--format", "dot", CLASH], None)["stdout"]
+    assert '"%0" -> "%1" [label="a"]' in dot and '"%1" -> "var_s0"' in dot
     # a state id that is an action is renamed too
     assert run_cli(["lts", "s0.s1.0"], None)["stdout"] == "%0 = s0.%1\n%1 = s1.s2\ns2 = 0\n"
 
@@ -454,9 +446,7 @@ def test_solve_reads_lts_text_back(th):
     rng = random.Random(seed_for(th.id, 0x1757))
     renamed = 0
     for _ in range(30):
-        e = pc.substitute(rand_exp(th, rng, depth=rng.randint(2, 4)),
-                          {"u": pc.Var("s0"), "v": pc.Var("s1")})
-        term = pc.unparse(e).replace("a2.", "s2.")
+        term = rand_clash_text(th, rng)
         lts = run_cli(["lts", *THEORY_ARGS[th.id], term], None)
         assert lts["code"] == 0, term
         first = lts["stdout"].split(" = ", 1)[0]
@@ -466,3 +456,16 @@ def test_solve_reads_lts_text_back(th):
         out = run_cli(["equiv", *THEORY_ARGS[th.id], term, answer["stdout"].strip()], None)
         assert out["code"] == 0 and out["stdout"].startswith("equivalent: "), (term, answer)
     assert renamed >= 10
+
+
+def test_termination_has_one_message_in_text_and_json():
+    # star lts prints termination as 1, which no equation system can read
+    text = run_cli(["star", "lts", "a ; b"], None)["stdout"]
+    assert text == "s0 = a.s1\ns1 = b.s2\ns2 = 1\n"
+    assert run_cli(["solve", "{file}"], text)["stderr"] == (
+        "error: equation for 's2': termination transitions have no syntax (at 1)\n")
+    js = run_cli(["star", "lts", "--format", "json", "a ; b"], None)["stdout"]
+    assert run_cli(["solve", "{file}", "--state", "s0"], js)["stderr"] == (
+        "error: termination transitions have no syntax\n")
+    with pytest.raises(pc.ParseError, match="termination transitions have no syntax"):
+        pc.parse_exp("a.0 + 1", theory("sl"))

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import procalc as pc
-from procalc.semantics import Coalgebra, disjoint_union, step
+from procalc.semantics import disjoint_union, step
 from procalc.equivalence import check_states, equivalent
 from procalc.star import (SAct, SOne, SSeq, SStar, SONE,
                           UNIT_VAR, check_estar_instance,
@@ -202,15 +202,9 @@ def test_star_equivalent_examples():
 # coherence of Fig. 3 with Fig. 1
 
 def unit_identified(c):
-    """Rename the $unit output leaves of a translated star process to Tick."""
-
-    def f(g):
-        if type(g) is pc.Var and g.name == UNIT_VAR:
-            return pc.TICK
-        return g
-
-    structure = {s: c.theory.nf_map(c.structure[s], f) for s in c.states}
-    return Coalgebra(c.theory, c.states, structure)
+    """Rename the $unit outputs of a translated star process to Tick."""
+    return pc.EqSystem(c.theory, c.variables,
+                       tuple(pc.substitute(x, {UNIT_VAR: pc.TICK}) for x in c.exprs))
 
 
 @pytest.mark.parametrize("name", ["sl", "cm", "gs", "ca", "cs"])

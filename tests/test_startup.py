@@ -106,6 +106,9 @@ def test_unknown_export_raises_attribute_error():
         pc.nope
     with pytest.raises(ImportError):
         exec("from procalc import nope", {})
+    for gone in ("Coalgebra", "associated_system"):  # a coalgebra is its EqSystem
+        with pytest.raises(AttributeError, match=f"has no attribute '{gone}'"):
+            getattr(pc, gone)
 
 
 def test_records_print_and_compare_by_field():
@@ -117,7 +120,7 @@ def test_records_print_and_compare_by_field():
         hash(cert)
     th = theory("sl")
     c = pc.reachable(pc.parse_exp("a.0", th), th)
-    assert c == pc.Coalgebra(th, ("s0", "s1"), dict(c.structure))
+    assert c == pc.EqSystem(th, ("s0", "s1"), (pc.Prefix("a", pc.Var("s1")), pc.ZERO))
     assert repr(pc.Tick()) == "Tick()" and pc.Tick() == pc.TICK
 
 

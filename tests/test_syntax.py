@@ -126,7 +126,7 @@ def _match_loop_texts(text):
 
 
 # quotes, digits and non-ASCII characters at the edges of identifiers and numbers
-_EDGE_TEXTS = ["'a", "1'", "a1'", "1a'", "a''", "a1''b", "12'x", "a.1'", "١'", "a١'", "١a'",
+_EDGE_TEXTS = ["1", "a.1", "u + 1", "'a", "1'", "a1'", "1a'", "a''", "a1''b", "12'x", "a.1'", "١'", "a١'", "١a'",
                "a\u00a0.\u00a00", "\u00a0", "\u00e9", "a.\u00e9", "caf\u00e9.0", "a.+ @",
                "a.0 +[\u0661/\u0662] b.0", "x1 ' y", "a'.b'.0", "_'", "_1'.0",
                # a bad character and a bad quote: the first one is reported

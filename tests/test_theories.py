@@ -587,8 +587,8 @@ def test_cs_state_renaming_makes_no_redundancy_call(monkeypatch):
     def rename(g):
         return pc.Prefix(g.action, pc.Var(f"s{index[g.body]}"))
 
-    assert [c.structure[s] for s in c.states] == [cs_nf_map_validating(stepped[x], rename)
-                                                   for x in order]
+    assert list(c.exprs) == [th.term_of_nf(cs_nf_map_validating(stepped[x], rename))
+                             for x in order]
 
 
 def _count_canonicalised_points(monkeypatch):
@@ -855,7 +855,7 @@ def test_generator_key_agrees_with_isinstance_chain():
             nf = step(e, th)
             samples += [nf, *th.generators(nf), *th.edges(nf)]
             c = pc.reachable(e, th)
-            samples += list(c.structure.values())
+            samples += [step(x, th) for x in c.exprs]
     kinds = {type(g) for g in samples}
     assert {tuple, frozenset, pc.Prefix, pc.Var, bool, int, F, str, type(None)} <= kinds
     assert any(isinstance(g, pc.Prefix) and type(g.body) is not pc.Var for g in samples)
@@ -877,7 +877,7 @@ def test_prefix_generators_sort_as_the_step_nodes_they_replaced(th):
     for _ in range(120):
         nfs.append(step(rand_exp(th, rng, depth=4), th))
         nfs.append(step(rand_sexp(th, rng, depth=3), th))
-        nfs += rand_coalgebra(th, rng).structure.values()
+        nfs += [step(x, th) for x in rand_coalgebra(th, rng).exprs]
     ties = 0
     for nf in nfs:
         gens = list(th.generators(nf))

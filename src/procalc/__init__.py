@@ -7,17 +7,16 @@ import sys
 
 _EXPORTS = {  # module -> the names procalc exports from it
     "theory": "Theory TheoryError make_theory THEORY_NAMES is_skew_associative generator_key",
-    "syntax": "Exp Zero Var Op Prefix Mu ZERO parse_exp unparse substitute "
+    "syntax": "Exp Zero Var Op Prefix Mu ZERO TICK parse_exp unparse substitute "
               "guarded_subst_exp is_guarded free_vars ParseError",
-    "semantics": "Tick TICK step gsubst_bm reachable EqSystem coalgebra_to_json "
+    "semantics": "step gsubst_bm reachable EqSystem coalgebra_to_json "
                  "coalgebra_from_json coalgebra_to_dot render_sterm StateCapExceeded "
                  "disjoint_union",
     "equivalence": "bisim_partition equivalent check_states Certificate",
     "solver": "solve check_solution synthesize parse_system UnguardedSystem",
     "axioms": "check_proof parse_proof load_proof Proof ProofStep Verdict",
-    "star": "SExp SOne SAct SSeq SStar SONE parse_sexp translate star_reachable "
-            "is_guarded_star check_estar_instance partial_derivative output_guard tick_mass "
-            "UNIT_VAR",
+    "star": "SExp SAct SSeq SStar parse_sexp translate star_reachable "
+            "is_guarded_star check_estar_instance partial_derivative output_guard tick_mass",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 _SUBMODULES = {*_EXPORTS, "cli"}

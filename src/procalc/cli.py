@@ -250,7 +250,7 @@ def run(argv=None):
         msg = ("equivalent: " if cert.equivalent else "not equivalent: ") + cert.detail
         if args.command == "star" and not cert.equivalent:
             # where weights are masses, the termination masses explain the split
-            if isinstance(theory.weight(theory.bottom(), semantics.TICK), Fraction):
+            if isinstance(theory.weight(theory.bottom(), syntax.TICK), Fraction):
                 m1, m2 = star.tick_mass(e1, theory), star.tick_mass(e2, theory)
                 msg += f" (termination mass {m1} vs {m2})"
         print(msg)

@@ -1,16 +1,16 @@
 """Operational semantics: one-step behaviour and reachable coalgebras.
 
 The one-step map sends a term to a normal form over *transitions*: outputs
-(a free variable's own ``Var`` node), action steps (the prefix ``a.t``
-itself), and (for the star fragment) successful termination ``TICK``.  Each
-of them is a term node of its own, whose normal form is its unit, so the
-term reading of a normal form steps back to it.  Process terms and star
-expressions are one kind of term, so one map serves both: each node is
-stepped by its rule, and the star nodes carry theirs (``star.py``), which
-this module applies without loading that one.  Recursion unfolds via the
-guarded substitution on behaviours: unguarded occurrences of the recursion
-variable collapse to deadlock, guarded ones are rewired to the fixpoint
-term.
+(a free variable's own ``Var`` node, and for the star fragment successful
+termination ``TICK``, the output of ``1``) and action steps (the prefix
+``a.t`` itself).  Each of them is a term node of its own, whose normal form
+is its unit, so the term reading of a normal form steps back to it.
+Process terms and star expressions are one kind of term, so one map serves
+both: each node is stepped by its rule, and the star nodes carry theirs
+(``star.py``), which this module applies without loading that one.
+Recursion unfolds via the guarded substitution on behaviours: unguarded
+occurrences of the recursion variable collapse to deadlock, guarded ones
+are rewired to the fixpoint term.
 
 Terms are hash-consed, so the one-step map is a pure function of a node and
 a theory.  It is computed bottom-up, in one loop over ``syntax.post_order``,
@@ -46,8 +46,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .syntax import (TICK, Exp, Mu, Op, Prefix, Record, Tick, Var, Zero, bound_vars, fresh_name,
-                     is_name, post_order, sorted_gens, substitute, unparse)
+from .syntax import (TICK, Exp, Mu, Op, Prefix, Record, Var, Zero, bound_vars, fresh_name, is_name,
+                     post_order, sorted_gens, substitute, unparse)
 from .theory import MAX_JSON_DEPTH, TheoryError, exact_fraction, read_json, theory_from_json
 
 
@@ -58,15 +58,15 @@ class StateCapExceeded(RuntimeError):
 # ---------------------------------------------------------------------------
 # one-step semantics
 
-_GENERATORS = frozenset((Prefix, Var, Tick))  # each steps to its own unit
+_GENERATORS = frozenset((Prefix, Var))  # each steps to its own unit
 _AT_ONCE = _GENERATORS | {Zero}  # stepped in constant time, not memoised
 
 
 def step(e, theory, memo=None):
     """The one-step normal form of the term ``e``, of either grammar.  An
-    output, a prefix and termination each step to their own unit, so this
-    also evaluates the term reading of a normal form; a star node has its
-    own rule, ``_step``.
+    output (termination too) and a prefix each step to their own unit, so
+    this also evaluates the term reading of a normal form; a star node has
+    its own rule, ``_step``.
 
     ``memo`` maps the nodes already stepped to their normal forms: every
     node but a prefix, ``0`` and a generator, which step in constant
@@ -318,11 +318,11 @@ def _sterm_to_json(t):
     def leaf(n):
         if isinstance(n, Zero):
             return {"const": "0"}, 1
+        if n is TICK:
+            return {"tick": True}, 1
         if type(n) is Var:
             return {"out": n.name}, 1
-        if type(n) is Prefix:
-            return {"act": n.action, "to": unparse(n.body)}, 1
-        return {"tick": True}, 1
+        return {"act": n.action, "to": unparse(n.body)}, 1
 
     done = {}
     for n in post_order((t,), lambda n: type(n) is Op):
@@ -511,16 +511,16 @@ def coalgebra_to_dot(c):
             label = _weight_label(w, th.atoms)
             if type(g) is Prefix:
                 edges.append(f'  "{s}" -> "{g.body.name}" [label="{label}{g.action}"];')
-            elif type(g) is Var:
+            elif g is TICK:
+                ticks = True
+                edges.append(
+                    f'  "{s}" -> "tick" [label="{label}tick", arrowhead="normalnormal"];'
+                )
+            else:
                 v = g.name
                 outs.add(v)
                 edges.append(
                     f'  "{s}" -> "var_{v}" [label="{label}{v}", arrowhead="normalnormal"];'
-                )
-            else:
-                ticks = True
-                edges.append(
-                    f'  "{s}" -> "tick" [label="{label}tick", arrowhead="normalnormal"];'
                 )
     for s in c.variables:
         lines.append(f'  "{s}" [shape=circle];')

@@ -4,7 +4,8 @@ An equation system is ``semantics.EqSystem``, the record a finite
 coalgebra is: its unknowns are the state ids and each right-hand side is
 the term reading of a state's normal form.  Its transitions are syntax
 already: an output is its variable, and a step is a prefix on an unknown;
-only termination has none, and `solve` refuses it.  Systems are solved by elimination
+only termination, the output of ``1``, has none, and `solve` refuses an
+equation that has ``1`` free.  Systems are solved by elimination
 in two passes.  The forward pass closes each unknown in turn with a
 mu-binder and substitutes it into the equations left that mention it,
 found through an index from each unknown to those equations; the back
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from . import syntax
 from .semantics import EqSystem
-from .syntax import Mu, Prefix, Tick, bound_vars, free_vars, post_order, substitute, unguarded_sets
+from .syntax import TICK, Mu, bound_vars, free_vars, substitute, unguarded_sets
 from .theory import TheoryError
 
 
@@ -38,7 +39,7 @@ def solve(system, order=None, wanted=None):
     The forward pass substitutes a closed unknown only into the equations
     left in which it is free, so it makes one substitution per such
     occurrence, not one per pair of unknowns."""
-    if any(type(n) is Tick for n in post_order(system.exprs, lambda n: type(n) is not Prefix)):
+    if any(TICK.name in free_vars(e) for e in system.exprs):
         raise TheoryError("termination transitions have no syntax")
     known = set(system.variables)
     unguarded = unguarded_sets(system.exprs)

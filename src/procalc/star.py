@@ -2,17 +2,20 @@
 syntactic derivative operators.
 
 Star expressions ``0 | 1 | a | e +_s f | e;f | e^(s)`` are terms of the
-calculus: ``0`` and choice are its own ``ZERO`` and ``Op``, and the nodes
-``SOne``, ``SAct``, ``SSeq`` and ``SStar`` defined here are ``Exp`` nodes
-with no free variables.  ``syntax.unparse`` prints them, and each carries
-its one-step rule, which ``semantics.step`` applies: so ``step``,
-``reachable`` and ``equivalent`` compute the direct semantics, with a
-termination transition in place of a continuation.  An action ``a`` steps
-to ``a.1``, a prefix on a star expression, which is its own transition;
-a sequence sits at ``syntax``'s ``_SEQ`` level, so a prefix brackets it, as
-in ``a.(1 ; b)``.  Star expressions also translate into the full calculus
-via a reserved continuation variable (spelled ``$unit``); the two routes
-agree up to renaming outputs of the continuation variable to termination.
+calculus: ``0``, ``1`` and choice are its own ``ZERO``, ``TICK`` and
+``Op``, ``1`` being the output of a continuation variable that is not a
+name, and the nodes ``SAct``, ``SSeq`` and ``SStar`` defined here are
+``Exp`` nodes.  ``syntax.unparse`` prints them, and each carries its
+one-step rule, which ``semantics.step`` applies: so ``step``, ``reachable``
+and ``equivalent`` compute the direct semantics, in which ``1`` terminates
+by its own output.  An action ``a`` steps to ``a.1``, a prefix on a star
+expression, which is its own transition; a sequence sits at ``syntax``'s
+``_SEQ`` level, so a prefix brackets it, as in ``a.(1 ; b)``.  Star
+expressions also translate into the full calculus, keeping ``1`` as the
+continuation: ``a`` is ``a.1``, ``e ; f`` is ``e[f/1]`` and ``e^(s)`` is
+``mu v. (e[v/1] +s 1)``.  Both routes terminate by the one output ``1``,
+so a star expression and its translation agree exactly: they are
+bisimilar as they stand, with no renaming.
 
 The parser is one loop over ``syntax.tokenize``'s list with an explicit
 stack of open brackets, run by ``syntax.parse_tokens`` as
@@ -27,12 +30,10 @@ from fractions import Fraction
 
 from . import syntax
 from .semantics import reachable, step
-from .syntax import (_ATOM, _EMPTY, _SEQ, TICK, Exp, Mu, Op, ParseError, Prefix, Record, Tick,
-                     Var, ZERO, all_names, bracket, choice_param, expect_token, fresh_name,
+from .syntax import (_ATOM, _EMPTY, _SEQ, TICK, Exp, Mu, Op, ParseError, Prefix, Record, Var,
+                     ZERO, all_names, bracket, choice_param, expect_token, fresh_name,
                      is_guarded, parse_param, post_order, render_param, substitute, token_kind)
 from .theory import TheoryError
-
-UNIT_VAR = "$unit"
 
 
 # ---------------------------------------------------------------------------
@@ -46,18 +47,12 @@ class SExp(Exp):
     rule: its normal form, given those of its children."""
 
     __slots__ = ()
+    # substitution never enters a star expression: ``1`` is free only in the
+    # calculus terms of translations and normal forms.  A choice between star
+    # expressions is an ``Op``, which counts a ``1`` below it as free; nothing
+    # reads that
     _free = _EMPTY
     _prec = _POST
-
-
-class SOne(SExp):
-    __slots__ = _fields = ()
-
-    def _render(self):
-        return "1"
-
-    def _step(self, theory):
-        return theory.unit(TICK)
 
 
 class SAct(SExp):
@@ -67,7 +62,7 @@ class SAct(SExp):
         return self.action
 
     def _step(self, theory):
-        return theory.unit(Prefix(self.action, SONE))
+        return theory.unit(Prefix(self.action, TICK))
 
 
 class SSeq(SExp):
@@ -106,16 +101,13 @@ def _then(nf, after, on_tick, theory):
     ``on_tick``."""
 
     def leaf(t):
-        if isinstance(t, Tick):
+        if t is TICK:
             return on_tick
         if type(t) is Prefix:
             return theory.unit(Prefix(t.action, SSeq(t.body, after)))
         raise TheoryError("star expressions have no free outputs")
 
     return theory.bind(nf, leaf)
-
-
-SONE = SOne()
 
 
 # ---------------------------------------------------------------------------
@@ -143,13 +135,13 @@ def _parse_sexp_tokens(toks, theory, gkat, use):
             stack.append([None, None, None])
             continue
         if tok == "0" or tok == "1":
-            e = ZERO if tok == "0" else SONE
+            e = ZERO if tok == "0" else TICK
         elif tok == "test" and gkat:
             at = i - 1
             guard, i = parse_param(toks, i, theory)
             if not isinstance(guard, frozenset):
                 raise ParseError("test expects a guard", at)
-            e = Op(guard, (SONE, ZERO))
+            e = Op(guard, (TICK, ZERO))
         elif token_kind(tok) == "ident":
             use.see_action(tok, i - 1)
             e = SAct(tok)
@@ -190,23 +182,22 @@ def _parse_sexp_tokens(toks, theory, gkat, use):
 # translation into the full calculus
 
 def translate(s):
+    one = TICK.name
     done = {}
     for n in post_order((s,)):
-        if n is ZERO:
-            done[n] = ZERO
-        elif isinstance(n, SOne):
-            done[n] = Var(UNIT_VAR)
+        if n is ZERO or n is TICK:
+            done[n] = n
         elif isinstance(n, SAct):
-            done[n] = Prefix(n.action, Var(UNIT_VAR))
+            done[n] = Prefix(n.action, TICK)
         elif type(n) is Op:
             l, r = n.args
             done[n] = Op(n.param, (done[l], done[r]))
         elif isinstance(n, SSeq):
-            done[n] = substitute(done[n.left], {UNIT_VAR: done[n.right]})
+            done[n] = substitute(done[n.left], {one: done[n.right]})
         elif isinstance(n, SStar):
             body = done[n.body]
             v = fresh_name(all_names(body))
-            done[n] = Mu(v, Op(n.param, (substitute(body, {UNIT_VAR: Var(v)}), Var(UNIT_VAR))))
+            done[n] = Mu(v, Op(n.param, (substitute(body, {one: Var(v)}), TICK)))
         else:
             raise TypeError(f"not a star expression: {n!r}")
     return done[s]
@@ -215,7 +206,7 @@ def translate(s):
 def is_guarded_star(s):
     """Productivity of iteration: the loop body may not terminate
     immediately."""
-    return is_guarded(UNIT_VAR, translate(s))
+    return is_guarded(TICK.name, translate(s))
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +238,7 @@ def _star_axiom_sides(name, exps, params):
     if name == "E1":
         need("e")
         e = exps["e"]
-        return [(SSeq(SONE, e), e), (SSeq(e, SONE), e)], None
+        return [(SSeq(TICK, e), e), (SSeq(e, TICK), e)], None
     if name == "E2":
         need("e")
         return [(SSeq(ZERO, exps["e"]), ZERO)], None
@@ -259,13 +250,13 @@ def _star_axiom_sides(name, exps, params):
         need("e")
         e = exps["e"]
         return [
-            (SStar(sigma, Op(tau, (e, SONE))), SStar(sigma, Op(tau, (e, ZERO))))
+            (SStar(sigma, Op(tau, (e, TICK))), SStar(sigma, Op(tau, (e, ZERO))))
         ], None
     if name == "E5":
         need("e")
         e = exps["e"]
         star = SStar(sigma, e)
-        return [(star, Op(sigma, (SSeq(e, star), SONE)))], ("guarded", e)
+        return [(star, Op(sigma, (SSeq(e, star), TICK)))], ("guarded", e)
     if name == "E6":
         need("g", "e", "f")
         g, e, f = exps["g"], exps["e"], exps["f"]
@@ -324,7 +315,7 @@ def partial_derivative(s, theory):
         return theory.weight(step(x, theory, memo), TICK)
 
     for n in post_order((s,)):
-        if n is ZERO or isinstance(n, SOne):
+        if n is ZERO or n is TICK:
             done[n] = ZERO
         elif isinstance(n, SAct):
             done[n] = n

@@ -29,12 +29,14 @@ frame, which ``_prefix_run`` interns innermost first once the item below
 it is complete.  The star fragment's parser is a loop of the same kind over
 the same tokens, and both read choice parameters with ``parse_param``,
 each distinct bracket of an input once.
-Star expressions are terms too: their ``0`` and choice are ``ZERO`` and
-``Op``, and ``star.py`` adds the other nodes as ``Exp`` subclasses, so
-``unparse`` prints both grammars.  So are the transitions of the one-step
-semantics, the generators of its normal forms: an output is its ``Var``,
-an action step is the prefix ``a.t`` itself, and termination is ``TICK``,
-so a normal form's term reading is written with its own generators.
+Star expressions are terms too: their ``0``, ``1`` and choice are
+``ZERO``, ``TICK`` and ``Op``, and ``star.py`` adds the other nodes as
+``Exp`` subclasses, so ``unparse`` prints both grammars.  So are the
+transitions of the one-step semantics, the generators of its normal forms:
+an output is its ``Var``, an action step is the prefix ``a.t`` itself, and
+termination is ``TICK``, the output of the variable ``1``, which no parser
+reads as a name; so a normal form's term reading is written with its own
+generators.
 Terms are hash-consed DAGs.  ``post_order`` lists the nodes under a root
 that a caller still has to visit, children first, each once; the one-step
 semantics, the star fragment's walks, guardedness, the bound names, the
@@ -71,9 +73,10 @@ class ParseError(ValueError):
 _TABLE = {}  # (cls, *fields) -> node, swept by _sweep
 _EMPTY = frozenset()
 _set = object.__setattr__  # nodes refuse plain assignment
+_SUM, _SEQ, _ITEM, _ATOM = 0, 1, 2, 3  # printing precedences; _SEQ is the star fragment's ``;``
 
 
-class Interned:
+class Exp:
     """Base class of hash-consed, immutable term nodes (Filliâtre and
     Conchon, *Type-Safe Modular Hash-Consing*, ML 2006).
 
@@ -92,18 +95,20 @@ class Interned:
     ``param`` first when they have one (``_typed_param``); their
     child nodes in ``_kids``; their printing precedence in ``_prec``; and
     their printed text in ``_render``, which may read the cached ``_text``
-    of every child.  The generic constructor below fills the fields in a
-    loop; the hot classes ``Var``, ``Prefix``, ``Op`` and ``Mu`` have
-    their own, which take the fields by name, set the slots through their
-    member descriptors and also fill ``_free``, the free variables;
+    of every child; and, unless the constructor fills it, their free
+    variables ``_free`` as a class attribute.  The generic constructor
+    below fills the fields in a loop; the hot classes ``Var``, ``Prefix``,
+    ``Op`` and ``Mu`` have their own, which take the fields by name, set
+    the slots through their member descriptors and also fill ``_free``;
     ``Prefix``'s is ``_prefix_run`` over one action.
     All of them enter a new node by ``_intern``.  They are written out by
     hand on purpose: one shared helper for their miss path measured slower
     on every benchmark workload (ROADMAP item 2).
     """
 
-    __slots__ = ("_text",)
+    __slots__ = ("_text", "_free")
     _fields = ()
+    _prec = _ITEM
     _typed_param = False
 
     def __new__(cls, *args, **kwargs):
@@ -137,6 +142,9 @@ class Interned:
     def __repr__(self):
         shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__name__}({shown})"
+
+    def sort_key(self):
+        return ("exp", unparse(self))
 
 
 _limit = 1024  # the table size that triggers the next sweep
@@ -229,12 +237,12 @@ class Record:
         return NotImplemented
 
     __hash__ = None
-    __repr__ = Interned.__repr__
+    __repr__ = Exp.__repr__
 
 
 class Frozen(Record):
-    __setattr__ = Interned.__setattr__
-    __delattr__ = Interned.__delattr__
+    __setattr__ = Exp.__setattr__
+    __delattr__ = Exp.__delattr__
 
     def __hash__(self):
         return hash(tuple(vars(self).values()))
@@ -278,17 +286,6 @@ def post_order(roots, pending=lambda node: True):
 # ---------------------------------------------------------------------------
 # abstract syntax
 
-_SUM, _SEQ, _ITEM, _ATOM = 0, 1, 2, 3  # _SEQ is the star fragment's ``;``
-
-
-class Exp(Interned):
-    __slots__ = ("_free",)
-    _prec = _ITEM
-
-    def sort_key(self):
-        return ("exp", unparse(self))
-
-
 class Zero(Exp):
     __slots__ = _fields = ()
     _free = _EMPTY
@@ -300,6 +297,7 @@ class Zero(Exp):
 
 class Var(Exp):
     __slots__ = _fields = ("name",)
+    _prec = _ATOM  # bare under a ``;`` and a ``^``, as the star fragment's ``1``
 
     def __new__(cls, name):
         key = (cls, name)
@@ -405,7 +403,7 @@ class Mu(Exp):
 
 # the slots of the hot nodes, which their constructors above set through
 # the member descriptors: faster than object.__setattr__ by name
-_set_text, _set_free = Interned._text.__set__, Exp._free.__set__
+_set_text, _set_free = Exp._text.__set__, Exp._free.__set__
 _set_name, _set_param, _set_args = Var.name.__set__, Op.param.__set__, Op.args.__set__
 _set_action, _set_body = Prefix.action.__set__, Prefix.body.__set__
 _set_var, _set_mu_body = Mu.var.__set__, Mu.body.__set__
@@ -413,7 +411,11 @@ _set_var, _set_mu_body = Mu.var.__set__, Mu.body.__set__
 
 # ---------------------------------------------------------------------------
 # transitions: the generators of a one-step normal form (an output is its
-# ``Var``, a step its prefix), and their sort order
+# ``Var``, termination ``TICK``, a step its prefix), and their sort order
+
+def _var_key(g):  # termination sorts after every output
+    return ("k", "tick") if g is TICK else ("k", "exp", g.name)
+
 
 def _prefix_key(g):
     return ("k", "act", g.action, ("k",) + g.body.sort_key())
@@ -427,9 +429,10 @@ def _frozenset_key(g):
     return ("f", tuple(sorted(map(generator_key, g))))
 
 
-# the value types and the step generator, looked up by exact type (a bool
-# is not keyed as an int)
+# the value types and the generators, looked up by exact type (a bool is
+# not keyed as an int)
 _KEYS = {
+    Var: _var_key,
     Prefix: _prefix_key,
     bool: lambda g: ("b", g),
     int: lambda g: ("i", g),
@@ -441,10 +444,11 @@ _KEYS = {
 
 
 def generator_key(g):
-    """A sort key for any generator: ``None``, a prefix (by its action,
-    then by its body as a state), another node with a ``sort_key``, or a
-    value built from bools, ints, fractions, strings, tuples and frozensets.
-    A prefix and the exact value types are one dict lookup."""
+    """A sort key for any generator: ``None``, an output (by its name, and
+    termination after every output), a prefix (by its action, then by its
+    body as a state), another node with a ``sort_key``, or a value built
+    from bools, ints, fractions, strings, tuples and frozensets.  An output,
+    a prefix and the exact value types are one dict lookup."""
     key = _KEYS.get(type(g))
     if key is not None:
         return key(g)
@@ -459,21 +463,11 @@ def sorted_gens(gens):
     return sorted(gens, key=generator_key)
 
 
-class Tick(Exp):
-    """Successful termination, the star fragment's transition: a term that
-    steps to its own unit and prints ``1``."""
-    __slots__ = _fields = ()
-    _free = _EMPTY
-
-    def sort_key(self):
-        return ("tick",)
-
-    def _render(self):
-        return "1"
-
-
 ZERO = Zero()
-TICK = Tick()
+# successful termination, the star fragment's ``1``: the output of the one
+# variable that is not a name, so a process term has it free only where a
+# star expression's translation or a normal form's reading put it
+TICK = Var("1")
 
 
 def children(e):

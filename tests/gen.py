@@ -133,7 +133,7 @@ def rand_sexp(th, rng, depth=3):
     if kind == "zero":
         return pc.ZERO
     if kind == "one":
-        return pc.SONE
+        return pc.TICK
     if kind == "act":
         return pc.SAct(rng.choice(ACTIONS))
     if kind == "choice":

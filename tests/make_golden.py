@@ -348,6 +348,10 @@ def cases():
         "op": "+", "args": [{"out": "u"}, {"act": "a", "to": "u"}]}}})
     for state in ("u", "%0", "%1"):
         add("solve", "{file}", "--state", state, file=own)
+    # two a-steps, one of them to termination: their order, and the
+    # numbering of the states they reach
+    add("star", "step", "a + a ; b")
+    add("star", "lts", "a + a ; b")
     return out
 
 

@@ -149,6 +149,8 @@ def generator_key_by_isinstance(g):
         return ("0",)
     if isinstance(g, pc.Prefix):
         return step_generator_key(g)
+    if g is pc.TICK:
+        return ("k", "tick")
     if hasattr(g, "sort_key"):
         return ("k",) + tuple(g.sort_key())
     if isinstance(g, bool):
@@ -699,7 +701,7 @@ def lstep_walk(s, theory, memo=None):
 
     def then(nf, after, on_tick):
         def leaf(t):
-            if isinstance(t, pc.Tick):
+            if t is pc.TICK:
                 return on_tick
             return theory.unit(pc.Prefix(t.action, pc.SSeq(t.body, after)))
 
@@ -708,10 +710,10 @@ def lstep_walk(s, theory, memo=None):
     for n in post_order((s,), lambda n: n not in memo):
         if n is ZERO:
             memo[n] = theory.bottom()
-        elif isinstance(n, pc.SOne):
+        elif n is pc.TICK:
             memo[n] = theory.unit(pc.TICK)
         elif isinstance(n, pc.SAct):
-            memo[n] = theory.unit(pc.Prefix(n.action, pc.SONE))
+            memo[n] = theory.unit(pc.Prefix(n.action, pc.TICK))
         elif isinstance(n, Op):
             memo[n] = theory.op_apply(n.param, [memo[a] for a in n.args])
         elif isinstance(n, pc.SSeq):
@@ -908,7 +910,7 @@ def unparse_sexp_uncached(e, level=_CHOICE):
     """Surface text of a star expression, recomputed from scratch."""
     if e is ZERO:
         return "0"
-    if isinstance(e, pc.SOne):
+    if e is pc.TICK:
         return "1"
     if isinstance(e, pc.SAct):
         return e.action
@@ -1110,7 +1112,7 @@ def _parse_satom(ts, theory, use, gkat):
     if kind == "num" and val == "0":
         return pc.ZERO
     if kind == "num" and val == "1":
-        return pc.SONE
+        return pc.TICK
     if kind == "(":
         e = _parse_schoice(ts, theory, use, gkat)
         ts.expect(")")
@@ -1120,7 +1122,7 @@ def _parse_satom(ts, theory, use, gkat):
             guard = parse_param(ts, theory)
             if not isinstance(guard, frozenset):
                 raise ParseError("test expects a guard", pos)
-            return pc.Op(guard, (pc.SONE, pc.ZERO))
+            return pc.Op(guard, (pc.TICK, pc.ZERO))
         use.see_action(val, pos)
         return pc.SAct(val)
     raise ParseError(f"unexpected token {val!r}", pos)
@@ -1210,19 +1212,18 @@ def translate_recursive(s):
     ``star.translate``."""
     if s is ZERO:
         return pc.ZERO
-    if isinstance(s, pc.SOne):
-        return pc.Var(pc.UNIT_VAR)
+    if s is pc.TICK:
+        return pc.TICK
     if isinstance(s, pc.SAct):
-        return pc.Prefix(s.action, pc.Var(pc.UNIT_VAR))
+        return pc.Prefix(s.action, pc.TICK)
     if isinstance(s, Op):
         return pc.Op(s.param, tuple(translate_recursive(a) for a in s.args))
     if isinstance(s, pc.SSeq):
         return pc.substitute(translate_recursive(s.left),
-                             {pc.UNIT_VAR: translate_recursive(s.right)})
+                             {pc.TICK.name: translate_recursive(s.right)})
     body = translate_recursive(s.body)
     v = fresh_name(all_names(body))
-    return pc.Mu(v, pc.Op(s.param, (pc.substitute(body, {pc.UNIT_VAR: pc.Var(v)}),
-                                    pc.Var(pc.UNIT_VAR))))
+    return pc.Mu(v, pc.Op(s.param, (pc.substitute(body, {pc.TICK.name: pc.Var(v)}), pc.TICK)))
 
 
 def lstep_recursive(s, theory):
@@ -1231,22 +1232,22 @@ def lstep_recursive(s, theory):
     Oracle for ``step`` on star expressions."""
     if s is ZERO:
         return theory.bottom()
-    if isinstance(s, pc.SOne):
+    if s is pc.TICK:
         return theory.unit(pc.TICK)
     if isinstance(s, pc.SAct):
-        return theory.unit(pc.Prefix(s.action, pc.SONE))
+        return theory.unit(pc.Prefix(s.action, pc.TICK))
     if isinstance(s, Op):
         return theory.op_apply(s.param, [lstep_recursive(a, theory) for a in s.args])
     if isinstance(s, pc.SSeq):
         def leaf(t):
-            if isinstance(t, pc.Tick):
+            if t is pc.TICK:
                 return lstep_recursive(s.right, theory)
             return theory.unit(pc.Prefix(t.action, pc.SSeq(t.body, s.right)))
 
         return nf_flatten(theory, theory.nf_map(lstep_recursive(s.left, theory), leaf))
 
     def loop(t):
-        if isinstance(t, pc.Tick):
+        if t is pc.TICK:
             return theory.bottom()
         return theory.unit(pc.Prefix(t.action, pc.SSeq(t.body, s)))
 
@@ -1258,7 +1259,7 @@ def deriv_sl(s, theory):
     """The ``sl`` syntactic derivative by plain recursion, a sequence's
     right side derived only when its left side ticks; with ``deriv_gs``,
     the oracle for ``star.partial_derivative``."""
-    if s is ZERO or isinstance(s, pc.SOne):
+    if s is ZERO or s is pc.TICK:
         return pc.ZERO
     if isinstance(s, pc.SAct):
         return s
@@ -1278,7 +1279,7 @@ def deriv_sl(s, theory):
 
 def deriv_gs(s, theory):
     """The ``gs`` syntactic derivative by plain recursion."""
-    if s is ZERO or isinstance(s, pc.SOne):
+    if s is ZERO or s is pc.TICK:
         return pc.ZERO
     if isinstance(s, pc.SAct):
         return s

@@ -17,18 +17,17 @@ import pytest
 import procalc as pc
 from procalc.equivalence import check_states, equivalent
 from procalc.semantics import disjoint_union
-from procalc.star import (SSeq, SStar, SONE,
+from procalc.star import (SSeq, SStar,
                           check_estar_instance, output_guard,
                           parse_sexp, partial_derivative,
                           star_reachable, translate)
-from procalc.syntax import Op
+from procalc.syntax import TICK, Op
 from procalc.theory import ZERO_SUBDIST
 
 from gen import (ALL_THEORIES, rand_coalgebra, rand_guard, rand_sexp,
                  seed_for, theory)
 from masses import count_point, fraction_point
 from oracles import naive_bisim_relation
-from test_star import unit_identified
 
 F = Fraction
 
@@ -107,7 +106,7 @@ def test_acceptance_4_star_ca_counterexample():
     ca = theory("ca")
     e = parse_sexp("1 +[1/3] a", ca)
     star = SStar(F(1, 2), e)
-    unrolled = Op(F(1, 2), (SSeq(e, star), SONE))
+    unrolled = Op(F(1, 2), (SSeq(e, star), TICK))
     m1, m2 = pc.tick_mass(star, ca), pc.tick_mass(unrolled, ca)
     inequiv = not equivalent(star, unrolled, ca).equivalent
     ok = m1 == F(1, 2) and m2 == F(7, 12) and inequiv
@@ -183,10 +182,10 @@ def test_acceptance_8_appendix_f():
     for _ in range(100):
         e = rand_sexp(sl, rng, depth=3)
         star = SStar(None, e)
-        if not equivalent(star, Op(None, (SSeq(e, star), SONE)), sl).equivalent:
+        if not equivalent(star, Op(None, (SSeq(e, star), TICK)), sl).equivalent:
             bad += 1
         d = partial_derivative(e, sl)
-        rhs = Op(None, (d, SONE)) if output_guard(e, sl) else d
+        rhs = Op(None, (d, TICK)) if output_guard(e, sl) else d
         if not equivalent(e, rhs, sl).equivalent:
             bad += 1
     rng = random.Random(88002)
@@ -194,11 +193,11 @@ def test_acceptance_8_appendix_f():
         e = rand_sexp(gs, rng, depth=3)
         b = rand_guard(rng)
         star = SStar(b, e)
-        if not equivalent(star, Op(b, (SSeq(e, star), SONE)), gs).equivalent:
+        if not equivalent(star, Op(b, (SSeq(e, star), TICK)), gs).equivalent:
             bad += 1
         d = partial_derivative(e, gs)
         out = output_guard(e, gs)
-        if not equivalent(e, Op(out, (SONE, d)), gs).equivalent:
+        if not equivalent(e, Op(out, (TICK, d)), gs).equivalent:
             bad += 1
     report(8, bad == 0,
            f"unguarded unrolling + derivative characterisations, {bad} failures")
@@ -217,7 +216,7 @@ def test_acceptance_10_coherence():
         for _ in range(200):
             s = rand_sexp(th, rng, depth=3)
             c1 = star_reachable(s, th)
-            c2 = unit_identified(pc.reachable(translate(s), th))
+            c2 = pc.reachable(translate(s), th)
             u = disjoint_union(c1, c2)
             if not check_states(u, "as0", "bs0").equivalent:
                 bad += 1

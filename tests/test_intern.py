@@ -60,7 +60,7 @@ def test_equal_structure_is_one_object():
     assert Op(None, (a, b)) is Op(param=None, args=(Var("a"), Var("b")))
     assert Prefix("x", ZERO) is Prefix(action="x", body=pc.Zero())
     assert Op(None, (a, b)) is not Op(None, (b, a))
-    assert pc.SSeq(pc.SAct("a"), pc.SONE) is pc.SSeq(pc.SAct("a"), pc.SOne())
+    assert pc.SSeq(pc.SAct("a"), pc.TICK) is pc.SSeq(pc.SAct("a"), Var("1"))
 
 
 def test_param_type_is_part_of_the_key():
@@ -85,7 +85,7 @@ def test_fraction_params_key_on_their_ratio_and_type():
     assert [type(n.param) for n in nodes] == [int, bool, Fraction, tuple]
     assert Op(F(2, 4), (a, b)) is Op(F(1, 2), (a, b)) is not Op((1, 2), (a, b))
     assert unparse(nodes[2]) == "a +[1] b"
-    stars = [pc.Op(p, (pc.SAct("a"), pc.SONE)) for p in (1, True, F(1))]
+    stars = [pc.Op(p, (pc.SAct("a"), pc.TICK)) for p in (1, True, F(1))]
     assert len({id(n) for n in stars}) == 3
     assert pc.SStar(F(3, 6), pc.SAct("a")) is pc.SStar(F(1, 2), pc.SAct("a"))
     leaves = [Gen(g) for g in (1, True, F(1))]

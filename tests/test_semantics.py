@@ -10,7 +10,7 @@ import pytest
 
 import procalc as pc
 from procalc import cli, semantics
-from procalc.semantics import StateCapExceeded, Tick, disjoint_union
+from procalc.semantics import StateCapExceeded, disjoint_union
 from procalc.theory import ZERO_SUBDIST, TheoryError
 
 from gen import (ACTIONS, ALL_THEORIES, rand_clash_text, rand_coalgebra, rand_exp, rand_guarded_exp, rand_param,
@@ -310,10 +310,11 @@ def test_step_agrees_with_one_walk_per_term(th, capsys):
 
 
 def _without_zero(explored):
-    """``_explored``'s result with ``0`` left out of the memo: the walk
-    memoises it, `step` makes it at once."""
+    """``_explored``'s result with ``0`` and ``1`` left out of the memo: the
+    walk memoises them, `step` makes them at once."""
     result, memos = explored
-    return result, [{n: nf for n, nf in memo.items() if n is not pc.ZERO} for memo in memos]
+    return result, [{n: nf for n, nf in memo.items() if n is not pc.ZERO and n is not pc.TICK}
+                    for memo in memos]
 
 
 @pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
@@ -550,6 +551,17 @@ def test_reader_agrees_with_term_then_step_oracle(th, monkeypatch):
 
     monkeypatch.setattr(semantics, "step", no_step)
     assert [pc.coalgebra_from_json(text) for text in texts] == expected
+
+
+def test_termination_sorts_after_every_output():
+    # 1 is the output of a variable, but keys as termination, after outputs
+    for args in ([{"tick": True}, {"out": "u"}], [{"out": "u"}, {"tick": True}]):
+        c = pc.coalgebra_from_json(json.dumps({"theory": "sl", "states": ["s0"], "structure": {
+            "s0": {"op": "+", "args": args}}}))
+        assert c.render() == "s0 = u + 1"
+    assert pc.generator_key(pc.TICK) == ("k", "tick")
+    assert sorted([pc.TICK, pc.Var("zz"), pc.Var("u")], key=pc.generator_key) == [
+        pc.Var("u"), pc.Var("zz"), pc.TICK]
 
 
 def test_json_rejects_dangling_target():

@@ -458,6 +458,15 @@ def test_solve_reads_lts_text_back(th):
     assert renamed >= 10
 
 
+def test_solve_refuses_termination_under_a_prefix():
+    # termination is the output of 1, found by name wherever it occurs
+    sl = theory("sl")
+    under = pc.Prefix("a", pc.TICK)
+    for rhs in (pc.TICK, under, pc.Op(None, (pc.Var("x"), under))):
+        with pytest.raises(pc.TheoryError, match="^termination transitions have no syntax$"):
+            pc.solve(pc.EqSystem(sl, ("x",), (rhs,)))
+
+
 def test_termination_has_one_message_in_text_and_json():
     # star lts prints termination as 1, which no equation system can read
     text = run_cli(["star", "lts", "a ; b"], None)["stdout"]

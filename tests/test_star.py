@@ -10,11 +10,10 @@ import pytest
 import procalc as pc
 from procalc.semantics import disjoint_union, step
 from procalc.equivalence import check_states, equivalent
-from procalc.star import (SAct, SOne, SSeq, SStar, SONE,
-                          UNIT_VAR, check_estar_instance,
+from procalc.star import (SAct, SSeq, SStar, check_estar_instance,
                           output_guard, parse_sexp, partial_derivative,
                           star_reachable, translate, is_guarded_star)
-from procalc.syntax import ZERO, Op, unparse
+from procalc.syntax import TICK, ZERO, Op, unparse
 
 from gen import ACTIONS, ALL_THEORIES, rand_guarded_sexp, rand_sexp, seed_for, theory
 from masses import count_point
@@ -33,7 +32,7 @@ def sx(text, name, **kw):
 
 def test_parse_sexp_basics():
     assert sx("0", "sl") == ZERO
-    assert sx("1", "sl") == SONE
+    assert sx("1", "sl") is TICK
     assert sx("a", "sl") == SAct("a")
     assert sx("a ; b", "sl") == SSeq(SAct("a"), SAct("b"))
     assert sx("a + b", "sl") == Op(None, (SAct("a"), SAct("b")))
@@ -51,8 +50,8 @@ def test_parse_sexp_precedence():
 def test_gkat_sugar():
     th = theory("gs")
     e = parse_sexp("test[x1]", th, gkat=True)
-    assert e == Op(frozenset({"x1"}), (SONE, ZERO))
-    # lambda xi. (xi in b ? Tick : bottom)
+    assert e == Op(frozenset({"x1"}), (TICK, ZERO))
+    # lambda xi. (xi in b ? 1 : bottom)
     assert step(e, th) == (pc.TICK, None)
     with pytest.raises(pc.ParseError):
         parse_sexp("test[x1]", th)  # sugar off by default
@@ -123,17 +122,17 @@ def test_parse_sexp_at_depth():
 # translation
 
 def test_translate_examples():
-    u = pc.Var(UNIT_VAR)
-    assert translate(SONE) == u
-    assert translate(SAct("a")) == pc.Prefix("a", u)
+    # 1 is its own translation: the continuation is the termination output
+    assert translate(TICK) is TICK
+    assert translate(SAct("a")) == pc.Prefix("a", TICK)
     assert translate(SSeq(SAct("a"), SAct("b"))) == pc.Prefix(
-        "a", pc.Prefix("b", u)
+        "a", pc.Prefix("b", TICK)
     )
     star = translate(SStar(None, SAct("a")))
     assert isinstance(star, pc.Mu)
     v = star.var
     assert v.startswith("%")
-    assert star.body == pc.Op(None, (pc.Prefix("a", pc.Var(v)), u))
+    assert star.body == pc.Op(None, (pc.Prefix("a", pc.Var(v)), TICK))
 
 
 def test_right_distributivity_structural():
@@ -163,10 +162,14 @@ def test_is_guarded_star():
 # direct semantics (Fig. 3)
 
 def test_lstep_base_cases():
-    th = theory("sl")
-    assert step(ZERO, th) == th.bottom()
-    assert step(SONE, th) == th.unit(pc.TICK)
-    assert step(SAct("a"), th) == th.unit(pc.Prefix("a", SONE))
+    # the star fragment's 1 is the termination output Var("1"), so an action
+    # steps to a.1 directly and through its translation alike
+    for th in ALL_THEORIES:
+        assert step(ZERO, th) == th.bottom()
+        assert parse_sexp("1", th) is TICK is pc.Var("1")
+        assert step(TICK, th) == th.unit(TICK)
+        a = parse_sexp("a", th)
+        assert step(a, th) == step(translate(a), th) == th.unit(pc.Prefix("a", TICK))
 
 
 def test_lstep_ca_star_counterexample_masses():
@@ -176,10 +179,10 @@ def test_lstep_ca_star_counterexample_masses():
     assert step(star, th) == count_point(frozenset(
         {
             (pc.TICK, F(1, 2)),
-            (pc.Prefix("a", SSeq(SONE, star)), F(1, 3)),
+            (pc.Prefix("a", SSeq(TICK, star)), F(1, 3)),
         }
     ))
-    unrolled = Op(F(1, 2), (SSeq(e, star), SONE))
+    unrolled = Op(F(1, 2), (SSeq(e, star), TICK))
     assert pc.tick_mass(star, th) == F(1, 2)
     assert pc.tick_mass(unrolled, th) == F(7, 12)
     assert not equivalent(star, unrolled, th).equivalent
@@ -201,12 +204,6 @@ def test_star_equivalent_examples():
 # ---------------------------------------------------------------------------
 # coherence of Fig. 3 with Fig. 1
 
-def unit_identified(c):
-    """Rename the $unit outputs of a translated star process to Tick."""
-    return pc.EqSystem(c.theory, c.variables,
-                       tuple(pc.substitute(x, {UNIT_VAR: pc.TICK}) for x in c.exprs))
-
-
 @pytest.mark.parametrize("name", ["sl", "cm", "gs", "ca", "cs"])
 def test_coherence_with_translation(name):
     th = theory(name)
@@ -214,9 +211,10 @@ def test_coherence_with_translation(name):
     for _ in range(60):
         s = rand_sexp(th, rng, depth=3)
         c1 = star_reachable(s, th)
-        c2 = unit_identified(pc.reachable(translate(s), th))
+        c2 = pc.reachable(translate(s), th)
         u = disjoint_union(c1, c2)
         assert check_states(u, "as0", "bs0").equivalent, unparse(s)
+        assert equivalent(s, translate(s), th).equivalent, unparse(s)
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +275,10 @@ def test_translate_and_lstep_agree_with_recursive_walks(th):
 def test_star_walks_at_depth():
     # a sequence nested 10,000 deep to the right, built without the parser
     sl = theory("sl")
-    e, unit = SAct("a"), pc.Prefix("a", pc.Var(UNIT_VAR))
+    e, unit = SAct("a"), pc.Prefix("a", TICK)
     for _ in range(10_000):
         e, unit = SSeq(SAct("a"), e), pc.Prefix("a", unit)
-    assert step(e, sl) == sl.unit(pc.Prefix("a", SSeq(SONE, e.right)))
+    assert step(e, sl) == sl.unit(pc.Prefix("a", SSeq(TICK, e.right)))
     assert translate(e) is unit
     assert is_guarded_star(e)
     assert partial_derivative(e, sl) is e
@@ -292,16 +290,16 @@ def test_star_walks_at_depth():
 def test_derivative_base_cases():
     sl = theory("sl")
     assert partial_derivative(ZERO, sl) == ZERO
-    assert partial_derivative(SONE, sl) == ZERO
+    assert partial_derivative(TICK, sl) == ZERO
     assert partial_derivative(SAct("a"), sl) == SAct("a")
 
 
 def test_output_guard():
     sl = theory("sl")
-    assert output_guard(SONE, sl) is True
+    assert output_guard(TICK, sl) is True
     assert output_guard(SAct("a"), sl) is False
     gs = theory("gs")
-    assert output_guard(SONE, gs) == frozenset({"x1", "x2"})
+    assert output_guard(TICK, gs) == frozenset({"x1", "x2"})
     assert output_guard(sx("test[x1]", "gs", gkat=True), gs) == frozenset({"x1"})
 
 
@@ -311,7 +309,7 @@ def test_sl_derivative_characterisation():
     for _ in range(100):
         e = rand_sexp(sl, rng, depth=3)
         d = partial_derivative(e, sl)
-        rhs = Op(None, (d, SONE)) if output_guard(e, sl) else d
+        rhs = Op(None, (d, TICK)) if output_guard(e, sl) else d
         assert equivalent(e, rhs, sl).equivalent, unparse(e)
         # derivatives never tick
         assert output_guard(d, sl) is False
@@ -324,7 +322,7 @@ def test_gs_derivative_characterisation():
         e = rand_sexp(gs, rng, depth=3)
         d = partial_derivative(e, gs)
         b = output_guard(e, gs)
-        assert equivalent(e, Op(b, (SONE, d)), gs).equivalent, unparse(e)
+        assert equivalent(e, Op(b, (TICK, d)), gs).equivalent, unparse(e)
         assert output_guard(d, gs) == frozenset()
 
 
@@ -372,7 +370,7 @@ def test_unguarded_unrolling_sl_and_gs():
         e = rand_sexp(sl, rng, depth=2)
         star = SStar(None, e)
         assert equivalent(
-            star, Op(None, (SSeq(e, star), SONE)), sl
+            star, Op(None, (SSeq(e, star), TICK)), sl
         ).equivalent, unparse(e)
     gs = theory("gs")
     rng = random.Random(83)
@@ -383,5 +381,5 @@ def test_unguarded_unrolling_sl_and_gs():
         b = rand_guard(rng)
         star = SStar(b, e)
         assert equivalent(
-            star, Op(b, (SSeq(e, star), SONE)), gs
+            star, Op(b, (SSeq(e, star), TICK)), gs
         ).equivalent, unparse(e)

@@ -330,7 +330,7 @@ def test_unguarded_vars_clauses():
     assert unguarded_vars(e) == {"v", "x"}
     assert unguarded_vars(Op(None, (Mu("v", Var("v")), Var("v")))) == {"v"}
     assert unguarded_vars(ZERO) == set()
-    assert unguarded_vars(pc.SSeq(pc.SAct("a"), pc.SStar(None, Op(None, (pc.SONE, ZERO))))) == set()
+    assert unguarded_vars(pc.SSeq(pc.SAct("a"), pc.SStar(None, Op(None, (pc.TICK, ZERO))))) == set()
 
 
 @pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)

@@ -847,7 +847,7 @@ def test_generator_key_agrees_with_isinstance_chain():
     samples = [None, True, False, 0, 7, F(2, 3), "s1", 1.5,
                pc.TICK, pc.Var("u"), pc.Prefix("a", pc.Var("s0")), pc.Prefix("a", pc.Var("s10")),
                pc.Prefix("a", pc.Prefix("b", pc.ZERO)),
-               pc.Prefix("b", pc.SSeq(pc.SONE, pc.SAct("c"))),
+               pc.Prefix("b", pc.SSeq(pc.TICK, pc.SAct("c"))),
                frozenset({(pc.TICK, F(1, 2)), (pc.Var("v"), F(1, 3))})]
     for th in ALL_THEORIES:
         for _ in range(40):

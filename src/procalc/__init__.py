@@ -13,7 +13,7 @@ _EXPORTS = {  # module -> the names procalc exports from it
                  "coalgebra_from_json coalgebra_to_dot render_sterm StateCapExceeded "
                  "disjoint_union",
     "equivalence": "bisim_partition equivalent check_states Certificate",
-    "solver": "solve check_solution synthesize parse_system UnguardedSystem",
+    "solver": "solve check_solution parse_system UnguardedSystem",
     "axioms": "check_proof parse_proof load_proof Proof ProofStep Verdict",
     "star": "SExp SAct SSeq SStar parse_sexp translate star_reachable "
             "is_guarded_star check_estar_instance partial_derivative output_guard tick_mass",

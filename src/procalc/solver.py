@@ -115,11 +115,6 @@ def check_solution(system, phi, cap=10000):
     return True, "solution checks"
 
 
-def synthesize(c, state, order=None):
-    """A closed expression whose behaviour matches the given state."""
-    return solve(c, order, wanted=(state,))[state]
-
-
 # -- system text format ------------------------------------------------------
 
 def parse_system(text, theory, actions=None):

@@ -32,7 +32,7 @@ from . import syntax
 from .semantics import reachable, step
 from .syntax import (_ATOM, _EMPTY, _SEQ, TICK, Exp, Mu, Op, ParseError, Prefix, Record, Var,
                      ZERO, all_names, bracket, choice_param, expect_token, fresh_name,
-                     is_guarded, parse_param, post_order, render_param, substitute, token_kind)
+                     parse_param, post_order, render_param, substitute, token_kind)
 from .theory import TheoryError
 
 
@@ -205,8 +205,24 @@ def translate(s):
 
 def is_guarded_star(s):
     """Productivity of iteration: the loop body may not terminate
-    immediately."""
-    return is_guarded(TICK.name, translate(s))
+    immediately.  ``1`` is unguarded in ``translate(s)`` exactly when ``s``
+    is nullable, which one pass decides: ``1`` and a star are, ``0`` and an
+    action are not, a choice is when either side is, whatever its
+    parameter, and a sequence when both sides are."""
+    nullable = {}
+    for n in post_order((s,)):
+        if n is TICK or isinstance(n, SStar):
+            nullable[n] = True
+        elif n is ZERO or isinstance(n, SAct):
+            nullable[n] = False
+        elif type(n) is Op:
+            l, r = n.args
+            nullable[n] = nullable[l] or nullable[r]
+        elif isinstance(n, SSeq):
+            nullable[n] = nullable[n.left] and nullable[n.right]
+        else:
+            raise TypeError(f"not a star expression: {n!r}")
+    return not nullable[s]
 
 
 # ---------------------------------------------------------------------------

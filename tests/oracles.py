@@ -28,7 +28,8 @@ recursive descent over a token cursor, substitution by a recursive walk
 of the tree, guarded substitution by a walk with a binder-renaming rule
 of its own, axiom instances by instantiating a schema's right side, and
 the star fragment's translation, direct one-step map and derivatives by
-plain recursion.
+plain recursion, and the guardedness of a loop body by that of ``1`` in
+its translation.
 """
 
 import itertools
@@ -1224,6 +1225,12 @@ def translate_recursive(s):
     body = translate_recursive(s.body)
     v = fresh_name(all_names(body))
     return pc.Mu(v, pc.Op(s.param, (pc.substitute(body, {pc.TICK.name: pc.Var(v)}), pc.TICK)))
+
+
+def is_guarded_star_translated(s):
+    """Productivity of a loop body as the guardedness of ``1`` in its
+    translation; oracle for ``star.is_guarded_star``."""
+    return pc.is_guarded(pc.TICK.name, pc.translate(s))
 
 
 def lstep_recursive(s, theory):

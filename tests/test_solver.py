@@ -66,7 +66,7 @@ def test_associated_system_renames_clashing_states():
     th = theory("sl")
     c = pc.reachable(pc.parse_exp("mu x. a.x + s0", th), th)
     assert c.render() == "%0 = a.%0 + s0"
-    assert pc.unparse(pc.synthesize(c, "%0")) == "mu %0. a.%0 + s0"
+    assert pc.unparse(pc.solve(c, wanted=("%0",))["%0"]) == "mu %0. a.%0 + s0"
 
 
 def test_renamed_state_avoids_outputs_and_states():
@@ -188,7 +188,7 @@ def test_expression_system_fixed_point(th):
         e = rand_guarded_exp(th, rng, depth=3)
         c = pc.reachable(e, th)
         try:
-            f = pc.synthesize(c, c.variables[0])
+            f = pc.solve(c, wanted=c.variables[:1])[c.variables[0]]
         except UnguardedSystem:
             continue  # unguarded unknowns arise from ungarded subterms
         assert pc.equivalent(e, f, th).equivalent, pc.unparse(e)

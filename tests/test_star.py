@@ -17,8 +17,8 @@ from procalc.syntax import TICK, ZERO, Op, unparse
 
 from gen import ACTIONS, ALL_THEORIES, rand_guarded_sexp, rand_sexp, seed_for, theory
 from masses import count_point
-from oracles import (deriv_gs, deriv_sl, lstep_recursive, parse_sexp_recursive,
-                     translate_recursive)
+from oracles import (deriv_gs, deriv_sl, is_guarded_star_translated, lstep_recursive,
+                     parse_sexp_recursive, translate_recursive)
 
 F = Fraction
 
@@ -156,6 +156,18 @@ def test_is_guarded_star():
     assert not is_guarded_star(sx("1", "sl"))
     assert not is_guarded_star(sx("1 +[1/3] a", "ca"))
     assert is_guarded_star(sx("a ; a^*", "sl"))
+    # a choice is nullable whatever its parameter, so a GKAT test is
+    assert not is_guarded_star(sx("test[x1]", "gs", gkat=True))
+    assert not is_guarded_star(sx("(0 ; a) + 1", "sl"))
+    assert is_guarded_star(sx("0 ; 1", "sl"))
+
+
+@pytest.mark.parametrize("th", ALL_THEORIES, ids=lambda t: t.id)
+def test_is_guarded_star_is_guardedness_in_the_translation(th):
+    rng = random.Random(seed_for(th.id, 21))
+    for _ in range(400):
+        e = rand_sexp(th, rng, depth=5)
+        assert is_guarded_star(e) == is_guarded_star_translated(e), unparse(e)
 
 
 # ---------------------------------------------------------------------------

@@ -106,8 +106,10 @@ def test_unknown_export_raises_attribute_error():
         pc.nope
     with pytest.raises(ImportError):
         exec("from procalc import nope", {})
-    # a coalgebra is its EqSystem, and termination is the output of 1
-    for gone in ("Coalgebra", "associated_system", "Tick", "SOne", "SONE", "UNIT_VAR"):
+    # a coalgebra is its EqSystem, termination is the output of 1, and
+    # solve(c, wanted=(s,))[s] is an expression for the state s
+    for gone in ("Coalgebra", "associated_system", "Tick", "SOne", "SONE", "UNIT_VAR",
+                 "synthesize"):
         with pytest.raises(AttributeError, match=f"has no attribute '{gone}'"):
             getattr(pc, gone)
 
